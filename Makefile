@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet docs bench-smoke test-chaos fuzz-smoke ci
+.PHONY: all build test race vet docs bench-smoke bench-test test-chaos fuzz-smoke ci
 
 all: ci
 
@@ -31,12 +31,18 @@ test-chaos:
 vet:
 	$(GO) vet ./...
 
-# Fuzz smoke: a bounded run of each fuzz target on top of its checked-in
-# seed corpus (testdata/fuzz/...). Plain `go test` already replays the
-# seeds; this target actually mutates for a short budget so the corpus
-# can grow when a new crasher appears.
+# Fuzz smoke: a bounded run of each of the six fuzz targets on top of its
+# checked-in seed corpus (testdata/fuzz/...). Plain `go test` already
+# replays the seeds; this target actually mutates for a short budget so
+# the corpus can grow when a new crasher appears. (`go test -fuzz` takes
+# one target and one package per run.)
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzSnapshotOpen -fuzztime=30s ./internal/rsm
+	$(GO) test -run=NONE -fuzz='^FuzzSnapshotOpen$$' -fuzztime=10s ./internal/rsm
+	$(GO) test -run=NONE -fuzz='^FuzzSegmentScan$$' -fuzztime=10s ./internal/wal
+	$(GO) test -run=NONE -fuzz='^FuzzUnmarshalFrame$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run=NONE -fuzz='^FuzzRelayFrame$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run=NONE -fuzz='^FuzzDigestFrames$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run=NONE -fuzz='^FuzzRecoverFrames$$' -fuzztime=10s ./internal/wire
 
 # Benchmark smoke: compile and run every benchmark for exactly one
 # iteration, plus one repetition each of the abbench pipeline, KV,
@@ -52,6 +58,12 @@ bench-smoke:
 	$(GO) run ./cmd/abbench -fig membership -reps 1 -warmup 500ms -measure 1s
 	$(GO) run ./cmd/abbench -trace-sample 64
 
+# The wall-clock benchmark (bench/) is a separate module importing the
+# internal packages, so the root `go test ./...` never compiles it: vet
+# and test it here so an internal API change cannot break it silently.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Documentation gate: gofmt-clean tree, documented exported symbols in
 # modab.go, package comments on every internal package, no broken local
 # markdown links (mirrors the CI docs job).
@@ -59,4 +71,4 @@ docs:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) test -run 'TestExportedSymbolsDocumented|TestInternalPackagesHaveComments|TestMarkdownLinks' .
 
-ci: build vet test race docs bench-smoke test-chaos
+ci: build vet test race docs bench-smoke bench-test test-chaos

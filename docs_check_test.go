@@ -99,7 +99,7 @@ var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 // TestMarkdownLinks verifies that every local link in the authored
 // markdown points at an existing file or directory.
 func TestMarkdownLinks(t *testing.T) {
-	pages := []string{"README.md", "MIGRATION.md"}
+	pages := []string{"README.md"}
 	docPages, err := filepath.Glob("docs/*.md")
 	if err != nil {
 		t.Fatal(err)

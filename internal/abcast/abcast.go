@@ -35,15 +35,12 @@ import (
 	"time"
 
 	"modab/internal/batch"
-	"modab/internal/dedup"
 	"modab/internal/dissem"
 	"modab/internal/engine"
-	"modab/internal/flow"
 	"modab/internal/member"
 	"modab/internal/obs"
-	"modab/internal/payload"
-	"modab/internal/recovery"
 	"modab/internal/stack"
+	"modab/internal/tail"
 	"modab/internal/types"
 	"modab/internal/wire"
 )
@@ -82,20 +79,12 @@ type Layer struct {
 	cfg engine.Config
 
 	self types.ProcessID
-	// n is the boot upper bound of the process-ID space (Env.N), used only
-	// for sizing hints; group-size decisions go through hist.
-	n  int
-	fc *flow.Controller
-	// hist is the decided membership history: every fan-out, quorum-size
-	// and retention decision consults a view from it, never the boot n. A
-	// decided config op appends a view here and propagates to the
-	// consensus and rbcast layers as a stack.EvConfig event.
-	hist *member.History
-	// retires maps a remove boundary (the new view's activation instance)
-	// to the origins removed there; consumed when the last old-view
-	// instance is processed — the earliest point at which no undecided
-	// instance can still reference the removed origin's pending state.
-	retires map[uint64][]types.ProcessID
+	// t is the delivery tail (internal/tail): everything downstream of a
+	// decision — commit, membership, state transfer, payload residency —
+	// shared with the monolithic stack. It owns the decided watermark
+	// (t.Next), the flow window, the view history and the delivered set;
+	// this layer keeps only ordering state.
+	t *tail.Tail
 	// draining guards drainDecisions against re-entry: applying a config
 	// op mid-delivery synchronously pokes the consensus layer, which may
 	// bounce an event back into this layer.
@@ -111,10 +100,6 @@ type Layer struct {
 	// detection, and assigned the in-flight proposal (if any) currently
 	// carrying the message.
 	pending map[types.MsgID]pendingMsg
-	// delivered deduplicates adelivered messages per sender.
-	delivered dedup.Map
-	// nextDecide is the lowest instance not yet processed locally.
-	nextDecide uint64
 	// inflight maps every instance this process proposed and has not yet
 	// processed the decision of to the message IDs it proposed there. Its
 	// size is bounded by pipe: that bound IS the consensus pipeline.
@@ -144,34 +129,9 @@ type Layer struct {
 	// flow-control slot but not yet diffused — until a count, byte or age
 	// trigger seals the batch.
 	acc *batch.Accumulator
-	// rec tracks state-transfer progress after a crash-recovery restart;
-	// while active the layer does not propose (re-entering long-decided,
-	// peer-pruned instances could manufacture a conflicting decision).
-	rec recovery.Catchup
-	// recLastSeen is nextDecide at the last recovery-timer fire: the timer
-	// re-announces only when no progress happened in between, so a healthy
-	// transfer is not multiplied by periodic re-broadcasts.
-	recLastSeen uint64
-	// snap tracks an in-progress snapshot fetch: the far-behind branch of
-	// the catch-up, entered when a responder reports a snapshot at or
-	// above our missing instance but cannot serve the instances themselves
-	// (it truncated its log below the snapshot horizon).
-	snap snapFetch
-
-	// Digest-ordering state (cfg.DigestOrdering; all nil/zero otherwise).
-	// store holds disseminated payload bytes while consensus orders only
-	// descriptors; nextDSeq mints incarnation-tagged descriptor sequence
-	// numbers; descDone remembers delivered descriptors (pruned with the
-	// decision horizon) so duplicate announces don't re-enter pending;
 	// recoveredDescs are the restart-regrouped own descriptors Start
-	// re-announces; pw is the blocked-head payload wait; suspectedSet
-	// feeds the refetch target rotation.
-	store          *payload.Store
-	nextDSeq       uint64
-	descDone       map[types.MsgID]uint64
+	// re-announces (digest ordering).
 	recoveredDescs []wire.Descriptor
-	pw             payloadWait
-	suspectedSet   map[types.ProcessID]bool
 }
 
 // decision is one buffered consensus outcome; resolved reports whether
@@ -180,27 +140,6 @@ type Layer struct {
 type decision struct {
 	batch    wire.Batch
 	resolved bool
-}
-
-// payloadWait tracks a head decision blocked on a non-resident payload:
-// since anchors the blocked-time accounting, to is the refetch rotation
-// cursor.
-type payloadWait struct {
-	active bool
-	since  time.Duration
-	to     types.ProcessID
-}
-
-// snapFetch is the chunk-assembly state of one snapshot transfer.
-type snapFetch struct {
-	active    bool
-	from      types.ProcessID
-	index     uint64
-	total     int
-	buf       []byte
-	startedAt time.Duration
-	lastLen   int // buffered bytes at the last recovery-timer fire
-	stalls    int // consecutive recovery-timer fires without progress
 }
 
 var _ stack.Layer = (*Layer)(nil)
@@ -228,8 +167,7 @@ func (l *Layer) Tag() stack.Tag { return stack.TagABcast }
 func (l *Layer) Init(ctx *stack.Context) {
 	l.ctx = ctx
 	l.self = ctx.Env().Self()
-	l.n = ctx.Env().N()
-	l.fc = flow.NewController(l.self, l.cfg.EffectiveWindow())
+	l.t = tail.New(ctx.Env(), &l.cfg, (*tailHost)(l))
 	if l.cfg.Batch.Enabled() {
 		l.acc = batch.NewAccumulator(l.cfg.Batch)
 	}
@@ -237,103 +175,27 @@ func (l *Layer) Init(ctx *stack.Context) {
 	if st := l.cfg.Recovered; st != nil {
 		incarnation = st.Boots
 	}
-	l.diss = dissem.New(l.cfg.Dissemination, l.self, l.n, incarnation)
+	l.diss = dissem.New(l.cfg.Dissemination, l.self, ctx.Env().N(), incarnation)
 	l.pending = make(map[types.MsgID]pendingMsg)
-	l.delivered = dedup.NewMap(l.n)
 	l.decisionsBuf = make(map[uint64]decision)
 	l.inflight = make(map[uint64][]types.MsgID)
 	l.pipe = l.cfg.EffectivePipeline()
-	l.nextDecide = 1
-	if v := l.cfg.InitialView; v != nil {
-		l.hist = member.NewHistoryFrom(*v)
-	} else {
-		l.hist = member.NewHistory(l.n)
-	}
-	l.retires = make(map[uint64][]types.ProcessID)
-	if l.cfg.DigestOrdering {
-		l.store = payload.NewStore()
-		l.descDone = make(map[types.MsgID]uint64)
-		l.suspectedSet = make(map[types.ProcessID]bool)
-		l.nextDSeq = incarnation << wire.DSeqIncarnationShift
-	}
 	if st := l.cfg.Recovered; st != nil {
-		// Adopt the replayed state: decided watermark, per-sender delivered
-		// suppression, the unordered own backlog (re-occupying its
-		// flow-control slots) and the resumed sequence numbering.
-		l.nextDecide = st.NextDecide
-		if st.Delivered != nil {
-			l.delivered = st.Delivered
-		}
-		seqs := make([]uint64, 0, len(st.Own))
-		for _, m := range st.Own {
-			seqs = append(seqs, m.ID.Seq)
-			if !l.cfg.DigestOrdering {
-				l.pending[m.ID] = pendingMsg{msg: m, epoch: l.nextDecide}
-			}
-		}
+		// The replayed unordered own backlog re-enters the pending set (its
+		// flow-control slots are already re-occupied by the tail): as is, or
+		// under digest ordering as fresh descriptors over contiguous runs.
+		backlog := st.Own
 		if l.cfg.DigestOrdering {
-			// The replayed backlog re-enters the ordering path as fresh
-			// incarnation-tagged descriptors over maximal contiguous runs
-			// (batch boundaries are not logged, so the regrouping may
-			// differ from the pre-crash ones; per-message delivery dedup
-			// makes any overlap harmless).
-			l.recoveredDescs = l.regroupOwn(st.Own)
-		}
-		var last uint64
-		if st.NextSeq > 0 {
-			last = st.NextSeq - 1
-		}
-		l.fc.Resume(last, seqs)
-		// Rebuild the membership history from the replayed log: config ops
-		// ride the total order as ordinary decided messages, so re-applying
-		// them in instance order reconstructs exactly the view sequence the
-		// pre-crash incarnation held. (A log truncated below a config op
-		// loses that provenance; the netsim and runtime drivers keep
-		// membership runs untruncated, and joiners get InitialView instead.)
-		if l.cfg.Persist != nil {
-			for k := uint64(1); k < l.nextDecide; k++ {
-				b, ok := l.cfg.Persist.ReadDecision(k)
-				if !ok {
-					continue
-				}
-				for _, m := range b {
-					if op, isCfg := member.DecodeOp(m.Body); isCfg {
-						l.hist.Apply(op, k, l.pipe)
-					}
-				}
+			l.recoveredDescs = l.t.RegroupOwn(st.Own)
+			backlog = make(wire.Batch, len(l.recoveredDescs))
+			for i, d := range l.recoveredDescs {
+				backlog[i] = d.AppMsg()
 			}
 		}
-	}
-}
-
-// regroupOwn splits the replayed own backlog into maximal contiguous
-// sequence runs, mints a descriptor for each, makes the payloads resident
-// and the descriptors pending. Only called under digest ordering.
-func (l *Layer) regroupOwn(own wire.Batch) []wire.Descriptor {
-	if len(own) == 0 {
-		return nil
-	}
-	sorted := make(wire.Batch, len(own))
-	copy(sorted, own)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID.Seq < sorted[j].ID.Seq })
-	var descs []wire.Descriptor
-	start := 0
-	for i := 1; i <= len(sorted); i++ {
-		if i < len(sorted) && sorted[i].ID.Seq == sorted[i-1].ID.Seq+1 {
-			continue
+		for _, m := range backlog {
+			l.pending[m.ID] = pendingMsg{msg: m, epoch: l.t.Next()}
 		}
-		run := sorted[start:i]
-		l.nextDSeq++
-		d, err := wire.DescriptorFor(run, l.nextDSeq)
-		if err == nil {
-			l.store.PutBatch(run)
-			pm := d.AppMsg()
-			l.pending[pm.ID] = pendingMsg{msg: pm, epoch: l.nextDecide}
-			descs = append(descs, d)
-		}
-		start = i
 	}
-	return descs
 }
 
 // Start implements stack.Layer. A recovered layer re-diffuses its
@@ -341,19 +203,10 @@ func (l *Layer) regroupOwn(own wire.Batch) []wire.Descriptor {
 // itself, and catches up on missed decisions before proposing anything.
 func (l *Layer) Start() {
 	// Propagate any non-boot views (joiner seed, replayed config ops) to
-	// the peer layers now that every layer is initialized, and point the
-	// local dissemination/flow seams at the current view. The modular
+	// the peer layers now that every layer is initialized. The modular
 	// driver additionally seeds the consensus and rbcast layers directly
 	// for joiners; the re-emission is idempotent there.
-	if cur := l.hist.Current(); cur.Epoch > 0 {
-		for _, v := range l.hist.Views() {
-			if v.Epoch == 0 {
-				continue
-			}
-			l.emitConfig(v)
-		}
-		l.reconfigureLocal(cur)
-	}
+	l.t.ReplayViews()
 	if st := l.cfg.Recovered; st != nil {
 		c := l.ctx.Env().Counters()
 		c.Recoveries.Add(1)
@@ -364,7 +217,7 @@ func (l *Layer) Start() {
 				// more through the dissemination seam, descriptors re-enter
 				// the ordering path.
 				for _, d := range l.recoveredDescs {
-					if b, ok := l.store.Range(d); ok {
+					if b, ok := l.t.Store.Range(d); ok {
 						l.announce(d, b)
 					}
 				}
@@ -376,30 +229,12 @@ func (l *Layer) Start() {
 			}
 		}
 		if l.others() > 0 {
-			l.rec.Begin(l.ctx.Env().Now(), recovery.Quorum(len(l.hist.Current().Members)))
-			l.recLastSeen = l.nextDecide
-			l.sendRecoverReq(types.Nobody)
-			if l.cfg.ResendEvery > 0 {
-				l.ctx.SetTimer(timerRecover, l.cfg.ResendEvery)
-			}
+			l.t.BeginRecovery()
 		} else {
 			l.maybeStartConsensus()
 		}
 	}
 	l.armKick()
-}
-
-// sendRecoverReq sends a state-transfer request — to one peer, or to all
-// of them when to is types.Nobody (announce/retry).
-func (l *Layer) sendRecoverReq(to types.ProcessID) {
-	w := wire.GetWriter(16)
-	wire.AppendRecoverReqFrame(w, wire.RecoverReq{From: l.nextDecide})
-	if to == types.Nobody {
-		l.ctx.NetSendMembers(l.hist.Current().Members, w.Bytes())
-	} else {
-		l.ctx.NetSend(to, w.Bytes())
-	}
-	wire.PutWriter(w)
 }
 
 // Pending returns the number of known, unordered messages, including any
@@ -413,14 +248,14 @@ func (l *Layer) Pending() int {
 }
 
 // InFlight returns the number of local messages held by flow control.
-func (l *Layer) InFlight() int { return l.fc.InFlight() }
+func (l *Layer) InFlight() int { return l.t.Flow.InFlight() }
 
 // Abcast submits one application payload: admit through flow control,
 // then either diffuse immediately (batching disabled) or accumulate into
 // the sender-side batch, which is diffused and proposed as one unit when
 // a count, byte or age trigger seals it.
 func (l *Layer) Abcast(body []byte) (types.MsgID, error) {
-	id, err := l.fc.Admit()
+	id, err := l.t.Flow.Admit()
 	if err != nil {
 		return types.MsgID{}, err
 	}
@@ -441,7 +276,7 @@ func (l *Layer) Abcast(body []byte) (types.MsgID, error) {
 			// that a restarted incarnation would not find in its log.
 			l.cfg.Persist.PersistAdmit(wire.Batch{msg})
 		}
-		l.pending[id] = pendingMsg{msg: msg, epoch: l.nextDecide}
+		l.pending[id] = pendingMsg{msg: msg, epoch: l.t.Next()}
 		l.snapClean = false
 		// Unbatched: the message is its own sealed batch.
 		l.cfg.Obs.Stage(id, obs.StageSeal, l.ctx.Env().Now())
@@ -489,12 +324,9 @@ func (l *Layer) ingestBatch(b wire.Batch) {
 		// pseudo-message consensus will carry. Own sealed batches are
 		// contiguous by construction (flow control assigns sequential
 		// seqs and the accumulator preserves admission order).
-		l.nextDSeq++
-		d, err := wire.DescriptorFor(b, l.nextDSeq)
-		if err == nil {
-			l.store.PutBatch(b)
+		if d, err := l.t.Describe(b); err == nil {
 			pm := d.AppMsg()
-			l.pending[pm.ID] = pendingMsg{msg: pm, epoch: l.nextDecide}
+			l.pending[pm.ID] = pendingMsg{msg: pm, epoch: l.t.Next()}
 			l.snapClean = false
 			l.announce(d, b)
 			l.maybeStartConsensus()
@@ -504,7 +336,7 @@ func (l *Layer) ingestBatch(b wire.Batch) {
 		// a shape bug degrades instead of losing the messages.
 	}
 	for _, m := range b {
-		l.pending[m.ID] = pendingMsg{msg: m, epoch: l.nextDecide}
+		l.pending[m.ID] = pendingMsg{msg: m, epoch: l.t.Next()}
 	}
 	l.snapClean = false
 	w := wire.GetWriter(1 + b.WireSize())
@@ -542,11 +374,10 @@ func (l *Layer) spread(frame []byte, payloadBytes int) {
 	c := l.ctx.Env().Counters()
 	h, to, relay := l.diss.Origin()
 	if !relay {
-		members := l.hist.Current().Members
 		others := l.others()
 		c.PayloadBytesSent.Add(int64(payloadBytes * others))
 		c.DisseminatedBytes.Add(int64(len(frame) * others))
-		l.ctx.NetSendMembers(members, frame)
+		l.ctx.NetSendMembers(l.t.Hist.Current().Members, frame)
 		return
 	}
 	c.PayloadBytesSent.Add(int64(payloadBytes))
@@ -560,24 +391,14 @@ func (l *Layer) spread(frame []byte, payloadBytes int) {
 // spreadFanout is how many transmissions one spread costs the origin —
 // the multiplier the retransmission accounting uses.
 func (l *Layer) spreadFanout() int {
-	if l.diss.Strategy() == dissem.Ring && len(l.hist.Current().Members) >= 3 {
+	if l.diss.Strategy() == dissem.Ring && len(l.t.Hist.Current().Members) >= 3 {
 		return 1
 	}
 	return l.others()
 }
 
-// others returns the number of current-view members other than self —
-// the broadcast fan-out. A process being removed (self no longer a
-// member) still counts every member.
-func (l *Layer) others() int {
-	n := 0
-	for _, p := range l.hist.Current().Members {
-		if p != l.self {
-			n++
-		}
-	}
-	return n
-}
+// others returns the broadcast fan-out: current-view members but self.
+func (l *Layer) others() int { return l.t.Hist.Current().Others(l.self) }
 
 // Receive implements stack.Layer: a diffused message or batch from a
 // peer (both decode to a batch, so one path handles both), or a
@@ -589,28 +410,28 @@ func (l *Layer) Receive(from types.ProcessID, data []byte) error {
 		if err != nil {
 			return fmt.Errorf("abcast: bad recover-req from %s: %w", from, err)
 		}
-		l.handleRecoverReq(from, req)
+		l.t.RecoverReq(from, req)
 		return nil
 	case wire.FrameRecoverResp:
 		resp, err := wire.UnmarshalRecoverResp(data)
 		if err != nil {
 			return fmt.Errorf("abcast: bad recover-resp from %s: %w", from, err)
 		}
-		l.handleRecoverResp(from, resp)
+		l.t.RecoverResp(from, resp)
 		return nil
 	case wire.FrameSnapReq:
 		req, err := wire.UnmarshalSnapReq(data)
 		if err != nil {
 			return fmt.Errorf("abcast: bad snap-req from %s: %w", from, err)
 		}
-		l.handleSnapReq(from, req)
+		l.t.SnapReq(from, req)
 		return nil
 	case wire.FrameSnapResp:
 		resp, err := wire.UnmarshalSnapResp(data)
 		if err != nil {
 			return fmt.Errorf("abcast: bad snap-resp from %s: %w", from, err)
 		}
-		l.handleSnapResp(from, resp)
+		l.t.SnapResp(from, resp)
 		return nil
 	case wire.FrameRelay:
 		return l.handleRelay(from, data)
@@ -632,17 +453,17 @@ func (l *Layer) Receive(from types.ProcessID, data []byte) error {
 		if err != nil {
 			return fmt.Errorf("abcast: bad payload-fetch from %s: %w", from, err)
 		}
-		l.handlePayloadFetch(from, d)
+		l.t.PayloadFetch(from, d)
 		return nil
 	case wire.FramePayloadResp:
 		if !l.cfg.DigestOrdering {
 			return fmt.Errorf("abcast: payload-resp from %s without digest ordering", from)
 		}
-		d, b, err := wire.UnmarshalPayloadRespFrame(data)
+		_, b, err := wire.UnmarshalPayloadRespFrame(data)
 		if err != nil {
 			return fmt.Errorf("abcast: bad payload-resp from %s: %w", from, err)
 		}
-		l.handlePayloadResp(d, b)
+		l.t.PayloadResp(b)
 		return nil
 	}
 	if l.cfg.DigestOrdering {
@@ -660,65 +481,23 @@ func (l *Layer) Receive(from types.ProcessID, data []byte) error {
 }
 
 // handleAnnounce ingests a disseminated payload batch and its descriptor:
-// the payload becomes resident (fetchable, resolvable), the descriptor
-// becomes pending for ordering unless already delivered, and a head
-// decision blocked on this payload unblocks.
+// the tail makes the payload resident, and a descriptor that still needs
+// ordering becomes pending and unblocks a head decision waiting on it.
 func (l *Layer) handleAnnounce(d wire.Descriptor, b wire.Batch) {
-	if !l.hist.Current().Contains(d.Origin) {
-		// A removed (or not-yet-added) origin's announce must not re-enter
-		// the pending set: nothing will ever propose it past the remove
-		// boundary, so pooling it would leak and re-kick forever. A joiner
-		// racing its own add simply re-announces until the add activates.
+	if !l.t.Announce(d, b) {
 		return
 	}
 	pm := d.AppMsg()
-	if _, done := l.descDone[pm.ID]; done {
-		return // duplicate announce of a delivered descriptor
-	}
-	l.store.PutBatch(b)
-	if l.rangeFullyDelivered(d) {
-		// Every message of the range is already adelivered — learned
-		// through a recovery chunk or snapshot install that never named
-		// this descriptor ID — so there is nothing left to order. Retire
-		// it instead of pooling: a pending entry no decision will ever
-		// cover would be re-announced by the origin's kick forever.
-		delete(l.pending, pm.ID)
-		l.snapClean = false
-		l.descDone[pm.ID] = l.nextDecide - 1
-		l.store.MarkDelivered(d, l.nextDecide-1)
-		return
-	}
 	if _, known := l.pending[pm.ID]; !known {
-		l.pending[pm.ID] = pendingMsg{msg: pm, epoch: l.nextDecide}
+		l.pending[pm.ID] = pendingMsg{msg: pm, epoch: l.t.Next()}
 		l.snapClean = false
 	}
-	l.drainDecisions()
-	l.maybeStartConsensus()
-	l.armKick()
+	l.progress()
 }
 
-// handlePayloadFetch serves a decided-but-not-resident repair request from
-// the local store; a miss is silently ignored — the requester's timer
-// rotates to the next holder.
-func (l *Layer) handlePayloadFetch(from types.ProcessID, d wire.Descriptor) {
-	b, ok := l.store.Range(d)
-	if !ok {
-		return
-	}
-	c := l.ctx.Env().Counters()
-	c.Retransmissions.Add(1)
-	c.PayloadBytesSent.Add(int64(b.PayloadBytes()))
-	w := wire.GetWriter(32 + b.WireSize())
-	wire.AppendPayloadRespFrame(w, d, b)
-	c.DisseminatedBytes.Add(int64(len(w.Bytes())))
-	l.ctx.NetSend(from, w.Bytes())
-	wire.PutWriter(w)
-}
-
-// handlePayloadResp ingests a repair response (validated against its
-// descriptor at the wire layer) and retries the blocked head.
-func (l *Layer) handlePayloadResp(d wire.Descriptor, b wire.Batch) {
-	l.store.PutBatch(b)
+// progress retries the head decision, proposes and re-arms the idle kick:
+// the common tail of every event that may have unblocked ordering.
+func (l *Layer) progress() {
 	l.drainDecisions()
 	l.maybeStartConsensus()
 	l.armKick()
@@ -784,289 +563,18 @@ func (l *Layer) handleRelay(from types.ProcessID, data []byte) error {
 // (re)starts consensus — the shared tail of the direct and relayed
 // receive paths.
 func (l *Layer) ingestDiffused(b wire.Batch) {
-	cur := l.hist.Current()
+	cur := l.t.Hist.Current()
 	for _, msg := range b {
-		if l.isDelivered(msg.ID) || !cur.Contains(msg.ID.Sender) {
+		if l.t.Delivered.Seen(msg.ID) || !cur.Contains(msg.ID.Sender) {
 			continue
 		}
 		if _, known := l.pending[msg.ID]; !known {
-			l.pending[msg.ID] = pendingMsg{msg: msg, epoch: l.nextDecide}
+			l.pending[msg.ID] = pendingMsg{msg: msg, epoch: l.t.Next()}
 			l.snapClean = false
 		}
 	}
 	l.armKick()
 	l.maybeStartConsensus()
-}
-
-// handleRecoverReq serves a restarted peer a chunk of decided instances
-// from the local write-ahead log. The layer itself retains no decided
-// batches (decisions live behind the consensus black box), so without a
-// log it can only report its decided horizon and let another peer serve
-// the data.
-func (l *Layer) handleRecoverReq(from types.ProcessID, req wire.RecoverReq) {
-	resp := wire.RecoverResp{UpTo: l.nextDecide - 1}
-	if l.cfg.Snapshots != nil && l.cfg.Snapshots.Latest != nil {
-		if idx, ok := l.cfg.Snapshots.Latest(); ok {
-			resp.SnapIndex = idx
-		}
-	}
-	end := recovery.ChunkEnd(req.From, resp.UpTo)
-	for k := req.From; end > 0 && k <= end && l.cfg.Persist != nil; k++ {
-		batch, ok := l.cfg.Persist.ReadDecision(k)
-		if !ok {
-			break // can't serve a contiguous run past this point
-		}
-		resp.Decisions = append(resp.Decisions, wire.DecidedInstance{K: k, Batch: batch})
-	}
-	c := l.ctx.Env().Counters()
-	c.Retransmissions.Add(1)
-	for _, d := range resp.Decisions {
-		c.PayloadBytesSent.Add(int64(d.Batch.PayloadBytes()))
-	}
-	w := wire.GetWriter(16)
-	wire.AppendRecoverRespFrame(w, resp)
-	l.ctx.NetSend(from, w.Bytes())
-	wire.PutWriter(w)
-}
-
-// handleRecoverResp applies a state-transfer chunk through the normal
-// decision path (persisted, adelivered, deduplicated), then either
-// completes the catch-up or pulls the next chunk from the same peer.
-//
-// Decisions are applied even when the catch-up has already finished: the
-// finish can race a still-in-flight chunk (the quorum check can be
-// satisfied by a responder that is itself lagging — e.g. the peer that
-// sat on the other side of a healed partition), and the raced chunk may
-// carry decisions whose dissemination this process permanently missed
-// while down. Discarding it would leave an unhealable gap (found by the
-// chaos harness under partition+crash+restart schedules).
-func (l *Layer) handleRecoverResp(from types.ProcessID, resp wire.RecoverResp) {
-	c := l.ctx.Env().Counters()
-	before := l.nextDecide
-	for _, d := range resp.Decisions {
-		if d.K < l.nextDecide {
-			continue // already applied (replay, buffered decision, racing chunk)
-		}
-		c.RecoveryFetchedMsgs.Add(int64(len(d.Batch)))
-		// State-transfer decisions are served from the responder's log,
-		// which stores resolved payload batches even under digest ordering.
-		l.enqueueDecision(d.K, d.Batch, true)
-	}
-	if !l.rec.Active() {
-		return // finished catch-up: the decisions above were still usable
-	}
-	l.rec.Observe(from, resp.UpTo)
-	if dur, done := l.rec.MaybeFinish(l.nextDecide, l.ctx.Env().Now()); done {
-		c.RecoveryNanos.Add(dur.Nanoseconds())
-		l.cfg.Obs.RecoveryObserved(dur)
-		l.ctx.CancelTimer(timerRecover)
-		l.finishRecovery()
-		return
-	}
-	// Pull the next chunk only from a peer whose response advanced us:
-	// the broadcast announce fans out to everyone, and without this gate
-	// every responder would ship the same backlog in parallel.
-	if l.nextDecide > before && l.nextDecide <= l.rec.Target() {
-		l.sendRecoverReq(from)
-		return
-	}
-	// Far-behind branch: the responder could not serve our missing
-	// instance (it truncated its log below its snapshot horizon) but holds
-	// a snapshot covering it. Fetch and install the snapshot, then resume
-	// per-instance catch-up above it.
-	if l.nextDecide == before && resp.SnapIndex >= l.nextDecide &&
-		l.cfg.Snapshots != nil && !l.snap.active {
-		l.beginSnapFetch(from, resp.SnapIndex)
-	}
-}
-
-// beginSnapFetch starts fetching the snapshot at index from one peer.
-func (l *Layer) beginSnapFetch(from types.ProcessID, index uint64) {
-	l.snap = snapFetch{active: true, from: from, index: index, startedAt: l.ctx.Env().Now()}
-	l.sendSnapReq()
-}
-
-// sendSnapReq requests the next chunk of the in-progress snapshot fetch.
-func (l *Layer) sendSnapReq() {
-	w := wire.GetWriter(24)
-	wire.AppendSnapReqFrame(w, wire.SnapReq{Index: l.snap.index, Offset: uint64(len(l.snap.buf))})
-	l.ctx.NetSend(l.snap.from, w.Bytes())
-	wire.PutWriter(w)
-}
-
-// handleSnapReq serves one chunk of the local latest snapshot. A request
-// for a snapshot this process no longer has (it moved on) is answered
-// with the newest one from offset 0; the requester restarts its assembly.
-func (l *Layer) handleSnapReq(from types.ProcessID, req wire.SnapReq) {
-	if l.cfg.Snapshots == nil || l.cfg.Snapshots.Latest == nil || l.cfg.Snapshots.Read == nil {
-		return
-	}
-	resp := wire.SnapResp{UpTo: l.nextDecide - 1}
-	if idx, ok := l.cfg.Snapshots.Latest(); ok {
-		off := req.Offset
-		if idx != req.Index {
-			off = 0
-		}
-		if data, total, ok := l.cfg.Snapshots.Read(idx, int(off), wire.SnapChunk); ok {
-			resp.Index = idx
-			resp.Total = uint64(total)
-			resp.Offset = off
-			resp.Data = data
-		}
-	}
-	c := l.ctx.Env().Counters()
-	c.Retransmissions.Add(1)
-	w := wire.GetWriter(64 + len(resp.Data))
-	wire.AppendSnapRespFrame(w, resp)
-	l.ctx.NetSend(from, w.Bytes())
-	wire.PutWriter(w)
-}
-
-// handleSnapResp assembles snapshot chunks and installs the completed
-// envelope: application state through the driver hook, dedup merge and
-// watermark jump in the layer, then per-instance catch-up resumes for
-// whatever suffix remains above the snapshot.
-func (l *Layer) handleSnapResp(from types.ProcessID, resp wire.SnapResp) {
-	if !l.snap.active || from != l.snap.from {
-		return
-	}
-	if resp.Total == 0 || resp.Index < l.nextDecide {
-		// The responder lost its snapshot, or we advanced past it while
-		// fetching; the recovery timer finds another path.
-		l.snap = snapFetch{}
-		return
-	}
-	if resp.Index != l.snap.index {
-		// The responder rotated to a newer snapshot: restart the assembly.
-		l.snap.index = resp.Index
-		l.snap.buf = l.snap.buf[:0]
-		if resp.Offset != 0 {
-			l.sendSnapReq()
-			return
-		}
-	}
-	if int(resp.Offset) != len(l.snap.buf) {
-		l.sendSnapReq() // duplicate or reordered chunk: re-request in place
-		return
-	}
-	l.snap.total = int(resp.Total)
-	l.snap.buf = append(l.snap.buf, resp.Data...)
-	l.rec.Observe(from, resp.UpTo)
-	if len(l.snap.buf) < l.snap.total {
-		l.sendSnapReq()
-		return
-	}
-	env, err := wire.UnmarshalSnapshotEnvelope(l.snap.buf)
-	took := l.ctx.Env().Now() - l.snap.startedAt
-	l.snap = snapFetch{}
-	if err != nil || env.Index < l.nextDecide {
-		return
-	}
-	if err := l.installSnapshot(env); err != nil {
-		return
-	}
-	c := l.ctx.Env().Counters()
-	c.SnapshotInstalls.Add(1)
-	c.SnapshotInstallNanos.Add(took.Nanoseconds())
-	l.cfg.Obs.InstallObserved(took)
-	if dur, done := l.rec.MaybeFinish(l.nextDecide, l.ctx.Env().Now()); done {
-		c.RecoveryNanos.Add(dur.Nanoseconds())
-		l.cfg.Obs.RecoveryObserved(dur)
-		l.ctx.CancelTimer(timerRecover)
-		l.finishRecovery()
-		return
-	}
-	if l.rec.Active() {
-		l.sendRecoverReq(from)
-	}
-}
-
-// installSnapshot adopts a fetched snapshot: the application side first
-// (persist + state machine restore, through the driver hook), then the
-// layer's own consequences — merged dedup state, jumped decided
-// watermark, released flow slots for own messages the snapshot ordered.
-func (l *Layer) installSnapshot(env wire.SnapshotEnvelope) error {
-	dm, err := dedup.UnmarshalMap(env.Dedup)
-	if err != nil {
-		return err
-	}
-	if l.cfg.Snapshots.Install != nil {
-		if err := l.cfg.Snapshots.Install(env); err != nil {
-			return err
-		}
-	}
-	l.delivered.Merge(dm)
-	l.nextDecide = env.Index + 1
-	for k := range l.decisionsBuf {
-		if k < l.nextDecide {
-			delete(l.decisionsBuf, k)
-		}
-	}
-	if l.cfg.DigestOrdering {
-		// Pending entries are descriptor pseudo-messages here: one is
-		// obsolete when every real message of its range is now delivered.
-		// Own flow slots release per covered real message either way (a
-		// partially covered descriptor stays pending but its delivered own
-		// seqs must not hold the window; double releases are rejected by
-		// the controller and ignored, exactly like the payload-mode path).
-		for id, p := range l.pending {
-			d, err := wire.ParseDescriptor(p.msg)
-			if err != nil {
-				continue
-			}
-			covered := 0
-			for i := uint32(0); i < d.Count; i++ {
-				rid := types.MsgID{Sender: d.Origin, Seq: d.FirstSeq + uint64(i)}
-				if !l.isDelivered(rid) {
-					continue
-				}
-				covered++
-				if d.Origin == l.self {
-					_ = l.fc.Delivered(rid)
-				}
-			}
-			if covered == int(d.Count) {
-				delete(l.pending, id)
-				l.snapClean = false
-				l.descDone[id] = env.Index
-				l.store.MarkDelivered(d, env.Index)
-			}
-		}
-		// The blocked head (if any) was either pruned by the watermark jump
-		// or is still blocked; reset the wait, then re-drain so a still
-		// blocked head re-arms the refetch timer from scratch.
-		if l.pw.active {
-			l.pw.active = false
-			l.ctx.CancelTimer(timerPayload)
-		}
-		l.drainDecisions()
-	} else {
-		for id := range l.pending {
-			if l.isDelivered(id) {
-				delete(l.pending, id)
-				l.snapClean = false
-				_ = l.fc.Delivered(id)
-			}
-		}
-	}
-	l.lastProgress = l.ctx.Env().Now()
-	return nil
-}
-
-// finishRecovery resumes normal operation after catch-up: pending-set
-// staleness restarts from here (the fetched instances could not have
-// ordered what only this process holds), and proposing is allowed again.
-func (l *Layer) finishRecovery() {
-	l.snap = snapFetch{}
-	for id, p := range l.pending {
-		p.epoch = l.nextDecide
-		l.pending[id] = p
-	}
-	if l.cfg.DigestOrdering {
-		l.drainDecisions()
-	}
-	l.maybeStartConsensus()
-	l.armKick()
 }
 
 // maybeStartConsensus opens consensus instances until the pipeline window
@@ -1076,7 +584,7 @@ func (l *Layer) finishRecovery() {
 // proposal at a time, for the next undecided instance, of the whole
 // pending set.
 func (l *Layer) maybeStartConsensus() {
-	if l.rec.Active() {
+	if l.t.Rec.Active() {
 		return // never propose while catching up on missed decisions
 	}
 	for len(l.inflight) < l.pipe {
@@ -1087,7 +595,7 @@ func (l *Layer) maybeStartConsensus() {
 		// The lowest instance that is neither decided locally, nor already
 		// carrying one of our proposals, nor decided-but-buffered: the first
 		// one this proposal can still win.
-		k := l.nextDecide
+		k := l.t.Next()
 		for {
 			_, ours := l.inflight[k]
 			_, buffered := l.decisionsBuf[k]
@@ -1129,7 +637,7 @@ func (l *Layer) maybeStartConsensus() {
 // retains it.
 func (l *Layer) pendingBatch() wire.Batch {
 	if !l.snapClean {
-		cur := l.hist.Current()
+		cur := l.t.Hist.Current()
 		l.snapIDs = l.snapIDs[:0]
 		for id, p := range l.pending {
 			// Only current members' messages are proposable: from the moment
@@ -1171,15 +679,13 @@ func (l *Layer) Event(ev stack.Event) {
 // and drains the in-order prefix. A resolved entry is never downgraded by
 // a late unresolved duplicate.
 func (l *Layer) enqueueDecision(k uint64, b wire.Batch, resolved bool) {
-	if k < l.nextDecide {
+	if k < l.t.Next() {
 		return // duplicate decision for an already-processed instance
 	}
 	if old, ok := l.decisionsBuf[k]; !ok || !old.resolved {
 		l.decisionsBuf[k] = decision{batch: b, resolved: resolved}
 	}
-	l.drainDecisions()
-	l.maybeStartConsensus()
-	l.armKick()
+	l.progress()
 }
 
 // drainDecisions processes buffered decisions in instance order. Under
@@ -1194,316 +700,68 @@ func (l *Layer) drainDecisions() {
 	l.draining = true
 	defer func() { l.draining = false }()
 	for {
-		dec, ok := l.decisionsBuf[l.nextDecide]
+		k := l.t.Next()
+		dec, ok := l.decisionsBuf[k]
 		if !ok {
 			return
 		}
+		batch, descs := dec.batch, []wire.Descriptor(nil)
 		if l.cfg.DigestOrdering && !dec.resolved {
-			resolved, descs, blocked := l.resolveDecision(dec.batch)
-			if blocked {
-				l.beginPayloadWait()
+			var blocked bool
+			if batch, descs, blocked = l.t.Resolve(dec.batch); blocked {
+				l.t.Block()
 				return
 			}
-			l.endPayloadWait()
-			delete(l.decisionsBuf, l.nextDecide)
-			l.processDecision(l.nextDecide, resolved, descs)
-			l.nextDecide++
-			continue
+			l.t.Unblock()
 		}
-		delete(l.decisionsBuf, l.nextDecide)
-		l.processDecision(l.nextDecide, dec.batch, nil)
-		l.nextDecide++
+		delete(l.decisionsBuf, k)
+		l.processDecision(k, batch, descs)
+		l.t.Advance(k)
 	}
 }
 
-// resolveDecision expands a decided descriptor batch into its payload
-// messages, in the deterministic order of the decided batch itself (the
-// caller re-sorts the whole expansion). A descriptor whose payload is not
-// resident blocks the decision — unless its entire range was already
-// delivered through an overlapping post-restart descriptor, in which case
-// it resolves to nothing. Elements that do not parse as descriptors pass
-// through unchanged (a deterministic last resort; own batches are always
-// announced as descriptors).
-func (l *Layer) resolveDecision(b wire.Batch) (resolved wire.Batch, descs []wire.Descriptor, blocked bool) {
-	resolved = make(wire.Batch, 0, len(b))
-	for _, m := range b {
-		d, err := wire.ParseDescriptor(m)
-		if err != nil {
-			resolved = append(resolved, m)
-			continue
-		}
-		pb, ok := l.store.Range(d)
-		if !ok {
-			if l.rangeFullyDelivered(d) {
-				descs = append(descs, d)
-				continue
-			}
-			return nil, nil, true
-		}
-		resolved = append(resolved, pb...)
-		descs = append(descs, d)
-	}
-	return resolved, descs, false
-}
-
-// rangeFullyDelivered reports whether every real message of the
-// descriptor's range was already adelivered (possible only with
-// overlapping post-restart descriptors).
-func (l *Layer) rangeFullyDelivered(d wire.Descriptor) bool {
-	for i := uint32(0); i < d.Count; i++ {
-		if !l.isDelivered(types.MsgID{Sender: d.Origin, Seq: d.FirstSeq + uint64(i)}) {
-			return false
-		}
-	}
-	return true
-}
-
-// beginPayloadWait starts (or keeps) the blocked-head payload wait. No
-// fetch is sent immediately: the announce is usually still in flight, so
-// the first repair attempt is deferred to the timer (the same discipline
-// as the ring decision refetch).
-func (l *Layer) beginPayloadWait() {
-	if l.pw.active {
-		return
-	}
-	l.pw.active = true
-	l.pw.since = l.ctx.Env().Now()
-	if l.cfg.ResendEvery > 0 {
-		l.ctx.SetTimer(timerPayload, l.cfg.ResendEvery)
-	}
-}
-
-// endPayloadWait closes an active payload wait, accounting the blocked
-// time.
-func (l *Layer) endPayloadWait() {
-	if !l.pw.active {
-		return
-	}
-	dur := l.ctx.Env().Now() - l.pw.since
-	l.ctx.Env().Counters().PayloadFetchNanos.Add(dur.Nanoseconds())
-	l.cfg.Obs.PayloadFetchObserved(dur)
-	l.pw.active = false
-	l.ctx.CancelTimer(timerPayload)
-}
-
-// headMissingDescriptor returns the first descriptor of the head decision
-// whose payload is neither resident nor fully delivered.
-func (l *Layer) headMissingDescriptor() (wire.Descriptor, bool) {
-	dec, ok := l.decisionsBuf[l.nextDecide]
-	if !ok || dec.resolved {
-		return wire.Descriptor{}, false
-	}
-	for _, m := range dec.batch {
-		d, err := wire.ParseDescriptor(m)
-		if err != nil {
-			continue
-		}
-		if _, resident := l.store.Range(d); !resident && !l.rangeFullyDelivered(d) {
-			return d, true
-		}
-	}
-	return wire.Descriptor{}, false
-}
-
-// nextFetchTarget rotates the payload-fetch cursor to the next live
-// process: never self, skipping currently suspected processes, falling
-// back to plain rotation when everyone else is suspected (a wrongly
-// suspected holder can still answer).
-func (l *Layer) nextFetchTarget() types.ProcessID {
-	members := l.hist.Current().Members
-	n := len(members)
-	if n < 2 {
-		return types.Nobody
-	}
-	// Rank of the first member strictly after the cursor (wrapping); for
-	// the static boot view this is the original (cursor+1+i) mod n walk.
-	start := 0
-	for i, p := range members {
-		if p > l.pw.to {
-			start = i
-			break
-		}
-	}
-	for i := 0; i < n; i++ {
-		p := members[(start+i)%n]
-		if p == l.self || l.suspectedSet[p] {
-			continue
-		}
-		l.pw.to = p
-		return p
-	}
-	for i := 0; i < n; i++ {
-		p := members[(start+i)%n]
-		if p != l.self {
-			l.pw.to = p
-			return p
-		}
-	}
-	return types.Nobody
-}
-
-// SubmitConfig implements engine.ConfigSubmitter: validate the op
-// against the current view, stamp it with the current epoch (the
-// compare-and-swap that makes concurrent and replayed ops idempotent),
-// and submit it through the ordinary abcast path — it is diffused,
-// proposed and decided exactly like an application message.
+// SubmitConfig implements engine.ConfigSubmitter: the validated,
+// epoch-stamped op is submitted through the ordinary abcast path — it is
+// diffused, proposed and decided exactly like an application message.
 func (l *Layer) SubmitConfig(op member.Op) (types.MsgID, error) {
-	cur := l.hist.Current()
-	op.BaseEpoch = cur.Epoch
-	switch op.Kind {
-	case member.OpAdd:
-		if op.Target < 0 || cur.Contains(op.Target) {
-			return types.MsgID{}, types.ErrBadConfig
-		}
-	case member.OpRemove:
-		if !cur.Contains(op.Target) || len(cur.Members) <= 1 {
-			return types.MsgID{}, types.ErrBadConfig
-		}
-	default:
-		return types.MsgID{}, types.ErrBadConfig
+	op, err := l.t.Hist.Current().Stamp(op)
+	if err != nil {
+		return types.MsgID{}, err
 	}
 	return l.Abcast(member.EncodeOp(op))
 }
 
 // CurrentView implements engine.ConfigSubmitter.
-func (l *Layer) CurrentView() member.View { return l.hist.Current() }
+func (l *Layer) CurrentView() member.View { return l.t.Hist.Current() }
 
 // Views returns the full decided view sequence (checker support: the
 // chaos harness asserts all correct processes agree on the
 // epoch → activation map).
-func (l *Layer) Views() []member.View { return l.hist.Views() }
+func (l *Layer) Views() []member.View { return l.t.Hist.Views() }
 
-// applyConfig applies one decided config op at instance k. A failed
-// apply (stale epoch, duplicate add, absent remove) is a deterministic
-// no-op at every process — the op was ordered, so everyone rejects it
-// with the same history. A successful apply appends the new view
-// (activating at k plus the pipeline window), propagates it to the
-// consensus and rbcast layers and the local dissemination/flow seams,
-// schedules the removed origin's state retirement, and notifies the
-// driver.
-func (l *Layer) applyConfig(k uint64, op member.Op) {
-	v, ok := l.hist.Apply(op, k, l.pipe)
-	if !ok {
-		return
-	}
-	l.ctx.Env().Counters().ConfigChanges.Add(1)
-	l.emitConfig(v)
-	l.reconfigureLocal(v)
-	if op.Kind == member.OpRemove {
-		l.retires[v.Activation] = append(l.retires[v.Activation], op.Target)
-	}
-	if l.cfg.OnConfig != nil {
-		l.cfg.OnConfig(v, op)
-	}
-}
-
-// emitConfig propagates a view to the peer layers of the modular stack.
-func (l *Layer) emitConfig(v member.View) {
-	ev := stack.Event{Kind: stack.EvConfig, Instance: v.Activation, Members: v.Members}
-	l.ctx.Emit(stack.TagConsensus, ev)
-	l.ctx.Emit(stack.TagRBcast, ev)
-}
-
-// reconfigureLocal points this layer's own seams at a new view: the
-// dissemination topology follows the member list, the flow-control
-// window is re-derived from the group size when it was the size-derived
-// default (an explicitly configured window is left alone), and the
-// proposable-snapshot cache is invalidated so the membership filter in
-// pendingBatch re-applies.
-func (l *Layer) reconfigureLocal(v member.View) {
-	l.diss.SetMembers(v.Members)
-	if l.cfg.Window == engine.DefaultWindow(l.cfg.N) {
-		ncfg := l.cfg
-		ncfg.Window = engine.DefaultWindow(len(v.Members))
-		l.fc.SetWindow(ncfg.EffectiveWindow())
-	}
-	l.snapClean = false
-}
-
-// retireOrigin drops the local state of a removed origin at its
-// activation boundary: undelivered pending entries (no proposal will
-// carry them again), undelivered payload residency (no decision will
-// resolve through them; delivered entries stay on the normal retention
-// horizon for repair serving), and suspicion bookkeeping.
-func (l *Layer) retireOrigin(origin types.ProcessID) {
-	for id := range l.pending {
-		if id.Sender == origin {
-			delete(l.pending, id)
-			l.snapClean = false
-		}
-	}
-	delete(l.suspectedSet, origin)
-	if l.store != nil {
-		if retired := l.store.RetireOrigin(origin); retired > 0 {
-			l.ctx.Env().Counters().PayloadsRetired.Add(int64(retired))
-		}
-	}
-}
-
-// processDecision adelivers a decided batch in deterministic order,
-// releases flow-control slots, and re-diffuses stale survivors. With
-// durability enabled the decision is logged first — write-ahead of the
-// deliveries it implies. Under digest ordering batch is the RESOLVED
-// payload expansion and descs the descriptors it came from: the log
-// stores resolved batches (so recovery, state transfer and replay work
-// unchanged), and the descriptors retire from pending/descDone/store
-// here.
+// processDecision handles decided instance k: the ordered entries leave
+// the pending set, the tail commits the batch (log, adeliver in
+// deterministic order, release flow control — see tail.Commit; under digest
+// ordering batch is the RESOLVED payload expansion and descs the
+// descriptors it came from), our in-flight proposal for k closes, and
+// stale survivors are re-diffused.
 func (l *Layer) processDecision(k uint64, batch wire.Batch, descs []wire.Descriptor) {
-	if l.cfg.Persist != nil {
-		l.cfg.Persist.PersistDecision(k, batch)
-	}
 	l.lastProgress = l.ctx.Env().Now()
 	for _, d := range descs {
-		pmID := types.MsgID{Sender: d.Origin, Seq: d.DSeq}
-		delete(l.pending, pmID)
+		delete(l.pending, types.MsgID{Sender: d.Origin, Seq: d.DSeq})
 		l.snapClean = false
-		l.descDone[pmID] = k
-		l.store.MarkDelivered(d, k)
 	}
-	ordered := make(wire.Batch, len(batch))
-	copy(ordered, batch)
-	ordered.SortDeterministic()
-	c := l.ctx.Env().Counters()
-	for _, m := range ordered {
-		if !l.cfg.DigestOrdering {
-			// Under digest ordering the pending set holds only descriptor
-			// pseudo-messages; the resolved real IDs alias pseudo IDs at
-			// incarnation 0 (real seq n vs descriptor counter n), so a
-			// delete here would silently drop an undecided descriptor.
+	if !l.cfg.DigestOrdering {
+		// Under digest ordering the pending set holds only descriptor
+		// pseudo-messages; the resolved real IDs alias pseudo IDs at
+		// incarnation 0 (real seq n vs descriptor counter n), so a delete
+		// by real ID would silently drop an undecided descriptor.
+		for _, m := range batch {
 			delete(l.pending, m.ID)
 			l.snapClean = false
 		}
-		if l.isDelivered(m.ID) {
-			// With pipelining, two concurrent instances may both order a
-			// message (different processes proposed it to different
-			// instances); the per-sender suppressor makes the second
-			// decision a no-op at delivery.
-			continue
-		}
-		l.markDelivered(m.ID)
-		if op, isCfg := member.DecodeOp(m.Body); isCfg {
-			// Config ops ride the total order but never reach the
-			// application: apply the membership change here — in delivery
-			// order, at the same point of the order at every process — and
-			// release the submitter's flow slot like any delivery.
-			l.applyConfig(k, op)
-			if err := l.fc.Delivered(m.ID); err != nil {
-				c.Retransmissions.Add(1)
-			}
-			continue
-		}
-		c.ADeliver.Add(1)
-		if o := l.cfg.Obs; o != nil {
-			o.Stage(m.ID, obs.StageDecide, l.lastProgress)
-			o.Delivered(m.ID, l.lastProgress)
-		}
-		l.ctx.Env().Deliver(engine.Delivery{Msg: m, Instance: k})
-		if err := l.fc.Delivered(m.ID); err != nil {
-			// Duplicate releases indicate a protocol bug; surface loudly
-			// in tests via the counters rather than corrupting state.
-			c.Retransmissions.Add(1)
-		}
 	}
+	l.t.Commit(k, batch, descs)
 	// Close our in-flight proposal for k: messages of ours this instance
 	// did not order (another proposal won) become proposable again for a
 	// later instance.
@@ -1517,67 +775,24 @@ func (l *Layer) processDecision(k uint64, batch wire.Batch, descs []wire.Descrip
 			}
 		}
 	}
-	// Retire pending descriptors the delivery loop just made obsolete: a
-	// post-restart regrouped descriptor overlaps its pre-crash ancestors,
-	// so a decision naming the ancestor can deliver the whole range of a
-	// still-pending sibling. That sibling resolves to nothing, no future
-	// decision needs to name it, and — if its proposal frame was lost to a
-	// partition — nothing would ever decide it out of the pending set.
-	// (Flow slots for covered own seqs were already released above when the
-	// real messages delivered.)
-	if l.cfg.DigestOrdering {
-		for _, id := range l.sortedPendingIDs() {
-			d, err := wire.ParseDescriptor(l.pending[id].msg)
-			if err != nil || !l.rangeFullyDelivered(d) {
-				continue
-			}
-			delete(l.pending, id)
-			l.snapClean = false
-			l.descDone[id] = k
-			l.store.MarkDelivered(d, k)
-		}
-	}
-	// Retire the state of origins removed at boundary k+1: k is the last
-	// old-view instance, so every instance that could still reference the
-	// removed origin (a proposal made before its proposer applied the
-	// remove) has now been processed. Undelivered pending entries, payload
-	// residency and suspicion bookkeeping of the origin go here.
-	if origins := l.retires[k+1]; len(origins) > 0 {
-		delete(l.retires, k+1)
-		for _, origin := range origins {
-			l.retireOrigin(origin)
-		}
-	}
-	// Retire resolved payload and descriptor bookkeeping that fell behind
-	// the decision retention horizon: entries this old are no longer
-	// servable targets of the repair paths.
-	if h := uint64(l.cfg.DecisionHorizon); l.cfg.DigestOrdering && h > 0 && k > h {
-		cutoff := k - h
-		l.store.PruneBelow(cutoff)
-		for id, dk := range l.descDone {
-			if dk <= cutoff {
-				delete(l.descDone, id)
-			}
-		}
-	}
 	// Survivor re-diffusion: a pending message that predates several
 	// decided instances was missed by the coordinator — the only causes
 	// are a sender crash mid-diffusion or extreme reordering. Re-diffuse
 	// so the next proposal includes it. Suppressed during state-transfer
 	// catch-up: the fetched (old) instances could never contain the
 	// replayed backlog, so the staleness rule would re-broadcast it every
-	// few applied chunks for nothing — finishRecovery restarts the epochs
+	// few applied chunks for nothing — CaughtUp restarts the epochs
 	// instead.
-	if l.rec.Active() {
+	if l.t.Rec.Active() {
 		return
 	}
 	for _, id := range l.sortedPendingIDs() {
 		p := l.pending[id]
 		if k >= p.epoch && k-p.epoch >= rediffuseGrace*uint64(l.pipe) {
-			p.epoch = l.nextDecide + 1
+			p.epoch = k + 1
 			l.pending[id] = p
 			if l.rediffuse(p.msg) {
-				c.Retransmissions.Add(int64(l.spreadFanout()))
+				l.ctx.Env().Counters().Retransmissions.Add(int64(l.spreadFanout()))
 			}
 		}
 	}
@@ -1598,7 +813,7 @@ func (l *Layer) rediffuse(m wire.AppMsg) bool {
 	if err != nil {
 		return false
 	}
-	b, ok := l.store.Range(d)
+	b, ok := l.t.Store.Range(d)
 	if !ok {
 		return false
 	}
@@ -1624,64 +839,22 @@ func (l *Layer) Timer(id engine.TimerID) {
 		return
 	}
 	if id == timerRecover {
-		if l.rec.Active() {
-			// Re-announce only when the transfer stalled since the last
-			// fire — a lost request/response or a dead serving peer; a
-			// healthy chunk chain re-arms without extra broadcasts. A
-			// stalled snapshot fetch first retries its chunk, then (still
-			// stalled) abandons the peer and re-announces.
-			if l.snap.active {
-				if len(l.snap.buf) == l.snap.lastLen {
-					l.snap.stalls++
-					if l.snap.stalls >= 2 {
-						l.snap = snapFetch{}
-						l.sendRecoverReq(types.Nobody)
-					} else {
-						l.sendSnapReq()
-					}
-				} else {
-					l.snap.stalls = 0
-					l.snap.lastLen = len(l.snap.buf)
-				}
-			} else if l.nextDecide == l.recLastSeen {
-				l.sendRecoverReq(types.Nobody)
-			}
-			l.recLastSeen = l.nextDecide
-			if l.cfg.ResendEvery > 0 {
-				l.ctx.SetTimer(timerRecover, l.cfg.ResendEvery)
-			}
-		}
+		l.t.RecoverTimer()
 		return
 	}
 	if id == timerPayload {
-		if !l.pw.active {
+		if !l.t.Blocked() {
 			return
 		}
 		// Payloads may have arrived without triggering a drain (e.g. via a
 		// racing snapshot install); retry before fetching.
 		l.drainDecisions()
-		if !l.pw.active {
+		if !l.t.Blocked() {
 			l.maybeStartConsensus()
 			l.armKick()
 			return
 		}
-		// Still blocked: fetch the first missing payload from one rotating
-		// live holder. Bounded to a single target per fire so a cluster-wide
-		// stall does not multiply into a fetch storm.
-		if d, ok := l.headMissingDescriptor(); ok {
-			if to := l.nextFetchTarget(); to != types.Nobody {
-				c := l.ctx.Env().Counters()
-				c.PayloadFetches.Add(1)
-				c.Retransmissions.Add(1)
-				w := wire.GetWriter(32)
-				wire.AppendPayloadFetchFrame(w, d)
-				l.ctx.NetSend(to, w.Bytes())
-				wire.PutWriter(w)
-			}
-		}
-		if l.cfg.ResendEvery > 0 {
-			l.ctx.SetTimer(timerPayload, l.cfg.ResendEvery)
-		}
+		l.t.FetchMissing(l.decisionsBuf[l.t.Next()].batch)
 		return
 	}
 	if id != timerKick || l.cfg.IdleKick <= 0 {
@@ -1689,18 +862,13 @@ func (l *Layer) Timer(id engine.TimerID) {
 	}
 	now := l.ctx.Env().Now()
 	stalled := now-l.lastProgress >= l.cfg.IdleKick
-	if stalled && !l.rec.Active() && l.others() > 0 && l.staleGap() {
+	if stalled && !l.t.Rec.Active() && l.others() > 0 && l.staleGap() {
 		// Backstop for missed decision dissemination: a buffered decision
 		// far beyond the deliverable watermark proves the cluster decided
 		// instances whose announcements this process permanently missed
 		// (e.g. the catch-up finish raced the deciding traffic). Re-enter
 		// the state-transfer protocol to pull the gap from a peer's log.
-		l.rec.Begin(now, recovery.Quorum(len(l.hist.Current().Members)))
-		l.recLastSeen = l.nextDecide
-		l.sendRecoverReq(types.Nobody)
-		if l.cfg.ResendEvery > 0 {
-			l.ctx.SetTimer(timerRecover, l.cfg.ResendEvery)
-		}
+		l.t.BeginRecovery()
 		l.armKick()
 		return
 	}
@@ -1710,7 +878,7 @@ func (l *Layer) Timer(id engine.TimerID) {
 		c := l.ctx.Env().Counters()
 		for _, mid := range l.sortedPendingIDs() {
 			p := l.pending[mid]
-			p.epoch = l.nextDecide + 1
+			p.epoch = l.t.Next() + 1
 			l.pending[mid] = p
 			if l.rediffuse(p.msg) {
 				c.Retransmissions.Add(int64(l.spreadFanout()))
@@ -1728,7 +896,7 @@ func (l *Layer) armKick() {
 	if l.cfg.IdleKick <= 0 {
 		return
 	}
-	if len(l.pending) > 0 || l.fc.InFlight() > 0 || len(l.decisionsBuf) > 0 {
+	if len(l.pending) > 0 || l.t.Flow.InFlight() > 0 || len(l.decisionsBuf) > 0 {
 		l.ctx.SetTimer(timerKick, l.cfg.IdleKick)
 	}
 }
@@ -1739,7 +907,7 @@ func (l *Layer) armKick() {
 // the instances below it were decided by the cluster, and their
 // announcements are not coming back.
 func (l *Layer) staleGap() bool {
-	bound := l.nextDecide + rediffuseGrace*uint64(l.pipe)
+	bound := l.t.Next() + rediffuseGrace*uint64(l.pipe)
 	for k := range l.decisionsBuf {
 		if k >= bound {
 			return true
@@ -1754,13 +922,7 @@ func (l *Layer) staleGap() bool {
 // is how a cut ring repairs itself.
 func (l *Layer) Suspect(p types.ProcessID, suspected bool) {
 	l.diss.Suspect(p, suspected)
-	if l.suspectedSet != nil {
-		if suspected {
-			l.suspectedSet[p] = true
-		} else {
-			delete(l.suspectedSet, p)
-		}
-	}
+	l.t.Suspected[p] = suspected // feeds the payload-refetch target rotation
 }
 
 // marshalDiffuse builds a single-message diffuse frame (tests craft
@@ -1782,8 +944,134 @@ func (l *Layer) sortedPendingIDs() []types.MsgID {
 	return ids
 }
 
-// isDelivered and markDelivered wrap the shared per-sender suppressor
-// (internal/dedup; crash recovery rebuilds it from the replayed log).
-func (l *Layer) isDelivered(id types.MsgID) bool { return l.delivered.Seen(id) }
+// tailHost is the Layer seen through tail.Host: the modular stack's wire
+// encoding of the six tail messages (wire.Frame*, tagged and sent through
+// the stack context), its layer-local timer IDs, and the tail's hooks into
+// the pending set and the decision reorder buffer. A separate named type
+// keeps these methods off the Layer's public surface.
+type tailHost Layer
 
-func (l *Layer) markDelivered(id types.MsgID) { l.delivered.Mark(id) }
+var _ tail.Host = (*tailHost)(nil)
+
+// send transmits one frame built by fill to a single peer.
+func (l *Layer) send(to types.ProcessID, size int, fill func(w *wire.Writer)) {
+	w := wire.GetWriter(size)
+	fill(w)
+	l.ctx.NetSend(to, w.Bytes())
+	wire.PutWriter(w)
+}
+
+func (h *tailHost) SendRecoverReq(to types.ProcessID, req wire.RecoverReq) {
+	w := wire.GetWriter(16)
+	wire.AppendRecoverReqFrame(w, req)
+	if to == types.Nobody {
+		h.ctx.NetSendMembers(h.t.Hist.Current().Members, w.Bytes())
+	} else {
+		h.ctx.NetSend(to, w.Bytes())
+	}
+	wire.PutWriter(w)
+}
+
+func (h *tailHost) SendRecoverResp(to types.ProcessID, _ wire.RecoverReq, resp wire.RecoverResp) {
+	l := (*Layer)(h)
+	c := l.ctx.Env().Counters()
+	for _, d := range resp.Decisions {
+		c.PayloadBytesSent.Add(int64(d.Batch.PayloadBytes()))
+	}
+	l.send(to, 16, func(w *wire.Writer) { wire.AppendRecoverRespFrame(w, resp) })
+}
+
+func (h *tailHost) SendSnapReq(to types.ProcessID, req wire.SnapReq) {
+	(*Layer)(h).send(to, 24, func(w *wire.Writer) { wire.AppendSnapReqFrame(w, req) })
+}
+
+func (h *tailHost) SendSnapResp(to types.ProcessID, resp wire.SnapResp) {
+	(*Layer)(h).send(to, 64+len(resp.Data), func(w *wire.Writer) { wire.AppendSnapRespFrame(w, resp) })
+}
+
+func (h *tailHost) SendPayloadFetch(to types.ProcessID, d wire.Descriptor) {
+	(*Layer)(h).send(to, 32, func(w *wire.Writer) { wire.AppendPayloadFetchFrame(w, d) })
+}
+
+func (h *tailHost) SendPayloadResp(to types.ProcessID, d wire.Descriptor, b wire.Batch) {
+	l := (*Layer)(h)
+	l.send(to, 32+b.WireSize(), func(w *wire.Writer) {
+		wire.AppendPayloadRespFrame(w, d, b)
+		l.ctx.Env().Counters().DisseminatedBytes.Add(int64(len(w.Bytes())))
+	})
+}
+
+// layerTimer maps a tail timer into the layer-local timer namespace.
+func layerTimer(id tail.Timer) engine.TimerID {
+	if id == tail.TimerRecover {
+		return timerRecover
+	}
+	return timerPayload
+}
+
+func (h *tailHost) SetTimer(id tail.Timer, d time.Duration) { h.ctx.SetTimer(layerTimer(id), d) }
+
+func (h *tailHost) CancelTimer(id tail.Timer) { h.ctx.CancelTimer(layerTimer(id)) }
+
+func (h *tailHost) RetirePending(obsolete func(m wire.AppMsg) bool) {
+	for id, p := range h.pending {
+		if obsolete(p.msg) {
+			delete(h.pending, id)
+			h.snapClean = false
+		}
+	}
+}
+
+// Decision: the layer itself retains no decided batches (decisions live
+// behind the consensus black box), so only the write-ahead log can serve.
+func (h *tailHost) Decision(k uint64) (wire.Batch, bool) {
+	if h.cfg.Persist == nil {
+		return nil, false
+	}
+	return h.cfg.Persist.ReadDecision(k)
+}
+
+func (h *tailHost) Decided(k uint64, b wire.Batch) { (*Layer)(h).enqueueDecision(k, b, true) }
+
+func (h *tailHost) Advanced() { (*Layer)(h).progress() }
+
+func (h *tailHost) Installed() {
+	for k := range h.decisionsBuf {
+		if k < h.t.Next() {
+			delete(h.decisionsBuf, k)
+		}
+	}
+	h.lastProgress = h.ctx.Env().Now()
+	if h.cfg.DigestOrdering {
+		// The blocked head was either pruned by the watermark jump or is
+		// still blocked: re-drain so it re-arms the refetch from scratch.
+		(*Layer)(h).drainDecisions()
+	}
+}
+
+// CaughtUp resumes normal operation after catch-up: pending-set staleness
+// restarts from here (the fetched instances could not have ordered what
+// only this process holds), and proposing is allowed again.
+func (h *tailHost) CaughtUp() {
+	l := (*Layer)(h)
+	for id, p := range l.pending {
+		p.epoch = l.t.Next()
+		l.pending[id] = p
+	}
+	if l.cfg.DigestOrdering {
+		l.drainDecisions()
+	}
+	l.maybeStartConsensus()
+	l.armKick()
+}
+
+// ViewChanged propagates a view to the consensus and rbcast layers and
+// points the dissemination topology at it; the proposable-snapshot cache
+// is invalidated so pendingBatch's membership filter re-applies.
+func (h *tailHost) ViewChanged(v member.View) {
+	ev := stack.Event{Kind: stack.EvConfig, Instance: v.Activation, Members: v.Members}
+	h.ctx.Emit(stack.TagConsensus, ev)
+	h.ctx.Emit(stack.TagRBcast, ev)
+	h.diss.SetMembers(v.Members)
+	h.snapClean = false
+}

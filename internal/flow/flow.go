@@ -102,3 +102,14 @@ func (c *Controller) Delivered(id types.MsgID) error {
 	delete(c.inFlight, id.Seq)
 	return nil
 }
+
+// ReleaseDelivered releases the slot of every in-flight local message that
+// delivered reports as adelivered: the catch-all for deliveries that
+// bypassed Delivered because a snapshot install folded them in.
+func (c *Controller) ReleaseDelivered(delivered func(id types.MsgID) bool) {
+	for seq := range c.inFlight {
+		if delivered(types.MsgID{Sender: c.self, Seq: seq}) {
+			delete(c.inFlight, seq)
+		}
+	}
+}

@@ -108,3 +108,28 @@ func TestInFlightNeverExceedsWindowQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestReleaseDelivered(t *testing.T) {
+	c := NewController(1, 4)
+	for i := 0; i < 3; i++ {
+		if _, err := c.Admit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var asked []types.MsgID
+	c.ReleaseDelivered(func(id types.MsgID) bool {
+		asked = append(asked, id)
+		return id.Seq != 2
+	})
+	if c.InFlight() != 1 || len(asked) != 3 {
+		t.Fatalf("in-flight %d after releasing 2 of 3 (asked about %v)", c.InFlight(), asked)
+	}
+	for _, id := range asked {
+		if id.Sender != 1 {
+			t.Fatalf("asked about a foreign message %v", id)
+		}
+	}
+	if err := c.Delivered(types.MsgID{Sender: 1, Seq: 2}); err != nil {
+		t.Fatalf("the kept slot must still release normally: %v", err)
+	}
+}

@@ -178,6 +178,64 @@ func (v View) Rank(p types.ProcessID) int {
 	return -1
 }
 
+// Stamp prepares op for submission under this view: it rejects an op that
+// cannot apply (a negative or already-present add target, an absent remove
+// target, a remove that would empty the group) and stamps the view's epoch
+// — the compare-and-swap that makes concurrent and replayed ops
+// idempotent when History.Apply evaluates them in the total order.
+func (v View) Stamp(op Op) (Op, error) {
+	op.BaseEpoch = v.Epoch
+	switch {
+	case op.Kind == OpAdd && op.Target >= 0 && !v.Contains(op.Target):
+	case op.Kind == OpRemove && v.Contains(op.Target) && len(v.Members) > 1:
+	default:
+		return Op{}, types.ErrBadConfig
+	}
+	return op, nil
+}
+
+// Others returns the number of members other than self: the broadcast
+// fan-out. A process being removed (no longer a member) still counts
+// every member.
+func (v View) Others(self types.ProcessID) int {
+	n := 0
+	for _, m := range v.Members {
+		if m != self {
+			n++
+		}
+	}
+	return n
+}
+
+// NextPeer rotates a single-target retry cursor: the first unsuspected
+// member after prev (wrapping, never self) or, with everyone suspected,
+// the next member regardless — suspicion can be wrong, and an unanswered
+// request only costs one resend period. It returns types.Nobody when self
+// has no peers. For the static boot view this is the (prev+1+i) mod n walk.
+func (v View) NextPeer(self, prev types.ProcessID, suspected map[types.ProcessID]bool) types.ProcessID {
+	start := 0
+	for i, m := range v.Members {
+		if m > prev {
+			start = i
+			break
+		}
+	}
+	fallback := types.Nobody
+	for i := range v.Members {
+		m := v.Members[(start+i)%len(v.Members)]
+		if m == self {
+			continue
+		}
+		if !suspected[m] {
+			return m
+		}
+		if fallback == types.Nobody {
+			fallback = m
+		}
+	}
+	return fallback
+}
+
 // MaxID returns the largest member ID of the view.
 func (v View) MaxID() types.ProcessID {
 	return v.Members[len(v.Members)-1]

@@ -176,3 +176,58 @@ func TestHistoryFromSeedAndRank(t *testing.T) {
 		t.Fatalf("coordinator(2) = %v, want p3 (id 2)", c)
 	}
 }
+
+func TestStampValidatesAgainstView(t *testing.T) {
+	v := View{Epoch: 4, Members: []types.ProcessID{0, 2}}
+	one := View{Epoch: 4, Members: []types.ProcessID{2}}
+	for _, tc := range []struct {
+		name string
+		view View
+		op   Op
+		ok   bool
+	}{
+		{"add newcomer", v, Op{Kind: OpAdd, Target: 1}, true},
+		{"add member", v, Op{Kind: OpAdd, Target: 2}, false},
+		{"add negative", v, Op{Kind: OpAdd, Target: types.Nobody}, false},
+		{"remove member", v, Op{Kind: OpRemove, Target: 0}, true},
+		{"remove stranger", v, Op{Kind: OpRemove, Target: 1}, false},
+		{"remove last member", one, Op{Kind: OpRemove, Target: 2}, false},
+		{"unknown kind", v, Op{Kind: 9, Target: 1}, false},
+	} {
+		op, err := tc.view.Stamp(tc.op)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Stamp error = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if tc.ok && op.BaseEpoch != 4 {
+			t.Errorf("%s: stamped epoch %d, want the view's", tc.name, op.BaseEpoch)
+		}
+	}
+}
+
+func TestOthersAndNextPeer(t *testing.T) {
+	v := View{Members: []types.ProcessID{0, 2, 5}}
+	if v.Others(2) != 2 || v.Others(7) != 3 {
+		t.Fatalf("Others = %d (member), %d (non-member)", v.Others(2), v.Others(7))
+	}
+	none := map[types.ProcessID]bool{}
+	for _, tc := range []struct {
+		self, prev types.ProcessID
+		suspected  map[types.ProcessID]bool
+		want       types.ProcessID
+	}{
+		{0, 0, none, 2},
+		{0, 2, none, 5},
+		{0, 5, none, 2},            // wraps past self
+		{2, types.Nobody, none, 0}, // fresh cursor starts at the first member
+		{0, 0, map[types.ProcessID]bool{2: true}, 5},
+		{0, 0, map[types.ProcessID]bool{2: true, 5: true}, 2}, // all suspected: rotate anyway
+		{0, 2, map[types.ProcessID]bool{2: true, 5: true}, 5},
+	} {
+		if got := v.NextPeer(tc.self, tc.prev, tc.suspected); got != tc.want {
+			t.Errorf("NextPeer(self %v, prev %v, %v) = %v, want %v", tc.self, tc.prev, tc.suspected, got, tc.want)
+		}
+	}
+	if got := (View{Members: []types.ProcessID{3}}).NextPeer(3, 3, none); got != types.Nobody {
+		t.Fatalf("singleton view rotated to %v", got)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"modab/internal/engine"
+	"modab/internal/enginetest"
 	"modab/internal/types"
 	"modab/internal/wire"
 )
@@ -44,8 +45,8 @@ func TestPrunedInstanceProposalNotAcked(t *testing.T) {
 		r.run(t)
 	}
 	e := r.engs[0]
-	if e.decidedK != 4 {
-		t.Fatalf("decidedK = %d, want 4", e.decidedK)
+	if e.decidedK() != 4 {
+		t.Fatalf("decidedK = %d, want 4", e.decidedK())
 	}
 	if e.insts[1] != nil {
 		t.Fatal("instance 1 not pruned with horizon 1")
@@ -146,5 +147,92 @@ func TestNackAdvancesProposedRound(t *testing.T) {
 		t.Fatalf("duplicate nack advanced to %d", in.round)
 	}
 	r.run(t)
+	r.checkTotalOrder(t, 1)
+}
+
+// TestSnapshotAssemblyBounded: a snapshot responder that changes the
+// envelope size it announced mid-transfer must not keep the requester
+// buffering — the fetch is abandoned (the recovery timer re-announces)
+// instead of following the new Total with request after request.
+func TestSnapshotAssemblyBounded(t *testing.T) {
+	cfg := engine.DefaultConfig(3)
+	cfg.IdleKick = 0
+	cfg.Persist = newMemPersister()
+	cfg.Recovered = &engine.RecoveredState{NextDecide: 1, NextSeq: 1}
+	cfg.Snapshots = &engine.SnapshotHooks{Install: func(wire.SnapshotEnvelope) error {
+		t.Error("a truncated envelope must never be installed")
+		return nil
+	}}
+	env := enginetest.New(0, 3)
+	e := New(env, cfg)
+	e.Start()
+	feed := func(m message) {
+		t.Helper()
+		env.Sends = nil
+		if err := e.HandleMessage(1, m.marshal()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapReqs := func() (offsets []uint64) {
+		for _, s := range env.Sends {
+			if m, err := unmarshalMessage(s.Data); err == nil && m.Type == mSnapReq {
+				offsets = append(offsets, m.Offset)
+			}
+		}
+		return offsets
+	}
+	// p2 cannot serve instance 1 but holds a snapshot at 10: fetch it.
+	feed(message{Type: mRecoverResp, Instance: 1, UpTo: 12, SnapIndex: 10})
+	if got := snapReqs(); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("snapshot branch requested offsets %v, want [0]", got)
+	}
+	feed(message{Type: mSnapResp, Instance: 10, Total: 100, Offset: 0, UpTo: 12, Data: make([]byte, 50)})
+	if got := snapReqs(); len(got) != 1 || got[0] != 50 {
+		t.Fatalf("first chunk answered with requests %v, want [50]", got)
+	}
+	feed(message{Type: mSnapResp, Instance: 10, Total: 1 << 30, Offset: 50, UpTo: 12, Data: make([]byte, 50)})
+	if got := snapReqs(); len(got) != 0 {
+		t.Fatalf("a Total-changing responder was asked for more: offsets %v", got)
+	}
+	// The abandoned fetch ignores the peer's further chunks outright.
+	feed(message{Type: mSnapResp, Instance: 10, Total: 1 << 30, Offset: 100, UpTo: 12, Data: make([]byte, 50)})
+	if got := snapReqs(); len(got) != 0 {
+		t.Fatalf("abandoned fetch still requesting: offsets %v", got)
+	}
+}
+
+// TestPayloadRepairThroughTail drives the payload-repair pair of the
+// shared delivery tail through this stack's encoding: an announce lost on
+// one link leaves that peer's head decision blocked on a descriptor whose
+// bytes it never got; the payload timer fetches them from a rotating
+// holder (mPayloadFetch / mPayloadResp) and the decision then delivers.
+// In whole-cluster runs the monolithic full-decision re-serve usually wins
+// this race, so the netsim scenarios rarely reach it.
+func TestPayloadRepairThroughTail(t *testing.T) {
+	cfg := engine.DefaultConfig(3)
+	cfg.IdleKick = 0
+	cfg.DigestOrdering = true
+	r := newRig(t, 3, cfg)
+	r.net.Drop = func(from, to types.ProcessID, data []byte) bool {
+		m, err := unmarshalMessage(data)
+		return err == nil && m.Type == mAnnounce && from == 2 && to == 1
+	}
+	id, err := r.engs[2].Abcast([]byte("lost on the way to p2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.run(t)
+	if !r.engs[1].t.Blocked() || len(r.envs[1].Deliveries) != 0 {
+		t.Fatalf("p2 must sit blocked on the missing payload (blocked %v, delivered %d)",
+			r.engs[1].t.Blocked(), len(r.envs[1].Deliveries))
+	}
+	r.engs[1].HandleTimer(engine.TimerPayload)
+	r.run(t)
+	if got := r.envs[1].Cnt.PayloadFetches.Load(); got != 1 {
+		t.Fatalf("PayloadFetches at p2 = %d, want 1", got)
+	}
+	if r.engs[1].t.Blocked() || len(r.envs[1].Deliveries) != 1 || r.envs[1].Deliveries[0].Msg.ID != id {
+		t.Fatalf("p2 after the repair: blocked %v, deliveries %v", r.engs[1].t.Blocked(), r.envs[1].Deliveries)
+	}
 	r.checkTotalOrder(t, 1)
 }

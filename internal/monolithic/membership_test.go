@@ -33,7 +33,7 @@ func TestRemoveRetiresAnnouncedPayloads(t *testing.T) {
 		}
 	}
 	r.envs[2].Sends = nil
-	if _, ok := r.engs[1].store.Get(2, orphan.Seq); !ok {
+	if _, ok := r.engs[1].t.Store.Get(2, orphan.Seq); !ok {
 		t.Fatal("p2 should hold the announced batch")
 	}
 	r.net.Drop = func(from, to types.ProcessID, _ []byte) bool {
@@ -47,13 +47,13 @@ func TestRemoveRetiresAnnouncedPayloads(t *testing.T) {
 	}
 	r.run(t)
 	activated := func() bool {
-		cur := r.engs[1].hist.Current()
-		return len(cur.Members) == 2 && r.engs[1].decidedK >= cur.Activation
+		cur := r.engs[1].t.Hist.Current()
+		return len(cur.Members) == 2 && r.engs[1].decidedK() >= cur.Activation
 	}
 	for i := 0; !activated(); i++ {
 		if i == 8 {
 			t.Fatalf("remove never activated at p2: view %v, decidedK %d",
-				r.engs[1].hist.Current(), r.engs[1].decidedK)
+				r.engs[1].t.Hist.Current(), r.engs[1].decidedK())
 		}
 		if _, err := r.engs[0].Abcast([]byte(fmt.Sprintf("filler-%d", i))); err != nil {
 			t.Fatal(err)
@@ -63,7 +63,7 @@ func TestRemoveRetiresAnnouncedPayloads(t *testing.T) {
 
 	// The boundary must have swept the removed origin's state (delivered
 	// fillers legitimately stay resident until horizon pruning).
-	if _, ok := r.engs[1].store.Get(2, orphan.Seq); ok {
+	if _, ok := r.engs[1].t.Store.Get(2, orphan.Seq); ok {
 		t.Fatal("payload leak: p2 store still holds the removed origin's batch")
 	}
 	for id := range r.engs[1].pool {
@@ -82,7 +82,7 @@ func TestRemoveRetiresAnnouncedPayloads(t *testing.T) {
 
 	// Survivors agree, and both sit in the shrunken view.
 	for p := 0; p < 2; p++ {
-		v := r.engs[p].hist.Current()
+		v := r.engs[p].t.Hist.Current()
 		if len(v.Members) != 2 || v.Contains(2) {
 			t.Fatalf("p%d view after remove: %v", p+1, v)
 		}

@@ -37,14 +37,11 @@ import (
 	"time"
 
 	"modab/internal/batch"
-	"modab/internal/dedup"
 	"modab/internal/dissem"
 	"modab/internal/engine"
-	"modab/internal/flow"
 	"modab/internal/member"
 	"modab/internal/obs"
-	"modab/internal/payload"
-	"modab/internal/recovery"
+	"modab/internal/tail"
 	"modab/internal/types"
 	"modab/internal/wire"
 )
@@ -63,24 +60,18 @@ type Engine struct {
 	cfg engine.Config
 
 	self types.ProcessID
-	// hist is the totally ordered view sequence (internal/member): every
-	// quorum check, coordinator rotation and send fan-out for instance k
-	// consults the view governing k instead of a cached group size — the
-	// cached n/majority pair was exactly the fixed-membership assumption
-	// dynamic membership invalidates.
-	hist *member.History
-	// retires schedules a removed origin's local-state retirement, keyed
-	// by the removing view's activation instance and consumed while
-	// finalizing the last old-view instance (activation-1): by then every
-	// decision that could reference the origin's state has been processed
-	// locally, so pending entries, payload residency and suspicion
-	// bookkeeping can be dropped without wedging an in-flight decide.
-	retires map[uint64][]types.ProcessID
+	// t is the delivery tail (internal/tail): everything downstream of a
+	// decision — commit, membership, state transfer, payload residency —
+	// shared with the modular stack. It owns the decided watermark, the
+	// flow window, the delivered set, the failure-detector output and the
+	// view history: every quorum check, coordinator rotation and send
+	// fan-out for instance k consults the view governing k, never a cached
+	// group size. The engine keeps only ordering state.
+	t *tail.Tail
 	// viewKick defers the post-view-change suspicion cascade out of the
-	// delivery loop (applyConfig runs mid-finalize; advancing rounds there
+	// delivery loop (config ops apply mid-Commit; advancing rounds there
 	// could nest a decide under a half-updated instance).
 	viewKick bool
-	fc       *flow.Controller
 	// diss is the payload-dissemination strategy (internal/dissem). Only
 	// the bulky combined proposal+decision goes through it — under Ring
 	// it is relayed successor-to-successor instead of broadcast, so the
@@ -107,15 +98,9 @@ type Engine struct {
 	assigned map[types.MsgID]uint64
 	propIDs  map[uint64][]types.MsgID
 	propSent int64
-	// delivered deduplicates adeliveries per sender.
-	delivered dedup.Map
-	// decidedK is the highest instance decided locally; instances decide
-	// strictly in order.
-	decidedK uint64
 	// insts holds per-instance round state for undecided instances and
 	// recently decided ones (catch-up horizon).
-	insts     map[uint64]*inst
-	suspected map[types.ProcessID]bool
+	insts map[uint64]*inst
 	// lastProgress is when the last decision was processed (kick guard).
 	lastProgress time.Duration
 	// ringWantK is the highest instance known decided remotely whose
@@ -142,62 +127,13 @@ type Engine struct {
 	// but not yet in own/pool — until a count, byte or age trigger seals
 	// the batch and ingestBatch hands it to the ordering machinery.
 	acc *batch.Accumulator
-	// rec tracks state-transfer progress after a crash-recovery restart;
-	// while active the engine neither proposes nor advances rounds (a
-	// recovering process re-entering long-decided instances could
-	// manufacture a conflicting decision).
-	rec recovery.Catchup
-	// recLastSeen is decidedK at the last recovery-timer fire: the timer
-	// re-announces only when no progress happened in between.
-	recLastSeen uint64
-	// snap tracks an in-progress snapshot fetch: the far-behind branch of
-	// the catch-up, entered when a responder reports a snapshot at or above
-	// this process's missing instance but cannot serve the instances
-	// themselves (it truncated its log below the snapshot horizon).
-	snap snapFetch
-
-	// Digest-ordering state (cfg.DigestOrdering; see engine.Config). In
-	// this mode own and pool hold descriptor pseudo-messages — one per
-	// sealed batch — so the entire consensus machinery (acks, estimates,
-	// proposals, piggybacks) carries ~32-byte descriptors while store
-	// keeps the payload bytes disseminated once through mAnnounce.
-	store *payload.Store
-	// nextDSeq numbers own descriptors, incarnation-tagged in its high 16
-	// bits so a restarted origin's regrouped batches never collide with
-	// its pre-crash descriptors.
-	nextDSeq uint64
-	// descDone remembers decided descriptors (pseudo ID → deciding
-	// instance) until the retention horizon prunes them. Descriptor IDs
-	// alias real message IDs at incarnation 0, so the per-sender delivered
-	// suppressor must never stand in for this map.
-	descDone map[types.MsgID]uint64
-	// pw is the blocked-head payload wait: the in-order decision whose
-	// descriptor payload is not resident, parked until an announce/fetch
-	// response lands (TimerPayload fetches from one rotating holder).
-	pw payloadWait
-}
-
-// payloadWait parks the head decision of digest ordering while some
-// decided descriptor's payload batch is missing.
-type payloadWait struct {
-	active bool
-	k      uint64
-	batch  wire.Batch
-	round  uint32
-	since  time.Duration
-	to     types.ProcessID
-}
-
-// snapFetch is the chunk-assembly state of one snapshot transfer.
-type snapFetch struct {
-	active    bool
-	from      types.ProcessID
-	index     uint64
-	total     int
-	buf       []byte
-	startedAt time.Duration
-	lastLen   int // buffered bytes at the last recovery-timer fire
-	stalls    int // consecutive recovery-timer fires without progress
+	// parked is the head decision (instance decidedK+1) blocked on a missing
+	// payload while the tail's payload wait is active: the unresolved
+	// descriptor batch and its round, retried when bytes become resident.
+	parked struct {
+		batch wire.Batch
+		round uint32
+	}
 }
 
 var _ engine.Engine = (*Engine)(nil)
@@ -250,27 +186,17 @@ func (in *inst) coordRound(r uint32) *coordRound {
 // New builds the monolithic engine for the given environment.
 func New(env engine.Env, cfg engine.Config) *Engine {
 	e := &Engine{
-		env:       env,
-		cfg:       cfg,
-		self:      env.Self(),
-		fc:        flow.NewController(env.Self(), cfg.EffectiveWindow()),
-		own:       make(map[uint64]*ownMsg),
-		pool:      make(map[types.MsgID]wire.AppMsg),
-		pipe:      cfg.EffectivePipeline(),
-		assigned:  make(map[types.MsgID]uint64),
-		propIDs:   make(map[uint64][]types.MsgID),
-		delivered: dedup.NewMap(env.N()),
-		insts:     make(map[uint64]*inst),
-		suspected: make(map[types.ProcessID]bool),
-		retires:   make(map[uint64][]types.ProcessID),
+		env:      env,
+		cfg:      cfg,
+		self:     env.Self(),
+		own:      make(map[uint64]*ownMsg),
+		pool:     make(map[types.MsgID]wire.AppMsg),
+		pipe:     cfg.EffectivePipeline(),
+		assigned: make(map[types.MsgID]uint64),
+		propIDs:  make(map[uint64][]types.MsgID),
+		insts:    make(map[uint64]*inst),
 	}
-	if cfg.InitialView != nil {
-		// A joiner's first view is the config it was admitted into, not
-		// history's beginning.
-		e.hist = member.NewHistoryFrom(*cfg.InitialView)
-	} else {
-		e.hist = member.NewHistory(env.N())
-	}
+	e.t = tail.New(env, &e.cfg, (*tailHost)(e))
 	if cfg.Batch.Enabled() {
 		e.acc = batch.NewAccumulator(cfg.Batch)
 	}
@@ -279,90 +205,25 @@ func New(env engine.Env, cfg engine.Config) *Engine {
 		incarnation = st.Boots
 	}
 	e.diss = dissem.New(cfg.Dissemination, e.self, env.N(), incarnation)
-	if cfg.DigestOrdering {
-		e.store = payload.NewStore()
-		e.descDone = make(map[types.MsgID]uint64)
-		e.nextDSeq = incarnation << wire.DSeqIncarnationShift
-	}
 	if st := cfg.Recovered; st != nil {
-		// Adopt the replayed state: the decided watermark, the per-sender
-		// delivered suppression, the unordered own backlog (re-occupying
-		// its flow-control slots) and the resumed sequence numbering.
-		e.decidedK = st.NextDecide - 1
-		if st.Delivered != nil {
-			e.delivered = st.Delivered
-		}
-		seqs := make([]uint64, 0, len(st.Own))
-		for _, m := range st.Own {
-			seqs = append(seqs, m.ID.Seq)
-		}
+		// The replayed unordered own backlog re-enters own and the pool (its
+		// flow-control slots are already re-occupied by the tail): as is, or
+		// under digest ordering as fresh descriptors over contiguous runs —
+		// the flow slots stay bound to the real sequence numbers either way.
+		backlog := st.Own
 		if cfg.DigestOrdering {
-			// The replayed backlog re-enters the ordering path as fresh
-			// descriptors (regrouped into contiguous runs), not as raw
-			// messages; the flow slots stay bound to the real sequence
-			// numbers either way.
-			e.regroupOwn(st.Own)
-		} else {
-			for _, m := range st.Own {
-				e.own[m.ID.Seq] = &ownMsg{msg: m}
-				e.pool[m.ID] = m
+			backlog = nil
+			for _, d := range e.t.RegroupOwn(st.Own) {
+				backlog = append(backlog, d.AppMsg())
 			}
 		}
-		var last uint64
-		if st.NextSeq > 0 {
-			last = st.NextSeq - 1
-		}
-		e.fc.Resume(last, seqs)
-		// Re-derive the view history from the durable log: decided config
-		// ops replay idempotently (epoch CAS), so a restart resumes under
-		// the membership it had decided. Logged batches hold resolved
-		// bodies in both ordering modes, so the ops are directly visible.
-		if cfg.Persist != nil {
-			for k := uint64(1); k <= e.decidedK; k++ {
-				b, ok := cfg.Persist.ReadDecision(k)
-				if !ok {
-					continue
-				}
-				for _, m := range b {
-					if op, isCfg := member.DecodeOp(m.Body); isCfg {
-						e.hist.Apply(op, k, e.pipe)
-					}
-				}
-			}
+		for _, m := range backlog {
+			e.own[m.ID.Seq] = &ownMsg{msg: m}
+			e.pool[m.ID] = m
 		}
 	}
-	if cur := e.hist.Current(); cur.Epoch > 0 || cfg.InitialView != nil {
-		e.reconfigureLocal(cur)
-	}
+	e.t.ReplayViews()
 	return e
-}
-
-// regroupOwn rebuilds a replayed own backlog as descriptors (digest
-// ordering): the surviving messages are regrouped into maximal contiguous
-// sequence runs — gaps are messages an old decision already ordered —
-// each run becoming one resident payload batch whose fresh
-// incarnation-tagged descriptor joins own and pool.
-func (e *Engine) regroupOwn(own wire.Batch) {
-	msgs := make(wire.Batch, len(own))
-	copy(msgs, own)
-	sort.Slice(msgs, func(i, j int) bool { return msgs[i].ID.Seq < msgs[j].ID.Seq })
-	for start := 0; start < len(msgs); {
-		end := start + 1
-		for end < len(msgs) && msgs[end].ID.Seq == msgs[end-1].ID.Seq+1 {
-			end++
-		}
-		run := msgs[start:end]
-		start = end
-		e.nextDSeq++
-		d, err := wire.DescriptorFor(run, e.nextDSeq)
-		if err != nil {
-			continue // impossible for a contiguous single-origin run
-		}
-		e.store.PutBatch(run)
-		pm := d.AppMsg()
-		e.own[d.DSeq] = &ownMsg{msg: pm}
-		e.pool[pm.ID] = pm
-	}
 }
 
 // Start implements engine.Engine. A recovered engine announces itself and
@@ -375,12 +236,7 @@ func (e *Engine) Start() {
 		c.Recoveries.Add(1)
 		c.RecoveryReplayedMsgs.Add(st.ReplayedMsgs)
 		if e.others() > 0 {
-			e.rec.Begin(e.env.Now(), recovery.Quorum(len(e.hist.Current().Members)))
-			e.recLastSeen = e.decidedK
-			e.sendAll(message{Type: mRecoverReq, Instance: e.decidedK + 1})
-			if e.cfg.ResendEvery > 0 {
-				e.env.SetTimer(engine.TimerRecover, e.cfg.ResendEvery)
-			}
+			e.t.BeginRecovery()
 			// Re-inject the replayed own backlog: forward it to the current
 			// coordinator now (the paper's bootstrap path) so its ordering
 			// does not depend on the idle-kick timer being enabled. Under
@@ -427,7 +283,7 @@ func (e *Engine) Pending() int {
 }
 
 // viewAt returns the membership view governing consensus instance k.
-func (e *Engine) viewAt(k uint64) member.View { return e.hist.At(k) }
+func (e *Engine) viewAt(k uint64) member.View { return e.t.Hist.At(k) }
 
 // coordinatorAt returns the coordinator of round r (1-based) of
 // instance k: members of the governing view rotate in sorted order. For
@@ -438,15 +294,7 @@ func (e *Engine) coordinatorAt(k uint64, r uint32) types.ProcessID {
 }
 
 // others counts current-view members other than this process.
-func (e *Engine) others() int {
-	n := 0
-	for _, p := range e.hist.Current().Members {
-		if p != e.self {
-			n++
-		}
-	}
-	return n
-}
+func (e *Engine) others() int { return e.t.Hist.Current().Others(e.self) }
 
 // get returns (creating if needed) the instance state for k, advancing
 // past rounds whose coordinator is already suspected.
@@ -463,14 +311,14 @@ func (e *Engine) get(k uint64) *inst {
 		coord:     make(map[uint32]*coordRound),
 	}
 	e.insts[k] = in
-	for !e.rec.Active() && e.suspected[e.coordinatorAt(k, in.round)] {
+	for !e.t.Rec.Active() && e.t.Suspected[e.coordinatorAt(k, in.round)] {
 		e.advanceRound(in)
 	}
 	return in
 }
 
 // current returns the instance currently being agreed on (decidedK+1).
-func (e *Engine) current() *inst { return e.get(e.decidedK + 1) }
+func (e *Engine) current() *inst { return e.get(e.decidedK() + 1) }
 
 // Abcast implements engine.Engine. The message is NOT diffused: it waits
 // for the next ack to the coordinator (§4.2), or is forwarded immediately
@@ -478,7 +326,7 @@ func (e *Engine) current() *inst { return e.get(e.decidedK + 1) }
 // batching enabled it first waits in the accumulator and enters the
 // ordering machinery together with its batch.
 func (e *Engine) Abcast(body []byte) (types.MsgID, error) {
-	id, err := e.fc.Admit()
+	id, err := e.t.Flow.Admit()
 	if err != nil {
 		return types.MsgID{}, err
 	}
@@ -529,9 +377,7 @@ func (e *Engine) ingestBatch(b wire.Batch) {
 		// (flow control assigns sequential seqs, the accumulator preserves
 		// admission order); on the impossible shape error the raw messages
 		// degrade to payload-style ordering instead of being lost.
-		e.nextDSeq++
-		if d, err := wire.DescriptorFor(b, e.nextDSeq); err == nil {
-			e.store.PutBatch(b)
+		if d, err := e.t.Describe(b); err == nil {
 			entries = wire.Batch{d.AppMsg()}
 			e.spreadAnnounce(d, b)
 		}
@@ -605,10 +451,10 @@ func (e *Engine) allOwn(k uint64) wire.Batch {
 // deeper windows keep up to W proposals in flight, each carrying a
 // disjoint slice of the pool.
 func (e *Engine) tryPropose() {
-	if e.rec.Active() {
+	if e.t.Rec.Active() {
 		return // never propose while catching up on missed decisions
 	}
-	for k := e.decidedK + 1; k <= e.decidedK+uint64(e.pipe); k++ {
+	for k := e.decidedK() + 1; k <= e.decidedK()+uint64(e.pipe); k++ {
 		in := e.get(k)
 		if in.decided {
 			continue
@@ -639,7 +485,7 @@ func (e *Engine) tryPropose() {
 // eligible: a round change within k re-proposes them) — as a
 // deterministic, optionally capped batch.
 func (e *Engine) poolBatch(k uint64) wire.Batch {
-	cur := e.hist.Current()
+	cur := e.t.Hist.Current()
 	batch := make(wire.Batch, 0, len(e.pool))
 	for id, m := range e.pool {
 		if a, ok := e.assigned[id]; ok && a != k {
@@ -666,7 +512,7 @@ func (e *Engine) poolBatch(k uint64) wire.Batch {
 // decided yet.
 func (e *Engine) openProposals() int {
 	open := 0
-	for k := e.decidedK + 1; k <= e.decidedK+uint64(e.pipe); k++ {
+	for k := e.decidedK() + 1; k <= e.decidedK()+uint64(e.pipe); k++ {
 		in := e.insts[k]
 		if in == nil || in.decided {
 			continue
@@ -716,7 +562,7 @@ func (e *Engine) proposeRound(in *inst, r uint32, batch wire.Batch) {
 	// cascade fed while earlier slots are still in flight.
 	prevK := in.k - 1
 	if e.pipe > 1 {
-		prevK = e.decidedK
+		prevK = e.decidedK()
 	}
 	if prev := e.insts[prevK]; prev != nil && prev.decided {
 		m.PrevDecided = true
@@ -849,65 +695,21 @@ func (e *Engine) handleAnnounceRelay(from types.ProcessID, m message) error {
 	return nil
 }
 
-// handleAnnounce ingests a disseminated payload batch: the bytes become
-// resident (proposable, fetchable, resolvable), the descriptor joins the
-// pool unless already decided, and a head decision blocked on this
-// payload retries.
+// handleAnnounce ingests a disseminated payload batch: the tail makes the
+// bytes resident (proposable, fetchable, resolvable), and a descriptor
+// that still needs ordering joins the pool and retries a head decision
+// blocked on this payload.
 func (e *Engine) handleAnnounce(d wire.Descriptor, b wire.Batch) {
-	if !e.hist.Current().Contains(d.Origin) {
-		return // removed origin: its undecided payloads are retired state
-	}
-	pm := d.AppMsg()
-	if _, done := e.descDone[pm.ID]; done {
-		return // duplicate announce of a decided descriptor
-	}
-	e.store.PutBatch(b)
-	if e.rangeFullyDelivered(d) {
-		// Every message of the range is already adelivered — the decision
-		// arrived pre-resolved (decision-full answer, recovery chunk)
-		// while this announce was cut off, so no descriptor retirement
-		// ever named this ID. Retire it here: pooling it would park a
-		// fully-decided descriptor that no future decision will clear,
-		// and the origin's kick would re-announce it forever.
-		e.descDone[pm.ID] = e.decidedK
-		e.store.MarkDelivered(d, e.decidedK)
-		delete(e.pool, pm.ID)
-		delete(e.assigned, pm.ID)
+	if !e.t.Announce(d, b) {
 		return
 	}
+	pm := d.AppMsg()
 	if _, ok := e.pool[pm.ID]; !ok {
 		e.pool[pm.ID] = pm
 	}
 	e.retryBlockedDecide()
 	e.tryPropose()
 	e.armKick()
-}
-
-// handlePayloadFetch serves a decided-but-not-resident repair request
-// from the local store; a miss is silently ignored — the requester's
-// timer rotates to the next holder.
-func (e *Engine) handlePayloadFetch(from types.ProcessID, d wire.Descriptor) {
-	b, ok := e.store.Range(d)
-	if !ok {
-		return
-	}
-	c := e.env.Counters()
-	c.Retransmissions.Add(1)
-	c.PayloadBytesSent.Add(int64(b.PayloadBytes()))
-	w := wire.GetWriter(32 + b.WireSize())
-	wire.AppendPayloadRespFrame(w, d, b)
-	frame := make([]byte, w.Len())
-	copy(frame, w.Bytes())
-	wire.PutWriter(w)
-	e.send(from, message{Type: mPayloadResp, Data: frame})
-}
-
-// handlePayloadResp ingests a repair response (validated against its
-// descriptor at the wire layer) and retries the blocked head.
-func (e *Engine) handlePayloadResp(d wire.Descriptor, b wire.Batch) {
-	e.store.PutBatch(b)
-	e.retryBlockedDecide()
-	e.tryPropose()
 }
 
 // reannounceOwn re-disseminates the payload batch of every own undecided
@@ -930,7 +732,7 @@ func (e *Engine) reannounceOwn() {
 		if err != nil {
 			continue // shape-bug fallback entry: raw messages, nothing to announce
 		}
-		if b, ok := e.store.Range(d); ok {
+		if b, ok := e.t.Store.Range(d); ok {
 			c.Retransmissions.Add(1)
 			e.spreadAnnounce(d, b)
 		}
@@ -946,11 +748,11 @@ func (e *Engine) reannounceOwn() {
 // repaired ring. No-op under AllToAll, where the broadcast already
 // reached everyone.
 func (e *Engine) respreadOpen() {
-	if e.diss.Strategy() != dissem.Ring || e.rec.Active() {
+	if e.diss.Strategy() != dissem.Ring || e.t.Rec.Active() {
 		return
 	}
 	c := e.env.Counters()
-	for k := e.decidedK + 1; k <= e.decidedK+uint64(e.pipe); k++ {
+	for k := e.decidedK() + 1; k <= e.decidedK()+uint64(e.pipe); k++ {
 		in := e.insts[k]
 		if in == nil || in.decided {
 			continue
@@ -962,7 +764,7 @@ func (e *Engine) respreadOpen() {
 		m := message{Type: mPropDec, Instance: in.k, Round: in.round, Batch: cr.proposal}
 		prevK := in.k - 1
 		if e.pipe > 1 {
-			prevK = e.decidedK
+			prevK = e.decidedK()
 		}
 		if prev := e.insts[prevK]; prev != nil && prev.decided {
 			m.PrevDecided = true
@@ -1077,13 +879,13 @@ func (e *Engine) HandleMessage(from types.ProcessID, data []byte) error {
 	case mDecisionFull:
 		e.handleDecisionFull(m)
 	case mRecoverReq:
-		e.handleRecoverReq(from, m)
+		e.t.RecoverReq(from, wire.RecoverReq{From: m.Instance})
 	case mRecoverResp:
-		e.handleRecoverResp(from, m)
+		e.t.RecoverResp(from, wire.RecoverResp{UpTo: m.UpTo, SnapIndex: m.SnapIndex, Decisions: m.Decisions})
 	case mSnapReq:
-		e.handleSnapReq(from, m)
+		e.t.SnapReq(from, wire.SnapReq{Index: m.Instance, Offset: m.Offset})
 	case mSnapResp:
-		e.handleSnapResp(from, m)
+		e.t.SnapResp(from, wire.SnapResp{Index: m.Instance, Total: m.Total, Offset: m.Offset, UpTo: m.UpTo, Data: m.Data})
 	case mRelay:
 		return e.handleRelay(from, m)
 	case mAnnounce:
@@ -1103,16 +905,16 @@ func (e *Engine) HandleMessage(from types.ProcessID, data []byte) error {
 		if err != nil {
 			return fmt.Errorf("monolithic: bad payload fetch from %s: %w", from, err)
 		}
-		e.handlePayloadFetch(from, d)
+		e.t.PayloadFetch(from, d)
 	case mPayloadResp:
 		if !e.cfg.DigestOrdering {
 			return fmt.Errorf("monolithic: payload response from %s without digest ordering", from)
 		}
-		d, b, err := wire.UnmarshalPayloadRespFrame(m.Data)
+		_, b, err := wire.UnmarshalPayloadRespFrame(m.Data)
 		if err != nil {
 			return fmt.Errorf("monolithic: bad payload response from %s: %w", from, err)
 		}
-		e.handlePayloadResp(d, b)
+		e.t.PayloadResp(b)
 	default:
 		return fmt.Errorf("monolithic: unexpected message type %d from %s", uint8(m.Type), from)
 	}
@@ -1127,7 +929,7 @@ func (e *Engine) handlePropDec(from types.ProcessID, m message) {
 	if m.PrevDecided {
 		e.applyRemoteDecision(from, m.PrevK, m.PrevRound)
 	}
-	if e.insts[m.Instance] == nil && m.Instance <= e.decidedK {
+	if e.insts[m.Instance] == nil && m.Instance <= e.decidedK() {
 		// Proposal for an instance decided so long ago it was pruned:
 		// get() would recreate it as undecided and this process would ack
 		// — manufacturing a vote that could let a badly lagging proposer
@@ -1155,7 +957,7 @@ func (e *Engine) handlePropDec(from types.ProcessID, m message) {
 		e.send(from, message{Type: mNack, Instance: in.k, Round: m.Round})
 		return
 	}
-	if m.Instance > e.decidedK+uint64(e.pipe) {
+	if m.Instance > e.decidedK()+uint64(e.pipe) {
 		// Gap: a proposal beyond the pipeline window means the proposer's
 		// decided horizon ran ahead of ours — we missed one or more
 		// decisions (coordinator crash window). Proposals merely ahead
@@ -1178,7 +980,7 @@ func (e *Engine) handlePropDec(from types.ProcessID, m message) {
 // messages and decide on majority.
 func (e *Engine) handleAckDiff(from types.ProcessID, m message) {
 	e.poolIn(m.Batch)
-	if e.insts[m.Instance] == nil && m.Instance <= e.decidedK {
+	if e.insts[m.Instance] == nil && m.Instance <= e.decidedK() {
 		// Ack for a pruned decided instance: recreating it would disarm
 		// the pruned-instance guard for every later stale message. The
 		// acker adopted a proposal and is waiting on a decision that left
@@ -1206,7 +1008,7 @@ func (e *Engine) handleAckDiff(from types.ProcessID, m message) {
 // handleEstimate processes a round-change estimate at the new coordinator.
 func (e *Engine) handleEstimate(from types.ProcessID, m message) {
 	e.poolIn(m.Piggyback)
-	if e.insts[m.Instance] == nil && m.Instance <= e.decidedK {
+	if e.insts[m.Instance] == nil && m.Instance <= e.decidedK() {
 		// Estimate for a pruned decided instance: recreating it could make
 		// this process coordinate (and re-propose) an instance the cluster
 		// settled long ago. Serve the original decision instead.
@@ -1234,11 +1036,11 @@ func (e *Engine) handleEstimate(from types.ProcessID, m message) {
 // round was abandoned, so the coordinator re-enters the rotation (safe:
 // the Chandra–Toueg locking rule protects agreement across rounds).
 func (e *Engine) handleNack(m message) {
-	if e.insts[m.Instance] == nil && m.Instance <= e.decidedK {
+	if e.insts[m.Instance] == nil && m.Instance <= e.decidedK() {
 		return // late nack for a pruned decided instance: never resurrect it
 	}
 	in := e.get(m.Instance)
-	if in.decided || m.Round != in.round || e.rec.Active() {
+	if in.decided || m.Round != in.round || e.t.Rec.Active() {
 		return
 	}
 	cr := in.coord[m.Round]
@@ -1249,7 +1051,7 @@ func (e *Engine) handleNack(m message) {
 	// suspected (the same cascade Suspect performs): stopping on a round
 	// whose coordinator is down would send the estimate into a void.
 	e.advanceRound(in)
-	for !in.decided && e.suspected[e.coordinatorAt(in.k, in.round)] {
+	for !in.decided && e.t.Suspected[e.coordinatorAt(in.k, in.round)] {
 		e.advanceRound(in)
 	}
 }
@@ -1286,7 +1088,7 @@ func (e *Engine) catchUpPruned(to types.ProcessID, k uint64, round uint32) {
 // poolIn adds piggybacked messages to the pool, ignoring already-delivered
 // ones.
 func (e *Engine) poolIn(batch wire.Batch) {
-	cur := e.hist.Current()
+	cur := e.t.Hist.Current()
 	for _, msg := range batch {
 		if !cur.Contains(msg.ID.Sender) {
 			// Removed origin: pooling it would let a proposal carry state
@@ -1297,20 +1099,13 @@ func (e *Engine) poolIn(batch wire.Batch) {
 			// The batch carries descriptor pseudo-messages here, whose IDs
 			// alias real message IDs at incarnation 0 — the per-sender
 			// delivered suppressor must not be consulted (a real seq n
-			// delivery would falsely suppress descriptor counter n);
-			// descDone is the descriptor-space dedup.
-			if _, done := e.descDone[msg.ID]; done {
+			// delivery would falsely suppress descriptor counter n). A
+			// descriptor that already decided, or whose whole range is
+			// already adelivered, has nothing left to order.
+			if e.t.DescriptorSettled(msg) {
 				continue
 			}
-			// A descriptor whose whole range is already adelivered (learned
-			// through a pre-resolved decision that named no descriptors) has
-			// nothing left to order — retire instead of pooling.
-			if d, err := wire.ParseDescriptor(msg); err == nil && e.rangeFullyDelivered(d) {
-				e.descDone[msg.ID] = e.decidedK
-				e.store.MarkDelivered(d, e.decidedK)
-				continue
-			}
-		} else if e.isDelivered(msg.ID) {
+		} else if e.t.Delivered.Seen(msg.ID) {
 			continue
 		}
 		if _, ok := e.pool[msg.ID]; !ok {
@@ -1345,10 +1140,10 @@ func (e *Engine) checkDecide(in *inst, r uint32) {
 // gaps trigger refetch, and announcements for future instances are
 // remembered on the instance so the cascade in decide picks them up.
 func (e *Engine) applyRemoteDecision(from types.ProcessID, k uint64, round uint32) {
-	if k <= e.decidedK {
+	if k <= e.decidedK() {
 		return
 	}
-	if k > e.decidedK+1 {
+	if k > e.decidedK()+1 {
 		// Remember that k is decided in this round, then backfill the gap.
 		in := e.get(k)
 		if !in.decided && in.waitingRound == 0 {
@@ -1399,7 +1194,7 @@ func (e *Engine) ringWant(k uint64) {
 // peer (upto itself is included: its announcement may have carried no
 // usable proposal).
 func (e *Engine) requestMissing(from types.ProcessID, upto uint64) {
-	if e.rec.Active() {
+	if e.t.Rec.Active() {
 		return // the bulk state transfer already covers the gap
 	}
 	if e.diss.Strategy() == dissem.Ring {
@@ -1407,7 +1202,7 @@ func (e *Engine) requestMissing(from types.ProcessID, upto uint64) {
 		return
 	}
 	c := e.env.Counters()
-	for k := e.decidedK + 1; k <= upto; k++ {
+	for k := e.decidedK() + 1; k <= upto; k++ {
 		e.send(from, message{Type: mDecisionReq, Instance: k})
 		c.Retransmissions.Add(1)
 	}
@@ -1418,25 +1213,24 @@ func (e *Engine) requestMissing(from types.ProcessID, upto uint64) {
 
 // decide finalizes the current instance from an unresolved decision
 // batch: under digest ordering the decided descriptors are first resolved
-// to their resident payload batches — parking the head (and arming the
+// to their resident payload batches — parking the head (the tail arms the
 // payload re-fetch) when some payload has not arrived — while payload
 // ordering adelivers the batch directly.
 func (e *Engine) decide(in *inst, batch wire.Batch, r uint32) {
-	if in.decided || in.k != e.decidedK+1 {
+	if in.decided || in.k != e.decidedK()+1 {
 		return
 	}
 	if !e.cfg.DigestOrdering {
 		e.finalize(in, batch, nil, r)
 		return
 	}
-	resolved, descs, blocked := e.resolveDecision(batch)
+	resolved, descs, blocked := e.t.Resolve(batch)
 	if blocked {
-		e.blockOnPayload(in.k, batch, r)
+		e.parked.batch, e.parked.round = batch, r
+		e.t.Block()
 		return
 	}
-	if e.pw.active && e.pw.k == in.k {
-		e.endPayloadWait()
-	}
+	e.t.Unblock()
 	e.finalize(in, resolved, descs, r)
 }
 
@@ -1447,295 +1241,68 @@ func (e *Engine) decide(in *inst, batch wire.Batch, r uint32) {
 // wrong, not just wasteful: a real 16-byte message body aliases a
 // descriptor encoding.
 func (e *Engine) decideResolved(in *inst, batch wire.Batch, r uint32) {
-	if in.decided || in.k != e.decidedK+1 {
+	if in.decided || in.k != e.decidedK()+1 {
 		return
 	}
-	if e.pw.active && e.pw.k == in.k {
-		e.endPayloadWait()
-	}
+	e.t.Unblock()
 	e.finalize(in, batch, nil, r)
-}
-
-// resolveDecision maps a decided descriptor batch to the real messages it
-// ordered. Elements that do not parse as descriptors pass through raw
-// (the shape-bug fallback ordered them as plain messages). A descriptor
-// with no resident payload resolves trivially — to nothing — when every
-// message of its range was already adelivered (an overlapping
-// post-restart descriptor re-ordered after pruning); otherwise it blocks
-// the decision until the payload lands.
-func (e *Engine) resolveDecision(batch wire.Batch) (resolved wire.Batch, descs []wire.Descriptor, blocked bool) {
-	for _, m := range batch {
-		d, err := wire.ParseDescriptor(m)
-		if err != nil {
-			resolved = append(resolved, m)
-			continue
-		}
-		if b, ok := e.store.Range(d); ok {
-			resolved = append(resolved, b...)
-			descs = append(descs, d)
-			continue
-		}
-		if e.rangeFullyDelivered(d) {
-			descs = append(descs, d)
-			continue
-		}
-		blocked = true
-	}
-	if blocked {
-		return nil, nil, true
-	}
-	return resolved, descs, false
-}
-
-// rangeFullyDelivered reports whether every real message of the
-// descriptor's range was already adelivered (possible only when an
-// overlapping post-restart descriptor ordered them first).
-func (e *Engine) rangeFullyDelivered(d wire.Descriptor) bool {
-	for i := uint32(0); i < d.Count; i++ {
-		if !e.isDelivered(types.MsgID{Sender: d.Origin, Seq: d.FirstSeq + uint64(i)}) {
-			return false
-		}
-	}
-	return true
-}
-
-// blockOnPayload parks the head decision until its missing payload
-// arrives (announce, relay, or fetched response). No immediate fetch: the
-// announce is usually still in flight — direct control frames outrun ring
-// relays — and TimerPayload fetches from a single rotating holder only if
-// it never lands (the same deferral discipline as the ring's decision
-// refetch).
-func (e *Engine) blockOnPayload(k uint64, batch wire.Batch, r uint32) {
-	if e.pw.active && e.pw.k == k {
-		e.pw.batch = batch
-		e.pw.round = r
-		return
-	}
-	e.pw = payloadWait{active: true, k: k, batch: batch, round: r, since: e.env.Now(), to: e.pw.to}
-	if e.cfg.ResendEvery > 0 {
-		e.env.SetTimer(engine.TimerPayload, e.cfg.ResendEvery)
-	}
-}
-
-// endPayloadWait closes the blocked-head wait, attributing the blocked
-// duration to the payload-fetch accounting.
-func (e *Engine) endPayloadWait() {
-	dur := e.env.Now() - e.pw.since
-	e.env.Counters().PayloadFetchNanos.Add(dur.Nanoseconds())
-	e.cfg.Obs.PayloadFetchObserved(dur)
-	e.pw.active = false
-	e.env.CancelTimer(engine.TimerPayload)
 }
 
 // retryBlockedDecide re-attempts the head decision parked on a missing
 // payload (after an announce, relay or fetch response made bytes
 // resident).
 func (e *Engine) retryBlockedDecide() {
-	if !e.pw.active {
+	if !e.t.Blocked() {
 		return
 	}
-	in := e.insts[e.pw.k]
-	if in == nil || in.decided || e.pw.k != e.decidedK+1 {
-		// Stale wait: a snapshot install or a resolved re-serve advanced
-		// the watermark past the parked instance.
-		e.pw.active = false
-		e.env.CancelTimer(engine.TimerPayload)
+	in := e.insts[e.decidedK()+1]
+	if in == nil || in.decided {
+		e.t.Unblock() // stale wait: the parked instance is gone
 		return
 	}
-	e.decide(in, e.pw.batch, e.pw.round)
+	e.decide(in, e.parked.batch, e.parked.round)
 }
 
 // payloadTimer is the digest-ordering re-fetch driver: if the head is
-// still blocked after a full resend period, fetch the first missing
-// payload from one rotating live holder — a single target per fire, so a
-// cluster-wide stall never multiplies into a fetch storm.
+// still blocked after a full resend period, the tail fetches its first
+// missing payload from one rotating live holder.
 func (e *Engine) payloadTimer() {
-	if !e.pw.active {
-		return
-	}
 	e.retryBlockedDecide()
-	if !e.pw.active {
-		return
-	}
-	if d, ok := e.headMissingDescriptor(); ok {
-		if to := e.nextFetchTarget(); to != e.self {
-			c := e.env.Counters()
-			c.PayloadFetches.Add(1)
-			c.Retransmissions.Add(1)
-			w := wire.GetWriter(32)
-			wire.AppendPayloadFetchFrame(w, d)
-			frame := make([]byte, w.Len())
-			copy(frame, w.Bytes())
-			wire.PutWriter(w)
-			e.send(to, message{Type: mPayloadFetch, Data: frame})
-		}
-	}
-	if e.cfg.ResendEvery > 0 {
-		e.env.SetTimer(engine.TimerPayload, e.cfg.ResendEvery)
+	if e.t.Blocked() {
+		e.t.FetchMissing(e.parked.batch)
 	}
 }
 
-// headMissingDescriptor returns the first descriptor of the blocked head
-// whose payload is neither resident nor fully delivered.
-func (e *Engine) headMissingDescriptor() (wire.Descriptor, bool) {
-	for _, m := range e.pw.batch {
-		d, err := wire.ParseDescriptor(m)
-		if err != nil {
-			continue
-		}
-		if _, ok := e.store.Range(d); ok {
-			continue
-		}
-		if e.rangeFullyDelivered(d) {
-			continue
-		}
-		return d, true
-	}
-	return wire.Descriptor{}, false
-}
-
-// nextFetchTarget rotates the payload-fetch recipient across unsuspected
-// peers — or, with everyone suspected, across all peers (suspicion can be
-// wrong, and an unanswered fetch only costs one resend period). Returns
-// self only when there are no peers at all.
-func (e *Engine) nextFetchTarget() types.ProcessID {
-	members := e.hist.Current().Members
-	n := len(members)
-	// Rank of the first member strictly after the previous target
-	// (wrapping); for the static boot view this is the original
-	// (prev+1+i) mod n walk.
-	start := 0
-	for i, p := range members {
-		if p > e.pw.to {
-			start = i
-			break
-		}
-	}
-	fallback := e.self
-	for i := 0; i < n; i++ {
-		p := members[(start+i)%n]
-		if p == e.self {
-			continue
-		}
-		if fallback == e.self {
-			fallback = p
-		}
-		if !e.suspected[p] {
-			e.pw.to = p
-			return p
-		}
-	}
-	e.pw.to = fallback
-	return fallback
-}
-
-// finalize commits the head decision: persist, adeliver, release flow
-// control, close proposal bookkeeping, cascade buffered successors and
-// keep the pipeline moving. batch is the adeliverable form — the resolved
-// real messages under digest ordering — and descs the descriptors the
-// decision retired (digest ordering only; nil otherwise).
+// finalize commits the head decision: the ordered entries leave own and
+// the pool, the tail commits the batch (log, adeliver in deterministic
+// order, release flow control — see tail.Commit), then the engine closes
+// its proposal bookkeeping, cascades buffered successors and keeps the
+// pipeline moving. batch is the adeliverable form — the resolved real
+// messages under digest ordering — and descs the descriptors the decision
+// retired (digest ordering only; nil otherwise).
 func (e *Engine) finalize(in *inst, batch wire.Batch, descs []wire.Descriptor, r uint32) {
-	if e.cfg.Persist != nil {
-		// Write-ahead: the decision reaches stable storage before any of
-		// its messages is adelivered, so a crash-recovery replay never
-		// misses a delivery it may have performed.
-		e.cfg.Persist.PersistDecision(in.k, batch)
-	}
 	in.decided = true
 	in.decision = batch
 	in.decisionRound = r
 	in.waitingRound = 0
-	e.decidedK = in.k
+	e.t.Advance(in.k)
 	e.lastProgress = e.env.Now()
 	c := e.env.Counters()
 	c.ConsensusDecided.Add(1)
 	c.BatchedMsgs.Add(int64(len(batch)))
-	// Descriptor bookkeeping first (digest ordering): the retired
-	// descriptors leave own/pool under their pseudo IDs, and descDone
-	// suppresses late announces and piggybacks of them.
 	for _, d := range descs {
-		pmID := types.MsgID{Sender: d.Origin, Seq: d.DSeq}
-		delete(e.pool, pmID)
-		delete(e.assigned, pmID)
-		if d.Origin == e.self {
-			delete(e.own, d.DSeq)
-		}
-		e.descDone[pmID] = in.k
-		e.store.MarkDelivered(d, in.k)
+		e.drop(types.MsgID{Sender: d.Origin, Seq: d.DSeq})
 	}
-	ordered := make(wire.Batch, len(batch))
-	copy(ordered, batch)
-	ordered.SortDeterministic()
-	for _, msg := range ordered {
-		if !e.cfg.DigestOrdering {
-			// Under digest ordering own/pool hold only descriptor
-			// pseudo-messages, whose IDs alias the resolved real IDs at
-			// incarnation 0 — deleting by real ID here would silently drop
-			// an undecided descriptor (the descs loop above is the
-			// bookkeeping that replaces this one).
-			delete(e.pool, msg.ID)
-			delete(e.assigned, msg.ID)
-			if msg.ID.Sender == e.self {
-				delete(e.own, msg.ID.Seq)
-			}
-		}
-		if e.isDelivered(msg.ID) {
-			// With pipelining, two concurrent instances may both order a
-			// message (it reached different coordinator rounds through
-			// different acks); the per-sender suppressor makes the second
-			// decision a delivery no-op.
-			continue
-		}
-		e.markDelivered(msg.ID)
-		if op, isCfg := member.DecodeOp(msg.Body); isCfg {
-			// A config op consumes its slot in the total order but never
-			// surfaces as an application delivery — the view change is its
-			// whole effect. Its flow slot releases like any own message.
-			e.applyConfig(in.k, op)
-			if err := e.fc.Delivered(msg.ID); err != nil {
-				c.Retransmissions.Add(1)
-			}
-			continue
-		}
-		c.ADeliver.Add(1)
-		if o := e.cfg.Obs; o != nil {
-			o.Stage(msg.ID, obs.StageDecide, e.lastProgress)
-			o.Delivered(msg.ID, e.lastProgress)
-		}
-		e.env.Deliver(engine.Delivery{Msg: msg, Instance: in.k})
-		if err := e.fc.Delivered(msg.ID); err != nil {
-			c.Retransmissions.Add(1)
+	if !e.cfg.DigestOrdering {
+		// Under digest ordering own/pool hold only descriptor
+		// pseudo-messages, whose IDs alias the resolved real IDs at
+		// incarnation 0 — dropping by real ID would silently lose an
+		// undecided descriptor (the descs loop above replaces this one).
+		for _, msg := range batch {
+			e.drop(msg.ID)
 		}
 	}
-	// Sweep the pool for descriptor entries whose whole range is now
-	// delivered and retire them like the loop above. Two ways such an
-	// entry appears: a decision learned already-resolved (decision-full
-	// answer, recovery chunk, buffered cascade) names no descriptors, so
-	// the loop above could not retire the ones it covered; and a decision
-	// naming a pre-crash descriptor can deliver the entire range of a
-	// still-pooled post-restart sibling that regrouped the same seqs.
-	// Either way the leftover would re-announce on the kick timer forever
-	// and the cluster would never quiesce.
-	if e.cfg.DigestOrdering {
-		ids := make([]types.MsgID, 0, len(e.pool))
-		for id := range e.pool {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-		for _, id := range ids {
-			d, err := wire.ParseDescriptor(e.pool[id])
-			if err != nil || !e.rangeFullyDelivered(d) {
-				continue
-			}
-			delete(e.pool, id)
-			delete(e.assigned, id)
-			if d.Origin == e.self {
-				delete(e.own, d.DSeq)
-			}
-			e.descDone[id] = in.k
-			e.store.MarkDelivered(d, in.k)
-		}
-	}
+	e.t.Commit(in.k, batch, descs)
 	// Close this instance's proposal bookkeeping: pool messages it carried
 	// but did not order become proposable again for a later window slot.
 	if ids := e.propIDs[in.k]; ids != nil {
@@ -1745,16 +1312,6 @@ func (e *Engine) finalize(in *inst, batch wire.Batch, descs []wire.Descriptor, r
 			}
 		}
 		delete(e.propIDs, in.k)
-	}
-	// A view that removed an origin activates at in.k+1: this was the
-	// last old-view instance, every decision that could reference the
-	// origin's state has been processed locally, so its leftovers retire
-	// now.
-	if origins := e.retires[in.k+1]; len(origins) > 0 {
-		delete(e.retires, in.k+1)
-		for _, origin := range origins {
-			e.retireOrigin(origin)
-		}
 	}
 	// A config op applied in this instance may have reshaped the
 	// coordinator rotation of open instances at or past its activation:
@@ -1768,7 +1325,7 @@ func (e *Engine) finalize(in *inst, batch wire.Batch, descs []wire.Descriptor, r
 	// be buffered (out-of-order recovery). An already-resolved full
 	// decision (digest ordering) takes precedence — it is applicable
 	// as-is, where the raw proposal would have to re-resolve.
-	if buf := e.insts[e.decidedK+1]; buf != nil && !buf.decided {
+	if buf := e.insts[e.decidedK()+1]; buf != nil && !buf.decided {
 		if e.cfg.DigestOrdering && buf.hasFull {
 			e.decideResolved(buf, buf.full, buf.fullRound)
 			return
@@ -1789,7 +1346,7 @@ func (e *Engine) finalize(in *inst, batch wire.Batch, descs []wire.Descriptor, r
 	// paper's exact behavior: the coordinator never has a completed
 	// majority waiting beyond the current instance in good runs, and the
 	// pinned golden traces assume the pre-pipelining tail.)
-	if nxt := e.insts[e.decidedK+1]; nxt != nil && !nxt.decided && e.pipe > 1 {
+	if nxt := e.insts[e.decidedK()+1]; nxt != nil && !nxt.decided && e.pipe > 1 {
 		rounds := make([]uint32, 0, len(nxt.coord))
 		for r := range nxt.coord {
 			rounds = append(rounds, r)
@@ -1817,7 +1374,7 @@ func (e *Engine) finalize(in *inst, batch wire.Batch, descs []wire.Descriptor, r
 	// without this flush a decision taken in round >= 2 just before the
 	// suspicion cleared would never be disseminated and the lagging peers
 	// would wedge (found by the chaos harness under healed partitions).
-	if e.rec.Active() {
+	if e.t.Rec.Active() {
 		return
 	}
 	next := e.current()
@@ -1856,7 +1413,7 @@ func (e *Engine) handleDecisionOnly(from types.ProcessID, m message) {
 func (e *Engine) handleDecisionReq(from types.ProcessID, m message) {
 	in := e.insts[m.Instance]
 	if in == nil || !in.decided {
-		if m.Instance <= e.decidedK {
+		if m.Instance <= e.decidedK() {
 			// Decided here but pruned from memory: serve it from the
 			// durable log if there is one (a peer lagging past the
 			// retention horizon has no other way back without a full
@@ -1874,7 +1431,7 @@ func (e *Engine) handleDecisionReq(from types.ProcessID, m message) {
 // instances past the next one) are buffered on the instance and applied
 // by the cascade in decide once their turn comes.
 func (e *Engine) handleDecisionFull(m message) {
-	if m.Instance <= e.decidedK {
+	if m.Instance <= e.decidedK() {
 		return
 	}
 	in := e.get(m.Instance)
@@ -1889,38 +1446,16 @@ func (e *Engine) handleDecisionFull(m message) {
 		in.fullRound = m.Round
 		in.hasFull = true
 		in.waitingRound = m.Round
-		if m.Instance == e.decidedK+1 {
+		if m.Instance == e.decidedK()+1 {
 			e.decideResolved(in, m.Batch, m.Round)
 		}
 		return
 	}
 	in.proposals[m.Round] = m.Batch
 	in.waitingRound = m.Round
-	if m.Instance == e.decidedK+1 {
+	if m.Instance == e.decidedK()+1 {
 		e.decide(in, m.Batch, m.Round)
 	}
-}
-
-// handleRecoverReq serves a restarted peer a chunk of decided instances,
-// from memory while the instance is inside the retention horizon and from
-// the local write-ahead log beyond it.
-func (e *Engine) handleRecoverReq(from types.ProcessID, m message) {
-	resp := message{Type: mRecoverResp, Instance: m.Instance, UpTo: e.decidedK}
-	if e.cfg.Snapshots != nil && e.cfg.Snapshots.Latest != nil {
-		if idx, ok := e.cfg.Snapshots.Latest(); ok {
-			resp.SnapIndex = idx
-		}
-	}
-	end := recovery.ChunkEnd(m.Instance, e.decidedK)
-	for k := m.Instance; end > 0 && k <= end; k++ {
-		batch, ok := e.lookupDecision(k)
-		if !ok {
-			break // can't serve a contiguous run past this point
-		}
-		resp.Decisions = append(resp.Decisions, wire.DecidedInstance{K: k, Batch: batch})
-	}
-	e.env.Counters().Retransmissions.Add(1)
-	e.send(from, resp)
 }
 
 // lookupDecision finds a decided batch in instance memory or the durable
@@ -1935,251 +1470,6 @@ func (e *Engine) lookupDecision(k uint64) (wire.Batch, bool) {
 	return nil, false
 }
 
-// handleRecoverResp applies a state-transfer chunk: every decision goes
-// through the normal decide path (persisted, adelivered, pruned), then
-// either the catch-up completes or the next chunk is pulled from the same
-// peer.
-// Decisions are applied even when the catch-up has already finished:
-// the finish can race a still-in-flight chunk (the quorum check can be
-// satisfied by a responder that is itself lagging behind the cluster),
-// and the raced chunk may carry decisions whose dissemination this
-// process permanently missed while down.
-func (e *Engine) handleRecoverResp(from types.ProcessID, m message) {
-	c := e.env.Counters()
-	before := e.decidedK
-	for _, d := range m.Decisions {
-		if d.K != e.decidedK+1 {
-			continue // already applied (replay, cascade, or a racing chunk)
-		}
-		c.RecoveryFetchedMsgs.Add(int64(len(d.Batch)))
-		in := e.get(d.K)
-		if e.cfg.DigestOrdering {
-			// Logged decisions hold resolved batches under digest ordering.
-			e.decideResolved(in, d.Batch, in.round)
-		} else {
-			e.decide(in, d.Batch, in.round)
-		}
-	}
-	if !e.rec.Active() {
-		return // finished catch-up: the decisions above were still usable
-	}
-	e.rec.Observe(from, m.UpTo)
-	if dur, done := e.rec.MaybeFinish(e.decidedK+1, e.env.Now()); done {
-		c.RecoveryNanos.Add(dur.Nanoseconds())
-		e.cfg.Obs.RecoveryObserved(dur)
-		e.finishRecovery()
-		return
-	}
-	// Pull the next chunk only from a peer whose response advanced us:
-	// the broadcast announce fans out to everyone, and without this gate
-	// every responder would ship the same backlog in parallel.
-	if e.decidedK > before && e.decidedK+1 <= e.rec.Target() {
-		e.send(from, message{Type: mRecoverReq, Instance: e.decidedK + 1})
-		return
-	}
-	// Far-behind branch: the responder could not serve our missing instance
-	// (it truncated its log below its snapshot horizon) but holds a snapshot
-	// covering it. Fetch and install the snapshot, then resume per-instance
-	// catch-up above it.
-	if e.decidedK == before && m.SnapIndex >= e.decidedK+1 &&
-		e.cfg.Snapshots != nil && !e.snap.active {
-		e.beginSnapFetch(from, m.SnapIndex)
-	}
-}
-
-// beginSnapFetch starts fetching the snapshot at index from one peer.
-func (e *Engine) beginSnapFetch(from types.ProcessID, index uint64) {
-	e.snap = snapFetch{active: true, from: from, index: index, startedAt: e.env.Now()}
-	e.sendSnapReq()
-}
-
-// sendSnapReq requests the next chunk of the in-progress snapshot fetch.
-func (e *Engine) sendSnapReq() {
-	e.send(e.snap.from, message{Type: mSnapReq, Instance: e.snap.index, Offset: uint64(len(e.snap.buf))})
-}
-
-// handleSnapReq serves one chunk of the local latest snapshot. A request
-// for a snapshot this process no longer has (it moved on) is answered with
-// the newest one from offset 0; the requester restarts its assembly.
-func (e *Engine) handleSnapReq(from types.ProcessID, m message) {
-	if e.cfg.Snapshots == nil || e.cfg.Snapshots.Latest == nil || e.cfg.Snapshots.Read == nil {
-		return
-	}
-	resp := message{Type: mSnapResp, UpTo: e.decidedK}
-	if idx, ok := e.cfg.Snapshots.Latest(); ok {
-		off := m.Offset
-		if idx != m.Instance {
-			off = 0
-		}
-		if data, total, ok := e.cfg.Snapshots.Read(idx, int(off), wire.SnapChunk); ok {
-			resp.Instance = idx
-			resp.Total = uint64(total)
-			resp.Offset = off
-			resp.Data = data
-		}
-	}
-	e.env.Counters().Retransmissions.Add(1)
-	e.send(from, resp)
-}
-
-// handleSnapResp assembles snapshot chunks and installs the completed
-// envelope: application state through the driver hook, dedup merge and
-// decided-watermark jump in the engine, then per-instance catch-up resumes
-// for whatever suffix remains above the snapshot.
-func (e *Engine) handleSnapResp(from types.ProcessID, m message) {
-	if !e.snap.active || from != e.snap.from {
-		return
-	}
-	if m.Total == 0 || m.Instance <= e.decidedK {
-		// The responder lost its snapshot, or we advanced past it while
-		// fetching; the recovery timer finds another path.
-		e.snap = snapFetch{}
-		return
-	}
-	if m.Instance != e.snap.index {
-		// The responder rotated to a newer snapshot: restart the assembly.
-		e.snap.index = m.Instance
-		e.snap.buf = e.snap.buf[:0]
-		if m.Offset != 0 {
-			e.sendSnapReq()
-			return
-		}
-	}
-	if int(m.Offset) != len(e.snap.buf) {
-		e.sendSnapReq() // duplicate or reordered chunk: re-request in place
-		return
-	}
-	e.snap.total = int(m.Total)
-	e.snap.buf = append(e.snap.buf, m.Data...)
-	e.rec.Observe(from, m.UpTo)
-	if len(e.snap.buf) < e.snap.total {
-		e.sendSnapReq()
-		return
-	}
-	env, err := wire.UnmarshalSnapshotEnvelope(e.snap.buf)
-	took := e.env.Now() - e.snap.startedAt
-	e.snap = snapFetch{}
-	if err != nil || env.Index <= e.decidedK {
-		return
-	}
-	if err := e.installSnapshot(env); err != nil {
-		return
-	}
-	c := e.env.Counters()
-	c.SnapshotInstalls.Add(1)
-	c.SnapshotInstallNanos.Add(took.Nanoseconds())
-	e.cfg.Obs.InstallObserved(took)
-	if dur, done := e.rec.MaybeFinish(e.decidedK+1, e.env.Now()); done {
-		c.RecoveryNanos.Add(dur.Nanoseconds())
-		e.cfg.Obs.RecoveryObserved(dur)
-		e.finishRecovery()
-		return
-	}
-	if e.rec.Active() {
-		e.send(from, message{Type: mRecoverReq, Instance: e.decidedK + 1})
-	}
-}
-
-// installSnapshot adopts a fetched snapshot: the application side first
-// (persist + state machine restore, through the driver hook), then the
-// engine's own consequences — merged dedup state, jumped decided
-// watermark, pruned per-instance state below the snapshot, released flow
-// slots for own messages the snapshot ordered.
-func (e *Engine) installSnapshot(env wire.SnapshotEnvelope) error {
-	dm, err := dedup.UnmarshalMap(env.Dedup)
-	if err != nil {
-		return err
-	}
-	if e.cfg.Snapshots.Install != nil {
-		if err := e.cfg.Snapshots.Install(env); err != nil {
-			return err
-		}
-	}
-	e.delivered.Merge(dm)
-	e.decidedK = env.Index
-	// A recovering process must never re-enter instances the cluster
-	// settled at or below the snapshot: drop their round state outright
-	// (the pruned-instance guards serve any late messages for them).
-	for k := range e.insts {
-		if k <= env.Index {
-			delete(e.insts, k)
-		}
-	}
-	for k := range e.propIDs {
-		if k <= env.Index {
-			delete(e.propIDs, k)
-		}
-	}
-	// Own and pooled messages the snapshot already ordered: release their
-	// flow slots and stop re-proposing them. Under digest ordering the
-	// pool holds descriptor pseudo-messages whose IDs alias real IDs at
-	// incarnation 0, so coverage is checked per real message of each
-	// descriptor's range instead of per pool ID; a partially covered
-	// descriptor stays proposable (it resolves trivially for the covered
-	// prefix once re-ordered) but its delivered own slots release now.
-	if e.cfg.DigestOrdering {
-		for id, pm := range e.pool {
-			d, err := wire.ParseDescriptor(pm)
-			if err != nil {
-				continue // shape-bug fallback entry: left for re-proposal
-			}
-			covered := 0
-			for i := uint32(0); i < d.Count; i++ {
-				rid := types.MsgID{Sender: d.Origin, Seq: d.FirstSeq + uint64(i)}
-				if e.isDelivered(rid) {
-					covered++
-					if d.Origin == e.self {
-						_ = e.fc.Delivered(rid)
-					}
-				}
-			}
-			if covered == int(d.Count) {
-				delete(e.pool, id)
-				delete(e.assigned, id)
-				if d.Origin == e.self {
-					delete(e.own, d.DSeq)
-				}
-				e.descDone[id] = env.Index
-				e.store.MarkDelivered(d, env.Index)
-			}
-		}
-		// A blocked head below the new watermark is obsolete; drop the
-		// wait outright (retryBlockedDecide would also detect it).
-		if e.pw.active {
-			e.pw.active = false
-			e.env.CancelTimer(engine.TimerPayload)
-		}
-	} else {
-		for seq, om := range e.own {
-			if e.isDelivered(om.msg.ID) {
-				delete(e.own, seq)
-				_ = e.fc.Delivered(om.msg.ID)
-			}
-		}
-		for id := range e.pool {
-			if e.isDelivered(id) {
-				delete(e.pool, id)
-				delete(e.assigned, id)
-			}
-		}
-	}
-	e.lastProgress = e.env.Now()
-	return nil
-}
-
-// finishRecovery resumes normal operation after catch-up: round
-// advancement deferred during recovery happens now, the surviving own
-// backlog is pushed toward the coordinator, and the engine may propose
-// again.
-func (e *Engine) finishRecovery() {
-	e.snap = snapFetch{}
-	e.env.CancelTimer(engine.TimerRecover)
-	e.advanceSuspected()
-	e.tryPropose()
-	e.forwardRecoveredOwn()
-	e.armKick()
-}
-
 // HandleTimer implements engine.Engine.
 func (e *Engine) HandleTimer(id engine.TimerID) {
 	switch id {
@@ -2192,33 +1482,7 @@ func (e *Engine) HandleTimer(id engine.TimerID) {
 	case engine.TimerPayload:
 		e.payloadTimer()
 	case engine.TimerRecover:
-		if e.rec.Active() {
-			// Re-announce only when the transfer stalled since the last
-			// fire — a lost request/response or a dead serving peer; a
-			// healthy chunk chain re-arms without extra broadcasts. A
-			// stalled snapshot fetch first retries its chunk, then (still
-			// stalled) abandons the peer and re-announces.
-			if e.snap.active {
-				if len(e.snap.buf) == e.snap.lastLen {
-					e.snap.stalls++
-					if e.snap.stalls >= 2 {
-						e.snap = snapFetch{}
-						e.sendAll(message{Type: mRecoverReq, Instance: e.decidedK + 1})
-					} else {
-						e.sendSnapReq()
-					}
-				} else {
-					e.snap.stalls = 0
-					e.snap.lastLen = len(e.snap.buf)
-				}
-			} else if e.decidedK == e.recLastSeen {
-				e.sendAll(message{Type: mRecoverReq, Instance: e.decidedK + 1})
-			}
-			e.recLastSeen = e.decidedK
-			if e.cfg.ResendEvery > 0 {
-				e.env.SetTimer(engine.TimerRecover, e.cfg.ResendEvery)
-			}
-		}
+		e.t.RecoverTimer()
 	}
 }
 
@@ -2245,7 +1509,7 @@ func (e *Engine) flushBatch() {
 // an unresolved announcement: that announcement proves the head decided
 // somewhere, even if its own announcement was lost with the announcer.
 func (e *Engine) retryWaiting() {
-	in := e.insts[e.decidedK+1]
+	in := e.insts[e.decidedK()+1]
 	if in != nil && in.decided {
 		return
 	}
@@ -2254,7 +1518,7 @@ func (e *Engine) retryWaiting() {
 	// still run, or the refetch chain dies with the crashed announcer.
 	waiting := in != nil && in.waitingRound != 0
 	if !waiting && e.pipe > 1 {
-		for k := e.decidedK + 2; k <= e.decidedK+uint64(e.pipe); k++ {
+		for k := e.decidedK() + 2; k <= e.decidedK()+uint64(e.pipe); k++ {
 			if buf := e.insts[k]; buf != nil && buf.waitingRound != 0 {
 				waiting = true
 				break
@@ -2268,7 +1532,7 @@ func (e *Engine) retryWaiting() {
 	if !waiting {
 		return
 	}
-	e.sendAll(message{Type: mDecisionReq, Instance: e.decidedK + 1})
+	e.sendAll(message{Type: mDecisionReq, Instance: e.decidedK() + 1})
 	e.env.Counters().Retransmissions.Add(int64(e.others()))
 	if e.cfg.ResendEvery > 0 {
 		e.env.SetTimer(engine.TimerResend, e.cfg.ResendEvery)
@@ -2288,7 +1552,7 @@ const ringRefetchChunk = 32
 // a bounded chunk of the known gap from everyone still reachable.
 func (e *Engine) ringRetryWaiting(waiting bool) {
 	e.ringResendArmed = false
-	if !waiting && e.ringWantK <= e.decidedK {
+	if !waiting && e.ringWantK <= e.decidedK() {
 		return
 	}
 	if e.cfg.ResendEvery <= 0 {
@@ -2300,10 +1564,10 @@ func (e *Engine) ringRetryWaiting(waiting bool) {
 		return
 	}
 	upto := e.ringWantK
-	if upto < e.decidedK+1 {
-		upto = e.decidedK + 1
+	if upto < e.decidedK()+1 {
+		upto = e.decidedK() + 1
 	}
-	if max := e.decidedK + ringRefetchChunk; upto > max {
+	if max := e.decidedK() + ringRefetchChunk; upto > max {
 		upto = max
 	}
 	// Ask exactly one peer: a broadcast here would be answered with a full
@@ -2311,50 +1575,16 @@ func (e *Engine) ringRetryWaiting(waiting bool) {
 	// amplification of every stall, feeding the very congestion that
 	// caused the stall. The target rotates across retries, so a dead or
 	// unreachable peer only costs one resend period.
-	if target := e.ringRefetchTarget(); target != e.self {
+	if target := e.t.Hist.Current().NextPeer(e.self, e.ringRetryTo, e.t.Suspected); target != types.Nobody {
+		e.ringRetryTo = target
 		c := e.env.Counters()
-		for k := e.decidedK + 1; k <= upto; k++ {
+		for k := e.decidedK() + 1; k <= upto; k++ {
 			e.send(target, message{Type: mDecisionReq, Instance: k})
 			c.Retransmissions.Add(1)
 		}
 	}
 	e.ringResendArmed = true
 	e.env.SetTimer(engine.TimerResend, e.cfg.ResendEvery)
-}
-
-// ringRefetchTarget picks the next refetch recipient: the first
-// unsuspected peer after the previous target, or — when everyone is
-// suspected — the next peer regardless (suspicion can be wrong, and an
-// unanswered request only costs the next timer period). Returns self
-// only when there are no peers at all.
-func (e *Engine) ringRefetchTarget() types.ProcessID {
-	members := e.hist.Current().Members
-	n := len(members)
-	// Member-rank rotation: at the static boot view this walks
-	// (prev+1+i) mod n exactly as the original ID arithmetic did.
-	start := 0
-	for i, p := range members {
-		if p > e.ringRetryTo {
-			start = i
-			break
-		}
-	}
-	fallback := e.self
-	for i := 0; i < n; i++ {
-		p := members[(start+i)%n]
-		if p == e.self {
-			continue
-		}
-		if fallback == e.self {
-			fallback = p
-		}
-		if !e.suspected[p] {
-			e.ringRetryTo = p
-			return p
-		}
-	}
-	e.ringRetryTo = fallback
-	return fallback
 }
 
 // kick is the idle/stall timer: re-forward own messages and retry
@@ -2408,9 +1638,9 @@ func (e *Engine) armKick() {
 // While catching up after a restart only the suspicion is recorded; the
 // advancement runs when recovery finishes.
 func (e *Engine) Suspect(p types.ProcessID, suspected bool) {
-	e.suspected[p] = suspected
+	e.t.Suspected[p] = suspected
 	e.diss.Suspect(p, suspected)
-	if e.rec.Active() {
+	if e.t.Rec.Active() {
 		return
 	}
 	if !suspected {
@@ -2438,32 +1668,23 @@ func (e *Engine) advanceSuspected() {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, k := range keys {
 		in := e.insts[k]
-		for !in.decided && e.suspected[e.coordinatorAt(in.k, in.round)] {
+		for !in.decided && e.t.Suspected[e.coordinatorAt(in.k, in.round)] {
 			e.advanceRound(in)
 		}
 	}
 }
 
-// prune drops instance state beyond the catch-up horizon, and with it —
-// under digest ordering — the resolved payload batches and descriptor
-// bookkeeping that are no longer servable repair targets.
+// prune drops instance state beyond the catch-up horizon (the tail prunes
+// the payload and descriptor bookkeeping of the same horizon in Commit).
 func (e *Engine) prune() {
 	h := uint64(e.cfg.DecisionHorizon)
-	if h == 0 || e.decidedK <= h {
+	if h == 0 || e.decidedK() <= h {
 		return
 	}
-	cutoff := e.decidedK - h
+	cutoff := e.decidedK() - h
 	for k, in := range e.insts {
 		if in.decided && k <= cutoff {
 			delete(e.insts, k)
-		}
-	}
-	if e.cfg.DigestOrdering {
-		e.store.PruneBelow(cutoff)
-		for id, dk := range e.descDone {
-			if dk <= cutoff {
-				delete(e.descDone, id)
-			}
 		}
 	}
 }
@@ -2511,13 +1732,8 @@ func (e *Engine) send(to types.ProcessID, m message) {
 
 // sendAll transmits one message to every other current-view member.
 func (e *Engine) sendAll(m message) {
-	members := e.hist.Current().Members
-	others := 0
-	for _, p := range members {
-		if p != e.self {
-			others++
-		}
-	}
+	members := e.t.Hist.Current().Members
+	others := e.others()
 	e.env.Counters().PayloadBytesSent.Add(int64(m.payloadBytes() * others))
 	if others == 0 {
 		return
@@ -2532,96 +1748,166 @@ func (e *Engine) sendAll(m message) {
 	}
 }
 
-// SubmitConfig implements engine.ConfigSubmitter: validate the op
-// against the current view, stamp it with the current epoch (the
-// compare-and-swap that makes concurrent and replayed ops idempotent),
-// and submit it through the ordinary abcast path — it is forwarded,
-// proposed and decided exactly like an application message.
+// SubmitConfig implements engine.ConfigSubmitter: the validated,
+// epoch-stamped op is submitted through the ordinary abcast path — it is
+// forwarded, proposed and decided exactly like an application message.
 func (e *Engine) SubmitConfig(op member.Op) (types.MsgID, error) {
-	cur := e.hist.Current()
-	op.BaseEpoch = cur.Epoch
-	switch op.Kind {
-	case member.OpAdd:
-		if op.Target < 0 || cur.Contains(op.Target) {
-			return types.MsgID{}, types.ErrBadConfig
-		}
-	case member.OpRemove:
-		if !cur.Contains(op.Target) || len(cur.Members) <= 1 {
-			return types.MsgID{}, types.ErrBadConfig
-		}
-	default:
-		return types.MsgID{}, types.ErrBadConfig
+	op, err := e.t.Hist.Current().Stamp(op)
+	if err != nil {
+		return types.MsgID{}, err
 	}
 	return e.Abcast(member.EncodeOp(op))
 }
 
 // CurrentView implements engine.ConfigSubmitter.
-func (e *Engine) CurrentView() member.View { return e.hist.Current() }
+func (e *Engine) CurrentView() member.View { return e.t.Hist.Current() }
 
 // Views returns the full decided view sequence (checker support).
-func (e *Engine) Views() []member.View { return e.hist.Views() }
+func (e *Engine) Views() []member.View { return e.t.Hist.Views() }
 
 var _ engine.ConfigSubmitter = (*Engine)(nil)
 
-// applyConfig applies one decided config op at instance k. A failed
-// apply (stale epoch, duplicate add, absent remove) is a deterministic
-// no-op at every process — the op was ordered, so everyone rejects it
-// against the same history. A successful apply appends the new view
-// (activating at k plus the pipeline window), repoints the local
-// dissemination/flow seams, schedules the removed origin's state
-// retirement, and notifies the driver.
-func (e *Engine) applyConfig(k uint64, op member.Op) {
-	v, ok := e.hist.Apply(op, k, e.pipe)
-	if !ok {
+// decidedK is the highest instance decided locally; instances decide
+// strictly in order (the tail owns the watermark).
+func (e *Engine) decidedK() uint64 { return e.t.Next() - 1 }
+
+// drop removes one ordered or obsolete entry from the pool, the window
+// partition and — when it is ours — the own backlog.
+func (e *Engine) drop(id types.MsgID) {
+	delete(e.pool, id)
+	delete(e.assigned, id)
+	if id.Sender == e.self {
+		delete(e.own, id.Seq)
+	}
+}
+
+// tailHost is the Engine seen through tail.Host: the monolithic wire
+// encoding of the six tail messages (message{Type: m…}; the payload-repair
+// pair carries raw wire frames in Data), the engine-wide timer IDs, and
+// the tail's hooks into own/pool and the in-order decide path. A separate
+// named type keeps these methods off the Engine's public surface.
+type tailHost Engine
+
+var _ tail.Host = (*tailHost)(nil)
+
+func (h *tailHost) SendRecoverReq(to types.ProcessID, req wire.RecoverReq) {
+	m := message{Type: mRecoverReq, Instance: req.From}
+	if to == types.Nobody {
+		(*Engine)(h).sendAll(m)
 		return
 	}
-	e.env.Counters().ConfigChanges.Add(1)
-	e.reconfigureLocal(v)
-	if op.Kind == member.OpRemove {
-		e.retires[v.Activation] = append(e.retires[v.Activation], op.Target)
-	}
-	// The cascade itself runs in finalize, after the delivery loop.
-	e.viewKick = true
-	if e.cfg.OnConfig != nil {
-		e.cfg.OnConfig(v, op)
-	}
+	(*Engine)(h).send(to, m)
 }
 
-// reconfigureLocal points the engine's seams at a new view: the
-// dissemination topology follows the member list, and the flow-control
-// window is re-derived from the group size when it was the size-derived
-// default (an explicitly configured window is left alone).
-func (e *Engine) reconfigureLocal(v member.View) {
-	e.diss.SetMembers(v.Members)
-	if e.cfg.Window == engine.DefaultWindow(e.cfg.N) {
-		ncfg := e.cfg
-		ncfg.Window = engine.DefaultWindow(len(v.Members))
-		e.fc.SetWindow(ncfg.EffectiveWindow())
-	}
+func (h *tailHost) SendRecoverResp(to types.ProcessID, req wire.RecoverReq, resp wire.RecoverResp) {
+	(*Engine)(h).send(to, message{Type: mRecoverResp, Instance: req.From,
+		UpTo: resp.UpTo, SnapIndex: resp.SnapIndex, Decisions: resp.Decisions})
 }
 
-// retireOrigin drops the local state of a removed origin at its
-// activation boundary: undecided pool entries (no proposal will carry
-// them again), undelivered payload residency (no decision will resolve
-// through them; delivered entries stay on the normal retention horizon
-// for repair serving), and suspicion bookkeeping.
-func (e *Engine) retireOrigin(origin types.ProcessID) {
-	for id := range e.pool {
-		if id.Sender == origin {
-			delete(e.pool, id)
-			delete(e.assigned, id)
+func (h *tailHost) SendSnapReq(to types.ProcessID, req wire.SnapReq) {
+	(*Engine)(h).send(to, message{Type: mSnapReq, Instance: req.Index, Offset: req.Offset})
+}
+
+func (h *tailHost) SendSnapResp(to types.ProcessID, resp wire.SnapResp) {
+	(*Engine)(h).send(to, message{Type: mSnapResp, Instance: resp.Index,
+		Total: resp.Total, Offset: resp.Offset, UpTo: resp.UpTo, Data: resp.Data})
+}
+
+func (h *tailHost) SendPayloadFetch(to types.ProcessID, d wire.Descriptor) {
+	w := wire.NewWriter(32)
+	wire.AppendPayloadFetchFrame(w, d)
+	(*Engine)(h).send(to, message{Type: mPayloadFetch, Data: w.Bytes()})
+}
+
+func (h *tailHost) SendPayloadResp(to types.ProcessID, d wire.Descriptor, b wire.Batch) {
+	w := wire.NewWriter(32 + b.WireSize())
+	wire.AppendPayloadRespFrame(w, d, b)
+	(*Engine)(h).send(to, message{Type: mPayloadResp, Data: w.Bytes()})
+}
+
+// engineTimer maps a tail timer into the engine-wide timer namespace.
+func engineTimer(id tail.Timer) engine.TimerID {
+	if id == tail.TimerRecover {
+		return engine.TimerRecover
+	}
+	return engine.TimerPayload
+}
+
+func (h *tailHost) SetTimer(id tail.Timer, d time.Duration) { h.env.SetTimer(engineTimer(id), d) }
+
+func (h *tailHost) CancelTimer(id tail.Timer) { h.env.CancelTimer(engineTimer(id)) }
+
+func (h *tailHost) RetirePending(obsolete func(m wire.AppMsg) bool) {
+	e := (*Engine)(h)
+	for id, m := range e.pool {
+		if obsolete(m) {
+			e.drop(id)
 		}
 	}
-	delete(e.suspected, origin)
-	if e.store != nil {
-		if retired := e.store.RetireOrigin(origin); retired > 0 {
-			e.env.Counters().PayloadsRetired.Add(int64(retired))
+	for seq, om := range e.own { // own entries the pool no longer holds
+		if _, pooled := e.pool[om.msg.ID]; !pooled && obsolete(om.msg) {
+			delete(e.own, seq)
 		}
 	}
 }
 
-// isDelivered and markDelivered wrap the shared per-sender suppressor
-// (internal/dedup; crash recovery rebuilds it from the replayed log).
-func (e *Engine) isDelivered(id types.MsgID) bool { return e.delivered.Seen(id) }
+func (h *tailHost) Decision(k uint64) (wire.Batch, bool) { return (*Engine)(h).lookupDecision(k) }
 
-func (e *Engine) markDelivered(id types.MsgID) { e.delivered.Mark(id) }
+// Decided applies a state-transfer decision through the normal decide
+// path; instances decide strictly in order, so anything but the next one
+// is dropped. Logged decisions hold resolved batches under digest ordering.
+func (h *tailHost) Decided(k uint64, b wire.Batch) {
+	e := (*Engine)(h)
+	if k != e.decidedK()+1 {
+		return
+	}
+	in := e.get(k)
+	if e.cfg.DigestOrdering {
+		e.decideResolved(in, b, in.round)
+	} else {
+		e.decide(in, b, in.round)
+	}
+}
+
+func (h *tailHost) Advanced() {
+	(*Engine)(h).retryBlockedDecide()
+	(*Engine)(h).tryPropose()
+}
+
+// Installed drops the round state of every instance the snapshot covers: a
+// recovering process must never re-enter instances the cluster settled at
+// or below it (the pruned-instance guards serve any late messages for
+// them).
+func (h *tailHost) Installed() {
+	for k := range h.insts {
+		if k < h.t.Next() {
+			delete(h.insts, k)
+		}
+	}
+	for k := range h.propIDs {
+		if k < h.t.Next() {
+			delete(h.propIDs, k)
+		}
+	}
+	h.lastProgress = h.env.Now()
+}
+
+// CaughtUp resumes normal operation after catch-up: round advancement
+// deferred during recovery happens now, the surviving own backlog is
+// pushed toward the coordinator, and the engine may propose again.
+func (h *tailHost) CaughtUp() {
+	e := (*Engine)(h)
+	e.advanceSuspected()
+	e.tryPropose()
+	e.forwardRecoveredOwn()
+	e.armKick()
+}
+
+// ViewChanged points the dissemination topology at the view. A view
+// applied mid-Commit also schedules the suspicion cascade for after the
+// delivery loop; views replayed at construction need none (no instance
+// exists yet).
+func (h *tailHost) ViewChanged(v member.View) {
+	h.diss.SetMembers(v.Members)
+	h.viewKick = h.started
+}

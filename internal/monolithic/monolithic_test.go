@@ -472,8 +472,8 @@ func TestPipelinedOutOfOrderAckMajority(t *testing.T) {
 			}
 		}
 	}
-	if e0 := r.engs[0]; e0.decidedK != 0 {
-		t.Fatalf("instance decided out of order: decidedK = %d", e0.decidedK)
+	if e0 := r.engs[0]; e0.decidedK() != 0 {
+		t.Fatalf("instance decided out of order: decidedK = %d", e0.decidedK())
 	}
 	// Now release instance 1's proposals and run to quiescence: deciding 1
 	// must cascade into the already-complete majority of 2.
@@ -483,7 +483,7 @@ func TestPipelinedOutOfOrderAckMajority(t *testing.T) {
 		}
 	}
 	r.run(t)
-	if got := r.engs[0].decidedK; got != 2 {
+	if got := r.engs[0].decidedK(); got != 2 {
 		t.Fatalf("decidedK = %d, want 2 (ready ack-majority decision was dropped)", got)
 	}
 	r.checkTotalOrder(t, 2)

@@ -1,8 +1,11 @@
 // Package recovery implements the crash-recovery subsystem shared by both
 // atomic broadcast stacks: the durable-store contract the engines persist
 // through, the replay that turns a write-ahead log back into engine state,
-// and the bookkeeping of the state-transfer protocol a restarted node runs
-// to fetch the decisions it missed while down.
+// and the bookkeeping (Catchup) of the state-transfer protocol a restarted
+// node runs to fetch the decisions it missed while down. The protocol's
+// message handling — steps 2 to 4 below, plus the snapshot branch and the
+// stall timer — is implemented once for both stacks in internal/tail
+// (transfer.go); the engines only encode its messages.
 //
 // The paper's system model (§2.1) is crash-stop: a crashed process is gone
 // forever. This package relaxes that to crash-recovery — a process may
@@ -13,7 +16,7 @@
 //  1. Replay: the restarting node replays its local log (ReplayState),
 //     reconstructing its decided watermark, the per-sender delivered
 //     state, its unordered own messages, and its next sequence number.
-//  2. Announce: the engine broadcasts a state-transfer request carrying
+//  2. Announce: the tail broadcasts a state-transfer request carrying
 //     its decided watermark (wire.FrameRecoverReq in the modular stack, a
 //     RECOVER message in the monolithic one).
 //  3. Catch-up: live peers answer with chunks of contiguous decided

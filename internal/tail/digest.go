@@ -1,0 +1,204 @@
+package tail
+
+import (
+	"sort"
+
+	"modab/internal/types"
+	"modab/internal/wire"
+)
+
+// Describe mints the descriptor consensus orders in place of own batch b
+// and makes the payload resident. It fails only on a shape bug (own sealed
+// batches are contiguous); the engine then orders the raw messages.
+func (t *Tail) Describe(b wire.Batch) (wire.Descriptor, error) {
+	t.nextDSeq++
+	d, err := wire.DescriptorFor(b, t.nextDSeq)
+	if err == nil {
+		t.Store.PutBatch(b)
+	}
+	return d, err
+}
+
+// RegroupOwn rebuilds a replayed own backlog as descriptors: one resident
+// batch and fresh incarnation-tagged descriptor per maximal contiguous
+// sequence run (gaps are messages an old decision ordered). The runs may
+// differ from the unlogged pre-crash batches; delivery dedup absorbs it.
+func (t *Tail) RegroupOwn(own wire.Batch) []wire.Descriptor {
+	msgs := make(wire.Batch, len(own))
+	copy(msgs, own)
+	sort.Slice(msgs, func(i, j int) bool { return msgs[i].ID.Seq < msgs[j].ID.Seq })
+	var descs []wire.Descriptor
+	for start := 0; start < len(msgs); {
+		end := start + 1
+		for end < len(msgs) && msgs[end].ID.Seq == msgs[end-1].ID.Seq+1 {
+			end++
+		}
+		if d, err := t.Describe(msgs[start:end]); err == nil {
+			descs = append(descs, d)
+		}
+		start = end
+	}
+	return descs
+}
+
+// Announce ingests a disseminated payload batch (validated against its
+// descriptor at the wire layer) and reports whether the descriptor still
+// needs ordering: the host then pools it, retries its head and proposes.
+func (t *Tail) Announce(d wire.Descriptor, b wire.Batch) bool {
+	if !t.Hist.Current().Contains(d.Origin) {
+		// Nothing proposes a removed origin's descriptor past the boundary:
+		// pooled, it would leak. A joiner racing its add re-announces.
+		return false
+	}
+	id := types.MsgID{Sender: d.Origin, Seq: d.DSeq}
+	if _, done := t.descDone[id]; done {
+		return false // duplicate announce of a decided descriptor
+	}
+	t.Store.PutBatch(b)
+	if t.rangeFullyDelivered(d) {
+		t.markDone(d, t.next-1)
+		t.h.RetirePending(func(m wire.AppMsg) bool { return m.ID == id })
+		return false
+	}
+	return true
+}
+
+// DescriptorSettled reports whether descriptor pseudo-message m, offered
+// for pooling, already decided or had its whole range adelivered.
+func (t *Tail) DescriptorSettled(m wire.AppMsg) bool {
+	_, done := t.descDone[m.ID]
+	return done || t.settled(m, t.next-1)
+}
+
+// settled reports whether pending entry m is obsolete: a message already
+// adelivered or, under digest ordering (pending entries are descriptor
+// pseudo-messages, whose IDs alias real ones at incarnation 0), a
+// descriptor whose whole range is — then recorded as decided at instance at.
+func (t *Tail) settled(m wire.AppMsg, at uint64) bool {
+	if !t.cfg.DigestOrdering {
+		return t.Delivered.Seen(m.ID)
+	}
+	d, err := wire.ParseDescriptor(m)
+	if err != nil || !t.rangeFullyDelivered(d) {
+		return false // a shape-bug fallback entry stays for re-proposal
+	}
+	t.markDone(d, at)
+	return true
+}
+
+// markDone records d as decided at k; its payload's retention starts.
+func (t *Tail) markDone(d wire.Descriptor, k uint64) {
+	t.descDone[types.MsgID{Sender: d.Origin, Seq: d.DSeq}] = k
+	t.Store.MarkDelivered(d, k)
+}
+
+// rangeFullyDelivered reports whether every message of d's range was
+// already adelivered — through an overlapping post-restart descriptor, or
+// a decision learned resolved (recovery chunk, snapshot, served full
+// decision) that never named d. A pending entry for it would never decide.
+func (t *Tail) rangeFullyDelivered(d wire.Descriptor) bool {
+	for i := uint32(0); i < d.Count; i++ {
+		if !t.Delivered.Seen(types.MsgID{Sender: d.Origin, Seq: d.FirstSeq + uint64(i)}) {
+			return false
+		}
+	}
+	return true
+}
+
+// Resolve expands a decided descriptor batch into the payload messages it
+// ordered (Commit re-sorts). A descriptor whose payload is not resident
+// blocks the decision, unless its whole range was already adelivered: it
+// then resolves to nothing. Non-descriptors pass through (the shape-bug
+// fallback ordered them raw).
+func (t *Tail) Resolve(b wire.Batch) (resolved wire.Batch, descs []wire.Descriptor, blocked bool) {
+	resolved = make(wire.Batch, 0, len(b))
+	for _, m := range b {
+		d, err := wire.ParseDescriptor(m)
+		if err != nil {
+			resolved = append(resolved, m)
+			continue
+		}
+		pb, ok := t.Store.Range(d)
+		if !ok && !t.rangeFullyDelivered(d) {
+			return nil, nil, true
+		}
+		resolved = append(resolved, pb...)
+		descs = append(descs, d)
+	}
+	return resolved, descs, false
+}
+
+// Block starts (or keeps) the payload wait of the head decision. No fetch
+// yet: the announce is usually still in flight (direct control frames
+// outrun ring relays), so the first repair waits for the payload timer.
+func (t *Tail) Block() {
+	if t.blocked {
+		return
+	}
+	t.blocked, t.blockedAt = true, t.env.Now()
+	if t.cfg.ResendEvery > 0 {
+		t.h.SetTimer(TimerPayload, t.cfg.ResendEvery)
+	}
+}
+
+// Unblock closes an active payload wait, accounting the blocked time.
+func (t *Tail) Unblock() {
+	if !t.blocked {
+		return
+	}
+	dur := t.env.Now() - t.blockedAt
+	t.env.Counters().PayloadFetchNanos.Add(dur.Nanoseconds())
+	t.cfg.Obs.PayloadFetchObserved(dur)
+	t.blocked = false
+	t.h.CancelTimer(TimerPayload)
+}
+
+// Blocked reports whether the head decision waits for a payload.
+func (t *Tail) Blocked() bool { return t.blocked }
+
+// FetchMissing is the payload-timer repair step, run by the host after a
+// retry left head (an unresolved descriptor batch) blocked: ask one
+// rotating live holder for its first payload neither resident nor fully
+// delivered. One target per fire: a stall never becomes a fetch storm.
+func (t *Tail) FetchMissing(head wire.Batch) {
+	for _, m := range head {
+		d, err := wire.ParseDescriptor(m)
+		if err != nil {
+			continue
+		}
+		if t.Store.Has(d) || t.rangeFullyDelivered(d) {
+			continue
+		}
+		if to := t.Hist.Current().NextPeer(t.env.Self(), t.fetchFrom, t.Suspected); to != types.Nobody {
+			t.fetchFrom = to
+			c := t.env.Counters()
+			c.PayloadFetches.Add(1)
+			c.Retransmissions.Add(1)
+			t.h.SendPayloadFetch(to, d)
+		}
+		break
+	}
+	if t.cfg.ResendEvery > 0 {
+		t.h.SetTimer(TimerPayload, t.cfg.ResendEvery)
+	}
+}
+
+// PayloadFetch serves a repair request from the local store; a miss is
+// ignored — the requester's timer rotates to the next holder.
+func (t *Tail) PayloadFetch(from types.ProcessID, d wire.Descriptor) {
+	b, ok := t.Store.Range(d)
+	if !ok {
+		return
+	}
+	c := t.env.Counters()
+	c.Retransmissions.Add(1)
+	c.PayloadBytesSent.Add(int64(b.PayloadBytes()))
+	t.h.SendPayloadResp(from, d, b)
+}
+
+// PayloadResp ingests a repair response (validated against its descriptor
+// at the wire layer) and lets the host retry the blocked head.
+func (t *Tail) PayloadResp(b wire.Batch) {
+	t.Store.PutBatch(b)
+	t.h.Advanced()
+}

@@ -1,0 +1,302 @@
+// Package tail is the delivery tail both atomic broadcast stacks share:
+// everything downstream of "consensus instance k is decided".
+//
+// The paper builds the same atomic broadcast twice so that the stacks
+// differ only in how ordering is composed (§3.3 reduction to black-box
+// consensus vs. the §4 merged protocol). What follows a decision is the
+// same job in both, so it lives here once: Commit and dynamic membership
+// in this file; crash-recovery state transfer, per instance and by
+// snapshot, in transfer.go (protocol: internal/recovery); digest ordering's
+// descriptor resolution, announce ingest and payload repair in digest.go.
+// docs/ARCHITECTURE.md ("Delivery tail") has the rationale.
+//
+// A Tail is a plain single-threaded struct owned by one engine and driven
+// from its event loop — not a stack.Layer, so it adds no dispatch. It uses
+// recovery.Catchup, payload.Store, member.History, dedup.Map and
+// flow.Controller directly and exposes them as fields for the engine's
+// ordering code. What legitimately differs per stack sits behind Host.
+package tail
+
+import (
+	"time"
+
+	"modab/internal/dedup"
+	"modab/internal/engine"
+	"modab/internal/flow"
+	"modab/internal/member"
+	"modab/internal/obs"
+	"modab/internal/payload"
+	"modab/internal/recovery"
+	"modab/internal/types"
+	"modab/internal/wire"
+)
+
+// Timer names one of the tail's two timers in the host's namespace:
+// TimerRecover fires RecoverTimer; on TimerPayload the host retries its
+// blocked head and, if still blocked, calls FetchMissing.
+type Timer uint8
+
+const (
+	TimerRecover Timer = iota + 1
+	TimerPayload
+)
+
+// Host is what a Tail needs from the engine that owns it: the wire
+// encoding of the six tail messages (wire.Frame* in the modular stack,
+// message{Type: m…} in the monolithic one), the timer namespace, and the
+// points where the tail touches ordering state.
+type Host interface {
+	// SendRecoverReq to types.Nobody goes to every other current member;
+	// SendRecoverResp gets the request too (monolithic echoes its From).
+	SendRecoverReq(to types.ProcessID, req wire.RecoverReq)
+	SendRecoverResp(to types.ProcessID, req wire.RecoverReq, resp wire.RecoverResp)
+	SendSnapReq(to types.ProcessID, req wire.SnapReq)
+	SendSnapResp(to types.ProcessID, resp wire.SnapResp)
+	SendPayloadFetch(to types.ProcessID, d wire.Descriptor)
+	SendPayloadResp(to types.ProcessID, d wire.Descriptor, b wire.Batch)
+	SetTimer(id Timer, d time.Duration)
+	CancelTimer(id Timer)
+
+	// RetirePending drops each unordered entry the host holds (pending set,
+	// pool, own backlog) for which obsolete, called once on it, is true.
+	RetirePending(obsolete func(m wire.AppMsg) bool)
+	// Decision returns instance k's decided batch from wherever the stack
+	// retains decisions (instance memory, the write-ahead log).
+	Decision(k uint64) (wire.Batch, bool)
+	// Decided hands a state-transfer decision, already resolved to payload
+	// messages, to the host's in-order decision path.
+	Decided(k uint64, b wire.Batch)
+	// Advanced: payloads became resident; retry the blocked head, propose.
+	Advanced()
+	// Installed: a snapshot install jumped Next; drop ordering state below.
+	Installed()
+	// CaughtUp: the state-transfer catch-up ended; proposing is allowed.
+	CaughtUp()
+	// ViewChanged: adopt a membership view (a config op applied mid-Commit,
+	// or a non-boot view replayed at start by ReplayViews).
+	ViewChanged(v member.View)
+}
+
+// Tail is one engine's delivery tail; its ordering code uses the exported
+// components directly.
+type Tail struct {
+	env engine.Env
+	cfg *engine.Config // the owning engine's configuration, shared
+	h   Host
+
+	Flow *flow.Controller // the engine admits, Commit releases
+	// Hist is the decided membership history: every fan-out, quorum and
+	// coordinator decision consults a view from it, never the boot n.
+	Hist      *member.History
+	Delivered dedup.Map        // adelivered messages, per sender
+	Store     *payload.Store   // resident payloads (digest ordering only)
+	Rec       recovery.Catchup // while active the engine must not propose
+	// Suspected is the failure detector's output, written by the engine: it
+	// steers refetch targets here, round changes in the monolithic engine.
+	Suspected map[types.ProcessID]bool
+
+	next uint64 // lowest instance not yet processed (see Advance)
+	// retires maps a remove boundary (the removing view's activation) to the
+	// origins removed there; no undecided instance can reference them once
+	// the last old-view instance commits, which consumes the entry.
+	retires     map[uint64][]types.ProcessID
+	recLastSeen uint64 // next at the last recovery-timer fire
+	snap        snapFetch
+
+	// Digest ordering: nextDSeq mints incarnation-tagged descriptor
+	// sequence numbers; descDone maps decided descriptors (pseudo ID) to
+	// their instance until the horizon prunes them — pseudo IDs alias real
+	// message IDs at incarnation 0, so Delivered must never stand in for it.
+	// blocked is the payload wait of the head decision (instance next),
+	// timed from blockedAt; fetchFrom is the refetch cursor, kept across waits.
+	nextDSeq  uint64
+	descDone  map[types.MsgID]uint64
+	blocked   bool
+	blockedAt time.Duration
+	fetchFrom types.ProcessID
+}
+
+// New builds one engine's tail from its configuration and, after a restart,
+// the state replayed from its log (cfg.Recovered): watermark, delivered set,
+// the own backlog's flow slots, sequence numbering, views. It never calls h.
+func New(env engine.Env, cfg *engine.Config, h Host) *Tail {
+	t := &Tail{
+		env: env, cfg: cfg, h: h,
+		Flow:      flow.NewController(env.Self(), cfg.EffectiveWindow()),
+		Hist:      member.NewHistory(env.N()),
+		Delivered: dedup.NewMap(env.N()),
+		Suspected: make(map[types.ProcessID]bool),
+		next:      1,
+		retires:   make(map[uint64][]types.ProcessID),
+	}
+	if v := cfg.InitialView; v != nil {
+		// A joiner starts from the config it was admitted into.
+		t.Hist = member.NewHistoryFrom(*v)
+	}
+	if cfg.DigestOrdering {
+		t.Store = payload.NewStore()
+		t.descDone = make(map[types.MsgID]uint64)
+	}
+	st := cfg.Recovered
+	if st == nil {
+		return t
+	}
+	t.next = st.NextDecide
+	if st.Delivered != nil {
+		t.Delivered = st.Delivered
+	}
+	t.nextDSeq = st.Boots << wire.DSeqIncarnationShift
+	seqs := make([]uint64, len(st.Own))
+	for i, m := range st.Own {
+		seqs[i] = m.ID.Seq
+	}
+	last := st.NextSeq
+	if last > 0 {
+		last-- // NextSeq is the next sequence number to assign
+	}
+	t.Flow.Resume(last, seqs)
+	// Config ops ride the total order as ordinary decided messages (logged
+	// batches hold resolved bodies in both ordering modes); re-applying them
+	// in instance order rebuilds the pre-crash view sequence. A log truncated
+	// below one loses it: drivers keep membership runs untruncated.
+	for k := uint64(1); k < t.next && cfg.Persist != nil; k++ {
+		b, _ := cfg.Persist.ReadDecision(k)
+		for _, m := range b {
+			if op, isCfg := member.DecodeOp(m.Body); isCfg {
+				t.Hist.Apply(op, k, cfg.EffectivePipeline())
+			}
+		}
+	}
+	return t
+}
+
+// Next returns the lowest instance not yet processed locally.
+func (t *Tail) Next() uint64 { return t.next }
+
+// Advance records instance k as processed, at the point each engine always
+// moved its watermark: after Commit(k) in the modular layer, before it in
+// the monolithic engine.
+func (t *Tail) Advance(k uint64) { t.next = k + 1 }
+
+// Commit adelivers decided instance k. batch is its adeliverable form:
+// under digest ordering the resolved payload expansion, descs being the
+// descriptors it came from (the log stores resolved batches, so replay and
+// state transfer need no payload store). The engine has already dropped
+// the ordered entries from its pending set, and advances Next itself.
+func (t *Tail) Commit(k uint64, batch wire.Batch, descs []wire.Descriptor) {
+	if t.cfg.Persist != nil {
+		// Write-ahead of the deliveries the decision implies.
+		t.cfg.Persist.PersistDecision(k, batch)
+	}
+	for _, d := range descs {
+		t.markDone(d, k)
+	}
+	ordered := make(wire.Batch, len(batch))
+	copy(ordered, batch)
+	ordered.SortDeterministic()
+	c := t.env.Counters()
+	o := t.cfg.Obs
+	var now time.Duration
+	if o != nil {
+		now = t.env.Now()
+	}
+	for _, m := range ordered {
+		if t.Delivered.Seen(m.ID) {
+			// With pipelining two concurrent instances may both order a
+			// message (it reached different proposers): deliver it once.
+			continue
+		}
+		t.Delivered.Mark(m.ID)
+		if op, isCfg := member.DecodeOp(m.Body); isCfg {
+			// A config op consumes its slot in the total order but is never
+			// delivered: the view change, at the same point everywhere, is it.
+			t.applyConfig(k, op)
+		} else {
+			c.ADeliver.Add(1)
+			if o != nil {
+				o.Stage(m.ID, obs.StageDecide, now)
+				o.Delivered(m.ID, now)
+			}
+			t.env.Deliver(engine.Delivery{Msg: m, Instance: k})
+		}
+		if err := t.Flow.Delivered(m.ID); err != nil {
+			// A duplicate release is a protocol bug: surface it through
+			// the counters instead of corrupting state.
+			c.Retransmissions.Add(1)
+		}
+	}
+	if t.cfg.DigestOrdering {
+		// Sweep pending descriptors the loop made obsolete (see
+		// rangeFullyDelivered); nothing else would ever retire them.
+		t.h.RetirePending(func(m wire.AppMsg) bool { return t.settled(m, k) })
+	}
+	for _, origin := range t.retires[k+1] {
+		t.retireOrigin(origin) // k was the last old-view instance
+	}
+	delete(t.retires, k+1)
+	// Behind the retention horizon nothing is a servable repair target.
+	if h := uint64(t.cfg.DecisionHorizon); t.cfg.DigestOrdering && h > 0 && k > h {
+		t.Store.PruneBelow(k - h)
+		for id, dk := range t.descDone {
+			if dk <= k-h {
+				delete(t.descDone, id)
+			}
+		}
+	}
+}
+
+// ReplayViews hands every non-boot view (a joiner's seed, views rebuilt
+// from the log) to the host in order, once it can propagate them; the last
+// one leaves the host and the flow window at the current view.
+func (t *Tail) ReplayViews() {
+	for _, v := range t.Hist.Views() {
+		if v.Epoch > 0 || t.cfg.InitialView != nil {
+			t.reconfigureLocal(v)
+		}
+	}
+}
+
+// applyConfig applies one decided config op at instance k. A failed apply
+// (stale epoch, duplicate add, absent remove) is a deterministic no-op:
+// everyone rejects the ordered op against the same history. A successful
+// one appends the view, activating at k plus the pipeline window.
+func (t *Tail) applyConfig(k uint64, op member.Op) {
+	v, ok := t.Hist.Apply(op, k, t.cfg.EffectivePipeline())
+	if !ok {
+		return
+	}
+	t.env.Counters().ConfigChanges.Add(1)
+	t.reconfigureLocal(v)
+	if op.Kind == member.OpRemove {
+		t.retires[v.Activation] = append(t.retires[v.Activation], op.Target)
+	}
+	if t.cfg.OnConfig != nil {
+		t.cfg.OnConfig(v, op)
+	}
+}
+
+// reconfigureLocal points the local seams at view v: the host follows the
+// member list, and the flow-control window is re-derived from the group
+// size if it was the size-derived default (an explicit window stays).
+func (t *Tail) reconfigureLocal(v member.View) {
+	t.h.ViewChanged(v)
+	if t.cfg.Window == engine.DefaultWindow(t.cfg.N) {
+		ncfg := *t.cfg
+		ncfg.Window = engine.DefaultWindow(len(v.Members))
+		t.Flow.SetWindow(ncfg.EffectiveWindow())
+	}
+}
+
+// retireOrigin drops a removed origin's local state at its activation
+// boundary: pending entries (no proposal will carry them again),
+// undelivered payload residency (no decision will resolve through it;
+// delivered entries stay on the horizon for repair serving), suspicion.
+func (t *Tail) retireOrigin(origin types.ProcessID) {
+	t.h.RetirePending(func(m wire.AppMsg) bool { return m.ID.Sender == origin })
+	delete(t.Suspected, origin)
+	if t.Store != nil {
+		if retired := t.Store.RetireOrigin(origin); retired > 0 {
+			t.env.Counters().PayloadsRetired.Add(int64(retired))
+		}
+	}
+}

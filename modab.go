@@ -67,10 +67,6 @@
 // layers they build on), the drivers (internal/runtime for real time over
 // TCP or in-memory channels, internal/netsim for deterministic
 // discrete-event simulation), and the measurement harness.
-//
-// See MIGRATION.md for the mapping from the pre-v1 callback/positional
-// API (NewLocalGroup, NewTCPNode, NewSimCluster — kept as deprecated
-// shims for one release and now removed) to this surface.
 package modab
 
 import (
