@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet docs bench-smoke bench-test test-chaos fuzz-smoke ci
+.PHONY: all build test race vet docs bench-smoke bench-test test-chaos fuzz-smoke loc ci
 
 all: ci
 
@@ -16,7 +16,8 @@ test:
 # locking, heartbeat suspicion reporting, lock-free histograms scraped
 # mid-run); member carries the view history consulted from driver
 # callbacks; the root package exercises the facade — including dynamic
-# membership — across all three drivers.
+# membership — on both drivers (TestFacadeConformance: in memory, over TCP
+# loopback, simulated).
 race:
 	$(GO) test -race ./internal/runtime/... ./internal/stream/... ./internal/core/... ./internal/wal/... ./internal/recovery/... ./internal/rsm/... ./internal/transport/... ./internal/fd/... ./internal/obs/... ./internal/payload/... ./internal/member/... .
 
@@ -71,4 +72,10 @@ docs:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) test -run 'TestExportedSymbolsDocumented|TestInternalPackagesHaveComments|TestMarkdownLinks' .
 
-ci: build vet test race docs bench-smoke bench-test test-chaos
+# Size of the implementation: non-test Go lines outside bench/ (comments
+# included) — the count CHANGES.md quotes per PR; the ROADMAP wants it to
+# end each round lower.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+
+ci: build vet test race docs bench-smoke bench-test test-chaos loc

@@ -15,15 +15,37 @@ import (
 	"time"
 )
 
-// buildAbnode compiles the abnode binary once per test run.
+// abnodeBuild holds the one abnode binary the exec tests share.
+var abnodeBuild struct {
+	once sync.Once
+	dir  string
+	out  []byte
+	err  error
+}
+
+// buildAbnode compiles the abnode binary once per test run (lazily, so a
+// run that selects no exec test builds nothing); TestMain removes it.
 func buildAbnode(t *testing.T) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "abnode")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	b := &abnodeBuild
+	b.once.Do(func() {
+		if b.dir, b.err = os.MkdirTemp("", "abnode-test-"); b.err != nil {
+			return
+		}
+		b.out, b.err = exec.Command("go", "build", "-o", filepath.Join(b.dir, "abnode"), ".").CombinedOutput()
+	})
+	if b.err != nil {
+		t.Fatalf("go build: %v\n%s", b.err, b.out)
 	}
-	return bin
+	return filepath.Join(b.dir, "abnode")
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if abnodeBuild.dir != "" {
+		_ = os.RemoveAll(abnodeBuild.dir) // scratch binary of a finished run
+	}
+	os.Exit(code)
 }
 
 // freePorts reserves n distinct loopback ports.

@@ -1,6 +1,7 @@
 package benchharness
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -60,6 +61,27 @@ func TestRenderFormats(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+// TestRenderDigestNoLatencySamples: a point whose recorder took no
+// latency sample shows "-" and omits the latency fields from the JSON
+// instead of reporting a zero latency.
+func TestRenderDigestNoLatencySamples(t *testing.T) {
+	fig := DigestFigure{Title: "test", Points: []DigestPoint{
+		{N: 5, Stack: types.Modular, OfferedLoad: 20000, Throughput: 19000, LatencyMs: 7.5, LatencySamples: 90},
+		{N: 5, Stack: types.Modular, OfferedLoad: 100000, Throughput: 9000},
+	}}
+	var sb strings.Builder
+	RenderDigest(&sb, fig)
+	rows := strings.Split(sb.String(), "\n")
+	if strings.Fields(rows[2])[6] != "7.50" || strings.Fields(rows[3])[6] != "-" {
+		t.Errorf("latency column (7th):\n%s\n%s", rows[2], rows[3])
+	}
+	sampled, _ := json.Marshal(fig.Points[0])
+	empty, _ := json.Marshal(fig.Points[1])
+	if !strings.Contains(string(sampled), `"LatencyMs":7.5`) || strings.Contains(string(empty), "LatencyMs") || strings.Contains(string(empty), "LatencyCI") {
+		t.Errorf("JSON latency fields:\n%s\n%s", sampled, empty)
 	}
 }
 

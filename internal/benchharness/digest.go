@@ -27,8 +27,14 @@ type DigestPoint struct {
 
 	Throughput float64 // msgs/s (paper's T)
 	ThroughCI  float64 // 95% CI half-width across repetitions
-	LatencyMs  float64 // mean adeliver (early) latency, ms
-	LatencyCI  float64
+	// LatencyMs is the mean adeliver (early) latency in ms over the
+	// repetitions that sampled one; LatencySamples counts the messages
+	// behind it. Past saturation a window can complete no message it also
+	// admitted: such a point has no latency — the table shows "-" and the
+	// JSON omits both fields — rather than a zero.
+	LatencyMs      float64 `json:",omitempty"`
+	LatencyCI      float64 `json:",omitempty"`
+	LatencySamples int
 	// OrderedBPerMsg is the ordering-path wire bytes (proposal, ack,
 	// estimate, decision frames — full frame size, fanout included) per
 	// adelivered message: the acceptance metric, which must collapse when
@@ -105,6 +111,7 @@ func RunDigestPoint(stk types.Stack, digest bool, load float64, opts RunOptions)
 	engCfg.Dissemination = opts.Dissemination
 	var thr, lat, ordB, disB, util stats.Welford
 	var fetches, blocked int64
+	samples := 0
 	for rep := 0; rep < opts.Repetitions; rep++ {
 		lc, err := netsim.NewLoadedCluster(
 			netsim.Options{N: digestN, Stack: stk, Engine: engCfg, Seed: opts.Seed + int64(rep), Model: model},
@@ -119,7 +126,10 @@ func RunDigestPoint(stk types.Stack, digest bool, load float64, opts RunOptions)
 		}
 		tot := lc.TotalCounters()
 		thr.Add(lc.Recorder.Throughput())
-		lat.Add(lc.Recorder.MeanLatency() * 1e3)
+		if n := lc.Recorder.Latency.N(); n > 0 {
+			lat.Add(lc.Recorder.MeanLatency() * 1e3)
+			samples += n
+		}
 		ordB.Add(tot.OrderedBytesPerMsg())
 		disB.Add(tot.DisseminatedBytesPerMsg())
 		maxUtil := 0.0
@@ -142,6 +152,7 @@ func RunDigestPoint(stk types.Stack, digest bool, load float64, opts RunOptions)
 		ThroughCI:      thr.CI95(),
 		LatencyMs:      lat.Mean(),
 		LatencyCI:      lat.CI95(),
+		LatencySamples: samples,
 		OrderedBPerMsg: ordB.Mean(),
 		DissemBPerMsg:  disB.Mean(),
 		PayloadFetches: fetches / int64(opts.Repetitions),
@@ -200,9 +211,13 @@ func RenderDigest(w io.Writer, fig DigestFigure) {
 		"group", "stack", "mode", "load(msg/s)", "thr(msg/s)", "±95%CI", "lat(ms)",
 		"ordB/msg", "dissB/msg", "fetches", "util", "blocked")
 	for _, p := range fig.Points {
-		fmt.Fprintf(w, "%-6d %-11s %-8s %12.0f %12.1f %10.1f %9.2f %10.1f %10.1f %8d %6.2f %8d\n",
+		lat := "-"
+		if p.LatencySamples > 0 {
+			lat = fmt.Sprintf("%.2f", p.LatencyMs)
+		}
+		fmt.Fprintf(w, "%-6d %-11s %-8s %12.0f %12.1f %10.1f %9s %10.1f %10.1f %8d %6.2f %8d\n",
 			p.N, p.Stack, digestMode(p.Digest), p.OfferedLoad, p.Throughput, p.ThroughCI,
-			p.LatencyMs, p.OrderedBPerMsg, p.DissemBPerMsg, p.PayloadFetches,
+			lat, p.OrderedBPerMsg, p.DissemBPerMsg, p.PayloadFetches,
 			p.Utilization, p.Blocked)
 	}
 	for _, stk := range Stacks {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -13,9 +14,9 @@ import (
 func TestLocalGroupTotalOrder(t *testing.T) {
 	var mu sync.Mutex
 	orders := make(map[types.ProcessID][]types.MsgID)
-	g, err := NewGroup(3, types.Modular, GroupOptions{OnDeliver: func(p types.ProcessID, d engine.Delivery) {
+	g, err := NewGroup(3, types.Modular, GroupOptions{OnDeliver: func(ev engine.Event) {
 		mu.Lock()
-		orders[p] = append(orders[p], d.Msg.ID)
+		orders[ev.P] = append(orders[ev.P], ev.D.Msg.ID)
 		mu.Unlock()
 	}})
 	if err != nil {
@@ -57,9 +58,9 @@ func TestLocalGroupTotalOrder(t *testing.T) {
 func TestLocalGroupCrashSurvivors(t *testing.T) {
 	var mu sync.Mutex
 	count := make(map[types.ProcessID]int)
-	g, err := NewGroup(3, types.Monolithic, GroupOptions{OnDeliver: func(p types.ProcessID, _ engine.Delivery) {
+	g, err := NewGroup(3, types.Monolithic, GroupOptions{OnDeliver: func(ev engine.Event) {
 		mu.Lock()
-		count[p]++
+		count[ev.P]++
 		mu.Unlock()
 	}})
 	if err != nil {
@@ -115,11 +116,9 @@ func TestTCPNodeEndToEnd(t *testing.T) {
 	// covered in internal/runtime).
 	var mu sync.Mutex
 	delivered := 0
-	node, err := NewTCPNode(TCPNodeOptions{
-		Self:  0,
+	g, err := NewGroup(1, types.Monolithic, GroupOptions{
 		Addrs: []string{"127.0.0.1:0"},
-		Stack: types.Monolithic,
-		OnDeliver: func(engine.Delivery) {
+		OnDeliver: func(engine.Event) {
 			mu.Lock()
 			delivered++
 			mu.Unlock()
@@ -128,8 +127,8 @@ func TestTCPNodeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer node.Close()
-	if _, err := node.Abcast(context.Background(), []byte("solo")); err != nil {
+	defer g.Close()
+	if _, err := g.Abcast(context.Background(), 0, []byte("solo")); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -148,12 +147,16 @@ func TestTCPNodeEndToEnd(t *testing.T) {
 }
 
 func TestTCPNodeBadAddr(t *testing.T) {
-	if _, err := NewTCPNode(TCPNodeOptions{
-		Self:  0,
+	if _, err := NewGroup(1, types.Modular, GroupOptions{
 		Addrs: []string{"256.256.256.256:99999"},
-		Stack: types.Modular,
 	}); err == nil {
 		t.Error("accepted unlistenable address")
+	}
+	if _, err := NewGroup(2, types.Modular, GroupOptions{Addrs: []string{"127.0.0.1:0"}}); !errors.Is(err, types.ErrBadConfig) {
+		t.Errorf("n != len(Addrs): %v", err)
+	}
+	if _, err := NewGroup(2, types.Modular, GroupOptions{Join: true}); !errors.Is(err, types.ErrBadConfig) {
+		t.Errorf("Join without Addrs: %v", err)
 	}
 }
 

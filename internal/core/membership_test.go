@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"modab/internal/engine"
-	"modab/internal/runtime"
 	"modab/internal/types"
 	"modab/internal/wal"
 )
@@ -25,9 +24,9 @@ type growLog struct {
 
 func newGrowLog() *growLog { return &growLog{seqs: make(map[types.ProcessID][]types.MsgID)} }
 
-func (o *growLog) record(p types.ProcessID, d engine.Delivery) {
+func (o *growLog) record(ev engine.Event) {
 	o.mu.Lock()
-	o.seqs[p] = append(o.seqs[p], d.Msg.ID)
+	o.seqs[ev.P] = append(o.seqs[ev.P], ev.D.Msg.ID)
 	o.mu.Unlock()
 }
 
@@ -77,7 +76,7 @@ func TestGroupAddRemove(t *testing.T) {
 				return log.count(0) == 8 && log.count(1) == 8 && log.count(2) == 8
 			}, "pre-join deliveries")
 
-			id, err := g.Add(ctx)
+			id, err := g.Add(ctx, "")
 			if err != nil {
 				t.Fatalf("Add: %v", err)
 			}
@@ -87,12 +86,11 @@ func TestGroupAddRemove(t *testing.T) {
 			if g.N() != 4 {
 				t.Fatalf("N = %d after join", g.N())
 			}
-			// Add returns once the first process applies the admitting
-			// view; the others apply it asynchronously.
-			waitFor(t, 30*time.Second, func() bool {
-				v := g.View(1)
-				return v.Contains(3) && len(v.Members) == 4
-			}, "p1 view after join")
+			// Add returns once every live process has applied the
+			// admitting view.
+			if v := g.View(1); !v.Contains(3) || len(v.Members) != 4 {
+				t.Fatalf("p1 view after join: %v", v)
+			}
 			for p := 0; p < 4; p++ {
 				if _, err := g.Abcast(ctx, p, []byte{0x10, byte(p)}); err != nil {
 					t.Fatalf("abcast at p%d after join: %v", p, err)
@@ -161,19 +159,16 @@ func TestTCPNodeJoin(t *testing.T) {
 	addrs := freeAddrs(t, 4)
 	log := newGrowLog()
 	dir := t.TempDir()
-	mkNode := func(self int, join bool) *runtime.Node {
+	mkNode := func(self int, join bool) *Group {
 		t.Helper()
 		table := addrs[:3]
 		if join {
 			table = addrs // the joiner knows its own slot; members learn it from the op
 		}
-		node, err := NewTCPNode(TCPNodeOptions{
-			Self:  types.ProcessID(self),
-			Addrs: append([]string(nil), table...),
-			Stack: types.Monolithic,
-			OnDeliver: func(d engine.Delivery) {
-				log.record(types.ProcessID(self), d)
-			},
+		g, err := NewGroup(len(table), types.Monolithic, GroupOptions{
+			Self:            types.ProcessID(self),
+			Addrs:           append([]string(nil), table...),
+			OnDeliver:       log.record,
 			HeartbeatPeriod: 10 * time.Millisecond,
 			SuspectTimeout:  120 * time.Millisecond,
 			Durability: &DurabilityOptions{
@@ -183,11 +178,11 @@ func TestTCPNodeJoin(t *testing.T) {
 			Join: join,
 		})
 		if err != nil {
-			t.Fatalf("NewTCPNode p%d: %v", self, err)
+			t.Fatalf("NewGroup p%d: %v", self, err)
 		}
-		return node
+		return g
 	}
-	nodes := make([]*runtime.Node, 3)
+	nodes := make([]*Group, 3)
 	for i := range nodes {
 		nodes[i] = mkNode(i, false)
 		defer nodes[i].Close()
@@ -195,27 +190,26 @@ func TestTCPNodeJoin(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	for i := 0; i < 5; i++ {
-		if _, err := nodes[0].Abcast(ctx, []byte{byte(i)}); err != nil {
+		if _, err := nodes[0].Abcast(ctx, 0, []byte{byte(i)}); err != nil {
 			t.Fatalf("abcast %d: %v", i, err)
 		}
 	}
 	waitFor(t, 30*time.Second, func() bool {
 		return log.count(0) == 5 && log.count(1) == 5 && log.count(2) == 5
 	}, "boot deliveries")
+	if err := nodes[0].RequestJoin(ctx, 1); !errors.Is(err, types.ErrBadConfig) {
+		t.Fatalf("RequestJoin at a boot member: %v", err)
+	}
 
 	joiner := mkNode(3, true)
 	defer joiner.Close()
-	// Ask p0 to sponsor the admission, retrying until the view admits us
-	// (the request is fire-and-forget and may race the decide).
-	waitFor(t, 30*time.Second, func() bool {
-		if joiner.CurrentView().Contains(3) {
-			return true
-		}
-		_ = joiner.RequestJoin(0, addrs[3])
-		return false
-	}, "admission")
+	// Ask p0 to sponsor the admission; RequestJoin re-sends the
+	// fire-and-forget request until the view admits us.
+	if err := joiner.RequestJoin(ctx, 0); err != nil {
+		t.Fatalf("RequestJoin: %v", err)
+	}
 	waitFor(t, 30*time.Second, func() bool { return log.count(3) == 5 }, "joiner catch-up")
-	if _, err := joiner.Abcast(ctx, []byte("from the joiner")); err != nil {
+	if _, err := joiner.Abcast(ctx, 3, []byte("from the joiner")); err != nil {
 		t.Fatalf("joiner abcast: %v", err)
 	}
 	waitFor(t, 30*time.Second, func() bool {
@@ -235,9 +229,13 @@ func TestTCPNodeJoin(t *testing.T) {
 			}
 		}
 	}
-	for i, nd := range append(nodes, joiner) {
-		if v := nd.CurrentView(); !v.Contains(3) || len(v.Members) != 4 {
+	for i, g := range append(nodes, joiner) {
+		if v := g.View(i); !v.Contains(3) || len(v.Members) != 4 {
 			t.Fatalf("p%d final view: %v", i, v)
+		}
+		// Every member grew a slot for the joiner from the decided op.
+		if g.N() != 4 {
+			t.Fatalf("p%d: N = %d after the join", i, g.N())
 		}
 	}
 }

@@ -19,9 +19,9 @@ type orderLog struct {
 
 func newOrderLog(n int) *orderLog { return &orderLog{seqs: make([][]types.MsgID, n)} }
 
-func (o *orderLog) record(p types.ProcessID, d engine.Delivery) {
+func (o *orderLog) record(ev engine.Event) {
 	o.mu.Lock()
-	o.seqs[p] = append(o.seqs[p], d.Msg.ID)
+	o.seqs[ev.P] = append(o.seqs[ev.P], ev.D.Msg.ID)
 	o.mu.Unlock()
 }
 

@@ -141,15 +141,17 @@ func (c *Cluster) spawnJoiner(id types.ProcessID, v member.View) {
 	}
 	p.env = &simEnv{c: c, p: p}
 	c.procs = append(c.procs, p)
-	if c.stores != nil {
-		c.stores = append(c.stores, recovery.NewMemStore())
-		c.stores[id].PersistBoot()
-	}
+	c.stores = append(c.stores, recovery.NewMemStore()) // Join refuses a cluster without durable stores
 	if c.snapStores != nil {
 		c.snapStores = append(c.snapStores, rsm.NewMemStore())
 	}
 	if c.opts.StateMachine != nil {
 		p.applier = c.newApplier(p)
+	}
+	// The first incarnation boots like every later one; its fresh store
+	// recovers nothing, so the engine gets the empty restart-style state.
+	if _, err := recovery.Boot(c.stores[id], p.applier, c.opts.N, id); err != nil {
+		c.errs = append(c.errs, fmt.Errorf("sim t=%v %s: boot: %w", c.now, id, err))
 	}
 	st := &engine.RecoveredState{NextDecide: 1, NextSeq: 1}
 	p.eng = c.newEngine(p, st, &v)

@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"modab/internal/dedup"
 	"modab/internal/engine"
 	"modab/internal/member"
 	"modab/internal/modular"
@@ -28,7 +27,6 @@ import (
 	"modab/internal/stream"
 	"modab/internal/trace"
 	"modab/internal/types"
-	"modab/internal/wire"
 )
 
 // Options configures a simulated cluster.
@@ -247,22 +245,18 @@ func NewCluster(opts Options) (*Cluster, error) {
 // surviving snapshot store, with write-ahead-log truncation hooked to
 // snapshot completion.
 func (c *Cluster) newApplier(p *proc) *rsm.Applier {
-	return rsm.NewApplier(c.opts.StateMachine(), rsm.Options{
+	ro := rsm.Options{
 		N:        c.opts.N,
 		Store:    c.snapStores[p.id],
 		Interval: c.opts.SnapshotEvery,
 		Counters: &p.counters,
 		Obs:      p.obs,
 		Now:      p.env.Now,
-		OnSnapshot: func(snap uint64, covered func(m wire.AppMsg) bool) {
-			if c.stores == nil {
-				return
-			}
-			if n := c.stores[p.id].TruncateBelow(snap, covered); n > 0 {
-				p.counters.WalTruncatedSegments.Add(int64(n))
-			}
-		},
-	})
+	}
+	if c.stores != nil {
+		ro.OnSnapshot = recovery.TruncateOnSnapshot(c.stores[p.id], &p.counters)
+	}
+	return rsm.NewApplier(c.opts.StateMachine(), ro)
 }
 
 // newEngine constructs the engine of process p, wiring its simulated
@@ -466,25 +460,14 @@ func (c *Cluster) Restart(p types.ProcessID, at time.Duration) {
 			c.errs = append(c.errs, fmt.Errorf("sim t=%v %s: Restart requires Options.Durable", c.now, p))
 			return
 		}
-		// Snapshot-anchored restart: restore the state machine from the
-		// newest local snapshot (if any), then replay only the log suffix
-		// above it — both into the engine's recovered state and into the
-		// fresh applier incarnation. Without a state machine this
-		// degenerates to the plain full-log replay.
-		var snap uint64
-		var snapDedup dedup.Map
+		// Snapshot-anchored restart into a fresh applier incarnation (see
+		// recovery.Boot).
 		if pr.applier != nil {
 			pr.applier = c.newApplier(pr)
-			var err error
-			snap, snapDedup, err = pr.applier.Bootstrap()
-			if err != nil {
-				c.errs = append(c.errs, fmt.Errorf("sim t=%v %s: snapshot bootstrap: %w", c.now, p, err))
-				return
-			}
 		}
-		st, err := recovery.ReplayStateFrom(c.stores[p], c.opts.N, p, snap, snapDedup)
+		st, err := recovery.Boot(c.stores[p], pr.applier, c.opts.N, p)
 		if err != nil {
-			c.errs = append(c.errs, fmt.Errorf("sim t=%v %s: replay: %w", c.now, p, err))
+			c.errs = append(c.errs, fmt.Errorf("sim t=%v %s: restart: %w", c.now, p, err))
 			return
 		}
 		if st == nil {
@@ -492,27 +475,6 @@ func (c *Cluster) Restart(p types.ProcessID, at time.Duration) {
 			// still as a restart — catch-up must run.
 			st = &engine.RecoveredState{NextDecide: 1, NextSeq: 1}
 		}
-		if pr.applier != nil {
-			// Re-apply the replayed suffix in delivery order (the decided
-			// batch, deterministically sorted, is exactly what the previous
-			// incarnation adelivered); the applier's dedup absorbs messages
-			// the snapshot already covers.
-			if err := c.stores[p].Replay(func(r recovery.Rec) error {
-				if r.Kind != recovery.RecDecision || r.Instance <= snap {
-					return nil
-				}
-				ordered := append(wire.Batch(nil), r.Batch...)
-				ordered.SortDeterministic()
-				for _, m := range ordered {
-					pr.applier.Apply(engine.Delivery{Msg: m, Instance: r.Instance})
-				}
-				return nil
-			}); err != nil {
-				c.errs = append(c.errs, fmt.Errorf("sim t=%v %s: suffix replay: %w", c.now, p, err))
-				return
-			}
-		}
-		c.stores[p].PersistBoot()
 		// Invalidate every timer armed by the previous incarnation; queued
 		// fires carry the old generation and are dropped on dispatch.
 		for id := range pr.timerGen {

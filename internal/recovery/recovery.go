@@ -44,6 +44,8 @@ import (
 
 	"modab/internal/dedup"
 	"modab/internal/engine"
+	"modab/internal/rsm"
+	"modab/internal/trace"
 	"modab/internal/types"
 	"modab/internal/wire"
 )
@@ -198,6 +200,62 @@ func ReplayStateFrom(s Store, n int, self types.ProcessID, snap uint64, snapDedu
 	}
 	st.Own.SortDeterministic()
 	return st, nil
+}
+
+// Boot is the snapshot-anchored start of one process incarnation over its
+// durable store — the single boot path of every driver (runtime.NewNode,
+// netsim's Restart and joiner spawn). It restores the newest local
+// snapshot into app (nil without a state machine, which degenerates to the
+// plain full-log replay), replays only the log suffix above it — into the
+// returned engine state and, in delivery order, into app — and stamps the
+// new incarnation's boot marker. The state is nil for a first boot (empty
+// log, no snapshot).
+func Boot(s Store, app *rsm.Applier, n int, self types.ProcessID) (*engine.RecoveredState, error) {
+	var snap uint64
+	var snapDedup dedup.Map
+	if app != nil {
+		var err error
+		if snap, snapDedup, err = app.Bootstrap(); err != nil {
+			return nil, fmt.Errorf("recovery: restoring local snapshot: %w", err)
+		}
+	}
+	st, err := ReplayStateFrom(s, n, self, snap, snapDedup)
+	if err != nil {
+		return nil, fmt.Errorf("recovery: replaying durable store: %w", err)
+	}
+	if app != nil {
+		// Re-apply the replayed suffix in delivery order (the decided batch,
+		// deterministically sorted, is exactly what the previous incarnation
+		// adelivered); the applier's dedup absorbs messages the snapshot
+		// already covers.
+		err := s.Replay(func(r Rec) error {
+			if r.Kind != RecDecision || r.Instance <= snap {
+				return nil
+			}
+			ordered := append(wire.Batch(nil), r.Batch...)
+			ordered.SortDeterministic()
+			for _, m := range ordered {
+				app.Apply(engine.Delivery{Msg: m, Instance: r.Instance})
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("recovery: replaying suffix into state machine: %w", err)
+		}
+	}
+	s.PersistBoot()
+	return st, nil
+}
+
+// TruncateOnSnapshot returns the rsm.Options.OnSnapshot hook of a durable
+// process: every snapshot that reaches the snapshot store frees the log
+// state below it, counted in c.WalTruncatedSegments.
+func TruncateOnSnapshot(s Store, c *trace.Counters) func(snap uint64, covered func(m wire.AppMsg) bool) {
+	return func(snap uint64, covered func(m wire.AppMsg) bool) {
+		if removed := s.TruncateBelow(snap, covered); removed > 0 {
+			c.WalTruncatedSegments.Add(int64(removed))
+		}
+	}
 }
 
 // Catchup tracks one restarted engine's state-transfer progress. Engines

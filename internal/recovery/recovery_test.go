@@ -1,10 +1,14 @@
 package recovery
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
 
+	"modab/internal/engine"
+	"modab/internal/rsm"
+	"modab/internal/trace"
 	"modab/internal/types"
 	"modab/internal/wire"
 )
@@ -174,4 +178,99 @@ func TestChunkEnd(t *testing.T) {
 	if end := ChunkEnd(1, 1000); end != ChunkInstances {
 		t.Fatalf("ChunkEnd capped = %d, want %d", end, ChunkInstances)
 	}
+}
+
+// TestBoot covers the one boot path of every driver: a first boot, a
+// plain full-log replay (with and without a state machine), and the
+// snapshot-anchored restart that replays only the suffix.
+func TestBoot(t *testing.T) {
+	put := func(sender types.ProcessID, seq uint64, key string) wire.AppMsg {
+		return wire.AppMsg{ID: types.MsgID{Sender: sender, Seq: seq}, Body: rsm.EncodePut([]byte(key), []byte{byte(seq)})}
+	}
+	decisions := []wire.Batch{
+		{put(0, 1, "a"), put(1, 1, "b")},
+		{put(1, 2, "c")},
+		{put(2, 1, "d"), put(0, 2, "a")},
+	}
+	// run is the previous incarnation: it logs and applies every decision,
+	// snapshotting every snapEvery instances (0 = never) with log
+	// truncation hooked up the way the drivers do.
+	run := func(n int, snapEvery uint64) (*MemStore, *rsm.MemStore, *rsm.Applier, *trace.Counters) {
+		store, snaps, c := NewMemStore(), rsm.NewMemStore(), new(trace.Counters)
+		store.PersistBoot()
+		app := rsm.NewApplier(rsm.NewKV(), rsm.Options{
+			N: 3, Store: snaps, Interval: snapEvery, OnSnapshot: TruncateOnSnapshot(store, c),
+		})
+		for i, b := range decisions[:n] {
+			store.PersistDecision(uint64(i+1), b)
+			ordered := append(wire.Batch(nil), b...)
+			ordered.SortDeterministic()
+			for _, m := range ordered {
+				app.Apply(engine.Delivery{Msg: m, Instance: uint64(i + 1)})
+			}
+		}
+		return store, snaps, app, c
+	}
+	boots := func(s *MemStore) (n int) {
+		_ = s.Replay(func(r Rec) error {
+			if r.Kind == RecBoot {
+				n++
+			}
+			return nil
+		})
+		return n
+	}
+
+	t.Run("empty log", func(t *testing.T) {
+		store := NewMemStore()
+		app := rsm.NewApplier(rsm.NewKV(), rsm.Options{N: 3, Store: rsm.NewMemStore()})
+		st, err := Boot(store, app, 3, 1)
+		if err != nil || st != nil {
+			t.Fatalf("Boot = %+v, %v; want a nil state for a first boot", st, err)
+		}
+		if boots(store) != 1 || app.AppliedIndex() != 0 {
+			t.Fatalf("first boot: %d boot markers, applied index %d", boots(store), app.AppliedIndex())
+		}
+	})
+	t.Run("no snapshot", func(t *testing.T) {
+		store, snaps, prev, _ := run(3, 0)
+		for _, app := range []*rsm.Applier{nil, rsm.NewApplier(rsm.NewKV(), rsm.Options{N: 3, Store: snaps})} {
+			st, err := Boot(store, app, 3, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.NextDecide != 4 || st.ReplayedMsgs != 5 || st.NextSeq != 3 {
+				t.Fatalf("full replay state: %+v", st)
+			}
+			if app != nil && !bytes.Equal(app.StateDigest(), prev.StateDigest()) {
+				t.Fatal("replayed state machine differs from the previous incarnation's")
+			}
+		}
+		if boots(store) != 3 {
+			t.Fatalf("%d boot markers after two restarts, want 3", boots(store))
+		}
+	})
+	t.Run("snapshot and suffix", func(t *testing.T) {
+		// The snapshot lands at instance 2 (taken when instance 3 opens)
+		// and truncates the log below it: only instance 3 is replayed.
+		store, snaps, prev, c := run(3, 2)
+		if prev.LastSnapshot() != 2 || c.WalTruncatedSegments.Load() == 0 {
+			t.Fatalf("previous incarnation: snapshot at %d, %d truncations", prev.LastSnapshot(), c.WalTruncatedSegments.Load())
+		}
+		app := rsm.NewApplier(rsm.NewKV(), rsm.Options{N: 3, Store: snaps})
+		st, err := Boot(store, app, 3, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.NextDecide != 4 || st.ReplayedMsgs != 2 || st.NextSeq != 3 {
+			t.Fatalf("suffix replay state: %+v", st)
+		}
+		if !st.Delivered.Seen(types.MsgID{Sender: 1, Seq: 2}) {
+			t.Fatal("delivered state lost what the snapshot covers")
+		}
+		if app.AppliedIndex() != 3 || !bytes.Equal(app.StateDigest(), prev.StateDigest()) {
+			t.Fatalf("restored state machine: applied %d, digest mismatch %v", app.AppliedIndex(),
+				!bytes.Equal(app.StateDigest(), prev.StateDigest()))
+		}
+	})
 }

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"modab/internal/dedup"
 	"modab/internal/engine"
 	"modab/internal/fd"
 	"modab/internal/member"
@@ -181,61 +180,25 @@ func NewNode(opts Options) (*Node, error) {
 	n.env = &nodeEnv{node: n, start: time.Now(), timers: make(map[engine.TimerID]*timerState)}
 	opts.Engine.Obs = opts.Obs
 	if opts.StateMachine != nil {
-		n.applier = rsm.NewApplier(opts.StateMachine, rsm.Options{
+		ro := rsm.Options{
 			N:        opts.N,
 			Store:    opts.SnapshotStore,
 			Interval: opts.SnapshotEvery,
 			Counters: &n.env.counters,
 			Obs:      opts.Obs,
 			Now:      n.env.Now,
-			OnSnapshot: func(snap uint64, covered func(m wire.AppMsg) bool) {
-				if opts.Store == nil {
-					return
-				}
-				if removed := opts.Store.TruncateBelow(snap, covered); removed > 0 {
-					n.env.counters.WalTruncatedSegments.Add(int64(removed))
-				}
-			},
-		})
+		}
+		if opts.Store != nil {
+			ro.OnSnapshot = recovery.TruncateOnSnapshot(opts.Store, &n.env.counters)
+		}
+		n.applier = rsm.NewApplier(opts.StateMachine, ro)
 		opts.Engine.Snapshots = n.applier.Hooks()
 	}
 	if opts.Store != nil {
-		// Snapshot-anchored restart: restore the newest local snapshot
-		// first, then replay only the log suffix above it — into the
-		// engine's recovered state and into the applier. Without a state
-		// machine this degenerates to the plain full-log replay.
-		var snap uint64
-		var snapDedup dedup.Map
-		if n.applier != nil {
-			var err error
-			snap, snapDedup, err = n.applier.Bootstrap()
-			if err != nil {
-				return nil, fmt.Errorf("runtime: restoring local snapshot: %w", err)
-			}
-		}
-		st, err := recovery.ReplayStateFrom(opts.Store, opts.N, opts.Self, snap, snapDedup)
+		st, err := recovery.Boot(opts.Store, n.applier, opts.N, opts.Self)
 		if err != nil {
-			return nil, fmt.Errorf("runtime: replaying durable store: %w", err)
+			return nil, fmt.Errorf("runtime: %w", err)
 		}
-		if n.applier != nil {
-			// Re-apply the replayed suffix in delivery order (the decided
-			// batch, deterministically sorted); the applier's dedup absorbs
-			// messages the snapshot already covers.
-			if err := opts.Store.Replay(func(r recovery.Rec) error {
-				if r.Kind != recovery.RecDecision || r.Instance <= snap {
-					return nil
-				}
-				ordered := append(wire.Batch(nil), r.Batch...)
-				ordered.SortDeterministic()
-				for _, m := range ordered {
-					n.applier.Apply(engine.Delivery{Msg: m, Instance: r.Instance})
-				}
-				return nil
-			}); err != nil {
-				return nil, fmt.Errorf("runtime: replaying suffix into state machine: %w", err)
-			}
-		}
-		opts.Store.PersistBoot()
 		opts.Engine.Persist = opts.Store
 		opts.Engine.Recovered = st
 	}
@@ -477,16 +440,23 @@ func (n *Node) Deliveries(opts ...stream.SubOption) *stream.Sub[engine.Delivery]
 	return n.hub.Subscribe(opts...)
 }
 
+// onLoop runs fn on the event loop and returns its result; ok is false
+// when the node stopped before fn ran.
+func onLoop[T any](n *Node, fn func() T) (v T, ok bool) {
+	ch := make(chan T, 1)
+	n.post(func() { ch <- fn() })
+	select {
+	case v = <-ch:
+		return v, true
+	case <-n.stopped:
+		return v, false
+	}
+}
+
 // Pending returns the engine's unordered message count (diagnostics).
 func (n *Node) Pending() int {
-	ch := make(chan int, 1)
-	n.post(func() { ch <- n.eng.Pending() })
-	select {
-	case v := <-ch:
-		return v
-	case <-n.stopped:
-		return 0
-	}
+	v, _ := onLoop(n, n.eng.Pending)
+	return v
 }
 
 // Counters returns a snapshot of the node's instrumentation.
@@ -516,22 +486,14 @@ func (n *Node) SubmitConfig(op member.Op) (types.MsgID, error) {
 		id  types.MsgID
 		err error
 	}
-	ch := make(chan result, 1)
-	fn := func() {
+	r, ok := onLoop(n, func() result {
 		id, err := cs.SubmitConfig(op)
-		ch <- result{id, err}
-	}
-	select {
-	case n.loop <- fn:
-	case <-n.quit:
+		return result{id, err}
+	})
+	if !ok {
 		return types.MsgID{}, types.ErrStopped
 	}
-	select {
-	case r := <-ch:
-		return r.id, r.err
-	case <-n.stopped:
-		return types.MsgID{}, types.ErrStopped
-	}
+	return r.id, r.err
 }
 
 // RequestJoin asks an existing member to sponsor this node's admission:
@@ -543,37 +505,15 @@ func (n *Node) RequestJoin(sponsor types.ProcessID, addr string) error {
 	return n.tr.Send(sponsor, append([]byte{chanJoin}, member.EncodeOp(op)...))
 }
 
-// CurrentView returns the newest locally applied membership view.
+// CurrentView returns the newest locally applied membership view (the
+// zero view once the node stopped).
 func (n *Node) CurrentView() member.View {
 	cs, ok := n.eng.(engine.ConfigSubmitter)
 	if !ok {
 		return member.View{}
 	}
-	ch := make(chan member.View, 1)
-	n.post(func() { ch <- cs.CurrentView() })
-	select {
-	case v := <-ch:
-		return v
-	case <-n.stopped:
-		return member.View{}
-	}
-}
-
-// Views returns this node's locally applied view history, oldest first
-// (a joiner's history starts at its admitting view).
-func (n *Node) Views() []member.View {
-	vh, ok := n.eng.(interface{ Views() []member.View })
-	if !ok {
-		return nil
-	}
-	ch := make(chan []member.View, 1)
-	n.post(func() { ch <- vh.Views() })
-	select {
-	case v := <-ch:
-		return v
-	case <-n.stopped:
-		return nil
-	}
+	v, _ := onLoop(n, cs.CurrentView)
+	return v
 }
 
 // Close stops the node: detector, transport, event loop.

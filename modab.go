@@ -52,8 +52,11 @@
 //	modab.New(3, modab.Modular, modab.WithPipelining(8))
 //
 // Every driver exposes the same submission (Abcast, TryAbcast), the same
-// delivery stream (Deliveries) and the same instrumentation (Counters,
-// Stats). TryAbcast is the only entry point that returns ErrFlowControl;
+// delivery stream (Deliveries), the same membership operations (Add,
+// Remove, View) and the same instrumentation (Counters, Stats); a process
+// index out of range is ErrBadConfig everywhere, and a process that
+// another OS process of a TCP group drives is ErrNotLocal.
+// TryAbcast is the only entry point that returns ErrFlowControl;
 // the blocking Abcast parks on a condition signal until the window
 // drains, the context ends, or the node stops.
 //
@@ -64,17 +67,16 @@
 //
 // The packages under internal/ hold the implementation: the protocol
 // engines (internal/modular, internal/monolithic, and the microprotocol
-// layers they build on), the drivers (internal/runtime for real time over
-// TCP or in-memory channels, internal/netsim for deterministic
-// discrete-event simulation), and the measurement harness.
+// layers they build on), the drivers (internal/core for real time — the
+// processes of a group this OS process drives, over in-memory channels or
+// TCP, each an internal/runtime node — and internal/netsim for
+// deterministic discrete-event simulation), and the measurement harness.
 package modab
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"modab/internal/batch"
@@ -112,12 +114,8 @@ type (
 	BatchConfig = batch.Config
 	// Node is one running process (see Cluster.Node).
 	Node = runtime.Node
-	// Group is an in-process group over an in-memory network.
-	Group = core.Group
 	// SimCluster is a deterministic simulated cluster.
 	SimCluster = netsim.Cluster
-	// CostModel parameterizes the simulated hardware.
-	CostModel = netsim.CostModel
 	// Snapshot is an immutable copy of one process's counters.
 	Snapshot = trace.Snapshot
 	// Stats is the uniform whole-cluster instrumentation snapshot.
@@ -276,37 +274,22 @@ func StreamOverflow(p OverflowPolicy) StreamOption { return stream.WithPolicy(p)
 // Option configures New.
 type Option func(*settings) error
 
-// settings accumulates the option values before driver construction.
+// settings accumulates the option values before driver construction. The
+// real-time driver's options are filled in place; tune holds the engine
+// config edits of WithBatching and friends, applied once n is known so
+// they compose with WithConfig regardless of option order.
 type settings struct {
-	engineCfg    Config
-	tcpAddrs     []string
-	tcpSelf      ProcessID
-	tcp          bool
-	sim          bool
-	seed         int64
-	model        CostModel
-	hbPeriod     time.Duration
-	suspectAfter time.Duration
-	buffer       int
-	policy       OverflowPolicy
-	onDeliver    func(Event)
-	batch        *BatchConfig
-	pipeline     int
-	dissem       *Dissemination
-	digest       bool
-	dur          *core.DurabilityOptions
-	sm           func() rsm.StateMachine
-	snapEvery    uint64
-	obsCfg       *obs.Config
-	join         bool
-	bootN        int
+	core.GroupOptions
+	sim  bool
+	seed int64
+	tune []func(*Config)
 }
 
 // WithConfig overrides the protocol tunables (flow-control window, batch
 // cap, idle kick, ...). The zero value means DefaultConfig(n).
 func WithConfig(cfg Config) Option {
 	return func(s *settings) error {
-		s.engineCfg = cfg
+		s.Engine = cfg
 		return nil
 	}
 }
@@ -333,7 +316,7 @@ func WithBatching(maxMsgs, maxBytes int, maxDelay time.Duration) Option {
 		if err := b.Validate(); err != nil {
 			return err
 		}
-		s.batch = &b
+		s.tune = append(s.tune, func(c *Config) { c.Batch = b })
 		return nil
 	}
 }
@@ -359,7 +342,7 @@ func WithPipelining(depth int) Option {
 		if depth < 1 {
 			return fmt.Errorf("%w: WithPipelining requires depth >= 1", types.ErrBadConfig)
 		}
-		s.pipeline = depth
+		s.tune = append(s.tune, func(c *Config) { c.PipelineDepth = depth })
 		return nil
 	}
 }
@@ -385,7 +368,7 @@ func WithDissemination(strategy Dissemination) Option {
 		if err := strategy.Validate(); err != nil {
 			return fmt.Errorf("%w: WithDissemination(%d)", err, strategy)
 		}
-		s.dissem = &strategy
+		s.tune = append(s.tune, func(c *Config) { c.Dissemination = strategy })
 		return nil
 	}
 }
@@ -411,7 +394,7 @@ func WithDissemination(strategy Dissemination) Option {
 // regardless of option order.
 func WithDigestOrdering() Option {
 	return func(s *settings) error {
-		s.digest = true
+		s.tune = append(s.tune, func(c *Config) { c.DigestOrdering = true })
 		return nil
 	}
 }
@@ -432,7 +415,7 @@ func WithDigestOrdering() Option {
 // recovery scenarios replay identically under virtual time.
 func WithDurability(dir string, policy SyncPolicy) Option {
 	return func(s *settings) error {
-		s.dur = &core.DurabilityOptions{Dir: dir, Log: wal.Options{Policy: policy}}
+		s.Durability = &core.DurabilityOptions{Dir: dir, Log: wal.Options{Policy: policy}}
 		return nil
 	}
 }
@@ -453,8 +436,8 @@ func WithStateMachine(factory func() StateMachine, snapshotEvery uint64) Option 
 		if factory == nil {
 			return fmt.Errorf("%w: WithStateMachine requires a factory", types.ErrBadConfig)
 		}
-		s.sm = factory
-		s.snapEvery = snapshotEvery
+		s.StateMachine = factory
+		s.SnapshotEvery = snapshotEvery
 		return nil
 	}
 }
@@ -473,7 +456,7 @@ func WithStateMachine(factory func() StateMachine, snapshotEvery uint64) Option 
 // tunes the sampling period.
 func WithObservability(sampleEvery uint64) Option {
 	return func(s *settings) error {
-		s.obsCfg = &obs.Config{SampleEvery: sampleEvery}
+		s.Observability = &obs.Config{SampleEvery: sampleEvery}
 		return nil
 	}
 }
@@ -489,9 +472,8 @@ func WithTransportTCP(addrs []string, self ProcessID) Option {
 		if self < 0 || int(self) >= len(addrs) {
 			return fmt.Errorf("%w: self %d does not index addrs (len %d)", types.ErrBadConfig, self, len(addrs))
 		}
-		s.tcp = true
-		s.tcpAddrs = addrs
-		s.tcpSelf = self
+		s.Addrs = addrs
+		s.Self = self
 		return nil
 	}
 }
@@ -510,8 +492,8 @@ func WithJoin(bootN int) Option {
 		if bootN < 0 {
 			return fmt.Errorf("%w: negative boot-group size", types.ErrBadConfig)
 		}
-		s.join = true
-		s.bootN = bootN
+		s.Join = true
+		s.BootN = bootN
 		return nil
 	}
 }
@@ -529,16 +511,6 @@ func WithSimulation(seed int64) Option {
 	}
 }
 
-// WithCostModel overrides the simulated hardware model; it implies
-// WithSimulation (with seed 0 unless WithSimulation is also given).
-func WithCostModel(m CostModel) Option {
-	return func(s *settings) error {
-		s.sim = true
-		s.model = m
-		return nil
-	}
-}
-
 // WithFailureDetector parameterizes the heartbeat failure detector of
 // the real-time drivers: heartbeats every period, suspicion after
 // timeout without traffic. The simulator ignores it (detection latency
@@ -548,8 +520,8 @@ func WithFailureDetector(period, timeout time.Duration) Option {
 		if period < 0 || timeout < 0 {
 			return fmt.Errorf("%w: negative failure-detector interval", types.ErrBadConfig)
 		}
-		s.hbPeriod = period
-		s.suspectAfter = timeout
+		s.HeartbeatPeriod = period
+		s.SuspectTimeout = timeout
 		return nil
 	}
 }
@@ -561,7 +533,7 @@ func WithDeliveryBuffer(k int) Option {
 		if k < 1 {
 			return fmt.Errorf("%w: delivery buffer must be >= 1", types.ErrBadConfig)
 		}
-		s.buffer = k
+		s.DeliveryBuffer = k
 		return nil
 	}
 }
@@ -570,7 +542,7 @@ func WithDeliveryBuffer(k int) Option {
 // (overridable per subscription via StreamOverflow).
 func WithDeliveryOverflow(p OverflowPolicy) Option {
 	return func(s *settings) error {
-		s.policy = p
+		s.DeliveryOverflow = p
 		return nil
 	}
 }
@@ -580,48 +552,55 @@ func WithDeliveryOverflow(p OverflowPolicy) Option {
 // consumption. Events arrive in delivery order per process.
 func WithOnDeliver(fn func(Event)) Option {
 	return func(s *settings) error {
-		s.onDeliver = fn
+		s.OnDeliver = fn
 		return nil
 	}
 }
 
-// Cluster is the unified facade over the three drivers: an in-process
-// group over in-memory channels (the default), one process of a TCP
-// group (WithTransportTCP), or a simulated cluster (WithSimulation).
-// All drivers share the same submission, delivery-stream and
-// instrumentation surface.
+// driver is the seam between the facade and what runs the group. It has
+// two implementations: *core.Group — the real-time processes this OS
+// process drives, all of an in-memory group or one of a TCP group — and
+// simDriver, the virtual-time adapter over the simulator. Process indexes
+// reaching a driver are already range-checked by the facade.
+type driver interface {
+	N() int
+	Abcast(ctx context.Context, p int, body []byte) (MsgID, error)
+	TryAbcast(p int, body []byte) (MsgID, error)
+	Deliveries(opts ...StreamOption) *DeliveryStream
+	Counters(p int) Snapshot
+	Stats() Stats
+	Crash(p int) error
+	Restart(p int) error
+	Add(ctx context.Context, addr string) (ProcessID, error)
+	RequestJoin(ctx context.Context, sponsor ProcessID) error
+	Remove(ctx context.Context, p int) error
+	View(p int) View
+	Node(p int) *Node
+	Applier(p int) *Applier
+	Obs(p int) *ObsRecorder
+	Close() error
+}
+
+// Cluster is the unified facade over the drivers: the real-time group —
+// every process over in-memory channels (the default) or one process of
+// a TCP group (WithTransportTCP) — or a simulated cluster
+// (WithSimulation). All share the same submission, delivery-stream,
+// membership and instrumentation surface; on a TCP group every
+// per-process method answers ErrNotLocal (or a zero value) for the
+// processes other OS processes drive.
 type Cluster struct {
-	n     int
 	stack Stack
-
-	group *core.Group // in-memory driver
-
-	node *runtime.Node // TCP driver (one local process)
-	self ProcessID
-	hub  *stream.Hub[engine.Event] // TCP driver's event stream
-	// tcpOpts, smFactory and onDeliver are retained so Restart can rebuild
-	// the local TCP node (each incarnation gets a fresh state machine);
-	// durable records whether WithDurability was given.
-	tcpOpts   core.TCPNodeOptions
-	smFactory func() rsm.StateMachine
-	onDeliver func(Event)
-	durable   bool
-	// streamDropped counts drops at the TCP driver's cluster-level
-	// subscriptions; Counters/Stats fold it into the local process.
-	streamDropped atomic.Int64
-	wg            sync.WaitGroup
-	start         time.Time
-
-	sim *netsim.Cluster // simulated driver
-
-	mu     sync.Mutex
-	closed bool
+	drv   driver
+	// sim is the simulated driver's cluster (Sim); nil in real time.
+	sim *netsim.Cluster
+	// durable records WithDurability, which Restart and Add require.
+	durable bool
 }
 
 // New builds a cluster of n processes running the given stack. With no
 // options it starts the whole group in this OS process over an in-memory
-// network; see WithTransportTCP and WithSimulation for the other
-// drivers.
+// network; WithTransportTCP makes it one process of a TCP group instead,
+// and WithSimulation selects the simulated driver.
 func New(n int, stack Stack, opts ...Option) (*Cluster, error) {
 	var s settings
 	for _, o := range opts {
@@ -629,159 +608,69 @@ func New(n int, stack Stack, opts ...Option) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	if s.tcp && s.sim {
-		return nil, fmt.Errorf("%w: WithTransportTCP and WithSimulation are mutually exclusive", types.ErrBadConfig)
+	if s.sim && (len(s.Addrs) > 0 || s.Join) {
+		return nil, fmt.Errorf("%w: WithTransportTCP/WithJoin and WithSimulation are mutually exclusive", types.ErrBadConfig)
 	}
-	if s.tcp && len(s.tcpAddrs) != n {
-		return nil, fmt.Errorf("%w: n=%d but WithTransportTCP has %d addresses", types.ErrBadConfig, n, len(s.tcpAddrs))
-	}
-	if s.join && !s.tcp {
-		return nil, fmt.Errorf("%w: WithJoin requires WithTransportTCP", types.ErrBadConfig)
-	}
-	if s.dur != nil && !s.sim && s.dur.Dir == "" {
-		return nil, fmt.Errorf("%w: WithDurability requires a directory on the real-time drivers", types.ErrBadConfig)
-	}
-	if s.batch != nil || s.pipeline > 0 || s.dissem != nil || s.digest {
-		// Materialize the defaults first so the batching/pipelining/
-		// dissemination/digest fields survive the drivers' zero-config
-		// check, then overlay them on whatever WithConfig supplied.
-		if s.engineCfg.N == 0 {
-			s.engineCfg = engine.DefaultConfig(n)
+	if len(s.tune) > 0 {
+		// Materialize the defaults first so the edits survive the drivers'
+		// zero-config check, then overlay them on whatever WithConfig
+		// supplied.
+		if s.Engine.N == 0 {
+			s.Engine = engine.DefaultConfig(n)
 		}
-		if s.batch != nil {
-			s.engineCfg.Batch = *s.batch
-		}
-		if s.pipeline > 0 {
-			s.engineCfg.PipelineDepth = s.pipeline
-		}
-		if s.dissem != nil {
-			s.engineCfg.Dissemination = *s.dissem
-		}
-		if s.digest {
-			s.engineCfg.DigestOrdering = true
+		for _, edit := range s.tune {
+			edit(&s.Engine)
 		}
 	}
-	c := &Cluster{n: n, stack: stack, start: time.Now(), durable: s.dur != nil, onDeliver: s.onDeliver}
-
-	switch {
-	case s.sim:
-		var onDeliver func(p ProcessID, d Delivery, at time.Duration)
-		if fn := s.onDeliver; fn != nil {
-			onDeliver = func(p ProcessID, d Delivery, at time.Duration) {
-				fn(Event{P: p, D: d, At: at})
-			}
-		}
-		sim, err := netsim.NewCluster(netsim.Options{
-			N:                n,
-			Stack:            stack,
-			Engine:           s.engineCfg,
-			Model:            s.model,
-			Seed:             s.seed,
-			OnDeliver:        onDeliver,
-			DeliveryBuffer:   s.buffer,
-			DeliveryOverflow: s.policy,
-			Durable:          s.dur != nil,
-			StateMachine:     s.sm,
-			SnapshotEvery:    s.snapEvery,
-			Obs:              simObsConfig(s.obsCfg),
-		})
+	c := &Cluster{stack: stack, durable: s.Durability != nil}
+	if !s.sim {
+		group, err := core.NewGroup(n, stack, s.GroupOptions)
 		if err != nil {
 			return nil, err
 		}
-		c.sim = sim
-
-	case s.tcp:
-		c.self = s.tcpSelf
-		c.smFactory = s.sm
-		c.hub = stream.NewHub[engine.Event](s.buffer, s.policy,
-			func() { c.streamDropped.Add(1) })
-		c.tcpOpts = core.TCPNodeOptions{
-			Self:             s.tcpSelf,
-			Addrs:            s.tcpAddrs,
-			Stack:            stack,
-			Engine:           s.engineCfg,
-			HeartbeatPeriod:  s.hbPeriod,
-			SuspectTimeout:   s.suspectAfter,
-			DeliveryBuffer:   s.buffer,
-			DeliveryOverflow: s.policy,
-			Durability:       s.dur,
-			SnapshotEvery:    s.snapEvery,
-			Join:             s.join,
-			BootN:            s.bootN,
-		}
-		if s.obsCfg != nil {
-			// The recorder lives on tcpOpts, not the node, so a restarted
-			// incarnation keeps accumulating into it.
-			c.tcpOpts.Obs = obs.NewRecorder(*s.obsCfg)
-		}
-		if c.smFactory != nil {
-			c.tcpOpts.StateMachine = c.smFactory()
-		}
-		node, err := core.NewTCPNode(c.tcpOpts)
-		if err != nil {
-			return nil, err
-		}
-		c.node = node
-		c.bridge(node)
-
-	default:
-		var onDeliver core.DeliverFunc
-		if fn := s.onDeliver; fn != nil {
-			onDeliver = func(p ProcessID, d Delivery) {
-				fn(Event{P: p, D: d, At: time.Since(c.start)})
-			}
-		}
-		group, err := core.NewGroup(n, stack, core.GroupOptions{
-			Engine:           s.engineCfg,
-			HeartbeatPeriod:  s.hbPeriod,
-			SuspectTimeout:   s.suspectAfter,
-			DeliveryBuffer:   s.buffer,
-			DeliveryOverflow: s.policy,
-			OnDeliver:        onDeliver,
-			Durability:       s.dur,
-			StateMachine:     s.sm,
-			SnapshotEvery:    s.snapEvery,
-			Observability:    s.obsCfg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.group = group
+		c.drv = group
+		return c, nil
 	}
+	so := netsim.Options{
+		N:                n,
+		Stack:            stack,
+		Engine:           s.Engine,
+		Seed:             s.seed,
+		DeliveryBuffer:   s.DeliveryBuffer,
+		DeliveryOverflow: s.DeliveryOverflow,
+		Durable:          c.durable,
+		StateMachine:     s.StateMachine,
+		SnapshotEvery:    s.SnapshotEvery,
+	}
+	if fn := s.OnDeliver; fn != nil {
+		so.OnDeliver = func(p ProcessID, d Delivery, at time.Duration) { fn(Event{P: p, D: d, At: at}) }
+	}
+	if s.Observability != nil {
+		so.Obs = *s.Observability // the simulator always records; nil means defaults
+	}
+	sim, err := netsim.NewCluster(so)
+	if err != nil {
+		return nil, err
+	}
+	c.sim, c.drv = sim, simDriver{sim}
 	return c, nil
 }
 
-// bridge pumps one TCP node's per-process delivery stream into the
-// cluster-wide event stream (and the optional callback). It does not
-// close the hub when the node stops — the node may be restarted and
-// bridged again; Close closes the hub after the last bridge drains.
-func (c *Cluster) bridge(node *runtime.Node) {
-	sub := node.Deliveries()
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		for d := range sub.C() {
-			ev := Event{P: c.self, D: d, At: time.Since(c.start)}
-			if fn := c.onDeliver; fn != nil {
-				fn(ev)
-			}
-			c.hub.Publish(ev)
-		}
-	}()
-}
-
-// N returns the group size.
-func (c *Cluster) N() int { return c.size() }
-
-// tcpNode returns the TCP driver's current local node (Restart swaps it).
-func (c *Cluster) tcpNode() *runtime.Node {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.node
-}
+// N returns the number of process slots: the boot group plus every
+// joiner admitted so far (removed and crashed processes keep theirs).
+func (c *Cluster) N() int { return c.drv.N() }
 
 // Stack returns the implementation under the facade.
 func (c *Cluster) Stack() Stack { return c.stack }
+
+// check range-checks a process index once, ahead of the driver call, so
+// every driver answers an out-of-range p alike.
+func (c *Cluster) check(p int) error {
+	if n := c.drv.N(); p < 0 || p >= n {
+		return fmt.Errorf("%w: p%d of %d", ErrBadConfig, p+1, n)
+	}
+	return nil
+}
 
 // Abcast submits one payload for total-order broadcast at process p. It
 // blocks while p's flow-control window is full — woken by a condition
@@ -791,71 +680,19 @@ func (c *Cluster) Stack() Stack { return c.stack }
 // simulated driver, blocking advances virtual time step by step until
 // the window drains (ErrStalled if it never can).
 func (c *Cluster) Abcast(ctx context.Context, p int, body []byte) (MsgID, error) {
-	switch {
-	case c.sim != nil:
-		return c.simAbcast(ctx, p, body, false)
-	case c.hub != nil:
-		if p != int(c.self) {
-			return MsgID{}, fmt.Errorf("%w: p%d (local node is %s)", ErrNotLocal, p+1, c.self)
-		}
-		return c.tcpNode().Abcast(ctx, body)
-	default:
-		return c.group.Abcast(ctx, p, body)
+	if err := c.check(p); err != nil {
+		return MsgID{}, err
 	}
+	return c.drv.Abcast(ctx, p, body)
 }
 
 // TryAbcast submits without waiting: ErrFlowControl when the window is
 // full — the only entry point that returns it.
 func (c *Cluster) TryAbcast(p int, body []byte) (MsgID, error) {
-	switch {
-	case c.sim != nil:
-		return c.simAbcast(context.Background(), p, body, true)
-	case c.hub != nil:
-		if p != int(c.self) {
-			return MsgID{}, fmt.Errorf("%w: p%d (local node is %s)", ErrNotLocal, p+1, c.self)
-		}
-		return c.tcpNode().TryAbcast(body)
-	default:
-		return c.group.TryAbcast(p, body)
+	if err := c.check(p); err != nil {
+		return MsgID{}, err
 	}
-}
-
-// simAbcast submits at the current virtual instant. When blocking, it
-// steps the simulation forward until the window frees, the context ends,
-// or the event queue runs dry (ErrStalled).
-func (c *Cluster) simAbcast(ctx context.Context, p int, body []byte, try bool) (MsgID, error) {
-	if n := c.size(); p < 0 || p >= n {
-		return MsgID{}, fmt.Errorf("%w: p%d of %d", types.ErrBadConfig, p+1, n)
-	}
-	for {
-		var (
-			id   MsgID
-			rerr error
-		)
-		c.sim.Abcast(ProcessID(p), c.sim.Now(), body, func(i MsgID, _ time.Duration, e error) {
-			id, rerr = i, e
-		})
-		c.sim.Run(c.sim.Now()) // execute everything due at this instant
-		if try || !errors.Is(rerr, ErrFlowControl) {
-			return id, rerr
-		}
-		if err := ctx.Err(); err != nil {
-			return MsgID{}, err
-		}
-		// Step virtual time until something is adelivered at p — only a
-		// delivery of p's own message can free the window, so retrying
-		// any earlier just charges the process CPU for rejected
-		// submissions that distort the simulated measurements.
-		before := c.sim.Counters(ProcessID(p)).ADeliver
-		for c.sim.Counters(ProcessID(p)).ADeliver == before {
-			if err := ctx.Err(); err != nil {
-				return MsgID{}, err
-			}
-			if !c.sim.Step() {
-				return MsgID{}, fmt.Errorf("%w: at virtual time %v", ErrStalled, c.sim.Now())
-			}
-		}
-	}
+	return c.drv.TryAbcast(p, body)
 }
 
 // Deliveries subscribes to the cluster-wide adelivery stream: every
@@ -864,69 +701,31 @@ func (c *Cluster) simAbcast(ctx context.Context, p int, body []byte, try bool) (
 // Close (subscribers drain their buffers first); a subscription taken
 // after Close sees an already-closed channel.
 func (c *Cluster) Deliveries(opts ...StreamOption) *DeliveryStream {
-	switch {
-	case c.sim != nil:
-		return c.sim.Deliveries(opts...)
-	case c.hub != nil:
-		return c.hub.Subscribe(opts...)
-	default:
-		return c.group.Deliveries(opts...)
-	}
+	return c.drv.Deliveries(opts...)
 }
 
 // Counters returns a snapshot of process p's instrumentation. On the TCP
-// driver only the local process has counters; remote peers read as zero.
+// driver only the local process has counters; remote peers — like crashed
+// processes and out-of-range indexes — read as zero.
 func (c *Cluster) Counters(p int) Snapshot {
-	switch {
-	case c.sim != nil:
-		return c.sim.Counters(ProcessID(p))
-	case c.hub != nil:
-		if p != int(c.self) {
-			return Snapshot{}
-		}
-		snap := c.tcpNode().Counters()
-		snap.StreamDropped += c.streamDropped.Load()
-		return snap
-	default:
-		return c.group.Counters(p)
+	if c.check(p) != nil {
+		return Snapshot{}
 	}
+	return c.drv.Counters(p)
 }
 
 // Stats returns the uniform whole-cluster snapshot: per-process counters
 // plus totals (including delivery-stream drops).
-func (c *Cluster) Stats() Stats {
-	switch {
-	case c.sim != nil:
-		return c.sim.Stats()
-	case c.hub != nil:
-		n := c.size()
-		st := Stats{N: n, PerProcess: make([]Snapshot, n)}
-		st.PerProcess[c.self] = c.Counters(int(c.self))
-		st.Total = st.PerProcess[c.self]
-		return st
-	default:
-		return c.group.Stats()
-	}
-}
+func (c *Cluster) Stats() Stats { return c.drv.Stats() }
 
-// Crash stops process p: crash-stop fault injection on the in-memory and
-// simulated drivers (survivors' failure detectors take over). On the TCP
-// driver it closes the local node when p is local and returns ErrNotLocal
-// otherwise.
+// Crash stops process p: crash-stop fault injection (survivors' failure
+// detectors take over). On the TCP driver it stops the local process and
+// returns ErrNotLocal for a remote one.
 func (c *Cluster) Crash(p int) error {
-	switch {
-	case c.sim != nil:
-		c.sim.Crash(ProcessID(p), c.sim.Now())
-		c.sim.Run(c.sim.Now())
-		return nil
-	case c.hub != nil:
-		if p != int(c.self) {
-			return fmt.Errorf("%w: p%d (local node is %s)", ErrNotLocal, p+1, c.self)
-		}
-		return c.tcpNode().Close()
-	default:
-		return c.group.Crash(p)
+	if err := c.check(p); err != nil {
+		return err
 	}
+	return c.drv.Crash(p)
 }
 
 // Restart brings a crashed process back — the crash-recovery model. It
@@ -939,47 +738,18 @@ func (c *Cluster) Crash(p int) error {
 // the current virtual instant.
 //
 // Counters after a restart: the simulated driver accumulates across
-// incarnations, while on the real-time drivers the restarted process's
+// incarnations, while on the real-time driver the restarted process's
 // Counters restart from zero — its pre-crash deliveries are summarized
 // by RecoveryReplayedMsgs (ADeliver + RecoveryReplayedMsgs is its
 // lifetime delivery count).
 func (c *Cluster) Restart(p int) error {
 	if !c.durable {
-		return fmt.Errorf("%w: Restart requires WithDurability", types.ErrBadConfig)
+		return fmt.Errorf("%w: Restart requires WithDurability", ErrBadConfig)
 	}
-	if n := c.size(); p < 0 || p >= n {
-		return fmt.Errorf("%w: p%d of %d", types.ErrBadConfig, p+1, n)
+	if err := c.check(p); err != nil {
+		return err
 	}
-	switch {
-	case c.sim != nil:
-		c.sim.Restart(ProcessID(p), c.sim.Now())
-		c.sim.Run(c.sim.Now())
-		return nil
-	case c.hub != nil:
-		if p != int(c.self) {
-			return fmt.Errorf("%w: p%d (local node is %s)", ErrNotLocal, p+1, c.self)
-		}
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.closed {
-			return ErrStopped
-		}
-		if c.smFactory != nil {
-			// A fresh incarnation gets a fresh state machine: its state is
-			// rebuilt from the local snapshot plus the log suffix, never
-			// inherited from the dead incarnation's memory.
-			c.tcpOpts.StateMachine = c.smFactory()
-		}
-		node, err := core.NewTCPNode(c.tcpOpts)
-		if err != nil {
-			return err
-		}
-		c.node = node
-		c.bridge(node)
-		return nil
-	default:
-		return c.group.Restart(p)
-	}
+	return c.drv.Restart(p)
 }
 
 // Add admits a new process to the group: an AddProcess op rides the
@@ -1001,259 +771,48 @@ func (c *Cluster) Add(ctx context.Context, addr ...string) (ProcessID, error) {
 	if !c.durable {
 		// Members without write-ahead logs cannot serve the decided
 		// prefix, so a joiner would wait on state transfer forever.
-		return 0, fmt.Errorf("%w: Add requires WithDurability", types.ErrBadConfig)
+		return 0, fmt.Errorf("%w: Add requires WithDurability", ErrBadConfig)
 	}
-	switch {
-	case c.sim != nil:
-		if len(addr) > 0 {
-			return 0, fmt.Errorf("%w: addr is only for the TCP driver", types.ErrBadConfig)
-		}
-		return c.simAdd(ctx)
-	case c.hub != nil:
-		if len(addr) != 1 || addr[0] == "" {
-			return 0, fmt.Errorf("%w: the TCP driver needs the joiner's listen address", types.ErrBadConfig)
-		}
-		return c.tcpAdd(ctx, addr[0])
-	default:
-		if len(addr) > 0 {
-			return 0, fmt.Errorf("%w: addr is only for the TCP driver", types.ErrBadConfig)
-		}
-		id, err := c.group.Add(ctx)
-		if err != nil {
-			return 0, err
-		}
-		c.grow(int(id) + 1)
-		return id, nil
+	switch len(addr) {
+	case 0:
+		return c.drv.Add(ctx, "")
+	case 1:
+		return c.drv.Add(ctx, addr[0])
 	}
+	return 0, fmt.Errorf("%w: Add takes at most one address", ErrBadConfig)
 }
 
 // RequestJoin asks sponsor — a current member — to submit this
 // process's admission, and blocks until the decided view admits us.
 // The request frame is fire-and-forget (it may race the decide or be
 // dropped by a connecting transport), so it is re-sent periodically
-// until the view changes. TCP driver with WithJoin only.
+// until the view changes. TCP driver with WithJoin only (ErrBadConfig
+// otherwise).
 func (c *Cluster) RequestJoin(ctx context.Context, sponsor ProcessID) error {
-	node := c.tcpNode()
-	if node == nil {
-		return ErrStopped
-	}
-	if c.hub == nil || !c.tcpOpts.Join {
-		return fmt.Errorf("%w: RequestJoin needs the TCP driver with WithJoin", types.ErrBadConfig)
-	}
-	addr := c.tcpOpts.Addrs[c.self]
-	for !node.CurrentView().Contains(c.self) {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		_ = node.RequestJoin(sponsor, addr)
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
-	return nil
+	return c.drv.RequestJoin(ctx, sponsor)
 }
 
 // Remove retires process p from the group: a RemoveProcess op rides the
 // total order, and once the view excluding p has activated everywhere
-// the process is decommissioned (in-process and simulated drivers crash
-// it; on the TCP driver the operator stops it). Removing an
+// the process is decommissioned (crashed when this cluster drives it; a
+// remote peer of a TCP group is stopped by its operator). Removing an
 // already-crashed process is the permanent-node-loss recovery: the
 // group stops waiting for it and quorums shrink at the boundary.
 func (c *Cluster) Remove(ctx context.Context, p int) error {
-	switch {
-	case c.sim != nil:
-		return c.simRemove(ctx, p)
-	case c.hub != nil:
-		node := c.tcpNode()
-		if node == nil {
-			return ErrStopped
-		}
-		target := ProcessID(p)
-		if err := submitConfigRetry(ctx, node, member.Op{Kind: member.OpRemove, Target: target}); err != nil {
-			return err
-		}
-		return waitView(ctx, node, func(v View) bool { return !v.Contains(target) })
-	default:
-		return c.group.Remove(ctx, p)
+	if err := c.check(p); err != nil {
+		return err
 	}
+	return c.drv.Remove(ctx, p)
 }
 
 // View returns process p's newest locally applied membership view (the
 // zero view for crashed processes, remote TCP peers, and out-of-range
 // indexes).
 func (c *Cluster) View(p int) View {
-	switch {
-	case c.sim != nil:
-		if !c.sim.Live(ProcessID(p)) {
-			return View{}
-		}
-		return c.sim.View(ProcessID(p))
-	case c.hub != nil:
-		if p != int(c.self) {
-			return View{}
-		}
-		node := c.tcpNode()
-		if node == nil {
-			return View{}
-		}
-		return node.CurrentView()
-	default:
-		return c.group.View(p)
+	if c.check(p) != nil {
+		return View{}
 	}
-}
-
-// grow raises the facade's process-slot count after an admission.
-func (c *Cluster) grow(n int) {
-	c.mu.Lock()
-	if n > c.n {
-		c.n = n
-	}
-	c.mu.Unlock()
-}
-
-// size is the current process-slot count (boot group plus joiners).
-func (c *Cluster) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-// simSponsor finds a live simulated process to submit a config op
-// through, skipping avoid.
-func (c *Cluster) simSponsor(avoid int) (ProcessID, bool) {
-	for p := 0; p < c.sim.Procs(); p++ {
-		if p != avoid && c.sim.Live(ProcessID(p)) {
-			return ProcessID(p), true
-		}
-	}
-	return 0, false
-}
-
-// simAdd runs an admission on the simulated driver: submit at the
-// current virtual instant, then step virtual time until the joiner is
-// spawned AND every live member has applied the admitting view. The
-// second condition matters: a config op submitted through a process
-// that is still on the old epoch gets stamped with a stale BaseEpoch
-// and is deterministically rejected at decide time, so returning at
-// first-spawn would make an immediately following Add/Remove no-op.
-func (c *Cluster) simAdd(ctx context.Context) (ProcessID, error) {
-	sponsor, ok := c.simSponsor(-1)
-	if !ok {
-		return 0, ErrCrashed
-	}
-	id := ProcessID(c.sim.Procs())
-	c.sim.Join(sponsor, id, c.sim.Now())
-	c.sim.Run(c.sim.Now())
-	admitted := func() bool {
-		if c.sim.Procs() <= int(id) {
-			return false
-		}
-		for q := 0; q < c.sim.Procs(); q++ {
-			if !c.sim.Live(ProcessID(q)) {
-				continue
-			}
-			if !c.sim.View(ProcessID(q)).Contains(id) {
-				return false
-			}
-		}
-		return true
-	}
-	for !admitted() {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		if !c.sim.Step() {
-			return 0, fmt.Errorf("%w: at virtual time %v", ErrStalled, c.sim.Now())
-		}
-	}
-	c.grow(int(id) + 1)
-	return id, nil
-}
-
-// simRemove runs a removal on the simulated driver: submit, step until
-// every live survivor has applied the view excluding the target, then
-// crash the target (decommission).
-func (c *Cluster) simRemove(ctx context.Context, p int) error {
-	target := ProcessID(p)
-	sponsor, ok := c.simSponsor(p)
-	if !ok {
-		return ErrCrashed
-	}
-	c.sim.Remove(sponsor, target, c.sim.Now())
-	c.sim.Run(c.sim.Now())
-	applied := func() bool {
-		for q := 0; q < c.sim.Procs(); q++ {
-			if q == p || !c.sim.Live(ProcessID(q)) {
-				continue
-			}
-			if c.sim.View(ProcessID(q)).Contains(target) {
-				return false
-			}
-		}
-		return true
-	}
-	for !applied() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if !c.sim.Step() {
-			return fmt.Errorf("%w: at virtual time %v", ErrStalled, c.sim.Now())
-		}
-	}
-	if c.sim.Live(target) {
-		c.sim.Crash(target, c.sim.Now())
-		c.sim.Run(c.sim.Now())
-	}
-	return nil
-}
-
-// tcpAdd sponsors the admission of a remote joiner at addr through the
-// local node and waits for the view to admit it.
-func (c *Cluster) tcpAdd(ctx context.Context, addr string) (ProcessID, error) {
-	node := c.tcpNode()
-	if node == nil {
-		return 0, ErrStopped
-	}
-	target := node.CurrentView().MaxID() + 1
-	op := member.Op{Kind: member.OpAdd, Target: target, Addr: addr}
-	if err := submitConfigRetry(ctx, node, op); err != nil {
-		return 0, err
-	}
-	if err := waitView(ctx, node, func(v View) bool { return v.Contains(target) }); err != nil {
-		return 0, err
-	}
-	c.grow(int(target) + 1)
-	return target, nil
-}
-
-// submitConfigRetry submits one config op, retrying flow-control
-// rejections (the op is an ordinary abcast competing for window slots).
-func submitConfigRetry(ctx context.Context, node *runtime.Node, op member.Op) error {
-	for {
-		_, err := node.SubmitConfig(op)
-		if !errors.Is(err, ErrFlowControl) {
-			return err
-		}
-		select {
-		case <-time.After(2 * time.Millisecond):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-}
-
-// waitView polls the local node until its applied view satisfies ok.
-func waitView(ctx context.Context, node *runtime.Node, ok func(View) bool) error {
-	for !ok(node.CurrentView()) {
-		select {
-		case <-time.After(2 * time.Millisecond):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	return nil
+	return c.drv.View(p)
 }
 
 // Node returns the runtime node driving process p, or nil when p is not
@@ -1261,17 +820,10 @@ func waitView(ctx context.Context, node *runtime.Node, ok func(View) bool) error
 // peers, crashed processes). It is the escape hatch to the lower-level
 // API.
 func (c *Cluster) Node(p int) *Node {
-	switch {
-	case c.sim != nil:
+	if c.check(p) != nil {
 		return nil
-	case c.hub != nil:
-		if p != int(c.self) {
-			return nil
-		}
-		return c.tcpNode()
-	default:
-		return c.group.Node(p)
 	}
+	return c.drv.Node(p)
 }
 
 // Applier returns process p's state machine applier: apply results,
@@ -1279,91 +831,193 @@ func (c *Cluster) Node(p int) *Node {
 // returns nil without WithStateMachine, for remote TCP peers, and for
 // crashed real-time processes.
 func (c *Cluster) Applier(p int) *Applier {
-	if p < 0 || p >= c.size() {
+	if c.check(p) != nil {
 		return nil
 	}
-	switch {
-	case c.sim != nil:
-		return c.sim.Applier(ProcessID(p))
-	case c.hub != nil:
-		if p != int(c.self) {
-			return nil
-		}
-		return c.tcpNode().Applier()
-	default:
-		node := c.group.Node(p)
-		if node == nil {
-			return nil
-		}
-		return node.Applier()
-	}
+	return c.drv.Applier(p)
 }
 
 // Obs returns process p's observability recorder (latency histograms and
-// the sampled lifecycle trace). It returns nil on the real-time drivers
+// the sampled lifecycle trace). It returns nil on the real-time driver
 // without WithObservability, for remote TCP peers, and for out-of-range
 // indexes; the simulated driver always records. Recorders survive
 // Crash/Restart, accumulating across incarnations.
 func (c *Cluster) Obs(p int) *ObsRecorder {
-	if p < 0 || p >= c.size() {
+	if c.check(p) != nil {
 		return nil
 	}
-	switch {
-	case c.sim != nil:
-		return c.sim.Obs(ProcessID(p))
-	case c.hub != nil:
-		if p != int(c.self) {
-			return nil
-		}
-		return c.tcpOpts.Obs
-	default:
-		return c.group.Obs(p)
-	}
+	return c.drv.Obs(p)
 }
 
-// simObsConfig unwraps the optional observability config for the
-// simulated driver (which always records; nil means defaults).
-func simObsConfig(cfg *obs.Config) obs.Config {
-	if cfg == nil {
-		return obs.Config{}
-	}
-	return *cfg
-}
-
-// Sim returns the underlying simulated cluster (nil on real-time
-// drivers) for scheduled workloads, fault injection and virtual-time
+// Sim returns the underlying simulated cluster (nil on the real-time
+// driver) for scheduled workloads, fault injection and virtual-time
 // control.
 func (c *Cluster) Sim() *SimCluster { return c.sim }
 
 // Close shuts the cluster down. Delivery streams drain what is buffered
 // and then close. Close is idempotent.
-func (c *Cluster) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-
-	switch {
-	case c.sim != nil:
-		c.sim.Close()
-		return nil
-	case c.hub != nil:
-		err := c.tcpNode().Close()
-		c.wg.Wait() // every bridge drains its node's stream first
-		c.hub.Close()
-		return err
-	default:
-		c.group.Close()
-		return nil
-	}
-}
+func (c *Cluster) Close() error { return c.drv.Close() }
 
 // DefaultConfig returns the protocol tunables used in the paper's
 // evaluation for a group of n processes.
 func DefaultConfig(n int) Config { return engine.DefaultConfig(n) }
 
-// DefaultCostModel returns the calibrated simulated-hardware model.
-func DefaultCostModel() CostModel { return netsim.DefaultModel() }
+// simDriver adapts the simulator to the driver seam. The simulator
+// schedules; the facade blocks — so every operation is submitted at the
+// current virtual instant and virtual time is then advanced until its
+// outcome is visible.
+type simDriver struct{ sim *netsim.Cluster }
+
+// settle executes everything due at the current virtual instant.
+func (s simDriver) settle() { s.sim.Run(s.sim.Now()) }
+
+// stepUntil advances virtual time event by event until cond holds, the
+// context ends, or the event queue runs dry (ErrStalled).
+func (s simDriver) stepUntil(ctx context.Context, cond func() bool) error {
+	for !cond() {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if !s.sim.Step() {
+			return fmt.Errorf("%w: at virtual time %v", ErrStalled, s.sim.Now())
+		}
+	}
+	return nil
+}
+
+// sponsor finds a live process to submit a config op through, skipping
+// avoid.
+func (s simDriver) sponsor(avoid int) (ProcessID, error) {
+	for p := 0; p < s.sim.Procs(); p++ {
+		if p != avoid && s.sim.Live(ProcessID(p)) {
+			return ProcessID(p), nil
+		}
+	}
+	return 0, ErrCrashed
+}
+
+// viewEverywhere reports whether every live process other than skip has
+// applied a view whose membership of id equals member.
+func (s simDriver) viewEverywhere(id ProcessID, member bool, skip int) bool {
+	for q := 0; q < s.sim.Procs(); q++ {
+		if q != skip && s.sim.Live(ProcessID(q)) && s.sim.View(ProcessID(q)).Contains(id) != member {
+			return false
+		}
+	}
+	return true
+}
+
+func (s simDriver) N() int { return s.sim.Procs() }
+
+// Abcast retries TryAbcast, advancing virtual time while the window is
+// full.
+func (s simDriver) Abcast(ctx context.Context, p int, body []byte) (MsgID, error) {
+	for {
+		id, err := s.TryAbcast(p, body)
+		if !errors.Is(err, ErrFlowControl) {
+			return id, err
+		}
+		// Step virtual time until something is adelivered at p — only a
+		// delivery of p's own message can free the window, so retrying
+		// any earlier just charges the process CPU for rejected
+		// submissions that distort the simulated measurements.
+		before := s.Counters(p).ADeliver
+		if err := s.stepUntil(ctx, func() bool { return s.Counters(p).ADeliver != before }); err != nil {
+			return MsgID{}, err
+		}
+	}
+}
+
+func (s simDriver) TryAbcast(p int, body []byte) (id MsgID, err error) {
+	s.sim.Abcast(ProcessID(p), s.sim.Now(), body, func(i MsgID, _ time.Duration, e error) { id, err = i, e })
+	s.settle()
+	return id, err
+}
+
+func (s simDriver) Deliveries(opts ...StreamOption) *DeliveryStream {
+	return s.sim.Deliveries(opts...)
+}
+
+// Counters accumulate across incarnations (they live on the simulated
+// process, not on its engine).
+func (s simDriver) Counters(p int) Snapshot { return s.sim.Counters(ProcessID(p)) }
+
+func (s simDriver) Stats() Stats { return s.sim.Stats() }
+
+func (s simDriver) Crash(p int) error {
+	s.sim.Crash(ProcessID(p), s.sim.Now())
+	s.settle()
+	return nil
+}
+
+func (s simDriver) Restart(p int) error {
+	s.sim.Restart(ProcessID(p), s.sim.Now())
+	s.settle()
+	return nil
+}
+
+// Add steps until the joiner is spawned AND every live member has
+// applied the admitting view. The second condition matters: a config op
+// submitted through a process that is still on the old epoch gets
+// stamped with a stale BaseEpoch and is deterministically rejected at
+// decide time, so returning at first-spawn would make an immediately
+// following Add/Remove no-op.
+func (s simDriver) Add(ctx context.Context, addr string) (ProcessID, error) {
+	if addr != "" {
+		return 0, fmt.Errorf("%w: addr is only for the TCP driver", ErrBadConfig)
+	}
+	sponsor, err := s.sponsor(-1)
+	if err != nil {
+		return 0, err
+	}
+	id := ProcessID(s.sim.Procs())
+	s.sim.Join(sponsor, id, s.sim.Now())
+	s.settle()
+	err = s.stepUntil(ctx, func() bool {
+		return s.sim.Procs() > int(id) && s.viewEverywhere(id, true, -1)
+	})
+	if err != nil {
+		return 0, err
+	}
+	return id, nil
+}
+
+// RequestJoin is a TCP deployment step; simulated joiners are spawned by
+// Add.
+func (s simDriver) RequestJoin(context.Context, ProcessID) error {
+	return fmt.Errorf("%w: RequestJoin needs the TCP driver with WithJoin", ErrBadConfig)
+}
+
+// Remove steps until every live survivor has applied the view excluding
+// p, then crashes p (decommission).
+func (s simDriver) Remove(ctx context.Context, p int) error {
+	sponsor, err := s.sponsor(p)
+	if err != nil {
+		return err
+	}
+	s.sim.Remove(sponsor, ProcessID(p), s.sim.Now())
+	s.settle()
+	if err := s.stepUntil(ctx, func() bool { return s.viewEverywhere(ProcessID(p), false, p) }); err != nil {
+		return err
+	}
+	if s.sim.Live(ProcessID(p)) {
+		return s.Crash(p)
+	}
+	return nil
+}
+
+func (s simDriver) View(p int) View {
+	if !s.sim.Live(ProcessID(p)) {
+		return View{}
+	}
+	return s.sim.View(ProcessID(p))
+}
+
+// Node is nil: no real-time node runs a simulated process.
+func (s simDriver) Node(int) *Node { return nil }
+
+func (s simDriver) Applier(p int) *Applier { return s.sim.Applier(ProcessID(p)) }
+
+func (s simDriver) Obs(p int) *ObsRecorder { return s.sim.Obs(ProcessID(p)) }
+
+func (s simDriver) Close() error { s.sim.Close(); return nil }

@@ -151,6 +151,21 @@ func TestFacadeOptionValidation(t *testing.T) {
 	if _, err := modab.New(0, modab.Modular); err == nil {
 		t.Error("accepted empty group")
 	}
+	if _, err := modab.New(3, modab.Modular, modab.WithJoin(0)); !errors.Is(err, modab.ErrBadConfig) {
+		t.Errorf("WithJoin without WithTransportTCP: %v", err)
+	}
+	// RequestJoin needs the TCP driver with WithJoin; every other cluster
+	// says so instead of reporting itself stopped.
+	for _, opts := range [][]modab.Option{nil, {modab.WithSimulation(1)}} {
+		cluster, err := modab.New(3, modab.Modular, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cluster.RequestJoin(context.Background(), 0); !errors.Is(err, modab.ErrBadConfig) {
+			t.Errorf("RequestJoin (opts %v): %v, want ErrBadConfig", opts, err)
+		}
+		cluster.Close()
+	}
 }
 
 // TestFacadeTCPNode drives a single-process TCP cluster through the
@@ -173,8 +188,10 @@ func TestFacadeTCPNode(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("no delivery streamed")
 	}
-	if _, err := cluster.Abcast(context.Background(), 1, nil); !errors.Is(err, modab.ErrNotLocal) {
-		t.Fatalf("remote submit: %v", err)
+	// p2 is no slot of a one-process group (ErrNotLocal for a real remote
+	// peer is TestFacadeConformance's business).
+	if _, err := cluster.Abcast(context.Background(), 1, nil); !errors.Is(err, modab.ErrBadConfig) {
+		t.Fatalf("out-of-range submit: %v", err)
 	}
 	if err := cluster.Close(); err != nil {
 		t.Fatal(err)
@@ -251,10 +268,6 @@ func TestDefaultsExposed(t *testing.T) {
 	cfg := modab.DefaultConfig(3)
 	if cfg.N != 3 || cfg.Window < 1 {
 		t.Fatalf("config: %+v", cfg)
-	}
-	model := modab.DefaultCostModel()
-	if model.BandwidthBytesPerSec <= 0 {
-		t.Fatalf("model: %+v", model)
 	}
 }
 
