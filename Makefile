@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet docs bench-smoke bench-test test-chaos fuzz-smoke loc ci
+.PHONY: all build test race vet docs bench-smoke bench-test bench-pair test-chaos fuzz-smoke loc ci
 
 all: ci
 
@@ -64,6 +64,38 @@ bench-smoke:
 # and test it here so an internal API change cannot break it silently.
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Paired wall-clock comparison of this tree against another commit — how a
+# performance claim is measured here (docs/BENCHMARKS.md, "Paired runs"):
+#   make bench-pair BASE=<sha> [WORKLOAD=tuned-tcp] [RUNS=10]
+# BASE is checked out into a git worktree under .bench_build/, each tree
+# builds and runs its own bench/ (one run per invocation, seeds 1..RUNS),
+# the two alternate which goes first, then `bench/run.sh -compare` judges
+# the merged result files and the per-pair values are listed for the
+# "wins nine pairs of ten" rule. Without WORKLOAD all four run. Needs jq.
+RUNS ?= 10
+PAIR := .bench_build/pair
+bench-pair:
+	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<sha> [WORKLOAD=<name>] [RUNS=10]"; exit 2; }
+	@command -v jq >/dev/null || { echo "bench-pair merges the per-run result files with jq"; exit 2; }
+	-git worktree remove --force $(PAIR)/base 2>/dev/null
+	rm -rf $(PAIR) && mkdir -p $(PAIR)/runs
+	git worktree add --detach $(PAIR)/base $(BASE)
+	@set -e; for i in $$(seq 1 $(RUNS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
+		for side in $$order; do \
+			if [ $$side = base ]; then tree=$(PAIR)/base; else tree=.; fi; \
+			echo "pair $$i: $$side"; \
+			bash $$tree/bench/run.sh $(if $(WORKLOAD),-workload $(WORKLOAD)) -seed $$i -runs 1 \
+				-out $(CURDIR)/$(PAIR)/runs/$$side-$$i.json >/dev/null; \
+		done; \
+	done
+	git worktree remove --force $(PAIR)/base
+	@for side in base head; do \
+		jq -s '{descriptor: .[0].descriptor, results: map(.results) | add}' $(PAIR)/runs/$$side-*.json > $(PAIR)/$$side.json; \
+	done
+	@jq -rs '.[0].results as $$b | .[1].results as $$h | range($$b | length) as $$i | $$b[$$i].metrics | keys[] as $$m | "\($$b[$$i].workload) seed \($$b[$$i].seed) \($$m): base \($$b[$$i].metrics[$$m].value) head \($$h[$$i].metrics[$$m].value)"' $(PAIR)/base.json $(PAIR)/head.json
+	bash bench/run.sh -compare $(PAIR)/base.json $(PAIR)/head.json
 
 # Documentation gate: gofmt-clean tree, documented exported symbols in
 # modab.go, package comments on every internal package, no broken local

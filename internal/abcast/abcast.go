@@ -31,6 +31,7 @@ package abcast
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -786,14 +787,15 @@ func (l *Layer) processDecision(k uint64, batch wire.Batch, descs []wire.Descrip
 	if l.t.Rec.Active() {
 		return
 	}
-	for _, id := range l.sortedPendingIDs() {
+	stale := func(p pendingMsg) bool {
+		return k >= p.epoch && k-p.epoch >= rediffuseGrace*uint64(l.pipe)
+	}
+	for _, id := range l.sortedPendingIDs(stale) {
 		p := l.pending[id]
-		if k >= p.epoch && k-p.epoch >= rediffuseGrace*uint64(l.pipe) {
-			p.epoch = k + 1
-			l.pending[id] = p
-			if l.rediffuse(p.msg) {
-				l.ctx.Env().Counters().Retransmissions.Add(int64(l.spreadFanout()))
-			}
+		p.epoch = k + 1
+		l.pending[id] = p
+		if l.rediffuse(p.msg) {
+			l.ctx.Env().Counters().Retransmissions.Add(int64(l.spreadFanout()))
 		}
 	}
 }
@@ -876,7 +878,7 @@ func (l *Layer) Timer(id engine.TimerID) {
 		// Stalled: re-diffuse everything still pending so the round-1
 		// coordinator certainly learns of it, then (re)propose.
 		c := l.ctx.Env().Counters()
-		for _, mid := range l.sortedPendingIDs() {
+		for _, mid := range l.sortedPendingIDs(nil) {
 			p := l.pending[mid]
 			p.epoch = l.t.Next() + 1
 			l.pending[mid] = p
@@ -933,14 +935,18 @@ func marshalDiffuse(m wire.AppMsg) []byte {
 	return w.Bytes()
 }
 
-// sortedPendingIDs returns the pending message IDs in deterministic order
-// (iteration-driven sends must be reproducible under simulation).
-func (l *Layer) sortedPendingIDs() []types.MsgID {
-	ids := make([]types.MsgID, 0, len(l.pending))
-	for id := range l.pending {
-		ids = append(ids, id)
+// sortedPendingIDs returns the IDs of the pending entries that pass keep
+// (nil keeps all) in deterministic order (iteration-driven sends must be
+// reproducible under simulation). A fault-free run has no stale entry to
+// keep: its per-decision check then neither allocates nor sorts.
+func (l *Layer) sortedPendingIDs(keep func(pendingMsg) bool) []types.MsgID {
+	var ids []types.MsgID
+	for id, p := range l.pending {
+		if keep == nil || keep(p) {
+			ids = append(ids, id)
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+	slices.SortFunc(ids, types.MsgID.Compare)
 	return ids
 }
 

@@ -33,7 +33,9 @@ import (
 	"modab/internal/dedup"
 	"modab/internal/engine"
 	"modab/internal/member"
+	"modab/internal/retire"
 	"modab/internal/stack"
+	"modab/internal/trace"
 	"modab/internal/types"
 	"modab/internal/wire"
 )
@@ -63,6 +65,10 @@ type Layer struct {
 	insts      map[uint64]*instance
 	suspected  map[types.ProcessID]bool
 	maxDecided uint64
+	// decidedQ holds the decided instances still in insts, in instance
+	// order (decisions land slightly out of it under pipelining): what
+	// prune retires from. Undecided instances are never in it.
+	decidedQ retire.Queue[uint64]
 	// decidedSet records every instance this process ever decided
 	// (contiguous watermark plus sparse set, so memory stays bounded once
 	// decisions become contiguous). It outlives pruning: a vote-producing
@@ -521,6 +527,7 @@ func (l *Layer) decideLocal(inst *instance, batch wire.Batch, r uint32) {
 	inst.decisionRound = r
 	inst.waitingDecision = false
 	l.decidedSet.Mark(inst.k)
+	l.decidedQ.Push(inst.k, inst.k)
 	c := l.ctx.Env().Counters()
 	c.ConsensusDecided.Add(1)
 	c.BatchedMsgs.Add(int64(len(batch)))
@@ -529,6 +536,7 @@ func (l *Layer) decideLocal(inst *instance, batch wire.Batch, r uint32) {
 	}
 	l.ctx.Emit(l.subscriber, stack.Event{Kind: stack.EvDecide, Instance: inst.k, Batch: batch})
 	l.prune()
+	trace.Raise(&c.InstancesRetained, len(l.insts))
 }
 
 // handleDecisionTag processes the reliably broadcast DECISION tag: decide
@@ -635,10 +643,8 @@ func (l *Layer) prune() {
 		return
 	}
 	cutoff := l.maxDecided - uint64(l.horizon)
-	for k, inst := range l.insts {
-		if inst.decided && k <= cutoff {
-			delete(l.insts, k)
-		}
+	for k, ok := l.decidedQ.Pop(cutoff); ok; k, ok = l.decidedQ.Pop(cutoff) {
+		delete(l.insts, k)
 	}
 }
 

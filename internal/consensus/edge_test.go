@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"math/rand"
 	"testing"
 
 	"modab/internal/stack"
@@ -119,5 +120,71 @@ func TestMessageRoundTrips(t *testing.T) {
 	}
 	if _, err := unmarshalMessage(nil); err == nil {
 		t.Fatal("empty message accepted")
+	}
+}
+
+// TestPruneRetainsWhatTheSweepDid decides instances out of order, four at
+// a time as a depth-4 pipeline lands them, with one instance left
+// undecided far below maxDecided, and after every message compares the
+// retained instances with the rule prune used to apply by sweeping the
+// whole map: once more than horizon instances are held, every decided one
+// at or below maxDecided-horizon goes; an undecided one never does.
+func TestPruneRetainsWhatTheSweepDid(t *testing.T) {
+	const (
+		horizon   = 16 // newHarness
+		depth     = 4
+		straggler = 5
+	)
+	h := newHarness(t, 3)
+	l, env := h.layers[1], h.envs[1]
+	ref := make(map[uint64]bool) // retained instance -> decided, by the old rule
+	receive := func(m message) {
+		t.Helper()
+		before := env.Cnt.ConsensusDecided.Load()
+		if err := h.stacks[1].Receive(0, append([]byte{byte(stack.TagConsensus)}, m.marshal()...)); err != nil {
+			t.Fatal(err)
+		}
+		for k := range l.insts {
+			ref[k] = false
+		}
+		for k := range ref {
+			ref[k] = l.decidedSet.Seen(k)
+		}
+		if env.Cnt.ConsensusDecided.Load() != before && len(ref) > horizon && l.maxDecided >= horizon {
+			for k, decided := range ref {
+				if decided && k <= l.maxDecided-horizon {
+					delete(ref, k)
+				}
+			}
+		}
+		if len(l.insts) != len(ref) {
+			t.Fatalf("after %+v: %d instances retained, the sweep kept %d", m, len(l.insts), len(ref))
+		}
+		for k, decided := range ref {
+			if inst := l.insts[k]; inst == nil || inst.decided != decided {
+				t.Fatalf("after %+v: instance %d (decided=%v) missing or wrong: %+v", m, k, decided, inst)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(4))
+	for base := uint64(0); base < 160; base += depth {
+		for _, i := range rng.Perm(depth) {
+			k := base + uint64(i) + 1
+			receive(message{Type: mtProposal, Instance: k, Round: 1, Batch: batchOf(0, k)})
+			if k != straggler {
+				receive(message{Type: mtDecisionFull, Instance: k, Round: 1, Batch: batchOf(0, k)})
+			}
+		}
+	}
+	if inst := l.insts[straggler]; inst == nil || inst.decided {
+		t.Fatalf("undecided instance %d below the horizon was retired: %+v", straggler, inst)
+	}
+	if got := env.Cnt.InstancesRetained.Load(); got < horizon || got > horizon+depth+1 {
+		t.Fatalf("InstancesRetained high-water mark = %d, want about the horizon %d", got, horizon)
+	}
+	// Once it decides it is at once behind the horizon, and goes.
+	receive(message{Type: mtDecisionFull, Instance: straggler, Round: 1, Batch: batchOf(0, straggler)})
+	if l.insts[straggler] != nil {
+		t.Fatal("late-decided instance behind the horizon stayed")
 	}
 }

@@ -1,6 +1,7 @@
 package monolithic
 
 import (
+	"math/rand"
 	"testing"
 
 	"modab/internal/engine"
@@ -235,4 +236,61 @@ func TestPayloadRepairThroughTail(t *testing.T) {
 		t.Fatalf("p2 after the repair: blocked %v, deliveries %v", r.engs[1].t.Blocked(), r.envs[1].Deliveries)
 	}
 	r.checkTotalOrder(t, 1)
+}
+
+// TestPruneRetainsWhatTheSweepDid lands full decisions at a follower out of
+// order, four at a time as a depth-4 pipeline does — so undecided
+// instances sit buffered above the watermark, and the window's head is
+// regularly the last to arrive — and after every message compares the
+// retained instances with the rule prune used to apply by sweeping the
+// whole map: a decided instance at or below decidedK-horizon goes, an
+// undecided one never does. (Decisions apply in instance order here, so
+// no undecided instance can fall below the watermark.)
+func TestPruneRetainsWhatTheSweepDid(t *testing.T) {
+	const (
+		horizon = 16
+		depth   = 4
+	)
+	cfg := engine.DefaultConfig(3)
+	cfg.IdleKick = 0
+	cfg.PipelineDepth = depth
+	cfg.DecisionHorizon = horizon
+	r := newRig(t, 3, cfg)
+	e := r.engs[1]
+	ref := make(map[uint64]bool) // retained instance, by the old rule
+	rng := rand.New(rand.NewSource(4))
+	for base := uint64(0); base < 160; base += depth {
+		for _, i := range rng.Perm(depth) {
+			k := base + uint64(i) + 1
+			full := message{Type: mDecisionFull, Instance: k, Round: 1,
+				Batch: wire.Batch{{ID: types.MsgID{Sender: 0, Seq: k}, Body: []byte{byte(k)}}}}
+			if err := e.HandleMessage(0, full.marshal()); err != nil {
+				t.Fatal(err)
+			}
+			for k := range e.insts {
+				ref[k] = true
+			}
+			if dk := e.decidedK(); dk > horizon {
+				for k := range ref {
+					if k <= dk-horizon { // at or below the watermark: decided
+						delete(ref, k)
+					}
+				}
+			}
+			if len(e.insts) != len(ref) {
+				t.Fatalf("after decision %d: %d instances retained, the sweep kept %d", k, len(e.insts), len(ref))
+			}
+			for k := range ref {
+				if in := e.insts[k]; in == nil || in.decided != (k <= e.decidedK()) {
+					t.Fatalf("after decision %d: instance %d missing or wrong: %+v", k, k, in)
+				}
+			}
+		}
+		if got := e.decidedK(); got != base+depth {
+			t.Fatalf("decidedK = %d after window %d", got, base/depth)
+		}
+	}
+	if got := r.envs[1].Cnt.InstancesRetained.Load(); got < horizon || got > horizon+depth {
+		t.Fatalf("InstancesRetained high-water mark = %d, want about the horizon %d", got, horizon)
+	}
 }

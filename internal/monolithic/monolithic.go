@@ -41,7 +41,9 @@ import (
 	"modab/internal/engine"
 	"modab/internal/member"
 	"modab/internal/obs"
+	"modab/internal/retire"
 	"modab/internal/tail"
+	"modab/internal/trace"
 	"modab/internal/types"
 	"modab/internal/wire"
 )
@@ -99,8 +101,10 @@ type Engine struct {
 	propIDs  map[uint64][]types.MsgID
 	propSent int64
 	// insts holds per-instance round state for undecided instances and
-	// recently decided ones (catch-up horizon).
-	insts map[uint64]*inst
+	// recently decided ones (catch-up horizon); decidedQ queues the latter
+	// in instance order for prune.
+	insts    map[uint64]*inst
+	decidedQ retire.Queue[uint64]
 	// lastProgress is when the last decision was processed (kick guard).
 	lastProgress time.Duration
 	// ringWantK is the highest instance known decided remotely whose
@@ -1285,6 +1289,7 @@ func (e *Engine) finalize(in *inst, batch wire.Batch, descs []wire.Descriptor, r
 	in.decision = batch
 	in.decisionRound = r
 	in.waitingRound = 0
+	e.decidedQ.Push(in.k, in.k)
 	e.t.Advance(in.k)
 	e.lastProgress = e.env.Now()
 	c := e.env.Counters()
@@ -1321,6 +1326,7 @@ func (e *Engine) finalize(in *inst, batch wire.Batch, descs []wire.Descriptor, r
 		e.advanceSuspected()
 	}
 	e.prune()
+	trace.Raise(&c.InstancesRetained, len(e.insts))
 	// Cascade: a decision announcement for the next instance may already
 	// be buffered (out-of-order recovery). An already-resolved full
 	// decision (digest ordering) takes precedence — it is applicable
@@ -1682,8 +1688,10 @@ func (e *Engine) prune() {
 		return
 	}
 	cutoff := e.decidedK() - h
-	for k, in := range e.insts {
-		if in.decided && k <= cutoff {
+	for k, ok := e.decidedQ.Pop(cutoff); ok; k, ok = e.decidedQ.Pop(cutoff) {
+		// A snapshot install may have dropped k since; an instance that
+		// came back undecided is not this record's to retire.
+		if in := e.insts[k]; in != nil && in.decided {
 			delete(e.insts, k)
 		}
 	}

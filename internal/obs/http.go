@@ -85,8 +85,8 @@ func WriteMetrics(w io.Writer, snap trace.Snapshot, rec *Recorder) {
 		}
 		name := "modab_" + snakeCase(f.Name)
 		kind := "counter"
-		if f.Name == "PipelineDepthObserved" {
-			kind = "gauge" // aggregates as a max, not a monotone sum
+		if trace.IsGauge(f.Name) {
+			kind = "gauge" // a high-water mark: aggregates as a max, not a sum
 		}
 		fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", name, kind, name, v.Field(i).Int())
 	}

@@ -16,6 +16,9 @@ func TestWriteMetricsPrometheusFormat(t *testing.T) {
 	c.MsgsSent.Add(3)
 	c.ADeliver.Add(7)
 	c.PipelineDepthObserved.Store(4)
+	trace.Raise(&c.PayloadStoreMsgs, 96)
+	trace.Raise(&c.PayloadStoreMsgs, 64) // a high-water mark only rises
+	trace.Raise(&c.InstancesRetained, 130)
 	r := NewRecorder(Config{})
 	r.Deliver.Observe(time.Millisecond)
 	r.Deliver.Observe(2 * time.Millisecond)
@@ -28,6 +31,10 @@ func TestWriteMetricsPrometheusFormat(t *testing.T) {
 		"# TYPE modab_msgs_sent counter\nmodab_msgs_sent 3\n",
 		"# TYPE modab_a_deliver counter\nmodab_a_deliver 7\n",
 		"# TYPE modab_pipeline_depth_observed gauge\nmodab_pipeline_depth_observed 4\n",
+		"# TYPE modab_payload_store_msgs gauge\nmodab_payload_store_msgs 96\n",
+		"# TYPE modab_payload_store_bytes gauge\nmodab_payload_store_bytes 0\n",
+		"# TYPE modab_descriptors_retained gauge\nmodab_descriptors_retained 0\n",
+		"# TYPE modab_instances_retained gauge\nmodab_instances_retained 130\n",
 		"# TYPE modab_deliver_latency_seconds histogram\n",
 		`modab_deliver_latency_seconds_bucket{le="+Inf"} 2`,
 		"modab_deliver_latency_seconds_sum 0.003\n",

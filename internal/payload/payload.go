@@ -12,7 +12,8 @@
 //   - PruneBelow(cutoff) drops delivered entries whose instance fell
 //     behind the engine's decision retention horizon — until then they
 //     remain servable to lagging peers through the payload-fetch repair
-//     path, mirroring how decided instances themselves are retained.
+//     path, mirroring how decided instances themselves are retained. It
+//     walks the ranges stamped at or below the cutoff, not the resident set.
 //
 // The store is bounded without its own eviction policy: undelivered
 // entries are capped by the per-origin flow-control windows (an origin
@@ -25,6 +26,7 @@
 package payload
 
 import (
+	"modab/internal/retire"
 	"modab/internal/types"
 	"modab/internal/wire"
 )
@@ -39,8 +41,10 @@ type entry struct {
 // Store indexes resident payload messages by (origin, application seq).
 type Store struct {
 	byOrigin map[types.ProcessID]map[uint64]entry
-	bytes    int
-	count    int
+	// delivered queues each stamped range under its instance, for PruneBelow.
+	delivered retire.Queue[wire.Descriptor]
+	bytes     int
+	count     int
 }
 
 // NewStore returns an empty store.
@@ -133,6 +137,7 @@ func (s *Store) MarkDelivered(d wire.Descriptor, k uint64) {
 			seqs[seq] = e
 		}
 	}
+	s.delivered.Push(k, d)
 }
 
 // RetireOrigin drops every undelivered entry of the given origin,
@@ -162,18 +167,22 @@ func (s *Store) RetireOrigin(origin types.ProcessID) int {
 
 // PruneBelow drops every delivered entry whose delivery instance is at or
 // below cutoff. Undelivered entries are never pruned — they are bounded by
-// the origins' flow windows and still needed for delivery.
+// the origins' flow windows and still needed for delivery; an entry of a
+// retired range that was put again since, or stamped by a later
+// overlapping descriptor, is skipped here and leaves with that stamp.
 func (s *Store) PruneBelow(cutoff uint64) {
-	for origin, seqs := range s.byOrigin {
-		for seq, e := range seqs {
-			if e.deliveredAt != 0 && e.deliveredAt <= cutoff {
+	for d, ok := s.delivered.Pop(cutoff); ok; d, ok = s.delivered.Pop(cutoff) {
+		seqs := s.byOrigin[d.Origin]
+		for i := uint32(0); i < d.Count; i++ {
+			seq := d.FirstSeq + uint64(i)
+			if e, ok := seqs[seq]; ok && e.deliveredAt != 0 && e.deliveredAt <= cutoff {
 				delete(seqs, seq)
 				s.bytes -= len(e.msg.Body)
 				s.count--
 			}
 		}
 		if len(seqs) == 0 {
-			delete(s.byOrigin, origin)
+			delete(s.byOrigin, d.Origin)
 		}
 	}
 }

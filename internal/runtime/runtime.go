@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"modab/internal/engine"
@@ -142,11 +143,13 @@ type Node struct {
 	mu     sync.Mutex
 	closed bool
 
-	// winMu guards winCh, which is closed and replaced each time one of
-	// this node's own messages is adelivered — a broadcast that wakes every
-	// Abcast call blocked on flow control so it can retry.
-	winMu sync.Mutex
-	winCh chan struct{}
+	// The flow-control wakeup. winSeq counts the adeliveries of this node's
+	// own messages (written under winMu); winCh exists only while an Abcast
+	// is parked on a full window, and the next such adelivery closes it — a
+	// broadcast that wakes every parked call so it can retry.
+	winMu  sync.Mutex
+	winSeq atomic.Uint64
+	winCh  chan struct{}
 }
 
 // NewNode builds and starts a node: the engine starts, the transport
@@ -175,7 +178,6 @@ func NewNode(opts Options) (*Node, error) {
 		loop:    make(chan func(), 1024),
 		quit:    make(chan struct{}),
 		stopped: make(chan struct{}),
-		winCh:   make(chan struct{}),
 	}
 	n.env = &nodeEnv{node: n, start: time.Now(), timers: make(map[engine.TimerID]*timerState)}
 	opts.Engine.Obs = opts.Obs
@@ -392,16 +394,20 @@ func (n *Node) Abcast(ctx context.Context, body []byte) (types.MsgID, error) {
 		if err := ctx.Err(); err != nil {
 			return types.MsgID{}, err
 		}
-		// Capture the wakeup channel before trying: a delivery between the
-		// failed try and the wait then shows up as an already-closed
-		// channel, so no wakeup is ever lost.
-		wait := n.windowChanged()
+		// Read the own-delivery count before trying: a delivery between the
+		// failed try and the wait then shows up as a moved count, so no
+		// wakeup is ever lost.
+		seq := n.winSeq.Load()
 		id, err, ok := n.submit(body, ctx.Done())
 		if !ok {
 			return types.MsgID{}, ctx.Err()
 		}
 		if !errors.Is(err, types.ErrFlowControl) {
 			return id, err
+		}
+		wait := n.windowWait(seq)
+		if wait == nil {
+			continue // the window already moved
 		}
 		select {
 		case <-wait:
@@ -413,20 +419,30 @@ func (n *Node) Abcast(ctx context.Context, body []byte) (types.MsgID, error) {
 	}
 }
 
-// windowChanged returns a channel that is closed the next time one of
-// this node's own messages is adelivered (i.e. the flow-control window
-// may have room again).
-func (n *Node) windowChanged() <-chan struct{} {
+// windowWait registers a parked Abcast: the returned channel is closed the
+// next time one of this node's own messages is adelivered (the flow-control
+// window may have room again). It is nil if that already happened since the
+// caller read seq.
+func (n *Node) windowWait(seq uint64) <-chan struct{} {
 	n.winMu.Lock()
 	defer n.winMu.Unlock()
+	if n.winSeq.Load() != seq {
+		return nil
+	}
+	if n.winCh == nil {
+		n.winCh = make(chan struct{})
+	}
 	return n.winCh
 }
 
-// windowPulse broadcasts a window change to every blocked Abcast.
+// windowPulse records an own adelivery and wakes every parked Abcast.
 func (n *Node) windowPulse() {
 	n.winMu.Lock()
-	close(n.winCh)
-	n.winCh = make(chan struct{})
+	n.winSeq.Add(1)
+	if n.winCh != nil {
+		close(n.winCh)
+		n.winCh = nil
+	}
 	n.winMu.Unlock()
 }
 
@@ -555,10 +571,14 @@ func (n *Node) shutdownLoop() {
 	n.wg.Wait()
 }
 
-// timerState tracks one armed timer.
+// timerState is one engine timer: a single time.Timer re-armed in place,
+// and the deadline of its current arming (zero: none). The timer only
+// queues expire on the loop, where the engine's SetTimer and CancelTimer
+// run too: a fire that raced a re-arm or a cancel finds the deadline moved
+// or cleared there, and is dropped.
 type timerState struct {
-	gen   uint64
-	timer *time.Timer
+	timer    *time.Timer
+	deadline time.Time
 }
 
 // nodeEnv implements engine.Env on real time.
@@ -602,31 +622,33 @@ func (e *nodeEnv) SetTimer(id engine.TimerID, d time.Duration) {
 		st = &timerState{}
 		e.timers[id] = st
 	}
-	st.gen++
-	gen := st.gen
-	if st.timer != nil {
-		st.timer.Stop()
+	st.deadline = time.Now().Add(d) // before arming: the fire is never earlier
+	if st.timer == nil {
+		st.timer = time.AfterFunc(d, func() { e.node.post(func() { e.expire(id, st) }) })
+	} else {
+		st.timer.Reset(d)
 	}
-	st.timer = time.AfterFunc(d, func() {
-		e.node.post(func() {
-			e.mu.Lock()
-			live := e.timers[id] != nil && e.timers[id].gen == gen
-			e.mu.Unlock()
-			if live {
-				e.node.eng.HandleTimer(id)
-			}
-		})
-	})
+}
+
+// expire hands a fire to the engine if it is the current arming's.
+func (e *nodeEnv) expire(id engine.TimerID, st *timerState) {
+	e.mu.Lock()
+	live := !st.deadline.IsZero() && !time.Now().Before(st.deadline)
+	if live {
+		st.deadline = time.Time{}
+	}
+	e.mu.Unlock()
+	if live {
+		e.node.eng.HandleTimer(id)
+	}
 }
 
 func (e *nodeEnv) CancelTimer(id engine.TimerID) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if st := e.timers[id]; st != nil {
-		st.gen++
-		if st.timer != nil {
-			st.timer.Stop()
-		}
+		st.deadline = time.Time{}
+		st.timer.Stop()
 	}
 }
 
@@ -634,10 +656,8 @@ func (e *nodeEnv) stopTimers() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, st := range e.timers {
-		st.gen++
-		if st.timer != nil {
-			st.timer.Stop()
-		}
+		st.deadline = time.Time{}
+		st.timer.Stop()
 	}
 }
 

@@ -88,7 +88,9 @@ func (t *Tail) settled(m wire.AppMsg, at uint64) bool {
 
 // markDone records d as decided at k; its payload's retention starts.
 func (t *Tail) markDone(d wire.Descriptor, k uint64) {
-	t.descDone[types.MsgID{Sender: d.Origin, Seq: d.DSeq}] = k
+	id := types.MsgID{Sender: d.Origin, Seq: d.DSeq}
+	t.descDone[id] = k
+	t.doneAt.Push(k, id)
 	t.Store.MarkDelivered(d, k)
 }
 

@@ -27,6 +27,8 @@ import (
 	"modab/internal/obs"
 	"modab/internal/payload"
 	"modab/internal/recovery"
+	"modab/internal/retire"
+	"modab/internal/trace"
 	"modab/internal/types"
 	"modab/internal/wire"
 )
@@ -105,12 +107,14 @@ type Tail struct {
 
 	// Digest ordering: nextDSeq mints incarnation-tagged descriptor
 	// sequence numbers; descDone maps decided descriptors (pseudo ID) to
-	// their instance until the horizon prunes them — pseudo IDs alias real
-	// message IDs at incarnation 0, so Delivered must never stand in for it.
+	// their instance until the horizon prunes them (doneAt queues them in
+	// instance order for that) — pseudo IDs alias real message IDs at
+	// incarnation 0, so Delivered must never stand in for it.
 	// blocked is the payload wait of the head decision (instance next),
 	// timed from blockedAt; fetchFrom is the refetch cursor, kept across waits.
 	nextDSeq  uint64
 	descDone  map[types.MsgID]uint64
+	doneAt    retire.Queue[types.MsgID]
 	blocked   bool
 	blockedAt time.Duration
 	fetchFrom types.ProcessID
@@ -234,15 +238,21 @@ func (t *Tail) Commit(k uint64, batch wire.Batch, descs []wire.Descriptor) {
 		t.retireOrigin(origin) // k was the last old-view instance
 	}
 	delete(t.retires, k+1)
+	if !t.cfg.DigestOrdering {
+		return
+	}
 	// Behind the retention horizon nothing is a servable repair target.
-	if h := uint64(t.cfg.DecisionHorizon); t.cfg.DigestOrdering && h > 0 && k > h {
+	if h := uint64(t.cfg.DecisionHorizon); h > 0 && k > h {
 		t.Store.PruneBelow(k - h)
-		for id, dk := range t.descDone {
-			if dk <= k-h {
+		for id, ok := t.doneAt.Pop(k - h); ok; id, ok = t.doneAt.Pop(k - h) {
+			if t.descDone[id] <= k-h { // not re-marked at a later instance
 				delete(t.descDone, id)
 			}
 		}
 	}
+	trace.Raise(&c.PayloadStoreMsgs, t.Store.Len())
+	trace.Raise(&c.PayloadStoreBytes, t.Store.Bytes())
+	trace.Raise(&c.DescriptorsRetained, len(t.descDone))
 }
 
 // ReplayViews hands every non-boot view (a joiner's seed, views rebuilt

@@ -67,8 +67,8 @@ func TestSnapshotCoversEveryCounter(t *testing.T) {
 }
 
 // TestAddCoversEveryCounter checks the third mirror: Snapshot.Add must
-// accumulate every field — as a sum, except the pipeline-depth
-// high-water mark, which aggregates as a max.
+// accumulate every field — as a sum, except the high-water marks
+// (IsGauge), which aggregate as a max.
 func TestAddCoversEveryCounter(t *testing.T) {
 	names := counterFieldNames(t)
 
@@ -83,7 +83,7 @@ func TestAddCoversEveryCounter(t *testing.T) {
 	tv := reflect.ValueOf(total)
 	for i, n := range names {
 		want := int64(2 * (i + 1))
-		if n == "PipelineDepthObserved" {
+		if IsGauge(n) {
 			want = int64(i + 1) // max of two equal observations
 		}
 		if got := tv.FieldByName(n).Int(); got != want {

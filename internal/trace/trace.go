@@ -146,7 +146,31 @@ type Counters struct {
 	// a membership remove boundary: announced batches of a removed origin
 	// that no surviving proposal will ever order (digest ordering only).
 	PayloadsRetired atomic.Int64
+	// PayloadStoreMsgs, PayloadStoreBytes, DescriptorsRetained and
+	// InstancesRetained are high-water marks of what horizon retention
+	// keeps in memory, sampled at every commit: the payload store's
+	// resident messages and body bytes and the tail's decided-descriptor
+	// set (digest ordering only), and the engine's instance map. Each
+	// stays under DecisionHorizon × batch + n × window by construction
+	// (package payload); a value climbing past that is a retention leak.
+	PayloadStoreMsgs    atomic.Int64
+	PayloadStoreBytes   atomic.Int64
+	DescriptorsRetained atomic.Int64
+	InstancesRetained   atomic.Int64
 }
+
+// gauges names the counters that are high-water marks: they aggregate as
+// a max, not a sum, and export as Prometheus gauges.
+var gauges = map[string]bool{
+	"PipelineDepthObserved": true,
+	"PayloadStoreMsgs":      true,
+	"PayloadStoreBytes":     true,
+	"DescriptorsRetained":   true,
+	"InstancesRetained":     true,
+}
+
+// IsGauge reports whether the named counter is a high-water mark.
+func IsGauge(name string) bool { return gauges[name] }
 
 // Snapshot is an immutable copy of the counters at one instant.
 type Snapshot struct {
@@ -188,6 +212,10 @@ type Snapshot struct {
 	PayloadFetchNanos     int64
 	ConfigChanges         int64
 	PayloadsRetired       int64
+	PayloadStoreMsgs      int64
+	PayloadStoreBytes     int64
+	DescriptorsRetained   int64
+	InstancesRetained     int64
 }
 
 // Snapshot returns a consistent-enough copy for reporting (each field is
@@ -233,6 +261,10 @@ func (c *Counters) Snapshot() Snapshot {
 		PayloadFetchNanos:     c.PayloadFetchNanos.Load(),
 		ConfigChanges:         c.ConfigChanges.Load(),
 		PayloadsRetired:       c.PayloadsRetired.Load(),
+		PayloadStoreMsgs:      c.PayloadStoreMsgs.Load(),
+		PayloadStoreBytes:     c.PayloadStoreBytes.Load(),
+		DescriptorsRetained:   c.DescriptorsRetained.Load(),
+		InstancesRetained:     c.InstancesRetained.Load(),
 	}
 }
 
@@ -254,11 +286,13 @@ func (s *Snapshot) Add(o Snapshot) {
 	s.SenderBatchedMsgs += o.SenderBatchedMsgs
 	s.ConcurrentInstances += o.ConcurrentInstances
 	s.PipelineProposals += o.PipelineProposals
-	if o.PipelineDepthObserved > s.PipelineDepthObserved {
-		// The high-water mark aggregates as a max, not a sum: the group-wide
-		// value is the deepest pipeline any process ran.
-		s.PipelineDepthObserved = o.PipelineDepthObserved
-	}
+	// High-water marks aggregate as a max, not a sum: the group-wide value
+	// is the deepest pipeline any process ran, the most any process retained.
+	s.PipelineDepthObserved = max(s.PipelineDepthObserved, o.PipelineDepthObserved)
+	s.PayloadStoreMsgs = max(s.PayloadStoreMsgs, o.PayloadStoreMsgs)
+	s.PayloadStoreBytes = max(s.PayloadStoreBytes, o.PayloadStoreBytes)
+	s.DescriptorsRetained = max(s.DescriptorsRetained, o.DescriptorsRetained)
+	s.InstancesRetained = max(s.InstancesRetained, o.InstancesRetained)
 	s.Retransmissions += o.Retransmissions
 	s.StreamDropped += o.StreamDropped
 	s.Recoveries += o.Recoveries
@@ -318,18 +352,18 @@ func (s Snapshot) MsgsPerSenderBatch() float64 {
 
 // ObserveDepth records one pipeline-depth sample at proposal time: depth
 // accumulates into ConcurrentInstances and raises the
-// PipelineDepthObserved high-water mark. Engines call it from their
-// single-threaded event loop; the CAS loop only defends against harness
-// reads racing the update.
+// PipelineDepthObserved high-water mark.
 func (c *Counters) ObserveDepth(depth int) {
-	d := int64(depth)
-	c.ConcurrentInstances.Add(d)
+	c.ConcurrentInstances.Add(int64(depth))
 	c.PipelineProposals.Add(1)
-	for {
-		cur := c.PipelineDepthObserved.Load()
-		if cur >= d || c.PipelineDepthObserved.CompareAndSwap(cur, d) {
-			return
-		}
+	Raise(&c.PipelineDepthObserved, depth)
+}
+
+// Raise lifts high-water mark g to v if v is higher. Each mark has one
+// writer, its engine's single-threaded event loop; harnesses only read.
+func Raise(g *atomic.Int64, v int) {
+	if int64(v) > g.Load() {
+		g.Store(int64(v))
 	}
 }
 

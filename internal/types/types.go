@@ -8,6 +8,7 @@
 package types
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -39,15 +40,18 @@ type MsgID struct {
 // String implements fmt.Stringer.
 func (id MsgID) String() string { return fmt.Sprintf("%s#%d", id.Sender, id.Seq) }
 
-// Less orders MsgIDs first by sender then by sequence number. It is the
+// Compare orders MsgIDs first by sender then by sequence number. It is the
 // deterministic order in which a decided batch is adelivered (§3.3: "in
 // some deterministic order", consistent everywhere).
-func (id MsgID) Less(other MsgID) bool {
-	if id.Sender != other.Sender {
-		return id.Sender < other.Sender
+func (id MsgID) Compare(other MsgID) int {
+	if c := cmp.Compare(id.Sender, other.Sender); c != 0 {
+		return c
 	}
-	return id.Seq < other.Seq
+	return cmp.Compare(id.Seq, other.Seq)
 }
+
+// Less reports whether id sorts before other under Compare.
+func (id MsgID) Less(other MsgID) bool { return id.Compare(other) < 0 }
 
 // Stack selects one of the two implementations under study.
 type Stack int
