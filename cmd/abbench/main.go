@@ -1,233 +1,77 @@
 // Command abbench regenerates the evaluation of "On the Cost of
-// Modularity in Atomic Broadcast" (DSN 2007): Figures 8-11 as parameter
-// sweeps over the deterministic simulator, plus the §5.2 analytical
-// tables.
+// Modularity in Atomic Broadcast" (DSN 2007) on the deterministic
+// simulator: the §5.2 tables, Figures 8-11 and the post-paper sweeps,
+// every one a declaration in internal/benchharness's registry.
 //
 // Usage:
 //
-//	abbench -fig all                # every figure (several minutes)
-//	abbench -fig 8                  # one figure
-//	abbench -fig recovery           # crash-recovery cost comparison
-//	abbench -fig pipeline           # consensus pipelining sweep (W = 1..16)
-//	abbench -fig chaos              # property-checked fault-schedule soak
-//	abbench -fig kv                 # replicated KV service: ops/s + submit→applied
-//	abbench -fig ring               # dissemination topology: all-to-all vs ring relay
-//	abbench -fig digest             # digest ordering: payload vs descriptor consensus
-//	abbench -fig membership         # dynamic membership: rolling replace under load
-//	abbench -analytical             # §5.2 closed-form tables only
-//	abbench -fig 10 -reps 5 -measure 8s
-//	abbench -fig 11 -batch-msgs 32  # sender-side batching enabled
-//	abbench -fig 10 -pipeline 8     # 8 instances in flight in every engine
-//	abbench -fig all -json BENCH_$(date +%Y%m%d).json
+//	abbench -fig all                     # every registered figure (minutes)
+//	abbench -fig 10 -reps 5 -measure 8s  # one figure
+//	abbench -fig all -json report.json   # also write the report
+//	abbench -trace-sample 64             # sampled message lifecycles instead
 //
-// With -batch-msgs >= 1 every measured engine runs sender-side batching
-// (see modab.WithBatching); the msgs/batch and hdrB/msg columns then show
-// how amortization closes the modular-vs-monolithic overhead gap. With
-// -pipeline >= 2 every measured engine keeps that many consensus
-// instances in flight (see modab.WithPipelining).
-//
-// -fig recovery runs the scenario the paper never covered: a node of a
-// loaded, durable cluster crashes and restarts, and the table compares
-// what recovery costs each stack (replayed and fetched messages, catch-up
-// latency). -fig pipeline sweeps the pipeline window W over both stacks
-// at n=3/64 B saturating load on the metro cost model (modern CPUs, 1 ms
-// links — the latency-bound regime pipelining reclaims), with throughput
-// and adeliver-latency columns per depth. -fig chaos runs seeded
-// randomized fault schedules (partitions, lossy links, wrong suspicions,
-// crash+restart) through internal/chaos with every atomic broadcast
-// property checked per run, and tables the injected fault volume against
-// each stack's repair cost; any property violation fails the run.
-// -fig kv measures the replicated key/value service end to end: applied
-// ops/s and the submit→applied latency distribution (mean and p99) each
-// stack's ordering layer puts in front of the state machine, with
-// snapshotting and WAL truncation active.
-// -fig ring sweeps both stacks under both dissemination topologies
-// (all-to-all vs ring relay, see modab.WithDissemination) over growing
-// group sizes with large payloads at saturating load on the metro model,
-// with per-process egress-bytes columns — the coordinator-NIC bottleneck
-// experiment. -dissem ring retargets the standard figures instead.
-// -fig digest sweeps both stacks with digest ordering off and on (n=5,
-// 64 B messages, 1000-message sender batches, saturating load on a
-// payload-bound model), with ordering-path vs dissemination-path bytes
-// per message — the split that stops consensus traffic from scaling with
-// payload size (see modab.WithDigestOrdering). -digest retargets the
-// standard figures instead.
-// -fig membership measures dynamic membership end to end: a 3-process
-// cluster under load rolling-replaces its entire boot group (join a
-// fresh process, let it catch up through state transfer, retire an old
-// one — three times inside the measurement window, every config change
-// riding the total order), and the table compares the ordered-throughput
-// dip against a steady-membership control run plus each joiner's
-// catch-up latency per stack.
-// -trace-sample k dumps the observability layer's sampled message
-// lifecycle timelines instead of a figure: a short run of each stack with
-// 1-in-k tracing, printing each sampled message's stage history
-// (accept → seal → propose → decide → adeliver → apply) in virtual time —
-// deterministic for a given -seed.
-// -json additionally writes every
-// produced figure as a machine-readable report (schema modab-bench/v4)
-// for performance trajectory tracking.
+// An unknown -fig is an error that lists the registered ids. Each figure
+// and the report shape are described in docs/BENCHMARKS.md.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"time"
 
-	"modab/internal/batch"
 	"modab/internal/benchharness"
-	"modab/internal/dissem"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "abbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("abbench", flag.ContinueOnError)
 	var (
-		fig        = flag.String("fig", "all", `figure to regenerate: "8", "9", "10", "11", "recovery", "pipeline", "chaos", "kv", "ring", "digest", "membership" or "all"`)
-		analytical = flag.Bool("analytical", false, "print the §5.2 analytical tables and exit")
-		reps       = flag.Int("reps", 3, "repetitions per point (95% CIs are computed across them)")
-		warmup     = flag.Duration("warmup", 2*time.Second, "virtual warm-up before measuring")
-		measure    = flag.Duration("measure", 4*time.Second, "virtual measurement window")
-		seed       = flag.Int64("seed", 42, "base simulation seed")
-		batchMsgs  = flag.Int("batch-msgs", 0, "sender-side batching: messages per batch (0 = disabled)")
-		batchBytes = flag.Int("batch-bytes", 0, "sender-side batching: encoded bytes per batch (0 = no byte cap)")
-		batchDelay = flag.Duration("batch-delay", 2*time.Millisecond, "sender-side batching: flush delay for undersized batches")
-		pipeline   = flag.Int("pipeline", 0, "consensus pipeline window W for the standard figures (0/1 = sequential)")
-		dissemArg  = flag.String("dissem", "", `payload dissemination for the standard figures: "all-to-all" (default) or "ring"`)
-		digest     = flag.Bool("digest", false, "digest ordering for the standard figures: disseminate payloads once, order descriptors")
-		jsonPath   = flag.String("json", "", "also write the produced figures as a machine-readable report to this path")
-		traceK     = flag.Uint64("trace-sample", 0, "dump sampled message lifecycle timelines (1 in k messages) from a short run of each stack and exit; k=1 traces everything")
+		fig      = fs.String("fig", "all", "figure to regenerate: "+strings.Join(benchharness.IDs(), ", ")+" or all")
+		reps     = fs.Int("reps", 3, "repetitions per point (95% CIs are computed across them)")
+		warmup   = fs.Duration("warmup", 2*time.Second, "virtual warm-up before measuring")
+		measure  = fs.Duration("measure", 4*time.Second, "virtual measurement window")
+		seed     = fs.Int64("seed", 42, "base simulation seed")
+		jsonPath = fs.String("json", "", "also write the produced figures as a machine-readable report to this path")
+		traceK   = fs.Uint64("trace-sample", 0, "dump sampled message lifecycle timelines (1 in k messages) from a short run of each stack and exit; k=1 traces everything")
 	)
-	flag.Parse()
-
-	if *analytical {
-		benchharness.RenderAnalytical(os.Stdout, 4, 16384)
-		return nil
-	}
-
-	dissemStrategy, err := dissem.ParseStrategy(*dissemArg)
-	if err != nil {
-		return fmt.Errorf("-dissem %q: %w", *dissemArg, err)
-	}
-	opts := benchharness.RunOptions{
-		Warmup:        *warmup,
-		Measure:       *measure,
-		Repetitions:   *reps,
-		Seed:          *seed,
-		Batch:         batch.Config{MaxMsgs: *batchMsgs, MaxBytes: *batchBytes, MaxDelay: *batchDelay},
-		Pipeline:      *pipeline,
-		Dissemination: dissemStrategy,
-		Digest:        *digest,
-	}
-	if err := opts.Batch.Validate(); err != nil {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
 		return err
 	}
 	if *traceK > 0 {
-		for _, stk := range benchharness.Stacks {
-			ts, err := benchharness.RunTraceSample(stk, *traceK, opts)
-			if err != nil {
-				return fmt.Errorf("trace sample (%s): %w", stk, err)
-			}
-			benchharness.RenderTraceSample(os.Stdout, ts)
-		}
-		return nil
+		return benchharness.TraceSample(out, *traceK, *seed)
 	}
-	type gen func(benchharness.RunOptions) (benchharness.Figure, error)
-	figures := map[string]gen{
-		"8":  benchharness.Fig8,
-		"9":  benchharness.Fig9,
-		"10": benchharness.Fig10,
-		"11": benchharness.Fig11,
+	decls, err := benchharness.Select(*fig)
+	if err != nil {
+		return err
 	}
-	order := []string{"8", "9", "10", "11"}
-
-	benchharness.RenderAnalytical(os.Stdout, 4, 16384)
+	opts := benchharness.RunOptions{Warmup: *warmup, Measure: *measure, Repetitions: *reps, Seed: *seed}
 	var produced []benchharness.Figure
-	for _, id := range order {
-		if *fig != "all" && *fig != id {
-			continue
-		}
-		f, err := figures[id](opts)
+	for _, d := range decls {
+		f, err := d.Build(opts)
 		if err != nil {
-			return fmt.Errorf("figure %s: %w", id, err)
-		}
-		benchharness.Render(os.Stdout, f)
-		produced = append(produced, f)
-	}
-	var recFig *benchharness.RecoveryFigure
-	if *fig == "all" || *fig == "recovery" {
-		rf, err := benchharness.FigRecovery(opts)
-		if err != nil {
-			return fmt.Errorf("figure recovery: %w", err)
-		}
-		benchharness.RenderRecovery(os.Stdout, rf)
-		recFig = &rf
-	}
-	var pipeFig *benchharness.PipelineFigure
-	if *fig == "all" || *fig == "pipeline" {
-		pf, err := benchharness.FigPipeline(opts)
-		if err != nil {
-			return fmt.Errorf("figure pipeline: %w", err)
-		}
-		benchharness.RenderPipeline(os.Stdout, pf)
-		pipeFig = &pf
-	}
-	var chaosFig *benchharness.ChaosFigure
-	if *fig == "all" || *fig == "chaos" {
-		cf, err := benchharness.FigChaos(opts)
-		if err != nil {
-			return fmt.Errorf("figure chaos: %w", err)
-		}
-		benchharness.RenderChaos(os.Stdout, cf)
-		chaosFig = &cf
-	}
-	var kvFig *benchharness.KVFigure
-	if *fig == "all" || *fig == "kv" {
-		kf, err := benchharness.FigKV(opts)
-		if err != nil {
-			return fmt.Errorf("figure kv: %w", err)
-		}
-		benchharness.RenderKV(os.Stdout, kf)
-		kvFig = &kf
-	}
-	var ringFig *benchharness.RingFigure
-	if *fig == "all" || *fig == "ring" {
-		rf, err := benchharness.FigRing(opts)
-		if err != nil {
-			return fmt.Errorf("figure ring: %w", err)
-		}
-		benchharness.RenderRing(os.Stdout, rf)
-		ringFig = &rf
-	}
-	var digFig *benchharness.DigestFigure
-	if *fig == "all" || *fig == "digest" {
-		df, err := benchharness.FigDigest(opts)
-		if err != nil {
-			return fmt.Errorf("figure digest: %w", err)
-		}
-		benchharness.RenderDigest(os.Stdout, df)
-		digFig = &df
-	}
-	var memFig *benchharness.MembershipFigure
-	if *fig == "all" || *fig == "membership" {
-		mf, err := benchharness.FigMembership(opts)
-		if err != nil {
-			return fmt.Errorf("figure membership: %w", err)
-		}
-		benchharness.RenderMembership(os.Stdout, mf)
-		memFig = &mf
-	}
-	if *jsonPath != "" {
-		if err := benchharness.WriteJSON(*jsonPath, benchharness.NewReport(opts, produced, recFig, pipeFig, chaosFig, kvFig, ringFig, digFig, memFig)); err != nil {
 			return err
 		}
-		fmt.Printf("machine-readable report written to %s\n", *jsonPath)
+		benchharness.Render(out, f)
+		produced = append(produced, f)
+	}
+	if *jsonPath != "" {
+		if err := benchharness.WriteJSON(*jsonPath, opts, produced); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "machine-readable report written to %s\n", *jsonPath)
 	}
 	return nil
 }

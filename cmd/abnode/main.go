@@ -84,6 +84,15 @@ import (
 	"modab/internal/trace"
 )
 
+// deliveryOptions are the options of abnode's own delivery subscription:
+// -dropslow selects the drop overflow policy, the default backpressures.
+func deliveryOptions(dropslow bool) []modab.StreamOption {
+	if dropslow {
+		return []modab.StreamOption{modab.StreamOverflow(modab.OverflowDrop)}
+	}
+	return nil
+}
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "abnode:", err)
@@ -148,9 +157,6 @@ func run() error {
 			return fmt.Errorf("-sponsor must name another peer (got %d)", *sponsor)
 		}
 		opts = append(opts, modab.WithJoin(*bootN))
-	}
-	if *dropslow {
-		opts = append(opts, modab.WithDeliveryOverflow(modab.OverflowDrop))
 	}
 	bcfg := modab.BatchConfig{MaxMsgs: *batchMsgs, MaxBytes: *batchBytes, MaxDelay: *batchDelay}
 	if err := bcfg.Validate(); err != nil {
@@ -264,7 +270,7 @@ func run() error {
 		t0s       = map[modab.MsgID]time.Time{}
 		lat       stats.Series
 	)
-	sub := cluster.Deliveries()
+	sub := cluster.Deliveries(deliveryOptions(*dropslow)...)
 	var consumerWG sync.WaitGroup
 	consumerWG.Add(1)
 	go func() {

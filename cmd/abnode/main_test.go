@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -13,6 +14,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"modab"
 )
 
 // abnodeBuild holds the one abnode binary the exec tests share.
@@ -662,5 +665,36 @@ func TestAbnodeGracefulSignal(t *testing.T) {
 	}
 	if !strings.Contains(out2.String(), "recoveries=1") {
 		t.Errorf("rerun did not recover from the WAL:\n%s", out2.String())
+	}
+}
+
+// TestDropslowReachesSubscription: -dropslow is an option of abnode's own
+// delivery subscription. An undrained one-slot subscription built from
+// deliveryOptions(true) must shed deliveries (counted in StreamDropped)
+// while the protocol keeps ordering, instead of backpressuring it.
+func TestDropslowReachesSubscription(t *testing.T) {
+	if opts := deliveryOptions(false); len(opts) != 0 {
+		t.Fatalf("default subscription carries %d options", len(opts))
+	}
+	cluster, err := modab.New(3, modab.Modular, modab.WithSimulation(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	sub := cluster.Deliveries(append(deliveryOptions(true), modab.StreamBuffer(1))...)
+	defer sub.Close()
+	const msgs = 8
+	for i := 0; i < msgs; i++ {
+		if _, err := cluster.Abcast(context.Background(), 0, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cluster.Sim().RunIdle(5 * time.Second)
+	stats := cluster.Stats().Total
+	if stats.ADeliver != 3*msgs {
+		t.Fatalf("adelivered %d, want %d", stats.ADeliver, 3*msgs)
+	}
+	if stats.StreamDropped == 0 {
+		t.Fatal("an undrained drop-policy subscription dropped nothing")
 	}
 }

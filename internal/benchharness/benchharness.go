@@ -1,310 +1,220 @@
-// Package benchharness regenerates the paper's evaluation (§5.3): the
-// four experimental figures (8-11) as parameter sweeps over the
-// deterministic simulator, and the §5.2 analytical tables. cmd/abbench
-// and the root bench_test.go are thin wrappers over this package.
+// Package benchharness regenerates the evaluation on the deterministic
+// simulator: the paper's §5.2 tables and §5.3 figures (8-11) and the
+// post-paper sweeps (batching, ablations, pipelining, ring dissemination,
+// digest ordering, membership churn, chaos soak). Every figure is a Decl
+// in one registry — a scenario sweep plus the columns it reads off each
+// Sample — built by one runner (run), rendered by one text renderer
+// (Render) and written in one JSON shape (Report). cmd/abbench and the
+// tests walk the registry; adding a figure is adding a registry entry.
 package benchharness
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"slices"
+	"strconv"
+	"strings"
+	"text/tabwriter"
 	"time"
-
-	"modab/internal/analytical"
-	"modab/internal/batch"
-	"modab/internal/dissem"
-	"modab/internal/engine"
-	"modab/internal/netsim"
-	"modab/internal/stats"
-	"modab/internal/types"
 )
 
-// Point is one measured configuration.
-type Point struct {
-	N           int
-	Stack       types.Stack
-	OfferedLoad float64 // msgs/s, global
-	Size        int     // bytes
-
-	LatencyMs    float64 // mean early latency
-	LatencyCI    float64 // 95% CI half-width (ms), across repetitions
-	Throughput   float64 // msgs/s (paper's T)
-	ThroughCI    float64
-	M            float64 // avg messages ordered per consensus
-	MsgsPerDec   float64 // messages sent per consensus decided (group-wide)
-	MsgsPerBat   float64 // avg app messages per sender-side batch (0 unbatched)
-	HeaderPerMsg float64 // protocol overhead bytes per app message (group-wide)
-	Utilization  float64 // busiest-process CPU utilization
-	Blocked      int64   // flow-control rejections in the window
-	// StreamDropped counts adeliveries discarded by drop-policy delivery
-	// streams (trace.Counters.StreamDropped) — nonzero means the
-	// application side of the benchmark could not keep up.
-	StreamDropped int64
+// Column names one value column of a figure.
+type Column struct {
+	// Name keys the column's value in Row.Values.
+	Name string `json:"name"`
+	// Unit is the value's unit; empty for counts and ratios.
+	Unit string `json:"unit,omitempty"`
+	// Prec is the number of decimals the text table prints.
+	Prec int `json:"prec"`
 }
 
-// RunOptions control one sweep point.
-type RunOptions struct {
-	// Warmup and Measure bound the measurement window. Defaults: 2s + 4s.
-	Warmup, Measure time.Duration
-	// Repetitions with distinct seeds; the CIs are computed across them.
-	// Default 3.
-	Repetitions int
-	// Seed is the base seed (repetition i uses Seed+i).
-	Seed int64
-	// Model overrides the hardware model (zero = calibrated default).
-	Model netsim.CostModel
-	// Batch enables sender-side batching in every measured engine (zero =
-	// disabled, the paper's original per-message behavior), so the
-	// modular-vs-monolithic overhead gap can be measured with and without
-	// amortization.
-	Batch batch.Config
-	// Window overrides the per-process flow-control window (0 = the stack
-	// defaults, which for a batched engine include EffectiveWindow's
-	// widening to two batches). Pin it to the same value in a batched and
-	// an unbatched run to compare pure amortization at equal admission
-	// capacity — otherwise the batched run also enjoys a larger in-flight
-	// allowance.
-	Window int
-	// Pipeline sets the consensus pipeline window W in every measured
-	// engine (0 or 1 = the paper's strictly sequential instances). The
-	// dedicated pipeline figure (FigPipeline) sweeps depths itself; this
-	// field pipelines the standard figures.
-	Pipeline int
-	// Dissemination selects the payload topology in every measured engine
-	// (zero = AllToAll, the paper's behavior). The dedicated ring figure
-	// (FigRing) sweeps both strategies itself; this field retargets the
-	// standard figures.
-	Dissemination dissem.Strategy
-	// Digest turns digest ordering on in every measured engine (payloads
-	// disseminate once, consensus orders ~32-byte descriptors). The
-	// dedicated digest figure (FigDigest) sweeps both modes itself; this
-	// field retargets the standard figures.
-	Digest bool
+// Row is one measured point: its labels, parallel to Figure.Labels, and
+// its values by column name. A column missing from Values had nothing to
+// measure at that point (the text table shows "-"); it is never a zero.
+type Row struct {
+	Labels []string           `json:"labels"`
+	Values map[string]float64 `json:"values"`
 }
 
-func (o RunOptions) withDefaults() RunOptions {
-	if o.Warmup <= 0 {
-		o.Warmup = 2 * time.Second
-	}
-	if o.Measure <= 0 {
-		o.Measure = 4 * time.Second
-	}
-	if o.Repetitions <= 0 {
-		o.Repetitions = 3
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-	return o
-}
-
-// RunPoint measures one configuration, averaging over repetitions.
-func RunPoint(n int, stk types.Stack, load float64, size int, opts RunOptions) (Point, error) {
-	opts = opts.withDefaults()
-	var engCfg engine.Config // zero value: netsim applies DefaultConfig(n)
-	if opts.Batch.Enabled() || opts.Window > 0 || opts.Pipeline > 0 || opts.Dissemination != dissem.AllToAll || opts.Digest {
-		engCfg = engine.DefaultConfig(n)
-		engCfg.Batch = opts.Batch
-		if opts.Window > 0 {
-			engCfg.Window = opts.Window
-		}
-		engCfg.PipelineDepth = opts.Pipeline
-		engCfg.Dissemination = opts.Dissemination
-		engCfg.DigestOrdering = opts.Digest
-	}
-	var lat, thr, avgM, msgsPerDec, msgsPerBat, hdrPerMsg, util stats.Welford
-	var blocked, dropped int64
-	for rep := 0; rep < opts.Repetitions; rep++ {
-		lc, err := netsim.NewLoadedCluster(
-			netsim.Options{N: n, Stack: stk, Engine: engCfg, Seed: opts.Seed + int64(rep), Model: opts.Model},
-			netsim.Workload{OfferedLoad: load, Size: size},
-			opts.Warmup, opts.Measure)
-		if err != nil {
-			return Point{}, err
-		}
-		lc.Run(opts.Warmup + opts.Measure + time.Second)
-		if errs := lc.Errs(); len(errs) > 0 {
-			return Point{}, fmt.Errorf("engine error: %w", errs[0])
-		}
-		tot := lc.TotalCounters()
-		lat.Add(lc.Recorder.MeanLatency() * 1e3)
-		thr.Add(lc.Recorder.Throughput())
-		avgM.Add(tot.AvgBatch())
-		decisionsPerProc := float64(tot.ConsensusDecided) / float64(n)
-		if decisionsPerProc > 0 {
-			msgsPerDec.Add(float64(tot.MsgsSent) / decisionsPerProc)
-		}
-		msgsPerBat.Add(tot.MsgsPerSenderBatch())
-		hdrPerMsg.Add(tot.HeaderBytesPerMsg())
-		maxUtil := 0.0
-		for p := 0; p < n; p++ {
-			if u := lc.Utilization(types.ProcessID(p)); u > maxUtil {
-				maxUtil = u
-			}
-		}
-		util.Add(maxUtil)
-		blocked += lc.Recorder.Blocked
-		dropped += tot.StreamDropped
-	}
-	return Point{
-		N:             n,
-		Stack:         stk,
-		OfferedLoad:   load,
-		Size:          size,
-		LatencyMs:     lat.Mean(),
-		LatencyCI:     lat.CI95(),
-		Throughput:    thr.Mean(),
-		ThroughCI:     thr.CI95(),
-		M:             avgM.Mean(),
-		MsgsPerDec:    msgsPerDec.Mean(),
-		MsgsPerBat:    msgsPerBat.Mean(),
-		HeaderPerMsg:  hdrPerMsg.Mean(),
-		Utilization:   util.Mean(),
-		Blocked:       blocked / int64(opts.Repetitions),
-		StreamDropped: dropped / int64(opts.Repetitions),
-	}, nil
-}
-
-// Figure is one regenerated evaluation figure.
+// Figure is one regenerated table — the only shape a result takes, in
+// memory, as text and as JSON.
 type Figure struct {
-	ID     string
-	Title  string
-	XLabel string
-	YLabel string
-	Points []Point
+	ID      string   `json:"id"`
+	Title   string   `json:"title"`
+	Labels  []string `json:"labels"`
+	Columns []Column `json:"columns"`
+	Rows    []Row    `json:"rows"`
 }
 
-// Series parameters mirroring the paper.
-var (
-	// LoadSweep is the offered-load x-axis of Figures 8 and 10 (msgs/s).
-	LoadSweep = []float64{250, 500, 1000, 2000, 3000, 4000, 5000, 6000, 7000}
-	// SizeSweep is the message-size x-axis of Figures 9 and 11 (bytes).
-	SizeSweep = []int{64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768}
-	// GroupSizes are the paper's two group sizes.
-	GroupSizes = []int{3, 7}
-	// Stacks under comparison.
-	Stacks = []types.Stack{types.Monolithic, types.Modular}
-)
+// RunOptions are the four knobs every figure runs under.
+type RunOptions struct {
+	// Warmup and Measure bound the virtual measurement window.
+	Warmup  time.Duration `json:"warmup_ns"`
+	Measure time.Duration `json:"measure_ns"`
+	// Repetitions is the number of runs per point, with seeds Seed,
+	// Seed+1, ...; means and 95% CIs are computed across them.
+	Repetitions int `json:"repetitions"`
+	// Seed is the base simulation seed.
+	Seed int64 `json:"seed"`
+}
 
-// fig8Size is the fixed message size of Figures 8 and 10.
-const fig8Size = 16384
+// Col is a declared column: a Column and how a load-driven figure derives
+// it from the repetitions of one point (false: the point has no value).
+type Col struct {
+	Column
+	From func(reps []Sample) (float64, bool)
+}
 
-// fig9Load is the fixed offered load of Figures 9 and 11 (msgs/s).
-const fig9Load = 2000
+// Decl declares a figure. A load-driven figure lists Points, each run
+// Repetitions times through the one runner, and derives its Columns from
+// the samples; a figure with its own scenario body (closed forms, churn,
+// fault schedules) sets Rows instead and its Columns carry no From.
+type Decl struct {
+	ID, Title string
+	Labels    []string
+	Columns   []Col
+	Points    []Scenario
+	Rows      func(d Decl, opts RunOptions) ([]Row, error)
+}
 
-// sweep runs the cartesian product of group sizes, stacks and xs.
-func sweep(opts RunOptions, xs int, run func(n int, stk types.Stack, i int) (Point, error)) ([]Point, error) {
-	points := make([]Point, 0, len(GroupSizes)*len(Stacks)*xs)
-	for _, n := range GroupSizes {
-		for _, stk := range Stacks {
-			for i := 0; i < xs; i++ {
-				p, err := run(n, stk, i)
-				if err != nil {
-					return nil, err
-				}
-				points = append(points, p)
-			}
+// registry lists every figure in report order.
+var registry = []Decl{
+	analyticFigure(),
+	paperFigure("8", "Early latency vs. offered load (message size = 16384 bytes)", true),
+	paperFigure("9", "Early latency vs. message size (offered load = 2000 msgs/s)", false),
+	paperFigure("10", "Throughput vs. offered load (message size = 16384 bytes)", true),
+	paperFigure("11", "Throughput vs. message size (offered load = 2000 msgs/s)", false),
+	batchingFigure(),
+	ablationFigure(),
+	pipelineFigure(),
+	ringFigure(),
+	digestFigure(),
+	membershipFigure(),
+	chaosFigure(),
+}
+
+// IDs returns the registered figure ids in report order.
+func IDs() []string {
+	ids := make([]string, len(registry))
+	for i, d := range registry {
+		ids[i] = d.ID
+	}
+	return ids
+}
+
+// Select resolves a -fig argument: "all" is the whole registry, a
+// registered id is that figure, anything else is an error naming the ids.
+func Select(id string) ([]Decl, error) {
+	if id == "all" {
+		return slices.Clone(registry), nil
+	}
+	for _, d := range registry {
+		if d.ID == id {
+			return []Decl{d}, nil
 		}
 	}
-	return points, nil
+	return nil, fmt.Errorf("unknown figure %q (registered: %s, or all)", id, strings.Join(IDs(), ", "))
 }
 
-// Fig8 regenerates Figure 8: early latency vs offered load, 16384-byte
-// messages.
-func Fig8(opts RunOptions) (Figure, error) {
-	pts, err := sweep(opts, len(LoadSweep), func(n int, stk types.Stack, i int) (Point, error) {
-		return RunPoint(n, stk, LoadSweep[i], fig8Size, opts)
-	})
-	return Figure{
-		ID:     "fig8",
-		Title:  "Early latency vs. offered load (message size = 16384 bytes)",
-		XLabel: "offered load (msgs/s)",
-		YLabel: "early latency (ms)",
-		Points: pts,
-	}, err
+// row pairs vals with d's columns in declaration order.
+func (d Decl) row(labels []string, vals ...float64) Row {
+	r := Row{Labels: labels, Values: make(map[string]float64, len(vals))}
+	for i, v := range vals {
+		r.Values[d.Columns[i].Name] = v
+	}
+	return r
 }
 
-// Fig9 regenerates Figure 9: early latency vs message size at 2000 msgs/s.
-func Fig9(opts RunOptions) (Figure, error) {
-	pts, err := sweep(opts, len(SizeSweep), func(n int, stk types.Stack, i int) (Point, error) {
-		return RunPoint(n, stk, fig9Load, SizeSweep[i], opts)
-	})
-	return Figure{
-		ID:     "fig9",
-		Title:  "Early latency vs. message size (offered load = 2000 msgs/s)",
-		XLabel: "message size (bytes)",
-		YLabel: "early latency (ms)",
-		Points: pts,
-	}, err
+// Build runs the declaration and returns its figure.
+func (d Decl) Build(opts RunOptions) (Figure, error) {
+	if opts.Repetitions < 1 || opts.Measure <= 0 || opts.Warmup < 0 {
+		return Figure{}, fmt.Errorf("figure %s: need reps >= 1, measure > 0, warmup >= 0 (got %+v)", d.ID, opts)
+	}
+	fig := Figure{ID: d.ID, Title: d.Title, Labels: d.Labels}
+	for _, c := range d.Columns {
+		fig.Columns = append(fig.Columns, c.Column)
+	}
+	if d.Rows != nil {
+		rows, err := d.Rows(d, opts)
+		if err != nil {
+			return fig, fmt.Errorf("figure %s: %w", d.ID, err)
+		}
+		fig.Rows = rows
+	}
+	for _, sc := range d.Points {
+		reps := make([]Sample, opts.Repetitions)
+		for i := range reps {
+			s, err := run(sc, opts.Warmup, opts.Measure, opts.Seed+int64(i))
+			if err != nil {
+				return fig, fmt.Errorf("figure %s %v: %w", d.ID, sc.Labels, err)
+			}
+			reps[i] = s
+		}
+		row := Row{Labels: sc.Labels, Values: make(map[string]float64, len(d.Columns))}
+		for _, c := range d.Columns {
+			if v, ok := c.From(reps); ok {
+				row.Values[c.Name] = v
+			}
+		}
+		fig.Rows = append(fig.Rows, row)
+	}
+	return fig, nil
 }
 
-// Fig10 regenerates Figure 10: throughput vs offered load, 16384-byte
-// messages.
-func Fig10(opts RunOptions) (Figure, error) {
-	pts, err := sweep(opts, len(LoadSweep), func(n int, stk types.Stack, i int) (Point, error) {
-		return RunPoint(n, stk, LoadSweep[i], fig8Size, opts)
-	})
-	return Figure{
-		ID:     "fig10",
-		Title:  "Throughput vs. offered load (message size = 16384 bytes)",
-		XLabel: "offered load (msgs/s)",
-		YLabel: "throughput (msgs/s)",
-		Points: pts,
-	}, err
-}
-
-// Fig11 regenerates Figure 11: throughput vs message size at 2000 msgs/s.
-func Fig11(opts RunOptions) (Figure, error) {
-	pts, err := sweep(opts, len(SizeSweep), func(n int, stk types.Stack, i int) (Point, error) {
-		return RunPoint(n, stk, fig9Load, SizeSweep[i], opts)
-	})
-	return Figure{
-		ID:     "fig11",
-		Title:  "Throughput vs. message size (offered load = 2000 msgs/s)",
-		XLabel: "message size (bytes)",
-		YLabel: "throughput (msgs/s)",
-		Points: pts,
-	}, err
-}
-
-// Render writes the figure as an aligned text table, one row per point,
-// grouped the way the paper's curves are labelled. The msgs/batch column
-// is the average sender-side batch size (0 when batching is disabled);
-// hdrB/msg is the protocol overhead in wire bytes per application
-// message, the quantity batching amortizes.
+// Render writes the figure as an aligned text table, values at their
+// column's precision and "-" where a row has none, then a blank line.
 func Render(w io.Writer, fig Figure) {
 	fmt.Fprintf(w, "%s — %s\n", fig.ID, fig.Title)
-	fmt.Fprintf(w, "%-6s %-11s %12s %10s %14s %14s %7s %9s %10s %9s %6s %8s %6s\n",
-		"group", "stack", fig.XLabel, "lat(ms)", "±95%CI", "thr(msg/s)", "M", "msgs/dec",
-		"msgs/batch", "hdrB/msg", "util", "blocked", "drops")
-	for _, p := range fig.Points {
-		x := p.OfferedLoad
-		if fig.ID == "fig9" || fig.ID == "fig11" {
-			x = float64(p.Size)
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', tabwriter.AlignRight)
+	head := slices.Clone(fig.Labels)
+	for _, c := range fig.Columns {
+		if c.Unit != "" {
+			c.Name += "(" + c.Unit + ")"
 		}
-		fmt.Fprintf(w, "%-6d %-11s %12.0f %10.3f %14.3f %14.1f %7.2f %9.2f %10.2f %9.1f %6.2f %8d %6d\n",
-			p.N, p.Stack, x, p.LatencyMs, p.LatencyCI, p.Throughput, p.M, p.MsgsPerDec,
-			p.MsgsPerBat, p.HeaderPerMsg, p.Utilization, p.Blocked, p.StreamDropped)
+		head = append(head, c.Name)
 	}
+	fmt.Fprintln(tw, strings.Join(head, "\t")+"\t")
+	for _, r := range fig.Rows {
+		cells := slices.Clone(r.Labels)
+		for _, c := range fig.Columns {
+			if v, ok := r.Values[c.Name]; ok {
+				cells = append(cells, strconv.FormatFloat(v, 'f', c.Prec, 64))
+			} else {
+				cells = append(cells, "-")
+			}
+		}
+		fmt.Fprintln(tw, strings.Join(cells, "\t")+"\t")
+	}
+	tw.Flush()
 	fmt.Fprintln(w)
 }
 
-// RenderAnalytical writes the §5.2 tables (A1: messages per consensus,
-// A2: payload bytes per consensus and overhead) for the given M and l.
-func RenderAnalytical(w io.Writer, m, l int) {
-	fmt.Fprintf(w, "A1 (§5.2.1) — messages sent per consensus execution (M=%d)\n", m)
-	fmt.Fprintf(w, "%-6s %10s %12s %8s\n", "n", "modular", "monolithic", "ratio")
-	for _, n := range GroupSizes {
-		mod := analytical.ModularMessages(n, m)
-		mono := analytical.MonolithicMessages(n)
-		fmt.Fprintf(w, "%-6d %10d %12d %8.2f\n", n, mod, mono, float64(mod)/float64(mono))
+// ReportSchema names the machine-readable output. A figure is data in it
+// (labels, columns, rows), so adding or changing a figure does not change
+// the schema.
+const ReportSchema = "modab-bench/v6"
+
+// Report is the machine-readable form of one abbench run: the options the
+// numbers were produced under, so two reports are comparable (or visibly
+// not), and every figure built.
+type Report struct {
+	Schema      string     `json:"schema"`
+	GeneratedAt time.Time  `json:"generated_at"`
+	Options     RunOptions `json:"options"`
+	Figures     []Figure   `json:"figures"`
+}
+
+// WriteJSON writes the figures built under opts to path as a Report
+// (pretty-printed, trailing newline).
+func WriteJSON(path string, opts RunOptions, figs []Figure) error {
+	data, err := json.MarshalIndent(Report{ReportSchema, time.Now().UTC(), opts, figs}, "", "  ")
+	if err != nil {
+		return fmt.Errorf("benchharness: encode report: %w", err)
 	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "A2 (§5.2.2) — payload bytes per consensus execution (M=%d, l=%d)\n", m, l)
-	fmt.Fprintf(w, "%-6s %12s %12s %10s\n", "n", "modular", "monolithic", "overhead")
-	for _, n := range GroupSizes {
-		fmt.Fprintf(w, "%-6d %12d %12d %9.0f%%\n",
-			n, analytical.ModularData(n, m, l), analytical.MonolithicData(n, m, l),
-			analytical.Overhead(n)*100)
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return fmt.Errorf("benchharness: write report: %w", err)
 	}
-	fmt.Fprintln(w)
+	return nil
 }

@@ -2,109 +2,68 @@ package benchharness
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"modab/internal/chaos"
 	"modab/internal/types"
 )
 
-// ChaosPoint is one stack's aggregate over the chaos soak: seeds run,
-// injected fault volume, and what the faults cost in deliveries and
-// repair traffic. A ChaosPoint only exists for violation-free runs —
-// any property violation aborts FigChaos with an error instead.
-type ChaosPoint struct {
-	Stack types.Stack
-	Seeds int
-	// Deliveries is the mean adeliveries per process per run.
-	Deliveries float64
-	// Dropped/Duped/Reordered are mean fault injections per run;
-	// PartitionSecs is the mean per-run partition exposure.
-	Dropped       float64
-	Duped         float64
-	Reordered     float64
-	PartitionSecs float64
-	// Retransmissions is the mean recovery-path sends per run — what the
-	// engines spent repairing the damage.
-	Retransmissions float64
+// chaosSeeds is how many randomized schedules the figure runs; each is a
+// full two-stack property-checked scenario.
+const chaosSeeds = 12
+
+// chaosFigure runs the chaos soak as a figure: seeded randomized fault
+// schedules (partitions, lossy links, wrong suspicions, crash+restart)
+// against both stacks with every atomic broadcast property checked, and
+// per stack the mean injected fault volume per run against what the
+// engines spent repairing it (retrans: recovery-path sends). Any
+// violation makes the figure an error — a benchmark run on a broken
+// protocol is not a result. Only Seed of the run options applies.
+func chaosFigure() Decl {
+	return Decl{
+		ID:     "chaos",
+		Title:  fmt.Sprintf("Chaos soak, randomized fault schedules (n=3, %d seeds, durable)", chaosSeeds),
+		Labels: []string{"stack"},
+		Columns: []Col{
+			col("deliveries", "per_proc", 1, nil),
+			col("dropped", "", 1, nil), col("duped", "", 1, nil), col("reordered", "", 1, nil),
+			col("partition", "s", 2, nil), col("retrans", "", 1, nil),
+		},
+		Rows: chaosRows,
+	}
 }
 
-// ChaosFigure is the chaos soak table: both stacks over the same seeded
-// schedules.
-type ChaosFigure struct {
-	Title  string
-	Points []ChaosPoint
-}
-
-// chaosFigureSeeds is how many randomized schedules the figure runs per
-// stack; each is a full two-stack property-checked scenario.
-const chaosFigureSeeds = 12
-
-// FigChaos runs the chaos soak as a benchmark figure: seeded randomized
-// fault schedules (partitions, lossy links, wrong suspicions,
-// crash+restart) against both stacks with every atomic broadcast property
-// checked, reporting fault volume and repair cost. Any violation makes
-// the figure an error — a benchmark run on a broken protocol is not a
-// result.
-func FigChaos(opts RunOptions) (ChaosFigure, error) {
-	opts = opts.withDefaults()
-	fig := ChaosFigure{
-		Title: fmt.Sprintf("Chaos soak, randomized fault schedules (n=3, %d seeds, durable, base seed %d)",
-			chaosFigureSeeds, opts.Seed),
-	}
-	agg := map[types.Stack]*ChaosPoint{
-		types.Modular:    {Stack: types.Modular},
-		types.Monolithic: {Stack: types.Monolithic},
-	}
-	for i := 0; i < chaosFigureSeeds; i++ {
+// chaosRows runs the schedules (each against both stacks) and averages
+// each stack's totals over them.
+func chaosRows(_ Decl, opts RunOptions) ([]Row, error) {
+	sums := map[types.Stack]map[string]float64{types.Monolithic: {}, types.Modular: {}}
+	for i := 0; i < chaosSeeds; i++ {
 		seed := opts.Seed + int64(i)
-		rng := chaos.ScheduleRNG(seed)
-		sch := chaos.RandomSchedule(rng, 3, time.Second, true)
+		sch := chaos.RandomSchedule(chaos.ScheduleRNG(seed), 3, time.Second, true)
 		res, err := chaos.Run(seed, sch, chaos.StackConfig{Durable: true})
 		if err != nil {
-			return fig, err
+			return nil, err
 		}
 		if !res.Ok() {
-			return fig, fmt.Errorf("property violation during the chaos figure:\n%s", res.Report())
+			return nil, fmt.Errorf("property violation during the chaos figure:\n%s", res.Report())
 		}
 		for _, sr := range res.Stacks {
-			p := agg[sr.Stack]
-			p.Seeds++
-			tot := sr.Stats.Total
-			n := float64(sr.Stats.N)
-			p.Deliveries += float64(tot.ADeliver) / n
-			p.Dropped += float64(tot.DroppedByFault)
-			p.Duped += float64(tot.DupedByFault)
-			p.Reordered += float64(tot.ReorderedByFault)
-			p.PartitionSecs += tot.PartitionSecs()
-			p.Retransmissions += float64(tot.Retransmissions)
+			v, tot := sums[sr.Stack], sr.Stats.Total
+			v["deliveries"] += float64(tot.ADeliver) / float64(sr.Stats.N)
+			v["dropped"] += float64(tot.DroppedByFault)
+			v["duped"] += float64(tot.DupedByFault)
+			v["reordered"] += float64(tot.ReorderedByFault)
+			v["partition"] += tot.PartitionSecs()
+			v["retrans"] += float64(tot.Retransmissions)
 		}
 	}
-	for _, stk := range Stacks {
-		p := agg[stk]
-		if p.Seeds > 0 {
-			d := float64(p.Seeds)
-			p.Deliveries /= d
-			p.Dropped /= d
-			p.Duped /= d
-			p.Reordered /= d
-			p.PartitionSecs /= d
-			p.Retransmissions /= d
+	var rows []Row
+	for _, stk := range stacks {
+		v := sums[stk]
+		for name := range v {
+			v[name] /= chaosSeeds
 		}
-		fig.Points = append(fig.Points, *p)
+		rows = append(rows, Row{Labels: []string{stk.String()}, Values: v})
 	}
-	return fig, nil
-}
-
-// RenderChaos writes the chaos figure as an aligned text table.
-func RenderChaos(w io.Writer, fig ChaosFigure) {
-	fmt.Fprintf(w, "chaos — %s\n", fig.Title)
-	fmt.Fprintf(w, "%-11s %6s %10s %9s %7s %9s %8s %8s\n",
-		"stack", "seeds", "deliv/proc", "dropped", "duped", "reordered", "partSecs", "retrans")
-	for _, p := range fig.Points {
-		fmt.Fprintf(w, "%-11s %6d %10.1f %9.1f %7.1f %9.1f %8.2f %8.1f\n",
-			p.Stack, p.Seeds, p.Deliveries, p.Dropped, p.Duped, p.Reordered,
-			p.PartitionSecs, p.Retransmissions)
-	}
-	fmt.Fprintln(w)
+	return rows, nil
 }

@@ -2,7 +2,7 @@ package benchharness
 
 import (
 	"fmt"
-	"io"
+	"strconv"
 	"time"
 
 	"modab/internal/engine"
@@ -11,42 +11,67 @@ import (
 	"modab/internal/types"
 )
 
-// MembershipPoint is one measured rolling-replace configuration: a
+// The rolling-replace workload: moderate load, mid-size messages — the
+// churn and the catch-up volume, not the link, are the variables.
+const membershipN, membershipLoad, membershipSize = 3, 1000, 1024
+
+// membershipFigure measures dynamic membership end to end: a durable
 // 3-process cluster under continuous load replaces every boot process
 // inside the measurement window (join a fresh process, let it catch up
-// through state transfer, retire an old one — three times), and the
-// point reports what the churn cost in ordered throughput against an
-// identical steady-membership control run, plus how long each joiner's
-// catch-up took.
-type MembershipPoint struct {
-	N           int
-	Stack       types.Stack
-	OfferedLoad float64 // msgs/s, global
-	Size        int     // bytes
-
-	SteadyThr   float64 // unique ordered msgs/s, control run (no config changes)
-	ChurnThr    float64 // same metric across the rolling replace
-	DipPct      float64 // 100 * (1 - churn/steady)
-	CatchupMs   float64 // mean joiner catch-up latency, virtual ms
-	CatchupCI   float64 // 95% CI half-width across joiners and repetitions
-	FetchedMsgs float64 // messages fetched per joiner during catch-up
-	FinalEpoch  uint64  // decided config epochs (3 adds + 3 removes = 6)
+// through state transfer, retire an old one — three times, every config
+// change riding the total order). Each row reports what the churn cost
+// in unique ordered throughput against a steady-membership control run
+// on the same seed, the joiners' catch-up latency (CI across joiners and
+// repetitions) and fetched messages, and the final config epoch.
+func membershipFigure() Decl {
+	return Decl{
+		ID: "membership",
+		Title: fmt.Sprintf("Rolling replace under load (n = %d, load = %d msgs/s, size = %d B): join, catch up, retire ×3",
+			membershipN, membershipLoad, membershipSize),
+		Labels: []string{"group", "stack"},
+		Columns: []Col{
+			col("steady", "msgs/s", 1, nil), col("churn", "msgs/s", 1, nil), col("dip", "%", 1, nil),
+			col("catchup", "ms", 2, nil), col("catchup_ci", "ms", 2, nil),
+			col("fetched", "msgs/joiner", 0, nil), col("epochs", "", 0, nil),
+		},
+		Rows: membershipRows,
+	}
 }
 
-// membershipLoad and membershipSize pin the rolling-replace workload
-// (moderate load, mid-size messages: the churn and the catch-up volume,
-// not the link, are the variables under study).
-const (
-	membershipLoad = 1000
-	membershipSize = 1024
-)
-
-// membershipRun is one simulated run's results.
-type membershipRun struct {
-	thr        float64
-	catchupMs  []float64
-	fetched    []float64
-	finalEpoch uint64
+// membershipRows runs, per stack and repetition, a control pass and a
+// churn pass on one seed.
+func membershipRows(d Decl, opts RunOptions) ([]Row, error) {
+	var rows []Row
+	for _, stk := range stacks {
+		var steady, churn, catchup, fetched stats.Welford
+		var epoch uint64
+		for rep := 0; rep < opts.Repetitions; rep++ {
+			seed := opts.Seed + int64(rep)
+			thr, _, err := rollingReplace(stk, false, seed, opts)
+			if err != nil {
+				return nil, err
+			}
+			steady.Add(thr)
+			thr, c, err := rollingReplace(stk, true, seed, opts)
+			if err != nil {
+				return nil, err
+			}
+			churn.Add(thr)
+			for p := types.ProcessID(membershipN); p < 2*membershipN; p++ {
+				joiner := c.Counters(p)
+				catchup.Add(float64(joiner.RecoveryNanos) / 1e6)
+				fetched.Add(float64(joiner.RecoveryFetchedMsgs))
+			}
+			epoch = c.View(membershipN).Epoch
+		}
+		dip := 0.0
+		if steady.Mean() > 0 {
+			dip = 100 * (1 - churn.Mean()/steady.Mean())
+		}
+		rows = append(rows, d.row([]string{strconv.Itoa(membershipN), stk.String()},
+			steady.Mean(), churn.Mean(), dip, catchup.Mean(), catchup.CI95(), fetched.Mean(), float64(epoch)))
+	}
+	return rows, nil
 }
 
 // memberSender injects Size-byte messages at p every interval inside
@@ -65,18 +90,17 @@ func memberSender(c *netsim.Cluster, p types.ProcessID, body []byte, at, until, 
 	})
 }
 
-// runMembershipOnce runs one 3-process cluster for the measurement
-// window, with (churn) or without (control) the rolling replace, and
-// returns the unique-ordered throughput over the window plus the
-// joiners' catch-up numbers.
-func runMembershipOnce(stk types.Stack, churn bool, seed int64, opts RunOptions) (membershipRun, error) {
-	const n = 3
+// rollingReplace runs one 3-process cluster for the measurement window,
+// with (churn) or without (control) the rolling replace, and returns the
+// unique-ordered throughput over the window and the finished cluster.
+func rollingReplace(stk types.Stack, churn bool, seed int64, opts RunOptions) (float64, *netsim.Cluster, error) {
+	const n = membershipN
 	w, m := opts.Warmup, opts.Measure
 	end := w + m
 	delivered := make(map[types.MsgID]struct{})
 	inWindow := 0
 	c, err := netsim.NewCluster(netsim.Options{
-		N: n, Stack: stk, Seed: seed, Model: opts.Model, Durable: true,
+		N: n, Stack: stk, Seed: seed, Durable: true,
 		OnDeliver: func(_ types.ProcessID, d engine.Delivery, at time.Duration) {
 			if _, seen := delivered[d.Msg.ID]; seen {
 				return
@@ -88,135 +112,41 @@ func runMembershipOnce(stk types.Stack, churn bool, seed int64, opts RunOptions)
 		},
 	})
 	if err != nil {
-		return membershipRun{}, err
+		return 0, nil, err
 	}
 	body := make([]byte, membershipSize)
 	interval := time.Duration(float64(time.Second) * n / membershipLoad)
-
-	if !churn {
-		for p := types.ProcessID(0); p < n; p++ {
-			memberSender(c, p, body, 0, end, interval)
+	for i := 0; i < n; i++ {
+		old := types.ProcessID(i)
+		if !churn {
+			memberSender(c, old, body, 0, end, interval)
+			continue
 		}
-	} else {
 		// Rolling replace, spread across the window: join i+3, retire i,
 		// crash i — the retired process stops submitting when its removal
 		// is proposed and its successor takes over the load share.
 		delta := m / 12
-		for i := 0; i < n; i++ {
-			join := w + m*time.Duration(1+4*i)/12 // w + m/12, w + 5m/12, w + 9m/12
-			remove := join + delta
-			sponsor := types.ProcessID(i + 1) // 1, 2, then joiner 3
-			old := types.ProcessID(i)
-			joiner := types.ProcessID(n + i)
-			c.Join(sponsor, joiner, join)
-			c.Remove(sponsor, old, remove)
-			c.Crash(old, remove+delta)
-			memberSender(c, old, body, 0, remove, interval)
-			memberSender(c, joiner, body, remove, end, interval)
-		}
+		join := w + m*time.Duration(1+4*i)/12 // w + m/12, w + 5m/12, w + 9m/12
+		remove := join + delta
+		sponsor := types.ProcessID(i + 1) // 1, 2, then joiner 3
+		joiner := types.ProcessID(n + i)
+		c.Join(sponsor, joiner, join)
+		c.Remove(sponsor, old, remove)
+		c.Crash(old, remove+delta)
+		memberSender(c, old, body, 0, remove, interval)
+		memberSender(c, joiner, body, remove, end, interval)
 	}
-
 	c.Run(end + 2*time.Second)
 	if errs := c.Errs(); len(errs) > 0 {
-		return membershipRun{}, fmt.Errorf("engine error: %w", errs[0])
+		return 0, nil, fmt.Errorf("engine error: %w", errs[0])
 	}
-	run := membershipRun{thr: float64(inWindow) / m.Seconds()}
 	if churn {
 		if c.Procs() != 2*n {
-			return membershipRun{}, fmt.Errorf("expected %d procs after the replace, have %d", 2*n, c.Procs())
+			return 0, nil, fmt.Errorf("expected %d procs after the replace, have %d", 2*n, c.Procs())
 		}
-		final := c.View(types.ProcessID(n))
-		if len(final.Members) != n {
-			return membershipRun{}, fmt.Errorf("final view has %d members, want %d", len(final.Members), n)
-		}
-		run.finalEpoch = final.Epoch
-		for i := 0; i < n; i++ {
-			snap := c.Counters(types.ProcessID(n + i))
-			run.catchupMs = append(run.catchupMs, float64(snap.RecoveryNanos)/1e6)
-			run.fetched = append(run.fetched, float64(snap.RecoveryFetchedMsgs))
+		if final := c.View(n); len(final.Members) != n {
+			return 0, nil, fmt.Errorf("final view has %d members, want %d", len(final.Members), n)
 		}
 	}
-	return run, nil
-}
-
-// RunMembershipPoint measures one stack's rolling-replace cost,
-// averaging over repetitions (each repetition runs a churn pass and a
-// steady-membership control pass on the same seed).
-func RunMembershipPoint(stk types.Stack, opts RunOptions) (MembershipPoint, error) {
-	opts = opts.withDefaults()
-	var steady, churn, catchup, fetched stats.Welford
-	var finalEpoch uint64
-	for rep := 0; rep < opts.Repetitions; rep++ {
-		seed := opts.Seed + int64(rep)
-		ctl, err := runMembershipOnce(stk, false, seed, opts)
-		if err != nil {
-			return MembershipPoint{}, err
-		}
-		chn, err := runMembershipOnce(stk, true, seed, opts)
-		if err != nil {
-			return MembershipPoint{}, err
-		}
-		steady.Add(ctl.thr)
-		churn.Add(chn.thr)
-		for _, ms := range chn.catchupMs {
-			catchup.Add(ms)
-		}
-		for _, f := range chn.fetched {
-			fetched.Add(f)
-		}
-		finalEpoch = chn.finalEpoch
-	}
-	p := MembershipPoint{
-		N:           3,
-		Stack:       stk,
-		OfferedLoad: membershipLoad,
-		Size:        membershipSize,
-		SteadyThr:   steady.Mean(),
-		ChurnThr:    churn.Mean(),
-		CatchupMs:   catchup.Mean(),
-		CatchupCI:   catchup.CI95(),
-		FetchedMsgs: fetched.Mean(),
-		FinalEpoch:  finalEpoch,
-	}
-	if p.SteadyThr > 0 {
-		p.DipPct = 100 * (1 - p.ChurnThr/p.SteadyThr)
-	}
-	return p, nil
-}
-
-// MembershipFigure is the dynamic-membership cost comparison: both
-// stacks rolling-replace their entire boot group under load.
-type MembershipFigure struct {
-	Title  string
-	Points []MembershipPoint
-}
-
-// FigMembership measures what a rolling replace of all three processes
-// costs each stack: the ordered-throughput dip against a steady-
-// membership control run and the joiners' state-transfer catch-up time.
-func FigMembership(opts RunOptions) (MembershipFigure, error) {
-	fig := MembershipFigure{
-		Title: fmt.Sprintf("Rolling replace under load (n = 3, load = %d msgs/s, size = %d B): join, catch up, retire ×3",
-			membershipLoad, membershipSize),
-	}
-	for _, stk := range Stacks {
-		p, err := RunMembershipPoint(stk, opts)
-		if err != nil {
-			return fig, err
-		}
-		fig.Points = append(fig.Points, p)
-	}
-	return fig, nil
-}
-
-// RenderMembership writes the membership figure as an aligned text table.
-func RenderMembership(w io.Writer, fig MembershipFigure) {
-	fmt.Fprintf(w, "membership — %s\n", fig.Title)
-	fmt.Fprintf(w, "%-6s %-11s %14s %13s %7s %12s %10s %15s %7s\n",
-		"group", "stack", "steady(msg/s)", "churn(msg/s)", "dip%", "catchup(ms)", "±95%CI", "fetched/joiner", "epochs")
-	for _, p := range fig.Points {
-		fmt.Fprintf(w, "%-6d %-11s %14.1f %13.1f %7.1f %12.2f %10.2f %15.0f %7d\n",
-			p.N, p.Stack, p.SteadyThr, p.ChurnThr, p.DipPct, p.CatchupMs, p.CatchupCI, p.FetchedMsgs, p.FinalEpoch)
-	}
-	fmt.Fprintln(w)
+	return float64(inWindow) / m.Seconds(), c, nil
 }

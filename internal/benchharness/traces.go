@@ -5,92 +5,39 @@ import (
 	"io"
 	"time"
 
-	"modab/internal/netsim"
 	"modab/internal/obs"
 	"modab/internal/types"
 )
 
 // Trace-sample run parameters: a short, lightly loaded run — the point is
 // to read individual message timelines, not to saturate.
-const (
-	traceN    = 3
-	traceLoad = 3000
-	traceSize = 256
-	traceRun  = 500 * time.Millisecond
-	// traceMaxTimelines bounds how many sampled messages each process
-	// prints (RenderTraceSample notes what was elided).
-	traceMaxTimelines = 8
-)
+const traceN, traceLoad, traceSize, traceRun = 3, 3000, 256, 500 * time.Millisecond
 
-// ProcessTrace is one process's sampled message timelines.
-type ProcessTrace struct {
-	P         types.ProcessID
-	Timelines []obs.Timeline
-}
-
-// TraceSample is the output of one lifecycle-trace run: every process's
-// sampled messages with their stage timelines in virtual time
-// (deterministic for a given seed).
-type TraceSample struct {
-	Stack       types.Stack
-	SampleEvery uint64
-	PerProcess  []ProcessTrace
-}
-
-// RunTraceSample runs a short loaded cluster with lifecycle tracing at
-// the given sampling period (0 = the default, one in 32) and returns
-// every process's sampled message timelines. Stage timestamps are
-// virtual, so the same seed reproduces the same timelines exactly.
-func RunTraceSample(stk types.Stack, sampleEvery uint64, opts RunOptions) (TraceSample, error) {
-	opts = opts.withDefaults()
-	lc, err := netsim.NewLoadedCluster(
-		netsim.Options{
-			N:     traceN,
-			Stack: stk,
-			Seed:  opts.Seed,
-			Model: opts.Model,
-			Obs:   obs.Config{SampleEvery: sampleEvery},
-		},
-		netsim.Workload{OfferedLoad: traceLoad, Size: traceSize, End: traceRun},
-		0, traceRun)
-	if err != nil {
-		return TraceSample{}, err
-	}
-	lc.Run(traceRun + time.Second)
-	if errs := lc.Errs(); len(errs) > 0 {
-		return TraceSample{}, fmt.Errorf("engine error: %w", errs[0])
-	}
-	ts := TraceSample{Stack: stk, SampleEvery: lc.Obs(0).SampleEvery()}
-	for p := 0; p < traceN; p++ {
-		pid := types.ProcessID(p)
-		ts.PerProcess = append(ts.PerProcess, ProcessTrace{
-			P:         pid,
-			Timelines: obs.Timelines(lc.Obs(pid).TraceEvents()),
-		})
-	}
-	return ts, nil
-}
-
-// RenderTraceSample writes the sampled timelines as text, one line per
+// TraceSample runs a short loaded cluster of each stack with lifecycle
+// tracing at the given sampling period (0 = the default, one in 32) and
+// writes every process's sampled message timelines, one line per
 // (process, message): the stages the message passed at that process, each
-// stamped with its virtual time. The submitter shows the full pipeline
-// (accept → seal → propose → decide → adeliver → apply); a non-origin
-// process joins at the stages it participates in.
-func RenderTraceSample(w io.Writer, ts TraceSample) {
-	fmt.Fprintf(w, "trace — %s stack, 1-in-%d lifecycle sampling (n=%d, load=%d msgs/s, %v run)\n",
-		ts.Stack, ts.SampleEvery, traceN, traceLoad, traceRun)
-	for _, pt := range ts.PerProcess {
-		fmt.Fprintf(w, "%s: %d sampled message(s)\n", pt.P, len(pt.Timelines))
-		shown := pt.Timelines
-		if len(shown) > traceMaxTimelines {
-			shown = shown[:traceMaxTimelines]
+// stamped with its virtual time — so the same seed reproduces the same
+// dump exactly. The submitter shows the full pipeline (accept → seal →
+// propose → decide → adeliver → apply); a non-origin process joins at
+// the stages it participates in.
+func TraceSample(w io.Writer, sampleEvery uint64, seed int64) error {
+	for _, stk := range stacks {
+		s, err := run(Scenario{N: traceN, Stack: stk, Load: traceLoad, Size: traceSize,
+			Obs: obs.Config{SampleEvery: sampleEvery}}, 0, traceRun, seed)
+		if err != nil {
+			return fmt.Errorf("trace sample (%s): %w", stk, err)
 		}
-		for _, tl := range shown {
-			fmt.Fprintf(w, "  %s\n", tl)
+		fmt.Fprintf(w, "trace — %s stack, 1-in-%d lifecycle sampling (n=%d, load=%d msgs/s, %v run)\n",
+			stk, s.Obs[0].SampleEvery(), traceN, traceLoad, traceRun)
+		for p, rec := range s.Obs {
+			timelines := obs.Timelines(rec.TraceEvents())
+			fmt.Fprintf(w, "%s: %d sampled message(s)\n", types.ProcessID(p), len(timelines))
+			for _, tl := range timelines {
+				fmt.Fprintf(w, "  %s\n", tl)
+			}
 		}
-		if elided := len(pt.Timelines) - len(shown); elided > 0 {
-			fmt.Fprintf(w, "  ... %d more elided\n", elided)
-		}
+		fmt.Fprintln(w)
 	}
-	fmt.Fprintln(w)
+	return nil
 }

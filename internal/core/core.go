@@ -52,11 +52,6 @@ type GroupOptions struct {
 	// detector (zero values use the runtime defaults).
 	HeartbeatPeriod time.Duration
 	SuspectTimeout  time.Duration
-	// DeliveryBuffer is the default per-subscriber buffer for Deliveries;
-	// 0 means stream.DefaultBuffer.
-	DeliveryBuffer int
-	// DeliveryOverflow is the default overflow policy for Deliveries.
-	DeliveryOverflow stream.Policy
 	// OnDeliver, when set, observes every adelivery at every local process
 	// — a convenience adapter over the delivery stream (see
 	// Group.Deliveries).
@@ -196,7 +191,7 @@ func NewGroup(n int, stack types.Stack, opts GroupOptions) (*Group, error) {
 			g.bootN = opts.BootN
 		}
 	}
-	g.hub = stream.NewHub[engine.Event](opts.DeliveryBuffer, opts.DeliveryOverflow,
+	g.hub = stream.NewHub[engine.Event](stream.DefaultBuffer, stream.Block,
 		func() { g.streamDropped.Add(1) })
 	g.grow(n)
 	for i := 0; i < n; i++ {
@@ -310,17 +305,15 @@ func (g *Group) startNode(p types.ProcessID, initView *member.View) (*runtime.No
 			}
 			g.hub.Publish(ev)
 		},
-		HeartbeatPeriod:  g.opts.HeartbeatPeriod,
-		SuspectTimeout:   g.opts.SuspectTimeout,
-		DeliveryBuffer:   g.opts.DeliveryBuffer,
-		DeliveryOverflow: g.opts.DeliveryOverflow,
-		StateMachine:     sm,
-		SnapshotStore:    snaps,
-		SnapshotEvery:    g.opts.SnapshotEvery,
-		Obs:              rec,
-		InitialView:      initView,
-		Join:             g.opts.Join,
-		OnConfig:         func(v member.View, op member.Op) { g.onViewChange(tcp, v, op) },
+		HeartbeatPeriod: g.opts.HeartbeatPeriod,
+		SuspectTimeout:  g.opts.SuspectTimeout,
+		StateMachine:    sm,
+		SnapshotStore:   snaps,
+		SnapshotEvery:   g.opts.SnapshotEvery,
+		Obs:             rec,
+		InitialView:     initView,
+		Join:            g.opts.Join,
+		OnConfig:        func(v member.View, op member.Op) { g.onViewChange(tcp, v, op) },
 	})
 	if err != nil {
 		return fail(err)

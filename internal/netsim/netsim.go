@@ -47,13 +47,6 @@ type Options struct {
 	// virtual time — the measurement harness uses it for exact
 	// timestamps. For pull-based consumption use Cluster.Deliveries.
 	OnDeliver func(p types.ProcessID, d engine.Delivery, at time.Duration)
-	// DeliveryBuffer is the default per-subscriber buffer for Deliveries;
-	// 0 means stream.DefaultBuffer.
-	DeliveryBuffer int
-	// DeliveryOverflow is the default overflow policy for Deliveries.
-	// Note that stream.Block makes the simulation's Run stall in real
-	// time until the subscriber drains.
-	DeliveryOverflow stream.Policy
 	// Durable gives every process a simulated durable store (an in-memory
 	// write-ahead log that survives Crash), enabling Restart: crash-recovery
 	// scenarios then run fully deterministically under virtual time.
@@ -206,7 +199,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 		rng:          rand.New(rand.NewSource(opts.Seed)),
 		pendingJoins: make(map[types.ProcessID]bool),
 	}
-	c.hub = stream.NewHub[engine.Event](opts.DeliveryBuffer, opts.DeliveryOverflow,
+	c.hub = stream.NewHub[engine.Event](stream.DefaultBuffer, stream.Block,
 		func() { c.streamDropped.Add(1) })
 	heap.Init(&c.queue)
 	if opts.Durable {

@@ -71,14 +71,6 @@ type Options struct {
 	// eventually backpressures the engine through the stream buffer. It
 	// must not call back into the Node.
 	OnDeliver func(d engine.Delivery)
-	// DeliveryBuffer is the default per-subscriber buffer capacity for
-	// Deliveries (and the OnDeliver adapter); 0 means stream.DefaultBuffer.
-	DeliveryBuffer int
-	// DeliveryOverflow is the default overflow policy for Deliveries:
-	// stream.Block (backpressure the engine, the default) or stream.Drop
-	// (discard for the lagging subscriber and count in
-	// trace.Counters.StreamDropped).
-	DeliveryOverflow stream.Policy
 	// StateMachine, when non-nil, attaches a replicated state machine fed
 	// synchronously from the delivery path through an rsm.Applier
 	// (Node.Applier). With a Store, the node restores the newest local
@@ -226,7 +218,7 @@ func NewNode(opts Options) (*Node, error) {
 		}
 	}
 	n.opts = opts
-	n.hub = stream.NewHub[engine.Delivery](opts.DeliveryBuffer, opts.DeliveryOverflow,
+	n.hub = stream.NewHub[engine.Delivery](stream.DefaultBuffer, stream.Block,
 		func() { n.env.counters.StreamDropped.Add(1) })
 	if cb := opts.OnDeliver; cb != nil {
 		sub := n.hub.Subscribe()

@@ -35,11 +35,11 @@
 //	// The paper's deterministic discrete-event simulation:
 //	modab.New(3, modab.Modular, modab.WithSimulation(42))
 //
-//	// Protocol tunables and delivery-stream defaults:
-//	modab.New(5, modab.Modular,
-//		modab.WithConfig(cfg),
-//		modab.WithDeliveryBuffer(1024),
-//		modab.WithDeliveryOverflow(modab.OverflowDrop))
+//	// Protocol tunables, and a subscription that sheds deliveries
+//	// instead of backpressuring the protocol when its consumer lags:
+//	cluster, _ := modab.New(5, modab.Modular, modab.WithConfig(cfg))
+//	sub := cluster.Deliveries(modab.StreamBuffer(1024),
+//		modab.StreamOverflow(modab.OverflowDrop))
 //
 //	// Sender-side batching: amortize per-message layer overhead by
 //	// coalescing up to 32 messages (or 64 KiB) per diffusion/proposal,
@@ -526,27 +526,6 @@ func WithFailureDetector(period, timeout time.Duration) Option {
 	}
 }
 
-// WithDeliveryBuffer sets the default per-subscriber buffer capacity of
-// Deliveries (overridable per subscription via StreamBuffer).
-func WithDeliveryBuffer(k int) Option {
-	return func(s *settings) error {
-		if k < 1 {
-			return fmt.Errorf("%w: delivery buffer must be >= 1", types.ErrBadConfig)
-		}
-		s.DeliveryBuffer = k
-		return nil
-	}
-}
-
-// WithDeliveryOverflow sets the default overflow policy of Deliveries
-// (overridable per subscription via StreamOverflow).
-func WithDeliveryOverflow(p OverflowPolicy) Option {
-	return func(s *settings) error {
-		s.DeliveryOverflow = p
-		return nil
-	}
-}
-
 // WithOnDeliver installs a delivery callback — a convenience adapter
 // over the delivery stream for applications that do not need pull-based
 // consumption. Events arrive in delivery order per process.
@@ -632,15 +611,13 @@ func New(n int, stack Stack, opts ...Option) (*Cluster, error) {
 		return c, nil
 	}
 	so := netsim.Options{
-		N:                n,
-		Stack:            stack,
-		Engine:           s.Engine,
-		Seed:             s.seed,
-		DeliveryBuffer:   s.DeliveryBuffer,
-		DeliveryOverflow: s.DeliveryOverflow,
-		Durable:          c.durable,
-		StateMachine:     s.StateMachine,
-		SnapshotEvery:    s.SnapshotEvery,
+		N:             n,
+		Stack:         stack,
+		Engine:        s.Engine,
+		Seed:          s.seed,
+		Durable:       c.durable,
+		StateMachine:  s.StateMachine,
+		SnapshotEvery: s.SnapshotEvery,
 	}
 	if fn := s.OnDeliver; fn != nil {
 		so.OnDeliver = func(p ProcessID, d Delivery, at time.Duration) { fn(Event{P: p, D: d, At: at}) }

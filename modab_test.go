@@ -145,9 +145,6 @@ func TestFacadeOptionValidation(t *testing.T) {
 		modab.WithTransportTCP([]string{"a", "b"}, 5)); err == nil {
 		t.Error("accepted out-of-range self")
 	}
-	if _, err := modab.New(3, modab.Modular, modab.WithDeliveryBuffer(0)); err == nil {
-		t.Error("accepted zero delivery buffer")
-	}
 	if _, err := modab.New(0, modab.Modular); err == nil {
 		t.Error("accepted empty group")
 	}
