@@ -52,7 +52,11 @@ type goldenScenario struct {
 	// DigestOrdering and an 8-message sender batch, pinning the
 	// announce/descriptor split (the digest-free scenarios run with the
 	// feature off and stay on their original fingerprints untouched).
-	digest bool
+	// Together with ring the announces relay successor-to-successor;
+	// unbatched drops the sender batch, so each message is its own
+	// announced batch.
+	digest    bool
+	unbatched bool
 }
 
 // goldenScenarios is the pinned scenario matrix: good runs at both group
@@ -86,6 +90,15 @@ var goldenScenarios = []goldenScenario{
 	{name: "digest/n=3", n: 3, seed: 42, load: 1500, size: 128, crash: -1, digest: true},
 	{name: "digest-partition/n=3", n: 3, seed: 13, load: 900, size: 64, crash: -1, digest: true,
 		partition: true, partA: 1, partB: 2, partFrom: 400 * time.Millisecond, partTo: 800 * time.Millisecond},
+	// Shared-head matrix (recorded on the engines' private copies, before
+	// internal/head replaced them): a relayed announce (the dissem.Accept +
+	// forward path), each message as its own announced batch, and a durable
+	// crash + restart under digest ordering (regrouped backlog,
+	// re-announce).
+	{name: "ring-digest/n=3", n: 3, seed: 42, load: 1500, size: 128, crash: -1, ring: true, digest: true},
+	{name: "digest-unbatched/n=3", n: 3, seed: 42, load: 1500, size: 128, crash: -1, digest: true, unbatched: true},
+	{name: "digest-restart/n=3", n: 3, seed: 11, load: 1500, size: 128, crash: 1, crashAt: 500 * time.Millisecond,
+		restart: true, restartAt: 1200 * time.Millisecond, digest: true},
 }
 
 // goldenFingerprints maps scenario/stack to the recorded pre-pipelining
@@ -128,6 +141,30 @@ var goldenFingerprints = map[string]string{
 	"digest/n=3/monolithic":           "p0{del=3000 sent=4254 B=527302 disp=5379 cons=1255/1255} p1{del=3000 sent=2876 B=398142 disp=3630 cons=0/1255} p2{del=3000 sent=2631 B=382021 disp=3752 cons=0/1255} order=e3fde66d7f621d18",
 	"digest-partition/n=3/modular":    "p0{del=642 sent=2050 B=143028 disp=8059 cons=377/377} p1{del=642 sent=6054 B=650720 disp=4636 cons=3/377} p2{del=642 sent=5100 B=549116 disp=5103 cons=3/377} order=7df8e679e06c01b6",
 	"digest-partition/n=3/monolithic": "p0{del=1800 sent=4428 B=453908 disp=5219 cons=1434/1434} p1{del=1800 sent=2910 B=203266 disp=3364 cons=0/1434} p2{del=1800 sent=2908 B=203042 disp=3463 cons=0/1434} order=c8cb69cf65e82d4f",
+	// Shared-head fingerprints (recorded at the parent of the internal/head
+	// extraction, on the engines' private admission/announce/relay code).
+	"ring-digest/n=3/modular":         "p0{del=3000 sent=4275 B=513376 disp=8199 cons=798/798} p1{del=3000 sent=3422 B=390012 disp=6603 cons=6/798} p2{del=3000 sent=1911 B=352596 disp=7401 cons=6/798} order=edcaa544b055e70e",
+	"ring-digest/n=3/monolithic":      "p0{del=3000 sent=4552 B=553162 disp=5443 cons=1439/1439} p1{del=3000 sent=2723 B=395997 disp=3833 cons=0/1439} p2{del=3000 sent=2831 B=402109 disp=3830 cons=0/1439} order=d925ae2473f83c8c",
+	"digest-unbatched/n=3/modular":    "p0{del=2684 sent=4740 B=588056 disp=7480 cons=685/685} p1{del=2684 sent=3739 B=344962 disp=6110 cons=1/685} p2{del=2684 sent=2369 B=309342 disp=6795 cons=1/685} order=9c5b67a671b5624e",
+	"digest-unbatched/n=3/monolithic": "p0{del=3000 sent=4628 B=658806 disp=5628 cons=1313/1313} p1{del=3000 sent=3314 B=442338 disp=4314 cons=0/1313} p2{del=3000 sent=3314 B=442338 disp=4314 cons=0/1313} order=c835f68afba00b38",
+	"digest-restart/n=3/modular":      "p0{del=2646 sent=4772 B=502588 disp=8125 cons=934/934} p1{del=2646 sent=2284 B=244664 disp=4300 cons=58/535} p2{del=2646 sent=2001 B=449866 disp=7601 cons=61/934} order=4ce301b7af8d681a",
+	"digest-restart/n=3/monolithic":   "p0{del=2649 sent=4445 B=534589 disp=4705 cons=1172/1172} p1{del=2649 sent=1847 B=259503 disp=2430 cons=0/1172} p2{del=2649 sent=2948 B=510500 disp=3651 cons=0/1172} order=ba6ad9cede8d9b7b",
+}
+
+// config is engine.DefaultConfig(n) plus the scenario's ring and digest
+// options.
+func (s goldenScenario) config() engine.Config {
+	cfg := engine.DefaultConfig(s.n)
+	if s.ring {
+		cfg.Dissemination = dissem.Ring
+	}
+	if s.digest {
+		cfg.DigestOrdering = true
+		if !s.unbatched {
+			cfg.Batch = batch.Config{MaxMsgs: 8, MaxDelay: 2 * time.Millisecond}
+		}
+	}
+	return cfg
 }
 
 // fingerprint runs the scenario and folds every process's delivery
@@ -187,14 +224,8 @@ func TestGoldenTraces(t *testing.T) {
 			sc, stk := sc, stk
 			t.Run(sc.name+"/"+stk.String(), func(t *testing.T) {
 				var cfg engine.Config // zero: netsim applies DefaultConfig(n)
-				if sc.ring {
-					cfg = engine.DefaultConfig(sc.n)
-					cfg.Dissemination = dissem.Ring
-				}
-				if sc.digest {
-					cfg = engine.DefaultConfig(sc.n)
-					cfg.DigestOrdering = true
-					cfg.Batch = batch.Config{MaxMsgs: 8, MaxDelay: 2 * time.Millisecond}
+				if sc.ring || sc.digest {
+					cfg = sc.config()
 				}
 				got := sc.fingerprint(t, stk, cfg)
 				key := sc.name + "/" + stk.String()

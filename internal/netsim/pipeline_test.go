@@ -5,8 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"modab/internal/batch"
-	"modab/internal/dissem"
 	"modab/internal/engine"
 	"modab/internal/types"
 )
@@ -69,14 +67,7 @@ func TestPipelineDepthOneMatchesDefault(t *testing.T) {
 		for _, stk := range []types.Stack{types.Modular, types.Monolithic} {
 			sc, stk := sc, stk
 			t.Run(sc.name+"/"+stk.String(), func(t *testing.T) {
-				cfg := engine.DefaultConfig(sc.n)
-				if sc.ring {
-					cfg.Dissemination = dissem.Ring
-				}
-				if sc.digest {
-					cfg.DigestOrdering = true
-					cfg.Batch = batch.Config{MaxMsgs: 8, MaxDelay: 2 * time.Millisecond}
-				}
+				cfg := sc.config()
 				cfg.PipelineDepth = 1
 				got := sc.fingerprint(t, stk, cfg)
 				if want := goldenFingerprints[sc.name+"/"+stk.String()]; got != want {
