@@ -95,18 +95,19 @@ bench-pair:
 	bash bench/run.sh -compare $(PAIR)/base.json $(PAIR)/head.json
 
 # Documentation gate: gofmt-clean tree, documented exported symbols in
-# modab.go, package comments on every internal package, no broken local
-# markdown links (mirrors the CI docs job).
+# modab.go, package comments on every internal package, the engines'
+# import ratchet (no internal/batch or internal/dissem outside internal/head),
+# no broken local markdown links (mirrors the CI docs job).
 docs:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
-	$(GO) test -run 'TestExportedSymbolsDocumented|TestInternalPackagesHaveComments|TestMarkdownLinks' .
+	$(GO) test -run 'TestExportedSymbolsDocumented|TestInternalPackagesHaveComments|TestEnginesImportNoHeadInternals|TestMarkdownLinks' .
 
 # Size of the implementation: non-test Go lines outside bench/ (comments
 # included) — the count CHANGES.md quotes per PR. The ROADMAP wants it to
 # end each round lower, so this is a ratchet: the target prints the count
 # and fails above LOC_CEILING; a PR that shrinks the tree lowers the
 # ceiling to its new count.
-LOC_CEILING := 20210
+LOC_CEILING := 20078
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l); \
 	echo $$n; \

@@ -88,7 +88,8 @@ func TestDigestOrderingRing(t *testing.T) {
 }
 
 // TestDigestOrderingUnbatched covers the unbatched digest path: each
-// message announces as its own single-message batch.
+// message announces as its own single-message batch, which no stack counts
+// as a sender batch.
 func TestDigestOrderingUnbatched(t *testing.T) {
 	for _, stk := range digestStacks {
 		cluster, err := modab.New(3, stk,
@@ -106,6 +107,12 @@ func TestDigestOrderingUnbatched(t *testing.T) {
 		cluster.Sim().RunIdle(5 * time.Second)
 		if got := cluster.Stats().Total.ADeliver; got != 36 {
 			t.Fatalf("%s: ADeliver=%d, want 36", stk, got)
+		}
+		// SenderBatches counts batches the accumulator sealed: without one
+		// there are none, on either stack (modular used to count one per
+		// announced message here, monolithic none).
+		if got := cluster.Stats().Total.SenderBatches; got != 0 {
+			t.Fatalf("%s: SenderBatches=%d without batching, want 0", stk, got)
 		}
 		if err := cluster.Close(); err != nil {
 			t.Fatal(err)

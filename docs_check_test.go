@@ -108,6 +108,35 @@ func TestInternalPackagesHaveComments(t *testing.T) {
 	}
 }
 
+// TestEnginesImportNoHeadInternals is the structural ratchet behind
+// internal/head: what precedes ordering — batching and dissemination — is
+// written once there, so the non-test files of the two engines must import
+// neither internal/batch nor internal/dissem (their configuration types are
+// reached through engine.Config).
+func TestEnginesImportNoHeadInternals(t *testing.T) {
+	for _, dir := range []string{"internal/abcast", "internal/monolithic"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: %d files, %v", dir, len(files), err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				switch path := strings.Trim(imp.Path.Value, `"`); path {
+				case "modab/internal/batch", "modab/internal/dissem":
+					t.Errorf("%s imports %s: that code belongs in internal/head", file, path)
+				}
+			}
+		}
+	}
+}
+
 // mdLink matches markdown inline links; group 1 is the target.
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 

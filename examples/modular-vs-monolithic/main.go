@@ -39,14 +39,20 @@ func main() {
 	results := map[modab.Stack]row{}
 	for _, stk := range []modab.Stack{modab.Modular, modab.Monolithic} {
 		rec := netsim.NewRecorder(n, warmup, warmup+measure)
-		cluster, err := modab.New(n, stk,
-			modab.WithSimulation(7),
-			modab.WithOnDeliver(func(ev modab.Event) {
-				rec.OnDeliver(ev.P, ev.D.Msg.ID, ev.At)
-			}))
+		cluster, err := modab.New(n, stk, modab.WithSimulation(7))
 		if err != nil {
 			log.Fatal(err)
 		}
+		// The simulator publishes deliveries from Run's goroutine: drain the
+		// stream alongside it, and feed the recorder once the run is over.
+		var events []modab.Event
+		drained := make(chan struct{})
+		go func(sub *modab.DeliveryStream) {
+			defer close(drained)
+			for ev := range sub.C() {
+				events = append(events, ev)
+			}
+		}(cluster.Deliveries())
 		sim := cluster.Sim()
 		netsim.InstallWorkload(sim, netsim.Workload{
 			OfferedLoad: load, Size: size, End: warmup + measure,
@@ -56,6 +62,11 @@ func main() {
 			log.Fatalf("engine error: %v", errs[0])
 		}
 		tot := cluster.Stats().Total
+		_ = cluster.Close() // ends the stream once its buffer has drained
+		<-drained
+		for _, ev := range events {
+			rec.OnDeliver(ev.P, ev.D.Msg.ID, ev.At)
+		}
 		decisions := float64(tot.ConsensusDecided) / float64(n)
 		lat := rec.MeanLatency() * 1e3
 		thr := rec.Throughput()
@@ -64,7 +75,6 @@ func main() {
 			stk, lat, thr, tot.AvgBatch(),
 			float64(tot.MsgsSent)/decisions,
 			float64(tot.PayloadBytesSent)/decisions)
-		_ = cluster.Close()
 	}
 
 	mod, mono := results[modab.Modular], results[modab.Monolithic]

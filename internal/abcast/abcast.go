@@ -7,10 +7,12 @@
 // diffusion), collected into the pending set, and then ordered by a
 // sequence of consensus instances: each instance decides a batch of
 // pending messages, which every process adelivers in a deterministic
-// order. With sender-side batching enabled (engine.Config.Batch), a
-// submitted message first waits in an internal/batch accumulator and is
-// diffused together with its batch in a single frame, amortizing the
-// per-message layer headers and handler dispatches the paper measures.
+// order. What precedes ordering — admission through flow control,
+// sender-side batching (a submitted message then waits in an accumulator
+// and is diffused with its batch in a single frame, amortizing the
+// per-message layer headers and handler dispatches the paper measures) and
+// the dissemination strategy — is the shared head (internal/head); this
+// layer starts at a sealed entry.
 // With pipelining enabled (engine.Config.PipelineDepth > 1) the layer
 // keeps up to W consensus instances in flight concurrently, partitioning
 // the pending set across them, instead of leaving the wire idle while
@@ -35,9 +37,8 @@ import (
 	"sort"
 	"time"
 
-	"modab/internal/batch"
-	"modab/internal/dissem"
 	"modab/internal/engine"
+	"modab/internal/head"
 	"modab/internal/member"
 	"modab/internal/obs"
 	"modab/internal/stack"
@@ -50,9 +51,7 @@ import (
 const (
 	// timerKick is the idle/retry timer.
 	timerKick engine.TimerID = 1
-	// timerFlush is the sender-side batching age trigger: armed when a
-	// message enters an empty accumulator, it seals whatever accumulated
-	// by cfg.Batch.MaxDelay later.
+	// timerFlush is the shared head's batching age trigger.
 	timerFlush engine.TimerID = 2
 	// timerRecover drives state-transfer retries after a crash-recovery
 	// restart.
@@ -86,16 +85,15 @@ type Layer struct {
 	// (t.Next), the flow window, the view history and the delivered set;
 	// this layer keeps only ordering state.
 	t *tail.Tail
+	// hd is the shared head (internal/head): everything upstream of ordering
+	// — admission, sender-side batching, announce and relay through the
+	// dissemination strategy — shared with the monolithic stack. Every
+	// diffuse frame goes out through hd.Spread.
+	hd *head.Head
 	// draining guards drainDecisions against re-entry: applying a config
 	// op mid-delivery synchronously pokes the consensus layer, which may
 	// bounce an event back into this layer.
 	draining bool
-	// diss is the payload-dissemination strategy (internal/dissem): every
-	// diffuse frame goes out through spread, which either broadcasts it
-	// (AllToAll — the paper's pinned behavior) or hands it to the ring's
-	// first live successor for relaying.
-	diss dissem.Disseminator
-
 	// pending maps unordered known messages to their content; epoch
 	// records the next-to-decide instance at insertion time, for staleness
 	// detection, and assigned the in-flight proposal (if any) currently
@@ -125,14 +123,6 @@ type Layer struct {
 	// lastProgress is when the last decision was processed or consensus
 	// started (guards the kick timer against firing during healthy load).
 	lastProgress time.Duration
-	// acc is the sender-side batching accumulator, nil when batching is
-	// disabled. Admitted messages wait here — already holding a
-	// flow-control slot but not yet diffused — until a count, byte or age
-	// trigger seals the batch.
-	acc *batch.Accumulator
-	// recoveredDescs are the restart-regrouped own descriptors Start
-	// re-announces (digest ordering).
-	recoveredDescs []wire.Descriptor
 }
 
 // decision is one buffered consensus outcome; resolved reports whether
@@ -168,34 +158,16 @@ func (l *Layer) Tag() stack.Tag { return stack.TagABcast }
 func (l *Layer) Init(ctx *stack.Context) {
 	l.ctx = ctx
 	l.self = ctx.Env().Self()
-	l.t = tail.New(ctx.Env(), &l.cfg, (*tailHost)(l))
-	if l.cfg.Batch.Enabled() {
-		l.acc = batch.NewAccumulator(l.cfg.Batch)
-	}
-	var incarnation uint64
-	if st := l.cfg.Recovered; st != nil {
-		incarnation = st.Boots
-	}
-	l.diss = dissem.New(l.cfg.Dissemination, l.self, ctx.Env().N(), incarnation)
+	l.t = tail.New(ctx.Env(), &l.cfg, (*host)(l))
+	l.hd = head.New(ctx.Env(), &l.cfg, l.t, (*host)(l))
 	l.pending = make(map[types.MsgID]pendingMsg)
 	l.decisionsBuf = make(map[uint64]decision)
 	l.inflight = make(map[uint64][]types.MsgID)
 	l.pipe = l.cfg.EffectivePipeline()
-	if st := l.cfg.Recovered; st != nil {
-		// The replayed unordered own backlog re-enters the pending set (its
-		// flow-control slots are already re-occupied by the tail): as is, or
-		// under digest ordering as fresh descriptors over contiguous runs.
-		backlog := st.Own
-		if l.cfg.DigestOrdering {
-			l.recoveredDescs = l.t.RegroupOwn(st.Own)
-			backlog = make(wire.Batch, len(l.recoveredDescs))
-			for i, d := range l.recoveredDescs {
-				backlog[i] = d.AppMsg()
-			}
-		}
-		for _, m := range backlog {
-			l.pending[m.ID] = pendingMsg{msg: m, epoch: l.t.Next()}
-		}
+	// The replayed unordered own backlog re-enters the pending set (its
+	// flow-control slots are already re-occupied by the tail).
+	for _, m := range l.hd.Backlog {
+		l.pending[m.ID] = pendingMsg{msg: m, epoch: l.t.Next()}
 	}
 }
 
@@ -215,18 +187,10 @@ func (l *Layer) Start() {
 		if len(st.Own) > 0 {
 			if l.cfg.DigestOrdering {
 				// Re-announce the regrouped backlog: payloads travel once
-				// more through the dissemination seam, descriptors re-enter
-				// the ordering path.
-				for _, d := range l.recoveredDescs {
-					if b, ok := l.t.Store.Range(d); ok {
-						l.announce(d, b)
-					}
-				}
+				// more through the dissemination seam.
+				l.hd.Reannounce(l.hd.Backlog)
 			} else {
-				w := wire.GetWriter(1 + st.Own.WireSize())
-				wire.AppendBatchFrame(w, st.Own)
-				l.spread(w.Bytes(), st.Own.PayloadBytes())
-				wire.PutWriter(w)
+				l.diffuseBatch(st.Own)
 			}
 		}
 		if l.others() > 0 {
@@ -240,162 +204,41 @@ func (l *Layer) Start() {
 
 // Pending returns the number of known, unordered messages, including any
 // still waiting in the sender-side batch accumulator (diagnostics).
-func (l *Layer) Pending() int {
-	n := len(l.pending)
-	if l.acc != nil {
-		n += l.acc.Len()
-	}
-	return n
-}
+func (l *Layer) Pending() int { return len(l.pending) + l.hd.Accumulating() }
 
 // InFlight returns the number of local messages held by flow control.
 func (l *Layer) InFlight() int { return l.t.Flow.InFlight() }
 
-// Abcast submits one application payload: admit through flow control,
-// then either diffuse immediately (batching disabled) or accumulate into
-// the sender-side batch, which is diffused and proposed as one unit when
-// a count, byte or age trigger seals it.
+// Abcast submits one application payload through the shared head, which
+// admits it and hands back what it seals (see host.Sealed).
 func (l *Layer) Abcast(body []byte) (types.MsgID, error) {
-	id, err := l.t.Flow.Admit()
-	if err != nil {
-		return types.MsgID{}, err
-	}
-	msg := wire.AppMsg{ID: id, Body: body}
-	c := l.ctx.Env().Counters()
-	c.ABCast.Add(1)
-	c.Dispatches.Add(1) // application downcall into the stack
-	l.cfg.Obs.Submitted(id, l.ctx.Env().Now())
-	if l.acc == nil {
-		if l.cfg.DigestOrdering {
-			// Unbatched digest mode: the message is its own announced batch.
-			l.ingestBatch(wire.Batch{msg})
-			l.armKick()
-			return id, nil
-		}
-		if l.cfg.Persist != nil {
-			// Write-ahead of the first diffusion: nothing reaches the wire
-			// that a restarted incarnation would not find in its log.
-			l.cfg.Persist.PersistAdmit(wire.Batch{msg})
-		}
-		l.pending[id] = pendingMsg{msg: msg, epoch: l.t.Next()}
-		l.snapClean = false
-		// Unbatched: the message is its own sealed batch.
-		l.cfg.Obs.Stage(id, obs.StageSeal, l.ctx.Env().Now())
-		l.diffuseOne(msg)
-		l.maybeStartConsensus()
+	return l.admitted(l.hd.Abcast(body))
+}
+
+// admitted arms the idle kick behind a successful admission: the flow slot
+// it holds is something to watch over, sealed or not.
+func (l *Layer) admitted(id types.MsgID, err error) (types.MsgID, error) {
+	if err == nil {
 		l.armKick()
-		return id, nil
 	}
-	sealed, act := l.acc.Add(msg)
-	for _, b := range sealed {
-		l.ingestBatch(b)
-	}
-	switch act {
-	case batch.TimerArm:
-		l.ctx.SetTimer(timerFlush, l.cfg.Batch.MaxDelay)
-	case batch.TimerCancel:
-		l.ctx.CancelTimer(timerFlush)
-	}
-	l.armKick()
-	return id, nil
-}
-
-// ingestBatch moves a sealed sender-side batch into the ordering path:
-// every message becomes pending, the batch is diffused as one frame, and
-// consensus is (re)started.
-func (l *Layer) ingestBatch(b wire.Batch) {
-	if l.cfg.Persist != nil {
-		// Write-ahead of the batch's first diffusion. Messages still inside
-		// the accumulator are not yet durable — their sequence numbers never
-		// reached the wire, so a crash simply forgets them.
-		l.cfg.Persist.PersistAdmit(b)
-	}
-	c := l.ctx.Env().Counters()
-	c.SenderBatches.Add(1)
-	c.SenderBatchedMsgs.Add(int64(len(b)))
-	if o := l.cfg.Obs; o != nil {
-		now := l.ctx.Env().Now()
-		for _, m := range b {
-			o.Stage(m.ID, obs.StageSeal, now)
-		}
-	}
-	if l.cfg.DigestOrdering {
-		// Disseminate the payload once, order only the descriptor: the
-		// batch becomes resident, its descriptor becomes the pending
-		// pseudo-message consensus will carry. Own sealed batches are
-		// contiguous by construction (flow control assigns sequential
-		// seqs and the accumulator preserves admission order).
-		if d, err := l.t.Describe(b); err == nil {
-			pm := d.AppMsg()
-			l.pending[pm.ID] = pendingMsg{msg: pm, epoch: l.t.Next()}
-			l.snapClean = false
-			l.announce(d, b)
-			l.maybeStartConsensus()
-			return
-		}
-		// Unreachable for own batches; fall through to plain diffusion so
-		// a shape bug degrades instead of losing the messages.
-	}
-	for _, m := range b {
-		l.pending[m.ID] = pendingMsg{msg: m, epoch: l.t.Next()}
-	}
-	l.snapClean = false
-	w := wire.GetWriter(1 + b.WireSize())
-	wire.AppendBatchFrame(w, b)
-	l.spread(w.Bytes(), b.PayloadBytes())
-	wire.PutWriter(w)
-	l.maybeStartConsensus()
-}
-
-// announce spreads one payload-announce frame (descriptor + batch)
-// through the dissemination strategy.
-func (l *Layer) announce(d wire.Descriptor, b wire.Batch) {
-	w := wire.GetWriter(32 + b.WireSize())
-	wire.AppendAnnounceFrame(w, d, b)
-	l.spread(w.Bytes(), b.PayloadBytes())
-	wire.PutWriter(w)
+	return id, err
 }
 
 // diffuseOne spreads a single-message diffuse frame through a pooled
 // writer (the drivers copy the payload before the writer is returned to
-// the pool).
+// the pool); diffuseBatch spreads a whole batch as one frame.
 func (l *Layer) diffuseOne(m wire.AppMsg) {
 	w := wire.GetWriter(1 + m.WireSize())
 	wire.AppendMsgFrame(w, m)
-	l.spread(w.Bytes(), len(m.Body))
+	l.hd.Spread(w.Bytes(), len(m.Body))
 	wire.PutWriter(w)
 }
 
-// spread transmits one diffuse frame according to the dissemination
-// strategy and owns its payload-byte accounting: a plain broadcast costs
-// the origin payloadBytes on each of n-1 links (the paper's behavior,
-// bit-identical under AllToAll), a ring origin pays for exactly one
-// transmission and lets the successors carry the rest.
-func (l *Layer) spread(frame []byte, payloadBytes int) {
-	c := l.ctx.Env().Counters()
-	h, to, relay := l.diss.Origin()
-	if !relay {
-		others := l.others()
-		c.PayloadBytesSent.Add(int64(payloadBytes * others))
-		c.DisseminatedBytes.Add(int64(len(frame) * others))
-		l.ctx.NetSendMembers(l.t.Hist.Current().Members, frame)
-		return
-	}
-	c.PayloadBytesSent.Add(int64(payloadBytes))
-	w := wire.GetWriter(16 + len(frame))
-	wire.AppendRelayFrame(w, h, frame)
-	c.DisseminatedBytes.Add(int64(len(w.Bytes())))
-	l.ctx.NetSend(to, w.Bytes())
+func (l *Layer) diffuseBatch(b wire.Batch) {
+	w := wire.GetWriter(1 + b.WireSize())
+	wire.AppendBatchFrame(w, b)
+	l.hd.Spread(w.Bytes(), b.PayloadBytes())
 	wire.PutWriter(w)
-}
-
-// spreadFanout is how many transmissions one spread costs the origin —
-// the multiplier the retransmission accounting uses.
-func (l *Layer) spreadFanout() int {
-	if l.diss.Strategy() == dissem.Ring && len(l.t.Hist.Current().Members) >= 3 {
-		return 1
-	}
-	return l.others()
 }
 
 // others returns the broadcast fan-out: current-view members but self.
@@ -440,11 +283,9 @@ func (l *Layer) Receive(from types.ProcessID, data []byte) error {
 		if !l.cfg.DigestOrdering {
 			return fmt.Errorf("abcast: announce from %s without digest ordering", from)
 		}
-		d, b, err := wire.UnmarshalAnnounceFrame(data)
-		if err != nil {
+		if err := l.hd.Announce(data, nil); err != nil {
 			return fmt.Errorf("abcast: bad announce from %s: %w", from, err)
 		}
-		l.handleAnnounce(d, b)
 		return nil
 	case wire.FramePayloadFetch:
 		if !l.cfg.DigestOrdering {
@@ -481,21 +322,6 @@ func (l *Layer) Receive(from types.ProcessID, data []byte) error {
 	return nil
 }
 
-// handleAnnounce ingests a disseminated payload batch and its descriptor:
-// the tail makes the payload resident, and a descriptor that still needs
-// ordering becomes pending and unblocks a head decision waiting on it.
-func (l *Layer) handleAnnounce(d wire.Descriptor, b wire.Batch) {
-	if !l.t.Announce(d, b) {
-		return
-	}
-	pm := d.AppMsg()
-	if _, known := l.pending[pm.ID]; !known {
-		l.pending[pm.ID] = pendingMsg{msg: pm, epoch: l.t.Next()}
-		l.snapClean = false
-	}
-	l.progress()
-}
-
 // progress retries the head decision, proposes and re-arms the idle kick:
 // the common tail of every event that may have unblocked ordering.
 func (l *Layer) progress() {
@@ -504,59 +330,28 @@ func (l *Layer) progress() {
 	l.armKick()
 }
 
-// handleRelay processes a ring-relayed diffuse frame: validate the inner
-// frame, consult the disseminator's dedup watermark (a duplicate is
-// dropped whole), forward the frame to our successor when the lap is not
-// complete, then ingest the inner batch exactly like a directly diffused
-// frame.
+// handleRelay processes a ring-relayed frame — an announce under digest
+// ordering, a diffuse otherwise: the head dedups it (a duplicate is dropped
+// whole) and forwards it along the ring, then the inner frame is ingested
+// exactly like a directly received one.
 func (l *Layer) handleRelay(from types.ProcessID, data []byte) error {
 	h, inner, err := wire.UnmarshalRelayFrame(data)
 	if err != nil {
 		return fmt.Errorf("abcast: bad relay from %s: %w", from, err)
 	}
 	if l.cfg.DigestOrdering {
-		// Ring dissemination under digest ordering relays announce frames.
-		if wire.FrameKind(inner) != wire.FrameAnnounce {
-			return fmt.Errorf("abcast: relayed non-announce from %s under digest ordering", from)
-		}
-		d, b, err := wire.UnmarshalAnnounceFrame(inner)
-		if err != nil {
+		if err := l.hd.Announce(inner, &h); err != nil {
 			return fmt.Errorf("abcast: bad relayed announce from %s: %w", from, err)
 		}
-		nh, to, process, forward := l.diss.Accept(h)
-		if !process {
-			return nil
-		}
-		if forward {
-			c := l.ctx.Env().Counters()
-			c.PayloadBytesSent.Add(int64(b.PayloadBytes()))
-			c.DisseminatedBytes.Add(int64(len(data)))
-			w := wire.GetWriter(len(data))
-			wire.AppendRelayFrame(w, nh, inner)
-			l.ctx.NetSend(to, w.Bytes())
-			wire.PutWriter(w)
-		}
-		l.handleAnnounce(d, b)
 		return nil
 	}
 	b, err := wire.UnmarshalFrame(inner)
 	if err != nil {
 		return fmt.Errorf("abcast: bad relayed diffuse from %s: %w", from, err)
 	}
-	nh, to, process, forward := l.diss.Accept(h)
-	if !process {
-		return nil
+	if l.hd.Accept(h, inner, b.PayloadBytes()) {
+		l.ingestDiffused(b)
 	}
-	if forward {
-		c := l.ctx.Env().Counters()
-		c.PayloadBytesSent.Add(int64(b.PayloadBytes()))
-		c.DisseminatedBytes.Add(int64(len(data)))
-		w := wire.GetWriter(len(data))
-		wire.AppendRelayFrame(w, nh, inner)
-		l.ctx.NetSend(to, w.Bytes())
-		wire.PutWriter(w)
-	}
-	l.ingestDiffused(b)
 	return nil
 }
 
@@ -721,15 +516,11 @@ func (l *Layer) drainDecisions() {
 	}
 }
 
-// SubmitConfig implements engine.ConfigSubmitter: the validated,
-// epoch-stamped op is submitted through the ordinary abcast path — it is
-// diffused, proposed and decided exactly like an application message.
+// SubmitConfig implements engine.ConfigSubmitter: the op is submitted
+// through the ordinary abcast path — diffused, proposed and decided exactly
+// like an application message.
 func (l *Layer) SubmitConfig(op member.Op) (types.MsgID, error) {
-	op, err := l.t.Hist.Current().Stamp(op)
-	if err != nil {
-		return types.MsgID{}, err
-	}
-	return l.Abcast(member.EncodeOp(op))
+	return l.admitted(l.hd.SubmitConfig(op))
 }
 
 // CurrentView implements engine.ConfigSubmitter.
@@ -795,47 +586,29 @@ func (l *Layer) processDecision(k uint64, batch wire.Batch, descs []wire.Descrip
 		p.epoch = k + 1
 		l.pending[id] = p
 		if l.rediffuse(p.msg) {
-			l.ctx.Env().Counters().Retransmissions.Add(int64(l.spreadFanout()))
+			l.ctx.Env().Counters().Retransmissions.Add(int64(l.hd.Fanout()))
 		}
 	}
 }
 
-// rediffuse re-spreads one stale pending entry. In payload mode it is a
-// plain diffuse; under digest ordering the entry is a descriptor
-// pseudo-message re-announced together with its resident payload (a
-// descriptor whose payload this process no longer holds is skipped — it
-// either resolves trivially as fully delivered, or another holder
-// re-announces it).
+// rediffuse re-spreads one stale pending entry: a plain diffuse in payload
+// mode; under digest ordering the entry is a descriptor pseudo-message,
+// re-announced with its payload if this process still holds it.
 func (l *Layer) rediffuse(m wire.AppMsg) bool {
-	if !l.cfg.DigestOrdering {
-		l.diffuseOne(m)
-		return true
+	if l.cfg.DigestOrdering {
+		return l.hd.Reannounce(wire.Batch{m}) == 1
 	}
-	d, err := wire.ParseDescriptor(m)
-	if err != nil {
-		return false
-	}
-	b, ok := l.t.Store.Range(d)
-	if !ok {
-		return false
-	}
-	l.announce(d, b)
+	l.diffuseOne(m)
 	return true
 }
 
 // Timer implements stack.Layer: the batching age trigger and the idle
-// kick. timerFlush seals whatever the accumulator holds (a fire that
-// races a count-trigger seal finds it empty and diffuses nothing).
-// timerKick retries the proposal when nothing has progressed for the
+// kick. timerKick retries the proposal when nothing has progressed for the
 // configured period (and lets processDecision's staleness rule
 // re-diffuse).
 func (l *Layer) Timer(id engine.TimerID) {
 	if id == timerFlush {
-		if l.acc == nil {
-			return
-		}
-		if b := l.acc.Flush(); len(b) > 0 {
-			l.ingestBatch(b)
+		if l.hd.Flush() {
 			l.armKick()
 		}
 		return
@@ -883,7 +656,7 @@ func (l *Layer) Timer(id engine.TimerID) {
 			p.epoch = l.t.Next() + 1
 			l.pending[mid] = p
 			if l.rediffuse(p.msg) {
-				c.Retransmissions.Add(int64(l.spreadFanout()))
+				c.Retransmissions.Add(int64(l.hd.Fanout()))
 			}
 		}
 		l.maybeStartConsensus()
@@ -923,7 +696,7 @@ func (l *Layer) staleGap() bool {
 // strategy tracks it: a ring relayer skips a suspected successor, which
 // is how a cut ring repairs itself.
 func (l *Layer) Suspect(p types.ProcessID, suspected bool) {
-	l.diss.Suspect(p, suspected)
+	l.hd.Suspect(p, suspected)
 	l.t.Suspected[p] = suspected // feeds the payload-refetch target rotation
 }
 
@@ -950,14 +723,62 @@ func (l *Layer) sortedPendingIDs(keep func(pendingMsg) bool) []types.MsgID {
 	return ids
 }
 
-// tailHost is the Layer seen through tail.Host: the modular stack's wire
-// encoding of the six tail messages (wire.Frame*, tagged and sent through
-// the stack context), its layer-local timer IDs, and the tail's hooks into
-// the pending set and the decision reorder buffer. A separate named type
-// keeps these methods off the Layer's public surface.
-type tailHost Layer
+// host is the Layer seen through tail.Host and head.Host: the modular
+// stack's wire encoding of the tail's six messages and the head's two sends
+// (wire.Frame*, tagged and sent through the stack context), its layer-local
+// timer IDs, where sealed and announced entries enter the pending set, and
+// the tail's hooks into it and the decision reorder buffer. A separate
+// named type keeps these methods off the Layer's public surface.
+type host Layer
 
-var _ tail.Host = (*tailHost)(nil)
+var (
+	_ tail.Host = (*host)(nil)
+	_ head.Host = (*host)(nil)
+)
+
+// Sealed moves one sealed own batch into the ordering path: every entry
+// becomes pending, payload mode diffuses the messages as one frame (under
+// digest ordering the head already announced them; a raw shape-bug
+// fallback rides the proposal), and consensus is (re)started.
+func (h *host) Sealed(entries wire.Batch) {
+	l := (*Layer)(h)
+	for _, m := range entries {
+		l.pending[m.ID] = pendingMsg{msg: m, epoch: l.t.Next()}
+	}
+	l.snapClean = false
+	if !l.cfg.DigestOrdering {
+		if l.cfg.Batch.Enabled() {
+			l.diffuseBatch(entries)
+		} else {
+			l.diffuseOne(entries[0]) // the paper's single-message frame
+		}
+	}
+	l.maybeStartConsensus()
+}
+
+// Announced makes a peer's announced descriptor pending and unblocks a head
+// decision waiting on its payload.
+func (h *host) Announced(pm wire.AppMsg) {
+	if _, known := h.pending[pm.ID]; !known {
+		h.pending[pm.ID] = pendingMsg{msg: pm, epoch: h.t.Next()}
+		h.snapClean = false
+	}
+	(*Layer)(h).progress()
+}
+
+func (h *host) SendMembers(frame []byte) {
+	l := (*Layer)(h)
+	l.ctx.Env().Counters().DisseminatedBytes.Add(int64(len(frame) * l.others()))
+	l.ctx.NetSendMembers(l.t.Hist.Current().Members, frame)
+}
+
+func (h *host) SendRelay(to types.ProcessID, rh wire.RelayHeader, inner []byte) {
+	l := (*Layer)(h)
+	l.send(to, 16+len(inner), func(w *wire.Writer) {
+		wire.AppendRelayFrame(w, rh, inner)
+		l.ctx.Env().Counters().DisseminatedBytes.Add(int64(len(w.Bytes())))
+	})
+}
 
 // send transmits one frame built by fill to a single peer.
 func (l *Layer) send(to types.ProcessID, size int, fill func(w *wire.Writer)) {
@@ -967,7 +788,7 @@ func (l *Layer) send(to types.ProcessID, size int, fill func(w *wire.Writer)) {
 	wire.PutWriter(w)
 }
 
-func (h *tailHost) SendRecoverReq(to types.ProcessID, req wire.RecoverReq) {
+func (h *host) SendRecoverReq(to types.ProcessID, req wire.RecoverReq) {
 	w := wire.GetWriter(16)
 	wire.AppendRecoverReqFrame(w, req)
 	if to == types.Nobody {
@@ -978,7 +799,7 @@ func (h *tailHost) SendRecoverReq(to types.ProcessID, req wire.RecoverReq) {
 	wire.PutWriter(w)
 }
 
-func (h *tailHost) SendRecoverResp(to types.ProcessID, _ wire.RecoverReq, resp wire.RecoverResp) {
+func (h *host) SendRecoverResp(to types.ProcessID, _ wire.RecoverReq, resp wire.RecoverResp) {
 	l := (*Layer)(h)
 	c := l.ctx.Env().Counters()
 	for _, d := range resp.Decisions {
@@ -987,19 +808,19 @@ func (h *tailHost) SendRecoverResp(to types.ProcessID, _ wire.RecoverReq, resp w
 	l.send(to, 16, func(w *wire.Writer) { wire.AppendRecoverRespFrame(w, resp) })
 }
 
-func (h *tailHost) SendSnapReq(to types.ProcessID, req wire.SnapReq) {
+func (h *host) SendSnapReq(to types.ProcessID, req wire.SnapReq) {
 	(*Layer)(h).send(to, 24, func(w *wire.Writer) { wire.AppendSnapReqFrame(w, req) })
 }
 
-func (h *tailHost) SendSnapResp(to types.ProcessID, resp wire.SnapResp) {
+func (h *host) SendSnapResp(to types.ProcessID, resp wire.SnapResp) {
 	(*Layer)(h).send(to, 64+len(resp.Data), func(w *wire.Writer) { wire.AppendSnapRespFrame(w, resp) })
 }
 
-func (h *tailHost) SendPayloadFetch(to types.ProcessID, d wire.Descriptor) {
+func (h *host) SendPayloadFetch(to types.ProcessID, d wire.Descriptor) {
 	(*Layer)(h).send(to, 32, func(w *wire.Writer) { wire.AppendPayloadFetchFrame(w, d) })
 }
 
-func (h *tailHost) SendPayloadResp(to types.ProcessID, d wire.Descriptor, b wire.Batch) {
+func (h *host) SendPayloadResp(to types.ProcessID, d wire.Descriptor, b wire.Batch) {
 	l := (*Layer)(h)
 	l.send(to, 32+b.WireSize(), func(w *wire.Writer) {
 		wire.AppendPayloadRespFrame(w, d, b)
@@ -1007,19 +828,22 @@ func (h *tailHost) SendPayloadResp(to types.ProcessID, d wire.Descriptor, b wire
 	})
 }
 
-// layerTimer maps a tail timer into the layer-local timer namespace.
+// layerTimer maps a tail or head timer into the layer-local namespace.
 func layerTimer(id tail.Timer) engine.TimerID {
-	if id == tail.TimerRecover {
+	switch id {
+	case tail.TimerRecover:
 		return timerRecover
+	case tail.TimerFlush:
+		return timerFlush
 	}
 	return timerPayload
 }
 
-func (h *tailHost) SetTimer(id tail.Timer, d time.Duration) { h.ctx.SetTimer(layerTimer(id), d) }
+func (h *host) SetTimer(id tail.Timer, d time.Duration) { h.ctx.SetTimer(layerTimer(id), d) }
 
-func (h *tailHost) CancelTimer(id tail.Timer) { h.ctx.CancelTimer(layerTimer(id)) }
+func (h *host) CancelTimer(id tail.Timer) { h.ctx.CancelTimer(layerTimer(id)) }
 
-func (h *tailHost) RetirePending(obsolete func(m wire.AppMsg) bool) {
+func (h *host) RetirePending(obsolete func(m wire.AppMsg) bool) {
 	for id, p := range h.pending {
 		if obsolete(p.msg) {
 			delete(h.pending, id)
@@ -1030,18 +854,18 @@ func (h *tailHost) RetirePending(obsolete func(m wire.AppMsg) bool) {
 
 // Decision: the layer itself retains no decided batches (decisions live
 // behind the consensus black box), so only the write-ahead log can serve.
-func (h *tailHost) Decision(k uint64) (wire.Batch, bool) {
+func (h *host) Decision(k uint64) (wire.Batch, bool) {
 	if h.cfg.Persist == nil {
 		return nil, false
 	}
 	return h.cfg.Persist.ReadDecision(k)
 }
 
-func (h *tailHost) Decided(k uint64, b wire.Batch) { (*Layer)(h).enqueueDecision(k, b, true) }
+func (h *host) Decided(k uint64, b wire.Batch) { (*Layer)(h).enqueueDecision(k, b, true) }
 
-func (h *tailHost) Advanced() { (*Layer)(h).progress() }
+func (h *host) Advanced() { (*Layer)(h).progress() }
 
-func (h *tailHost) Installed() {
+func (h *host) Installed() {
 	for k := range h.decisionsBuf {
 		if k < h.t.Next() {
 			delete(h.decisionsBuf, k)
@@ -1058,7 +882,7 @@ func (h *tailHost) Installed() {
 // CaughtUp resumes normal operation after catch-up: pending-set staleness
 // restarts from here (the fetched instances could not have ordered what
 // only this process holds), and proposing is allowed again.
-func (h *tailHost) CaughtUp() {
+func (h *host) CaughtUp() {
 	l := (*Layer)(h)
 	for id, p := range l.pending {
 		p.epoch = l.t.Next()
@@ -1074,10 +898,10 @@ func (h *tailHost) CaughtUp() {
 // ViewChanged propagates a view to the consensus and rbcast layers and
 // points the dissemination topology at it; the proposable-snapshot cache
 // is invalidated so pendingBatch's membership filter re-applies.
-func (h *tailHost) ViewChanged(v member.View) {
+func (h *host) ViewChanged(v member.View) {
 	ev := stack.Event{Kind: stack.EvConfig, Instance: v.Activation, Members: v.Members}
 	h.ctx.Emit(stack.TagConsensus, ev)
 	h.ctx.Emit(stack.TagRBcast, ev)
-	h.diss.SetMembers(v.Members)
+	h.hd.SetMembers(v.Members)
 	h.snapClean = false
 }

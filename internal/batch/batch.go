@@ -87,8 +87,14 @@ type Accumulator struct {
 // validated) configuration.
 func NewAccumulator(cfg Config) *Accumulator { return &Accumulator{cfg: cfg} }
 
-// Len returns the number of accumulated, not-yet-sealed messages.
-func (a *Accumulator) Len() int { return len(a.buf) }
+// Len returns the number of accumulated, not-yet-sealed messages; a nil
+// accumulator (batching disabled) holds none.
+func (a *Accumulator) Len() int {
+	if a == nil {
+		return 0
+	}
+	return len(a.buf)
+}
 
 // Bytes returns the encoded size of the accumulated messages.
 func (a *Accumulator) Bytes() int { return a.bytes }

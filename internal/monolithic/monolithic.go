@@ -36,9 +36,8 @@ import (
 	"sort"
 	"time"
 
-	"modab/internal/batch"
-	"modab/internal/dissem"
 	"modab/internal/engine"
+	"modab/internal/head"
 	"modab/internal/member"
 	"modab/internal/obs"
 	"modab/internal/retire"
@@ -70,16 +69,18 @@ type Engine struct {
 	// fan-out for instance k consults the view governing k, never a cached
 	// group size. The engine keeps only ordering state.
 	t *tail.Tail
+	// hd is the shared head (internal/head): everything upstream of ordering
+	// — admission, sender-side batching, announce and relay through the
+	// dissemination strategy — shared with the modular stack. Of the
+	// engine's own messages only the bulky combined proposal+decision goes
+	// through the strategy: under Ring it is relayed successor-to-successor
+	// instead of broadcast, so the coordinator's egress stops scaling with
+	// n; every other message type keeps its original path.
+	hd *head.Head
 	// viewKick defers the post-view-change suspicion cascade out of the
 	// delivery loop (config ops apply mid-Commit; advancing rounds there
 	// could nest a decide under a half-updated instance).
 	viewKick bool
-	// diss is the payload-dissemination strategy (internal/dissem). Only
-	// the bulky combined proposal+decision goes through it — under Ring
-	// it is relayed successor-to-successor instead of broadcast, so the
-	// coordinator's egress stops scaling with n; every other message
-	// type keeps its original path.
-	diss dissem.Disseminator
 
 	// own tracks locally abcast messages until adelivery.
 	own map[uint64]*ownMsg // keyed by local sequence number
@@ -126,11 +127,6 @@ type Engine struct {
 	// for the next ack; when it is idle they must be forwarded explicitly
 	// to restart it.
 	pipelineIdle bool
-	// acc is the sender-side batching accumulator, nil when batching is
-	// disabled. Admitted messages wait here — holding a flow-control slot
-	// but not yet in own/pool — until a count, byte or age trigger seals
-	// the batch and ingestBatch hands it to the ordering machinery.
-	acc *batch.Accumulator
 	// parked is the head decision (instance decidedK+1) blocked on a missing
 	// payload while the tail's payload wait is active: the unresolved
 	// descriptor batch and its round, retried when bytes become resident.
@@ -200,31 +196,14 @@ func New(env engine.Env, cfg engine.Config) *Engine {
 		propIDs:  make(map[uint64][]types.MsgID),
 		insts:    make(map[uint64]*inst),
 	}
-	e.t = tail.New(env, &e.cfg, (*tailHost)(e))
-	if cfg.Batch.Enabled() {
-		e.acc = batch.NewAccumulator(cfg.Batch)
-	}
-	var incarnation uint64
-	if st := cfg.Recovered; st != nil {
-		incarnation = st.Boots
-	}
-	e.diss = dissem.New(cfg.Dissemination, e.self, env.N(), incarnation)
-	if st := cfg.Recovered; st != nil {
-		// The replayed unordered own backlog re-enters own and the pool (its
-		// flow-control slots are already re-occupied by the tail): as is, or
-		// under digest ordering as fresh descriptors over contiguous runs —
-		// the flow slots stay bound to the real sequence numbers either way.
-		backlog := st.Own
-		if cfg.DigestOrdering {
-			backlog = nil
-			for _, d := range e.t.RegroupOwn(st.Own) {
-				backlog = append(backlog, d.AppMsg())
-			}
-		}
-		for _, m := range backlog {
-			e.own[m.ID.Seq] = &ownMsg{msg: m}
-			e.pool[m.ID] = m
-		}
+	e.t = tail.New(env, &e.cfg, (*host)(e))
+	e.hd = head.New(env, &e.cfg, e.t, (*host)(e))
+	// The replayed unordered own backlog re-enters own and the pool (its
+	// flow-control slots are already re-occupied by the tail, bound to the
+	// real sequence numbers whatever form the entries take).
+	for _, m := range e.hd.Backlog {
+		e.own[m.ID.Seq] = &ownMsg{msg: m}
+		e.pool[m.ID] = m
 	}
 	e.t.ReplayViews()
 	return e
@@ -279,11 +258,7 @@ func (e *Engine) Pending() int {
 	for _, om := range e.own {
 		known[om.msg.ID] = struct{}{}
 	}
-	n := len(known)
-	if e.acc != nil {
-		n += e.acc.Len()
-	}
-	return n
+	return len(known) + e.hd.Accumulating()
 }
 
 // viewAt returns the membership view governing consensus instance k.
@@ -324,92 +299,9 @@ func (e *Engine) get(k uint64) *inst {
 // current returns the instance currently being agreed on (decidedK+1).
 func (e *Engine) current() *inst { return e.get(e.decidedK() + 1) }
 
-// Abcast implements engine.Engine. The message is NOT diffused: it waits
-// for the next ack to the coordinator (§4.2), or is forwarded immediately
-// when no consensus is in flight to piggyback on. With sender-side
-// batching enabled it first waits in the accumulator and enters the
-// ordering machinery together with its batch.
-func (e *Engine) Abcast(body []byte) (types.MsgID, error) {
-	id, err := e.t.Flow.Admit()
-	if err != nil {
-		return types.MsgID{}, err
-	}
-	msg := wire.AppMsg{ID: id, Body: body}
-	c := e.env.Counters()
-	c.ABCast.Add(1)
-	c.Dispatches.Add(1) // application downcall into the engine
-	e.cfg.Obs.Submitted(id, e.env.Now())
-	if e.acc == nil {
-		e.ingestBatch(wire.Batch{msg})
-		return id, nil
-	}
-	sealed, act := e.acc.Add(msg)
-	for _, b := range sealed {
-		c.SenderBatches.Add(1)
-		c.SenderBatchedMsgs.Add(int64(len(b)))
-		e.ingestBatch(b)
-	}
-	switch act {
-	case batch.TimerArm:
-		e.env.SetTimer(engine.TimerFlush, e.cfg.Batch.MaxDelay)
-	case batch.TimerCancel:
-		e.env.CancelTimer(engine.TimerFlush)
-	}
-	return id, nil
-}
-
-// ingestBatch hands locally submitted messages to the ordering machinery:
-// they join own and the pool, and the coordinator/forward step runs once
-// for the whole batch (§4.2's piggybacking then carries them together).
-// With durability enabled the batch is logged first — write-ahead of its
-// first appearance on the wire.
-func (e *Engine) ingestBatch(b wire.Batch) {
-	if e.cfg.Persist != nil {
-		e.cfg.Persist.PersistAdmit(b)
-	}
-	if o := e.cfg.Obs; o != nil {
-		now := e.env.Now()
-		for _, m := range b {
-			o.Stage(m.ID, obs.StageSeal, now)
-		}
-	}
-	entries := b
-	if e.cfg.DigestOrdering {
-		// Disseminate the payload exactly once; only the descriptor
-		// pseudo-message enters the ordering machinery (own, pool, acks,
-		// proposals). Own sealed batches are contiguous by construction
-		// (flow control assigns sequential seqs, the accumulator preserves
-		// admission order); on the impossible shape error the raw messages
-		// degrade to payload-style ordering instead of being lost.
-		if d, err := e.t.Describe(b); err == nil {
-			entries = wire.Batch{d.AppMsg()}
-			e.spreadAnnounce(d, b)
-		}
-	}
-	for _, m := range entries {
-		e.own[m.ID.Seq] = &ownMsg{msg: m}
-		// Own messages always join the local pool: inert while another
-		// process coordinates, but immediately proposable if this process
-		// is (or becomes, after a round change) the coordinator.
-		e.pool[m.ID] = m
-	}
-	cur := e.current()
-	coord := e.coordinatorAt(cur.k, cur.round)
-	if coord == e.self {
-		for _, m := range entries {
-			e.own[m.ID.Seq].attached = cur.k
-		}
-		e.tryPropose()
-		e.armKick()
-		return
-	}
-	if e.pipelineIdle && len(cur.proposals) == 0 && !cur.decided {
-		// The pipeline is stopped, so no ack will come by to piggyback on:
-		// forward directly to the coordinator to restart it.
-		e.forwardOwn(cur, coord)
-	}
-	e.armKick()
-}
+// Abcast implements engine.Engine: the shared head admits the message and
+// hands back what it seals (see host.Sealed).
+func (e *Engine) Abcast(body []byte) (types.MsgID, error) { return e.hd.Abcast(body) }
 
 // forwardOwn sends every eligible own message to the coordinator as a
 // standalone forward (idle/bootstrap path).
@@ -584,37 +476,32 @@ func (e *Engine) proposeRound(in *inst, r uint32, batch wire.Batch) {
 // The origin pays the payload bytes of exactly one transmission on the
 // ring path (mRelay's own payloadBytes is zero — Data is opaque there).
 func (e *Engine) spreadPropDec(m message) {
-	if e.cfg.DigestOrdering {
-		// Digest ordering: the proposal carries descriptors only — pure
-		// control that no longer scales with payload size — so it never
-		// rides the ring; mAnnounce is what relays (spreadAnnounce).
-		e.sendAll(m)
-		return
+	// Digest ordering: the proposal carries descriptors only — pure control
+	// that no longer scales with payload size — so it never rides the ring;
+	// the head's announces are what relays.
+	if !e.cfg.DigestOrdering {
+		if h, to, relay := e.hd.Origin(m.payloadBytes()); relay {
+			(*host)(e).SendRelay(to, h, m.marshal())
+			return
+		}
 	}
-	h, to, relay := e.diss.Origin()
-	if !relay {
-		e.sendAll(m)
-		return
-	}
-	e.env.Counters().PayloadBytesSent.Add(int64(m.payloadBytes()))
-	e.send(to, message{
-		Type:        mRelay,
-		Instance:    h.Seq,
-		RelayOrigin: h.Origin,
-		RelayHops:   h.Hops,
-		Data:        m.marshal(),
-	})
+	e.sendAll(m)
 }
 
-// handleRelay processes a ring-relayed proposal: validate the inner
-// message, consult the disseminator's dedup watermark (a lapped or
-// duplicated frame is dropped whole), forward to our successor when the
-// lap is not complete, then process the proposal exactly as if the
-// origin had sent it directly — acks, nacks and refetches all go
-// straight back to the origin, never along the ring.
+// handleRelay processes a ring-relayed frame — a payload announce under
+// digest ordering (the proposal is pure control there and never relays), a
+// proposal otherwise: the head dedups it (a lapped or duplicated frame is
+// dropped whole) and forwards it to our successor when the lap is not
+// complete, then the proposal is processed exactly as if the origin had
+// sent it directly — acks, nacks and refetches all go straight back to the
+// origin, never along the ring.
 func (e *Engine) handleRelay(from types.ProcessID, m message) error {
+	h := wire.RelayHeader{Origin: m.RelayOrigin, Seq: m.Instance, Hops: m.RelayHops}
 	if e.cfg.DigestOrdering {
-		return e.handleAnnounceRelay(from, m)
+		if err := e.hd.Announce(m.Data, &h); err != nil {
+			return fmt.Errorf("monolithic: bad relayed announce from %s: %w", from, err)
+		}
+		return nil
 	}
 	inner, err := unmarshalMessage(m.Data)
 	if err != nil {
@@ -623,97 +510,10 @@ func (e *Engine) handleRelay(from types.ProcessID, m message) error {
 	if inner.Type != mPropDec {
 		return fmt.Errorf("monolithic: relayed %s from %s (only proposals relay)", inner.Type, from)
 	}
-	h := wire.RelayHeader{Origin: m.RelayOrigin, Seq: m.Instance, Hops: m.RelayHops}
-	nh, to, process, forward := e.diss.Accept(h)
-	if !process {
-		return nil
+	if e.hd.Accept(h, m.Data, inner.payloadBytes()) {
+		e.handlePropDec(h.Origin, inner)
 	}
-	if forward {
-		e.env.Counters().PayloadBytesSent.Add(int64(inner.payloadBytes()))
-		e.send(to, message{
-			Type:        mRelay,
-			Instance:    nh.Seq,
-			RelayOrigin: nh.Origin,
-			RelayHops:   nh.Hops,
-			Data:        m.Data,
-		})
-	}
-	e.handlePropDec(h.Origin, inner)
 	return nil
-}
-
-// spreadAnnounce disseminates one payload batch with its descriptor
-// through the strategy seam: a broadcast mAnnounce under AllToAll, or one
-// transmission to the first live successor under Ring (the successors
-// relay it around the group, so the origin's egress stays constant).
-// This is digest ordering's only payload-bearing dissemination.
-func (e *Engine) spreadAnnounce(d wire.Descriptor, b wire.Batch) {
-	w := wire.GetWriter(32 + b.WireSize())
-	wire.AppendAnnounceFrame(w, d, b)
-	frame := make([]byte, w.Len())
-	copy(frame, w.Bytes())
-	wire.PutWriter(w)
-	c := e.env.Counters()
-	h, to, relay := e.diss.Origin()
-	if !relay {
-		c.PayloadBytesSent.Add(int64(b.PayloadBytes() * e.others()))
-		e.sendAll(message{Type: mAnnounce, Data: frame})
-		return
-	}
-	c.PayloadBytesSent.Add(int64(b.PayloadBytes()))
-	e.send(to, message{
-		Type:        mRelay,
-		Instance:    h.Seq,
-		RelayOrigin: h.Origin,
-		RelayHops:   h.Hops,
-		Data:        frame,
-	})
-}
-
-// handleAnnounceRelay processes a ring-relayed payload announce (under
-// digest ordering the relay wraps a raw announce frame — the proposal is
-// pure control and never relays): validate the frame at the wire layer,
-// dedup on the relay watermark, forward along the ring, then ingest
-// exactly like a direct announce.
-func (e *Engine) handleAnnounceRelay(from types.ProcessID, m message) error {
-	d, b, err := wire.UnmarshalAnnounceFrame(m.Data)
-	if err != nil {
-		return fmt.Errorf("monolithic: bad relayed announce from %s: %w", from, err)
-	}
-	h := wire.RelayHeader{Origin: m.RelayOrigin, Seq: m.Instance, Hops: m.RelayHops}
-	nh, to, process, forward := e.diss.Accept(h)
-	if !process {
-		return nil
-	}
-	if forward {
-		e.env.Counters().PayloadBytesSent.Add(int64(b.PayloadBytes()))
-		e.send(to, message{
-			Type:        mRelay,
-			Instance:    nh.Seq,
-			RelayOrigin: nh.Origin,
-			RelayHops:   nh.Hops,
-			Data:        m.Data,
-		})
-	}
-	e.handleAnnounce(d, b)
-	return nil
-}
-
-// handleAnnounce ingests a disseminated payload batch: the tail makes the
-// bytes resident (proposable, fetchable, resolvable), and a descriptor
-// that still needs ordering joins the pool and retries a head decision
-// blocked on this payload.
-func (e *Engine) handleAnnounce(d wire.Descriptor, b wire.Batch) {
-	if !e.t.Announce(d, b) {
-		return
-	}
-	pm := d.AppMsg()
-	if _, ok := e.pool[pm.ID]; !ok {
-		e.pool[pm.ID] = pm
-	}
-	e.retryBlockedDecide()
-	e.tryPropose()
-	e.armKick()
 }
 
 // reannounceOwn re-disseminates the payload batch of every own undecided
@@ -725,22 +525,11 @@ func (e *Engine) reannounceOwn() {
 	if !e.cfg.DigestOrdering || len(e.own) == 0 {
 		return
 	}
-	dseqs := make([]uint64, 0, len(e.own))
-	for dseq := range e.own {
-		dseqs = append(dseqs, dseq)
+	entries := make(wire.Batch, 0, len(e.own))
+	for _, om := range e.own {
+		entries = append(entries, om.msg)
 	}
-	sort.Slice(dseqs, func(i, j int) bool { return dseqs[i] < dseqs[j] })
-	c := e.env.Counters()
-	for _, dseq := range dseqs {
-		d, err := wire.ParseDescriptor(e.own[dseq].msg)
-		if err != nil {
-			continue // shape-bug fallback entry: raw messages, nothing to announce
-		}
-		if b, ok := e.t.Store.Range(d); ok {
-			c.Retransmissions.Add(1)
-			e.spreadAnnounce(d, b)
-		}
-	}
+	e.env.Counters().Retransmissions.Add(int64(e.hd.Reannounce(entries)))
 }
 
 // respreadOpen re-disseminates every open proposal this process
@@ -752,7 +541,7 @@ func (e *Engine) reannounceOwn() {
 // repaired ring. No-op under AllToAll, where the broadcast already
 // reached everyone.
 func (e *Engine) respreadOpen() {
-	if e.diss.Strategy() != dissem.Ring || e.t.Rec.Active() {
+	if !e.hd.Ring() || e.t.Rec.Active() {
 		return
 	}
 	c := e.env.Counters()
@@ -896,11 +685,9 @@ func (e *Engine) HandleMessage(from types.ProcessID, data []byte) error {
 		if !e.cfg.DigestOrdering {
 			return fmt.Errorf("monolithic: announce from %s without digest ordering", from)
 		}
-		d, b, err := wire.UnmarshalAnnounceFrame(m.Data)
-		if err != nil {
+		if err := e.hd.Announce(m.Data, nil); err != nil {
 			return fmt.Errorf("monolithic: bad announce from %s: %w", from, err)
 		}
-		e.handleAnnounce(d, b)
 	case mPayloadFetch:
 		if !e.cfg.DigestOrdering {
 			return fmt.Errorf("monolithic: payload fetch from %s without digest ordering", from)
@@ -1165,7 +952,7 @@ func (e *Engine) applyRemoteDecision(from types.ProcessID, k uint64, round uint3
 		return
 	}
 	in.waitingRound = round
-	if e.diss.Strategy() == dissem.Ring {
+	if e.hd.Ring() {
 		// Under ring dissemination the proposal carrying this decision is
 		// usually still relaying around the ring (direct control frames
 		// outrun it); an immediate refetch per announcement floods the
@@ -1201,7 +988,7 @@ func (e *Engine) requestMissing(from types.ProcessID, upto uint64) {
 	if e.t.Rec.Active() {
 		return // the bulk state transfer already covers the gap
 	}
-	if e.diss.Strategy() == dissem.Ring {
+	if e.hd.Ring() {
 		e.ringWant(upto)
 		return
 	}
@@ -1484,29 +1271,12 @@ func (e *Engine) HandleTimer(id engine.TimerID) {
 	case engine.TimerKick:
 		e.kick()
 	case engine.TimerFlush:
-		e.flushBatch()
+		e.hd.Flush()
 	case engine.TimerPayload:
 		e.payloadTimer()
 	case engine.TimerRecover:
 		e.t.RecoverTimer()
 	}
-}
-
-// flushBatch is the batching age trigger: seal whatever accumulated. A
-// fire that races a count-trigger seal finds the accumulator empty and
-// does nothing.
-func (e *Engine) flushBatch() {
-	if e.acc == nil {
-		return
-	}
-	b := e.acc.Flush()
-	if len(b) == 0 {
-		return
-	}
-	c := e.env.Counters()
-	c.SenderBatches.Add(1)
-	c.SenderBatchedMsgs.Add(int64(len(b)))
-	e.ingestBatch(b)
 }
 
 // retryWaiting re-requests a decision this process knows exists but cannot
@@ -1531,7 +1301,7 @@ func (e *Engine) retryWaiting() {
 			}
 		}
 	}
-	if e.diss.Strategy() == dissem.Ring {
+	if e.hd.Ring() {
 		e.ringRetryWaiting(waiting)
 		return
 	}
@@ -1645,7 +1415,7 @@ func (e *Engine) armKick() {
 // advancement runs when recovery finishes.
 func (e *Engine) Suspect(p types.ProcessID, suspected bool) {
 	e.t.Suspected[p] = suspected
-	e.diss.Suspect(p, suspected)
+	e.hd.Suspect(p, suspected)
 	if e.t.Rec.Active() {
 		return
 	}
@@ -1756,16 +1526,10 @@ func (e *Engine) sendAll(m message) {
 	}
 }
 
-// SubmitConfig implements engine.ConfigSubmitter: the validated,
-// epoch-stamped op is submitted through the ordinary abcast path — it is
-// forwarded, proposed and decided exactly like an application message.
-func (e *Engine) SubmitConfig(op member.Op) (types.MsgID, error) {
-	op, err := e.t.Hist.Current().Stamp(op)
-	if err != nil {
-		return types.MsgID{}, err
-	}
-	return e.Abcast(member.EncodeOp(op))
-}
+// SubmitConfig implements engine.ConfigSubmitter: the op is submitted
+// through the ordinary abcast path — forwarded, proposed and decided
+// exactly like an application message.
+func (e *Engine) SubmitConfig(op member.Op) (types.MsgID, error) { return e.hd.SubmitConfig(op) }
 
 // CurrentView implements engine.ConfigSubmitter.
 func (e *Engine) CurrentView() member.View { return e.t.Hist.Current() }
@@ -1789,16 +1553,76 @@ func (e *Engine) drop(id types.MsgID) {
 	}
 }
 
-// tailHost is the Engine seen through tail.Host: the monolithic wire
-// encoding of the six tail messages (message{Type: m…}; the payload-repair
-// pair carries raw wire frames in Data), the engine-wide timer IDs, and
-// the tail's hooks into own/pool and the in-order decide path. A separate
-// named type keeps these methods off the Engine's public surface.
-type tailHost Engine
+// host is the Engine seen through tail.Host and head.Host: the monolithic
+// wire encoding of the tail's six messages and the head's two sends
+// (message{Type: m…}; announces, relays and the payload-repair pair carry
+// raw wire frames in Data), the engine-wide timer IDs, where sealed and
+// announced entries enter own and the pool, and the tail's hooks into them
+// and the in-order decide path. A separate named type keeps these methods
+// off the Engine's public surface.
+type host Engine
 
-var _ tail.Host = (*tailHost)(nil)
+var (
+	_ tail.Host = (*host)(nil)
+	_ head.Host = (*host)(nil)
+)
 
-func (h *tailHost) SendRecoverReq(to types.ProcessID, req wire.RecoverReq) {
+// Sealed hands locally submitted entries to the ordering machinery. They
+// are NOT diffused: they join own and the pool and wait for the next ack to
+// the coordinator (§4.2), or are forwarded immediately when no consensus is
+// in flight to piggyback on; the coordinator/forward step runs once for the
+// whole batch, so the piggybacking carries it together.
+func (h *host) Sealed(entries wire.Batch) {
+	e := (*Engine)(h)
+	for _, m := range entries {
+		e.own[m.ID.Seq] = &ownMsg{msg: m}
+		// Own messages always join the local pool: inert while another
+		// process coordinates, but immediately proposable if this process
+		// is (or becomes, after a round change) the coordinator.
+		e.pool[m.ID] = m
+	}
+	cur := e.current()
+	coord := e.coordinatorAt(cur.k, cur.round)
+	if coord == e.self {
+		for _, m := range entries {
+			e.own[m.ID.Seq].attached = cur.k
+		}
+		e.tryPropose()
+		e.armKick()
+		return
+	}
+	if e.pipelineIdle && len(cur.proposals) == 0 && !cur.decided {
+		// The pipeline is stopped, so no ack will come by to piggyback on:
+		// forward directly to the coordinator to restart it.
+		e.forwardOwn(cur, coord)
+	}
+	e.armKick()
+}
+
+// Announced pools a peer's announced descriptor — its bytes now resident:
+// proposable, fetchable, resolvable — and retries a head decision blocked
+// on this payload.
+func (h *host) Announced(pm wire.AppMsg) {
+	e := (*Engine)(h)
+	if _, ok := e.pool[pm.ID]; !ok {
+		e.pool[pm.ID] = pm
+	}
+	e.retryBlockedDecide()
+	e.tryPropose()
+	e.armKick()
+}
+
+func (h *host) SendMembers(frame []byte) {
+	(*Engine)(h).sendAll(message{Type: mAnnounce, Data: frame})
+}
+
+// SendRelay wraps inner in an mRelay, whose own payloadBytes is zero (Data
+// is opaque there): the head accounts the transmission.
+func (h *host) SendRelay(to types.ProcessID, rh wire.RelayHeader, inner []byte) {
+	(*Engine)(h).send(to, message{Type: mRelay, Instance: rh.Seq, RelayOrigin: rh.Origin, RelayHops: rh.Hops, Data: inner})
+}
+
+func (h *host) SendRecoverReq(to types.ProcessID, req wire.RecoverReq) {
 	m := message{Type: mRecoverReq, Instance: req.From}
 	if to == types.Nobody {
 		(*Engine)(h).sendAll(m)
@@ -1807,45 +1631,48 @@ func (h *tailHost) SendRecoverReq(to types.ProcessID, req wire.RecoverReq) {
 	(*Engine)(h).send(to, m)
 }
 
-func (h *tailHost) SendRecoverResp(to types.ProcessID, req wire.RecoverReq, resp wire.RecoverResp) {
+func (h *host) SendRecoverResp(to types.ProcessID, req wire.RecoverReq, resp wire.RecoverResp) {
 	(*Engine)(h).send(to, message{Type: mRecoverResp, Instance: req.From,
 		UpTo: resp.UpTo, SnapIndex: resp.SnapIndex, Decisions: resp.Decisions})
 }
 
-func (h *tailHost) SendSnapReq(to types.ProcessID, req wire.SnapReq) {
+func (h *host) SendSnapReq(to types.ProcessID, req wire.SnapReq) {
 	(*Engine)(h).send(to, message{Type: mSnapReq, Instance: req.Index, Offset: req.Offset})
 }
 
-func (h *tailHost) SendSnapResp(to types.ProcessID, resp wire.SnapResp) {
+func (h *host) SendSnapResp(to types.ProcessID, resp wire.SnapResp) {
 	(*Engine)(h).send(to, message{Type: mSnapResp, Instance: resp.Index,
 		Total: resp.Total, Offset: resp.Offset, UpTo: resp.UpTo, Data: resp.Data})
 }
 
-func (h *tailHost) SendPayloadFetch(to types.ProcessID, d wire.Descriptor) {
+func (h *host) SendPayloadFetch(to types.ProcessID, d wire.Descriptor) {
 	w := wire.NewWriter(32)
 	wire.AppendPayloadFetchFrame(w, d)
 	(*Engine)(h).send(to, message{Type: mPayloadFetch, Data: w.Bytes()})
 }
 
-func (h *tailHost) SendPayloadResp(to types.ProcessID, d wire.Descriptor, b wire.Batch) {
+func (h *host) SendPayloadResp(to types.ProcessID, d wire.Descriptor, b wire.Batch) {
 	w := wire.NewWriter(32 + b.WireSize())
 	wire.AppendPayloadRespFrame(w, d, b)
 	(*Engine)(h).send(to, message{Type: mPayloadResp, Data: w.Bytes()})
 }
 
-// engineTimer maps a tail timer into the engine-wide timer namespace.
+// engineTimer maps a tail or head timer into the engine-wide namespace.
 func engineTimer(id tail.Timer) engine.TimerID {
-	if id == tail.TimerRecover {
+	switch id {
+	case tail.TimerRecover:
 		return engine.TimerRecover
+	case tail.TimerFlush:
+		return engine.TimerFlush
 	}
 	return engine.TimerPayload
 }
 
-func (h *tailHost) SetTimer(id tail.Timer, d time.Duration) { h.env.SetTimer(engineTimer(id), d) }
+func (h *host) SetTimer(id tail.Timer, d time.Duration) { h.env.SetTimer(engineTimer(id), d) }
 
-func (h *tailHost) CancelTimer(id tail.Timer) { h.env.CancelTimer(engineTimer(id)) }
+func (h *host) CancelTimer(id tail.Timer) { h.env.CancelTimer(engineTimer(id)) }
 
-func (h *tailHost) RetirePending(obsolete func(m wire.AppMsg) bool) {
+func (h *host) RetirePending(obsolete func(m wire.AppMsg) bool) {
 	e := (*Engine)(h)
 	for id, m := range e.pool {
 		if obsolete(m) {
@@ -1859,12 +1686,12 @@ func (h *tailHost) RetirePending(obsolete func(m wire.AppMsg) bool) {
 	}
 }
 
-func (h *tailHost) Decision(k uint64) (wire.Batch, bool) { return (*Engine)(h).lookupDecision(k) }
+func (h *host) Decision(k uint64) (wire.Batch, bool) { return (*Engine)(h).lookupDecision(k) }
 
 // Decided applies a state-transfer decision through the normal decide
 // path; instances decide strictly in order, so anything but the next one
 // is dropped. Logged decisions hold resolved batches under digest ordering.
-func (h *tailHost) Decided(k uint64, b wire.Batch) {
+func (h *host) Decided(k uint64, b wire.Batch) {
 	e := (*Engine)(h)
 	if k != e.decidedK()+1 {
 		return
@@ -1877,7 +1704,7 @@ func (h *tailHost) Decided(k uint64, b wire.Batch) {
 	}
 }
 
-func (h *tailHost) Advanced() {
+func (h *host) Advanced() {
 	(*Engine)(h).retryBlockedDecide()
 	(*Engine)(h).tryPropose()
 }
@@ -1886,7 +1713,7 @@ func (h *tailHost) Advanced() {
 // recovering process must never re-enter instances the cluster settled at
 // or below it (the pruned-instance guards serve any late messages for
 // them).
-func (h *tailHost) Installed() {
+func (h *host) Installed() {
 	for k := range h.insts {
 		if k < h.t.Next() {
 			delete(h.insts, k)
@@ -1903,7 +1730,7 @@ func (h *tailHost) Installed() {
 // CaughtUp resumes normal operation after catch-up: round advancement
 // deferred during recovery happens now, the surviving own backlog is
 // pushed toward the coordinator, and the engine may propose again.
-func (h *tailHost) CaughtUp() {
+func (h *host) CaughtUp() {
 	e := (*Engine)(h)
 	e.advanceSuspected()
 	e.tryPropose()
@@ -1915,7 +1742,7 @@ func (h *tailHost) CaughtUp() {
 // applied mid-Commit also schedules the suspicion cascade for after the
 // delivery loop; views replayed at construction need none (no instance
 // exists yet).
-func (h *tailHost) ViewChanged(v member.View) {
-	h.diss.SetMembers(v.Members)
+func (h *host) ViewChanged(v member.View) {
+	h.hd.SetMembers(v.Members)
 	h.viewKick = h.started
 }

@@ -1,49 +1,13 @@
 package tail
 
 import (
-	"sort"
-
 	"modab/internal/types"
 	"modab/internal/wire"
 )
 
-// Describe mints the descriptor consensus orders in place of own batch b
-// and makes the payload resident. It fails only on a shape bug (own sealed
-// batches are contiguous); the engine then orders the raw messages.
-func (t *Tail) Describe(b wire.Batch) (wire.Descriptor, error) {
-	t.nextDSeq++
-	d, err := wire.DescriptorFor(b, t.nextDSeq)
-	if err == nil {
-		t.Store.PutBatch(b)
-	}
-	return d, err
-}
-
-// RegroupOwn rebuilds a replayed own backlog as descriptors: one resident
-// batch and fresh incarnation-tagged descriptor per maximal contiguous
-// sequence run (gaps are messages an old decision ordered). The runs may
-// differ from the unlogged pre-crash batches; delivery dedup absorbs it.
-func (t *Tail) RegroupOwn(own wire.Batch) []wire.Descriptor {
-	msgs := make(wire.Batch, len(own))
-	copy(msgs, own)
-	sort.Slice(msgs, func(i, j int) bool { return msgs[i].ID.Seq < msgs[j].ID.Seq })
-	var descs []wire.Descriptor
-	for start := 0; start < len(msgs); {
-		end := start + 1
-		for end < len(msgs) && msgs[end].ID.Seq == msgs[end-1].ID.Seq+1 {
-			end++
-		}
-		if d, err := t.Describe(msgs[start:end]); err == nil {
-			descs = append(descs, d)
-		}
-		start = end
-	}
-	return descs
-}
-
 // Announce ingests a disseminated payload batch (validated against its
 // descriptor at the wire layer) and reports whether the descriptor still
-// needs ordering: the host then pools it, retries its head and proposes.
+// needs ordering: the shared head (its caller) then hands it to the host.
 func (t *Tail) Announce(d wire.Descriptor, b wire.Batch) bool {
 	if !t.Hist.Current().Contains(d.Origin) {
 		// Nothing proposes a removed origin's descriptor past the boundary:

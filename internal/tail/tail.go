@@ -33,14 +33,17 @@ import (
 	"modab/internal/wire"
 )
 
-// Timer names one of the tail's two timers in the host's namespace:
-// TimerRecover fires RecoverTimer; on TimerPayload the host retries its
-// blocked head and, if still blocked, calls FetchMissing.
+// Timer names one of the timers the tail and the shared head
+// (internal/head) keep in the host's namespace: TimerRecover fires
+// RecoverTimer; on TimerPayload the host retries its blocked head and, if
+// still blocked, calls FetchMissing; TimerFlush is the head's batching age
+// trigger (head.Flush).
 type Timer uint8
 
 const (
 	TimerRecover Timer = iota + 1
 	TimerPayload
+	TimerFlush
 )
 
 // Host is what a Tail needs from the engine that owns it: the wire
@@ -105,14 +108,12 @@ type Tail struct {
 	recLastSeen uint64 // next at the last recovery-timer fire
 	snap        snapFetch
 
-	// Digest ordering: nextDSeq mints incarnation-tagged descriptor
-	// sequence numbers; descDone maps decided descriptors (pseudo ID) to
+	// Digest ordering: descDone maps decided descriptors (pseudo ID) to
 	// their instance until the horizon prunes them (doneAt queues them in
 	// instance order for that) — pseudo IDs alias real message IDs at
 	// incarnation 0, so Delivered must never stand in for it.
 	// blocked is the payload wait of the head decision (instance next),
 	// timed from blockedAt; fetchFrom is the refetch cursor, kept across waits.
-	nextDSeq  uint64
 	descDone  map[types.MsgID]uint64
 	doneAt    retire.Queue[types.MsgID]
 	blocked   bool
@@ -149,7 +150,6 @@ func New(env engine.Env, cfg *engine.Config, h Host) *Tail {
 	if st.Delivered != nil {
 		t.Delivered = st.Delivered
 	}
-	t.nextDSeq = st.Boots << wire.DSeqIncarnationShift
 	seqs := make([]uint64, len(st.Own))
 	for i, m := range st.Own {
 		seqs[i] = m.ID.Seq

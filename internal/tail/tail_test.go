@@ -564,20 +564,6 @@ func TestRestartAdoptsReplayedState(t *testing.T) {
 	if len(h.views) != 1 || h.views[0].Epoch != 1 {
 		t.Fatalf("ReplayViews handed over %v", h.views)
 	}
-	// The backlog regroups into contiguous runs {2,3} and {5} under
-	// descriptors tagged with the new incarnation.
-	descs := h.t.RegroupOwn(own)
-	if len(descs) != 2 || descs[0].FirstSeq != 2 || descs[0].Count != 2 || descs[1].FirstSeq != 5 {
-		t.Fatalf("regrouped %+v", descs)
-	}
-	for i, d := range descs {
-		if d.DSeq != 2<<wire.DSeqIncarnationShift|uint64(i+1) {
-			t.Fatalf("descriptor %d numbered %#x", i, d.DSeq)
-		}
-		if b, ok := h.t.Store.Range(d); !ok || len(b) != int(d.Count) {
-			t.Fatalf("regrouped run %d not resident", i)
-		}
-	}
 }
 
 // logReader is a read-only engine.Persister over a decision map.

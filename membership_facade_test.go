@@ -3,7 +3,6 @@ package modab_test
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -18,20 +17,21 @@ func TestFacadeMembershipSim(t *testing.T) {
 	for _, stk := range []modab.Stack{modab.Modular, modab.Monolithic} {
 		stk := stk
 		t.Run(stk.String(), func(t *testing.T) {
-			var mu sync.Mutex
-			counts := make(map[modab.ProcessID]int)
 			cluster, err := modab.New(3, stk,
 				modab.WithSimulation(11),
-				modab.WithDurability("", modab.SyncNone),
-				modab.WithOnDeliver(func(ev modab.Event) {
-					mu.Lock()
-					counts[ev.P]++
-					mu.Unlock()
-				}))
+				modab.WithDurability("", modab.SyncNone))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer cluster.Close()
+			counts := make(map[modab.ProcessID]int)
+			drained := make(chan struct{})
+			go func(sub *modab.DeliveryStream) {
+				defer close(drained)
+				for ev := range sub.C() {
+					counts[ev.P]++
+				}
+			}(cluster.Deliveries())
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 
@@ -71,16 +71,16 @@ func TestFacadeMembershipSim(t *testing.T) {
 					t.Fatalf("p%d view: %v", p, v)
 				}
 			}
+			if v := cluster.View(0); len(v.Members) != 0 {
+				t.Fatalf("removed process still reports a view: %v", v)
+			}
+			cluster.Close() // ends the stream once its buffer has drained
+			<-drained
 			const total = 6 + 1 + 3
-			mu.Lock()
-			defer mu.Unlock()
 			for p := modab.ProcessID(1); p < 4; p++ {
 				if counts[p] != total {
 					t.Fatalf("p%d delivered %d of %d", p, counts[p], total)
 				}
-			}
-			if v := cluster.View(0); len(v.Members) != 0 {
-				t.Fatalf("removed process still reports a view: %v", v)
 			}
 		})
 	}

@@ -526,16 +526,6 @@ func WithFailureDetector(period, timeout time.Duration) Option {
 	}
 }
 
-// WithOnDeliver installs a delivery callback — a convenience adapter
-// over the delivery stream for applications that do not need pull-based
-// consumption. Events arrive in delivery order per process.
-func WithOnDeliver(fn func(Event)) Option {
-	return func(s *settings) error {
-		s.OnDeliver = fn
-		return nil
-	}
-}
-
 // driver is the seam between the facade and what runs the group. It has
 // two implementations: *core.Group — the real-time processes this OS
 // process drives, all of an in-memory group or one of a TCP group — and
@@ -618,9 +608,6 @@ func New(n int, stack Stack, opts ...Option) (*Cluster, error) {
 		Durable:       c.durable,
 		StateMachine:  s.StateMachine,
 		SnapshotEvery: s.SnapshotEvery,
-	}
-	if fn := s.OnDeliver; fn != nil {
-		so.OnDeliver = func(p ProcessID, d Delivery, at time.Duration) { fn(Event{P: p, D: d, At: at}) }
 	}
 	if s.Observability != nil {
 		so.Obs = *s.Observability // the simulator always records; nil means defaults

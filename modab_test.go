@@ -3,7 +3,6 @@ package modab_test
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -199,37 +198,6 @@ func TestFacadeTCPNode(t *testing.T) {
 	// Subscriber after close: immediately closed channel.
 	if _, ok := <-cluster.Deliveries().C(); ok {
 		t.Fatal("post-close subscription yielded a value")
-	}
-}
-
-// TestFacadeOnDeliverAdapter checks the callback option rides the stream.
-func TestFacadeOnDeliverAdapter(t *testing.T) {
-	var mu sync.Mutex
-	var events []modab.Event
-	cluster, err := modab.New(3, modab.Modular, modab.WithOnDeliver(func(ev modab.Event) {
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	if _, err := cluster.Abcast(context.Background(), 1, []byte("cb")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		mu.Lock()
-		n := len(events)
-		mu.Unlock()
-		if n == 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("callback saw %d of 3", n)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
