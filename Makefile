@@ -16,8 +16,7 @@ test:
 # locking, heartbeat suspicion reporting, lock-free histograms scraped
 # mid-run); member carries the view history consulted from driver
 # callbacks; the root package exercises the facade — including dynamic
-# membership — on both drivers (TestFacadeConformance: in memory, over TCP
-# loopback, simulated).
+# membership — in memory and over TCP loopback (TestFacadeConformance).
 race:
 	$(GO) test -race ./internal/runtime/... ./internal/stream/... ./internal/core/... ./internal/wal/... ./internal/recovery/... ./internal/rsm/... ./internal/transport/... ./internal/fd/... ./internal/obs/... ./internal/payload/... ./internal/member/... .
 
@@ -95,9 +94,10 @@ bench-pair:
 	bash bench/run.sh -compare $(PAIR)/base.json $(PAIR)/head.json
 
 # Documentation gate: gofmt-clean tree, documented exported symbols in
-# modab.go, package comments on every internal package, the engines'
-# import ratchet (no internal/batch or internal/dissem outside internal/head),
-# no broken local markdown links (mirrors the CI docs job).
+# modab.go, package comments on every internal package, the import
+# ratchets (no internal/batch or internal/dissem in the engines, no
+# internal/netsim in the facade), no broken local markdown links (mirrors
+# the CI docs job).
 docs:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) test -run 'TestExportedSymbolsDocumented|TestInternalPackagesHaveComments|TestEnginesImportNoHeadInternals|TestMarkdownLinks' .
@@ -107,7 +107,7 @@ docs:
 # end each round lower, so this is a ratchet: the target prints the count
 # and fails above LOC_CEILING; a PR that shrinks the tree lowers the
 # ceiling to its new count.
-LOC_CEILING := 20078
+LOC_CEILING := 19722
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l); \
 	echo $$n; \

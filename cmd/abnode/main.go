@@ -66,9 +66,11 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -91,6 +93,25 @@ func deliveryOptions(dropslow bool) []modab.StreamOption {
 		return []modab.StreamOption{modab.StreamOverflow(modab.OverflowDrop)}
 	}
 	return nil
+}
+
+// openSeqlog opens the -seqlog audit file for appending. A SIGKILLed
+// incarnation can leave a torn last line behind; it is cut back to the
+// last newline so this incarnation's first line does not extend it.
+func openSeqlog(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	data, err := io.ReadAll(f)
+	if err == nil {
+		err = f.Truncate(int64(bytes.LastIndexByte(data, '\n') + 1))
+	}
+	if err != nil {
+		_ = f.Close()
+		return nil, err
+	}
+	return f, nil
 }
 
 func main() {
@@ -209,7 +230,7 @@ func run() error {
 	var seqlog *bufio.Writer
 	var seqfile *os.File
 	if *seqPath != "" {
-		f, err := os.OpenFile(*seqPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := openSeqlog(*seqPath)
 		if err != nil {
 			return err
 		}

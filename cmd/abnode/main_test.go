@@ -676,7 +676,7 @@ func TestDropslowReachesSubscription(t *testing.T) {
 	if opts := deliveryOptions(false); len(opts) != 0 {
 		t.Fatalf("default subscription carries %d options", len(opts))
 	}
-	cluster, err := modab.New(3, modab.Modular, modab.WithSimulation(1))
+	cluster, err := modab.New(3, modab.Modular)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -684,17 +684,44 @@ func TestDropslowReachesSubscription(t *testing.T) {
 	sub := cluster.Deliveries(append(deliveryOptions(true), modab.StreamBuffer(1))...)
 	defer sub.Close()
 	const msgs = 8
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
 	for i := 0; i < msgs; i++ {
-		if _, err := cluster.Abcast(context.Background(), 0, []byte{byte(i)}); err != nil {
+		if _, err := cluster.Abcast(ctx, 0, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cluster.Sim().RunIdle(5 * time.Second)
-	stats := cluster.Stats().Total
-	if stats.ADeliver != 3*msgs {
-		t.Fatalf("adelivered %d, want %d", stats.ADeliver, 3*msgs)
+	for cluster.Stats().Total.ADeliver < 3*msgs {
+		select {
+		case <-ctx.Done():
+			t.Fatalf("adelivered %d, want %d", cluster.Stats().Total.ADeliver, 3*msgs)
+		case <-time.After(5 * time.Millisecond):
+		}
 	}
-	if stats.StreamDropped == 0 {
+	if cluster.Stats().Total.StreamDropped == 0 {
 		t.Fatal("an undrained drop-policy subscription dropped nothing")
+	}
+}
+
+// TestOpenSeqlogCutsTornTail: a SIGKILLed incarnation left "1 " behind;
+// the restarted one must append whole lines after the last complete one
+// instead of extending the torn line into "1 0 2 2".
+func TestOpenSeqlogCutsTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seq")
+	if err := os.WriteFile(path, []byte("0 1 1\n1 "), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := openSeqlog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("0 2 2\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "0 1 1\n0 2 2\n" {
+		t.Fatalf("seqlog after reopen = %q", got)
 	}
 }

@@ -16,8 +16,8 @@ import (
 )
 
 // group is one atomic broadcast group behind the facade, however many
-// clusters it takes to drive it: one (in-memory, simulated) or one per
-// process (TCP on loopback).
+// clusters it takes to drive it: one (in memory) or one per process (TCP
+// on loopback).
 type group struct {
 	t        *testing.T
 	clusters []*modab.Cluster
@@ -93,7 +93,7 @@ func (g *group) order(p int) []modab.MsgID {
 	return append([]modab.MsgID(nil), g.orders[modab.ProcessID(p)]...)
 }
 
-// waitFor polls cond, advancing virtual time on the simulated driver.
+// waitFor polls cond.
 func (g *group) waitFor(what string, cond func() bool) {
 	g.t.Helper()
 	start := time.Now()
@@ -105,10 +105,6 @@ func (g *group) waitFor(what string, cond func() bool) {
 			}
 			g.mu.Unlock()
 			g.t.Fatalf("timed out waiting for %s", what)
-		}
-		if sim := g.clusters[0].Sim(); sim != nil {
-			sim.Run(sim.Now() + time.Millisecond)
-			continue
 		}
 		time.Sleep(5 * time.Millisecond)
 		if i%200 == 0 {
@@ -131,34 +127,25 @@ func reservePorts(t *testing.T, n int) []string {
 	return addrs
 }
 
-// TestFacadeConformance runs one script against the facade on all three
-// drivers: total-order agreement, ErrNotLocal for a process another
+// TestFacadeConformance runs one script against the facade in memory and
+// over TCP: total-order agreement, ErrNotLocal for a process another
 // cluster drives, Crash+Restart of a durable replicated state machine,
 // Add/Remove observed at a survivor, and an idempotent Close that ends
 // every stream.
 func TestFacadeConformance(t *testing.T) {
 	const n = 3
 	for _, drv := range []struct {
-		name string
-		// countersRestart: a restarted real-time process counts from zero;
-		// the simulator accumulates across incarnations.
-		countersRestart bool
-		build           func(t *testing.T, g *group)
+		name  string
+		build func(t *testing.T, g *group)
 	}{
-		{"memory", true, func(t *testing.T, g *group) {
+		{"memory", func(t *testing.T, g *group) {
 			dir := t.TempDir()
 			g.opts = func(int) []modab.Option {
 				return []modab.Option{modab.WithDurability(dir, modab.SyncNone)}
 			}
 			g.start(n)
 		}},
-		{"simulated", false, func(t *testing.T, g *group) {
-			g.opts = func(int) []modab.Option {
-				return []modab.Option{modab.WithSimulation(11), modab.WithDurability("", modab.SyncNone)}
-			}
-			g.start(n)
-		}},
-		{"tcp", true, func(t *testing.T, g *group) {
+		{"tcp", func(t *testing.T, g *group) {
 			dir := t.TempDir()
 			g.addrs = reservePorts(t, n+1) // the last one is the joiner's
 			g.opts = func(p int) []modab.Option {
@@ -276,8 +263,8 @@ func TestFacadeConformance(t *testing.T) {
 			if got := g.built(2); got != made+1 {
 				t.Errorf("state machines built across the restart: %d -> %d, want one more", made, got)
 			}
-			if restarted := c2.Counters(2).ABCast == 0; restarted != drv.countersRestart {
-				t.Errorf("counters restarted = %v, want %v", restarted, drv.countersRestart)
+			if c2.Counters(2).ABCast != 0 {
+				t.Errorf("counters did not restart from zero: %+v", c2.Counters(2))
 			}
 			put(2)
 			g.waitFor("p2 caught up", caughtUp(0, 1, 2))
@@ -336,8 +323,7 @@ func TestFacadeConformance(t *testing.T) {
 				if err := c.Close(); err != nil {
 					t.Errorf("second Close: %v", err)
 				}
-				// (The simulator keeps running after Close; only its streams end.)
-				if _, err := c.Abcast(ctx, p, nil); c.Sim() == nil && !errors.Is(err, modab.ErrStopped) {
+				if _, err := c.Abcast(ctx, p, nil); !errors.Is(err, modab.ErrStopped) {
 					t.Errorf("abcast on a closed cluster: %v", err)
 				}
 			}

@@ -30,7 +30,7 @@ func TestExportedSymbolsDocumented(t *testing.T) {
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
-			if !d.Name.IsExported() || !receiverExported(d) {
+			if !d.Name.IsExported() {
 				continue
 			}
 			if d.Doc == nil {
@@ -57,21 +57,6 @@ func TestExportedSymbolsDocumented(t *testing.T) {
 			}
 		}
 	}
-}
-
-// receiverExported reports whether d is a plain function or a method of
-// an exported type: methods of unexported types (the simulated driver
-// behind the driver seam) are not public surface.
-func receiverExported(d *ast.FuncDecl) bool {
-	if d.Recv == nil {
-		return true
-	}
-	typ := d.Recv.List[0].Type
-	if star, ok := typ.(*ast.StarExpr); ok {
-		typ = star.X
-	}
-	id, ok := typ.(*ast.Ident)
-	return !ok || id.IsExported()
 }
 
 // TestInternalPackagesHaveComments fails on any internal package whose
@@ -108,29 +93,42 @@ func TestInternalPackagesHaveComments(t *testing.T) {
 	}
 }
 
-// TestEnginesImportNoHeadInternals is the structural ratchet behind
-// internal/head: what precedes ordering — batching and dissemination — is
-// written once there, so the non-test files of the two engines must import
-// neither internal/batch nor internal/dissem (their configuration types are
-// reached through engine.Config).
+// TestEnginesImportNoHeadInternals holds two structural ratchets on
+// non-test files. What precedes ordering — batching and dissemination — is
+// written once in internal/head, so the two engines import neither
+// internal/batch nor internal/dissem (their configuration types are
+// reached through engine.Config). And the facade has one driver,
+// internal/core: the root package does not import the simulator, which
+// cmd/abbench and the harnesses drive directly.
 func TestEnginesImportNoHeadInternals(t *testing.T) {
-	for _, dir := range []string{"internal/abcast", "internal/monolithic"} {
-		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
-		if err != nil || len(files) == 0 {
-			t.Fatalf("%s: %d files, %v", dir, len(files), err)
-		}
-		for _, file := range files {
-			if strings.HasSuffix(file, "_test.go") {
-				continue
+	for _, rule := range []struct {
+		dirs, forbidden []string
+		why             string
+	}{
+		{[]string{"internal/abcast", "internal/monolithic"},
+			[]string{"modab/internal/batch", "modab/internal/dissem"}, "that code belongs in internal/head"},
+		{[]string{"."}, []string{"modab/internal/netsim"}, "the facade's one driver is internal/core"},
+	} {
+		for _, dir := range rule.dirs {
+			files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+			if err != nil || len(files) == 0 {
+				t.Fatalf("%s: %d files, %v", dir, len(files), err)
 			}
-			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, imp := range f.Imports {
-				switch path := strings.Trim(imp.Path.Value, `"`); path {
-				case "modab/internal/batch", "modab/internal/dissem":
-					t.Errorf("%s imports %s: that code belongs in internal/head", file, path)
+			for _, file := range files {
+				if strings.HasSuffix(file, "_test.go") {
+					continue
+				}
+				f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, imp := range f.Imports {
+					path := strings.Trim(imp.Path.Value, `"`)
+					for _, bad := range rule.forbidden {
+						if path == bad {
+							t.Errorf("%s imports %s: %s", file, path, rule.why)
+						}
+					}
 				}
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"modab"
+	"modab/internal/netsim"
 )
 
 // TestDurabilityRestartGroup drives the crash-recovery surface through
@@ -100,67 +101,45 @@ func TestDurabilityRestartGroup(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDurabilityRestartSim drives the same surface on the simulated
-// driver, where WithDurability means a deterministic in-memory durable
-// store and Restart happens at the current virtual instant.
+// TestDurabilityRestartSim drives the same crash, restart and catch-up
+// on the simulator, where durability is a deterministic in-memory store
+// and each step happens at the virtual instant the previous one idled.
 func TestDurabilityRestartSim(t *testing.T) {
-	cluster, err := modab.New(3, modab.Modular,
-		modab.WithSimulation(42),
-		modab.WithDurability("", modab.SyncNone))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	sim := cluster.Sim()
-
-	ctx := context.Background()
+	c := newSim(t, netsim.Options{N: 3, Stack: modab.Modular, Seed: 42, Durable: true})
 	for i := 0; i < 8; i++ {
-		if _, err := cluster.Abcast(ctx, i%3, []byte("m")); err != nil {
-			t.Fatalf("abcast: %v", err)
-		}
+		simAbcast(t, c, i%3, 0, []byte("m"))
 	}
-	sim.RunIdle(time.Minute)
+	c.RunIdle(time.Minute)
 
-	if err := cluster.Crash(1); err != nil {
-		t.Fatalf("Crash: %v", err)
-	}
+	c.Crash(1, c.Now())
 	for i := 0; i < 6; i++ {
-		if _, err := cluster.Abcast(ctx, 0, []byte("while-down")); err != nil {
-			t.Fatalf("abcast while p2 down: %v", err)
-		}
+		simAbcast(t, c, 0, c.Now(), []byte("while-down"))
 	}
-	sim.RunIdle(time.Minute)
+	c.RunIdle(time.Minute)
 
-	if err := cluster.Restart(1); err != nil {
-		t.Fatalf("Restart: %v", err)
-	}
-	sim.RunIdle(time.Minute)
-	if _, err := cluster.Abcast(ctx, 1, []byte("back")); err != nil {
-		t.Fatalf("abcast after restart: %v", err)
-	}
-	sim.RunIdle(time.Minute)
+	c.Restart(1, c.Now())
+	c.RunIdle(time.Minute)
+	simAbcast(t, c, 1, c.Now(), []byte("back"))
+	c.RunIdle(time.Minute)
 
-	for _, err := range sim.Errs() {
-		t.Errorf("sim error: %v", err)
-	}
-	snap := cluster.Counters(1)
+	snap := c.Counters(1)
 	if snap.Recoveries != 1 {
 		t.Fatalf("Recoveries = %d, want 1", snap.Recoveries)
 	}
 	if snap.RecoveryFetchedMsgs == 0 {
 		t.Fatal("restarted process fetched nothing")
 	}
-	// Every live process ends with the same delivery count (total order,
-	// no gaps): 8 + 6 + 1 messages.
-	want := int64(15)
-	for p := 0; p < 3; p++ {
-		if got := cluster.Counters(p).ADeliver; got != want {
-			t.Fatalf("p%d ADeliver = %d, want %d", p+1, got, want)
+	// Every process ends with the same delivery count (total order, no
+	// gaps; simulated counters accumulate across incarnations): 8 + 6 + 1
+	// messages.
+	for p := modab.ProcessID(0); p < 3; p++ {
+		if got := c.Counters(p).ADeliver; got != 15 {
+			t.Fatalf("%s ADeliver = %d, want 15", p, got)
 		}
 	}
 }
 
-// TestDurabilityValidation: the real-time drivers refuse an empty
+// TestDurabilityValidation: the facade refuses an empty
 // directory, and Restart without WithDurability is rejected.
 func TestDurabilityValidation(t *testing.T) {
 	if _, err := modab.New(3, modab.Modular, modab.WithDurability("", modab.SyncAlways)); err == nil {

@@ -4,16 +4,18 @@
 // simulator under an identical saturating workload (n=3, 16 KiB messages)
 // and prints the head-to-head comparison: latency, throughput, messages
 // and payload bytes per consensus — next to the §5.2 analytical
-// predictions. The clusters are built through the modab.New facade with
-// the simulation driver; the workload generator and latency recorder
-// plug into the same delivery events the application would consume.
+// predictions. The clusters are built the way cmd/abbench builds its
+// figures: netsim.NewLoadedCluster wires the workload generator and the
+// latency recorder into the simulator's delivery observer.
 //
 //	go run ./examples/modular-vs-monolithic
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"modab"
@@ -22,6 +24,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	const (
 		n    = 3
 		size = 16384
@@ -29,8 +37,8 @@ func main() {
 	)
 	warmup, measure := 2*time.Second, 4*time.Second
 
-	fmt.Printf("group of %d, %d-byte messages, offered load %d msgs/s\n\n", n, size, load)
-	fmt.Printf("%-11s %10s %12s %8s %10s %14s\n",
+	fmt.Fprintf(w, "group of %d, %d-byte messages, offered load %d msgs/s\n\n", n, size, load)
+	fmt.Fprintf(w, "%-11s %10s %12s %8s %10s %14s\n",
 		"stack", "lat(ms)", "thr(msg/s)", "M", "msgs/dec", "payloadB/dec")
 
 	type row struct {
@@ -38,49 +46,31 @@ func main() {
 	}
 	results := map[modab.Stack]row{}
 	for _, stk := range []modab.Stack{modab.Modular, modab.Monolithic} {
-		rec := netsim.NewRecorder(n, warmup, warmup+measure)
-		cluster, err := modab.New(n, stk, modab.WithSimulation(7))
+		lc, err := netsim.NewLoadedCluster(netsim.Options{N: n, Stack: stk, Seed: 7},
+			netsim.Workload{OfferedLoad: load, Size: size}, warmup, measure)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		// The simulator publishes deliveries from Run's goroutine: drain the
-		// stream alongside it, and feed the recorder once the run is over.
-		var events []modab.Event
-		drained := make(chan struct{})
-		go func(sub *modab.DeliveryStream) {
-			defer close(drained)
-			for ev := range sub.C() {
-				events = append(events, ev)
-			}
-		}(cluster.Deliveries())
-		sim := cluster.Sim()
-		netsim.InstallWorkload(sim, netsim.Workload{
-			OfferedLoad: load, Size: size, End: warmup + measure,
-		}, rec)
-		sim.Run(warmup + measure + time.Second)
-		if errs := sim.Errs(); len(errs) > 0 {
-			log.Fatalf("engine error: %v", errs[0])
+		lc.Run(warmup + measure + time.Second)
+		if errs := lc.Errs(); len(errs) > 0 {
+			return fmt.Errorf("engine error: %w", errs[0])
 		}
-		tot := cluster.Stats().Total
-		_ = cluster.Close() // ends the stream once its buffer has drained
-		<-drained
-		for _, ev := range events {
-			rec.OnDeliver(ev.P, ev.D.Msg.ID, ev.At)
-		}
+		tot := lc.TotalCounters()
 		decisions := float64(tot.ConsensusDecided) / float64(n)
-		lat := rec.MeanLatency() * 1e3
-		thr := rec.Throughput()
+		lat := lc.Recorder.MeanLatency() * 1e3
+		thr := lc.Recorder.Throughput()
 		results[stk] = row{lat, thr}
-		fmt.Printf("%-11s %10.2f %12.1f %8.2f %10.2f %14.0f\n",
+		fmt.Fprintf(w, "%-11s %10.2f %12.1f %8.2f %10.2f %14.0f\n",
 			stk, lat, thr, tot.AvgBatch(),
 			float64(tot.MsgsSent)/decisions,
 			float64(tot.PayloadBytesSent)/decisions)
 	}
 
 	mod, mono := results[modab.Modular], results[modab.Monolithic]
-	fmt.Printf("\nmeasured modularity cost: latency +%.0f%%, throughput -%.0f%%\n",
+	fmt.Fprintf(w, "\nmeasured modularity cost: latency +%.0f%%, throughput -%.0f%%\n",
 		(mod.lat/mono.lat-1)*100, (1-mod.thr/mono.thr)*100)
-	fmt.Printf("analytical (§5.2, M=4): messages %d vs %d per consensus, data overhead %.0f%%\n",
+	fmt.Fprintf(w, "analytical (§5.2, M=4): messages %d vs %d per consensus, data overhead %.0f%%\n",
 		analytical.ModularMessages(n, 4), analytical.MonolithicMessages(n),
 		analytical.Overhead(n)*100)
+	return nil
 }

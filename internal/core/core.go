@@ -328,7 +328,7 @@ func (g *Group) startNode(p types.ProcessID, initView *member.View) (*runtime.No
 // detectors unsuspect it as soon as they hear from it again.
 func (g *Group) Restart(p int) error {
 	if g.opts.Durability == nil {
-		return fmt.Errorf("%w: Restart requires GroupOptions.Durability", types.ErrBadConfig)
+		return fmt.Errorf("%w: Restart requires durability (WithDurability)", types.ErrBadConfig)
 	}
 	// Serialize against Crash/Close: the old incarnation must have fully
 	// released its write-ahead log before this one reopens it.
@@ -364,7 +364,7 @@ func (g *Group) Add(ctx context.Context, addr string) (types.ProcessID, error) {
 	if g.opts.Durability == nil {
 		// Members without write-ahead logs cannot serve the decided
 		// prefix, so the joiner's state transfer would never finish.
-		return 0, fmt.Errorf("%w: Add requires GroupOptions.Durability", types.ErrBadConfig)
+		return 0, fmt.Errorf("%w: Add requires durability (WithDurability)", types.ErrBadConfig)
 	}
 	if (addr != "") != (g.net == nil) {
 		return 0, fmt.Errorf("%w: a joiner's listen address is given exactly when the group runs over TCP", types.ErrBadConfig)
@@ -426,7 +426,7 @@ func (g *Group) Add(ctx context.Context, addr string) (types.ProcessID, error) {
 // periodically until the view changes.
 func (g *Group) RequestJoin(ctx context.Context, sponsor types.ProcessID) error {
 	if !g.opts.Join {
-		return fmt.Errorf("%w: RequestJoin needs a TCP group started with Join", types.ErrBadConfig)
+		return fmt.Errorf("%w: RequestJoin needs a TCP group started with WithJoin", types.ErrBadConfig)
 	}
 	self := g.opts.Self
 	for {
@@ -455,6 +455,10 @@ func (g *Group) RequestJoin(ctx context.Context, sponsor types.ProcessID) error 
 // already-crashed process works — that is the permanent-node-loss
 // recovery: the group stops waiting for it and quorums shrink.
 func (g *Group) Remove(ctx context.Context, p int) error {
+	// Crashed and remote targets are fine; only a slot that does not exist is not.
+	if _, err := g.node(p); errors.Is(err, types.ErrBadConfig) {
+		return err
+	}
 	target := types.ProcessID(p)
 	if err := g.submitConfig(ctx, member.Op{Kind: member.OpRemove, Target: target}, p); err != nil {
 		return err

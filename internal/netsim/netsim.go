@@ -14,7 +14,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"modab/internal/engine"
@@ -24,7 +23,6 @@ import (
 	"modab/internal/obs"
 	"modab/internal/recovery"
 	"modab/internal/rsm"
-	"modab/internal/stream"
 	"modab/internal/trace"
 	"modab/internal/types"
 )
@@ -44,8 +42,8 @@ type Options struct {
 	// Seed drives workload jitter. Same seed, same trace.
 	Seed int64
 	// OnDeliver, when set, observes every adelivery synchronously in
-	// virtual time — the measurement harness uses it for exact
-	// timestamps. For pull-based consumption use Cluster.Deliveries.
+	// virtual time, stamped with the instant its handler completed — the
+	// simulator's one delivery observer.
 	OnDeliver func(p types.ProcessID, d engine.Delivery, at time.Duration)
 	// Durable gives every process a simulated durable store (an in-memory
 	// write-ahead log that survives Crash), enabling Restart: crash-recovery
@@ -83,15 +81,11 @@ type Cluster struct {
 	// snapshot files that outlive the process.
 	snapStores []*rsm.MemStore
 	rng        *rand.Rand
-	hub        *stream.Hub[engine.Event]
 	// linkFaults holds the per-directed-link fault state (internal/netsim
 	// faults.go); nil or empty entries leave the send path untouched.
 	// linkOrder records link creation order for deterministic sweeps.
 	linkFaults map[linkKey]*linkState
 	linkOrder  []linkKey
-	// streamDropped counts drops at cluster-level subscriptions; Stats
-	// folds it into the totals.
-	streamDropped atomic.Int64
 	// errs collects engine errors (malformed messages etc.); tests assert
 	// it stays empty.
 	errs []error
@@ -199,8 +193,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 		rng:          rand.New(rand.NewSource(opts.Seed)),
 		pendingJoins: make(map[types.ProcessID]bool),
 	}
-	c.hub = stream.NewHub[engine.Event](stream.DefaultBuffer, stream.Block,
-		func() { c.streamDropped.Add(1) })
 	heap.Init(&c.queue)
 	if opts.Durable {
 		c.stores = make([]*recovery.MemStore, opts.N)
@@ -290,14 +282,12 @@ func (c *Cluster) Counters(p types.ProcessID) trace.Snapshot {
 	return c.procs[p].counters.Snapshot()
 }
 
-// TotalCounters returns the group-wide counter totals, including drops
-// at cluster-level delivery streams.
+// TotalCounters returns the group-wide counter totals.
 func (c *Cluster) TotalCounters() trace.Snapshot {
 	var total trace.Snapshot
 	for _, p := range c.procs {
 		total.Add(p.counters.Snapshot())
 	}
-	total.StreamDropped += c.streamDropped.Load()
 	return total
 }
 
@@ -309,25 +299,7 @@ func (c *Cluster) Stats() trace.Stats {
 		st.PerProcess[i] = p.counters.Snapshot()
 		st.Total.Add(st.PerProcess[i])
 	}
-	st.Total.StreamDropped += c.streamDropped.Load()
 	return st
-}
-
-// Deliveries subscribes to the cluster-wide adelivery stream: every
-// adelivery at every process, tagged with the delivering process and the
-// virtual delivery time. Values are published while Run executes events,
-// from Run's goroutine — with the Block policy a full subscriber stalls
-// the simulation in real time (virtual time is unaffected). The channel
-// closes after Close.
-func (c *Cluster) Deliveries(opts ...stream.SubOption) *stream.Sub[engine.Event] {
-	return c.hub.Subscribe(opts...)
-}
-
-// Close ends the cluster's delivery streams; subscribers drain and see
-// their channels closed. The cluster itself holds no other resources —
-// Run can still be called, but further deliveries reach no stream.
-func (c *Cluster) Close() {
-	c.hub.Close()
 }
 
 // Utilization returns the fraction of virtual time process p's CPU was
@@ -547,20 +519,6 @@ func (c *Cluster) SuspectWindow(q, p types.ProcessID, at, dur time.Duration) {
 	})
 }
 
-// Step processes the single next queued event, advancing virtual time to
-// it. It reports false when the queue is empty. Step is how callers that
-// need fine-grained control (e.g. blocking submission in virtual time)
-// interleave with the simulation; Run remains the bulk driver.
-func (c *Cluster) Step() bool {
-	if c.queue.Len() == 0 {
-		return false
-	}
-	e := heap.Pop(&c.queue).(*event)
-	c.now = e.at
-	c.dispatch(e)
-	return true
-}
-
 // Run processes events until the queue is exhausted or virtual time
 // exceeds until. It returns the virtual time reached.
 func (c *Cluster) Run(until time.Duration) time.Duration {
@@ -663,11 +621,6 @@ func (c *Cluster) exec(p *proc, at time.Duration, baseCost time.Duration, fn fun
 	if c.opts.OnDeliver != nil {
 		for _, d := range env.deliveries {
 			c.opts.OnDeliver(p.id, d, end)
-		}
-	}
-	if c.hub.HasSubscribers() {
-		for _, d := range env.deliveries {
-			c.hub.Publish(engine.Event{P: p.id, D: d, At: end})
 		}
 	}
 	return end

@@ -282,6 +282,26 @@ func TestUtilizationAndPendingAccessors(t *testing.T) {
 	}
 }
 
+// TestClusterStatsUniform checks the Stats surface matches TotalCounters.
+func TestClusterStatsUniform(t *testing.T) {
+	c, err := NewCluster(Options{N: 3, Stack: types.Monolithic, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Abcast(0, time.Millisecond, []byte("x"), nil)
+	c.RunIdle(5 * time.Second)
+	st := c.Stats()
+	if st.N != 3 || len(st.PerProcess) != 3 {
+		t.Fatalf("stats shape: %+v", st)
+	}
+	if st.Total != c.TotalCounters() {
+		t.Fatalf("Stats total %+v != TotalCounters %+v", st.Total, c.TotalCounters())
+	}
+	if st.Total.ADeliver != 3 {
+		t.Fatalf("ADeliver = %d, want 3", st.Total.ADeliver)
+	}
+}
+
 func TestClusterValidation(t *testing.T) {
 	if _, err := NewCluster(Options{N: 0, Stack: types.Modular}); err == nil {
 		t.Error("accepted empty group")

@@ -106,10 +106,6 @@ var (
 	// ErrNotLocal is returned when an operation targets a process that is
 	// not driven by this handle (e.g. a remote peer of a TCP node).
 	ErrNotLocal = errors.New("process is not driven by this node")
-	// ErrStalled is returned by a simulated blocking abcast when the event
-	// queue empties while the flow-control window is still full: virtual
-	// time cannot advance, so the window can never drain.
-	ErrStalled = errors.New("simulation stalled: flow-control window cannot drain")
 	// ErrEmptyGroup indicates a configuration with no processes.
 	ErrEmptyGroup = errors.New("group must contain at least one process")
 	// ErrBadConfig indicates an invalid configuration value.

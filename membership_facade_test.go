@@ -7,87 +7,56 @@ import (
 	"time"
 
 	"modab"
+	"modab/internal/netsim"
 )
 
-// TestFacadeMembershipSim drives the full add/remove cycle through the
-// facade on the simulated driver: admit a fourth process (it catches up
-// on the history it missed), retire the first, and check the view and
-// the joiner's delivery stream through the public surface.
+// TestFacadeMembershipSim replays the facade's add/remove cycle on the
+// simulator: admit a fourth process (it catches up on the history it
+// missed), retire the first, and check every survivor's view and delivery
+// count.
 func TestFacadeMembershipSim(t *testing.T) {
 	for _, stk := range []modab.Stack{modab.Modular, modab.Monolithic} {
 		stk := stk
 		t.Run(stk.String(), func(t *testing.T) {
-			cluster, err := modab.New(3, stk,
-				modab.WithSimulation(11),
-				modab.WithDurability("", modab.SyncNone))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cluster.Close()
 			counts := make(map[modab.ProcessID]int)
-			drained := make(chan struct{})
-			go func(sub *modab.DeliveryStream) {
-				defer close(drained)
-				for ev := range sub.C() {
-					counts[ev.P]++
-				}
-			}(cluster.Deliveries())
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-
+			c := newSim(t, netsim.Options{N: 3, Stack: stk, Seed: 11, Durable: true,
+				OnDeliver: func(p modab.ProcessID, _ modab.Delivery, _ time.Duration) { counts[p]++ }})
 			for i := 0; i < 6; i++ {
-				if _, err := cluster.Abcast(ctx, 0, []byte{byte(i)}); err != nil {
-					t.Fatal(err)
+				simAbcast(t, c, 0, 0, []byte{byte(i)})
+			}
+			c.Join(0, 3, 100*time.Millisecond)
+			simAbcast(t, c, 3, time.Second, []byte("joiner speaks"))
+			c.Remove(1, 0, 1500*time.Millisecond)
+			c.Crash(0, 2500*time.Millisecond)
+			c.Abcast(0, 3*time.Second, []byte("x"), func(_ modab.MsgID, _ time.Duration, err error) {
+				if !errors.Is(err, modab.ErrCrashed) {
+					t.Errorf("abcast at removed process: %v", err)
 				}
-			}
-			id, err := cluster.Add(ctx)
-			if err != nil {
-				t.Fatalf("Add: %v", err)
-			}
-			if id != 3 {
-				t.Fatalf("joiner ID = %v", id)
-			}
-			if cluster.N() != 4 {
-				t.Fatalf("N = %d after Add", cluster.N())
-			}
-			if _, err := cluster.Abcast(ctx, int(id), []byte("joiner speaks")); err != nil {
-				t.Fatalf("abcast at joiner: %v", err)
-			}
-			if err := cluster.Remove(ctx, 0); err != nil {
-				t.Fatalf("Remove: %v", err)
-			}
-			if _, err := cluster.Abcast(ctx, 0, []byte("x")); !errors.Is(err, modab.ErrCrashed) {
-				t.Fatalf("abcast at removed process: %v", err)
-			}
+			})
 			for p := 1; p < 4; p++ {
-				if _, err := cluster.Abcast(ctx, p, []byte{0x40, byte(p)}); err != nil {
-					t.Fatalf("abcast at p%d: %v", p, err)
+				simAbcast(t, c, p, 3*time.Second, []byte{0x40, byte(p)})
+			}
+			c.RunIdle(time.Minute)
+			if c.Procs() != 4 {
+				t.Fatalf("%d processes after the join", c.Procs())
+			}
+			for p := modab.ProcessID(1); p < 4; p++ {
+				if v := c.View(p); v.Contains(0) || !v.Contains(3) || len(v.Members) != 3 {
+					t.Fatalf("%s view: %v", p, v)
 				}
 			}
-			cluster.Sim().RunIdle(time.Minute)
-			for p := 1; p < 4; p++ {
-				v := cluster.View(p)
-				if v.Contains(0) || !v.Contains(3) || len(v.Members) != 3 {
-					t.Fatalf("p%d view: %v", p, v)
-				}
-			}
-			if v := cluster.View(0); len(v.Members) != 0 {
-				t.Fatalf("removed process still reports a view: %v", v)
-			}
-			cluster.Close() // ends the stream once its buffer has drained
-			<-drained
 			const total = 6 + 1 + 3
 			for p := modab.ProcessID(1); p < 4; p++ {
 				if counts[p] != total {
-					t.Fatalf("p%d delivered %d of %d", p, counts[p], total)
+					t.Fatalf("%s delivered %d of %d", p, counts[p], total)
 				}
 			}
 		})
 	}
 }
 
-// TestFacadeMembershipGroup is the same cycle on the default real-time
-// in-process driver.
+// TestFacadeMembershipGroup is the same cycle through the facade, on an
+// in-memory group.
 func TestFacadeMembershipGroup(t *testing.T) {
 	cluster, err := modab.New(3, modab.Monolithic,
 		modab.WithDurability(t.TempDir(), modab.SyncNone),
@@ -138,19 +107,14 @@ func TestFacadeMembershipGroup(t *testing.T) {
 // cannot serve a joiner's state transfer, so Add must reject the call
 // immediately instead of blocking on a catch-up that never finishes.
 func TestAddWithoutDurabilityFailsFast(t *testing.T) {
-	for _, opts := range [][]modab.Option{
-		nil,                       // real-time group driver
-		{modab.WithSimulation(7)}, // simulated driver
-	} {
-		cluster, err := modab.New(3, modab.Monolithic, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		if _, err := cluster.Add(ctx); !errors.Is(err, modab.ErrBadConfig) {
-			t.Errorf("Add without durability (opts %v): err = %v, want ErrBadConfig", opts, err)
-		}
-		cancel()
-		cluster.Close()
+	cluster, err := modab.New(3, modab.Monolithic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := cluster.Add(ctx); !errors.Is(err, modab.ErrBadConfig) {
+		t.Errorf("Add without durability: err = %v, want ErrBadConfig", err)
 	}
 }

@@ -25,15 +25,12 @@
 //	ctx := context.Background()
 //	cluster.Abcast(ctx, 0, []byte("hello"))   // blocks on flow control, honors ctx
 //
-// Functional options select the driver and tune it:
+// Functional options select the transport and tune the protocol:
 //
 //	// One process of a group over real TCP (run one per -id):
 //	modab.New(3, modab.Monolithic,
 //		modab.WithTransportTCP(addrs, self),
 //		modab.WithFailureDetector(25*time.Millisecond, 200*time.Millisecond))
-//
-//	// The paper's deterministic discrete-event simulation:
-//	modab.New(3, modab.Modular, modab.WithSimulation(42))
 //
 //	// Protocol tunables, and a subscription that sheds deliveries
 //	// instead of backpressuring the protocol when its consumer lags:
@@ -51,11 +48,11 @@
 //	// paper's sequential behavior):
 //	modab.New(3, modab.Modular, modab.WithPipelining(8))
 //
-// Every driver exposes the same submission (Abcast, TryAbcast), the same
-// delivery stream (Deliveries), the same membership operations (Add,
-// Remove, View) and the same instrumentation (Counters, Stats); a process
-// index out of range is ErrBadConfig everywhere, and a process that
-// another OS process of a TCP group drives is ErrNotLocal.
+// In memory and over TCP the cluster exposes the same submission (Abcast,
+// TryAbcast), the same delivery stream (Deliveries), the same membership
+// operations (Add, Remove, View) and the same instrumentation (Counters,
+// Stats); a process index out of range is ErrBadConfig, and a process
+// that another OS process of a TCP group drives is ErrNotLocal.
 // TryAbcast is the only entry point that returns ErrFlowControl;
 // the blocking Abcast parks on a condition signal until the window
 // drains, the context ends, or the node stops.
@@ -67,15 +64,15 @@
 //
 // The packages under internal/ hold the implementation: the protocol
 // engines (internal/modular, internal/monolithic, and the microprotocol
-// layers they build on), the drivers (internal/core for real time — the
-// processes of a group this OS process drives, over in-memory channels or
-// TCP, each an internal/runtime node — and internal/netsim for
-// deterministic discrete-event simulation), and the measurement harness.
+// layers they build on), the driver behind this facade (internal/core —
+// the processes of a group this OS process drives, over in-memory
+// channels or TCP, each an internal/runtime node), the deterministic
+// discrete-event simulator the figures come from (internal/netsim, driven
+// by cmd/abbench), and the measurement harness.
 package modab
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -84,7 +81,6 @@ import (
 	"modab/internal/dissem"
 	"modab/internal/engine"
 	"modab/internal/member"
-	"modab/internal/netsim"
 	"modab/internal/obs"
 	"modab/internal/rsm"
 	"modab/internal/runtime"
@@ -114,8 +110,6 @@ type (
 	BatchConfig = batch.Config
 	// Node is one running process (see Cluster.Node).
 	Node = runtime.Node
-	// SimCluster is a deterministic simulated cluster.
-	SimCluster = netsim.Cluster
 	// Snapshot is an immutable copy of one process's counters.
 	Snapshot = trace.Snapshot
 	// Stats is the uniform whole-cluster instrumentation snapshot.
@@ -221,12 +215,9 @@ var (
 	ErrStopped = types.ErrStopped
 	// ErrCrashed is returned when submitting at a crashed process.
 	ErrCrashed = types.ErrCrashed
-	// ErrNotLocal is returned by a TCP-driver cluster when the target
+	// ErrNotLocal is returned by a cluster on a TCP group when the target
 	// process is one of the remote peers.
 	ErrNotLocal = types.ErrNotLocal
-	// ErrStalled is returned by a simulated blocking Abcast when virtual
-	// time cannot advance while the window is full.
-	ErrStalled = types.ErrStalled
 	// ErrBadConfig is returned by options and operations whose
 	// requirements are not met (for example Add without WithDurability).
 	ErrBadConfig = types.ErrBadConfig
@@ -274,14 +265,12 @@ func StreamOverflow(p OverflowPolicy) StreamOption { return stream.WithPolicy(p)
 // Option configures New.
 type Option func(*settings) error
 
-// settings accumulates the option values before driver construction. The
-// real-time driver's options are filled in place; tune holds the engine
-// config edits of WithBatching and friends, applied once n is known so
-// they compose with WithConfig regardless of option order.
+// settings accumulates the option values before the group starts. The
+// group's options are filled in place; tune holds the engine config edits
+// of WithBatching and friends, applied once n is known so they compose
+// with WithConfig regardless of option order.
 type settings struct {
 	core.GroupOptions
-	sim  bool
-	seed int64
 	tune []func(*Config)
 }
 
@@ -410,9 +399,7 @@ func WithDigestOrdering() Option {
 // SyncInterval bounds the loss window to milliseconds, SyncNone survives
 // process crashes only. An in-process group logs to dir/p0..p<n-1>; a TCP
 // node (WithTransportTCP) logs directly to dir — give each process of the
-// group its own directory. The simulated driver (WithSimulation) ignores
-// dir and uses a deterministic in-memory durable store instead, so
-// recovery scenarios replay identically under virtual time.
+// group its own directory.
 func WithDurability(dir string, policy SyncPolicy) Option {
 	return func(s *settings) error {
 		s.Durability = &core.DurabilityOptions{Dir: dir, Log: wal.Options{Policy: policy}}
@@ -451,9 +438,7 @@ func WithStateMachine(factory func() StateMachine, snapshotEvery uint64) Option 
 // selects the default (one in 32). Read the per-process recorders with
 // Cluster.Obs; recorders survive Crash/Restart, accumulating across
 // incarnations. Recording costs a few atomic adds per message on the hot
-// path and never perturbs the protocol. The simulated driver records
-// unconditionally (in deterministic virtual time); there this option only
-// tunes the sampling period.
+// path and never perturbs the protocol.
 func WithObservability(sampleEvery uint64) Option {
 	return func(s *settings) error {
 		s.Observability = &obs.Config{SampleEvery: sampleEvery}
@@ -486,7 +471,7 @@ func WithTransportTCP(addrs []string, self ProcessID) Option {
 // original boot-group size — pass 0 to infer it as self (correct for
 // the first joiner, whose slot extends the boot table by one); later
 // joiners, whose tables already include earlier joiners, must pass it
-// explicitly. TCP driver only.
+// explicitly. TCP groups only.
 func WithJoin(bootN int) Option {
 	return func(s *settings) error {
 		if bootN < 0 {
@@ -498,23 +483,9 @@ func WithJoin(bootN int) Option {
 	}
 }
 
-// WithSimulation runs the cluster on the deterministic discrete-event
-// simulator with the given seed (same seed, same trace). Submission then
-// advances virtual time: Abcast executes at the current virtual instant,
-// and when blocked on flow control it steps the simulation until the
-// window drains. Use Sim() for scheduled workloads and fault injection.
-func WithSimulation(seed int64) Option {
-	return func(s *settings) error {
-		s.sim = true
-		s.seed = seed
-		return nil
-	}
-}
-
-// WithFailureDetector parameterizes the heartbeat failure detector of
-// the real-time drivers: heartbeats every period, suspicion after
-// timeout without traffic. The simulator ignores it (detection latency
-// lives in the cost model's FDDetect).
+// WithFailureDetector parameterizes every process's heartbeat failure
+// detector: heartbeats every period, suspicion after timeout without
+// traffic.
 func WithFailureDetector(period, timeout time.Duration) Option {
 	return func(s *settings) error {
 		if period < 0 || timeout < 0 {
@@ -526,50 +497,20 @@ func WithFailureDetector(period, timeout time.Duration) Option {
 	}
 }
 
-// driver is the seam between the facade and what runs the group. It has
-// two implementations: *core.Group — the real-time processes this OS
-// process drives, all of an in-memory group or one of a TCP group — and
-// simDriver, the virtual-time adapter over the simulator. Process indexes
-// reaching a driver are already range-checked by the facade.
-type driver interface {
-	N() int
-	Abcast(ctx context.Context, p int, body []byte) (MsgID, error)
-	TryAbcast(p int, body []byte) (MsgID, error)
-	Deliveries(opts ...StreamOption) *DeliveryStream
-	Counters(p int) Snapshot
-	Stats() Stats
-	Crash(p int) error
-	Restart(p int) error
-	Add(ctx context.Context, addr string) (ProcessID, error)
-	RequestJoin(ctx context.Context, sponsor ProcessID) error
-	Remove(ctx context.Context, p int) error
-	View(p int) View
-	Node(p int) *Node
-	Applier(p int) *Applier
-	Obs(p int) *ObsRecorder
-	Close() error
-}
-
-// Cluster is the unified facade over the drivers: the real-time group —
-// every process over in-memory channels (the default) or one process of
-// a TCP group (WithTransportTCP) — or a simulated cluster
-// (WithSimulation). All share the same submission, delivery-stream,
-// membership and instrumentation surface; on a TCP group every
-// per-process method answers ErrNotLocal (or a zero value) for the
-// processes other OS processes drive.
+// Cluster is the facade over the processes of one group this OS process
+// drives: every process over in-memory channels (the default) or one
+// process of a TCP group (WithTransportTCP). Both shapes share the same
+// submission, delivery-stream, membership and instrumentation surface; on
+// a TCP group every per-process method answers ErrNotLocal (or a zero
+// value) for the processes other OS processes drive.
 type Cluster struct {
 	stack Stack
-	drv   driver
-	// sim is the simulated driver's cluster (Sim); nil in real time.
-	sim *netsim.Cluster
-	// durable records WithDurability, which Restart and Add require.
-	durable bool
+	group *core.Group
 }
 
 // New builds a cluster of n processes running the given stack. With no
 // options it starts the whole group in this OS process over an in-memory
-// network; WithTransportTCP makes it one process of a TCP group instead,
-// and WithSimulation selects the simulated driver.
+// network; WithTransportTCP makes it one process of a TCP group instead.
 func New(n int, stack Stack, opts ...Option) (*Cluster, error) {
 	var s settings
 	for _, o := range opts {
@@ -577,11 +518,8 @@ func New(n int, stack Stack, opts ...Option) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	if s.sim && (len(s.Addrs) > 0 || s.Join) {
-		return nil, fmt.Errorf("%w: WithTransportTCP/WithJoin and WithSimulation are mutually exclusive", types.ErrBadConfig)
-	}
 	if len(s.tune) > 0 {
-		// Materialize the defaults first so the edits survive the drivers'
+		// Materialize the defaults first so the edits survive the group's
 		// zero-config check, then overlay them on whatever WithConfig
 		// supplied.
 		if s.Engine.N == 0 {
@@ -591,72 +529,33 @@ func New(n int, stack Stack, opts ...Option) (*Cluster, error) {
 			edit(&s.Engine)
 		}
 	}
-	c := &Cluster{stack: stack, durable: s.Durability != nil}
-	if !s.sim {
-		group, err := core.NewGroup(n, stack, s.GroupOptions)
-		if err != nil {
-			return nil, err
-		}
-		c.drv = group
-		return c, nil
-	}
-	so := netsim.Options{
-		N:             n,
-		Stack:         stack,
-		Engine:        s.Engine,
-		Seed:          s.seed,
-		Durable:       c.durable,
-		StateMachine:  s.StateMachine,
-		SnapshotEvery: s.SnapshotEvery,
-	}
-	if s.Observability != nil {
-		so.Obs = *s.Observability // the simulator always records; nil means defaults
-	}
-	sim, err := netsim.NewCluster(so)
+	group, err := core.NewGroup(n, stack, s.GroupOptions)
 	if err != nil {
 		return nil, err
 	}
-	c.sim, c.drv = sim, simDriver{sim}
-	return c, nil
+	return &Cluster{stack: stack, group: group}, nil
 }
 
 // N returns the number of process slots: the boot group plus every
 // joiner admitted so far (removed and crashed processes keep theirs).
-func (c *Cluster) N() int { return c.drv.N() }
+func (c *Cluster) N() int { return c.group.N() }
 
 // Stack returns the implementation under the facade.
 func (c *Cluster) Stack() Stack { return c.stack }
-
-// check range-checks a process index once, ahead of the driver call, so
-// every driver answers an out-of-range p alike.
-func (c *Cluster) check(p int) error {
-	if n := c.drv.N(); p < 0 || p >= n {
-		return fmt.Errorf("%w: p%d of %d", ErrBadConfig, p+1, n)
-	}
-	return nil
-}
 
 // Abcast submits one payload for total-order broadcast at process p. It
 // blocks while p's flow-control window is full — woken by a condition
 // signal, not a poll — and returns ctx.Err() on cancellation or
 // deadline, ErrStopped after Close, ErrCrashed at a crashed process, and
-// ErrNotLocal when p is a remote peer of a TCP-driver cluster. On the
-// simulated driver, blocking advances virtual time step by step until
-// the window drains (ErrStalled if it never can).
+// ErrNotLocal when p is a remote peer of a TCP group.
 func (c *Cluster) Abcast(ctx context.Context, p int, body []byte) (MsgID, error) {
-	if err := c.check(p); err != nil {
-		return MsgID{}, err
-	}
-	return c.drv.Abcast(ctx, p, body)
+	return c.group.Abcast(ctx, p, body)
 }
 
 // TryAbcast submits without waiting: ErrFlowControl when the window is
 // full — the only entry point that returns it.
 func (c *Cluster) TryAbcast(p int, body []byte) (MsgID, error) {
-	if err := c.check(p); err != nil {
-		return MsgID{}, err
-	}
-	return c.drv.TryAbcast(p, body)
+	return c.group.TryAbcast(p, body)
 }
 
 // Deliveries subscribes to the cluster-wide adelivery stream: every
@@ -665,83 +564,56 @@ func (c *Cluster) TryAbcast(p int, body []byte) (MsgID, error) {
 // Close (subscribers drain their buffers first); a subscription taken
 // after Close sees an already-closed channel.
 func (c *Cluster) Deliveries(opts ...StreamOption) *DeliveryStream {
-	return c.drv.Deliveries(opts...)
+	return c.group.Deliveries(opts...)
 }
 
-// Counters returns a snapshot of process p's instrumentation. On the TCP
-// driver only the local process has counters; remote peers — like crashed
+// Counters returns a snapshot of process p's instrumentation. On a TCP
+// group only the local process has counters; remote peers — like crashed
 // processes and out-of-range indexes — read as zero.
-func (c *Cluster) Counters(p int) Snapshot {
-	if c.check(p) != nil {
-		return Snapshot{}
-	}
-	return c.drv.Counters(p)
-}
+func (c *Cluster) Counters(p int) Snapshot { return c.group.Counters(p) }
 
 // Stats returns the uniform whole-cluster snapshot: per-process counters
 // plus totals (including delivery-stream drops).
-func (c *Cluster) Stats() Stats { return c.drv.Stats() }
+func (c *Cluster) Stats() Stats { return c.group.Stats() }
 
 // Crash stops process p: crash-stop fault injection (survivors' failure
-// detectors take over). On the TCP driver it stops the local process and
+// detectors take over). On a TCP group it stops the local process and
 // returns ErrNotLocal for a remote one.
-func (c *Cluster) Crash(p int) error {
-	if err := c.check(p); err != nil {
-		return err
-	}
-	return c.drv.Crash(p)
-}
+func (c *Cluster) Crash(p int) error { return c.group.Crash(p) }
 
 // Restart brings a crashed process back — the crash-recovery model. It
 // requires WithDurability: the new incarnation replays the process's
-// write-ahead log (or the simulated durable store), announces itself, and
-// fetches the decisions it missed from a live peer before resuming
-// normal operation; survivors unsuspect it as soon as they hear from it.
-// On the TCP driver only the local process can be restarted
-// (ErrNotLocal otherwise); on the simulated driver the restart happens at
-// the current virtual instant.
+// write-ahead log, announces itself, and fetches the decisions it missed
+// from a live peer before resuming normal operation; survivors unsuspect
+// it as soon as they hear from it. On a TCP group only the local process
+// can be restarted (ErrNotLocal otherwise).
 //
-// Counters after a restart: the simulated driver accumulates across
-// incarnations, while on the real-time driver the restarted process's
-// Counters restart from zero — its pre-crash deliveries are summarized
-// by RecoveryReplayedMsgs (ADeliver + RecoveryReplayedMsgs is its
-// lifetime delivery count).
-func (c *Cluster) Restart(p int) error {
-	if !c.durable {
-		return fmt.Errorf("%w: Restart requires WithDurability", ErrBadConfig)
-	}
-	if err := c.check(p); err != nil {
-		return err
-	}
-	return c.drv.Restart(p)
-}
+// The restarted process's Counters restart from zero — its pre-crash
+// deliveries are summarized by RecoveryReplayedMsgs (ADeliver +
+// RecoveryReplayedMsgs is its lifetime delivery count).
+func (c *Cluster) Restart(p int) error { return c.group.Restart(p) }
 
 // Add admits a new process to the group: an AddProcess op rides the
 // total order like any message, decides in a consensus instance, and
 // activates at a decided boundary — every member switches quorum size,
 // failure-detector monitor set, ring successor order and retention
 // accounting at exactly the same instance. Add returns the new
-// process's ID (dense: the next unused one).
+// process's ID (dense: the next unused one). Joins require
+// WithDurability.
 //
-// On the in-process group and simulated drivers the joiner is spawned
-// by the cluster itself (it catches up through snapshot install plus
-// log-suffix state transfer — joins require WithDurability) and addr
-// must be omitted. On the TCP driver the local node sponsors the
-// admission of a process at addr — the one address argument — and every
-// member learns the address from the decided op itself; the operator
-// starts that process with abnode's -join flag (it may also self-request
-// admission, in which case Add is not needed).
+// In memory the joiner is spawned by the cluster itself (it catches up
+// through snapshot install plus log-suffix state transfer) and addr must
+// be omitted. On a TCP group the local node sponsors the admission of a
+// process at addr — the one address argument — and every member learns
+// the address from the decided op itself; the operator starts that
+// process with abnode's -join flag (it may also self-request admission,
+// in which case Add is not needed).
 func (c *Cluster) Add(ctx context.Context, addr ...string) (ProcessID, error) {
-	if !c.durable {
-		// Members without write-ahead logs cannot serve the decided
-		// prefix, so a joiner would wait on state transfer forever.
-		return 0, fmt.Errorf("%w: Add requires WithDurability", ErrBadConfig)
-	}
 	switch len(addr) {
 	case 0:
-		return c.drv.Add(ctx, "")
+		return c.group.Add(ctx, "")
 	case 1:
-		return c.drv.Add(ctx, addr[0])
+		return c.group.Add(ctx, addr[0])
 	}
 	return 0, fmt.Errorf("%w: Add takes at most one address", ErrBadConfig)
 }
@@ -750,10 +622,10 @@ func (c *Cluster) Add(ctx context.Context, addr ...string) (ProcessID, error) {
 // process's admission, and blocks until the decided view admits us.
 // The request frame is fire-and-forget (it may race the decide or be
 // dropped by a connecting transport), so it is re-sent periodically
-// until the view changes. TCP driver with WithJoin only (ErrBadConfig
-// otherwise).
+// until the view changes. TCP groups started with WithJoin only
+// (ErrBadConfig otherwise).
 func (c *Cluster) RequestJoin(ctx context.Context, sponsor ProcessID) error {
-	return c.drv.RequestJoin(ctx, sponsor)
+	return c.group.RequestJoin(ctx, sponsor)
 }
 
 // Remove retires process p from the group: a RemoveProcess op rides the
@@ -762,226 +634,34 @@ func (c *Cluster) RequestJoin(ctx context.Context, sponsor ProcessID) error {
 // remote peer of a TCP group is stopped by its operator). Removing an
 // already-crashed process is the permanent-node-loss recovery: the
 // group stops waiting for it and quorums shrink at the boundary.
-func (c *Cluster) Remove(ctx context.Context, p int) error {
-	if err := c.check(p); err != nil {
-		return err
-	}
-	return c.drv.Remove(ctx, p)
-}
+func (c *Cluster) Remove(ctx context.Context, p int) error { return c.group.Remove(ctx, p) }
 
 // View returns process p's newest locally applied membership view (the
 // zero view for crashed processes, remote TCP peers, and out-of-range
 // indexes).
-func (c *Cluster) View(p int) View {
-	if c.check(p) != nil {
-		return View{}
-	}
-	return c.drv.View(p)
-}
+func (c *Cluster) View(p int) View { return c.group.View(p) }
 
 // Node returns the runtime node driving process p, or nil when p is not
-// driven by this cluster in real time (simulated driver, remote TCP
-// peers, crashed processes). It is the escape hatch to the lower-level
-// API.
-func (c *Cluster) Node(p int) *Node {
-	if c.check(p) != nil {
-		return nil
-	}
-	return c.drv.Node(p)
-}
+// driven by this cluster (remote TCP peers, crashed processes,
+// out-of-range indexes). It is the escape hatch to the lower-level API.
+func (c *Cluster) Node(p int) *Node { return c.group.Node(p) }
 
 // Applier returns process p's state machine applier: apply results,
 // read-your-writes waits (Applier.Await) and canonical state digests. It
 // returns nil without WithStateMachine, for remote TCP peers, and for
-// crashed real-time processes.
-func (c *Cluster) Applier(p int) *Applier {
-	if c.check(p) != nil {
-		return nil
-	}
-	return c.drv.Applier(p)
-}
+// crashed processes.
+func (c *Cluster) Applier(p int) *Applier { return c.group.Applier(p) }
 
 // Obs returns process p's observability recorder (latency histograms and
-// the sampled lifecycle trace). It returns nil on the real-time driver
-// without WithObservability, for remote TCP peers, and for out-of-range
-// indexes; the simulated driver always records. Recorders survive
+// the sampled lifecycle trace). It returns nil without WithObservability,
+// for remote TCP peers, and for out-of-range indexes. Recorders survive
 // Crash/Restart, accumulating across incarnations.
-func (c *Cluster) Obs(p int) *ObsRecorder {
-	if c.check(p) != nil {
-		return nil
-	}
-	return c.drv.Obs(p)
-}
-
-// Sim returns the underlying simulated cluster (nil on the real-time
-// driver) for scheduled workloads, fault injection and virtual-time
-// control.
-func (c *Cluster) Sim() *SimCluster { return c.sim }
+func (c *Cluster) Obs(p int) *ObsRecorder { return c.group.Obs(p) }
 
 // Close shuts the cluster down. Delivery streams drain what is buffered
 // and then close. Close is idempotent.
-func (c *Cluster) Close() error { return c.drv.Close() }
+func (c *Cluster) Close() error { return c.group.Close() }
 
 // DefaultConfig returns the protocol tunables used in the paper's
 // evaluation for a group of n processes.
 func DefaultConfig(n int) Config { return engine.DefaultConfig(n) }
-
-// simDriver adapts the simulator to the driver seam. The simulator
-// schedules; the facade blocks — so every operation is submitted at the
-// current virtual instant and virtual time is then advanced until its
-// outcome is visible.
-type simDriver struct{ sim *netsim.Cluster }
-
-// settle executes everything due at the current virtual instant.
-func (s simDriver) settle() { s.sim.Run(s.sim.Now()) }
-
-// stepUntil advances virtual time event by event until cond holds, the
-// context ends, or the event queue runs dry (ErrStalled).
-func (s simDriver) stepUntil(ctx context.Context, cond func() bool) error {
-	for !cond() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if !s.sim.Step() {
-			return fmt.Errorf("%w: at virtual time %v", ErrStalled, s.sim.Now())
-		}
-	}
-	return nil
-}
-
-// sponsor finds a live process to submit a config op through, skipping
-// avoid.
-func (s simDriver) sponsor(avoid int) (ProcessID, error) {
-	for p := 0; p < s.sim.Procs(); p++ {
-		if p != avoid && s.sim.Live(ProcessID(p)) {
-			return ProcessID(p), nil
-		}
-	}
-	return 0, ErrCrashed
-}
-
-// viewEverywhere reports whether every live process other than skip has
-// applied a view whose membership of id equals member.
-func (s simDriver) viewEverywhere(id ProcessID, member bool, skip int) bool {
-	for q := 0; q < s.sim.Procs(); q++ {
-		if q != skip && s.sim.Live(ProcessID(q)) && s.sim.View(ProcessID(q)).Contains(id) != member {
-			return false
-		}
-	}
-	return true
-}
-
-func (s simDriver) N() int { return s.sim.Procs() }
-
-// Abcast retries TryAbcast, advancing virtual time while the window is
-// full.
-func (s simDriver) Abcast(ctx context.Context, p int, body []byte) (MsgID, error) {
-	for {
-		id, err := s.TryAbcast(p, body)
-		if !errors.Is(err, ErrFlowControl) {
-			return id, err
-		}
-		// Step virtual time until something is adelivered at p — only a
-		// delivery of p's own message can free the window, so retrying
-		// any earlier just charges the process CPU for rejected
-		// submissions that distort the simulated measurements.
-		before := s.Counters(p).ADeliver
-		if err := s.stepUntil(ctx, func() bool { return s.Counters(p).ADeliver != before }); err != nil {
-			return MsgID{}, err
-		}
-	}
-}
-
-func (s simDriver) TryAbcast(p int, body []byte) (id MsgID, err error) {
-	s.sim.Abcast(ProcessID(p), s.sim.Now(), body, func(i MsgID, _ time.Duration, e error) { id, err = i, e })
-	s.settle()
-	return id, err
-}
-
-func (s simDriver) Deliveries(opts ...StreamOption) *DeliveryStream {
-	return s.sim.Deliveries(opts...)
-}
-
-// Counters accumulate across incarnations (they live on the simulated
-// process, not on its engine).
-func (s simDriver) Counters(p int) Snapshot { return s.sim.Counters(ProcessID(p)) }
-
-func (s simDriver) Stats() Stats { return s.sim.Stats() }
-
-func (s simDriver) Crash(p int) error {
-	s.sim.Crash(ProcessID(p), s.sim.Now())
-	s.settle()
-	return nil
-}
-
-func (s simDriver) Restart(p int) error {
-	s.sim.Restart(ProcessID(p), s.sim.Now())
-	s.settle()
-	return nil
-}
-
-// Add steps until the joiner is spawned AND every live member has
-// applied the admitting view. The second condition matters: a config op
-// submitted through a process that is still on the old epoch gets
-// stamped with a stale BaseEpoch and is deterministically rejected at
-// decide time, so returning at first-spawn would make an immediately
-// following Add/Remove no-op.
-func (s simDriver) Add(ctx context.Context, addr string) (ProcessID, error) {
-	if addr != "" {
-		return 0, fmt.Errorf("%w: addr is only for the TCP driver", ErrBadConfig)
-	}
-	sponsor, err := s.sponsor(-1)
-	if err != nil {
-		return 0, err
-	}
-	id := ProcessID(s.sim.Procs())
-	s.sim.Join(sponsor, id, s.sim.Now())
-	s.settle()
-	err = s.stepUntil(ctx, func() bool {
-		return s.sim.Procs() > int(id) && s.viewEverywhere(id, true, -1)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return id, nil
-}
-
-// RequestJoin is a TCP deployment step; simulated joiners are spawned by
-// Add.
-func (s simDriver) RequestJoin(context.Context, ProcessID) error {
-	return fmt.Errorf("%w: RequestJoin needs the TCP driver with WithJoin", ErrBadConfig)
-}
-
-// Remove steps until every live survivor has applied the view excluding
-// p, then crashes p (decommission).
-func (s simDriver) Remove(ctx context.Context, p int) error {
-	sponsor, err := s.sponsor(p)
-	if err != nil {
-		return err
-	}
-	s.sim.Remove(sponsor, ProcessID(p), s.sim.Now())
-	s.settle()
-	if err := s.stepUntil(ctx, func() bool { return s.viewEverywhere(ProcessID(p), false, p) }); err != nil {
-		return err
-	}
-	if s.sim.Live(ProcessID(p)) {
-		return s.Crash(p)
-	}
-	return nil
-}
-
-func (s simDriver) View(p int) View {
-	if !s.sim.Live(ProcessID(p)) {
-		return View{}
-	}
-	return s.sim.View(ProcessID(p))
-}
-
-// Node is nil: no real-time node runs a simulated process.
-func (s simDriver) Node(int) *Node { return nil }
-
-func (s simDriver) Applier(p int) *Applier { return s.sim.Applier(ProcessID(p)) }
-
-func (s simDriver) Obs(p int) *ObsRecorder { return s.sim.Obs(ProcessID(p)) }
-
-func (s simDriver) Close() error { s.sim.Close(); return nil }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"modab"
+	"modab/internal/netsim"
 )
 
 // TestFacadeQuickstart exercises the package doc's quick-start path:
@@ -58,84 +59,8 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
-// TestFacadeSimulation runs the simulated driver through the same
-// surface: Abcast advances virtual time, Deliveries streams events,
-// Stats reads uniformly.
-func TestFacadeSimulation(t *testing.T) {
-	for _, stk := range []modab.Stack{modab.Modular, modab.Monolithic} {
-		cluster, err := modab.New(3, stk, modab.WithSimulation(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sub := cluster.Deliveries(modab.StreamBuffer(32))
-		ctx := context.Background()
-		if _, err := cluster.Abcast(ctx, 0, []byte("x")); err != nil {
-			t.Fatalf("%s: %v", stk, err)
-		}
-		if cluster.Sim() == nil {
-			t.Fatal("Sim() nil on simulated driver")
-		}
-		cluster.Sim().RunIdle(5 * time.Second)
-		if st := cluster.Stats(); st.Total.ADeliver != 3 {
-			t.Fatalf("%s: ADeliver=%d, want 3", stk, st.Total.ADeliver)
-		}
-		if err := cluster.Close(); err != nil {
-			t.Fatal(err)
-		}
-		streamed := 0
-		for range sub.C() {
-			streamed++
-		}
-		if streamed != 3 {
-			t.Fatalf("%s: streamed %d of 3", stk, streamed)
-		}
-	}
-}
-
-// TestFacadeSimulationBlockingAbcast fills the window and checks that the
-// blocking Abcast drives virtual time forward until admitted.
-func TestFacadeSimulationBlockingAbcast(t *testing.T) {
-	cfg := modab.DefaultConfig(3)
-	cfg.Window = 1
-	cluster, err := modab.New(3, modab.Monolithic,
-		modab.WithSimulation(4), modab.WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	ctx := context.Background()
-	for j := 0; j < 5; j++ {
-		if _, err := cluster.Abcast(ctx, 0, []byte{byte(j)}); err != nil {
-			t.Fatalf("abcast %d: %v", j, err)
-		}
-	}
-	// A full window plus a canceled context surfaces the context error.
-	if _, err := cluster.TryAbcast(0, []byte("fill")); err != nil && !errors.Is(err, modab.ErrFlowControl) {
-		t.Fatal(err)
-	}
-	canceled, cancel := context.WithCancel(ctx)
-	cancel()
-	for {
-		_, err := cluster.TryAbcast(0, []byte("fill"))
-		if errors.Is(err, modab.ErrFlowControl) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := cluster.Abcast(canceled, 0, []byte("blocked")); !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-}
-
 // TestFacadeOptionValidation checks option-combination errors.
 func TestFacadeOptionValidation(t *testing.T) {
-	if _, err := modab.New(3, modab.Modular,
-		modab.WithTransportTCP([]string{"a", "b", "c"}, 0),
-		modab.WithSimulation(1)); err == nil {
-		t.Error("accepted TCP+simulation")
-	}
 	if _, err := modab.New(2, modab.Modular,
 		modab.WithTransportTCP([]string{"a", "b", "c"}, 0)); err == nil {
 		t.Error("accepted n != len(addrs)")
@@ -150,17 +75,20 @@ func TestFacadeOptionValidation(t *testing.T) {
 	if _, err := modab.New(3, modab.Modular, modab.WithJoin(0)); !errors.Is(err, modab.ErrBadConfig) {
 		t.Errorf("WithJoin without WithTransportTCP: %v", err)
 	}
-	// RequestJoin needs the TCP driver with WithJoin; every other cluster
-	// says so instead of reporting itself stopped.
-	for _, opts := range [][]modab.Option{nil, {modab.WithSimulation(1)}} {
-		cluster, err := modab.New(3, modab.Modular, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cluster.RequestJoin(context.Background(), 0); !errors.Is(err, modab.ErrBadConfig) {
-			t.Errorf("RequestJoin (opts %v): %v, want ErrBadConfig", opts, err)
-		}
-		cluster.Close()
+	noWindow := modab.DefaultConfig(3)
+	noWindow.Window = 0
+	if _, err := modab.New(3, modab.Modular, modab.WithConfig(noWindow)); !errors.Is(err, modab.ErrBadConfig) {
+		t.Errorf("WithConfig without a flow-control window: %v", err)
+	}
+	// RequestJoin needs a TCP group started with WithJoin; an in-memory
+	// group says so instead of reporting itself stopped.
+	cluster, err := modab.New(3, modab.Modular)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	if err := cluster.RequestJoin(context.Background(), 0); !errors.Is(err, modab.ErrBadConfig) {
+		t.Errorf("RequestJoin: %v, want ErrBadConfig", err)
 	}
 }
 
@@ -201,31 +129,26 @@ func TestFacadeTCPNode(t *testing.T) {
 	}
 }
 
-// TestWithPipelining drives a pipelined modular cluster end to end on
-// the simulated driver and checks both the ordering contract and the
-// observability: the configured window must actually be reached.
+// TestWithPipelining checks WithPipelining's argument contract and, on
+// the simulator, that a window of four is actually reached:
+// PipelineDepthObserved counts the instances in flight at once.
 func TestWithPipelining(t *testing.T) {
-	cluster, err := modab.New(3, modab.Modular,
-		modab.WithSimulation(7), modab.WithPipelining(4))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := modab.New(3, modab.Modular, modab.WithPipelining(0)); err == nil {
+		t.Fatal("WithPipelining(0) accepted")
 	}
-	defer cluster.Close()
-	sim := cluster.Sim()
+	cfg := modab.DefaultConfig(3)
+	cfg.PipelineDepth = 4
+	c := newSim(t, netsim.Options{N: 3, Stack: modab.Modular, Seed: 7, Engine: cfg})
 	for i := 0; i < 40; i++ {
-		p := modab.ProcessID(i % 3)
-		sim.Abcast(p, time.Duration(i)*time.Millisecond, []byte{byte(i)}, nil)
+		simAbcast(t, c, i%3, time.Duration(i)*time.Millisecond, []byte{byte(i)})
 	}
-	sim.Run(10 * time.Second)
-	st := cluster.Stats()
+	c.Run(10 * time.Second)
+	st := c.Stats()
 	if st.Total.ADeliver != 3*40 {
 		t.Fatalf("delivered %d of %d", st.Total.ADeliver, 3*40)
 	}
 	if st.Total.PipelineDepthObserved < 2 {
 		t.Fatalf("pipeline depth observed %d, want >= 2", st.Total.PipelineDepthObserved)
-	}
-	if _, err := modab.New(3, modab.Modular, modab.WithPipelining(0)); err == nil {
-		t.Fatal("WithPipelining(0) accepted")
 	}
 }
 
@@ -312,32 +235,58 @@ func TestBatchingAgeTriggerSimulatedTime(t *testing.T) {
 	for _, stk := range []modab.Stack{modab.Modular, modab.Monolithic} {
 		stk := stk
 		t.Run(stk.String(), func(t *testing.T) {
-			cluster, err := modab.New(3, stk,
-				modab.WithSimulation(7),
-				modab.WithBatching(100, 0, 2*time.Millisecond))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cluster.Close()
+			cfg := modab.DefaultConfig(3)
+			cfg.Batch = modab.BatchConfig{MaxMsgs: 100, MaxDelay: 2 * time.Millisecond}
+			c := newSim(t, netsim.Options{N: 3, Stack: stk, Seed: 7, Engine: cfg})
 			// Three messages: far below MaxMsgs, so only the age trigger
 			// can ever diffuse them.
 			for i := 0; i < 3; i++ {
-				if _, err := cluster.TryAbcast(0, []byte{byte(i)}); err != nil {
-					t.Fatal(err)
+				simAbcast(t, c, 0, 0, []byte{byte(i)})
+			}
+			c.RunIdle(time.Second)
+			for p := modab.ProcessID(0); p < 3; p++ {
+				if got := c.Counters(p).ADeliver; got != 3 {
+					t.Fatalf("%s adelivered %d of 3", p, got)
 				}
 			}
-			sim := cluster.Sim()
-			sim.RunIdle(time.Second)
-			for p := 0; p < 3; p++ {
-				if got := cluster.Counters(p).ADeliver; got != 3 {
-					t.Fatalf("p%d adelivered %d of 3", p+1, got)
-				}
-			}
-			snap := cluster.Counters(0)
+			snap := c.Counters(0)
 			if snap.SenderBatches != 1 || snap.SenderBatchedMsgs != 3 {
 				t.Fatalf("age trigger sealed %d batches with %d msgs, want 1 with 3",
 					snap.SenderBatches, snap.SenderBatchedMsgs)
 			}
 		})
 	}
+}
+
+// The tests named for the simulator drive internal/netsim directly at the
+// engine.Config level: the facade runs the real-time group only.
+
+// newSim builds a simulated cluster and fails the test on any engine error
+// it reports by the end of the test.
+func newSim(t *testing.T, opts netsim.Options) *netsim.Cluster {
+	t.Helper()
+	c, err := netsim.NewCluster(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		for _, err := range c.Errs() {
+			t.Errorf("engine error: %v", err)
+		}
+	})
+	return c
+}
+
+// simAbcast submits body at process p at virtual time at, retrying a
+// flow-control rejection a millisecond later — the blocking Abcast in
+// virtual time. Any other rejection fails the test.
+func simAbcast(t *testing.T, c *netsim.Cluster, p int, at time.Duration, body []byte) {
+	c.Abcast(modab.ProcessID(p), at, body, func(_ modab.MsgID, t0 time.Duration, err error) {
+		switch {
+		case errors.Is(err, modab.ErrFlowControl):
+			simAbcast(t, c, p, t0+time.Millisecond, body)
+		case err != nil:
+			t.Errorf("abcast at p%d: %v", p+1, err)
+		}
+	})
 }
