@@ -95,7 +95,9 @@ bench-pair:
 
 # Documentation gate: gofmt-clean tree, documented exported symbols in
 # modab.go, package comments on every internal package, the import
-# ratchets (no internal/batch or internal/dissem in the engines, no
+# ratchets (no internal/batch or internal/dissem in the engines; no
+# internal/stack, internal/tail or internal/head in the round core
+# internal/ct; no internal/consensus in the monolithic engine; no
 # internal/netsim in the facade), no broken local markdown links (mirrors
 # the CI docs job).
 docs:
@@ -107,7 +109,7 @@ docs:
 # end each round lower, so this is a ratchet: the target prints the count
 # and fails above LOC_CEILING; a PR that shrinks the tree lowers the
 # ceiling to its new count.
-LOC_CEILING := 19722
+LOC_CEILING := 19528
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l); \
 	echo $$n; \

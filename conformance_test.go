@@ -62,12 +62,9 @@ func (g *group) start(n int, extra ...modab.Option) *modab.Cluster {
 		modab.WithObservability(1),
 		modab.WithFailureDetector(10*time.Millisecond, 150*time.Millisecond))
 	// Modular: the script is about the facade, and on the real-time TCP
-	// path the monolithic engine has two membership liveness gaps of its
-	// own (both also at the parent of the PR that added this test) — a
-	// process left running after its removal suspects every member of a
-	// view it is not in and rotates coordinators forever
-	// (advanceSuspected), and a config op submitted while a member of a
-	// four-process view is down sometimes never decides.
+	// path the monolithic engine has a membership liveness gap of its own:
+	// a config op submitted while a member of a four-process view is down
+	// sometimes never decides.
 	c, err := modab.New(n, modab.Modular, append(opts, extra...)...)
 	if err != nil {
 		g.t.Fatalf("New: %v", err)

@@ -93,11 +93,14 @@ func TestInternalPackagesHaveComments(t *testing.T) {
 	}
 }
 
-// TestEnginesImportNoHeadInternals holds two structural ratchets on
+// TestEnginesImportNoHeadInternals holds the structural ratchets on
 // non-test files. What precedes ordering — batching and dissemination — is
 // written once in internal/head, so the two engines import neither
 // internal/batch nor internal/dissem (their configuration types are
-// reached through engine.Config). And the facade has one driver,
+// reached through engine.Config). The Chandra–Toueg round rules are written
+// once in internal/ct: it stays a pure table (no stack framework, no head
+// or tail), and the monolithic engine reaches the rules through it, never
+// through the modular consensus layer. And the facade has one driver,
 // internal/core: the root package does not import the simulator, which
 // cmd/abbench and the harnesses drive directly.
 func TestEnginesImportNoHeadInternals(t *testing.T) {
@@ -107,6 +110,9 @@ func TestEnginesImportNoHeadInternals(t *testing.T) {
 	}{
 		{[]string{"internal/abcast", "internal/monolithic"},
 			[]string{"modab/internal/batch", "modab/internal/dissem"}, "that code belongs in internal/head"},
+		{[]string{"internal/ct"}, []string{"modab/internal/stack", "modab/internal/tail", "modab/internal/head"},
+			"the round core is a pure table; each stack supplies its envelope through ct.Host"},
+		{[]string{"internal/monolithic"}, []string{"modab/internal/consensus"}, "the round rules live in internal/ct"},
 		{[]string{"."}, []string{"modab/internal/netsim"}, "the facade's one driver is internal/core"},
 	} {
 		for _, dir := range rule.dirs {

@@ -13,29 +13,29 @@
 //     DECISION tag; receivers decide the proposal they already hold for
 //     that round, and fetch the full decision only if they miss it.
 //
+// The rounds live in internal/ct, the round core the monolithic engine
+// shares: this layer is that core behind the modular stack's envelope (its
+// codec, the propose primitive, decisions rbcast as tags and emitted as
+// stack.EvDecide).
+//
 // The layer manages many consensus instances (one per atomic broadcast
 // batch) but exposes each as an independent black box: nothing about
 // instance k is reused for instance k+1. That independence is precisely
 // the modularity cost the paper measures; the monolithic engine removes it.
-// It is also what makes the abcast layer's pipelining
-// (engine.Config.PipelineDepth) transparent here: W concurrent EvProposeReq
-// instances run their rounds, suspicion-driven round advancement and
-// decision dissemination fully independently, and retention (prune) only
-// ever drops decided instances, so an in-flight window can never lose
-// state to GC.
+// It also makes the abcast layer's pipelining transparent here: W
+// concurrent instances run their rounds and decision dissemination
+// independently, and retention only ever drops decided instances.
 package consensus
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
+	"modab/internal/ct"
 	"modab/internal/dedup"
 	"modab/internal/engine"
 	"modab/internal/member"
-	"modab/internal/retire"
 	"modab/internal/stack"
-	"modab/internal/trace"
 	"modab/internal/types"
 	"modab/internal/wire"
 )
@@ -54,40 +54,19 @@ type Layer struct {
 
 	self types.ProcessID
 	// views is the ascending-activation sequence of membership views
-	// this layer has been told about (stack.EvConfig from the abcast
-	// layer, which processes decisions in total order). Every quorum
-	// comparison and coordinator lookup for instance k goes through
-	// viewAt(k) — never through a majority cached at construction, which
-	// is exactly the stale-quorum bug dynamic membership exposes: a
-	// decided remove from n=5 to 4 must shrink the quorum on the very
-	// next governed instance.
+	// (stack.EvConfig from the abcast layer, in total order). Every quorum
+	// and coordinator lookup for instance k goes through viewAt(k), never a
+	// majority cached at construction: a decided remove from n=5 to 4 must
+	// shrink the quorum on the very next governed instance.
 	views      []member.View
-	insts      map[uint64]*instance
-	suspected  map[types.ProcessID]bool
+	rounds     *ct.Table
 	maxDecided uint64
-	// decidedQ holds the decided instances still in insts, in instance
-	// order (decisions land slightly out of it under pipelining): what
-	// prune retires from. Undecided instances are never in it.
-	decidedQ retire.Queue[uint64]
 	// decidedSet records every instance this process ever decided
-	// (contiguous watermark plus sparse set, so memory stays bounded once
-	// decisions become contiguous). It outlives pruning: a vote-producing
-	// message (proposal, estimate, ack) for an instance this process
-	// decided and then pruned must be ignored — recreating the instance
-	// as undecided and voting again could hand a badly lagging proposer a
-	// majority for a second, conflicting decision (the original and the
-	// new majority must intersect, and with every decided-then-pruned
-	// participant refusing, the intersection kills the new one).
-	// Instances this process has NOT decided — its own undecided gap
-	// during a partition, whether or not the instance state exists yet —
-	// keep processing normally; retransmitted proposals are how the gap
-	// heals.
+	// (contiguous watermark plus sparse set). It outlives pruning, which is
+	// what ct's refusal to vote in decided-then-pruned instances reads
+	// (host.Settled); decisions land out of order under pipelining, so no
+	// watermark can stand in for it.
 	decidedSet *dedup.Set
-}
-
-// pruned reports whether instance k was decided here and then pruned.
-func (l *Layer) pruned(k uint64) bool {
-	return l.decidedSet.Seen(k) && l.insts[k] == nil
 }
 
 var _ stack.Layer = (*Layer)(nil)
@@ -112,8 +91,7 @@ func (l *Layer) Init(ctx *stack.Context) {
 	if l.views == nil {
 		l.views = member.NewHistory(ctx.Env().N()).Views()
 	}
-	l.insts = make(map[uint64]*instance)
-	l.suspected = make(map[types.ProcessID]bool)
+	l.rounds = ct.New(l.self, (*host)(l), nil, ctx.Env().Counters())
 	l.decidedSet = dedup.NewSet()
 }
 
@@ -137,17 +115,10 @@ func (l *Layer) viewAt(k uint64) member.View {
 	return l.views[0]
 }
 
-// coordinatorAt returns the coordinator of round r (1-based) of
-// instance k: the view's sorted members rotated by round. For the
-// static epoch-0 view this is the paper's (r-1) mod n.
-func (l *Layer) coordinatorAt(k uint64, r uint32) types.ProcessID {
-	return l.viewAt(k).Coordinator(r)
-}
-
-// applyView appends a decided membership view and re-evaluates
-// suspicion-driven round advancement for instances the new rotation now
-// governs (a peer past the boundary may already have opened them in us
-// via proposals under the old rotation).
+// applyView appends a decided membership view and re-runs the suspicion
+// cascade on the instances the new rotation now governs (a peer past the
+// boundary may already have opened them in us via proposals under the old
+// rotation).
 func (l *Layer) applyView(activation uint64, members []types.ProcessID) {
 	cur := l.views[len(l.views)-1]
 	if activation <= cur.Activation {
@@ -158,80 +129,7 @@ func (l *Layer) applyView(activation uint64, members []types.ProcessID) {
 		Activation: activation,
 		Members:    append([]types.ProcessID(nil), members...),
 	})
-	for _, k := range l.sortedInstanceKeys() {
-		if k < activation {
-			continue
-		}
-		inst := l.insts[k]
-		for !inst.decided && l.suspected[l.coordinatorAt(k, inst.round)] {
-			l.advanceRound(inst)
-		}
-	}
-}
-
-// instance state.
-type instance struct {
-	k uint64
-	// round is the local progression: the round whose proposal this
-	// process awaits or has acknowledged.
-	round uint32
-	// estimate/estTS/hasEstimate implement the CT locking rule: the
-	// estimate is adopted from each acknowledged proposal with ts = round.
-	estimate    wire.Batch
-	estTS       uint32
-	hasEstimate bool
-	// proposals stores received proposals per round (needed to resolve
-	// DECISION tags).
-	proposals map[uint32]wire.Batch
-	nacked    map[uint32]bool
-	// coord holds this process's coordinator duties per round.
-	coord map[uint32]*coordRound
-	// decision state.
-	decided         bool
-	decision        wire.Batch
-	decisionRound   uint32
-	waitingDecision bool
-}
-
-type coordRound struct {
-	estimates map[types.ProcessID]estimateEntry
-	proposed  bool
-	proposal  wire.Batch
-	acks      map[types.ProcessID]bool
-}
-
-func (inst *instance) coordRound(r uint32) *coordRound {
-	cr := inst.coord[r]
-	if cr == nil {
-		cr = &coordRound{
-			estimates: make(map[types.ProcessID]estimateEntry),
-			acks:      make(map[types.ProcessID]bool),
-		}
-		inst.coord[r] = cr
-	}
-	return cr
-}
-
-// get returns the instance state for k, creating it in round 1 (and
-// immediately advancing past rounds whose coordinator is already
-// suspected).
-func (l *Layer) get(k uint64) *instance {
-	inst := l.insts[k]
-	if inst != nil {
-		return inst
-	}
-	inst = &instance{
-		k:         k,
-		round:     1,
-		proposals: make(map[uint32]wire.Batch),
-		nacked:    make(map[uint32]bool),
-		coord:     make(map[uint32]*coordRound),
-	}
-	l.insts[k] = inst
-	for l.suspected[l.coordinatorAt(k, inst.round)] {
-		l.advanceRound(inst)
-	}
-	return inst
+	l.rounds.Readvance(activation)
 }
 
 // Event implements stack.Layer: EvProposeReq sets the local initial value;
@@ -255,118 +153,26 @@ func (l *Layer) Event(ev stack.Event) {
 // propose primitive) and, if this process coordinates round 1, proposes
 // immediately — the suppressed estimate phase.
 func (l *Layer) propose(k uint64, batch wire.Batch) {
-	if l.pruned(k) {
+	if l.rounds.Pruned(k) {
 		return // decided long ago; the subscriber already holds the outcome
 	}
-	inst := l.get(k)
-	if inst.decided || inst.hasEstimate {
+	inst := l.rounds.Get(k)
+	if inst.Decided || inst.HasEst {
 		return
 	}
 	l.ctx.Env().Counters().ConsensusStarted.Add(1)
-	inst.estimate = batch
-	inst.estTS = 0
-	inst.hasEstimate = true
-	if l.coordinatorAt(k, 1) == l.self && inst.round == 1 && !inst.coordRound(1).proposed {
-		l.proposeRound(inst, 1, batch)
+	inst.Est, inst.EstTS, inst.HasEst = batch, 0, true
+	if l.rounds.Coordinator(k, 1) == l.self && inst.Round == 1 && !inst.Duty(1).Proposed {
+		l.rounds.Propose(inst, 1, batch)
 		return
 	}
 	// A later-round coordinatorship may have been waiting for a local
 	// initial value (all collected estimates were bottom).
-	rounds := make([]uint32, 0, len(inst.coord))
-	for r := range inst.coord {
-		rounds = append(rounds, r)
-	}
-	sort.Slice(rounds, func(i, j int) bool { return rounds[i] < rounds[j] })
-	for _, r := range rounds {
-		if !inst.coord[r].proposed {
-			l.coordMaybePropose(inst, r)
+	for _, r := range inst.Rounds() {
+		if !inst.Coord[r].Proposed {
+			l.rounds.MaybePropose(inst, r)
 		}
 	}
-}
-
-// proposeRound makes this process (the coordinator of round r) send its
-// proposal and adopt it as its own estimate.
-func (l *Layer) proposeRound(inst *instance, r uint32, batch wire.Batch) {
-	cr := inst.coordRound(r)
-	cr.proposal = batch
-	cr.proposed = true
-	cr.acks[l.self] = true
-	inst.estimate = batch
-	inst.estTS = r
-	inst.hasEstimate = true
-	if r > inst.round {
-		inst.round = r
-	}
-	inst.proposals[r] = batch
-	l.sendAll(message{Type: mtProposal, Instance: inst.k, Round: r, Batch: batch})
-	l.checkDecide(inst, r)
-}
-
-// coordMaybePropose proposes for round r >= 2 once a majority of estimates
-// (including the local one) is available and at least one carries a value.
-func (l *Layer) coordMaybePropose(inst *instance, r uint32) {
-	if r < 2 || inst.decided {
-		return
-	}
-	cr := inst.coordRound(r)
-	if cr.proposed {
-		return
-	}
-	view := l.viewAt(inst.k)
-	votes := 0
-	for p := range cr.estimates {
-		if view.Contains(p) {
-			votes++ // only the governing view's members form the quorum
-		}
-	}
-	if _, ok := cr.estimates[l.self]; !ok && view.Contains(l.self) {
-		votes++ // the local estimate participates implicitly
-	}
-	if votes < view.Majority() {
-		return
-	}
-	// Choose the estimate with the largest timestamp ("the eldest value").
-	// Iterate in member order so tie-breaks are deterministic.
-	best := estimateEntry{hasValue: inst.hasEstimate, ts: inst.estTS, batch: inst.estimate}
-	for _, p := range view.Members {
-		e, ok := cr.estimates[p]
-		if !ok || !e.hasValue {
-			continue
-		}
-		if !best.hasValue || e.ts > best.ts {
-			best = e
-		}
-	}
-	if !best.hasValue {
-		return // no initial value anywhere yet; retried when one arrives
-	}
-	l.proposeRound(inst, r, best.batch)
-}
-
-// advanceRound moves the local progression past a suspected coordinator:
-// nack the abandoned round and send the current estimate to the next
-// coordinator (the paper's round-change path; never taken in good runs).
-func (l *Layer) advanceRound(inst *instance) {
-	r := inst.round
-	if c := l.coordinatorAt(inst.k, r); c != l.self && !inst.nacked[r] {
-		l.send(c, message{Type: mtNack, Instance: inst.k, Round: r})
-	}
-	inst.nacked[r] = true
-	inst.round = r + 1
-	l.ctx.Env().Counters().Rounds.Add(1)
-	next := l.coordinatorAt(inst.k, inst.round)
-	if next == l.self {
-		l.coordMaybePropose(inst, inst.round)
-		return
-	}
-	l.send(next, message{
-		Type:     mtEstimate,
-		Instance: inst.k,
-		Round:    inst.round,
-		TS:       inst.estTS,
-		HasValue: inst.hasEstimate,
-		Batch:    inst.estimate,
-	})
 }
 
 // Receive implements stack.Layer.
@@ -377,211 +183,72 @@ func (l *Layer) Receive(from types.ProcessID, data []byte) error {
 	}
 	switch m.Type {
 	case mtProposal:
-		if l.pruned(m.Instance) {
-			return nil // decided and pruned: never vote again (see prunedFloor)
-		}
-		l.handleProposal(from, m)
+		l.rounds.Proposal(from, m.Instance, m.Round, m.Batch)
 	case mtAck:
-		if l.pruned(m.Instance) {
-			return nil
-		}
-		l.handleAck(from, m)
+		l.rounds.Ack(from, m.Instance, m.Round)
 	case mtNack:
-		if l.pruned(m.Instance) {
-			return nil // late nack for a settled instance: never resurrect it
-		}
-		l.handleNack(m)
+		l.rounds.Nack(m.Instance, m.Round)
 	case mtEstimate:
-		if l.pruned(m.Instance) {
-			return nil
-		}
-		l.handleEstimate(from, m)
+		l.rounds.Estimate(from, m.Instance, m.Round, ct.Estimate{TS: m.TS, HasValue: m.HasValue, Batch: m.Batch})
 	case mtDecisionTag:
 		// Decision tags normally arrive through reliable broadcast
 		// (Event/EvRDeliver); accept direct ones for robustness.
 		l.handleDecisionTag(from, m)
 	case mtDecisionReq:
-		l.handleDecisionReq(from, m)
+		if inst := l.rounds.Lookup(m.Instance); inst != nil && inst.Decided {
+			(*host)(l).SendDecision(from, inst)
+			l.ctx.Env().Counters().Retransmissions.Add(1)
+		}
 	case mtDecisionFull:
-		l.handleDecisionFull(m)
+		if !l.rounds.Pruned(m.Instance) {
+			l.decideLocal(l.rounds.Get(m.Instance), m.Batch, m.Round)
+		}
 	default:
 		return fmt.Errorf("consensus: unexpected message type %d from %s", uint8(m.Type), from)
 	}
 	return nil
 }
 
-func (l *Layer) handleProposal(from types.ProcessID, m message) {
-	inst := l.get(m.Instance)
-	if inst.decided {
-		return
-	}
-	inst.proposals[m.Round] = m.Batch
-	if inst.waitingDecision && m.Round == inst.decisionRound {
-		l.decideLocal(inst, m.Batch, m.Round)
-		return
-	}
-	if m.Round < inst.round {
-		// Stale proposal from an abandoned round.
-		l.send(from, message{Type: mtNack, Instance: inst.k, Round: m.Round})
-		return
-	}
-	inst.round = m.Round
-	if inst.nacked[m.Round] {
-		return
-	}
-	// Adopt the proposal (CT locking) and acknowledge.
-	inst.estimate = m.Batch
-	inst.estTS = m.Round
-	inst.hasEstimate = true
-	l.send(from, message{Type: mtAck, Instance: inst.k, Round: m.Round})
-}
-
-func (l *Layer) handleAck(from types.ProcessID, m message) {
-	inst := l.get(m.Instance)
-	if inst.decided {
-		return
-	}
-	cr := inst.coordRound(m.Round)
-	if !cr.proposed {
-		return // stray ack for a round this process never proposed
-	}
-	cr.acks[from] = true
-	l.checkDecide(inst, m.Round)
-}
-
-// handleNack processes a nack for a round this process coordinated. The
-// optimized protocol starts new rounds only on suspicion, which is
-// complete under quasi-reliable channels EXCEPT when the proposal was
-// lost to a crash-recovery restart (the restarted peer has no memory of
-// it and no reason to suspect anyone): the nacker has abandoned the round
-// for good, so an unsuspected coordinator stuck waiting for a majority
-// would wait forever. Advancing the local round re-enters the rotation —
-// always safe in Chandra–Toueg (the estimate locking rule protects
-// agreement); in good runs nacks only follow wrong suspicions and the
-// instance has usually decided before the nack arrives.
-func (l *Layer) handleNack(m message) {
-	inst := l.get(m.Instance)
-	if inst.decided || m.Round != inst.round {
-		return
-	}
-	cr := inst.coord[m.Round]
-	if cr == nil || !cr.proposed {
-		return
-	}
-	// Advance, then keep advancing past coordinators that are currently
-	// suspected (the same cascade Suspect performs): stopping on a round
-	// whose coordinator is down would send the estimate into a void.
-	l.advanceRound(inst)
-	for !inst.decided && l.suspected[l.coordinatorAt(inst.k, inst.round)] {
-		l.advanceRound(inst)
-	}
-}
-
-func (l *Layer) handleEstimate(from types.ProcessID, m message) {
-	inst := l.get(m.Instance)
-	if inst.decided {
-		// Catch the lagging process up instead.
-		l.send(from, message{Type: mtDecisionFull, Instance: inst.k, Round: inst.decisionRound, Batch: inst.decision})
-		return
-	}
-	if l.coordinatorAt(m.Instance, m.Round) != l.self || m.Round < 2 {
-		return
-	}
-	cr := inst.coordRound(m.Round)
-	cr.estimates[from] = estimateEntry{from: from, ts: m.TS, hasValue: m.HasValue, batch: m.Batch}
-	l.coordMaybePropose(inst, m.Round)
-}
-
-// checkDecide decides once a majority (including the coordinator itself)
-// has acknowledged the round-r proposal.
-func (l *Layer) checkDecide(inst *instance, r uint32) {
-	cr := inst.coordRound(r)
-	if inst.decided || !cr.proposed {
-		return
-	}
-	view := l.viewAt(inst.k)
-	votes := 0
-	for p := range cr.acks {
-		if view.Contains(p) {
-			votes++ // only the governing view's members form the quorum
-		}
-	}
-	if votes < view.Majority() {
-		return
-	}
-	// Disseminate the DECISION tag through reliable broadcast, then decide
-	// locally. Receivers decide the proposal they already hold.
-	tag := message{Type: mtDecisionTag, Instance: inst.k, Round: r}
-	l.ctx.Emit(stack.TagRBcast, stack.Event{Kind: stack.EvBroadcastReq, Data: tag.marshal()})
-	l.decideLocal(inst, cr.proposal, r)
-}
-
 // decideLocal finalizes the instance at this process and notifies the
 // subscriber layer.
-func (l *Layer) decideLocal(inst *instance, batch wire.Batch, r uint32) {
-	if inst.decided {
+func (l *Layer) decideLocal(inst *ct.Inst, batch wire.Batch, r uint32) {
+	if inst.Decided {
 		return
 	}
-	inst.decided = true
-	inst.decision = batch
-	inst.decisionRound = r
-	inst.waitingDecision = false
-	l.decidedSet.Mark(inst.k)
-	l.decidedQ.Push(inst.k, inst.k)
+	l.rounds.Decided(inst, batch, r)
+	l.decidedSet.Mark(inst.K)
 	c := l.ctx.Env().Counters()
 	c.ConsensusDecided.Add(1)
 	c.BatchedMsgs.Add(int64(len(batch)))
-	if inst.k > l.maxDecided {
-		l.maxDecided = inst.k
+	if inst.K > l.maxDecided {
+		l.maxDecided = inst.K
 	}
-	l.ctx.Emit(l.subscriber, stack.Event{Kind: stack.EvDecide, Instance: inst.k, Batch: batch})
-	l.prune()
-	trace.Raise(&c.InstancesRetained, len(l.insts))
+	l.ctx.Emit(l.subscriber, stack.Event{Kind: stack.EvDecide, Instance: inst.K, Batch: batch})
+	l.rounds.Prune()
 }
 
 // handleDecisionTag processes the reliably broadcast DECISION tag: decide
 // the matching proposal if held, otherwise fetch the full decision.
 func (l *Layer) handleDecisionTag(origin types.ProcessID, m message) {
-	if l.pruned(m.Instance) {
+	if l.rounds.Pruned(m.Instance) {
 		return // long decided and pruned: a late duplicate tag
 	}
-	inst := l.get(m.Instance)
-	if inst.decided {
+	inst := l.rounds.Get(m.Instance)
+	if inst.Decided {
 		return
 	}
-	if batch, ok := inst.proposals[m.Round]; ok {
+	if batch, ok := inst.Proposals[m.Round]; ok {
 		l.decideLocal(inst, batch, m.Round)
 		return
 	}
-	inst.waitingDecision = true
-	inst.decisionRound = m.Round
+	inst.Waiting = m.Round
 	if origin != l.self && origin != types.Nobody {
-		l.send(origin, message{Type: mtDecisionReq, Instance: inst.k})
+		l.send(origin, message{Type: mtDecisionReq, Instance: inst.K})
 		l.ctx.Env().Counters().Retransmissions.Add(1)
 	}
 	if l.resend > 0 {
 		l.ctx.SetTimer(timerResend, l.resend)
 	}
-}
-
-func (l *Layer) handleDecisionReq(from types.ProcessID, m message) {
-	inst := l.insts[m.Instance]
-	if inst == nil || !inst.decided {
-		return
-	}
-	l.send(from, message{Type: mtDecisionFull, Instance: inst.k, Round: inst.decisionRound, Batch: inst.decision})
-	l.ctx.Env().Counters().Retransmissions.Add(1)
-}
-
-func (l *Layer) handleDecisionFull(m message) {
-	if l.pruned(m.Instance) {
-		return
-	}
-	inst := l.get(m.Instance)
-	if inst.decided {
-		return
-	}
-	l.decideLocal(inst, m.Batch, m.Round)
 }
 
 // Timer implements stack.Layer: retry decision fetches for instances stuck
@@ -591,14 +258,13 @@ func (l *Layer) Timer(id engine.TimerID) {
 		return
 	}
 	waiting := false
-	for _, k := range l.sortedInstanceKeys() {
-		inst := l.insts[k]
-		if !inst.waitingDecision || inst.decided {
+	for _, k := range l.rounds.Keys() {
+		inst := l.rounds.Lookup(k)
+		if inst.Waiting == 0 || inst.Decided {
 			continue
 		}
 		waiting = true
-		req := message{Type: mtDecisionReq, Instance: inst.k}
-		sent := l.sendAll(req)
+		sent := l.sendAll(message{Type: mtDecisionReq, Instance: inst.K})
 		l.ctx.Env().Counters().Retransmissions.Add(int64(sent))
 	}
 	if waiting && l.resend > 0 {
@@ -606,54 +272,20 @@ func (l *Layer) Timer(id engine.TimerID) {
 	}
 }
 
-// sortedInstanceKeys returns the live instance numbers in ascending order,
-// so that iteration-driven sends are deterministic (required for
-// reproducible simulation).
-func (l *Layer) sortedInstanceKeys() []uint64 {
-	keys := make([]uint64, 0, len(l.insts))
-	for k := range l.insts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
 // Suspect implements stack.Layer: advance every undecided instance whose
 // current coordinator is now suspected (the only trigger for new rounds in
 // the optimized protocol).
 func (l *Layer) Suspect(p types.ProcessID, suspected bool) {
-	l.suspected[p] = suspected
-	if !suspected {
-		return
-	}
-	for _, k := range l.sortedInstanceKeys() {
-		inst := l.insts[k]
-		for !inst.decided && l.suspected[l.coordinatorAt(k, inst.round)] {
-			l.advanceRound(inst)
-		}
-	}
-}
-
-// prune drops decided instances that fell behind the retention horizon.
-// Undecided instances are never pruned, whatever their number: with
-// pipelining, up to PipelineDepth instances above maxDecided are
-// legitimately still running.
-func (l *Layer) prune() {
-	if len(l.insts) <= l.horizon || l.maxDecided < uint64(l.horizon) {
-		return
-	}
-	cutoff := l.maxDecided - uint64(l.horizon)
-	for k, ok := l.decidedQ.Pop(cutoff); ok; k, ok = l.decidedQ.Pop(cutoff) {
-		delete(l.insts, k)
+	l.rounds.Suspected[p] = suspected
+	if suspected {
+		l.rounds.Readvance(0)
 	}
 }
 
 // send marshals and transmits one consensus message, accounting payload
-// bytes for the data-volume analysis and whole-frame bytes as ordering
-// traffic (OrderedBytes): every consensus frame exists only to order, so
-// its full wire size — batch included — is the cost of ordering. Under
-// digest ordering the batch is a 16-byte descriptor body and this counter
-// stops scaling with payload size; that drop is the figure's headline.
+// bytes and whole-frame bytes as ordering traffic (OrderedBytes): every
+// consensus frame exists only to order, so its full wire size is the cost
+// of ordering (under digest ordering it stops scaling with payload size).
 func (l *Layer) send(to types.ProcessID, m message) {
 	data := m.marshal()
 	c := l.ctx.Env().Counters()
@@ -666,16 +298,66 @@ func (l *Layer) send(to types.ProcessID, m message) {
 // view governing its instance, returning the number of sends.
 func (l *Layer) sendAll(m message) int {
 	data := m.marshal()
-	members := l.viewAt(m.Instance).Members
-	sends := 0
-	for _, p := range members {
-		if p != l.self {
-			sends++
-		}
-	}
+	v := l.viewAt(m.Instance)
+	sends := v.Others(l.self)
 	c := l.ctx.Env().Counters()
 	c.PayloadBytesSent.Add(int64(m.Batch.PayloadBytes() * sends))
 	c.OrderedBytes.Add(int64(len(data) * sends))
-	l.ctx.NetSendMembers(members, data)
+	l.ctx.NetSendMembers(v.Members, data)
 	return sends
 }
+
+// host is the Layer seen through ct.Host: the modular envelope of the round
+// rules. Decisions are rbcast as tags and emitted as EvDecide; with no
+// estimate holding a value a coordinator waits for the local propose; a
+// proposal into a decided instance is dropped (the decision tag went out
+// through rbcast) and a message into a pruned one too (decisions live behind
+// the black box, in no log it could serve from). A separate named type keeps
+// these methods off the Layer's public surface.
+type host Layer
+
+var _ ct.Host = (*host)(nil)
+
+func (h *host) View(k uint64) member.View { return (*Layer)(h).viewAt(k) }
+func (h *host) Settled(k uint64) bool     { return h.decidedSet.Seen(k) }
+func (h *host) Frozen() bool              { return false }
+func (h *host) Fresh(*ct.Inst) wire.Batch { return nil }
+
+// Decide disseminates the DECISION tag through reliable broadcast when this
+// process gathered the quorum, then decides locally: receivers decide the
+// proposal they already hold.
+func (h *host) Decide(in *ct.Inst, b wire.Batch, r uint32, quorum bool) {
+	if quorum {
+		tag := message{Type: mtDecisionTag, Instance: in.K, Round: r}
+		h.ctx.Emit(stack.TagRBcast, stack.Event{Kind: stack.EvBroadcastReq, Data: tag.marshal()})
+	}
+	(*Layer)(h).decideLocal(in, b, r)
+}
+
+// Cutoff retains the horizon's worth of decided instances below the
+// highest decided one, and everything while no more than that is held.
+func (h *host) Cutoff() (uint64, bool) {
+	hz := uint64(h.horizon)
+	return h.maxDecided - hz, h.rounds.Len() > h.horizon && h.maxDecided >= hz
+}
+
+// The envelope: proposals go to every other member of the instance's view.
+func (h *host) SendProposal(in *ct.Inst, r uint32, b wire.Batch) {
+	(*Layer)(h).sendAll(message{Type: mtProposal, Instance: in.K, Round: r, Batch: b})
+}
+func (h *host) SendAck(to types.ProcessID, in *ct.Inst, r uint32) {
+	(*Layer)(h).send(to, message{Type: mtAck, Instance: in.K, Round: r})
+}
+func (h *host) SendNack(to types.ProcessID, k uint64, r uint32) {
+	(*Layer)(h).send(to, message{Type: mtNack, Instance: k, Round: r})
+}
+func (h *host) SendEstimate(to types.ProcessID, in *ct.Inst) {
+	(*Layer)(h).send(to, message{Type: mtEstimate, Instance: in.K, Round: in.Round,
+		TS: in.EstTS, HasValue: in.HasEst, Batch: in.Est})
+}
+func (h *host) SendDecision(to types.ProcessID, in *ct.Inst) {
+	(*Layer)(h).send(to, message{Type: mtDecisionFull, Instance: in.K, Round: in.DecisionRound, Batch: in.Decision})
+}
+
+func (h *host) ServeLate(types.ProcessID, *ct.Inst)         {}
+func (h *host) ServePruned(types.ProcessID, uint64, uint32) {}

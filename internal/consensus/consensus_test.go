@@ -316,7 +316,7 @@ func TestPruneBoundsInstanceMap(t *testing.T) {
 		h.run(t)
 	}
 	for p := 0; p < 3; p++ {
-		if got := len(h.layers[p].insts); got > horizon+1 {
+		if got := h.layers[p].rounds.Len(); got > horizon+1 {
 			t.Fatalf("p%d retains %d instances, horizon %d", p+1, got, horizon)
 		}
 	}

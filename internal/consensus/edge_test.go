@@ -3,9 +3,14 @@ package consensus
 import (
 	"math/rand"
 	"testing"
+	"time"
 
+	"modab/internal/enginetest"
+	"modab/internal/member"
+	"modab/internal/rbcast"
 	"modab/internal/stack"
 	"modab/internal/types"
+	"modab/internal/wire"
 )
 
 // TestDuplicateAcksDoNotFakeMajority replays one ack many times; the
@@ -58,8 +63,8 @@ func TestStaleProposalNacked(t *testing.T) {
 	if err := h.net.Run(); err != nil {
 		t.Fatal(err)
 	}
-	inst := h.layers[0].insts[1]
-	if inst != nil && len(inst.coordRound(1).acks) > 1 {
+	inst := h.layers[0].rounds.Lookup(1)
+	if inst != nil && len(inst.Duty(1).Acks) > 1 {
 		t.Fatal("stale proposal was acked")
 	}
 }
@@ -144,7 +149,7 @@ func TestPruneRetainsWhatTheSweepDid(t *testing.T) {
 		if err := h.stacks[1].Receive(0, append([]byte{byte(stack.TagConsensus)}, m.marshal()...)); err != nil {
 			t.Fatal(err)
 		}
-		for k := range l.insts {
+		for _, k := range l.rounds.Keys() {
 			ref[k] = false
 		}
 		for k := range ref {
@@ -157,11 +162,11 @@ func TestPruneRetainsWhatTheSweepDid(t *testing.T) {
 				}
 			}
 		}
-		if len(l.insts) != len(ref) {
-			t.Fatalf("after %+v: %d instances retained, the sweep kept %d", m, len(l.insts), len(ref))
+		if l.rounds.Len() != len(ref) {
+			t.Fatalf("after %+v: %d instances retained, the sweep kept %d", m, l.rounds.Len(), len(ref))
 		}
 		for k, decided := range ref {
-			if inst := l.insts[k]; inst == nil || inst.decided != decided {
+			if inst := l.rounds.Lookup(k); inst == nil || inst.Decided != decided {
 				t.Fatalf("after %+v: instance %d (decided=%v) missing or wrong: %+v", m, k, decided, inst)
 			}
 		}
@@ -176,7 +181,7 @@ func TestPruneRetainsWhatTheSweepDid(t *testing.T) {
 			}
 		}
 	}
-	if inst := l.insts[straggler]; inst == nil || inst.decided {
+	if inst := l.rounds.Lookup(straggler); inst == nil || inst.Decided {
 		t.Fatalf("undecided instance %d below the horizon was retired: %+v", straggler, inst)
 	}
 	if got := env.Cnt.InstancesRetained.Load(); got < horizon || got > horizon+depth+1 {
@@ -184,7 +189,74 @@ func TestPruneRetainsWhatTheSweepDid(t *testing.T) {
 	}
 	// Once it decides it is at once behind the horizon, and goes.
 	receive(message{Type: mtDecisionFull, Instance: straggler, Round: 1, Batch: batchOf(0, straggler)})
-	if l.insts[straggler] != nil {
+	if l.rounds.Lookup(straggler) != nil {
 		t.Fatal("late-decided instance behind the horizon stayed")
+	}
+}
+
+// spinCap bounds the sends one trigger may record in
+// TestRemovedProcessSuspicionBounded: far above the bound under test, and
+// low enough that a livelocked handler fails fast instead of exhausting
+// memory before the deadline.
+const spinCap = 1000
+
+// cappedEnv stops a runaway handler once it has sent spinCap frames.
+type cappedEnv struct{ *enginetest.Env }
+
+func (c cappedEnv) Send(to types.ProcessID, data []byte) {
+	if len(c.Sends) >= spinCap {
+		panic("livelock: send cap reached")
+	}
+	c.Env.Send(to, data)
+}
+
+// TestRemovedProcessSuspicionBounded is the regression test for the
+// self-removal livelock: a process still running after its removal governs
+// its instances by a view it is not in, so the coordinator rotation never
+// reaches it. Once it suspects every member, each suspicion must still
+// return, having sent at most one nack and one estimate per member.
+func TestRemovedProcessSuspicionBounded(t *testing.T) {
+	env := cappedEnv{enginetest.New(0, 3)}
+	l := New(stack.TagABcast, 50*time.Millisecond, 16)
+	l.SeedView(member.View{Epoch: 1, Activation: 1, Members: []types.ProcessID{1, 2}})
+	stk := stack.New(env, rbcast.New(stack.TagConsensus, rbcast.Majority, 0), l,
+		&decider{decisions: make(map[uint64]wire.Batch)})
+	stk.Start()
+	prop := message{Type: mtProposal, Instance: 1, Round: 1, Batch: batchOf(1, 1)}
+	if err := stk.Receive(1, append([]byte{byte(stack.TagConsensus)}, prop.marshal()...)); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []types.ProcessID{1, 2} {
+		env.Sends = nil
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			stk.Suspect(p, true)
+		}()
+		select {
+		case r := <-done:
+			if r != nil {
+				t.Fatalf("Suspect(%s): %v", p, r)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("Suspect(%s) did not return", p)
+		}
+		sent := make(map[msgType]map[types.ProcessID]int)
+		for _, s := range env.Sends {
+			if s.Data[0] != byte(stack.TagConsensus) {
+				continue
+			}
+			if m, err := unmarshalMessage(s.Data[1:]); err == nil && (m.Type == mtNack || m.Type == mtEstimate) {
+				if sent[m.Type] == nil {
+					sent[m.Type] = make(map[types.ProcessID]int)
+				}
+				if sent[m.Type][s.To]++; sent[m.Type][s.To] > 1 {
+					t.Fatalf("Suspect(%s) sent %s to %s twice", p, m.Type, s.To)
+				}
+			}
+		}
+		if len(sent[mtEstimate]) == 0 {
+			t.Fatalf("Suspect(%s) changed no round", p)
+		}
 	}
 }

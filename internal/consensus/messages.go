@@ -3,7 +3,6 @@ package consensus
 import (
 	"fmt"
 
-	"modab/internal/types"
 	"modab/internal/wire"
 )
 
@@ -115,12 +114,4 @@ func unmarshalMessage(data []byte) (message, error) {
 		return message{}, fmt.Errorf("consensus: decode %s: %w", m.Type, err)
 	}
 	return m, nil
-}
-
-// estimateEntry is one collected estimate at a coordinator.
-type estimateEntry struct {
-	from     types.ProcessID
-	ts       uint32
-	hasValue bool
-	batch    wire.Batch
 }

@@ -3,9 +3,11 @@ package monolithic
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"modab/internal/engine"
 	"modab/internal/enginetest"
+	"modab/internal/member"
 	"modab/internal/types"
 	"modab/internal/wire"
 )
@@ -49,13 +51,13 @@ func TestPrunedInstanceProposalNotAcked(t *testing.T) {
 	if e.decidedK() != 4 {
 		t.Fatalf("decidedK = %d, want 4", e.decidedK())
 	}
-	if e.insts[1] != nil {
+	if e.rounds.Lookup(1) != nil {
 		t.Fatal("instance 1 not pruned with horizon 1")
 	}
 	r.envs[0].Sends = nil
 	// A lagging p3 re-proposes round 1 of the long-pruned instance 1.
 	prop := message{Type: mPropDec, Instance: 1, Round: 1,
-		Batch: e.insts[4].decision}
+		Batch: e.rounds.Lookup(4).Decision}
 	if err := e.HandleMessage(2, prop.marshal()); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func TestPrunedInstanceProposalNotAcked(t *testing.T) {
 	if !served {
 		t.Fatal("pruned-instance proposal not answered with the logged decision")
 	}
-	if in := e.insts[1]; in != nil {
+	if in := e.rounds.Lookup(1); in != nil {
 		t.Fatal("the pruned instance was recreated")
 	}
 }
@@ -107,20 +109,20 @@ func TestNackAdvancesProposedRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	// p1 has proposed round 1 of instance 1 and holds only its own ack.
-	in := e.insts[1]
-	if in == nil || !in.coord[1].proposed {
+	in := e.rounds.Lookup(1)
+	if in == nil || !in.Coord[1].Proposed {
 		t.Fatal("coordinator did not propose round 1")
 	}
-	if in.round != 1 {
-		t.Fatalf("round = %d before any nack", in.round)
+	if in.Round != 1 {
+		t.Fatalf("round = %d before any nack", in.Round)
 	}
 	// A nack for an unproposed round is ignored.
 	nack := message{Type: mNack, Instance: 1, Round: 3}
 	if err := e.HandleMessage(1, nack.marshal()); err != nil {
 		t.Fatal(err)
 	}
-	if in.round != 1 {
-		t.Fatalf("nack for unproposed round advanced to %d", in.round)
+	if in.Round != 1 {
+		t.Fatalf("nack for unproposed round advanced to %d", in.Round)
 	}
 	// A nack for the proposed current round advances it: the estimate
 	// goes to the round-2 coordinator.
@@ -128,8 +130,8 @@ func TestNackAdvancesProposedRound(t *testing.T) {
 	if err := e.HandleMessage(2, nack.marshal()); err != nil {
 		t.Fatal(err)
 	}
-	if in.round != 2 {
-		t.Fatalf("round = %d after nacking the proposed round, want 2", in.round)
+	if in.Round != 2 {
+		t.Fatalf("round = %d after nacking the proposed round, want 2", in.Round)
 	}
 	sentEst := false
 	for _, s := range r.envs[0].Sends {
@@ -144,8 +146,8 @@ func TestNackAdvancesProposedRound(t *testing.T) {
 	if err := e.HandleMessage(2, nack.marshal()); err != nil {
 		t.Fatal(err)
 	}
-	if in.round != 2 {
-		t.Fatalf("duplicate nack advanced to %d", in.round)
+	if in.Round != 2 {
+		t.Fatalf("duplicate nack advanced to %d", in.Round)
 	}
 	r.run(t)
 	r.checkTotalOrder(t, 1)
@@ -267,7 +269,7 @@ func TestPruneRetainsWhatTheSweepDid(t *testing.T) {
 			if err := e.HandleMessage(0, full.marshal()); err != nil {
 				t.Fatal(err)
 			}
-			for k := range e.insts {
+			for _, k := range e.rounds.Keys() {
 				ref[k] = true
 			}
 			if dk := e.decidedK(); dk > horizon {
@@ -277,11 +279,11 @@ func TestPruneRetainsWhatTheSweepDid(t *testing.T) {
 					}
 				}
 			}
-			if len(e.insts) != len(ref) {
-				t.Fatalf("after decision %d: %d instances retained, the sweep kept %d", k, len(e.insts), len(ref))
+			if e.rounds.Len() != len(ref) {
+				t.Fatalf("after decision %d: %d instances retained, the sweep kept %d", k, e.rounds.Len(), len(ref))
 			}
 			for k := range ref {
-				if in := e.insts[k]; in == nil || in.decided != (k <= e.decidedK()) {
+				if in := e.rounds.Lookup(k); in == nil || in.Decided != (k <= e.decidedK()) {
 					t.Fatalf("after decision %d: instance %d missing or wrong: %+v", k, k, in)
 				}
 			}
@@ -292,5 +294,70 @@ func TestPruneRetainsWhatTheSweepDid(t *testing.T) {
 	}
 	if got := r.envs[1].Cnt.InstancesRetained.Load(); got < horizon || got > horizon+depth {
 		t.Fatalf("InstancesRetained high-water mark = %d, want about the horizon %d", got, horizon)
+	}
+}
+
+// spinCap bounds the sends one trigger may record in
+// TestRemovedProcessSuspicionBounded: far above the bound under test, and
+// low enough that a livelocked handler fails fast instead of exhausting
+// memory before the deadline.
+const spinCap = 1000
+
+// cappedEnv stops a runaway handler once it has sent spinCap frames.
+type cappedEnv struct{ *enginetest.Env }
+
+func (c cappedEnv) Send(to types.ProcessID, data []byte) {
+	if len(c.Sends) >= spinCap {
+		panic("livelock: send cap reached")
+	}
+	c.Env.Send(to, data)
+}
+
+// TestRemovedProcessSuspicionBounded is the regression test for the
+// self-removal livelock: a process still running after its removal governs
+// its instances by a view it is not in, so the coordinator rotation never
+// reaches it. Once it suspects every member, each suspicion must still
+// return, having sent at most one nack and one estimate per member.
+func TestRemovedProcessSuspicionBounded(t *testing.T) {
+	cfg := engine.DefaultConfig(3)
+	cfg.IdleKick = 0
+	cfg.InitialView = &member.View{Epoch: 1, Activation: 1, Members: []types.ProcessID{1, 2}}
+	env := cappedEnv{enginetest.New(0, 3)}
+	e := New(env, cfg)
+	e.Start()
+	prop := message{Type: mPropDec, Instance: 1, Round: 1,
+		Batch: wire.Batch{{ID: types.MsgID{Sender: 1, Seq: 1}, Body: []byte("x")}}}
+	if err := e.HandleMessage(1, prop.marshal()); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []types.ProcessID{1, 2} {
+		env.Sends = nil
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			e.Suspect(p, true)
+		}()
+		select {
+		case r := <-done:
+			if r != nil {
+				t.Fatalf("Suspect(%s): %v", p, r)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("Suspect(%s) did not return", p)
+		}
+		sent := make(map[mtype]map[types.ProcessID]int)
+		for _, s := range env.Sends {
+			if m, err := unmarshalMessage(s.Data); err == nil && (m.Type == mNack || m.Type == mEstimate) {
+				if sent[m.Type] == nil {
+					sent[m.Type] = make(map[types.ProcessID]int)
+				}
+				if sent[m.Type][s.To]++; sent[m.Type][s.To] > 1 {
+					t.Fatalf("Suspect(%s) sent %s to %s twice", p, m.Type, s.To)
+				}
+			}
+		}
+		if len(sent[mEstimate]) == 0 {
+			t.Fatalf("Suspect(%s) changed no round", p)
+		}
 	}
 }

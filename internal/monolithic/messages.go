@@ -274,13 +274,6 @@ func unmarshalMessage(data []byte) (message, error) {
 	return m, nil
 }
 
-// estimateEntry is one collected estimate at a coordinator.
-type estimateEntry struct {
-	ts       uint32
-	hasValue bool
-	batch    wire.Batch
-}
-
 // ownMsg tracks the lifecycle of a locally abcast message until delivery.
 type ownMsg struct {
 	msg wire.AppMsg

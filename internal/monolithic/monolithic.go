@@ -18,9 +18,10 @@
 // (n-1)(M+2+⌊(n+1)/2⌋) for the modular stack (§5.2.1).
 //
 // Correctness in bad runs is preserved by the same Chandra–Toueg round
-// machinery as the modular consensus (estimates carry the sender's
-// unordered messages to the new coordinator), plus gap detection with
-// decision refetch for processes that missed a piggybacked decision.
+// rules as the modular consensus — they live once in internal/ct, and this
+// engine supplies the envelope and the §4 hooks (estimates carry the
+// sender's unordered messages to the new coordinator) — plus gap detection
+// with decision refetch for processes that missed a piggybacked decision.
 //
 // With pipelining enabled (engine.Config.PipelineDepth > 1) the
 // coordinator proposes into up to W instances past its decided watermark
@@ -33,16 +34,14 @@ package monolithic
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
+	"modab/internal/ct"
 	"modab/internal/engine"
 	"modab/internal/head"
 	"modab/internal/member"
 	"modab/internal/obs"
-	"modab/internal/retire"
 	"modab/internal/tail"
-	"modab/internal/trace"
 	"modab/internal/types"
 	"modab/internal/wire"
 )
@@ -101,11 +100,15 @@ type Engine struct {
 	assigned map[types.MsgID]uint64
 	propIDs  map[uint64][]types.MsgID
 	propSent int64
-	// insts holds per-instance round state for undecided instances and
-	// recently decided ones (catch-up horizon); decidedQ queues the latter
-	// in instance order for prune.
-	insts    map[uint64]*inst
-	decidedQ retire.Queue[uint64]
+	// rounds holds the round state of undecided instances and recently
+	// decided ones (catch-up horizon): the round core shared with the
+	// modular stack, driven through host's ct.Host answers.
+	rounds *ct.Table
+	// full buffers an already-resolved decision of an undecided instance
+	// under digest ordering (mDecisionFull and recovery serve
+	// post-resolution bytes, which must never be re-parsed as descriptors —
+	// a real 16-byte body would alias one).
+	full map[uint64]fullDecision
 	// lastProgress is when the last decision was processed (kick guard).
 	lastProgress time.Duration
 	// ringWantK is the highest instance known decided remotely whose
@@ -138,49 +141,11 @@ type Engine struct {
 
 var _ engine.Engine = (*Engine)(nil)
 
-// inst is the per-instance consensus state, as in the modular consensus
-// but with merged abcast bookkeeping.
-type inst struct {
-	k             uint64
-	round         uint32
-	est           wire.Batch
-	estTS         uint32
-	hasEst        bool
-	proposals     map[uint32]wire.Batch
-	nacked        map[uint32]bool
-	coord         map[uint32]*coordRound
-	decided       bool
-	decision      wire.Batch
-	decisionRound uint32
-	// waitingRound is nonzero when a decision for this instance is known
-	// to exist in that round but the matching proposal is missing.
-	waitingRound uint32
-	// full buffers an already-resolved decision batch under digest
-	// ordering (mDecisionFull and recovery serve post-resolution bytes,
-	// which must never be re-parsed as descriptors — a real 16-byte body
-	// would alias one); hasFull/fullRound qualify it.
-	full      wire.Batch
-	fullRound uint32
-	hasFull   bool
-}
-
-type coordRound struct {
-	estimates map[types.ProcessID]estimateEntry
-	proposed  bool
-	proposal  wire.Batch
-	acks      map[types.ProcessID]bool
-}
-
-func (in *inst) coordRound(r uint32) *coordRound {
-	cr := in.coord[r]
-	if cr == nil {
-		cr = &coordRound{
-			estimates: make(map[types.ProcessID]estimateEntry),
-			acks:      make(map[types.ProcessID]bool),
-		}
-		in.coord[r] = cr
-	}
-	return cr
+// fullDecision is a decision batch already resolved to payload messages,
+// with its round.
+type fullDecision struct {
+	batch wire.Batch
+	round uint32
 }
 
 // New builds the monolithic engine for the given environment.
@@ -194,9 +159,10 @@ func New(env engine.Env, cfg engine.Config) *Engine {
 		pipe:     cfg.EffectivePipeline(),
 		assigned: make(map[types.MsgID]uint64),
 		propIDs:  make(map[uint64][]types.MsgID),
-		insts:    make(map[uint64]*inst),
+		full:     make(map[uint64]fullDecision),
 	}
 	e.t = tail.New(env, &e.cfg, (*host)(e))
+	e.rounds = ct.New(e.self, (*host)(e), e.t.Suspected, env.Counters())
 	e.hd = head.New(env, &e.cfg, e.t, (*host)(e))
 	// The replayed unordered own backlog re-enters own and the pool (its
 	// flow-control slots are already re-occupied by the tail, bound to the
@@ -243,7 +209,7 @@ func (e *Engine) forwardRecoveredOwn() {
 		return
 	}
 	cur := e.current()
-	if coord := e.coordinatorAt(cur.k, cur.round); coord != e.self {
+	if coord := e.rounds.Coordinator(cur.K, cur.Round); coord != e.self {
 		e.forwardOwn(cur, coord)
 	}
 }
@@ -261,43 +227,11 @@ func (e *Engine) Pending() int {
 	return len(known) + e.hd.Accumulating()
 }
 
-// viewAt returns the membership view governing consensus instance k.
-func (e *Engine) viewAt(k uint64) member.View { return e.t.Hist.At(k) }
-
-// coordinatorAt returns the coordinator of round r (1-based) of
-// instance k: members of the governing view rotate in sorted order. For
-// the static boot view {0..n-1} this degenerates to the paper's
-// (r-1) mod n rule.
-func (e *Engine) coordinatorAt(k uint64, r uint32) types.ProcessID {
-	return e.viewAt(k).Coordinator(r)
-}
-
 // others counts current-view members other than this process.
 func (e *Engine) others() int { return e.t.Hist.Current().Others(e.self) }
 
-// get returns (creating if needed) the instance state for k, advancing
-// past rounds whose coordinator is already suspected.
-func (e *Engine) get(k uint64) *inst {
-	in := e.insts[k]
-	if in != nil {
-		return in
-	}
-	in = &inst{
-		k:         k,
-		round:     1,
-		proposals: make(map[uint32]wire.Batch),
-		nacked:    make(map[uint32]bool),
-		coord:     make(map[uint32]*coordRound),
-	}
-	e.insts[k] = in
-	for !e.t.Rec.Active() && e.t.Suspected[e.coordinatorAt(k, in.round)] {
-		e.advanceRound(in)
-	}
-	return in
-}
-
 // current returns the instance currently being agreed on (decidedK+1).
-func (e *Engine) current() *inst { return e.get(e.decidedK() + 1) }
+func (e *Engine) current() *ct.Inst { return e.rounds.Get(e.decidedK() + 1) }
 
 // Abcast implements engine.Engine: the shared head admits the message and
 // hands back what it seals (see host.Sealed).
@@ -305,12 +239,12 @@ func (e *Engine) Abcast(body []byte) (types.MsgID, error) { return e.hd.Abcast(b
 
 // forwardOwn sends every eligible own message to the coordinator as a
 // standalone forward (idle/bootstrap path).
-func (e *Engine) forwardOwn(cur *inst, coord types.ProcessID) {
-	batch := e.eligibleOwn(cur.k)
+func (e *Engine) forwardOwn(cur *ct.Inst, coord types.ProcessID) {
+	batch := e.eligibleOwn(cur.K)
 	if len(batch) == 0 {
 		return
 	}
-	e.send(coord, message{Type: mForward, Instance: cur.k, Round: cur.round, Batch: batch})
+	e.send(coord, message{Type: mForward, Instance: cur.K, Round: cur.Round, Batch: batch})
 }
 
 // eligibleOwn collects own unordered messages that should be (re)sent to a
@@ -351,28 +285,21 @@ func (e *Engine) tryPropose() {
 		return // never propose while catching up on missed decisions
 	}
 	for k := e.decidedK() + 1; k <= e.decidedK()+uint64(e.pipe); k++ {
-		in := e.get(k)
-		if in.decided {
+		in := e.rounds.Get(k)
+		if in.Decided {
 			continue
 		}
-		r := in.round
-		if e.coordinatorAt(k, r) != e.self {
+		r := in.Round
+		if e.rounds.Coordinator(k, r) != e.self || in.Duty(r).Proposed {
 			continue
 		}
-		cr := in.coordRound(r)
-		if cr.proposed {
+		if r > 1 {
+			e.rounds.MaybePropose(in, r)
 			continue
 		}
-		if r == 1 {
-			batch := e.poolBatch(k)
-			if len(batch) == 0 {
-				continue // nothing proposable; later round-1 slots are empty too
-			}
-			e.env.Counters().ConsensusStarted.Add(1)
-			e.proposeRound(in, r, batch)
-			continue
-		}
-		e.coordMaybePropose(in, r)
+		if batch := (*host)(e).Fresh(in); len(batch) > 0 {
+			e.rounds.Propose(in, r, batch)
+		} // else nothing proposable; later round-1 slots are empty too
 	}
 }
 
@@ -409,64 +336,32 @@ func (e *Engine) poolBatch(k uint64) wire.Batch {
 func (e *Engine) openProposals() int {
 	open := 0
 	for k := e.decidedK() + 1; k <= e.decidedK()+uint64(e.pipe); k++ {
-		in := e.insts[k]
-		if in == nil || in.decided {
+		in := e.rounds.Lookup(k)
+		if in == nil || in.Decided {
 			continue
 		}
-		if cr := in.coord[in.round]; cr != nil && cr.proposed {
+		if d := in.Coord[in.Round]; d != nil && d.Proposed {
 			open++
 		}
 	}
 	return open
 }
 
-// proposeRound sends the combined proposal(k)+decision (§4.1) and adopts
-// the proposal locally.
-func (e *Engine) proposeRound(in *inst, r uint32, batch wire.Batch) {
-	cr := in.coordRound(r)
-	cr.proposal = batch
-	cr.proposed = true
-	cr.acks[e.self] = true
-	in.est = batch
-	in.estTS = r
-	in.hasEst = true
-	if r > in.round {
-		in.round = r
-	}
-	in.proposals[r] = batch
-	// Partition bookkeeping: pool messages carried by this proposal must
-	// not ride a second concurrent proposal (decide releases survivors).
-	for _, pm := range batch {
-		if _, ok := e.pool[pm.ID]; ok && e.assigned[pm.ID] != in.k {
-			e.assigned[pm.ID] = in.k
-			e.propIDs[in.k] = append(e.propIDs[in.k], pm.ID)
-		}
-	}
-	e.propSent++
-	e.env.Counters().ObserveDepth(e.openProposals())
-	if o := e.cfg.Obs; o != nil {
-		now := e.env.Now()
-		for _, pm := range batch {
-			o.Stage(pm.ID, obs.StagePropose, now)
-		}
-	}
-	m := message{Type: mPropDec, Instance: in.k, Round: r, Batch: batch}
-	// Piggyback a decision on the proposal (§4.1). Sequentially the
-	// freshest decision is exactly instance in.k-1; under pipelining the
-	// proposal of a newly opened window slot instead carries the latest
-	// decided instance, which is what keeps every peer's in-order decide
-	// cascade fed while earlier slots are still in flight.
-	prevK := in.k - 1
+// propDec builds round r's combined proposal+decision (§4.1). Sequentially
+// the freshest decision is exactly instance k-1; under pipelining the
+// proposal of a newly opened window slot instead carries the latest decided
+// instance, which is what keeps every peer's in-order decide cascade fed
+// while earlier slots are still in flight.
+func (e *Engine) propDec(in *ct.Inst, r uint32, b wire.Batch) message {
+	m := message{Type: mPropDec, Instance: in.K, Round: r, Batch: b}
+	prevK := in.K - 1
 	if e.pipe > 1 {
 		prevK = e.decidedK()
 	}
-	if prev := e.insts[prevK]; prev != nil && prev.decided {
-		m.PrevDecided = true
-		m.PrevK = prev.k
-		m.PrevRound = prev.decisionRound
+	if prev := e.rounds.Lookup(prevK); prev != nil && prev.Decided {
+		m.PrevDecided, m.PrevK, m.PrevRound = true, prev.K, prev.DecisionRound
 	}
-	e.spreadPropDec(m)
-	e.checkDecide(in, r)
+	return m
 }
 
 // spreadPropDec disseminates a combined proposal+decision according to
@@ -546,105 +441,17 @@ func (e *Engine) respreadOpen() {
 	}
 	c := e.env.Counters()
 	for k := e.decidedK() + 1; k <= e.decidedK()+uint64(e.pipe); k++ {
-		in := e.insts[k]
-		if in == nil || in.decided {
+		in := e.rounds.Lookup(k)
+		if in == nil || in.Decided {
 			continue
 		}
-		cr := in.coord[in.round]
-		if cr == nil || !cr.proposed || e.coordinatorAt(in.k, in.round) != e.self {
+		d := in.Coord[in.Round]
+		if d == nil || !d.Proposed || e.rounds.Coordinator(in.K, in.Round) != e.self {
 			continue
-		}
-		m := message{Type: mPropDec, Instance: in.k, Round: in.round, Batch: cr.proposal}
-		prevK := in.k - 1
-		if e.pipe > 1 {
-			prevK = e.decidedK()
-		}
-		if prev := e.insts[prevK]; prev != nil && prev.decided {
-			m.PrevDecided = true
-			m.PrevK = prev.k
-			m.PrevRound = prev.decisionRound
 		}
 		c.Retransmissions.Add(1)
-		e.spreadPropDec(m)
+		e.spreadPropDec(e.propDec(in, in.Round, d.Proposal))
 	}
-}
-
-// coordMaybePropose proposes for round r >= 2 once a majority of estimates
-// is collected; if every estimate is bottom, the coordinator's own pool is
-// the initial value.
-func (e *Engine) coordMaybePropose(in *inst, r uint32) {
-	if in.decided || r < 2 {
-		return
-	}
-	cr := in.coordRound(r)
-	if cr.proposed {
-		return
-	}
-	// Quorum and tie-break iterate the view governing this instance:
-	// estimates from processes outside it never count toward the
-	// majority, and the majority itself is the view's.
-	v := e.viewAt(in.k)
-	votes := 0
-	for _, p := range v.Members {
-		if p == e.self {
-			votes++ // own estimate is in.est/in.estTS, not in the map
-			continue
-		}
-		if _, ok := cr.estimates[p]; ok {
-			votes++
-		}
-	}
-	if votes < v.Majority() {
-		return
-	}
-	// Iterate in member order so tie-breaks are deterministic.
-	best := estimateEntry{hasValue: in.hasEst, ts: in.estTS, batch: in.est}
-	for _, p := range v.Members {
-		en, ok := cr.estimates[p]
-		if !ok || !en.hasValue {
-			continue
-		}
-		if !best.hasValue || en.ts > best.ts {
-			best = en
-		}
-	}
-	if !best.hasValue {
-		// No locked value anywhere: free to propose fresh messages.
-		batch := e.poolBatch(in.k)
-		if len(batch) == 0 {
-			return
-		}
-		best = estimateEntry{hasValue: true, batch: batch}
-		e.env.Counters().ConsensusStarted.Add(1)
-	}
-	e.proposeRound(in, r, best.batch)
-}
-
-// advanceRound abandons a round with a suspected coordinator: nack it and
-// send the estimate — carrying all own unordered messages (§4.2) — to the
-// next coordinator.
-func (e *Engine) advanceRound(in *inst) {
-	r := in.round
-	if c := e.coordinatorAt(in.k, r); c != e.self && !in.nacked[r] {
-		e.send(c, message{Type: mNack, Instance: in.k, Round: r})
-	}
-	in.nacked[r] = true
-	in.round = r + 1
-	e.env.Counters().Rounds.Add(1)
-	next := e.coordinatorAt(in.k, in.round)
-	if next == e.self {
-		e.coordMaybePropose(in, in.round)
-		return
-	}
-	e.send(next, message{
-		Type:      mEstimate,
-		Instance:  in.k,
-		Round:     in.round,
-		TS:        in.estTS,
-		HasValue:  in.hasEst,
-		Batch:     in.est,
-		Piggyback: e.allOwn(in.k),
-	})
 }
 
 // HandleMessage implements engine.Engine.
@@ -662,7 +469,7 @@ func (e *Engine) HandleMessage(from types.ProcessID, data []byte) error {
 	case mEstimate:
 		e.handleEstimate(from, m)
 	case mNack:
-		e.handleNack(m)
+		e.rounds.Nack(m.Instance, m.Round)
 	case mForward:
 		e.handleForward(m)
 	case mDecisionOnly:
@@ -714,166 +521,37 @@ func (e *Engine) HandleMessage(from types.ProcessID, data []byte) error {
 
 // handlePropDec processes the combined proposal+decision: apply the
 // piggybacked decision of k-1, then adopt and acknowledge proposal k,
-// piggybacking fresh own messages on the ack (§4.1 + §4.2).
+// piggybacking fresh own messages on the ack (§4.1 + §4.2; host.SendAck).
 func (e *Engine) handlePropDec(from types.ProcessID, m message) {
 	e.pipelineIdle = false
 	if m.PrevDecided {
 		e.applyRemoteDecision(from, m.PrevK, m.PrevRound)
 	}
-	if e.insts[m.Instance] == nil && m.Instance <= e.decidedK() {
-		// Proposal for an instance decided so long ago it was pruned:
-		// get() would recreate it as undecided and this process would ack
-		// — manufacturing a vote that could let a badly lagging proposer
-		// assemble a majority for a second, conflicting decision. Serve
-		// the original decision (the log keeps it past the prune horizon)
-		// and never ack.
-		e.catchUpPruned(from, m.Instance, m.Round)
-		return
-	}
-	in := e.get(m.Instance)
-	in.proposals[m.Round] = m.Batch
-	if in.decided {
-		// The proposer lags: it missed this instance's decision (a
-		// round-changed coordinator decided it while links were faulty).
-		// Catch it up instead of dropping the proposal silently — the
-		// proposer would otherwise re-propose forever.
-		e.catchUp(from, in)
-		return
-	}
-	if in.waitingRound != 0 && m.Round == in.waitingRound {
-		e.decide(in, m.Batch, m.Round)
-		return
-	}
-	if m.Round < in.round {
-		e.send(from, message{Type: mNack, Instance: in.k, Round: m.Round})
-		return
-	}
-	if m.Instance > e.decidedK()+uint64(e.pipe) {
-		// Gap: a proposal beyond the pipeline window means the proposer's
-		// decided horizon ran ahead of ours — we missed one or more
-		// decisions (coordinator crash window). Proposals merely ahead
-		// within the window are normal pipelining, and the decisions they
-		// piggyback arrive in order on the same FIFO channel.
-		e.requestMissing(from, m.Instance)
-	}
-	in.round = m.Round
-	if in.nacked[m.Round] {
-		return
-	}
-	in.est = m.Batch
-	in.estTS = m.Round
-	in.hasEst = true
-	ack := message{Type: mAckDiff, Instance: in.k, Round: m.Round, Batch: e.eligibleOwn(in.k)}
-	e.send(from, ack)
+	e.rounds.Proposal(from, m.Instance, m.Round, m.Batch)
 }
 
 // handleAckDiff processes an ack at the coordinator: pool the piggybacked
-// messages and decide on majority.
+// messages and decide on majority. A late ack for a decided instance is
+// normal (the coordinator decides on the majority ack); the acker learns
+// the decision from the piggyback on the next proposal or the standalone
+// flush.
 func (e *Engine) handleAckDiff(from types.ProcessID, m message) {
 	e.poolIn(m.Batch)
-	if e.insts[m.Instance] == nil && m.Instance <= e.decidedK() {
-		// Ack for a pruned decided instance: recreating it would disarm
-		// the pruned-instance guard for every later stale message. The
-		// acker adopted a proposal and is waiting on a decision that left
-		// retention — serve it from the log.
-		e.catchUpPruned(from, m.Instance, m.Round)
-		e.tryPropose()
-		return
-	}
-	in := e.get(m.Instance)
-	if in.decided {
-		// A late ack for a decided instance is normal (the coordinator
-		// decides on the majority ack); the acker learns the decision from
-		// the piggyback on the next proposal or the standalone flush.
-		e.tryPropose()
-		return
-	}
-	cr := in.coordRound(m.Round)
-	if cr.proposed {
-		cr.acks[from] = true
-		e.checkDecide(in, m.Round)
-	}
+	e.rounds.Ack(from, m.Instance, m.Round)
 	e.tryPropose()
 }
 
-// handleEstimate processes a round-change estimate at the new coordinator.
+// handleEstimate processes a round-change estimate at the new coordinator,
+// pooling the own messages it carries (§4.2).
 func (e *Engine) handleEstimate(from types.ProcessID, m message) {
 	e.poolIn(m.Piggyback)
-	if e.insts[m.Instance] == nil && m.Instance <= e.decidedK() {
-		// Estimate for a pruned decided instance: recreating it could make
-		// this process coordinate (and re-propose) an instance the cluster
-		// settled long ago. Serve the original decision instead.
-		e.catchUpPruned(from, m.Instance, m.Round)
-		return
-	}
-	in := e.get(m.Instance)
-	if in.decided {
-		e.send(from, message{Type: mDecisionFull, Instance: in.k, Round: in.decisionRound, Batch: in.decision})
-		return
-	}
-	if e.coordinatorAt(m.Instance, m.Round) != e.self || m.Round < 2 {
-		return
-	}
-	cr := in.coordRound(m.Round)
-	cr.estimates[from] = estimateEntry{ts: m.TS, hasValue: m.HasValue, batch: m.Batch}
-	e.coordMaybePropose(in, m.Round)
-}
-
-// handleNack processes a nack for a round this process coordinated and
-// proposed. Rounds normally advance on suspicion only (§3.2
-// optimization), but a proposal lost to a peer's crash-recovery restart
-// leaves the unsuspected coordinator waiting for a majority that cannot
-// complete once another peer nacked the round away; the nack is proof the
-// round was abandoned, so the coordinator re-enters the rotation (safe:
-// the Chandra–Toueg locking rule protects agreement across rounds).
-func (e *Engine) handleNack(m message) {
-	if e.insts[m.Instance] == nil && m.Instance <= e.decidedK() {
-		return // late nack for a pruned decided instance: never resurrect it
-	}
-	in := e.get(m.Instance)
-	if in.decided || m.Round != in.round || e.t.Rec.Active() {
-		return
-	}
-	cr := in.coord[m.Round]
-	if cr == nil || !cr.proposed {
-		return
-	}
-	// Advance, then keep advancing past coordinators that are currently
-	// suspected (the same cascade Suspect performs): stopping on a round
-	// whose coordinator is down would send the estimate into a void.
-	e.advanceRound(in)
-	for !in.decided && e.t.Suspected[e.coordinatorAt(in.k, in.round)] {
-		e.advanceRound(in)
-	}
+	e.rounds.Estimate(from, m.Instance, m.Round, ct.Estimate{TS: m.TS, HasValue: m.HasValue, Batch: m.Batch})
 }
 
 // handleForward pools directly forwarded messages at the coordinator.
 func (e *Engine) handleForward(m message) {
 	e.poolIn(m.Batch)
 	e.tryPropose()
-}
-
-// catchUp sends the full decision of a decided instance to a peer that
-// demonstrably missed it (it proposed into the instance after this
-// process decided it — pathological outside fault scenarios).
-// Response-driven: one message per stale proposal, no broadcasts.
-func (e *Engine) catchUp(to types.ProcessID, in *inst) {
-	e.send(to, message{Type: mDecisionFull, Instance: in.k, Round: in.decisionRound, Batch: in.decision})
-	e.env.Counters().Retransmissions.Add(1)
-}
-
-// catchUpPruned serves the decision of an instance pruned from memory,
-// reading it back from the durable log (the round of record is gone with
-// the pruned state; the peer's own round stands in — handleDecisionFull
-// only needs a consistent label). Without a log the decision is
-// unservable here and a better-provisioned peer must answer.
-func (e *Engine) catchUpPruned(to types.ProcessID, k uint64, round uint32) {
-	batch, ok := e.lookupDecision(k)
-	if !ok {
-		return
-	}
-	e.send(to, message{Type: mDecisionFull, Instance: k, Round: round, Batch: batch})
-	e.env.Counters().Retransmissions.Add(1)
 }
 
 // poolIn adds piggybacked messages to the pool, ignoring already-delivered
@@ -905,27 +583,6 @@ func (e *Engine) poolIn(batch wire.Batch) {
 	}
 }
 
-// checkDecide decides instance k at the coordinator once a majority of
-// the view governing k (including itself) acknowledged round r. Acks
-// from processes outside that view never count.
-func (e *Engine) checkDecide(in *inst, r uint32) {
-	cr := in.coordRound(r)
-	if in.decided || !cr.proposed {
-		return
-	}
-	v := e.viewAt(in.k)
-	acks := 0
-	for _, p := range v.Members {
-		if cr.acks[p] {
-			acks++
-		}
-	}
-	if acks < v.Majority() {
-		return
-	}
-	e.decide(in, cr.proposal, r)
-}
-
 // applyRemoteDecision applies a decision learned from a peer (piggybacked
 // on a proposal or flushed standalone). Decisions apply strictly in order;
 // gaps trigger refetch, and announcements for future instances are
@@ -936,22 +593,22 @@ func (e *Engine) applyRemoteDecision(from types.ProcessID, k uint64, round uint3
 	}
 	if k > e.decidedK()+1 {
 		// Remember that k is decided in this round, then backfill the gap.
-		in := e.get(k)
-		if !in.decided && in.waitingRound == 0 {
-			in.waitingRound = round
+		in := e.rounds.Get(k)
+		if !in.Decided && in.Waiting == 0 {
+			in.Waiting = round
 		}
 		e.requestMissing(from, k)
 		return
 	}
-	in := e.get(k)
-	if in.decided {
+	in := e.rounds.Get(k)
+	if in.Decided {
 		return
 	}
-	if batch, ok := in.proposals[round]; ok {
+	if batch, ok := in.Proposals[round]; ok {
 		e.decide(in, batch, round)
 		return
 	}
-	in.waitingRound = round
+	in.Waiting = round
 	if e.hd.Ring() {
 		// Under ring dissemination the proposal carrying this decision is
 		// usually still relaying around the ring (direct control frames
@@ -1007,8 +664,8 @@ func (e *Engine) requestMissing(from types.ProcessID, upto uint64) {
 // to their resident payload batches — parking the head (the tail arms the
 // payload re-fetch) when some payload has not arrived — while payload
 // ordering adelivers the batch directly.
-func (e *Engine) decide(in *inst, batch wire.Batch, r uint32) {
-	if in.decided || in.k != e.decidedK()+1 {
+func (e *Engine) decide(in *ct.Inst, batch wire.Batch, r uint32) {
+	if in.Decided || in.K != e.decidedK()+1 {
 		return
 	}
 	if !e.cfg.DigestOrdering {
@@ -1031,8 +688,8 @@ func (e *Engine) decide(in *inst, batch wire.Batch, r uint32) {
 // resolved bytes under digest ordering). Re-resolving them would be
 // wrong, not just wasteful: a real 16-byte message body aliases a
 // descriptor encoding.
-func (e *Engine) decideResolved(in *inst, batch wire.Batch, r uint32) {
-	if in.decided || in.k != e.decidedK()+1 {
+func (e *Engine) decideResolved(in *ct.Inst, batch wire.Batch, r uint32) {
+	if in.Decided || in.K != e.decidedK()+1 {
 		return
 	}
 	e.t.Unblock()
@@ -1046,8 +703,8 @@ func (e *Engine) retryBlockedDecide() {
 	if !e.t.Blocked() {
 		return
 	}
-	in := e.insts[e.decidedK()+1]
-	if in == nil || in.decided {
+	in := e.rounds.Lookup(e.decidedK() + 1)
+	if in == nil || in.Decided {
 		e.t.Unblock() // stale wait: the parked instance is gone
 		return
 	}
@@ -1071,13 +728,10 @@ func (e *Engine) payloadTimer() {
 // pipeline moving. batch is the adeliverable form — the resolved real
 // messages under digest ordering — and descs the descriptors the decision
 // retired (digest ordering only; nil otherwise).
-func (e *Engine) finalize(in *inst, batch wire.Batch, descs []wire.Descriptor, r uint32) {
-	in.decided = true
-	in.decision = batch
-	in.decisionRound = r
-	in.waitingRound = 0
-	e.decidedQ.Push(in.k, in.k)
-	e.t.Advance(in.k)
+func (e *Engine) finalize(in *ct.Inst, batch wire.Batch, descs []wire.Descriptor, r uint32) {
+	e.rounds.Decided(in, batch, r)
+	delete(e.full, in.K)
+	e.t.Advance(in.K)
 	e.lastProgress = e.env.Now()
 	c := e.env.Counters()
 	c.ConsensusDecided.Add(1)
@@ -1094,60 +748,54 @@ func (e *Engine) finalize(in *inst, batch wire.Batch, descs []wire.Descriptor, r
 			e.drop(msg.ID)
 		}
 	}
-	e.t.Commit(in.k, batch, descs)
+	e.t.Commit(in.K, batch, descs)
 	// Close this instance's proposal bookkeeping: pool messages it carried
 	// but did not order become proposable again for a later window slot.
-	if ids := e.propIDs[in.k]; ids != nil {
+	if ids := e.propIDs[in.K]; ids != nil {
 		for _, id := range ids {
-			if e.assigned[id] == in.k {
+			if e.assigned[id] == in.K {
 				delete(e.assigned, id)
 			}
 		}
-		delete(e.propIDs, in.k)
+		delete(e.propIDs, in.K)
 	}
 	// A config op applied in this instance may have reshaped the
 	// coordinator rotation of open instances at or past its activation:
 	// re-run the suspicion cascade outside the delivery loop.
 	if e.viewKick {
 		e.viewKick = false
-		e.advanceSuspected()
+		e.rounds.Readvance(0)
 	}
-	e.prune()
-	trace.Raise(&c.InstancesRetained, len(e.insts))
+	e.rounds.Prune()
 	// Cascade: a decision announcement for the next instance may already
 	// be buffered (out-of-order recovery). An already-resolved full
 	// decision (digest ordering) takes precedence — it is applicable
 	// as-is, where the raw proposal would have to re-resolve.
-	if buf := e.insts[e.decidedK()+1]; buf != nil && !buf.decided {
-		if e.cfg.DigestOrdering && buf.hasFull {
-			e.decideResolved(buf, buf.full, buf.fullRound)
+	if buf := e.rounds.Lookup(e.decidedK() + 1); buf != nil && !buf.Decided {
+		if f, ok := e.full[buf.K]; ok {
+			e.decideResolved(buf, f.batch, f.round)
 			return
 		}
-		if buf.waitingRound != 0 {
-			if batch, ok := buf.proposals[buf.waitingRound]; ok {
-				e.decide(buf, batch, buf.waitingRound)
+		if buf.Waiting != 0 {
+			if batch, ok := buf.Proposals[buf.Waiting]; ok {
+				e.decide(buf, batch, buf.Waiting)
 				return
 			}
 		}
 	}
 	// Cascade (ack path): with pipelining, a later window instance can
 	// complete its ack majority while an earlier one is still undecided —
-	// that checkDecide attempt is dropped by the in-order guard at the top
+	// that CheckDecide attempt is dropped by the in-order guard at the top
 	// of this function, and since its acks are already consumed, nothing
 	// would ever re-trigger it. Re-check the new window head's coordinator
 	// rounds now that it became eligible. (Sequential operation keeps the
 	// paper's exact behavior: the coordinator never has a completed
 	// majority waiting beyond the current instance in good runs, and the
 	// pinned golden traces assume the pre-pipelining tail.)
-	if nxt := e.insts[e.decidedK()+1]; nxt != nil && !nxt.decided && e.pipe > 1 {
-		rounds := make([]uint32, 0, len(nxt.coord))
-		for r := range nxt.coord {
-			rounds = append(rounds, r)
-		}
-		sort.Slice(rounds, func(i, j int) bool { return rounds[i] < rounds[j] })
-		for _, r := range rounds {
-			e.checkDecide(nxt, r)
-			if nxt.decided {
+	if nxt := e.rounds.Lookup(e.decidedK() + 1); nxt != nil && !nxt.Decided && e.pipe > 1 {
+		for _, r := range nxt.Rounds() {
+			e.rounds.CheckDecide(nxt, r)
+			if nxt.Decided {
 				return
 			}
 		}
@@ -1171,8 +819,8 @@ func (e *Engine) finalize(in *inst, batch wire.Batch, descs []wire.Descriptor, r
 		return
 	}
 	next := e.current()
-	wasProposer := in.coord[r] != nil && in.coord[r].proposed
-	if e.coordinatorAt(next.k, next.round) == e.self || wasProposer {
+	wasProposer := in.Coord[r] != nil && in.Coord[r].Proposed
+	if e.rounds.Coordinator(next.K, next.Round) == e.self || wasProposer {
 		sent := e.propSent
 		e.tryPropose()
 		noneOpen := e.openProposals() == 0
@@ -1182,7 +830,7 @@ func (e *Engine) finalize(in *inst, batch wire.Batch, descs []wire.Descriptor, r
 			// deeper pipeline must flush whenever no fresh proposal carried
 			// the decision — earlier in-flight proposals predate it.
 			e.pipelineIdle = noneOpen
-			e.sendAll(message{Type: mDecisionOnly, Instance: in.k, Round: r})
+			e.sendAll(message{Type: mDecisionOnly, Instance: in.K, Round: r})
 		}
 	}
 	e.armKick()
@@ -1196,7 +844,7 @@ func (e *Engine) handleDecisionOnly(from types.ProcessID, m message) {
 	e.applyRemoteDecision(from, m.Instance, m.Round)
 	if len(e.own) > 0 {
 		cur := e.current()
-		if coord := e.coordinatorAt(cur.k, cur.round); coord != e.self && !cur.decided && len(cur.proposals) == 0 {
+		if coord := e.rounds.Coordinator(cur.K, cur.Round); coord != e.self && !cur.Decided && len(cur.Proposals) == 0 {
 			e.forwardOwn(cur, coord)
 		}
 	}
@@ -1204,20 +852,19 @@ func (e *Engine) handleDecisionOnly(from types.ProcessID, m message) {
 
 // handleDecisionReq answers with the full decision if known.
 func (e *Engine) handleDecisionReq(from types.ProcessID, m message) {
-	in := e.insts[m.Instance]
-	if in == nil || !in.decided {
+	in := e.rounds.Lookup(m.Instance)
+	if in == nil || !in.Decided {
 		if m.Instance <= e.decidedK() {
 			// Decided here but pruned from memory: serve it from the
 			// durable log if there is one (a peer lagging past the
 			// retention horizon has no other way back without a full
 			// state transfer). The round is a synthesized label — see
-			// catchUpPruned.
-			e.catchUpPruned(from, m.Instance, 1)
+			// host.ServePruned.
+			(*host)(e).ServePruned(from, m.Instance, 1)
 		}
 		return
 	}
-	e.send(from, message{Type: mDecisionFull, Instance: in.k, Round: in.decisionRound, Batch: in.decision})
-	e.env.Counters().Retransmissions.Add(1)
+	(*host)(e).ServeLate(from, in)
 }
 
 // handleDecisionFull applies a refetched decision. Early arrivals (for
@@ -1227,25 +874,23 @@ func (e *Engine) handleDecisionFull(m message) {
 	if m.Instance <= e.decidedK() {
 		return
 	}
-	in := e.get(m.Instance)
-	if in.decided {
+	in := e.rounds.Get(m.Instance)
+	if in.Decided {
 		return
 	}
 	if e.cfg.DigestOrdering {
 		// The served batch is already resolved (deciders store and serve
 		// post-resolution bytes): buffer it apart from raw proposals so
 		// the cascade never re-parses real messages as descriptors.
-		in.full = m.Batch
-		in.fullRound = m.Round
-		in.hasFull = true
-		in.waitingRound = m.Round
+		e.full[m.Instance] = fullDecision{m.Batch, m.Round}
+		in.Waiting = m.Round
 		if m.Instance == e.decidedK()+1 {
 			e.decideResolved(in, m.Batch, m.Round)
 		}
 		return
 	}
-	in.proposals[m.Round] = m.Batch
-	in.waitingRound = m.Round
+	in.Proposals[m.Round] = m.Batch
+	in.Waiting = m.Round
 	if m.Instance == e.decidedK()+1 {
 		e.decide(in, m.Batch, m.Round)
 	}
@@ -1254,8 +899,8 @@ func (e *Engine) handleDecisionFull(m message) {
 // lookupDecision finds a decided batch in instance memory or the durable
 // log.
 func (e *Engine) lookupDecision(k uint64) (wire.Batch, bool) {
-	if in := e.insts[k]; in != nil && in.decided {
-		return in.decision, true
+	if in := e.rounds.Lookup(k); in != nil && in.Decided {
+		return in.Decision, true
 	}
 	if e.cfg.Persist != nil {
 		return e.cfg.Persist.ReadDecision(k)
@@ -1285,17 +930,17 @@ func (e *Engine) HandleTimer(id engine.TimerID) {
 // an unresolved announcement: that announcement proves the head decided
 // somewhere, even if its own announcement was lost with the announcer.
 func (e *Engine) retryWaiting() {
-	in := e.insts[e.decidedK()+1]
-	if in != nil && in.decided {
+	in := e.rounds.Lookup(e.decidedK() + 1)
+	if in != nil && in.Decided {
 		return
 	}
 	// The head instance may not even exist locally (the gap was learned
 	// from an announcement for a later instance only); the scan below must
 	// still run, or the refetch chain dies with the crashed announcer.
-	waiting := in != nil && in.waitingRound != 0
+	waiting := in != nil && in.Waiting != 0
 	if !waiting && e.pipe > 1 {
 		for k := e.decidedK() + 2; k <= e.decidedK()+uint64(e.pipe); k++ {
-			if buf := e.insts[k]; buf != nil && buf.waitingRound != 0 {
+			if buf := e.rounds.Lookup(k); buf != nil && buf.Waiting != 0 {
 				waiting = true
 				break
 			}
@@ -1373,7 +1018,7 @@ func (e *Engine) kick() {
 	stalled := now-e.lastProgress >= e.cfg.IdleKick
 	if stalled && (len(e.own) > 0 || len(e.pool) > 0) {
 		cur := e.current()
-		coord := e.coordinatorAt(cur.k, cur.round)
+		coord := e.rounds.Coordinator(cur.K, cur.Round)
 		if coord == e.self {
 			for _, om := range e.own {
 				e.pool[om.msg.ID] = om.msg
@@ -1389,9 +1034,9 @@ func (e *Engine) kick() {
 		} else {
 			// Re-forward everything we still hold.
 			e.reannounceOwn()
-			batch := e.allOwn(cur.k)
+			batch := e.allOwn(cur.K)
 			if len(batch) > 0 {
-				e.send(coord, message{Type: mForward, Instance: cur.k, Round: cur.round, Batch: batch})
+				e.send(coord, message{Type: mForward, Instance: cur.K, Round: cur.Round, Batch: batch})
 				e.env.Counters().Retransmissions.Add(1)
 			}
 		}
@@ -1409,7 +1054,7 @@ func (e *Engine) armKick() {
 	}
 }
 
-// Suspect implements engine.Engine: advance the current instance past
+// Suspect implements engine.Engine: advance the open instances past
 // rounds whose coordinator is suspected (the only round-change trigger).
 // While catching up after a restart only the suspicion is recorded; the
 // advancement runs when recovery finishes.
@@ -1426,45 +1071,12 @@ func (e *Engine) Suspect(p types.ProcessID, suspected bool) {
 		e.respreadOpen()
 		return
 	}
-	e.advanceSuspected()
+	e.rounds.Readvance(0)
 	e.tryPropose()
 	// The ring just lost a link: immediately re-route open proposals
 	// around the suspected successor instead of waiting for the kick.
 	e.respreadOpen()
 	e.armKick()
-}
-
-// advanceSuspected moves every undecided instance past rounds whose
-// coordinator is currently suspected.
-func (e *Engine) advanceSuspected() {
-	keys := make([]uint64, 0, len(e.insts))
-	for k := range e.insts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		in := e.insts[k]
-		for !in.decided && e.t.Suspected[e.coordinatorAt(in.k, in.round)] {
-			e.advanceRound(in)
-		}
-	}
-}
-
-// prune drops instance state beyond the catch-up horizon (the tail prunes
-// the payload and descriptor bookkeeping of the same horizon in Commit).
-func (e *Engine) prune() {
-	h := uint64(e.cfg.DecisionHorizon)
-	if h == 0 || e.decidedK() <= h {
-		return
-	}
-	cutoff := e.decidedK() - h
-	for k, ok := e.decidedQ.Pop(cutoff); ok; k, ok = e.decidedQ.Pop(cutoff) {
-		// A snapshot install may have dropped k since; an instance that
-		// came back undecided is not this record's to retire.
-		if in := e.insts[k]; in != nil && in.decided {
-			delete(e.insts, k)
-		}
-	}
 }
 
 // payloadBytes sums the application payload carried by one message.
@@ -1582,16 +1194,16 @@ func (h *host) Sealed(entries wire.Batch) {
 		e.pool[m.ID] = m
 	}
 	cur := e.current()
-	coord := e.coordinatorAt(cur.k, cur.round)
+	coord := e.rounds.Coordinator(cur.K, cur.Round)
 	if coord == e.self {
 		for _, m := range entries {
-			e.own[m.ID.Seq].attached = cur.k
+			e.own[m.ID.Seq].attached = cur.K
 		}
 		e.tryPropose()
 		e.armKick()
 		return
 	}
-	if e.pipelineIdle && len(cur.proposals) == 0 && !cur.decided {
+	if e.pipelineIdle && len(cur.Proposals) == 0 && !cur.Decided {
 		// The pipeline is stopped, so no ack will come by to piggyback on:
 		// forward directly to the coordinator to restart it.
 		e.forwardOwn(cur, coord)
@@ -1696,11 +1308,11 @@ func (h *host) Decided(k uint64, b wire.Batch) {
 	if k != e.decidedK()+1 {
 		return
 	}
-	in := e.get(k)
+	in := e.rounds.Get(k)
 	if e.cfg.DigestOrdering {
-		e.decideResolved(in, b, in.round)
+		e.decideResolved(in, b, in.Round)
 	} else {
-		e.decide(in, b, in.round)
+		e.decide(in, b, in.Round)
 	}
 }
 
@@ -1714,9 +1326,10 @@ func (h *host) Advanced() {
 // or below it (the pruned-instance guards serve any late messages for
 // them).
 func (h *host) Installed() {
-	for k := range h.insts {
+	h.rounds.DropBelow(h.t.Next())
+	for k := range h.full {
 		if k < h.t.Next() {
-			delete(h.insts, k)
+			delete(h.full, k)
 		}
 	}
 	for k := range h.propIDs {
@@ -1732,7 +1345,7 @@ func (h *host) Installed() {
 // pushed toward the coordinator, and the engine may propose again.
 func (h *host) CaughtUp() {
 	e := (*Engine)(h)
-	e.advanceSuspected()
+	e.rounds.Readvance(0)
 	e.tryPropose()
 	e.forwardRecoveredOwn()
 	e.armKick()
@@ -1745,4 +1358,110 @@ func (h *host) CaughtUp() {
 func (h *host) ViewChanged(v member.View) {
 	h.hd.SetMembers(v.Members)
 	h.viewKick = h.started
+}
+
+// The ct.Host answers: the monolithic envelope of the round rules and its
+// §4 hooks. A proposal goes out as mPropDec carrying the latest decision
+// (§4.1), acks and estimates carry own unordered messages (§4.2), a
+// coordinator with no locked value proposes fresh from its pool, and
+// decisions apply in instance order. Round changes wait while catching up,
+// "pruned" covers everything at or below the watermark (snapshot-installed
+// ranges included), and a peer proposing into a settled instance is served
+// the decision.
+var _ ct.Host = (*host)(nil)
+
+func (h *host) View(k uint64) member.View { return h.t.Hist.At(k) }
+func (h *host) Settled(k uint64) bool     { return k <= (*Engine)(h).decidedK() }
+func (h *host) Frozen() bool              { return h.t.Rec.Active() }
+
+func (h *host) Fresh(in *ct.Inst) wire.Batch {
+	b := (*Engine)(h).poolBatch(in.K)
+	if len(b) > 0 {
+		h.env.Counters().ConsensusStarted.Add(1)
+	}
+	return b
+}
+
+func (h *host) Decide(in *ct.Inst, b wire.Batch, r uint32, _ bool) { (*Engine)(h).decide(in, b, r) }
+
+// Cutoff keeps DecisionHorizon decided instances below the watermark (the
+// tail prunes the payload and descriptor bookkeeping of the same horizon in
+// Commit); 0 keeps everything.
+func (h *host) Cutoff() (uint64, bool) {
+	hz, dk := uint64(h.cfg.DecisionHorizon), (*Engine)(h).decidedK()
+	return dk - hz, hz > 0 && dk > hz
+}
+
+// SendProposal partitions the pool first: messages this proposal carries
+// must not ride a second concurrent one (decide releases survivors).
+func (h *host) SendProposal(in *ct.Inst, r uint32, b wire.Batch) {
+	e := (*Engine)(h)
+	for _, pm := range b {
+		if _, ok := e.pool[pm.ID]; ok && e.assigned[pm.ID] != in.K {
+			e.assigned[pm.ID] = in.K
+			e.propIDs[in.K] = append(e.propIDs[in.K], pm.ID)
+		}
+	}
+	e.propSent++
+	e.env.Counters().ObserveDepth(e.openProposals())
+	if o := e.cfg.Obs; o != nil {
+		now := e.env.Now()
+		for _, pm := range b {
+			o.Stage(pm.ID, obs.StagePropose, now)
+		}
+	}
+	e.spreadPropDec(e.propDec(in, r, b))
+}
+
+// SendAck first refetches a gap: a proposal beyond the pipeline window
+// means the proposer's decided horizon ran ahead of ours — we missed one or
+// more decisions (coordinator crash window). Proposals merely ahead within
+// the window are normal pipelining, and the decisions they piggyback arrive
+// in order on the same FIFO channel.
+func (h *host) SendAck(to types.ProcessID, in *ct.Inst, r uint32) {
+	e := (*Engine)(h)
+	if in.K > e.decidedK()+uint64(e.pipe) {
+		e.requestMissing(to, in.K)
+	}
+	e.send(to, message{Type: mAckDiff, Instance: in.K, Round: r, Batch: e.eligibleOwn(in.K)})
+}
+
+func (h *host) SendNack(to types.ProcessID, k uint64, r uint32) {
+	(*Engine)(h).send(to, message{Type: mNack, Instance: k, Round: r})
+}
+
+// SendEstimate carries all own unordered messages: the new coordinator
+// starts with nothing of ours.
+func (h *host) SendEstimate(to types.ProcessID, in *ct.Inst) {
+	e := (*Engine)(h)
+	e.send(to, message{Type: mEstimate, Instance: in.K, Round: in.Round,
+		TS: in.EstTS, HasValue: in.HasEst, Batch: in.Est, Piggyback: e.allOwn(in.K)})
+}
+
+func (h *host) SendDecision(to types.ProcessID, in *ct.Inst) {
+	(*Engine)(h).send(to, message{Type: mDecisionFull, Instance: in.K, Round: in.DecisionRound, Batch: in.Decision})
+}
+
+// ServeLate catches up a peer that demonstrably missed a decision (it
+// proposed into the instance after this process decided it, or asked):
+// response-driven, one message per stale proposal, no broadcasts. Without
+// it the proposer would re-propose forever.
+func (h *host) ServeLate(to types.ProcessID, in *ct.Inst) {
+	h.SendDecision(to, in)
+	h.env.Counters().Retransmissions.Add(1)
+}
+
+// ServePruned serves the decision of an instance pruned from memory,
+// reading it back from the durable log (the round of record is gone with
+// the pruned state; the peer's own round stands in — handleDecisionFull
+// only needs a consistent label). Without a log the decision is unservable
+// here and a better-provisioned peer must answer. Never ack: a lagging
+// proposer could assemble a majority for a second, conflicting decision.
+func (h *host) ServePruned(to types.ProcessID, k uint64, r uint32) {
+	batch, ok := (*Engine)(h).lookupDecision(k)
+	if !ok {
+		return
+	}
+	(*Engine)(h).send(to, message{Type: mDecisionFull, Instance: k, Round: r, Batch: batch})
+	h.env.Counters().Retransmissions.Add(1)
 }

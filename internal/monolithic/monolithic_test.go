@@ -355,7 +355,7 @@ func TestPruneBoundsState(t *testing.T) {
 		r.run(t)
 	}
 	for p := 0; p < 3; p++ {
-		if got := len(r.engs[p].insts); got > 10 {
+		if got := r.engs[p].rounds.Len(); got > 10 {
 			t.Fatalf("p%d retains %d instances, horizon 8", p+1, got)
 		}
 	}
@@ -387,21 +387,21 @@ func TestPipelinedWindowProposals(t *testing.T) {
 	}
 	seen := make(map[types.MsgID]uint64)
 	for k := uint64(1); k <= 3; k++ {
-		in := r.engs[0].insts[k]
+		in := r.engs[0].rounds.Lookup(k)
 		if in == nil {
 			t.Fatalf("instance %d not open", k)
 		}
-		cr := in.coord[in.round]
-		if cr == nil || !cr.proposed {
+		cr := in.Coord[in.Round]
+		if cr == nil || !cr.Proposed {
 			t.Fatalf("instance %d not proposed", k)
 		}
-		if len(cr.proposal) != 1 {
-			t.Fatalf("instance %d proposal carries %d messages, want 1 (partitioning)", k, len(cr.proposal))
+		if len(cr.Proposal) != 1 {
+			t.Fatalf("instance %d proposal carries %d messages, want 1 (partitioning)", k, len(cr.Proposal))
 		}
-		if prev, dup := seen[cr.proposal[0].ID]; dup {
-			t.Fatalf("message %s rides instances %d and %d", cr.proposal[0].ID, prev, k)
+		if prev, dup := seen[cr.Proposal[0].ID]; dup {
+			t.Fatalf("message %s rides instances %d and %d", cr.Proposal[0].ID, prev, k)
 		}
-		seen[cr.proposal[0].ID] = k
+		seen[cr.Proposal[0].ID] = k
 	}
 	// A fourth submission must NOT open instance 4: the window is full.
 	if _, err := r.engs[0].Abcast([]byte{9}); err != nil {
