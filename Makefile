@@ -15,10 +15,11 @@ test:
 # wakeups, background WAL fsync, restart paths, applier/snapshot-store
 # locking, heartbeat suspicion reporting, lock-free histograms scraped
 # mid-run); member carries the view history consulted from driver
-# callbacks; the root package exercises the facade — including dynamic
-# membership — in memory and over TCP loopback (TestFacadeConformance).
+# callbacks; the root package is the driver of the runtime nodes and
+# exercises it — including dynamic membership — in memory and over TCP
+# loopback (TestFacadeConformance, TestGroup*, TestTCPNode*).
 race:
-	$(GO) test -race ./internal/runtime/... ./internal/stream/... ./internal/core/... ./internal/wal/... ./internal/recovery/... ./internal/rsm/... ./internal/transport/... ./internal/fd/... ./internal/obs/... ./internal/payload/... ./internal/member/... .
+	$(GO) test -race ./internal/runtime/... ./internal/stream/... ./internal/wal/... ./internal/recovery/... ./internal/rsm/... ./internal/transport/... ./internal/fd/... ./internal/obs/... ./internal/payload/... ./internal/member/... .
 
 # Chaos soak: the fixed-seed short sweep of the fault-injection harness
 # (six scenario families plus randomized schedules, both stacks, every
@@ -95,11 +96,12 @@ bench-pair:
 
 # Documentation gate: gofmt-clean tree, documented exported symbols in
 # modab.go, package comments on every internal package, the import
-# ratchets (no internal/batch or internal/dissem in the engines; no
-# internal/stack, internal/tail or internal/head in the round core
-# internal/ct; no internal/consensus in the monolithic engine; no
-# internal/netsim in the facade), no broken local markdown links (mirrors
-# the CI docs job).
+# ratchets of TestEnginesImportNoHeadInternals — no internal/batch or
+# internal/dissem in the engines; no internal/stack, internal/tail or
+# internal/head in the round core internal/ct; no internal/consensus in
+# the monolithic engine; no internal/netsim in the facade; no
+# internal/runtime outside the root package — and no broken local
+# markdown links (mirrors the CI docs job).
 docs:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) test -run 'TestExportedSymbolsDocumented|TestInternalPackagesHaveComments|TestEnginesImportNoHeadInternals|TestMarkdownLinks' .
@@ -109,7 +111,7 @@ docs:
 # end each round lower, so this is a ratchet: the target prints the count
 # and fails above LOC_CEILING; a PR that shrinks the tree lowers the
 # ceiling to its new count.
-LOC_CEILING := 19528
+LOC_CEILING := 19298
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l); \
 	echo $$n; \

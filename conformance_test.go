@@ -59,8 +59,7 @@ func (g *group) start(n int, extra ...modab.Option) *modab.Cluster {
 	made := new(atomic.Int64)
 	opts := append(g.opts(len(g.clusters)),
 		modab.WithStateMachine(func() modab.StateMachine { made.Add(1); return modab.NewKV() }, 0),
-		modab.WithObservability(1),
-		modab.WithFailureDetector(10*time.Millisecond, 150*time.Millisecond))
+		modab.WithObservability(1))
 	// Modular: the script is about the facade, and on the real-time TCP
 	// path the monolithic engine has a membership liveness gap of its own:
 	// a config op submitted while a member of a four-process view is down
@@ -213,7 +212,7 @@ func TestFacadeConformance(t *testing.T) {
 			if err := c0.Crash(-1); !errors.Is(err, modab.ErrBadConfig) {
 				t.Errorf("Crash(-1): %v", err)
 			}
-			if c0.Counters(9).ADeliver != 0 || c0.Applier(9) != nil || c0.Obs(-1) != nil || c0.Node(9) != nil {
+			if c0.Counters(9).ADeliver != 0 || c0.Applier(9) != nil || c0.Obs(-1) != nil {
 				t.Error("out-of-range process has state")
 			}
 			if err := c0.RequestJoin(ctx, 1); !errors.Is(err, modab.ErrBadConfig) {
@@ -230,7 +229,7 @@ func TestFacadeConformance(t *testing.T) {
 					}
 				}
 				if c0.Counters(1).ADeliver != 0 || len(c0.View(1).Members) != 0 ||
-					c0.Node(1) != nil || c0.Applier(1) != nil || c0.Obs(1) != nil {
+					c0.Applier(1) != nil || c0.Obs(1) != nil {
 					t.Error("remote process has local state")
 				}
 				if st := c0.Stats(); st.N != n || st.Total.ADeliver != st.PerProcess[0].ADeliver {

@@ -100,10 +100,19 @@ func TestInternalPackagesHaveComments(t *testing.T) {
 // reached through engine.Config). The Chandra–Toueg round rules are written
 // once in internal/ct: it stays a pure table (no stack framework, no head
 // or tail), and the monolithic engine reaches the rules through it, never
-// through the modular consensus layer. And the facade has one driver,
-// internal/core: the root package does not import the simulator, which
-// cmd/abbench and the harnesses drive directly.
+// through the modular consensus layer. And the facade is the one real-time
+// driver: modab.Cluster runs internal/runtime nodes itself, so no other
+// package imports internal/runtime, and the root package does not import
+// the simulator, which cmd/abbench and the harnesses drive directly.
 func TestEnginesImportNoHeadInternals(t *testing.T) {
+	var packages []string // every package but the root
+	for _, pattern := range []string{"cmd/*", "examples/*", "internal/*"} {
+		dirs, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packages = append(packages, dirs...)
+	}
 	for _, rule := range []struct {
 		dirs, forbidden []string
 		why             string
@@ -113,7 +122,8 @@ func TestEnginesImportNoHeadInternals(t *testing.T) {
 		{[]string{"internal/ct"}, []string{"modab/internal/stack", "modab/internal/tail", "modab/internal/head"},
 			"the round core is a pure table; each stack supplies its envelope through ct.Host"},
 		{[]string{"internal/monolithic"}, []string{"modab/internal/consensus"}, "the round rules live in internal/ct"},
-		{[]string{"."}, []string{"modab/internal/netsim"}, "the facade's one driver is internal/core"},
+		{[]string{"."}, []string{"modab/internal/netsim"}, "the facade drives runtime nodes, not the simulator"},
+		{packages, []string{"modab/internal/runtime"}, "modab.Cluster is the one driver of runtime nodes"},
 	} {
 		for _, dir := range rule.dirs {
 			files, err := filepath.Glob(filepath.Join(dir, "*.go"))

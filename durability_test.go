@@ -16,8 +16,7 @@ import (
 // crash, Restart, and post-recovery convergence.
 func TestDurabilityRestartGroup(t *testing.T) {
 	cluster, err := modab.New(3, modab.Monolithic,
-		modab.WithDurability(t.TempDir(), modab.SyncNone),
-		modab.WithFailureDetector(10*time.Millisecond, 80*time.Millisecond))
+		modab.WithDurability(t.TempDir(), modab.SyncNone))
 	if err != nil {
 		t.Fatal(err)
 	}

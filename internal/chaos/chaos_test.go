@@ -187,6 +187,29 @@ func TestMembershipChurnRunEngages(t *testing.T) {
 	}
 }
 
+// TestJoinerMissesFirstProposal: the first proposal of the view admitting
+// p4 goes out before p4 runs. With one more of the four members silent,
+// the instance stalls unless the proposal reaches p4 again: here p2 nacks
+// it on a suspicion left over from a healed partition (membership-churn
+// seed 16, minimized), or p2 has crashed.
+func TestJoinerMissesFirstProposal(t *testing.T) {
+	for name, second := range map[string]Op{
+		"stale-suspicion": {Kind: OpPartition, A: 1, B: 0, From: 181 * time.Millisecond, To: 481 * time.Millisecond},
+		"crash":           {Kind: OpCrash, A: 1, From: 200 * time.Millisecond},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sch := Schedule{{Kind: OpJoin, A: 3, B: 2, From: 231 * time.Millisecond}, second}
+			res, err := Run(16, sch, StackConfig{Durable: true, KV: true, SnapshotEvery: 1 << 20, Load: 400})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if !res.Ok() {
+				t.Fatalf("properties violated:\n%s", res.Report())
+			}
+		})
+	}
+}
+
 // TestScheduleEnd covers the heal/window end computation.
 func TestScheduleEnd(t *testing.T) {
 	open := Schedule{{Kind: OpPartition, A: 0, B: 1, From: 100 * time.Millisecond}}

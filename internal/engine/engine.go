@@ -57,10 +57,9 @@ type Delivery struct {
 }
 
 // Event is one adelivery attributed to the process that performed it —
-// the element type of the group- and cluster-level delivery streams
-// (core.Group.Deliveries, netsim.Cluster.Deliveries). At is the driver's
-// clock at delivery: virtual time in simulation, elapsed monotonic time
-// in real time.
+// the element type of the cluster-wide delivery stream
+// (modab.Cluster.Deliveries). At is the driver's clock at delivery:
+// elapsed monotonic time since the cluster started.
 type Event struct {
 	P  types.ProcessID
 	D  Delivery

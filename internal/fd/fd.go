@@ -17,24 +17,11 @@ import (
 	"modab/internal/types"
 )
 
-// ChangeFunc observes suspicion changes. Implementations of Detector
-// invoke it serially.
+// ChangeFunc observes suspicion changes; the detector invokes it serially.
 type ChangeFunc func(p types.ProcessID, suspected bool)
 
-// Detector is the failure-detector interface consumed by the runtime.
-type Detector interface {
-	// Start begins monitoring and reporting changes to onChange.
-	Start(onChange ChangeFunc)
-	// Heard records a sign of life from p (a heartbeat or any message).
-	Heard(p types.ProcessID)
-	// Suspects returns the current suspicion list (diagnostics).
-	Suspects() []types.ProcessID
-	// Close stops the detector.
-	Close()
-}
-
-// Heartbeat is the timeout-based Detector. The runtime calls Heard on
-// every heartbeat (and may call it on every protocol message, which makes
+// Heartbeat is the timeout-based failure detector. The runtime calls Heard
+// on every heartbeat (and on every protocol message, which makes
 // suspicions strictly more accurate).
 type Heartbeat struct {
 	self    types.ProcessID
@@ -62,8 +49,6 @@ type Heartbeat struct {
 	done      chan struct{}
 	wg        sync.WaitGroup
 }
-
-var _ Detector = (*Heartbeat)(nil)
 
 // NewHeartbeat creates a heartbeat detector for process self in a group
 // of n. send emits one heartbeat to a peer (wired to the transport by the
@@ -122,7 +107,7 @@ func (h *Heartbeat) SetMembers(members []types.ProcessID) {
 	h.members = want
 }
 
-// Start implements Detector.
+// Start begins monitoring and reporting changes to onChange.
 func (h *Heartbeat) Start(onChange ChangeFunc) {
 	h.mu.Lock()
 	h.onChange = onChange
@@ -190,11 +175,12 @@ func (h *Heartbeat) check() {
 	}
 }
 
-// Heard implements Detector. The common case — the peer is not suspected
-// — updates lastSeen under mu alone and never touches reportMu: the
-// runtime calls Heard on every protocol message, and serializing that
-// hot path behind the checker's callback sequence would stall the
-// transport reader. Refreshing lastSeen before the fast-path read means
+// Heard records a sign of life from p (a heartbeat or any message). The
+// common case — the peer is not suspected — updates lastSeen under mu
+// alone and never touches reportMu: the runtime calls Heard on every
+// protocol message, and serializing that hot path behind the checker's
+// callback sequence would stall the transport reader. Refreshing
+// lastSeen before the fast-path read means
 // a concurrent check() computes silent=false and cannot introduce a
 // transition this call would have to report. Only an actual unsuspect
 // transition takes the slow, serialized path.
@@ -233,7 +219,7 @@ func (h *Heartbeat) Heard(p types.ProcessID) {
 	}
 }
 
-// Suspects implements Detector.
+// Suspects returns the current suspicion list (diagnostics).
 func (h *Heartbeat) Suspects() []types.ProcessID {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -247,7 +233,7 @@ func (h *Heartbeat) Suspects() []types.ProcessID {
 	return out
 }
 
-// Close implements Detector.
+// Close stops the detector.
 func (h *Heartbeat) Close() {
 	h.mu.Lock()
 	if h.closed {
@@ -259,55 +245,3 @@ func (h *Heartbeat) Close() {
 	close(h.done)
 	h.wg.Wait()
 }
-
-// Scripted is a Detector driven entirely by test code: call Inject to
-// change the suspicion list. It never suspects on its own.
-type Scripted struct {
-	mu        sync.Mutex
-	onChange  ChangeFunc
-	suspected map[types.ProcessID]bool
-}
-
-var _ Detector = (*Scripted)(nil)
-
-// NewScripted creates an inert detector for tests.
-func NewScripted() *Scripted {
-	return &Scripted{suspected: make(map[types.ProcessID]bool)}
-}
-
-// Start implements Detector.
-func (s *Scripted) Start(onChange ChangeFunc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.onChange = onChange
-}
-
-// Inject reports a suspicion change to the consumer.
-func (s *Scripted) Inject(p types.ProcessID, suspected bool) {
-	s.mu.Lock()
-	s.suspected[p] = suspected
-	cb := s.onChange
-	s.mu.Unlock()
-	if cb != nil {
-		cb(p, suspected)
-	}
-}
-
-// Heard implements Detector (ignored; scripts decide everything).
-func (s *Scripted) Heard(types.ProcessID) {}
-
-// Suspects implements Detector.
-func (s *Scripted) Suspects() []types.ProcessID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []types.ProcessID
-	for p, susp := range s.suspected {
-		if susp {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// Close implements Detector.
-func (s *Scripted) Close() {}

@@ -113,25 +113,6 @@ func TestHeartbeatHeardSelfIgnored(t *testing.T) {
 	}
 }
 
-func TestScripted(t *testing.T) {
-	s := NewScripted()
-	defer s.Close()
-	var log changeLog
-	s.Start(log.record)
-	s.Inject(2, true)
-	if p, susp, ok := log.last(); !ok || p != 2 || !susp {
-		t.Fatalf("inject not delivered: %v %v %v", p, susp, ok)
-	}
-	if got := s.Suspects(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("Suspects() = %v", got)
-	}
-	s.Inject(2, false)
-	if got := s.Suspects(); len(got) != 0 {
-		t.Fatalf("still suspected: %v", got)
-	}
-	s.Heard(1) // no-op, must not panic
-}
-
 func TestHeartbeatCloseIdempotent(t *testing.T) {
 	h := NewHeartbeat(0, 3, time.Millisecond, 5*time.Millisecond, func(types.ProcessID) {})
 	h.Start(func(types.ProcessID, bool) {})

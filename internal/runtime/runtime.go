@@ -31,6 +31,14 @@ import (
 	"modab/internal/wire"
 )
 
+// The failure detector's timing, the same for every node: a heartbeat to
+// each member every HeartbeatPeriod, and suspicion after SuspectTimeout
+// without traffic from a member. No workload or figure varies them.
+const (
+	HeartbeatPeriod = 25 * time.Millisecond
+	SuspectTimeout  = 200 * time.Millisecond
+)
+
 // Frame channel tags.
 const (
 	chanEngine byte = 0
@@ -59,12 +67,6 @@ type Options struct {
 	// here on and closes it on Close; the on-disk log survives for the
 	// next incarnation.
 	Store recovery.Store
-	// Detector is the failure detector; nil means a heartbeat detector
-	// with the intervals below.
-	Detector fd.Detector
-	// HeartbeatPeriod/SuspectTimeout parameterize the default detector.
-	HeartbeatPeriod time.Duration
-	SuspectTimeout  time.Duration
 	// OnDeliver observes adeliveries. It is a convenience adapter over the
 	// delivery stream (see Node.Deliveries): deliveries reach it in order
 	// on a dedicated goroutine, and a callback that stalls for long
@@ -118,7 +120,7 @@ type Node struct {
 	opts Options
 	eng  engine.Engine
 	env  *nodeEnv
-	det  fd.Detector
+	det  *fd.Heartbeat
 	tr   transport.Transport
 	// applier is the state machine applier (Options.StateMachine);
 	// deliveries feed it synchronously on the event loop.
@@ -158,12 +160,6 @@ func NewNode(opts Options) (*Node, error) {
 	}
 	if err := opts.Engine.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.HeartbeatPeriod <= 0 {
-		opts.HeartbeatPeriod = 25 * time.Millisecond
-	}
-	if opts.SuspectTimeout <= 0 {
-		opts.SuspectTimeout = 8 * opts.HeartbeatPeriod
 	}
 	n := &Node{
 		tr:      opts.Transport,
@@ -208,11 +204,8 @@ func NewNode(opts Options) (*Node, error) {
 	opts.Engine.OnConfig = func(v member.View, op member.Op) {
 		// Keep the failure detector pointed at the current members: removed
 		// processes stop being suspected (and their suspicion state is
-		// pruned), joiners start being monitored. Custom detectors without
-		// a SetMembers keep their static monitor set.
-		if sm, ok := n.det.(interface{ SetMembers([]types.ProcessID) }); ok {
-			sm.SetMembers(v.Members)
-		}
+		// pruned), joiners start being monitored.
+		n.det.SetMembers(v.Members)
 		if fn := opts.OnConfig; fn != nil {
 			fn(v, op)
 		}
@@ -239,18 +232,14 @@ func NewNode(opts Options) (*Node, error) {
 		return nil, fmt.Errorf("%w: unknown stack %v", types.ErrBadConfig, opts.Stack)
 	}
 
-	n.det = opts.Detector
-	if n.det == nil {
-		hb := fd.NewHeartbeat(opts.Self, opts.N, opts.HeartbeatPeriod, opts.SuspectTimeout,
-			func(to types.ProcessID) {
-				_ = n.tr.Send(to, []byte{chanFD})
-			})
-		if opts.InitialView != nil {
-			// A joiner monitors the members of its admitting view, not the
-			// (possibly long-replaced) boot group 0..N-1.
-			hb.SetMembers(opts.InitialView.Members)
-		}
-		n.det = hb
+	n.det = fd.NewHeartbeat(opts.Self, opts.N, HeartbeatPeriod, SuspectTimeout,
+		func(to types.ProcessID) {
+			_ = n.tr.Send(to, []byte{chanFD})
+		})
+	if opts.InitialView != nil {
+		// A joiner monitors the members of its admitting view, not the
+		// (possibly long-replaced) boot group 0..N-1.
+		n.det.SetMembers(opts.InitialView.Members)
 	}
 
 	n.wg.Add(1)
@@ -461,12 +450,6 @@ func onLoop[T any](n *Node, fn func() T) (v T, ok bool) {
 	}
 }
 
-// Pending returns the engine's unordered message count (diagnostics).
-func (n *Node) Pending() int {
-	v, _ := onLoop(n, n.eng.Pending)
-	return v
-}
-
 // Counters returns a snapshot of the node's instrumentation.
 func (n *Node) Counters() trace.Snapshot { return n.env.counters.Snapshot() }
 
@@ -474,10 +457,6 @@ func (n *Node) Counters() trace.Snapshot { return n.env.counters.Snapshot() }
 // runs without Options.StateMachine. Applications read applied results,
 // await their writes, and take state digests through it.
 func (n *Node) Applier() *rsm.Applier { return n.applier }
-
-// Obs returns the node's observability recorder (Options.Obs; nil when
-// observability is disabled).
-func (n *Node) Obs() *obs.Recorder { return n.opts.Obs }
 
 // SubmitConfig submits a membership change (add or remove) for total
 // ordering. The op rides the ordinary abcast path: it decides in some

@@ -1,5 +1,5 @@
 // Package stream implements the pull-based delivery subscriptions behind
-// Node.Deliveries, Group.Deliveries and Cluster.Deliveries: a Hub fans
+// runtime.Node.Deliveries and modab.Cluster.Deliveries: a Hub fans
 // every published value out to any number of Subs, each with its own
 // bounded buffer and an explicit overflow policy.
 //

@@ -59,8 +59,7 @@ func TestFacadeMembershipSim(t *testing.T) {
 // in-memory group.
 func TestFacadeMembershipGroup(t *testing.T) {
 	cluster, err := modab.New(3, modab.Monolithic,
-		modab.WithDurability(t.TempDir(), modab.SyncNone),
-		modab.WithFailureDetector(10*time.Millisecond, 80*time.Millisecond))
+		modab.WithDurability(t.TempDir(), modab.SyncNone))
 	if err != nil {
 		t.Fatal(err)
 	}

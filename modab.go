@@ -28,9 +28,7 @@
 // Functional options select the transport and tune the protocol:
 //
 //	// One process of a group over real TCP (run one per -id):
-//	modab.New(3, modab.Monolithic,
-//		modab.WithTransportTCP(addrs, self),
-//		modab.WithFailureDetector(25*time.Millisecond, 200*time.Millisecond))
+//	modab.New(3, modab.Monolithic, modab.WithTransportTCP(addrs, self))
 //
 //	// Protocol tunables, and a subscription that sheds deliveries
 //	// instead of backpressuring the protocol when its consumer lags:
@@ -64,28 +62,33 @@
 //
 // The packages under internal/ hold the implementation: the protocol
 // engines (internal/modular, internal/monolithic, and the microprotocol
-// layers they build on), the driver behind this facade (internal/core —
-// the processes of a group this OS process drives, over in-memory
-// channels or TCP, each an internal/runtime node), the deterministic
-// discrete-event simulator the figures come from (internal/netsim, driven
-// by cmd/abbench), and the measurement harness.
+// layers they build on), the real-time node each process of a Cluster
+// runs (internal/runtime — one event loop per process, over in-memory
+// channels or TCP), the deterministic discrete-event simulator the
+// figures come from (internal/netsim, driven by cmd/abbench), and the
+// measurement harness.
 package modab
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"modab/internal/batch"
-	"modab/internal/core"
 	"modab/internal/dissem"
 	"modab/internal/engine"
 	"modab/internal/member"
 	"modab/internal/obs"
+	"modab/internal/recovery"
 	"modab/internal/rsm"
 	"modab/internal/runtime"
 	"modab/internal/stream"
 	"modab/internal/trace"
+	"modab/internal/transport"
 	"modab/internal/types"
 	"modab/internal/wal"
 )
@@ -108,8 +111,6 @@ type (
 	// BatchConfig tunes sender-side batching (see WithBatching and
 	// Config.Batch); the zero value disables it.
 	BatchConfig = batch.Config
-	// Node is one running process (see Cluster.Node).
-	Node = runtime.Node
 	// Snapshot is an immutable copy of one process's counters.
 	Snapshot = trace.Snapshot
 	// Stats is the uniform whole-cluster instrumentation snapshot.
@@ -265,20 +266,38 @@ func StreamOverflow(p OverflowPolicy) StreamOption { return stream.WithPolicy(p)
 // Option configures New.
 type Option func(*settings) error
 
-// settings accumulates the option values before the group starts. The
-// group's options are filled in place; tune holds the engine config edits
-// of WithBatching and friends, applied once n is known so they compose
-// with WithConfig regardless of option order.
+// settings accumulates the option values. tune holds the engine config
+// edits of WithBatching and friends, applied once n is known so they
+// compose with WithConfig regardless of option order.
 type settings struct {
-	core.GroupOptions
-	tune []func(*Config)
+	engine Config
+	tune   []func(*Config)
+	// dir roots the write-ahead logs (WithDurability; empty: no
+	// durability); sync is their fsync policy.
+	dir  string
+	sync SyncPolicy
+	// stateMachine builds one replica per node incarnation
+	// (WithStateMachine); snapshotEvery is its snapshot cadence.
+	stateMachine  func() StateMachine
+	snapshotEvery uint64
+	// obs configures the per-process recorders (WithObservability).
+	obs *obs.Config
+	// addrs puts the cluster on TCP, driving process self only
+	// (WithTransportTCP); join and bootN come from WithJoin.
+	addrs []string
+	self  ProcessID
+	join  bool
+	bootN int
 }
 
 // WithConfig overrides the protocol tunables (flow-control window, batch
-// cap, idle kick, ...). The zero value means DefaultConfig(n).
+// cap, idle kick, ...). The zero value means DefaultConfig(n). The fields
+// a driver injects (Persist, Recovered, Snapshots, InitialView, OnConfig,
+// Obs) must stay unset, and a non-zero N must equal n: New returns
+// ErrBadConfig otherwise.
 func WithConfig(cfg Config) Option {
 	return func(s *settings) error {
-		s.Engine = cfg
+		s.engine = cfg
 		return nil
 	}
 }
@@ -402,7 +421,10 @@ func WithDigestOrdering() Option {
 // group its own directory.
 func WithDurability(dir string, policy SyncPolicy) Option {
 	return func(s *settings) error {
-		s.Durability = &core.DurabilityOptions{Dir: dir, Log: wal.Options{Policy: policy}}
+		if dir == "" {
+			return fmt.Errorf("%w: WithDurability requires a directory", types.ErrBadConfig)
+		}
+		s.dir, s.sync = dir, policy
 		return nil
 	}
 }
@@ -423,8 +445,8 @@ func WithStateMachine(factory func() StateMachine, snapshotEvery uint64) Option 
 		if factory == nil {
 			return fmt.Errorf("%w: WithStateMachine requires a factory", types.ErrBadConfig)
 		}
-		s.StateMachine = factory
-		s.SnapshotEvery = snapshotEvery
+		s.stateMachine = factory
+		s.snapshotEvery = snapshotEvery
 		return nil
 	}
 }
@@ -441,7 +463,7 @@ func WithStateMachine(factory func() StateMachine, snapshotEvery uint64) Option 
 // path and never perturbs the protocol.
 func WithObservability(sampleEvery uint64) Option {
 	return func(s *settings) error {
-		s.Observability = &obs.Config{SampleEvery: sampleEvery}
+		s.obs = &obs.Config{SampleEvery: sampleEvery}
 		return nil
 	}
 }
@@ -457,8 +479,8 @@ func WithTransportTCP(addrs []string, self ProcessID) Option {
 		if self < 0 || int(self) >= len(addrs) {
 			return fmt.Errorf("%w: self %d does not index addrs (len %d)", types.ErrBadConfig, self, len(addrs))
 		}
-		s.Addrs = addrs
-		s.Self = self
+		s.addrs = addrs
+		s.self = self
 		return nil
 	}
 }
@@ -477,35 +499,72 @@ func WithJoin(bootN int) Option {
 		if bootN < 0 {
 			return fmt.Errorf("%w: negative boot-group size", types.ErrBadConfig)
 		}
-		s.Join = true
-		s.BootN = bootN
+		s.join = true
+		s.bootN = bootN
 		return nil
 	}
 }
 
-// WithFailureDetector parameterizes every process's heartbeat failure
-// detector: heartbeats every period, suspicion after timeout without
-// traffic.
-func WithFailureDetector(period, timeout time.Duration) Option {
-	return func(s *settings) error {
-		if period < 0 || timeout < 0 {
-			return fmt.Errorf("%w: negative failure-detector interval", types.ErrBadConfig)
-		}
-		s.HeartbeatPeriod = period
-		s.SuspectTimeout = timeout
-		return nil
-	}
-}
-
-// Cluster is the facade over the processes of one group this OS process
-// drives: every process over in-memory channels (the default) or one
-// process of a TCP group (WithTransportTCP). Both shapes share the same
-// submission, delivery-stream, membership and instrumentation surface; on
-// a TCP group every per-process method answers ErrNotLocal (or a zero
-// value) for the processes other OS processes drive.
+// Cluster is the processes of one group this OS process drives: every
+// process over in-memory channels (the default) or one process of a TCP
+// group (WithTransportTCP), each a real-time node with its own event loop.
+// Both shapes share the same submission, delivery-stream, membership and
+// instrumentation surface; which slots are local is the only thing they
+// differ in, so every per-process method resolves its target through one
+// lookup and, on a TCP group, answers ErrNotLocal (or a zero value) for
+// the processes other OS processes drive.
 type Cluster struct {
 	stack Stack
-	group *core.Group
+	// opts are the option values, kept to build every node incarnation.
+	opts settings
+
+	// mu guards nodes, obsRecs, addrs (and the membership state below):
+	// Crash, Restart, Close, joiner spawns and decided admissions swap or
+	// grow entries concurrently with submissions reading them.
+	mu    sync.RWMutex
+	nodes []*runtime.Node
+	// obsRecs holds the local processes' observability recorders (nil
+	// entries without WithObservability). Like counters they outlive node
+	// incarnations: Restart hands the new node its predecessor's recorder.
+	obsRecs []*obs.Recorder
+	// net connects the processes of an all-local group; nil over TCP,
+	// where addrs is the address table instead. The table grows as OpAdd
+	// ops activate, so every member learns a joiner's address from the
+	// decided op itself (no out-of-band address exchange).
+	net   *transport.MemNetwork
+	addrs []string
+	hub   *stream.Hub[Event]
+	start time.Time
+
+	// bootN is the boot group size — the epoch-0 view every incarnation
+	// rebuilds its config history from (runtime Options.N must stay the
+	// boot size across restarts and joins; the current membership is the
+	// engines' business, not a driver constant).
+	bootN int
+	// nextID allocates dense joiner IDs; pending marks IDs whose OpAdd is
+	// in flight so the first applied view naming one spawns it exactly
+	// once. spawnErr surfaces a failed spawn to the waiting Add. closed
+	// stops late spawns after Close.
+	nextID   ProcessID
+	pending  map[ProcessID]bool
+	spawnErr map[ProcessID]error
+	closed   bool
+	// viewCh is closed and replaced on every applied view change and
+	// joiner spawn — a condition broadcast for Add/Remove waiters.
+	viewMu sync.Mutex
+	viewCh chan struct{}
+
+	// lifecycle serializes Crash, Restart and Close with each other (but
+	// not with submissions): a Restart overlapping a Crash of the same
+	// process could otherwise reopen the write-ahead log while the dying
+	// incarnation is still appending to it.
+	lifecycle sync.Mutex
+
+	// streamDropped counts drops at cluster-level subscriptions. With every
+	// process local they are not attributable to one of them and Stats
+	// folds them into the totals; the single local process of a TCP group
+	// owns them all (see Counters).
+	streamDropped atomic.Int64
 }
 
 // New builds a cluster of n processes running the given stack. With no
@@ -518,27 +577,214 @@ func New(n int, stack Stack, opts ...Option) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	if len(s.tune) > 0 {
-		// Materialize the defaults first so the edits survive the group's
-		// zero-config check, then overlay them on whatever WithConfig
-		// supplied.
-		if s.Engine.N == 0 {
-			s.Engine = engine.DefaultConfig(n)
-		}
-		for _, edit := range s.tune {
-			edit(&s.Engine)
-		}
+	if n < 1 {
+		return nil, types.ErrEmptyGroup
 	}
-	group, err := core.NewGroup(n, stack, s.GroupOptions)
-	if err != nil {
+	if err := checkConfig(s.engine, n); err != nil {
 		return nil, err
 	}
-	return &Cluster{stack: stack, group: group}, nil
+	if len(s.tune) > 0 {
+		// Materialize the defaults first so the edits survive the node's
+		// zero-config check, then overlay them on whatever WithConfig
+		// supplied.
+		if s.engine.N == 0 {
+			s.engine = engine.DefaultConfig(n)
+		}
+		for _, edit := range s.tune {
+			edit(&s.engine)
+		}
+	}
+	c := &Cluster{
+		stack:    stack,
+		opts:     s,
+		start:    time.Now(),
+		bootN:    n,
+		nextID:   ProcessID(n),
+		pending:  make(map[ProcessID]bool),
+		spawnErr: make(map[ProcessID]error),
+		viewCh:   make(chan struct{}),
+	}
+	switch {
+	case len(s.addrs) == 0 && s.join:
+		return nil, fmt.Errorf("%w: WithJoin requires a TCP address table", types.ErrBadConfig)
+	case len(s.addrs) == 0:
+		c.net = transport.NewMemNetwork()
+	case len(s.addrs) != n:
+		return nil, fmt.Errorf("%w: n=%d, %d addresses", types.ErrBadConfig, n, len(s.addrs))
+	default:
+		c.addrs = append([]string(nil), s.addrs...)
+		// A joiner's boot group is the peers below its own slot; a boot
+		// member counts the whole table. WithJoin's bootN overrides both.
+		if s.join {
+			c.bootN = int(s.self)
+		}
+		if s.bootN > 0 {
+			c.bootN = s.bootN
+		}
+	}
+	c.hub = stream.NewHub[Event](stream.DefaultBuffer, stream.Block,
+		func() { c.streamDropped.Add(1) })
+	c.grow(n)
+	for i := 0; i < n; i++ {
+		if !c.local(i) {
+			continue
+		}
+		node, err := c.startNode(ProcessID(i), nil)
+		if err != nil {
+			_ = c.Close()
+			return nil, fmt.Errorf("modab: start node %d: %w", i, err)
+		}
+		c.nodes[i] = node
+	}
+	return c, nil
+}
+
+// checkConfig rejects a WithConfig value the nodes would otherwise honour
+// or overwrite depending on other options: the driver-injected fields are
+// the cluster's to set, and a non-zero N must be the group size.
+func checkConfig(cfg Config, n int) error {
+	switch {
+	case cfg.N != 0 && cfg.N != n:
+		return fmt.Errorf("%w: Config.N=%d in a group of %d", types.ErrBadConfig, cfg.N, n)
+	case cfg.Persist != nil || cfg.Recovered != nil || cfg.Snapshots != nil ||
+		cfg.InitialView != nil || cfg.OnConfig != nil || cfg.Obs != nil:
+		return fmt.Errorf("%w: Config sets a driver-injected field (Persist, Recovered, Snapshots, InitialView, OnConfig or Obs)", types.ErrBadConfig)
+	}
+	return nil
+}
+
+// local reports whether this cluster drives slot p itself.
+func (c *Cluster) local(p int) bool { return c.net != nil || p == int(c.opts.self) }
+
+// grow extends the slot tables to n entries (mu held, or during
+// construction): a nil node, a recorder for a local slot under
+// WithObservability, an unknown address over TCP.
+func (c *Cluster) grow(n int) {
+	for p := len(c.nodes); p < n; p++ {
+		c.nodes = append(c.nodes, nil)
+		var rec *obs.Recorder
+		if c.opts.obs != nil && c.local(p) {
+			rec = obs.NewRecorder(*c.opts.obs)
+		}
+		c.obsRecs = append(c.obsRecs, rec)
+		if c.net == nil && p >= len(c.addrs) {
+			c.addrs = append(c.addrs, "")
+		}
+	}
+}
+
+// dir is process p's durable directory (see WithDurability).
+func (c *Cluster) dir(p ProcessID) string {
+	if c.net == nil {
+		return c.opts.dir
+	}
+	return filepath.Join(c.opts.dir, fmt.Sprintf("p%d", p))
+}
+
+// startNode builds one incarnation of local process p on a fresh
+// transport endpoint, opening its write-ahead log and snapshot store
+// when durability is configured. A non-nil initView marks the node a
+// spawned joiner: it starts from the admitting view and catches up
+// through state transfer instead of assuming the boot group.
+func (c *Cluster) startNode(p ProcessID, initView *member.View) (*runtime.Node, error) {
+	c.mu.RLock()
+	rec := c.obsRecs[p]
+	addrs := c.addrs
+	c.mu.RUnlock()
+	var store recovery.Store
+	if c.opts.dir != "" {
+		var err error
+		if store, err = wal.Open(c.dir(p), wal.Options{Policy: c.opts.sync, Obs: rec}); err != nil {
+			return nil, err
+		}
+	}
+	var tr transport.Transport
+	fail := func(err error) (*runtime.Node, error) {
+		if tr != nil {
+			_ = tr.Close()
+		}
+		if store != nil {
+			_ = store.Close()
+		}
+		return nil, err
+	}
+	var sm rsm.StateMachine
+	var snaps rsm.Store
+	if c.opts.stateMachine != nil {
+		// A fresh incarnation gets a fresh state machine: its state is
+		// rebuilt from the local snapshot plus the log suffix, never
+		// inherited from the dead incarnation's memory. Snapshots live in
+		// files alongside the write-ahead log when the group is durable,
+		// in memory otherwise.
+		sm, snaps = c.opts.stateMachine(), rsm.NewMemStore()
+		if c.opts.dir != "" {
+			var err error
+			if snaps, err = rsm.OpenFileStore(filepath.Join(c.dir(p), "snap")); err != nil {
+				return fail(err)
+			}
+		}
+	}
+	var tcp *transport.TCP
+	if c.net != nil {
+		tr = c.net.Reset(p)
+	} else {
+		var err error
+		if tcp, err = transport.NewTCP(p, addrs); err != nil {
+			return fail(err)
+		}
+		tr = tcp
+	}
+	node, err := runtime.NewNode(runtime.Options{
+		Self:      p,
+		N:         c.bootN,
+		Stack:     c.stack,
+		Engine:    c.opts.engine,
+		Transport: tr,
+		Store:     store,
+		OnDeliver: func(d engine.Delivery) {
+			c.hub.Publish(Event{P: p, D: d, At: time.Since(c.start)})
+		},
+		StateMachine:  sm,
+		SnapshotStore: snaps,
+		SnapshotEvery: c.opts.snapshotEvery,
+		Obs:           rec,
+		InitialView:   initView,
+		Join:          c.opts.join,
+		OnConfig:      func(v member.View, op member.Op) { c.onViewChange(tcp, v, op) },
+	})
+	if err != nil {
+		return fail(err)
+	}
+	return node, nil
+}
+
+// node fetches one process's live node — the single lookup behind every
+// per-process method: ErrBadConfig out of range, ErrNotLocal for a slot
+// another OS process drives, ErrStopped after Close, ErrCrashed after
+// Crash.
+func (c *Cluster) node(p int) (*runtime.Node, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	switch {
+	case p < 0 || p >= len(c.nodes):
+		return nil, fmt.Errorf("%w: p%d of a group of %d", types.ErrBadConfig, p+1, len(c.nodes))
+	case !c.local(p):
+		return nil, fmt.Errorf("%w: p%d (local node is %s)", types.ErrNotLocal, p+1, c.opts.self)
+	case c.closed:
+		return nil, types.ErrStopped
+	case c.nodes[p] == nil:
+		return nil, types.ErrCrashed
+	}
+	return c.nodes[p], nil
 }
 
 // N returns the number of process slots: the boot group plus every
 // joiner admitted so far (removed and crashed processes keep theirs).
-func (c *Cluster) N() int { return c.group.N() }
+func (c *Cluster) N() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.nodes)
+}
 
 // Stack returns the implementation under the facade.
 func (c *Cluster) Stack() Stack { return c.stack }
@@ -549,13 +795,21 @@ func (c *Cluster) Stack() Stack { return c.stack }
 // deadline, ErrStopped after Close, ErrCrashed at a crashed process, and
 // ErrNotLocal when p is a remote peer of a TCP group.
 func (c *Cluster) Abcast(ctx context.Context, p int, body []byte) (MsgID, error) {
-	return c.group.Abcast(ctx, p, body)
+	node, err := c.node(p)
+	if err != nil {
+		return MsgID{}, err
+	}
+	return node.Abcast(ctx, body)
 }
 
 // TryAbcast submits without waiting: ErrFlowControl when the window is
 // full — the only entry point that returns it.
 func (c *Cluster) TryAbcast(p int, body []byte) (MsgID, error) {
-	return c.group.TryAbcast(p, body)
+	node, err := c.node(p)
+	if err != nil {
+		return MsgID{}, err
+	}
+	return node.TryAbcast(body)
 }
 
 // Deliveries subscribes to the cluster-wide adelivery stream: every
@@ -564,22 +818,59 @@ func (c *Cluster) TryAbcast(p int, body []byte) (MsgID, error) {
 // Close (subscribers drain their buffers first); a subscription taken
 // after Close sees an already-closed channel.
 func (c *Cluster) Deliveries(opts ...StreamOption) *DeliveryStream {
-	return c.group.Deliveries(opts...)
+	return c.hub.Subscribe(opts...)
 }
 
 // Counters returns a snapshot of process p's instrumentation. On a TCP
 // group only the local process has counters; remote peers — like crashed
 // processes and out-of-range indexes — read as zero.
-func (c *Cluster) Counters(p int) Snapshot { return c.group.Counters(p) }
+func (c *Cluster) Counters(p int) Snapshot {
+	node, err := c.node(p)
+	if err != nil {
+		return Snapshot{}
+	}
+	snap := node.Counters()
+	if c.net == nil {
+		snap.StreamDropped += c.streamDropped.Load()
+	}
+	return snap
+}
 
 // Stats returns the uniform whole-cluster snapshot: per-process counters
 // plus totals (including delivery-stream drops).
-func (c *Cluster) Stats() Stats { return c.group.Stats() }
+func (c *Cluster) Stats() Stats {
+	n := c.N()
+	st := Stats{N: n, PerProcess: make([]Snapshot, n)}
+	for i := 0; i < n; i++ {
+		st.PerProcess[i] = c.Counters(i)
+		st.Total.Add(st.PerProcess[i])
+	}
+	if c.net != nil {
+		st.Total.StreamDropped += c.streamDropped.Load()
+	}
+	return st
+}
 
 // Crash stops process p: crash-stop fault injection (survivors' failure
 // detectors take over). On a TCP group it stops the local process and
 // returns ErrNotLocal for a remote one.
-func (c *Cluster) Crash(p int) error { return c.group.Crash(p) }
+func (c *Cluster) Crash(p int) error {
+	c.lifecycle.Lock()
+	defer c.lifecycle.Unlock()
+	node, err := c.node(p)
+	if errors.Is(err, types.ErrCrashed) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	c.mu.Lock()
+	c.nodes[p] = nil
+	c.mu.Unlock()
+	// Close returns only after the node fully stopped and released its
+	// write-ahead log, so a subsequent Restart finds the log quiescent.
+	return node.Close()
+}
 
 // Restart brings a crashed process back — the crash-recovery model. It
 // requires WithDurability: the new incarnation replays the process's
@@ -591,15 +882,38 @@ func (c *Cluster) Crash(p int) error { return c.group.Crash(p) }
 // The restarted process's Counters restart from zero — its pre-crash
 // deliveries are summarized by RecoveryReplayedMsgs (ADeliver +
 // RecoveryReplayedMsgs is its lifetime delivery count).
-func (c *Cluster) Restart(p int) error { return c.group.Restart(p) }
+func (c *Cluster) Restart(p int) error {
+	if c.opts.dir == "" {
+		return fmt.Errorf("%w: Restart requires durability (WithDurability)", types.ErrBadConfig)
+	}
+	// Serialize against Crash/Close: the old incarnation must have fully
+	// released its write-ahead log before this one reopens it.
+	c.lifecycle.Lock()
+	defer c.lifecycle.Unlock()
+	switch _, err := c.node(p); {
+	case err == nil:
+		return fmt.Errorf("%w: p%d is still running", types.ErrBadConfig, p+1)
+	case !errors.Is(err, types.ErrCrashed):
+		return err
+	}
+	node, err := c.startNode(ProcessID(p), nil)
+	if err != nil {
+		return fmt.Errorf("modab: restart node %d: %w", p, err)
+	}
+	c.mu.Lock()
+	c.nodes[p] = node
+	c.mu.Unlock()
+	return nil
+}
 
 // Add admits a new process to the group: an AddProcess op rides the
 // total order like any message, decides in a consensus instance, and
 // activates at a decided boundary — every member switches quorum size,
 // failure-detector monitor set, ring successor order and retention
 // accounting at exactly the same instance. Add returns the new
-// process's ID (dense: the next unused one). Joins require
-// WithDurability.
+// process's ID (dense: the next unused one) once a local joiner is
+// running and every live local process has applied the admitting view.
+// Joins require WithDurability.
 //
 // In memory the joiner is spawned by the cluster itself (it catches up
 // through snapshot install plus log-suffix state transfer) and addr must
@@ -609,13 +923,66 @@ func (c *Cluster) Restart(p int) error { return c.group.Restart(p) }
 // process with abnode's -join flag (it may also self-request admission,
 // in which case Add is not needed).
 func (c *Cluster) Add(ctx context.Context, addr ...string) (ProcessID, error) {
-	switch len(addr) {
-	case 0:
-		return c.group.Add(ctx, "")
-	case 1:
-		return c.group.Add(ctx, addr[0])
+	if len(addr) > 1 {
+		return 0, fmt.Errorf("%w: Add takes at most one address", types.ErrBadConfig)
 	}
-	return 0, fmt.Errorf("%w: Add takes at most one address", ErrBadConfig)
+	if c.opts.dir == "" {
+		// Members without write-ahead logs cannot serve the decided
+		// prefix, so the joiner's state transfer would never finish.
+		return 0, fmt.Errorf("%w: Add requires durability (WithDurability)", types.ErrBadConfig)
+	}
+	tcpAddr := len(addr) == 1 && addr[0] != ""
+	if tcpAddr != (c.net == nil) {
+		return 0, fmt.Errorf("%w: a joiner's listen address is given exactly when the group runs over TCP", types.ErrBadConfig)
+	}
+	op := member.Op{Kind: member.OpAdd}
+	if tcpAddr {
+		// No group-wide allocator over TCP: the next ID of the sponsor's
+		// view (a racing admission loses the epoch CAS at decide time).
+		v := c.View(int(c.opts.self))
+		if len(v.Members) == 0 {
+			return 0, types.ErrCrashed // the one process that could sponsor is down
+		}
+		op.Target, op.Addr = v.MaxID()+1, addr[0]
+	} else {
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			return 0, types.ErrStopped
+		}
+		op.Target = c.nextID
+		c.nextID++
+		c.pending[op.Target] = true
+		c.mu.Unlock()
+	}
+	if err := c.submitConfig(ctx, op, -1); err != nil {
+		c.mu.Lock()
+		delete(c.pending, op.Target)
+		c.mu.Unlock()
+		return 0, err
+	}
+	for {
+		wait := c.viewChanged()
+		c.mu.RLock()
+		running := !c.local(int(op.Target)) || int(op.Target) < len(c.nodes) && c.nodes[op.Target] != nil
+		err := c.spawnErr[op.Target]
+		c.mu.RUnlock()
+		if err != nil {
+			return 0, err
+		}
+		// Not at first spawn: a config op submitted through a process still
+		// on the old epoch is stamped with a stale BaseEpoch and rejected
+		// at decide time, so an immediately following Add/Remove would
+		// silently do nothing.
+		if running && c.viewEverywhere(op.Target, true) {
+			return op.Target, nil
+		}
+		select {
+		case <-wait:
+		case <-ctx.Done():
+			return 0, ctx.Err()
+		}
+	}
 }
 
 // RequestJoin asks sponsor — a current member — to submit this
@@ -625,7 +992,27 @@ func (c *Cluster) Add(ctx context.Context, addr ...string) (ProcessID, error) {
 // until the view changes. TCP groups started with WithJoin only
 // (ErrBadConfig otherwise).
 func (c *Cluster) RequestJoin(ctx context.Context, sponsor ProcessID) error {
-	return c.group.RequestJoin(ctx, sponsor)
+	if !c.opts.join {
+		return fmt.Errorf("%w: RequestJoin needs a TCP group started with WithJoin", types.ErrBadConfig)
+	}
+	self := c.opts.self
+	for {
+		wait := c.viewChanged()
+		node, err := c.node(int(self))
+		if err != nil {
+			return err
+		}
+		if node.CurrentView().Contains(self) {
+			return nil
+		}
+		_ = node.RequestJoin(sponsor, c.opts.addrs[self]) // lost requests are re-sent below
+		select {
+		case <-wait:
+		case <-time.After(100 * time.Millisecond):
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 }
 
 // Remove retires process p from the group: a RemoveProcess op rides the
@@ -634,33 +1021,227 @@ func (c *Cluster) RequestJoin(ctx context.Context, sponsor ProcessID) error {
 // remote peer of a TCP group is stopped by its operator). Removing an
 // already-crashed process is the permanent-node-loss recovery: the
 // group stops waiting for it and quorums shrink at the boundary.
-func (c *Cluster) Remove(ctx context.Context, p int) error { return c.group.Remove(ctx, p) }
+func (c *Cluster) Remove(ctx context.Context, p int) error {
+	// Crashed and remote targets are fine; only a slot that does not exist is not.
+	if _, err := c.node(p); errors.Is(err, types.ErrBadConfig) {
+		return err
+	}
+	target := ProcessID(p)
+	if err := c.submitConfig(ctx, member.Op{Kind: member.OpRemove, Target: target}, p); err != nil {
+		return err
+	}
+	for {
+		wait := c.viewChanged()
+		if c.viewEverywhere(target, false) {
+			if !c.local(p) {
+				return nil
+			}
+			return c.Crash(p)
+		}
+		select {
+		case <-wait:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
 
 // View returns process p's newest locally applied membership view (the
 // zero view for crashed processes, remote TCP peers, and out-of-range
 // indexes).
-func (c *Cluster) View(p int) View { return c.group.View(p) }
+func (c *Cluster) View(p int) View {
+	node, err := c.node(p)
+	if err != nil {
+		return View{}
+	}
+	return node.CurrentView()
+}
 
-// Node returns the runtime node driving process p, or nil when p is not
-// driven by this cluster (remote TCP peers, crashed processes,
-// out-of-range indexes). It is the escape hatch to the lower-level API.
-func (c *Cluster) Node(p int) *Node { return c.group.Node(p) }
+// submitConfig drives one config op through a live local member,
+// retrying flow-control rejections (the op is an ordinary abcast
+// competing for window slots). avoid names a process to use as sponsor
+// only when no other is driven here — the remove target; -1 for none.
+func (c *Cluster) submitConfig(ctx context.Context, op member.Op, avoid int) error {
+	for {
+		node := c.sponsor(avoid)
+		if node == nil {
+			return types.ErrCrashed
+		}
+		_, err := node.SubmitConfig(op)
+		if !errors.Is(err, types.ErrFlowControl) {
+			return err
+		}
+		select {
+		case <-time.After(2 * time.Millisecond):
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// sponsor picks a live local node to submit a config op through,
+// preferring any other than avoid.
+func (c *Cluster) sponsor(avoid int) *runtime.Node {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	var avoided *runtime.Node
+	for i, n := range c.nodes {
+		switch {
+		case n == nil:
+		case i == avoid:
+			avoided = n
+		default:
+			return n
+		}
+	}
+	return avoided
+}
+
+// viewEverywhere reports whether id's membership equals member in the
+// applied view of every live local process (at least one). A process
+// being removed does not vouch for its own removal unless it is the only
+// one driven here (a TCP process sponsoring its own removal).
+func (c *Cluster) viewEverywhere(id ProcessID, member bool) bool {
+	c.mu.RLock()
+	nodes := append([]*runtime.Node(nil), c.nodes...)
+	c.mu.RUnlock()
+	var self *runtime.Node
+	others := false
+	for i, n := range nodes {
+		switch {
+		case n == nil:
+		case !member && i == int(id):
+			self = n
+		case n.CurrentView().Contains(id) != member:
+			return false
+		default:
+			others = true
+		}
+	}
+	if others || self == nil {
+		return others
+	}
+	return !self.CurrentView().Contains(id)
+}
+
+// onViewChange observes every applied view at every local process (the
+// runtime's OnConfig hook, on the event loop of the node whose TCP
+// transport — nil in memory — is tcp): an admission grows the slot
+// tables, teaches the transport the joiner's address and spawns a
+// pending local joiner; every change wakes Add/Remove waiters.
+func (c *Cluster) onViewChange(tcp *transport.TCP, v member.View, op member.Op) {
+	if op.Kind == member.OpAdd {
+		c.admit(tcp, v, op)
+	}
+	c.viewPulse()
+}
+
+// admit applies one decided OpAdd to the driver state. A pending joiner
+// is started exactly once, asynchronously (a node spawn opens logs and
+// starts goroutines — not event-loop work).
+func (c *Cluster) admit(tcp *transport.TCP, v member.View, op member.Op) {
+	id := op.Target
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return
+	}
+	c.grow(int(id) + 1)
+	if tcp != nil && op.Addr != "" && c.addrs[id] != op.Addr {
+		c.addrs[id] = op.Addr
+		tcp.SetAddrs(c.addrs)
+	}
+	spawn := c.pending[id]
+	delete(c.pending, id)
+	c.mu.Unlock()
+	if !spawn {
+		return
+	}
+	view := v
+	view.Members = append([]ProcessID(nil), v.Members...)
+	go func() {
+		node, err := c.startNode(id, &view)
+		c.mu.Lock()
+		switch {
+		case err != nil:
+			c.spawnErr[id] = err
+		case c.closed:
+			c.mu.Unlock()
+			_ = node.Close()
+			c.viewPulse()
+			return
+		default:
+			c.nodes[id] = node
+		}
+		c.mu.Unlock()
+		c.viewPulse()
+	}()
+}
+
+// viewChanged returns a channel closed at the next view change or spawn.
+func (c *Cluster) viewChanged() <-chan struct{} {
+	c.viewMu.Lock()
+	defer c.viewMu.Unlock()
+	return c.viewCh
+}
+
+// viewPulse wakes every Add/Remove waiter.
+func (c *Cluster) viewPulse() {
+	c.viewMu.Lock()
+	close(c.viewCh)
+	c.viewCh = make(chan struct{})
+	c.viewMu.Unlock()
+}
 
 // Applier returns process p's state machine applier: apply results,
 // read-your-writes waits (Applier.Await) and canonical state digests. It
 // returns nil without WithStateMachine, for remote TCP peers, and for
 // crashed processes.
-func (c *Cluster) Applier(p int) *Applier { return c.group.Applier(p) }
+func (c *Cluster) Applier(p int) *Applier {
+	node, err := c.node(p)
+	if err != nil {
+		return nil
+	}
+	return node.Applier()
+}
 
 // Obs returns process p's observability recorder (latency histograms and
 // the sampled lifecycle trace). It returns nil without WithObservability,
 // for remote TCP peers, and for out-of-range indexes. Recorders survive
 // Crash/Restart, accumulating across incarnations.
-func (c *Cluster) Obs(p int) *ObsRecorder { return c.group.Obs(p) }
+func (c *Cluster) Obs(p int) *ObsRecorder {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if p < 0 || p >= len(c.obsRecs) {
+		return nil
+	}
+	return c.obsRecs[p]
+}
 
 // Close shuts the cluster down. Delivery streams drain what is buffered
 // and then close. Close is idempotent.
-func (c *Cluster) Close() error { return c.group.Close() }
+func (c *Cluster) Close() error {
+	c.lifecycle.Lock()
+	defer c.lifecycle.Unlock()
+	c.mu.Lock()
+	c.closed = true
+	nodes := append([]*runtime.Node(nil), c.nodes...)
+	for i := range c.nodes {
+		c.nodes[i] = nil
+	}
+	c.mu.Unlock()
+	var first error
+	for _, n := range nodes {
+		if n == nil {
+			continue
+		}
+		if err := n.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	c.hub.Close()
+	return first
+}
 
 // DefaultConfig returns the protocol tunables used in the paper's
 // evaluation for a group of n processes.

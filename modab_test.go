@@ -7,7 +7,11 @@ import (
 	"time"
 
 	"modab"
+	"modab/internal/engine"
+	"modab/internal/member"
 	"modab/internal/netsim"
+	"modab/internal/obs"
+	"modab/internal/recovery"
 )
 
 // TestFacadeQuickstart exercises the package doc's quick-start path:
@@ -79,6 +83,29 @@ func TestFacadeOptionValidation(t *testing.T) {
 	noWindow.Window = 0
 	if _, err := modab.New(3, modab.Modular, modab.WithConfig(noWindow)); !errors.Is(err, modab.ErrBadConfig) {
 		t.Errorf("WithConfig without a flow-control window: %v", err)
+	}
+	// The cluster owns the group size and the fields it injects into every
+	// node; a Config carrying them is refused, whatever the other options.
+	for name, edit := range map[string]func(*modab.Config){
+		"N":         func(c *modab.Config) { c.N = 4 },
+		"Persist":   func(c *modab.Config) { c.Persist = recovery.NewMemStore() },
+		"Recovered": func(c *modab.Config) { c.Recovered = &engine.RecoveredState{NextDecide: 1, NextSeq: 1} },
+		"Snapshots": func(c *modab.Config) {
+			c.Snapshots = &engine.SnapshotHooks{Latest: func() (uint64, bool) { return 0, false }}
+		},
+		"InitialView": func(c *modab.Config) { c.InitialView = &modab.View{Members: []modab.ProcessID{0, 1, 2}} },
+		"OnConfig":    func(c *modab.Config) { c.OnConfig = func(modab.View, member.Op) {} },
+		"Obs":         func(c *modab.Config) { c.Obs = obs.NewRecorder(obs.Config{}) },
+	} {
+		cfg := modab.DefaultConfig(3)
+		edit(&cfg)
+		c, err := modab.New(3, modab.Modular, modab.WithConfig(cfg))
+		if !errors.Is(err, modab.ErrBadConfig) {
+			t.Errorf("WithConfig setting %s: %v", name, err)
+		}
+		if c != nil {
+			c.Close()
+		}
 	}
 	// RequestJoin needs a TCP group started with WithJoin; an in-memory
 	// group says so instead of reporting itself stopped.

@@ -38,8 +38,7 @@ func TestKVFacadeGroup(t *testing.T) {
 	dir := t.TempDir()
 	cluster, err := modab.New(3, modab.Monolithic,
 		modab.WithStateMachine(func() modab.StateMachine { return modab.NewKV() }, 4),
-		modab.WithDurability(dir, modab.SyncNone),
-		modab.WithFailureDetector(10*time.Millisecond, 80*time.Millisecond))
+		modab.WithDurability(dir, modab.SyncNone))
 	if err != nil {
 		t.Fatal(err)
 	}
