@@ -200,6 +200,101 @@ func TestGroupDeliveriesStream(t *testing.T) {
 	}
 }
 
+// TestDeliveriesStream reads a one-process cluster's adeliveries from the
+// pull-based stream and checks content and order.
+func TestDeliveriesStream(t *testing.T) {
+	g, err := modab.New(1, modab.Monolithic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := g.Deliveries()
+	const k = 5
+	ids := make([]modab.MsgID, 0, k)
+	for j := 0; j < k; j++ {
+		id, err := g.Abcast(context.Background(), 0, []byte{byte(j)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	for j := 0; j < k; j++ {
+		select {
+		case ev := <-sub.C():
+			if ev.D.Msg.ID != ids[j] {
+				t.Fatalf("position %d: got %v, want %v", j, ev.D.Msg.ID, ids[j])
+			}
+			if len(ev.D.Msg.Body) != 1 || ev.D.Msg.Body[0] != byte(j) {
+				t.Fatalf("position %d: body %v", j, ev.D.Msg.Body)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timed out waiting for delivery %d", j)
+		}
+	}
+	// Closing the cluster ends the stream.
+	_ = g.Close()
+	select {
+	case _, ok := <-sub.C():
+		if ok {
+			t.Fatal("unexpected extra delivery")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("stream not closed after cluster close")
+	}
+}
+
+// TestDeliveriesOverflowDrop checks the drop policy: a subscriber that
+// never reads loses deliveries, the losses are counted in StreamDropped,
+// and nothing is lost twice.
+func TestDeliveriesOverflowDrop(t *testing.T) {
+	g, err := modab.New(1, modab.Monolithic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := g.Deliveries(modab.StreamBuffer(1), modab.StreamOverflow(modab.OverflowDrop))
+	const k = 30
+	for j := 0; j < k; j++ {
+		if _, err := g.Abcast(context.Background(), 0, []byte{byte(j)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 10*time.Second, func() bool { return g.Stats().Total.ADeliver >= k }, "every adelivery")
+	_ = g.Close()
+	received := 0
+	for range sub.C() {
+		received++
+	}
+	dropped := g.Stats().Total.StreamDropped
+	if dropped == 0 {
+		t.Fatal("no drops counted for an unread drop-policy subscriber")
+	}
+	if dropped != sub.Dropped() {
+		t.Fatalf("StreamDropped %d != subscription counter %d", dropped, sub.Dropped())
+	}
+	if int64(received)+dropped != k {
+		t.Fatalf("received %d + dropped %d != abcast %d", received, dropped, k)
+	}
+}
+
+// TestSubscribeAfterClusterClose checks the documented semantics: a
+// subscription taken after Close sees an immediately closed channel.
+func TestSubscribeAfterClusterClose(t *testing.T) {
+	g, err := modab.New(1, modab.Modular)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = g.Close()
+	sub := g.Deliveries()
+	select {
+	case _, ok := <-sub.C():
+		if ok {
+			t.Fatal("received a delivery from a closed cluster")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("post-close subscription channel not closed")
+	}
+	sub.Close() // safe no-op
+}
+
 // TestGroupStats checks the uniform Stats surface.
 func TestGroupStats(t *testing.T) {
 	g, err := modab.New(3, modab.Modular)

@@ -284,11 +284,17 @@ func run() error {
 		fmt.Printf("%s admitted: view %v\n", self, cluster.View(*id))
 	}
 
-	// Consume deliveries from the stream on a dedicated goroutine.
+	// Consume deliveries from the stream on a dedicated goroutine. An own
+	// delivery can overtake the Abcast that submitted it, so the two sides
+	// meet in a rendezvous: t0s holds the submit times of IDs not yet
+	// delivered, and early the delivery times of own IDs delivered while
+	// the injector's one Abcast was still in flight.
 	var (
 		mu        sync.Mutex
 		delivered int
 		t0s       = map[modab.MsgID]time.Time{}
+		early     = map[modab.MsgID]time.Time{}
+		inflight  bool
 		lat       stats.Series
 	)
 	sub := cluster.Deliveries(deliveryOptions(*dropslow)...)
@@ -302,6 +308,8 @@ func run() error {
 			if t0, ok := t0s[ev.D.Msg.ID]; ok {
 				lat.Add(time.Since(t0).Seconds())
 				delete(t0s, ev.D.Msg.ID)
+			} else if inflight && ev.D.Msg.ID.Sender == self {
+				early[ev.D.Msg.ID] = time.Now()
 			}
 			count := delivered
 			if seqlog != nil {
@@ -339,8 +347,20 @@ func run() error {
 				interrupted = true
 				break inject
 			}
+			mu.Lock()
+			inflight = true
+			mu.Unlock()
 			submit := time.Now()
 			msgID, err := cluster.Abcast(abctx, *id, body)
+			mu.Lock()
+			if at, ok := early[msgID]; ok {
+				lat.Add(at.Sub(submit).Seconds())
+			} else if err == nil {
+				t0s[msgID] = submit
+			}
+			inflight = false
+			clear(early) // any other entry is an own ID this loop did not submit
+			mu.Unlock()
 			if err != nil {
 				if ctx.Err() != nil {
 					interrupted = true
@@ -348,9 +368,6 @@ func run() error {
 				}
 				return fmt.Errorf("abcast: %w", err)
 			}
-			mu.Lock()
-			t0s[msgID] = submit
-			mu.Unlock()
 			sent++
 		}
 	} else {

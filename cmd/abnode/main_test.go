@@ -668,6 +668,44 @@ func TestAbnodeGracefulSignal(t *testing.T) {
 	}
 }
 
+// TestAbnodeOwnDeliveryOvertakesAbcast: in a group of one, an own
+// delivery often reaches the consumer before Abcast has returned the
+// message's ID. Every such message must still be matched, so the drain
+// finds nothing outstanding and the run exits right after -dur, with a
+// latency sample for every message sent.
+func TestAbnodeOwnDeliveryOvertakesAbcast(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a real process")
+	}
+	bin := buildAbnode(t)
+	const dur = 2 * time.Second
+	cmd := exec.Command(bin, "-id", "0", "-peers", "127.0.0.1:0",
+		"-rate", "5000", "-size", "64", "-dur", dur.String(), "-quiet")
+	start := time.Now()
+	out, err := cmd.CombinedOutput()
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("abnode: %v\n%s", err, out)
+	}
+	// One second of waiting for peers, -dur of injection, then the drain.
+	if limit := dur + 3*time.Second; elapsed > limit {
+		t.Errorf("run took %v, want at most %v: the drain waited on matched deliveries\n%s", elapsed, limit, out)
+	}
+	var sent, delivered, n int
+	var rate float64
+	for _, line := range strings.Split(string(out), "\n") {
+		if _, after, ok := strings.Cut(line, "summary: "); ok {
+			fmt.Sscanf(after, "sent=%d delivered=%d (%f", &sent, &delivered, &rate)
+		}
+		if _, after, ok := strings.Cut(line, "(n="); ok {
+			fmt.Sscanf(after, "%d)", &n)
+		}
+	}
+	if sent == 0 || delivered != sent || n != sent {
+		t.Fatalf("sent=%d delivered=%d latency n=%d, want all equal and nonzero\n%s", sent, delivered, n, out)
+	}
+}
+
 // TestDropslowReachesSubscription: -dropslow is an option of abnode's own
 // delivery subscription. An undrained one-slot subscription built from
 // deliveryOptions(true) must shed deliveries (counted in StreamDropped)

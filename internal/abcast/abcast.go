@@ -34,7 +34,6 @@ package abcast
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"modab/internal/engine"
@@ -445,7 +444,7 @@ func (l *Layer) pendingBatch() wire.Batch {
 				l.snapIDs = append(l.snapIDs, id)
 			}
 		}
-		sort.Slice(l.snapIDs, func(i, j int) bool { return l.snapIDs[i].Less(l.snapIDs[j]) })
+		slices.SortFunc(l.snapIDs, types.MsgID.Compare)
 		l.snapClean = true
 	}
 	n := len(l.snapIDs)

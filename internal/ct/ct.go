@@ -14,7 +14,7 @@
 package ct
 
 import (
-	"sort"
+	"slices"
 
 	"modab/internal/member"
 	"modab/internal/retire"
@@ -116,7 +116,7 @@ func (in *Inst) Rounds() []uint32 {
 	for r := range in.Coord {
 		rounds = append(rounds, r)
 	}
-	sort.Slice(rounds, func(i, j int) bool { return rounds[i] < rounds[j] })
+	slices.Sort(rounds)
 	return rounds
 }
 
@@ -169,7 +169,7 @@ func (t *Table) Keys() []uint64 {
 	for k := range t.insts {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 

@@ -2,7 +2,7 @@ package dedup
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"modab/internal/types"
 	"modab/internal/wire"
@@ -17,7 +17,7 @@ func (m Map) Marshal(w *wire.Writer) {
 	for sender := range m {
 		senders = append(senders, sender)
 	}
-	sort.Slice(senders, func(i, j int) bool { return senders[i] < senders[j] })
+	slices.Sort(senders)
 	w.Uint32(uint32(len(senders)))
 	for _, sender := range senders {
 		s := m[sender]
@@ -27,7 +27,7 @@ func (m Map) Marshal(w *wire.Writer) {
 		for seq := range s.sparse {
 			seqs = append(seqs, seq)
 		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		slices.Sort(seqs)
 		w.Uint32(uint32(len(seqs)))
 		for _, seq := range seqs {
 			w.Uint64(seq)

@@ -10,7 +10,7 @@
 package fd
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -160,7 +160,7 @@ func (h *Heartbeat) check() {
 			changes = append(changes, p)
 		}
 	}
-	sort.Slice(changes, func(i, j int) bool { return changes[i] < changes[j] })
+	slices.Sort(changes)
 	cb := h.onChange
 	suspectedNow := make(map[types.ProcessID]bool, len(changes))
 	for _, p := range changes {
@@ -229,7 +229,7 @@ func (h *Heartbeat) Suspects() []types.ProcessID {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

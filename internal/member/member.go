@@ -27,7 +27,7 @@ package member
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"modab/internal/types"
 )
@@ -270,7 +270,7 @@ func NewHistory(n int) *History {
 func NewHistoryFrom(v View) *History {
 	cp := v
 	cp.Members = v.clone()
-	sort.Slice(cp.Members, func(i, j int) bool { return cp.Members[i] < cp.Members[j] })
+	slices.Sort(cp.Members)
 	return &History{views: []View{cp}}
 }
 
@@ -336,7 +336,7 @@ func (h *History) Apply(op Op, decidedAt uint64, window int) (View, bool) {
 			return View{}, false
 		}
 		members = append(cur.clone(), op.Target)
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+		slices.Sort(members)
 	case OpRemove:
 		if !cur.Contains(op.Target) || len(cur.Members) <= 1 {
 			return View{}, false

@@ -35,7 +35,7 @@ package obs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -318,6 +318,6 @@ func Timelines(evs []StageEvent) []Timeline {
 	for id, es := range byID {
 		out = append(out, Timeline{ID: id, Events: es})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
+	slices.SortFunc(out, func(a, b Timeline) int { return a.ID.Compare(b.ID) })
 	return out
 }

@@ -5,7 +5,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"modab/internal/wire"
 )
@@ -116,7 +116,8 @@ func OpenFileStore(dir string) (*FileStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Sort(sort.Reverse(sort.StringSlice(names))) // newest index first
+	slices.Sort(names)
+	slices.Reverse(names) // newest index first
 	for _, name := range names {
 		data, err := os.ReadFile(name)
 		if err != nil {
@@ -186,7 +187,8 @@ func (s *FileStore) prune() {
 	if err != nil {
 		return
 	}
-	sort.Sort(sort.Reverse(sort.StringSlice(names)))
+	slices.Sort(names)
+	slices.Reverse(names)
 	for i, name := range names {
 		if i >= snapRetain {
 			os.Remove(name)

@@ -4,6 +4,11 @@
 // and application abcasts into the engine — the same calls the simulator
 // makes in virtual time, so protocol code is shared verbatim.
 //
+// A node has no delivery stream of its own: each adelivery is applied to
+// the state machine and then handed to Options.OnDeliver on the event
+// loop itself, so the driver's sink (the facade's stream hub) is the only
+// hop between the engine and a subscriber.
+//
 // Frames on the wire carry a one-byte channel tag so protocol traffic and
 // failure-detector heartbeats can share one transport.
 package runtime
@@ -24,7 +29,6 @@ import (
 	"modab/internal/obs"
 	"modab/internal/recovery"
 	"modab/internal/rsm"
-	"modab/internal/stream"
 	"modab/internal/trace"
 	"modab/internal/transport"
 	"modab/internal/types"
@@ -67,11 +71,12 @@ type Options struct {
 	// here on and closes it on Close; the on-disk log survives for the
 	// next incarnation.
 	Store recovery.Store
-	// OnDeliver observes adeliveries. It is a convenience adapter over the
-	// delivery stream (see Node.Deliveries): deliveries reach it in order
-	// on a dedicated goroutine, and a callback that stalls for long
-	// eventually backpressures the engine through the stream buffer. It
-	// must not call back into the Node.
+	// OnDeliver, when non-nil, is the node's one delivery sink: it is
+	// called synchronously on the event loop for every adelivery, in
+	// order, after the state machine applied it. A callback that blocks
+	// stalls the engine — that is the backpressure path (the facade
+	// publishes into its delivery streams here). It must not call back
+	// into the Node.
 	OnDeliver func(d engine.Delivery)
 	// StateMachine, when non-nil, attaches a replicated state machine fed
 	// synchronously from the delivery path through an rsm.Applier
@@ -130,9 +135,6 @@ type Node struct {
 	quit    chan struct{}
 	stopped chan struct{}
 	wg      sync.WaitGroup
-
-	hub       *stream.Hub[engine.Delivery]
-	deliverWG sync.WaitGroup // OnDeliver adapter goroutine
 
 	mu     sync.Mutex
 	closed bool
@@ -211,18 +213,6 @@ func NewNode(opts Options) (*Node, error) {
 		}
 	}
 	n.opts = opts
-	n.hub = stream.NewHub[engine.Delivery](stream.DefaultBuffer, stream.Block,
-		func() { n.env.counters.StreamDropped.Add(1) })
-	if cb := opts.OnDeliver; cb != nil {
-		sub := n.hub.Subscribe()
-		n.deliverWG.Add(1)
-		go func() {
-			defer n.deliverWG.Done()
-			for d := range sub.C() {
-				cb(d)
-			}
-		}()
-	}
 	switch opts.Stack {
 	case types.Modular:
 		n.eng = modular.New(n.env, opts.Engine)
@@ -247,8 +237,6 @@ func NewNode(opts Options) (*Node, error) {
 
 	if err := n.tr.Start(n.onFrame); err != nil {
 		n.shutdownLoop()
-		n.hub.Close()
-		n.deliverWG.Wait()
 		if opts.Store != nil {
 			_ = opts.Store.Close()
 		}
@@ -427,16 +415,6 @@ func (n *Node) windowPulse() {
 	n.winMu.Unlock()
 }
 
-// Deliveries subscribes to this node's adelivery stream: a pull-based,
-// per-subscriber buffered feed of every adelivered message, in delivery
-// order. Options override the node's default buffer capacity and
-// overflow policy (stream.WithBuffer, stream.WithPolicy). The channel
-// closes after the node is closed and the buffer drains; close the
-// subscription to detach early.
-func (n *Node) Deliveries(opts ...stream.SubOption) *stream.Sub[engine.Delivery] {
-	return n.hub.Subscribe(opts...)
-}
-
 // onLoop runs fn on the event loop and returns its result; ok is false
 // when the node stopped before fn ran.
 func onLoop[T any](n *Node, fn func() T) (v T, ok bool) {
@@ -516,17 +494,14 @@ func (n *Node) Close() error {
 	n.det.Close()
 	err := n.tr.Close()
 	n.env.stopTimers()
-	// Stop the loop before closing the hub: the currently-executing
-	// handler finishes (including its Deliver publishes), so every
-	// delivery that was counted also reaches the streams; queued but
-	// unexecuted closures are dropped (crash-equivalent) and never
-	// counted anything. Only then does the hub drain and close. A
-	// Block-policy subscriber that was abandoned — neither drained nor
-	// Closed — stalls this wait; that is the same contract violation
+	// Stop the loop: the currently-executing handler finishes, including
+	// its synchronous OnDeliver calls, so every delivery that was counted
+	// has reached the sink when this returns; queued but unexecuted
+	// closures are dropped (crash-equivalent) and never counted anything.
+	// A sink blocked for good — a Block-policy subscriber neither drained
+	// nor closed — stalls this wait; that is the same contract violation
 	// that stalls the engine itself (see package stream).
 	n.shutdownLoop()
-	n.hub.Close()
-	n.deliverWG.Wait()
 	// The loop has stopped, so no append can race the store closing; the
 	// final sync makes even SyncNone logs durable across a graceful stop.
 	if n.opts.Store != nil {
@@ -634,7 +609,7 @@ func (e *nodeEnv) stopTimers() {
 
 func (e *nodeEnv) Deliver(d engine.Delivery) {
 	// The state machine applies synchronously in the delivery path, before
-	// streams observe the message — an Await that resolves implies the
+	// the sink observes the message — an Await that resolves implies the
 	// local replica reflects the write (read-your-writes).
 	if e.node.applier != nil {
 		e.node.applier.Apply(d)
@@ -642,5 +617,7 @@ func (e *nodeEnv) Deliver(d engine.Delivery) {
 	if d.Msg.ID.Sender == e.node.opts.Self {
 		e.node.windowPulse()
 	}
-	e.node.hub.Publish(d)
+	if fn := e.node.opts.OnDeliver; fn != nil {
+		fn(d)
+	}
 }

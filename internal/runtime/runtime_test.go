@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"modab/internal/engine"
-	"modab/internal/stream"
 	"modab/internal/transport"
 	"modab/internal/types"
 )
@@ -234,113 +233,10 @@ func TestAbcastUnblocksOnWindowRoom(t *testing.T) {
 	}
 }
 
-// TestDeliveriesStream reads a node's adeliveries from the pull-based
-// stream and checks content and order.
-func TestDeliveriesStream(t *testing.T) {
-	net := transport.NewMemNetwork()
-	node, err := NewNode(Options{Self: 0, N: 1, Stack: types.Monolithic, Transport: net.Endpoint(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := node.Deliveries()
-	const k = 5
-	ids := make([]types.MsgID, 0, k)
-	for j := 0; j < k; j++ {
-		id, err := node.Abcast(context.Background(), []byte{byte(j)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	for j := 0; j < k; j++ {
-		select {
-		case d := <-sub.C():
-			if d.Msg.ID != ids[j] {
-				t.Fatalf("position %d: got %v, want %v", j, d.Msg.ID, ids[j])
-			}
-			if len(d.Msg.Body) != 1 || d.Msg.Body[0] != byte(j) {
-				t.Fatalf("position %d: body %v", j, d.Msg.Body)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("timed out waiting for delivery %d", j)
-		}
-	}
-	// Closing the node ends the stream.
-	_ = node.Close()
-	select {
-	case _, ok := <-sub.C():
-		if ok {
-			t.Fatal("unexpected extra delivery")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("stream not closed after node close")
-	}
-}
-
-// TestDeliveriesOverflowDrop checks the drop policy: a subscriber that
-// never reads loses deliveries, the losses are counted in
-// trace.Counters.StreamDropped, and nothing is lost twice.
-func TestDeliveriesOverflowDrop(t *testing.T) {
-	net := transport.NewMemNetwork()
-	node, err := NewNode(Options{Self: 0, N: 1, Stack: types.Monolithic, Transport: net.Endpoint(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := node.Deliveries(stream.WithBuffer(1), stream.WithPolicy(stream.Drop))
-	const k = 30
-	for j := 0; j < k; j++ {
-		if _, err := node.Abcast(context.Background(), []byte{byte(j)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for node.Counters().ADeliver < k {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d delivered", node.Counters().ADeliver, k)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	_ = node.Close()
-	received := 0
-	for range sub.C() {
-		received++
-	}
-	dropped := node.Counters().StreamDropped
-	if dropped == 0 {
-		t.Fatal("no drops counted for an unread drop-policy subscriber")
-	}
-	if dropped != sub.Dropped() {
-		t.Fatalf("trace counter %d != subscription counter %d", dropped, sub.Dropped())
-	}
-	if int64(received)+dropped != k {
-		t.Fatalf("received %d + dropped %d != abcast %d", received, dropped, k)
-	}
-}
-
-// TestSubscribeAfterNodeClose checks the documented semantics: a
-// subscription taken after Close sees an immediately closed channel.
-func TestSubscribeAfterNodeClose(t *testing.T) {
-	net := transport.NewMemNetwork()
-	node, err := NewNode(Options{Self: 0, N: 1, Stack: types.Modular, Transport: net.Endpoint(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = node.Close()
-	sub := node.Deliveries()
-	select {
-	case _, ok := <-sub.C():
-		if ok {
-			t.Fatal("received a delivery from a closed node")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("post-close subscription channel not closed")
-	}
-	sub.Close() // safe no-op
-}
-
-// TestOnDeliverAdapterDrainsOnClose checks that the callback adapter
-// delivers everything that was adelivered before Close returns.
-func TestOnDeliverAdapterDrainsOnClose(t *testing.T) {
+// TestOnDeliverReachedBeforeClose checks Close's guarantee: every
+// delivery the node counted has reached the OnDeliver sink by the time
+// Close returns.
+func TestOnDeliverReachedBeforeClose(t *testing.T) {
 	net := transport.NewMemNetwork()
 	var mu sync.Mutex
 	var got int

@@ -1,7 +1,9 @@
 // Package stream implements the pull-based delivery subscriptions behind
-// runtime.Node.Deliveries and modab.Cluster.Deliveries: a Hub fans
-// every published value out to any number of Subs, each with its own
-// bounded buffer and an explicit overflow policy.
+// modab.Cluster.Deliveries: a Hub fans every published value out to any
+// number of Subs, each a buffered channel with an explicit overflow
+// policy. Publish sends straight into each subscriber's channel, so a
+// delivery crosses exactly one goroutine boundary: from the publishing
+// event loop to the consumer.
 //
 // Two policies exist, mirroring the two ways an application can lag
 // behind the ordering layer:
@@ -13,18 +15,23 @@
 //     would break state-machine replication.
 //   - Drop: the value is discarded for that subscriber and counted (per
 //     subscriber via Sub.Dropped, and globally via the hub's drop hook,
-//     wired to trace.Counters.StreamDropped by the drivers). For
-//     monitoring taps that prefer staleness over backpressure.
+//     wired to the cluster's StreamDropped count). For monitoring taps
+//     that prefer staleness over backpressure.
 //
-// A Sub owns one forwarding goroutine that moves values from its buffer
-// to the channel returned by C. Closing the hub (driver shutdown) lets
-// every subscriber drain what is already buffered and then closes their
-// channels; closing a Sub (consumer cancellation) stops it immediately.
-// Subscribing to a closed hub yields a Sub whose channel is already
-// closed, so "range sub.C()" terminates at once.
+// A subscription with buffer B holds exactly B undelivered values: the
+// channel is the whole buffer, and no goroutine sits between publisher
+// and consumer. Any number of publishers may publish concurrently (each
+// process's event loop publishes into the one cluster hub); order is
+// preserved per publisher. Closing the hub (driver shutdown) closes every
+// channel after its last send, so consumers drain what is buffered and
+// then see the channel closed; closing a Sub (consumer cancellation)
+// releases a blocked publisher and discards what is unread. Subscribing
+// to a closed hub yields a Sub whose channel is already closed, so
+// "range sub.C()" terminates at once.
 package stream
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -61,7 +68,6 @@ type SubOption func(*subConfig)
 type subConfig struct {
 	buffer int
 	policy Policy
-	setPol bool
 }
 
 // WithBuffer sets the subscription's buffer capacity (values < 1 are
@@ -72,14 +78,16 @@ func WithBuffer(n int) SubOption {
 
 // WithPolicy sets the subscription's overflow policy.
 func WithPolicy(p Policy) SubOption {
-	return func(c *subConfig) { c.policy = p; c.setPol = true }
+	return func(c *subConfig) { c.policy = p }
 }
 
 // Hub fans published values out to subscribers. The zero value is not
 // usable; call NewHub.
 type Hub[T any] struct {
+	// subs is the fan-out list, replaced wholesale on change (copy-on-write)
+	// so Publish reads it without a lock; mu serializes the writers.
+	subs   atomic.Pointer[[]*Sub[T]]
 	mu     sync.Mutex
-	subs   []*Sub[T] // replaced wholesale on change (copy-on-write)
 	closed bool
 
 	defBuffer int
@@ -94,7 +102,9 @@ func NewHub[T any](defaultBuffer int, defaultPolicy Policy, onDrop func()) *Hub[
 	if defaultBuffer < 1 {
 		defaultBuffer = DefaultBuffer
 	}
-	return &Hub[T]{defBuffer: defaultBuffer, defPolicy: defaultPolicy, onDrop: onDrop}
+	h := &Hub[T]{defBuffer: defaultBuffer, defPolicy: defaultPolicy, onDrop: onDrop}
+	h.subs.Store(new([]*Sub[T]))
+	return h
 }
 
 // Subscribe registers a new subscriber. Subscribing to a closed hub
@@ -104,60 +114,39 @@ func (h *Hub[T]) Subscribe(opts ...SubOption) *Sub[T] {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.buffer < 1 {
-		cfg.buffer = 1
-	}
 	s := &Sub[T]{
 		hub:    h,
-		buf:    make([]T, cfg.buffer),
 		policy: cfg.policy,
-		out:    make(chan T),
+		c:      make(chan T, max(cfg.buffer, 1)),
 		quit:   make(chan struct{}),
-		onDrop: h.onDrop,
 	}
-	s.cond = sync.NewCond(&s.mu)
-
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	if h.closed {
-		h.mu.Unlock()
 		s.closed = true
-		close(s.out)
+		close(s.c)
 		return s
 	}
-	subs := make([]*Sub[T], len(h.subs)+1)
-	copy(subs, h.subs)
-	subs[len(h.subs)] = s
-	h.subs = subs
-	h.mu.Unlock()
-
-	go s.forward()
+	subs := append(slices.Clone(*h.subs.Load()), s)
+	h.subs.Store(&subs)
 	return s
 }
 
 // Publish fans v out to every subscriber, honoring each one's policy.
-// Publishers must be externally serialized per ordering domain (the
-// drivers publish from a single event loop per process), which is what
-// preserves delivery order within each subscription.
+// Publishers may run concurrently; each subscription receives one
+// publisher's values in that publisher's order.
 func (h *Hub[T]) Publish(v T) {
-	h.mu.Lock()
-	subs := h.subs
-	h.mu.Unlock()
-	for _, s := range subs {
+	for _, s := range *h.subs.Load() {
 		s.publish(v)
 	}
 }
 
-// HasSubscribers reports whether at least one subscription is active —
-// a fast path so drivers can skip assembling events nobody listens to.
-func (h *Hub[T]) HasSubscribers() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs) > 0
-}
-
-// Close shuts the hub down: no further values are accepted, every
-// subscriber drains what is buffered and then sees its channel closed.
-// Close is idempotent and safe to call concurrently with Publish.
+// Close shuts the hub down: no further values are accepted, and every
+// subscriber's channel is closed after the last value sent into it, so
+// consumers drain what is buffered and then see it closed. Close waits
+// for publishes in flight, including one blocked on a full Block-policy
+// subscriber. Close is idempotent and safe to call concurrently with
+// Publish.
 func (h *Hub[T]) Close() {
 	h.mu.Lock()
 	if h.closed {
@@ -165,11 +154,10 @@ func (h *Hub[T]) Close() {
 		return
 	}
 	h.closed = true
-	subs := h.subs
-	h.subs = nil
+	subs := *h.subs.Swap(new([]*Sub[T]))
 	h.mu.Unlock()
 	for _, s := range subs {
-		s.shutdown()
+		s.closeChan()
 	}
 }
 
@@ -177,122 +165,92 @@ func (h *Hub[T]) Close() {
 func (h *Hub[T]) remove(s *Sub[T]) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for i, cur := range h.subs {
-		if cur == s {
-			subs := make([]*Sub[T], 0, len(h.subs)-1)
-			subs = append(subs, h.subs[:i]...)
-			subs = append(subs, h.subs[i+1:]...)
-			h.subs = subs
-			return
-		}
-	}
+	subs := slices.DeleteFunc(slices.Clone(*h.subs.Load()), func(cur *Sub[T]) bool { return cur == s })
+	h.subs.Store(&subs)
 }
 
-// Sub is one delivery subscription: a bounded ring buffer between the
-// publisher and the channel returned by C.
+// Sub is one delivery subscription: a buffered channel the publishers
+// send into and the consumer reads through C.
 type Sub[T any] struct {
 	hub    *Hub[T]
 	policy Policy
-	onDrop func()
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	buf    []T // ring of cap(buf)
-	head   int // index of oldest buffered value
-	count  int
-	closed bool // no further publishes are accepted
+	c    chan T
+	quit chan struct{} // closed by Close: releases a blocked publisher
+	once sync.Once
 
-	out     chan T
-	quit    chan struct{} // closed by Close (consumer cancellation)
-	once    sync.Once
+	// sendMu makes closing c race-free: every send holds it shared, and
+	// closing c holds it exclusively, after which closed turns every
+	// later publish into a no-op.
+	sendMu sync.RWMutex
+	closed bool
+
 	dropped atomic.Int64
 }
 
 // C returns the subscription's delivery channel. It is closed after the
 // hub shuts down and the buffer drains, or when Close is called — so
 // "for v := range sub.C()" is the normal consumption loop.
-func (s *Sub[T]) C() <-chan T { return s.out }
+func (s *Sub[T]) C() <-chan T { return s.c }
 
 // Dropped returns how many values were discarded at this subscription
 // under the Drop policy.
 func (s *Sub[T]) Dropped() int64 { return s.dropped.Load() }
 
-// Close cancels the subscription: it detaches from the hub, unblocks any
-// stalled publisher, stops the forwarder and closes C. Buffered but
-// unread values are discarded. Close is idempotent.
+// Close cancels the subscription: it releases a publisher blocked on it,
+// detaches from the hub and closes C. Buffered but unread values are
+// discarded. Close is idempotent.
 func (s *Sub[T]) Close() {
 	s.once.Do(func() {
-		s.hub.remove(s)
-		s.mu.Lock()
-		s.closed = true
-		s.cond.Broadcast()
-		s.mu.Unlock()
 		close(s.quit)
+		s.hub.remove(s)
+		s.closeChan()
+		for range s.c { // discard what is unread
+		}
 	})
 }
 
-// shutdown is the hub-side close: stop accepting values but let the
-// forwarder drain the buffer before closing the channel.
-func (s *Sub[T]) shutdown() {
-	s.mu.Lock()
-	s.closed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
+// closeChan closes c once no send is in flight.
+func (s *Sub[T]) closeChan() {
+	s.sendMu.Lock()
+	defer s.sendMu.Unlock()
+	if !s.closed {
+		s.closed = true
+		close(s.c)
+	}
 }
 
 // publish offers one value according to the policy. It is a no-op on a
 // closed subscription.
 func (s *Sub[T]) publish(v T) {
-	s.mu.Lock()
-	if s.policy == Block {
-		for s.count == len(s.buf) && !s.closed {
-			s.cond.Wait()
-		}
-	}
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	if s.count == len(s.buf) { // Drop policy, full buffer
-		s.mu.Unlock()
+	if !s.send(v) {
 		s.dropped.Add(1)
-		if s.onDrop != nil {
-			s.onDrop()
+		if s.hub.onDrop != nil {
+			s.hub.onDrop()
 		}
-		return
 	}
-	s.buf[(s.head+s.count)%len(s.buf)] = v
-	s.count++
-	s.cond.Broadcast()
-	s.mu.Unlock()
 }
 
-// forward moves buffered values to the consumer channel. It is the sole
-// sender on s.out, which makes closing it race-free.
-func (s *Sub[T]) forward() {
-	for {
-		s.mu.Lock()
-		for s.count == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		if s.count == 0 { // closed and drained
-			s.mu.Unlock()
-			close(s.out)
-			return
-		}
-		v := s.buf[s.head]
-		var zero T
-		s.buf[s.head] = zero
-		s.head = (s.head + 1) % len(s.buf)
-		s.count--
-		s.cond.Broadcast()
-		s.mu.Unlock()
-
-		select {
-		case s.out <- v:
-		case <-s.quit:
-			close(s.out)
-			return
-		}
+// send puts v in the channel unless the subscription is closed. Under
+// Block it waits for room or for Close; under Drop it reports false when
+// the buffer is full.
+func (s *Sub[T]) send(v T) bool {
+	s.sendMu.RLock()
+	defer s.sendMu.RUnlock()
+	if s.closed {
+		return true
 	}
+	select {
+	case s.c <- v:
+		return true
+	default:
+	}
+	if s.policy == Drop {
+		return false
+	}
+	select {
+	case s.c <- v:
+	case <-s.quit:
+	}
+	return true
 }

@@ -2,7 +2,7 @@ package wire
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"modab/internal/types"
 )
@@ -116,7 +116,7 @@ func CapBatchBytes(b Batch) Batch {
 // SortDeterministic orders the batch by (sender, seq) — the deterministic
 // adelivery order applied to a decided batch at every process (§3.3).
 func (b Batch) SortDeterministic() {
-	sort.Slice(b, func(i, j int) bool { return b[i].ID.Less(b[j].ID) })
+	slices.SortFunc(b, func(x, y AppMsg) int { return x.ID.Compare(y.ID) })
 }
 
 // Dedup removes duplicate message IDs in place, keeping first occurrences.
