@@ -32,13 +32,14 @@ test-chaos:
 vet:
 	$(GO) vet ./...
 
-# Fuzz smoke: a bounded run of each of the six fuzz targets on top of its
+# Fuzz smoke: a bounded run of each of the seven fuzz targets on top of its
 # checked-in seed corpus (testdata/fuzz/...). Plain `go test` already
 # replays the seeds; this target actually mutates for a short budget so
 # the corpus can grow when a new crasher appears. (`go test -fuzz` takes
 # one target and one package per run.)
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzSnapshotOpen$$' -fuzztime=10s ./internal/rsm
+	$(GO) test -run=NONE -fuzz='^FuzzKVApply$$' -fuzztime=10s ./internal/rsm
 	$(GO) test -run=NONE -fuzz='^FuzzSegmentScan$$' -fuzztime=10s ./internal/wal
 	$(GO) test -run=NONE -fuzz='^FuzzUnmarshalFrame$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz='^FuzzRelayFrame$$' -fuzztime=10s ./internal/wire
@@ -111,7 +112,7 @@ docs:
 # end each round lower, so this is a ratchet: the target prints the count
 # and fails above LOC_CEILING; a PR that shrinks the tree lowers the
 # ceiling to its new count.
-LOC_CEILING := 19251
+LOC_CEILING := 19245
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l); \
 	echo $$n; \

@@ -92,7 +92,7 @@ func (s *kvServer) order(w http.ResponseWriter, r *http.Request, cmd []byte) {
 	select {
 	case res := <-s.cluster.Applier(s.self).Await(id):
 		if res == nil {
-			// Applied, but the result left the bounded history before the
+			// Applied, but the result left its origin's window before the
 			// wait was registered (or arrived inside an installed snapshot).
 			http.Error(w, "applied; result no longer available", http.StatusInternalServerError)
 			return

@@ -1,12 +1,14 @@
 package chaos
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"modab/internal/engine"
+	"modab/internal/rsm"
 	"modab/internal/types"
 )
 
@@ -248,5 +250,53 @@ func TestHealClearsOpenEndedPartition(t *testing.T) {
 	}
 	if !res.Ok() {
 		t.Fatalf("properties violated:\n%s", res.Report())
+	}
+}
+
+// TestCrossStackKeyedBySubmission pins the cross-stack applied-state
+// check to submissions, not MsgIDs. With a join and a crash on seed 16
+// the modular stack refuses two of p2's submissions under flow control
+// that the monolithic stack admits, so every later p2 message carries an
+// ID two higher on monolithic. Both reference logs then hold the same
+// 355 MsgIDs for different commands, and comparing ID sets reported a
+// false applied-state divergence.
+func TestCrossStackKeyedBySubmission(t *testing.T) {
+	sch := Schedule{
+		{Kind: OpJoin, A: 3, B: 2, From: 231 * time.Millisecond},
+		{Kind: OpCrash, A: 1, From: 260 * time.Millisecond},
+	}
+	res, err := run(16, sch, StackConfig{Durable: true, KV: true, SnapshotEvery: 1 << 20, Load: 400})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !res.Ok() {
+		t.Fatalf("properties violated:\n%s", res.Report())
+	}
+	down := sch.CrashedForever()
+	renumbered := 0
+	for i := range res.Stacks {
+		ref, set, ok := appliedSubmissions(&res.Stacks[i], down)
+		if !ok {
+			t.Fatalf("%s: no submission set", res.Stacks[i].Stack)
+		}
+		// Neither stack diverged: each holds exactly the state of the
+		// submissions it applied (runStack keys each put by its index).
+		kv := rsm.NewKV()
+		for idx := range set {
+			kv.Apply(rsm.Entry{Cmd: rsm.EncodePut([]byte(fmt.Sprintf("chaos-%05d", idx)), make([]byte, res.Config.Size))})
+			if res.Stacks[0].Submissions[idx].ID != res.Stacks[1].Submissions[idx].ID {
+				renumbered++
+			}
+		}
+		var want bytes.Buffer
+		if err := kv.Snapshot(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(res.Stacks[i].Digests[ref], want.Bytes()) {
+			t.Fatalf("%s: state differs from the state of its %d applied submissions", res.Stacks[i].Stack, len(set))
+		}
+	}
+	if renumbered == 0 {
+		t.Fatalf("no applied submission carries different IDs on the two stacks; the regression no longer exercises the keying")
 	}
 }

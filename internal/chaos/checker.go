@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"fmt"
+	"maps"
 
 	"modab/internal/member"
 	"modab/internal/types"
@@ -30,15 +31,7 @@ func checkStack(sr *StackResult, sch Schedule, cfg StackConfig) []Violation {
 
 	// Reference order: the longest correct log (every correct process must
 	// match it exactly; crashed processes must be a prefix of it).
-	ref := -1
-	for p := 0; p < n; p++ {
-		if down[types.ProcessID(p)] {
-			continue
-		}
-		if ref == -1 || len(sr.Logs[p]) > len(sr.Logs[ref]) {
-			ref = p
-		}
-	}
+	ref := refProcess(sr, down)
 	if ref == -1 {
 		add("validity", "schedule leaves no correct process")
 		return out
@@ -173,52 +166,74 @@ func checkStack(sr *StackResult, sch Schedule, cfg StackConfig) []Violation {
 // checkCrossStack compares the two stacks' final applied state (KV runs
 // only). The stacks may legitimately admit different command sets (flow
 // control and crash timing are stack-dependent), so the digests are only
-// required to match when the reference delivery sets match — which they
-// do in the sweep families, making this the cross-stack half of the
-// applied-state equivalence property.
+// required to match when the reference logs apply the same submissions —
+// which they do in the sweep families, making this the cross-stack half
+// of the applied-state equivalence property. Submissions, not MsgIDs, are
+// the common key: each stack numbers its own messages, and a sender that
+// spends a sequence number on one stack but not the other shifts every
+// later ID of that sender.
 func checkCrossStack(stacks []StackResult, sch Schedule) []Violation {
 	if len(stacks) != 2 || len(stacks[0].Digests) == 0 || len(stacks[1].Digests) == 0 {
 		return nil
 	}
 	down := sch.CrashedForever()
 	refs := make([]int, 2)
-	sets := make([]map[types.MsgID]bool, 2)
-	for i, sr := range stacks {
-		ref := -1
-		for p := range sr.Logs {
-			if down[types.ProcessID(p)] {
-				continue
-			}
-			if ref == -1 || len(sr.Logs[p]) > len(sr.Logs[ref]) {
-				ref = p
-			}
-		}
-		if ref == -1 {
+	sets := make([]map[int]bool, 2)
+	for i := range stacks {
+		ref, set, ok := appliedSubmissions(&stacks[i], down)
+		if !ok {
 			return nil
 		}
-		refs[i] = ref
-		sets[i] = make(map[types.MsgID]bool, len(sr.Logs[ref]))
-		for _, id := range sr.Logs[ref] {
-			sets[i][id] = true
-		}
+		refs[i], sets[i] = ref, set
 	}
-	if len(sets[0]) != len(sets[1]) {
+	if !maps.Equal(sets[0], sets[1]) {
 		return nil
-	}
-	for id := range sets[0] {
-		if !sets[1][id] {
-			return nil
-		}
 	}
 	if !bytes.Equal(stacks[0].Digests[refs[0]], stacks[1].Digests[refs[1]]) {
 		return []Violation{{
 			Stack:    stacks[1].Stack,
 			Property: "applied-state-equivalence",
-			Detail: fmt.Sprintf("stacks delivered the same %d commands but converged to different KV state (%s %d vs %s %d canonical bytes)",
+			Detail: fmt.Sprintf("stacks applied the same %d submissions but converged to different KV state (%s %d vs %s %d canonical bytes)",
 				len(sets[0]), stacks[0].Stack, len(stacks[0].Digests[refs[0]]), stacks[1].Stack, len(stacks[1].Digests[refs[1]])),
 		}}
 	}
 	return nil
+}
+
+// refProcess returns the reference process of a stack's run: the
+// longest log among processes not crashed forever (-1 when none is).
+func refProcess(sr *StackResult, down map[types.ProcessID]bool) int {
+	ref := -1
+	for p := range sr.Logs {
+		if !down[types.ProcessID(p)] && (ref == -1 || len(sr.Logs[p]) > len(sr.Logs[ref])) {
+			ref = p
+		}
+	}
+	return ref
+}
+
+// appliedSubmissions returns a stack's reference process and the indexes
+// of the submissions its log delivered. ok is false when no process is
+// correct or the log holds an ID no submission was assigned.
+func appliedSubmissions(sr *StackResult, down map[types.ProcessID]bool) (ref int, set map[int]bool, ok bool) {
+	if ref = refProcess(sr, down); ref == -1 {
+		return -1, nil, false
+	}
+	submission := make(map[types.MsgID]int, len(sr.Submissions))
+	for idx, s := range sr.Submissions {
+		if s.ID != (types.MsgID{}) {
+			submission[s.ID] = idx
+		}
+	}
+	set = make(map[int]bool, len(sr.Logs[ref]))
+	for _, id := range sr.Logs[ref] {
+		idx, found := submission[id]
+		if !found {
+			return ref, nil, false // uniform integrity reports the invented message
+		}
+		set[idx] = true
+	}
+	return ref, set, true
 }
 
 // epochMap indexes a decided view sequence by epoch.

@@ -52,13 +52,22 @@ func (s *Set) Seen(seq uint64) bool {
 // Mark records seq as delivered, advancing the contiguous watermark as far
 // as the sparse set allows.
 func (s *Set) Mark(seq uint64) {
-	if seq <= s.watermark {
+	switch {
+	case seq <= s.watermark:
 		return
+	case seq == s.watermark+1: // in order: no round trip through sparse
+		s.watermark++
+	default:
+		s.sparse[seq] = struct{}{}
 	}
-	s.sparse[seq] = struct{}{}
-	for {
+	s.drain()
+}
+
+// drain advances the watermark over sparse entries contiguous with it.
+func (s *Set) drain() {
+	for len(s.sparse) > 0 {
 		if _, ok := s.sparse[s.watermark+1]; !ok {
-			break
+			return
 		}
 		delete(s.sparse, s.watermark+1)
 		s.watermark++

@@ -96,14 +96,6 @@ func (m Map) Merge(other Map) {
 		for seq := range o.sparse {
 			s.Mark(seq)
 		}
-		// Raising the watermark may have made existing sparse entries
-		// contiguous with it.
-		for {
-			if _, ok := s.sparse[s.watermark+1]; !ok {
-				break
-			}
-			delete(s.sparse, s.watermark+1)
-			s.watermark++
-		}
+		s.drain() // a raised watermark may meet existing sparse entries
 	}
 }

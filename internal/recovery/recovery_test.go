@@ -254,8 +254,8 @@ func TestBoot(t *testing.T) {
 		// The snapshot lands at instance 2 (taken when instance 3 opens)
 		// and truncates the log below it: only instance 3 is replayed.
 		store, snaps, prev, c := run(3, 2)
-		if prev.LastSnapshot() != 2 || c.WalTruncatedSegments.Load() == 0 {
-			t.Fatalf("previous incarnation: snapshot at %d, %d truncations", prev.LastSnapshot(), c.WalTruncatedSegments.Load())
+		if snap, _ := snaps.Latest(); snap != 2 || c.WalTruncatedSegments.Load() == 0 {
+			t.Fatalf("previous incarnation: snapshot at %d, %d truncations", snap, c.WalTruncatedSegments.Load())
 		}
 		app := rsm.NewApplier(rsm.NewKV(), rsm.Options{N: 3, Store: snaps})
 		st, err := Boot(store, app, 3, 0)

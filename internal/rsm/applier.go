@@ -13,11 +13,18 @@ import (
 	"modab/internal/wire"
 )
 
-// resultHistory bounds the per-applier result cache backing
-// read-your-writes waits: results older than this many applies are
-// evicted (Await then reports a nil result, still proving the write
-// applied).
+// resultHistory bounds the result window backing read-your-writes
+// waits: each origin keeps the results of its last resultHistory
+// sequence numbers, in a ring indexed by Seq mod resultHistory. An older
+// result is evicted (Await then reports a nil result, still proving the
+// write applied).
 const resultHistory = 4096
+
+// slot is one entry of an origin's result window.
+type slot struct {
+	seq uint64
+	res []byte
+}
 
 // Options configures an Applier.
 type Options struct {
@@ -66,8 +73,7 @@ type Applier struct {
 	// instance — the dedup state carried inside snapshots.
 	seen dedup.Map
 
-	results map[types.MsgID][]byte
-	order   []types.MsgID
+	results map[types.ProcessID]*[resultHistory]slot // by origin, created at its first apply
 	waiters map[types.MsgID][]chan []byte
 }
 
@@ -80,7 +86,7 @@ func NewApplier(sm StateMachine, opts Options) *Applier {
 		sm:      sm,
 		opts:    opts,
 		seen:    dedup.NewMap(opts.N),
-		results: make(map[types.MsgID][]byte),
+		results: make(map[types.ProcessID]*[resultHistory]slot, opts.N),
 		waiters: make(map[types.MsgID][]chan []byte),
 	}
 }
@@ -97,10 +103,11 @@ func (a *Applier) Apply(d engine.Delivery) {
 			a.snapshotLocked(completed)
 		}
 	}
-	if a.seen.Seen(d.Msg.ID) {
+	seen := a.seen.For(d.Msg.ID.Sender)
+	if seen.Seen(d.Msg.ID.Seq) {
 		return // replay overlap: already applied by a previous incarnation path
 	}
-	a.seen.Mark(d.Msg.ID)
+	seen.Mark(d.Msg.ID.Seq)
 	var start time.Duration
 	if a.opts.Obs != nil && a.opts.Now != nil {
 		start = a.opts.Now()
@@ -183,17 +190,9 @@ func (a *Applier) Snapshot() (uint64, bool) {
 func (a *Applier) Install(env wire.SnapshotEnvelope) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	dm, err := dedup.UnmarshalMap(env.Dedup)
-	if err != nil {
+	if _, err := a.adoptLocked(env); err != nil {
 		return err
 	}
-	if err := a.sm.Restore(bytes.NewReader(env.State)); err != nil {
-		return err
-	}
-	a.seen.Merge(dm)
-	a.applied = env.Index
-	a.open = env.Index
-	a.lastSnap = env.Index
 	if a.opts.Store != nil {
 		if err := a.opts.Store.Save(env); err == nil {
 			a.afterSnapshotLocked(env)
@@ -224,18 +223,25 @@ func (a *Applier) Bootstrap() (snap uint64, dm dedup.Map, err error) {
 	if !ok {
 		return 0, nil, nil
 	}
-	dm, err = dedup.UnmarshalMap(env.Dedup)
-	if err != nil {
+	if dm, err = a.adoptLocked(env); err != nil {
 		return 0, nil, err
+	}
+	return env.Index, dm, nil
+}
+
+// adoptLocked restores the state machine from a snapshot envelope, merges
+// its applied-ID set and jumps the indexes to it.
+func (a *Applier) adoptLocked(env wire.SnapshotEnvelope) (dedup.Map, error) {
+	dm, err := dedup.UnmarshalMap(env.Dedup)
+	if err != nil {
+		return nil, err
 	}
 	if err := a.sm.Restore(bytes.NewReader(env.State)); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	a.seen.Merge(dm)
-	a.applied = env.Index
-	a.open = env.Index
-	a.lastSnap = env.Index
-	return env.Index, dm, nil
+	a.applied, a.open, a.lastSnap = env.Index, env.Index, env.Index
+	return dm, nil
 }
 
 // Hooks returns the engine-facing snapshot hooks backed by this applier
@@ -265,14 +271,6 @@ func (a *Applier) AppliedIndex() uint64 {
 	return a.applied
 }
 
-// LastSnapshot returns the index of the newest snapshot taken or
-// installed by this applier (0 = none).
-func (a *Applier) LastSnapshot() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.lastSnap
-}
-
 // Applied reports whether the message has been applied.
 func (a *Applier) Applied(id types.MsgID) bool {
 	a.mu.Lock()
@@ -280,30 +278,23 @@ func (a *Applier) Applied(id types.MsgID) bool {
 	return a.seen.Seen(id)
 }
 
-// Result returns the apply result of a message still inside the bounded
-// result history.
-func (a *Applier) Result(id types.MsgID) ([]byte, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	res, ok := a.results[id]
-	return res, ok
-}
-
 // Await returns a channel that receives the message's apply result
 // exactly once — immediately when already applied (nil result when the
-// result left the bounded history or arrived inside an installed
+// result left its origin's window or arrived inside an installed
 // snapshot), else upon apply. This is the read-your-writes wait the KV
-// service builds on.
+// service builds on. Every waiter of one message receives the same
+// slice, and state machines may share status-only results across
+// messages (KV does), so a result is read-only.
 func (a *Applier) Await(id types.MsgID) <-chan []byte {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	ch := make(chan []byte, 1)
-	if res, ok := a.results[id]; ok {
-		ch <- res
-		return ch
-	}
 	if a.seen.Seen(id) {
-		ch <- nil
+		var res []byte
+		if w := a.results[id.Sender]; w != nil && w[id.Seq%resultHistory].seq == id.Seq {
+			res = w[id.Seq%resultHistory].res
+		}
+		ch <- res
 		return ch
 	}
 	a.waiters[id] = append(a.waiters[id], ch)
@@ -323,15 +314,16 @@ func (a *Applier) StateDigest() []byte {
 	return buf.Bytes()
 }
 
-// record caches one apply result, evicting the oldest beyond the history
-// bound.
+// record stores one apply result in its origin's window, evicting the
+// result resultHistory sequence numbers older (never a newer one).
 func (a *Applier) record(id types.MsgID, res []byte) {
-	a.results[id] = res
-	a.order = append(a.order, id)
-	if len(a.order) > resultHistory {
-		evict := a.order[0]
-		a.order = a.order[1:]
-		delete(a.results, evict)
+	w := a.results[id.Sender]
+	if w == nil {
+		w = new([resultHistory]slot)
+		a.results[id.Sender] = w
+	}
+	if sl := &w[id.Seq%resultHistory]; sl.seq < id.Seq {
+		*sl = slot{seq: id.Seq, res: res}
 	}
 }
 

@@ -112,3 +112,64 @@ func FuzzSnapshotOpen(f *testing.F) {
 		}
 	})
 }
+
+// FuzzKVApply checks KV against a map[string]string model. The script is
+// read three bytes per command — op, key, value length — over a four-key
+// space, with value lengths 0–7 so both the in-place overwrite and the
+// reallocating write run. A CAS expects the model's current value when
+// the length byte's bit 3 is set, so it both fails and succeeds. Every
+// command buffer is clobbered after Apply: KV must not retain it.
+func FuzzKVApply(f *testing.F) {
+	f.Add([]byte{0, 0, 3, 0, 0, 3, 3, 0, 8, 2, 0, 4, 1, 0, 0, 3, 0, 0, 1, 0, 0})
+	f.Add([]byte{0, 1, 5, 0, 1, 2, 2, 1, 13, 3, 1, 0, 2, 2, 3})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		kv, model := NewKV(), map[string]string{}
+		for i := 0; i+2 < len(script); i += 3 {
+			op, key := script[i]%4, []byte{'a' + script[i+1]%4}
+			val := bytes.Repeat([]byte{byte(i)}, int(script[i+2]%8))
+			cur, had := model[string(key)]
+			var cmd, want []byte
+			switch op {
+			case 0:
+				cmd, want = EncodePut(key, val), []byte{StatusOK}
+				model[string(key)] = string(val)
+			case 1:
+				cmd, want = EncodeDelete(key), []byte{StatusMissing}
+				if had {
+					want[0] = StatusOK
+					delete(model, string(key))
+				}
+			case 2:
+				old := []byte("x")
+				if script[i+2]&8 != 0 {
+					old = []byte(cur)
+				}
+				cmd, want = EncodeCAS(key, old, val), []byte{StatusCASFailed}
+				if cur == string(old) {
+					want[0] = StatusOK
+					model[string(key)] = string(val)
+				}
+			case 3:
+				cmd, want = EncodeGet(key), []byte{StatusMissing}
+				if had {
+					want = append([]byte{StatusOK}, cur...)
+				}
+			}
+			got := kv.Apply(Entry{Instance: uint64(i + 1), ID: types.MsgID{Sender: 0, Seq: uint64(i + 1)}, Cmd: cmd})
+			if !bytes.Equal(got, want) {
+				t.Fatalf("command %d (op %d key %s): result %v, want %v", i/3, op, key, got, want)
+			}
+			for j := range cmd {
+				cmd[j] = 0xee
+			}
+		}
+		if kv.Len() != len(model) {
+			t.Fatalf("KV holds %d keys, model %d", kv.Len(), len(model))
+		}
+		for k, v := range model {
+			if got, ok := kv.Get([]byte(k)); !ok || string(got) != v {
+				t.Fatalf("key %s = %q %v, model %q", k, got, ok, v)
+			}
+		}
+	})
+}

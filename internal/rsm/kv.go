@@ -1,6 +1,7 @@
 package rsm
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -36,41 +37,41 @@ const (
 	StatusBadCommand byte = 3
 )
 
-// EncodePut builds a put command.
-func EncodePut(key, value []byte) []byte {
-	w := wire.NewWriter(1 + 8 + len(key) + len(value))
-	w.Uint8(OpPut)
-	w.Bytes32(key)
-	w.Bytes32(value)
+// encode builds one command: the opcode, then each field length-prefixed.
+func encode(op byte, fields ...[]byte) []byte {
+	size := 1
+	for _, f := range fields {
+		size += 4 + len(f)
+	}
+	w := wire.NewWriter(size)
+	w.Uint8(op)
+	for _, f := range fields {
+		w.Bytes32(f)
+	}
 	return w.Bytes()
 }
 
+// EncodePut builds a put command.
+func EncodePut(key, value []byte) []byte { return encode(OpPut, key, value) }
+
 // EncodeDelete builds a delete command.
-func EncodeDelete(key []byte) []byte {
-	w := wire.NewWriter(1 + 4 + len(key))
-	w.Uint8(OpDelete)
-	w.Bytes32(key)
-	return w.Bytes()
-}
+func EncodeDelete(key []byte) []byte { return encode(OpDelete, key) }
 
 // EncodeCAS builds a compare-and-swap command (old empty = expect the key
 // to be absent).
-func EncodeCAS(key, old, new []byte) []byte {
-	w := wire.NewWriter(1 + 12 + len(key) + len(old) + len(new))
-	w.Uint8(OpCAS)
-	w.Bytes32(key)
-	w.Bytes32(old)
-	w.Bytes32(new)
-	return w.Bytes()
-}
+func EncodeCAS(key, old, new []byte) []byte { return encode(OpCAS, key, old, new) }
 
 // EncodeGet builds an ordered (linearizable) get command.
-func EncodeGet(key []byte) []byte {
-	w := wire.NewWriter(1 + 4 + len(key))
-	w.Uint8(OpGet)
-	w.Bytes32(key)
-	return w.Bytes()
-}
+func EncodeGet(key []byte) []byte { return encode(OpGet, key) }
+
+// Status-only results are shared by every command that returns them:
+// results are read-only (see Applier.Await).
+var (
+	resultOK        = []byte{StatusOK}
+	resultMissing   = []byte{StatusMissing}
+	resultCASFailed = []byte{StatusCASFailed}
+	resultBad       = []byte{StatusBadCommand}
+)
 
 // DecodeResult splits an Apply result into its status and value bytes.
 func DecodeResult(res []byte) (status byte, value []byte) {
@@ -85,62 +86,66 @@ func DecodeResult(res []byte) (status byte, value []byte) {
 // serialization. All state transitions happen through Apply; Get reads
 // the local replica directly (serve stale-tolerant reads, or wait on the
 // submitting write's Await for read-your-writes).
+//
+// Apply decodes without copying and overwrites an existing key's value
+// in place when its size is unchanged, so a steady-state overwrite costs
+// one map probe and no allocation. Values are therefore owned by the map
+// and never handed out: Get, ordered gets and Snapshot copy them.
 type KV struct {
 	mu sync.RWMutex
-	m  map[string]string
+	m  map[string][]byte
 }
 
 var _ StateMachine = (*KV)(nil)
 
 // NewKV returns an empty key/value state machine.
-func NewKV() *KV { return &KV{m: make(map[string]string)} }
+func NewKV() *KV { return &KV{m: make(map[string][]byte)} }
 
 // Apply implements StateMachine.
 func (kv *KV) Apply(e Entry) []byte {
 	r := wire.NewReader(e.Cmd)
 	op := r.Uint8()
-	key := r.Bytes32()
+	key := r.View32()
 	var old, val []byte
 	switch op {
-	case OpPut, OpGet, OpDelete:
-		if op == OpPut {
-			val = r.Bytes32()
-		}
+	case OpPut:
+		val = r.View32()
 	case OpCAS:
-		old = r.Bytes32()
-		val = r.Bytes32()
+		old, val = r.View32(), r.View32()
 	}
 	r.ExpectEOF()
 	if r.Err() != nil {
-		return []byte{StatusBadCommand}
+		return resultBad
 	}
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
+	cur, ok := kv.m[string(key)]
 	switch op {
-	case OpPut:
-		kv.m[string(key)] = string(val)
-		return []byte{StatusOK}
+	case OpPut: // written below
 	case OpDelete:
-		if _, ok := kv.m[string(key)]; !ok {
-			return []byte{StatusMissing}
+		if !ok {
+			return resultMissing
 		}
 		delete(kv.m, string(key))
-		return []byte{StatusOK}
+		return resultOK
 	case OpCAS:
-		if kv.m[string(key)] != string(old) {
-			return []byte{StatusCASFailed}
+		if !bytes.Equal(cur, old) { // a missing key matches an empty old
+			return resultCASFailed
 		}
-		kv.m[string(key)] = string(val)
-		return []byte{StatusOK}
 	case OpGet:
-		v, ok := kv.m[string(key)]
 		if !ok {
-			return []byte{StatusMissing}
+			return resultMissing
 		}
-		return append([]byte{StatusOK}, v...)
+		return append(append(make([]byte, 0, 1+len(cur)), StatusOK), cur...)
 	default:
-		return []byte{StatusBadCommand}
+		return resultBad
 	}
+	if ok && len(cur) == len(val) {
+		copy(cur, val)
+	} else {
+		kv.m[string(key)] = bytes.Clone(val)
+	}
+	return resultOK
 }
 
 // Get reads one key from the local replica (no ordering).
@@ -151,7 +156,7 @@ func (kv *KV) Get(key []byte) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return []byte(v), true
+	return bytes.Clone(v), true
 }
 
 // Len returns the number of keys.
@@ -178,7 +183,7 @@ func (kv *KV) Snapshot(out io.Writer) error {
 	w.Uint32(uint32(len(keys)))
 	for _, k := range keys {
 		w.Bytes32([]byte(k))
-		w.Bytes32([]byte(kv.m[k]))
+		w.Bytes32(kv.m[k])
 	}
 	kv.mu.RUnlock()
 	_, err := out.Write(w.Bytes())
@@ -196,11 +201,10 @@ func (kv *KV) Restore(in io.Reader) error {
 	if r.Err() == nil && uint64(n) > uint64(wire.MaxChunk/8) {
 		return fmt.Errorf("rsm: kv snapshot with %d entries", n)
 	}
-	m := make(map[string]string, n)
+	m := make(map[string][]byte, n)
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		k := r.Bytes32()
-		v := r.Bytes32()
-		m[string(k)] = string(v)
+		k := r.View32()
+		m[string(k)] = r.Bytes32()
 	}
 	r.ExpectEOF()
 	if err := r.Err(); err != nil {

@@ -54,9 +54,6 @@ func (w *Writer) Len() int { return len(w.buf) }
 // Uint8 appends one byte.
 func (w *Writer) Uint8(v uint8) { w.buf = append(w.buf, v) }
 
-// Uint16 appends a big-endian uint16.
-func (w *Writer) Uint16(v uint16) { w.buf = binary.BigEndian.AppendUint16(w.buf, v) }
-
 // Uint32 appends a big-endian uint32.
 func (w *Writer) Uint32(v uint32) { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
 
@@ -65,9 +62,6 @@ func (w *Writer) Uint64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf,
 
 // Int32 appends a big-endian int32 (two's complement).
 func (w *Writer) Int32(v int32) { w.Uint32(uint32(v)) }
-
-// Int64 appends a big-endian int64 (two's complement).
-func (w *Writer) Int64(v int64) { w.Uint64(uint64(v)) }
 
 // Bool appends a boolean as one byte.
 func (w *Writer) Bool(v bool) {
@@ -134,15 +128,6 @@ func (r *Reader) Uint8() uint8 {
 	return b[0]
 }
 
-// Uint16 reads a big-endian uint16.
-func (r *Reader) Uint16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
 // Uint32 reads a big-endian uint32.
 func (r *Reader) Uint32() uint32 {
 	b := r.take(4)
@@ -164,30 +149,27 @@ func (r *Reader) Uint64() uint64 {
 // Int32 reads a big-endian int32.
 func (r *Reader) Int32() int32 { return int32(r.Uint32()) }
 
-// Int64 reads a big-endian int64.
-func (r *Reader) Int64() int64 { return int64(r.Uint64()) }
-
 // Bool reads a boolean encoded as one byte. Any nonzero value is true.
 func (r *Reader) Bool() bool { return r.Uint8() != 0 }
 
-// Bytes32 reads a uint32 length prefix followed by that many bytes.
-// The returned slice is a copy, safe to retain.
-func (r *Reader) Bytes32() []byte {
+// View32 reads a uint32 length prefix followed by that many bytes and
+// returns them without copying: the slice aliases the Reader's buffer,
+// so callers that retain it must not let that buffer change.
+func (r *Reader) View32() []byte {
 	n := r.Uint32()
-	if r.err != nil {
-		return nil
-	}
-	if n > MaxChunk {
+	if r.err == nil && n > MaxChunk {
 		r.fail(fmt.Errorf("%w: %d bytes", ErrTooLarge, n))
-		return nil
 	}
-	b := r.take(int(n))
+	return r.take(int(n))
+}
+
+// Bytes32 is View32 into a copy, safe to retain.
+func (r *Reader) Bytes32() []byte {
+	b := r.View32()
 	if b == nil {
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
+	return append(make([]byte, 0, len(b)), b...)
 }
 
 // Rest returns all unread bytes without copying and advances to the end.

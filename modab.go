@@ -253,7 +253,7 @@ func KVCAS(key, old, new []byte) []byte { return rsm.EncodeCAS(key, old, new) }
 // KVGet builds an ordered (linearizable) get command.
 func KVGet(key []byte) []byte { return rsm.EncodeGet(key) }
 
-// DecodeKVResult splits a KV apply result (Applier.Await, Applier.Result)
+// DecodeKVResult splits a KV apply result (Applier.Await, read-only)
 // into its status byte and value.
 func DecodeKVResult(res []byte) (status byte, value []byte) { return rsm.DecodeResult(res) }
 
