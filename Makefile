@@ -112,7 +112,7 @@ docs:
 # end each round lower, so this is a ratchet: the target prints the count
 # and fails above LOC_CEILING; a PR that shrinks the tree lowers the
 # ceiling to its new count.
-LOC_CEILING := 19245
+LOC_CEILING := 19244
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l); \
 	echo $$n; \

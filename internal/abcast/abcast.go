@@ -174,10 +174,10 @@ func (l *Layer) Init(ctx *stack.Context) {
 // unordered own messages (already logged — no re-persist), announces
 // itself, and catches up on missed decisions before proposing anything.
 func (l *Layer) Start() {
-	// Propagate any non-boot views (joiner seed, replayed config ops) to
-	// the peer layers now that every layer is initialized. The modular
-	// driver additionally seeds the consensus and rbcast layers directly
-	// for joiners; the re-emission is idempotent there.
+	// Propagate any non-boot views (joiner seed, restored views) to the
+	// peer layers now that every layer is initialized. The modular driver
+	// additionally seeds the consensus layer directly for joiners; the
+	// re-emission is idempotent there.
 	l.t.ReplayViews()
 	if st := l.cfg.Recovered; st != nil {
 		c := l.ctx.Env().Counters()

@@ -212,6 +212,86 @@ func TestJoinerMissesFirstProposal(t *testing.T) {
 	}
 }
 
+// TestRestartRestoresViews is membership-churn seed 1, minimized, at the
+// default snapshot cadence: p1 restarts after its snapshots truncated the
+// op admitting p4 out of its log. It must come back in p4's view, with
+// the same KV state as everyone else, on both stacks.
+func TestRestartRestoresViews(t *testing.T) {
+	sch := Schedule{
+		{Kind: OpJoin, A: 3, B: 2, From: 231 * time.Millisecond},
+		{Kind: OpCrash, A: 0, From: 331 * time.Millisecond},
+		{Kind: OpRestart, A: 0, From: 681 * time.Millisecond},
+	}
+	res := runEndsInOneView(t, 1, sch, 1)
+	for _, sr := range res.Stacks {
+		if !bytes.Equal(sr.Digests[0], sr.Digests[3]) {
+			t.Errorf("%s: restarted p1 and joiner p4 hold different KV state", sr.Stack)
+		}
+	}
+}
+
+// TestInstallRestoresViews is membership-churn seed 11: the restarted p2
+// catches up by installing a peer's snapshot taken after p3's removal, an
+// op p2 never saw. The install must move p2 to the current view too.
+func TestInstallRestoresViews(t *testing.T) {
+	sch := Schedule{
+		{Kind: OpJoin, A: 3, B: 0, From: 231 * time.Millisecond},
+		{Kind: OpLeave, A: 2, B: 0, From: 631 * time.Millisecond},
+		{Kind: OpCrash, A: 2, From: 931 * time.Millisecond},
+		{Kind: OpCrash, A: 1, From: 331 * time.Millisecond},
+		{Kind: OpRestart, A: 1, From: 681 * time.Millisecond},
+		{Kind: OpSuspect, A: 0, B: 1, From: 631 * time.Millisecond, To: 781 * time.Millisecond},
+	}
+	res := runEndsInOneView(t, 11, sch, 2)
+	for _, sr := range res.Stacks {
+		if sr.SnapshotInstalls[1] == 0 {
+			t.Errorf("%s: p2 caught up without a snapshot install", sr.Stack)
+		}
+	}
+}
+
+// TestInstallRetiresRemovedOrigin is membership-churn seed 187: the
+// restarted p1 installs a snapshot past p2's removal while still holding
+// an unordered p2 message. The install must retire it, as the remove
+// boundary does, or p1 re-diffuses it forever.
+func TestInstallRetiresRemovedOrigin(t *testing.T) {
+	sch := Schedule{
+		{Kind: OpJoin, A: 3, B: 2, From: 262 * time.Millisecond},
+		{Kind: OpLeave, A: 1, B: 2, From: 662 * time.Millisecond},
+		{Kind: OpCrash, A: 1, From: 962 * time.Millisecond},
+		{Kind: OpCrash, A: 0, From: 362 * time.Millisecond},
+		{Kind: OpRestart, A: 0, From: 712 * time.Millisecond},
+		{Kind: OpSuspect, A: 2, B: 0, From: 662 * time.Millisecond, To: 812 * time.Millisecond},
+	}
+	res := runEndsInOneView(t, 187, sch, 2)
+	if sr := res.Stacks[0]; sr.SnapshotInstalls[0] == 0 {
+		t.Errorf("%s: p1 caught up without a snapshot install", sr.Stack)
+	}
+}
+
+// runEndsInOneView runs a membership schedule under KV load at the
+// default snapshot cadence and requires every property plus one final
+// epoch at every correct process.
+func runEndsInOneView(t *testing.T, seed int64, sch Schedule, epoch uint64) *Result {
+	t.Helper()
+	res, err := Run(seed, sch, StackConfig{Durable: true, KV: true, Load: 400})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !res.Ok() {
+		t.Fatalf("properties violated:\n%s", res.Report())
+	}
+	down := sch.CrashedForever()
+	for _, sr := range res.Stacks {
+		for p, views := range sr.Views {
+			if last := views[len(views)-1]; !down[types.ProcessID(p)] && last.Epoch != epoch {
+				t.Errorf("%s: p%d ends in %+v, want epoch %d", sr.Stack, p+1, last, epoch)
+			}
+		}
+	}
+	return res
+}
+
 // TestScheduleEnd covers the heal/window end computation.
 func TestScheduleEnd(t *testing.T) {
 	open := Schedule{{Kind: OpPartition, A: 0, B: 1, From: 100 * time.Millisecond}}

@@ -76,12 +76,19 @@ func checkStack(sr *StackResult, sch Schedule, cfg StackConfig) []Violation {
 	// the observable witness that no decided instance straddled two
 	// configurations (an op decided at k activates at exactly k+W
 	// everywhere, joiners included; a joiner's history legitimately
-	// starts at its admitting view, hence the shared-epoch comparison).
+	// starts at its admitting view, hence the shared-epoch comparison) —
+	// and end in the same epoch: a history may start late, but it may not
+	// end early.
 	if len(sr.Views) > 0 {
 		refViews := epochMap(sr.Views[ref])
+		refLast := sr.Views[ref][len(sr.Views[ref])-1].Epoch
 		for p := 0; p < len(sr.Views); p++ {
 			if p == ref || down[types.ProcessID(p)] {
 				continue
+			}
+			if last := sr.Views[p][len(sr.Views[p])-1].Epoch; last != refLast {
+				add("config-agreement", "%s ends in epoch %d, %s in epoch %d",
+					types.ProcessID(p), last, types.ProcessID(ref), refLast)
 			}
 			for _, v := range sr.Views[p] {
 				rv, ok := refViews[v.Epoch]

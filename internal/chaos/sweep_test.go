@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"os"
 	"strconv"
 	"testing"
@@ -217,9 +218,9 @@ var sweepFamilies = []sweepFamily{
 		},
 		config: func() StackConfig {
 			// KV state-digest equality must include the joiner; snapshots
-			// stay effectively off (a joiner restarting from a truncated
-			// WAL is the documented membership limitation).
-			return StackConfig{Durable: true, KV: true, SnapshotEvery: 1 << 20, Load: 400}
+			// run at the default cadence, so restarts and installs must
+			// restore the views their snapshots cover.
+			return StackConfig{Durable: true, KV: true, Load: 400}
 		},
 	},
 }
@@ -243,24 +244,40 @@ func sweepSeeds(t *testing.T) int64 {
 
 // TestChaosSeedSweep is the seed-sweep regression: every family x seed
 // runs the full two-stack scenario and asserts a gap-free, duplicate-free,
-// identical total order in both stacks plus liveness after heal. A
-// failure message carries the exact repro line.
+// identical total order in both stacks plus liveness after heal. A family
+// sweeps every seed even past a failure and ends with the list of failing
+// seeds: the full (minimized) report with the exact repro line for the
+// first one, only the seed numbers for the rest.
 func TestChaosSeedSweep(t *testing.T) {
 	seeds := sweepSeeds(t)
 	for _, fam := range sweepFamilies {
 		fam := fam
 		t.Run(fam.name, func(t *testing.T) {
 			t.Parallel()
+			var failed []int64
+			var first string
 			for seed := int64(0); seed < seeds; seed++ {
 				sch := fam.schedule(seed)
-				res, err := Run(seed, sch, fam.config())
+				runFn := Run
+				if failed != nil {
+					runFn = run // only the first failure is minimized
+				}
+				res, err := runFn(seed, sch, fam.config())
 				if err != nil {
 					t.Fatalf("family %s seed %d: Run: %v", fam.name, seed, err)
 				}
-				if !res.Ok() {
-					t.Fatalf("family %s seed %d violated properties\n%s\nrepro: CHAOS_SEEDS=%d go test ./internal/chaos -run TestChaosSeedSweep/%s",
-						fam.name, seed, res.Report(), seed+1, fam.name)
+				if res.Ok() {
+					continue
 				}
+				if failed == nil {
+					first = fmt.Sprintf("seed %d:\n%s\nrepro: CHAOS_SEEDS=%d go test ./internal/chaos -run TestChaosSeedSweep/%s",
+						seed, res.Report(), seed+1, fam.name)
+				}
+				failed = append(failed, seed)
+			}
+			if failed != nil {
+				t.Fatalf("family %s: %d of %d seeds violated properties: %v\nfirst failing %s",
+					fam.name, len(failed), seeds, failed, first)
 			}
 		})
 	}

@@ -148,6 +148,11 @@ type SnapshotHooks struct {
 	// the envelope's dedup state, so a failed install leaves the engine
 	// unchanged.
 	Install func(env wire.SnapshotEnvelope) error
+	// ConfigOrdered receives every config op the engine commits, in
+	// decision order: its instance k, its ID and, if it applied, the view
+	// it produced. Never delivered, config ops are still covered by a
+	// snapshot's dedup state and views (see wire.SnapshotEnvelope).
+	ConfigOrdered func(k uint64, id types.MsgID, v member.View, applied bool)
 }
 
 // RecoveredState seeds a restarting engine with the state replayed from
@@ -177,6 +182,9 @@ type RecoveredState struct {
 	// numbering is never mistaken for duplicates of its pre-crash traffic
 	// (the modular rbcast needs this; see rbcast.New).
 	Boots uint64
+	// Views is the restored membership history, oldest first: the boot or
+	// admitting view, the local snapshot's, then the log's config ops.
+	Views []member.View
 }
 
 // Engine is a deterministic protocol state machine implementing atomic

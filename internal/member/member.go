@@ -266,16 +266,32 @@ func NewHistory(n int) *History {
 }
 
 // NewHistoryFrom returns a history seeded with an explicit boot view —
-// how a joiner starts from config-at-join instead of from epoch 0.
-func NewHistoryFrom(v View) *History {
-	cp := v
-	cp.Members = v.clone()
-	slices.Sort(cp.Members)
-	return &History{views: []View{cp}}
+// how a joiner starts from config-at-join instead of from epoch 0 —
+// followed by the newer of the views after it (see Adopt).
+func NewHistoryFrom(seed View, more ...View) *History {
+	seed.Members = seed.clone()
+	slices.Sort(seed.Members)
+	h := &History{views: []View{seed}}
+	for _, v := range more {
+		h.Adopt(v)
+	}
+	return h
 }
 
 // Current returns the newest view.
 func (h *History) Current() View { return h.views[len(h.views)-1] }
+
+// Adopt appends v when it is newer than the current view and reports
+// whether it did: how a restart or a snapshot install restores views
+// decided elsewhere, skipping (by epoch) the ones already held.
+func (h *History) Adopt(v View) bool {
+	if v.Epoch <= h.Current().Epoch {
+		return false
+	}
+	v.Members = v.clone()
+	h.views = append(h.views, v)
+	return true
+}
 
 // At returns the view governing consensus instance k: the newest view
 // with Activation <= k.

@@ -44,9 +44,8 @@ func New(env engine.Env, cfg engine.Config) *Engine {
 	ab := abcast.New(cfg)
 	if cfg.InitialView != nil {
 		// A joiner's first view is the config it was admitted into, not
-		// history's beginning: seed every membership-aware layer before the
-		// stack starts.
-		rb.SeedView(*cfg.InitialView)
+		// history's beginning: consensus governs instances by it from the
+		// start (rbcast learns it from the tail's ReplayViews).
 		cs.SeedView(*cfg.InitialView)
 	}
 	return &Engine{

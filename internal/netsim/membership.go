@@ -13,9 +13,6 @@ import (
 
 	"modab/internal/engine"
 	"modab/internal/member"
-	"modab/internal/obs"
-	"modab/internal/recovery"
-	"modab/internal/rsm"
 	"modab/internal/types"
 )
 
@@ -32,7 +29,7 @@ func (c *Cluster) Join(sponsor, id types.ProcessID, at time.Duration) {
 			c.errs = append(c.errs, fmt.Errorf("sim t=%v: join %s: ID already spawned", c.now, id))
 			return
 		}
-		if c.stores == nil {
+		if !c.opts.Durable {
 			// Members without durable stores cannot serve the decided
 			// prefix, so the joiner's state transfer would never finish.
 			c.errs = append(c.errs, fmt.Errorf("sim t=%v: join %s: requires Options.Durable", c.now, id))
@@ -134,39 +131,15 @@ func (c *Cluster) spawnJoiner(id types.ProcessID, v member.View) {
 		c.errs = append(c.errs, fmt.Errorf("sim t=%v: joiner %s out of order (%d procs spawned)", c.now, id, len(c.procs)))
 		return
 	}
-	p := &proc{
-		id:       id,
-		timerGen: make(map[engine.TimerID]uint64),
-		obs:      obs.NewRecorder(c.opts.Obs),
-	}
-	p.env = &simEnv{c: c, p: p}
+	p := c.newProc(id) // Join refuses a cluster without durable stores
 	c.procs = append(c.procs, p)
-	c.stores = append(c.stores, recovery.NewMemStore()) // Join refuses a cluster without durable stores
-	if c.snapStores != nil {
-		c.snapStores = append(c.snapStores, rsm.NewMemStore())
-	}
-	if c.opts.StateMachine != nil {
-		p.applier = c.newApplier(p)
-	}
 	// The first incarnation boots like every later one; its fresh store
-	// recovers nothing, so the engine gets the empty restart-style state.
-	if _, err := recovery.Boot(c.stores[id], p.applier, c.opts.N, id); err != nil {
+	// recovers nothing, so Boot gives it the empty restart-style state.
+	if err := c.boot(p, &v); err != nil {
 		c.errs = append(c.errs, fmt.Errorf("sim t=%v %s: boot: %w", c.now, id, err))
+		p.crashed = true
+		return
 	}
-	st := &engine.RecoveredState{NextDecide: 1, NextSeq: 1}
-	p.eng = c.newEngine(p, st, &v)
 	c.exec(p, c.now, 0, p.eng.Start)
-	// The joiner's failure detector learns which members are already down.
-	for _, q := range c.procs {
-		if q == nil || q == p || !q.crashed {
-			continue
-		}
-		down := q.id
-		c.At(c.now+c.model.FDDetect, func() {
-			if p.crashed {
-				return
-			}
-			c.exec(p, c.now, c.model.TimerPerFire, func() { p.eng.Suspect(down, true) })
-		})
-	}
+	c.detect(p, false)
 }

@@ -73,14 +73,7 @@ type Cluster struct {
 	seq   uint64
 	queue eventQueue
 	procs []*proc
-	// stores are the per-process simulated durable stores (Options.Durable);
-	// they survive Crash, which is what makes Restart possible.
-	stores []*recovery.MemStore
-	// snapStores are the per-process snapshot stores
-	// (Options.StateMachine); like stores they survive Crash, modelling
-	// snapshot files that outlive the process.
-	snapStores []*rsm.MemStore
-	rng        *rand.Rand
+	rng   *rand.Rand
 	// linkFaults holds the per-directed-link fault state (internal/netsim
 	// faults.go); nil or empty entries leave the send path untouched.
 	// linkOrder records link creation order for deterministic sweeps.
@@ -109,6 +102,11 @@ type proc struct {
 	// applier is the process's state machine applier (Options.StateMachine);
 	// deliveries feed it synchronously inside exec.
 	applier *rsm.Applier
+	// store (Options.Durable) and snaps (Options.StateMachine) are the
+	// simulated write-ahead log and snapshot files: they survive Crash,
+	// which is what makes Restart possible.
+	store recovery.Store
+	snaps rsm.Store
 
 	cpuFreeAt time.Duration
 	nicFreeAt time.Duration
@@ -194,31 +192,11 @@ func NewCluster(opts Options) (*Cluster, error) {
 		pendingJoins: make(map[types.ProcessID]bool),
 	}
 	heap.Init(&c.queue)
-	if opts.Durable {
-		c.stores = make([]*recovery.MemStore, opts.N)
-		for i := range c.stores {
-			c.stores[i] = recovery.NewMemStore()
-			c.stores[i].PersistBoot()
+	for i := range c.procs {
+		c.procs[i] = c.newProc(types.ProcessID(i))
+		if err := c.boot(c.procs[i], nil); err != nil {
+			return nil, err
 		}
-	}
-	if opts.StateMachine != nil {
-		c.snapStores = make([]*rsm.MemStore, opts.N)
-		for i := range c.snapStores {
-			c.snapStores[i] = rsm.NewMemStore()
-		}
-	}
-	for i := 0; i < opts.N; i++ {
-		p := &proc{
-			id:       types.ProcessID(i),
-			timerGen: make(map[engine.TimerID]uint64),
-			obs:      obs.NewRecorder(opts.Obs),
-		}
-		p.env = &simEnv{c: c, p: p}
-		if opts.StateMachine != nil {
-			p.applier = c.newApplier(p)
-		}
-		p.eng = c.newEngine(p, nil, nil)
-		c.procs[i] = p
 	}
 	for _, p := range c.procs {
 		c.exec(p, 0, 0, p.eng.Start)
@@ -226,46 +204,44 @@ func NewCluster(opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-// newApplier builds a fresh applier incarnation for process p over its
-// surviving snapshot store, with write-ahead-log truncation hooked to
-// snapshot completion.
-func (c *Cluster) newApplier(p *proc) *rsm.Applier {
-	ro := rsm.Options{
-		N:        c.opts.N,
-		Store:    c.snapStores[p.id],
-		Interval: c.opts.SnapshotEvery,
-		Counters: &p.counters,
-		Obs:      p.obs,
-		Now:      p.env.Now,
+// newProc builds the slot of process id with its stores.
+func (c *Cluster) newProc(id types.ProcessID) *proc {
+	p := &proc{id: id, timerGen: make(map[engine.TimerID]uint64), obs: obs.NewRecorder(c.opts.Obs)}
+	p.env = &simEnv{c: c, p: p}
+	if c.opts.Durable {
+		p.store = recovery.NewMemStore()
 	}
-	if c.stores != nil {
-		ro.OnSnapshot = recovery.TruncateOnSnapshot(c.stores[p.id], &p.counters)
+	if c.opts.StateMachine != nil {
+		p.snaps = rsm.NewMemStore()
 	}
-	return rsm.NewApplier(c.opts.StateMachine(), ro)
+	return p
 }
 
-// newEngine constructs the engine of process p, wiring its simulated
-// durable store (if any), the recovered state of a restart, and — for a
-// joiner's first incarnation — the view it was admitted into.
-func (c *Cluster) newEngine(p *proc, recovered *engine.RecoveredState, initView *member.View) engine.Engine {
-	cfg := c.opts.Engine
-	if c.stores != nil {
-		cfg.Persist = c.stores[p.id]
+// boot starts one incarnation of process p through recovery.Boot — over
+// its surviving stores, with a fresh state machine — and builds the
+// engine of the cluster's stack. A non-nil initView is a spawned joiner's
+// admitting view.
+func (c *Cluster) boot(p *proc, initView *member.View) error {
+	in := recovery.Incarnation{Self: p.id, N: c.opts.N, Engine: c.opts.Engine, Store: p.store, Snapshots: p.snaps,
+		SnapshotEvery: c.opts.SnapshotEvery, Counters: &p.counters, Now: p.env.Now}
+	in.Engine.Obs, in.Engine.InitialView = p.obs, initView
+	if c.opts.StateMachine != nil {
+		in.StateMachine = c.opts.StateMachine()
 	}
-	if p.applier != nil {
-		cfg.Snapshots = p.applier.Hooks()
+	cfg, app, err := recovery.Boot(in)
+	if err != nil {
+		return err
 	}
-	cfg.Obs = p.obs
-	cfg.Recovered = recovered
-	cfg.InitialView = initView
 	id := p.id
 	cfg.OnConfig = func(v member.View, _ member.Op) { c.onViewChange(id, v) }
+	p.applier = app
 	switch c.opts.Stack {
 	case types.Monolithic:
-		return monolithic.New(p.env, cfg)
+		p.eng = monolithic.New(p.env, cfg)
 	default:
-		return modular.New(p.env, cfg)
+		p.eng = modular.New(p.env, cfg)
 	}
+	return nil
 }
 
 // Now returns the current virtual time.
@@ -421,24 +397,13 @@ func (c *Cluster) Restart(p types.ProcessID, at time.Duration) {
 		if !pr.crashed {
 			return
 		}
-		if c.stores == nil {
+		if !c.opts.Durable {
 			c.errs = append(c.errs, fmt.Errorf("sim t=%v %s: Restart requires Options.Durable", c.now, p))
 			return
 		}
-		// Snapshot-anchored restart into a fresh applier incarnation (see
-		// recovery.Boot).
-		if pr.applier != nil {
-			pr.applier = c.newApplier(pr)
-		}
-		st, err := recovery.Boot(c.stores[p], pr.applier, c.opts.N, p)
-		if err != nil {
+		if err := c.boot(pr, nil); err != nil {
 			c.errs = append(c.errs, fmt.Errorf("sim t=%v %s: restart: %w", c.now, p, err))
 			return
-		}
-		if st == nil {
-			// Crashed before logging anything: rejoin with empty state, but
-			// still as a restart — catch-up must run.
-			st = &engine.RecoveredState{NextDecide: 1, NextSeq: 1}
 		}
 		// Invalidate every timer armed by the previous incarnation; queued
 		// fires carry the old generation and are dropped on dispatch.
@@ -446,36 +411,8 @@ func (c *Cluster) Restart(p types.ProcessID, at time.Duration) {
 			pr.timerGen[id]++
 		}
 		pr.crashed = false
-		pr.eng = c.newEngine(pr, st, nil)
 		c.exec(pr, c.now, 0, pr.eng.Start)
-		// Failure detection: the survivors hear the recovered process and
-		// unsuspect it; the recovered process detects peers still down.
-		for _, q := range c.procs {
-			if q.id == p {
-				continue
-			}
-			qp := q
-			if qp.crashed {
-				down := qp.id
-				c.At(c.now+c.model.FDDetect, func() {
-					if pr.crashed {
-						return
-					}
-					c.exec(pr, c.now, c.model.TimerPerFire, func() {
-						pr.eng.Suspect(down, true)
-					})
-				})
-				continue
-			}
-			c.At(c.now+c.model.FDDetect, func() {
-				if qp.crashed {
-					return
-				}
-				c.exec(qp, c.now, c.model.TimerPerFire, func() {
-					qp.eng.Suspect(p, false)
-				})
-			})
-		}
+		c.detect(pr, true)
 		// Link faults outlive the crash, but the suspicion state attached
 		// to them does not: inbound links (k.to == p) fed the dead
 		// engine's failure detector, and outbound links (k.from == p) may
@@ -498,6 +435,26 @@ func (c *Cluster) Restart(p types.ProcessID, at time.Duration) {
 			}
 		}
 	})
+}
+
+// detect schedules the failure detection that follows p's start, one
+// detection delay later: p suspects every process already down and, after
+// a restart, every live process unsuspects p.
+func (c *Cluster) detect(p *proc, restarted bool) {
+	for _, q := range c.procs {
+		if q == p || !q.crashed && !restarted {
+			continue
+		}
+		at, about, suspect := p, q.id, true
+		if !q.crashed {
+			at, about, suspect = q, p.id, false
+		}
+		c.At(c.now+c.model.FDDetect, func() {
+			if !at.crashed {
+				c.exec(at, c.now, c.model.TimerPerFire, func() { at.eng.Suspect(about, suspect) })
+			}
+		})
+	}
 }
 
 // SuspectWindow injects a wrong suspicion: process q suspects p during

@@ -108,17 +108,8 @@ func (l *Layer) Tag() stack.Tag { return stack.TagRBcast }
 func (l *Layer) Init(ctx *stack.Context) {
 	l.ctx = ctx
 	l.self = ctx.Env().Self()
-	if l.members == nil {
-		l.members = member.NewHistory(ctx.Env().N()).Current().Members
-	}
+	l.members = member.NewHistory(ctx.Env().N()).Current().Members
 	l.seen = make(map[types.ProcessID]map[uint64]*dedup, len(l.members))
-}
-
-// SeedView replaces the boot member set (joiners start from the config
-// they were admitted into). Call before the stack starts; it survives
-// Init in either order.
-func (l *Layer) SeedView(v member.View) {
-	l.members = append([]types.ProcessID(nil), v.Members...)
 }
 
 // Start implements stack.Layer.

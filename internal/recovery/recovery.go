@@ -13,9 +13,12 @@
 // model a deployable atomic broadcast service needs (cf. Ring Paxos's
 // treatment of recovery as a first-class concern). The protocol:
 //
-//  1. Replay: the restarting node replays its local log (ReplayState),
-//     reconstructing its decided watermark, the per-sender delivered
-//     state, its unordered own messages, and its next sequence number.
+//  1. Boot: the restarting node restores its newest local snapshot and
+//     makes one pass over the log suffix above it (Boot), reconstructing
+//     its decided watermark, the per-sender delivered state, its unordered
+//     own messages, its next sequence number, its state machine and its
+//     membership views (the snapshot's views plus the config ops the log
+//     still holds).
 //  2. Announce: the tail broadcasts a state-transfer request carrying
 //     its decided watermark (wire.FrameRecoverReq in the modular stack, a
 //     RECOVER message in the monolithic one).
@@ -44,6 +47,7 @@ import (
 
 	"modab/internal/dedup"
 	"modab/internal/engine"
+	"modab/internal/member"
 	"modab/internal/rsm"
 	"modab/internal/trace"
 	"modab/internal/types"
@@ -110,82 +114,157 @@ type Store interface {
 	Close() error
 }
 
-// ReplayState replays a store into the compact state a restarting engine
-// is seeded with. It returns nil for an empty (first-boot) log.
-func ReplayState(s Store, n int) (*engine.RecoveredState, error) {
-	return ReplayStateFrom(s, n, types.Nobody, 0, nil)
+// Incarnation is what a process incarnation boots from (see Boot).
+type Incarnation struct {
+	Self types.ProcessID
+	N    int // the boot group size (engine.Env.N)
+	// Engine carries the protocol tunables, plus Obs and a spawned
+	// joiner's InitialView; Boot fills in the other driver fields.
+	Engine engine.Config
+	Store  Store // the write-ahead log; nil runs without crash recovery
+	// StateMachine, when non-nil, is fed through the returned applier,
+	// snapshotting into Snapshots every SnapshotEvery instances.
+	StateMachine  rsm.StateMachine
+	Snapshots     rsm.Store
+	SnapshotEvery uint64
+	Counters      *trace.Counters
+	Now           func() time.Duration
 }
 
-// ReplayStateFrom is ReplayState seeded with a local snapshot: the log is
-// replayed on top of the snapshot boundary, so only the suffix above snap
-// contributes replayed decisions (O(suffix), not O(history) — the point
-// of snapshotting). snapDedup is the delivered state carried by the
-// snapshot envelope; self lets the node's own highest ordered sequence
-// number be recovered from it even after the admit records were
-// truncated away. With snap == 0 it degenerates to a plain replay.
-func ReplayStateFrom(s Store, n int, self types.ProcessID, snap uint64, snapDedup dedup.Map) (*engine.RecoveredState, error) {
-	st := &engine.RecoveredState{
-		NextDecide: snap + 1,
-		Delivered:  dedup.NewMap(n),
+// Boot starts one process incarnation — the one boot path of every
+// driver, for a first start, a restart and a joiner's spawn. It builds
+// the applier (its snapshots truncate the log), restores the newest local
+// snapshot into it and makes one pass over the log, then stamps the boot
+// marker and returns the engine configuration; drivers add OnConfig and
+// pick the stack. Recovered is nil only for a boot member's first start:
+// a process outside the boot group with an empty log is a joiner and,
+// like a restart, catches up before participating.
+func Boot(in Incarnation) (engine.Config, *rsm.Applier, error) {
+	cfg := in.Engine
+	var app *rsm.Applier
+	booting := true // snapshots taken during the replay leave the log alone
+	if in.StateMachine != nil {
+		ro := rsm.Options{N: in.N, Store: in.Snapshots, Interval: in.SnapshotEvery,
+			Counters: in.Counters, Obs: cfg.Obs, Now: in.Now}
+		if s := in.Store; s != nil {
+			ro.OnSnapshot = func(snap uint64, covered func(m wire.AppMsg) bool) {
+				if booting {
+					return
+				}
+				if removed := s.TruncateBelow(snap, covered); removed > 0 && in.Counters != nil {
+					in.Counters.WalTruncatedSegments.Add(int64(removed))
+				}
+			}
+		}
+		app = rsm.NewApplier(in.StateMachine, ro)
+		cfg.Snapshots = app.Hooks()
 	}
-	if snapDedup != nil {
-		st.Delivered.Merge(snapDedup)
+	var err error
+	cfg.Recovered, err = replay(in.Store, app, &cfg, in.Self, in.N)
+	booting = false
+	if err != nil {
+		return cfg, nil, fmt.Errorf("recovery: %w", err)
+	}
+	if in.Store != nil {
+		in.Store.PersistBoot()
+		cfg.Persist = in.Store
+	}
+	return cfg, app, nil
+}
+
+// replay restores the newest local snapshot into app, then makes one pass
+// over the log s (if any): each decision above the snapshot goes, in
+// delivery order, into the recovered state, into app and — its config
+// ops — into the view history seeded from the snapshot.
+func replay(s Store, app *rsm.Applier, cfg *engine.Config, self types.ProcessID, n int) (*engine.RecoveredState, error) {
+	hist := member.NewHistory(n)
+	if v := cfg.InitialView; v != nil {
+		hist = member.NewHistoryFrom(*v)
+	}
+	st := &engine.RecoveredState{NextDecide: 1, Delivered: dedup.NewMap(n)}
+	var snap, maxSeq uint64
+	if app != nil {
+		env, dm, err := app.Bootstrap()
+		if err != nil {
+			return nil, fmt.Errorf("restoring local snapshot: %w", err)
+		}
+		if dm != nil {
+			snap, st.NextDecide = env.Index, env.Index+1
+			st.Delivered.Merge(dm)
+			// The own highest ordered sequence number survives in the
+			// snapshot even after its admit records were truncated away.
+			maxSeq = dm.For(self).MaxSeen()
+			for _, v := range env.Views {
+				hist.Adopt(v)
+			}
+		}
+		for _, v := range hist.Views() {
+			app.ConfigOrdered(snap, types.MsgID{}, v, true)
+		}
 	}
 	admitted := make(map[uint64]wire.AppMsg) // own seq -> msg, not yet ordered
-	selfKnown := self != types.Nobody        // admit records also identify the local process
-	var maxSeq uint64
-	if selfKnown && snapDedup != nil {
-		maxSeq = snapDedup.For(self).MaxSeen()
-	}
 	empty := true
-	err := s.Replay(func(r Rec) error {
-		empty = false
-		switch r.Kind {
-		case RecAdmit:
-			for _, m := range r.Batch {
-				self = m.ID.Sender
-				selfKnown = true
-				admitted[m.ID.Seq] = m
-				if m.ID.Seq > maxSeq {
-					maxSeq = m.ID.Seq
+	if s != nil {
+		err := s.Replay(func(r Rec) error {
+			empty = false
+			switch r.Kind {
+			case RecAdmit:
+				for _, m := range r.Batch {
+					admitted[m.ID.Seq] = m
+					maxSeq = max(maxSeq, m.ID.Seq)
 				}
-			}
-		case RecDecision:
-			if r.Instance < st.NextDecide {
-				// Duplicate from a previous incarnation's catch-up, or an
-				// instance the snapshot already covers; the append order
-				// still guarantees instances never regress below what
-				// replay already processed.
-				return nil
-			}
-			if r.Instance != st.NextDecide {
-				return fmt.Errorf("recovery: log skips from instance %d to %d", st.NextDecide, r.Instance)
-			}
-			for _, m := range r.Batch {
-				st.Delivered.Mark(m.ID)
-				st.ReplayedMsgs++
-				if selfKnown && m.ID.Sender == self {
-					delete(admitted, m.ID.Seq)
-					if m.ID.Seq > maxSeq {
-						maxSeq = m.ID.Seq
+			case RecDecision:
+				if r.Instance < st.NextDecide {
+					// Duplicate from a previous incarnation's catch-up, or an
+					// instance the snapshot already covers; the append order
+					// still guarantees instances never regress below what
+					// replay already processed.
+					return nil
+				}
+				if r.Instance != st.NextDecide {
+					return fmt.Errorf("log skips from instance %d to %d", st.NextDecide, r.Instance)
+				}
+				batch := r.Batch
+				if app != nil {
+					// Sorted, the batch is exactly what was adelivered.
+					batch = append(wire.Batch(nil), r.Batch...)
+					batch.SortDeterministic()
+				}
+				for _, m := range batch {
+					st.Delivered.Mark(m.ID)
+					st.ReplayedMsgs++
+					if m.ID.Sender == self {
+						delete(admitted, m.ID.Seq)
+						maxSeq = max(maxSeq, m.ID.Seq)
+					}
+					// Config ops ride the total order (logged batches hold
+					// resolved bodies in both ordering modes); they change
+					// the views, never the state machine.
+					if op, isCfg := member.DecodeOp(m.Body); isCfg {
+						v, ok := hist.Apply(op, r.Instance, cfg.EffectivePipeline())
+						if app != nil {
+							app.ConfigOrdered(r.Instance, m.ID, v, ok)
+						}
+					} else if app != nil {
+						app.Apply(engine.Delivery{Msg: m, Instance: r.Instance})
 					}
 				}
+				st.NextDecide++
+			case RecBoot:
+				// A previous incarnation existed; beyond making the replay
+				// non-empty, the marker count becomes the new incarnation's
+				// number (wire-visible sequence numbering is namespaced by it).
+				st.Boots++
+			default:
+				return fmt.Errorf("unknown record kind %d", r.Kind)
 			}
-			st.NextDecide++
-		case RecBoot:
-			// A previous incarnation existed; beyond making the replay
-			// non-empty, the marker count becomes the new incarnation's
-			// number (wire-visible sequence numbering is namespaced by it).
-			st.Boots++
-		default:
-			return fmt.Errorf("recovery: unknown record kind %d", r.Kind)
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("replaying durable store: %w", err)
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	if empty && snap == 0 {
+	if empty && snap == 0 && self < types.ProcessID(n) {
 		return nil, nil
 	}
 	st.NextSeq = maxSeq + 1
@@ -193,69 +272,13 @@ func ReplayStateFrom(s Store, n int, self types.ProcessID, snap uint64, snapDedu
 	for _, m := range admitted {
 		// An admit whose message the snapshot already covers was ordered
 		// before the boundary; re-proposing it would deliver a duplicate.
-		if st.Delivered.Seen(m.ID) {
-			continue
+		if !st.Delivered.Seen(m.ID) {
+			st.Own = append(st.Own, m)
 		}
-		st.Own = append(st.Own, m)
 	}
 	st.Own.SortDeterministic()
+	st.Views = hist.Views()
 	return st, nil
-}
-
-// Boot is the snapshot-anchored start of one process incarnation over its
-// durable store — the single boot path of every driver (runtime.NewNode,
-// netsim's Restart and joiner spawn). It restores the newest local
-// snapshot into app (nil without a state machine, which degenerates to the
-// plain full-log replay), replays only the log suffix above it — into the
-// returned engine state and, in delivery order, into app — and stamps the
-// new incarnation's boot marker. The state is nil for a first boot (empty
-// log, no snapshot).
-func Boot(s Store, app *rsm.Applier, n int, self types.ProcessID) (*engine.RecoveredState, error) {
-	var snap uint64
-	var snapDedup dedup.Map
-	if app != nil {
-		var err error
-		if snap, snapDedup, err = app.Bootstrap(); err != nil {
-			return nil, fmt.Errorf("recovery: restoring local snapshot: %w", err)
-		}
-	}
-	st, err := ReplayStateFrom(s, n, self, snap, snapDedup)
-	if err != nil {
-		return nil, fmt.Errorf("recovery: replaying durable store: %w", err)
-	}
-	if app != nil {
-		// Re-apply the replayed suffix in delivery order (the decided batch,
-		// deterministically sorted, is exactly what the previous incarnation
-		// adelivered); the applier's dedup absorbs messages the snapshot
-		// already covers.
-		err := s.Replay(func(r Rec) error {
-			if r.Kind != RecDecision || r.Instance <= snap {
-				return nil
-			}
-			ordered := append(wire.Batch(nil), r.Batch...)
-			ordered.SortDeterministic()
-			for _, m := range ordered {
-				app.Apply(engine.Delivery{Msg: m, Instance: r.Instance})
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("recovery: replaying suffix into state machine: %w", err)
-		}
-	}
-	s.PersistBoot()
-	return st, nil
-}
-
-// TruncateOnSnapshot returns the rsm.Options.OnSnapshot hook of a durable
-// process: every snapshot that reaches the snapshot store frees the log
-// state below it, counted in c.WalTruncatedSegments.
-func TruncateOnSnapshot(s Store, c *trace.Counters) func(snap uint64, covered func(m wire.AppMsg) bool) {
-	return func(snap uint64, covered func(m wire.AppMsg) bool) {
-		if removed := s.TruncateBelow(snap, covered); removed > 0 {
-			c.WalTruncatedSegments.Add(int64(removed))
-		}
-	}
 }
 
 // Catchup tracks one restarted engine's state-transfer progress. Engines

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"modab/internal/engine"
+	"modab/internal/member"
 	"modab/internal/rsm"
 	"modab/internal/trace"
 	"modab/internal/types"
@@ -17,10 +18,17 @@ func msg(sender types.ProcessID, seq uint64, body string) wire.AppMsg {
 	return wire.AppMsg{ID: types.MsgID{Sender: sender, Seq: seq}, Body: []byte(body)}
 }
 
+// replayed boots process self of an n-group over s without a state
+// machine and returns the recovered engine state.
+func replayed(s Store, n int, self types.ProcessID) (*engine.RecoveredState, error) {
+	cfg, _, err := Boot(Incarnation{Self: self, N: n, Engine: engine.DefaultConfig(n), Store: s})
+	return cfg.Recovered, err
+}
+
 func TestReplayStateEmpty(t *testing.T) {
-	st, err := ReplayState(NewMemStore(), 3)
+	st, err := replayed(NewMemStore(), 3, 0)
 	if err != nil {
-		t.Fatalf("ReplayState: %v", err)
+		t.Fatalf("Boot: %v", err)
 	}
 	if st != nil {
 		t.Fatalf("empty store replayed to %+v, want nil", st)
@@ -30,14 +38,14 @@ func TestReplayStateEmpty(t *testing.T) {
 func TestReplayStateBootOnly(t *testing.T) {
 	s := NewMemStore()
 	s.PersistBoot()
-	st, err := ReplayState(s, 3)
+	st, err := replayed(s, 3, 0)
 	if err != nil {
-		t.Fatalf("ReplayState: %v", err)
+		t.Fatalf("Boot: %v", err)
 	}
 	if st == nil {
 		t.Fatal("boot-marked store replayed to nil — a crashed-at-boot process would rejoin as fresh")
 	}
-	if st.NextDecide != 1 || st.NextSeq != 1 || len(st.Own) != 0 {
+	if st.NextDecide != 1 || st.NextSeq != 1 || len(st.Own) != 0 || st.Boots != 1 {
 		t.Fatalf("boot-only state = %+v", st)
 	}
 }
@@ -52,9 +60,9 @@ func TestReplayStateReconstruction(t *testing.T) {
 	s.PersistAdmit(wire.Batch{msg(1, 3, "c")})
 	s.PersistDecision(2, wire.Batch{msg(1, 2, "b"), msg(2, 1, "y")})
 
-	st, err := ReplayState(s, 3)
+	st, err := replayed(s, 3, 1)
 	if err != nil {
-		t.Fatalf("ReplayState: %v", err)
+		t.Fatalf("Boot: %v", err)
 	}
 	if st.NextDecide != 3 {
 		t.Errorf("NextDecide = %d, want 3", st.NextDecide)
@@ -82,7 +90,7 @@ func TestReplayStateDecisionGap(t *testing.T) {
 	s := NewMemStore()
 	s.PersistDecision(1, wire.Batch{msg(0, 1, "x")})
 	s.PersistDecision(3, wire.Batch{msg(0, 2, "y")})
-	if _, err := ReplayState(s, 3); err == nil {
+	if _, err := replayed(s, 3, 0); err == nil {
 		t.Fatal("gapped decision log replayed without error")
 	}
 }
@@ -92,9 +100,9 @@ func TestReplayStateDuplicateDecisionTolerated(t *testing.T) {
 	s.PersistDecision(1, wire.Batch{msg(0, 1, "x")})
 	s.PersistDecision(1, wire.Batch{msg(0, 1, "x")})
 	s.PersistDecision(2, wire.Batch{msg(0, 2, "y")})
-	st, err := ReplayState(s, 2)
+	st, err := replayed(s, 2, 0)
 	if err != nil {
-		t.Fatalf("ReplayState: %v", err)
+		t.Fatalf("Boot: %v", err)
 	}
 	if st.NextDecide != 3 {
 		t.Fatalf("NextDecide = %d, want 3", st.NextDecide)
@@ -181,8 +189,9 @@ func TestChunkEnd(t *testing.T) {
 }
 
 // TestBoot covers the one boot path of every driver: a first boot, a
-// plain full-log replay (with and without a state machine), and the
-// snapshot-anchored restart that replays only the suffix.
+// plain full-log replay (with and without a state machine), the
+// snapshot-anchored restart that replays only the suffix, and a joiner's
+// first boot.
 func TestBoot(t *testing.T) {
 	put := func(sender types.ProcessID, seq uint64, key string) wire.AppMsg {
 		return wire.AppMsg{ID: types.MsgID{Sender: sender, Seq: seq}, Body: rsm.EncodePut([]byte(key), []byte{byte(seq)})}
@@ -192,15 +201,16 @@ func TestBoot(t *testing.T) {
 		{put(1, 2, "c")},
 		{put(2, 1, "d"), put(0, 2, "a")},
 	}
-	// run is the previous incarnation: it logs and applies every decision,
-	// snapshotting every snapEvery instances (0 = never) with log
-	// truncation hooked up the way the drivers do.
+	// run is the previous incarnation, booted the same way: it logs and
+	// applies every decision, snapshotting every snapEvery instances
+	// (0 = never) with log truncation hooked up by Boot.
 	run := func(n int, snapEvery uint64) (*MemStore, *rsm.MemStore, *rsm.Applier, *trace.Counters) {
 		store, snaps, c := NewMemStore(), rsm.NewMemStore(), new(trace.Counters)
-		store.PersistBoot()
-		app := rsm.NewApplier(rsm.NewKV(), rsm.Options{
-			N: 3, Store: snaps, Interval: snapEvery, OnSnapshot: TruncateOnSnapshot(store, c),
-		})
+		_, app, err := Boot(Incarnation{Self: 0, N: 3, Engine: engine.DefaultConfig(3), Store: store,
+			StateMachine: rsm.NewKV(), Snapshots: snaps, SnapshotEvery: snapEvery, Counters: c})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, b := range decisions[:n] {
 			store.PersistDecision(uint64(i+1), b)
 			ordered := append(wire.Batch(nil), b...)
@@ -210,6 +220,14 @@ func TestBoot(t *testing.T) {
 			}
 		}
 		return store, snaps, app, c
+	}
+	boot := func(store Store, sm rsm.StateMachine, snaps rsm.Store) (*engine.RecoveredState, *rsm.Applier) {
+		cfg, app, err := Boot(Incarnation{Self: 0, N: 3, Engine: engine.DefaultConfig(3), Store: store,
+			StateMachine: sm, Snapshots: snaps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg.Recovered, app
 	}
 	boots := func(s *MemStore) (n int) {
 		_ = s.Replay(func(r Rec) error {
@@ -223,10 +241,9 @@ func TestBoot(t *testing.T) {
 
 	t.Run("empty log", func(t *testing.T) {
 		store := NewMemStore()
-		app := rsm.NewApplier(rsm.NewKV(), rsm.Options{N: 3, Store: rsm.NewMemStore()})
-		st, err := Boot(store, app, 3, 1)
-		if err != nil || st != nil {
-			t.Fatalf("Boot = %+v, %v; want a nil state for a first boot", st, err)
+		st, app := boot(store, rsm.NewKV(), rsm.NewMemStore())
+		if st != nil {
+			t.Fatalf("Boot = %+v; want a nil state for a first boot", st)
 		}
 		if boots(store) != 1 || app.AppliedIndex() != 0 {
 			t.Fatalf("first boot: %d boot markers, applied index %d", boots(store), app.AppliedIndex())
@@ -234,11 +251,8 @@ func TestBoot(t *testing.T) {
 	})
 	t.Run("no snapshot", func(t *testing.T) {
 		store, snaps, prev, _ := run(3, 0)
-		for _, app := range []*rsm.Applier{nil, rsm.NewApplier(rsm.NewKV(), rsm.Options{N: 3, Store: snaps})} {
-			st, err := Boot(store, app, 3, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, sm := range []rsm.StateMachine{nil, rsm.NewKV()} {
+			st, app := boot(store, sm, snaps)
 			if st.NextDecide != 4 || st.ReplayedMsgs != 5 || st.NextSeq != 3 {
 				t.Fatalf("full replay state: %+v", st)
 			}
@@ -257,11 +271,7 @@ func TestBoot(t *testing.T) {
 		if snap, _ := snaps.Latest(); snap != 2 || c.WalTruncatedSegments.Load() == 0 {
 			t.Fatalf("previous incarnation: snapshot at %d, %d truncations", snap, c.WalTruncatedSegments.Load())
 		}
-		app := rsm.NewApplier(rsm.NewKV(), rsm.Options{N: 3, Store: snaps})
-		st, err := Boot(store, app, 3, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		st, app := boot(store, rsm.NewKV(), snaps)
 		if st.NextDecide != 4 || st.ReplayedMsgs != 2 || st.NextSeq != 3 {
 			t.Fatalf("suffix replay state: %+v", st)
 		}
@@ -271,6 +281,57 @@ func TestBoot(t *testing.T) {
 		if app.AppliedIndex() != 3 || !bytes.Equal(app.StateDigest(), prev.StateDigest()) {
 			t.Fatalf("restored state machine: applied %d, digest mismatch %v", app.AppliedIndex(),
 				!bytes.Equal(app.StateDigest(), prev.StateDigest()))
+		}
+	})
+	t.Run("views from snapshot", func(t *testing.T) {
+		// The op admitting p4 decides at instance 1; a snapshot at 2
+		// truncates it out of the log, so only the envelope restores it.
+		store, snaps := NewMemStore(), rsm.NewMemStore()
+		cfg, app, err := Boot(Incarnation{Self: 0, N: 3, Engine: engine.DefaultConfig(3), Store: store,
+			StateMachine: rsm.NewKV(), Snapshots: snaps, SnapshotEvery: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hist := member.NewHistory(3)
+		add, _ := hist.Current().Stamp(member.Op{Kind: member.OpAdd, Target: 3})
+		op := wire.AppMsg{ID: types.MsgID{Sender: 1, Seq: 1}, Body: member.EncodeOp(add)}
+		v, _ := hist.Apply(add, 1, cfg.EffectivePipeline())
+		store.PersistDecision(1, wire.Batch{op})
+		cfg.Snapshots.ConfigOrdered(1, op.ID, v, true)
+		for i, b := range decisions {
+			k := uint64(i + 2)
+			store.PersistDecision(k, b)
+			for _, m := range b {
+				app.Apply(engine.Delivery{Msg: m, Instance: k})
+			}
+		}
+		if _, ok := store.ReadDecision(1); ok {
+			t.Fatal("the config op survived truncation; the test needs it gone")
+		}
+		st, _ := boot(store, rsm.NewKV(), snaps)
+		if len(st.Views) != 2 || st.Views[1].Epoch != 1 || !st.Views[1].Contains(3) {
+			t.Fatalf("restored views %v, want the boot view and epoch 1 with p4", st.Views)
+		}
+		if !st.Delivered.Seen(op.ID) {
+			t.Fatal("the snapshot's dedup state misses the config op it covers")
+		}
+	})
+	t.Run("joiner", func(t *testing.T) {
+		// Outside the boot group with an empty log: the restart-style
+		// empty state, starting from the admitting view.
+		v := member.View{Epoch: 1, Activation: 5, Members: []types.ProcessID{0, 1, 2, 3}}
+		ecfg := engine.DefaultConfig(3)
+		ecfg.InitialView = &v
+		cfg, _, err := Boot(Incarnation{Self: 3, N: 3, Engine: ecfg, Store: NewMemStore()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := cfg.Recovered
+		if st == nil || st.NextDecide != 1 || st.NextSeq != 1 || len(st.Views) != 1 || st.Views[0].Epoch != 1 {
+			t.Fatalf("joiner state = %+v", st)
+		}
+		if cfg.InitialView != &v {
+			t.Fatal("joiner config lost its admitting view")
 		}
 	})
 }

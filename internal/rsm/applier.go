@@ -7,6 +7,7 @@ import (
 
 	"modab/internal/dedup"
 	"modab/internal/engine"
+	"modab/internal/member"
 	"modab/internal/obs"
 	"modab/internal/trace"
 	"modab/internal/types"
@@ -19,6 +20,14 @@ import (
 // result is evicted (Await then reports a nil result, still proving the
 // write applied).
 const resultHistory = 4096
+
+// configAt is one restored view (zero id) or one config op the engine
+// ordered, with the view it produced if it applied, at instance at.
+type configAt struct {
+	at   uint64
+	id   types.MsgID
+	view *member.View
+}
 
 // slot is one entry of an origin's result window.
 type slot struct {
@@ -72,6 +81,11 @@ type Applier struct {
 	// is exactly the set of messages ordered at or below the completed
 	// instance — the dedup state carried inside snapshots.
 	seen dedup.Map
+	// config is the membership history, oldest first. Config ops are
+	// never applied, yet a snapshot at index i must cover the ones at or
+	// below i: their IDs join its dedup state, their views its Views.
+	config []configAt
+	epoch  uint64 // of the newest view in config
 
 	results map[types.ProcessID]*[resultHistory]slot // by origin, created at its first apply
 	waiters map[types.MsgID][]chan []byte
@@ -137,11 +151,16 @@ func (a *Applier) snapshotLocked(index uint64) {
 	if err := a.sm.Snapshot(&buf); err != nil {
 		return
 	}
-	env := wire.SnapshotEnvelope{
-		Index: index,
-		Dedup: a.seen.MarshalBytes(),
-		State: buf.Bytes(),
+	env := wire.SnapshotEnvelope{Index: index, State: buf.Bytes()}
+	for _, c := range a.config {
+		if c.at <= index && c.id != (types.MsgID{}) {
+			a.seen.Mark(c.id)
+		}
+		if c.at <= index && c.view != nil {
+			env.Views = append(env.Views, *c.view)
+		}
 	}
+	env.Dedup = a.seen.MarshalBytes()
 	if err := a.opts.Store.Save(env); err != nil {
 		return
 	}
@@ -164,23 +183,6 @@ func (a *Applier) afterSnapshotLocked(env wire.SnapshotEnvelope) {
 		return
 	}
 	a.opts.OnSnapshot(env.Index, func(m wire.AppMsg) bool { return dm.Seen(m.ID) })
-}
-
-// Snapshot forces a snapshot at the current applied index, regardless of
-// the interval. It is only sound when delivery is quiescent — no decided
-// batch partially applied — because the envelope's dedup state must be
-// exactly the set of messages ordered at or below the snapshot index
-// (drain/shutdown paths and tests; the steady-state cadence uses the
-// boundary rule inside Apply instead). It reports the index taken, or
-// false when there is nothing new to snapshot.
-func (a *Applier) Snapshot() (uint64, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.opts.Store == nil || a.applied == 0 || a.applied <= a.lastSnap {
-		return 0, false
-	}
-	a.snapshotLocked(a.applied)
-	return a.applied, a.lastSnap == a.applied
 }
 
 // Install adopts a snapshot fetched from a peer: restore the state
@@ -210,27 +212,49 @@ func (a *Applier) Install(env wire.SnapshotEnvelope) error {
 }
 
 // Bootstrap restores the state machine from the newest local snapshot (if
-// any) before log replay; drivers call it once, then seed the engine's
-// recovered state with the returned index and dedup map
-// (recovery.ReplayStateFrom) and replay only the log suffix above it.
-func (a *Applier) Bootstrap() (snap uint64, dm dedup.Map, err error) {
+// any) before log replay and returns that envelope with its decoded dedup
+// map (a zero envelope and a nil map without one); recovery.Boot seeds the
+// engine's recovered state from them and replays only the log suffix
+// above the envelope's index.
+func (a *Applier) Bootstrap() (env wire.SnapshotEnvelope, dm dedup.Map, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.opts.Store == nil {
-		return 0, nil, nil
+		return env, nil, nil
 	}
 	env, ok := a.opts.Store.LatestEnvelope()
 	if !ok {
-		return 0, nil, nil
+		return env, nil, nil
 	}
 	if dm, err = a.adoptLocked(env); err != nil {
-		return 0, nil, err
+		return wire.SnapshotEnvelope{}, nil, err
 	}
-	return env.Index, dm, nil
+	return env, dm, nil
+}
+
+// ConfigOrdered is the engine's SnapshotHooks.ConfigOrdered; recovery.Boot
+// reports the views it restores at instance k through it too, with a zero
+// id.
+func (a *Applier) ConfigOrdered(k uint64, id types.MsgID, v member.View, applied bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.configLocked(k, id, v, applied)
+}
+
+// configLocked records one config entry; a view no newer than the last
+// one recorded (already held) is dropped.
+func (a *Applier) configLocked(k uint64, id types.MsgID, v member.View, ok bool) {
+	c := configAt{at: k, id: id}
+	if ok && (len(a.config) == 0 || v.Epoch > a.epoch) {
+		c.view, a.epoch = &v, v.Epoch
+	}
+	if c.view != nil || id != (types.MsgID{}) {
+		a.config = append(a.config, c)
+	}
 }
 
 // adoptLocked restores the state machine from a snapshot envelope, merges
-// its applied-ID set and jumps the indexes to it.
+// its applied-ID set and views, and jumps the indexes to it.
 func (a *Applier) adoptLocked(env wire.SnapshotEnvelope) (dedup.Map, error) {
 	dm, err := dedup.UnmarshalMap(env.Dedup)
 	if err != nil {
@@ -240,6 +264,9 @@ func (a *Applier) adoptLocked(env wire.SnapshotEnvelope) (dedup.Map, error) {
 		return nil, err
 	}
 	a.seen.Merge(dm)
+	for _, v := range env.Views {
+		a.configLocked(env.Index, types.MsgID{}, v, true)
+	}
 	a.applied, a.open, a.lastSnap = env.Index, env.Index, env.Index
 	return dm, nil
 }
@@ -260,7 +287,8 @@ func (a *Applier) Hooks() *engine.SnapshotHooks {
 			}
 			return a.opts.Store.ReadAt(index, off, max)
 		},
-		Install: a.Install,
+		Install:       a.Install,
+		ConfigOrdered: a.ConfigOrdered,
 	}
 }
 

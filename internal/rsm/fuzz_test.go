@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"modab/internal/dedup"
+	"modab/internal/member"
 	"modab/internal/types"
 	"modab/internal/wire"
 )
@@ -21,10 +22,21 @@ func fuzzEnvelope(index uint64) []byte {
 	}
 	dm := dedup.NewMap(3)
 	dm.Mark(types.MsgID{Sender: 0, Seq: 1})
-	env := wire.SnapshotEnvelope{Index: index, Dedup: dm.MarshalBytes(), State: state.Bytes()}
+	env := wire.SnapshotEnvelope{Index: index, Dedup: dm.MarshalBytes(), State: state.Bytes(), Views: []member.View{
+		{Epoch: 0, Activation: 0, Members: []types.ProcessID{0, 1, 2}},
+		{Epoch: 1, Activation: 5, Members: []types.ProcessID{0, 1, 2, 3}},
+	}}
 	w := wire.NewWriter(env.WireSize())
 	env.Marshal(w)
 	return w.Bytes()
+}
+
+// v1File relabels a snapshot file as format version 1, whose envelopes
+// carried no views.
+func v1File(file []byte) []byte {
+	v1 := append([]byte(nil), file...)
+	v1[len(snapMagic)+3] = 1
+	return v1
 }
 
 // FuzzSnapshotOpen fuzzes the snapshot file codec: arbitrary bytes are
@@ -42,6 +54,7 @@ func FuzzSnapshotOpen(f *testing.F) {
 	badmagic := append([]byte(nil), valid...)
 	badmagic[0] = 'X'
 	f.Add(badmagic)
+	f.Add(v1File(valid))
 	f.Add([]byte{})
 	f.Add([]byte("MODABSNP"))
 

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"modab/internal/dedup"
 	"modab/internal/engine"
+	"modab/internal/member"
 	"modab/internal/trace"
 	"modab/internal/types"
 	"modab/internal/wire"
@@ -171,12 +173,12 @@ func TestApplierInstallAndBootstrap(t *testing.T) {
 	// The installed envelope was persisted locally: a restart bootstraps
 	// from it.
 	re := NewApplier(NewKV(), Options{N: 3, Store: dstStore, Interval: 3})
-	snap, dm, err := re.Bootstrap()
+	boot, dm, err := re.Bootstrap()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap != 3 || dm == nil || !dm.Seen(mid(0, 3)) {
-		t.Fatalf("bootstrap = %d %v", snap, dm)
+	if boot.Index != 3 || dm == nil || !dm.Seen(mid(0, 3)) {
+		t.Fatalf("bootstrap = %d %v", boot.Index, dm)
 	}
 	if got := re.StateDigest(); !bytes.Equal(got, src.applierStateAt3(t)) {
 		t.Fatalf("bootstrapped state differs from snapshot state")
@@ -278,5 +280,75 @@ func TestFileStoreSkipsCorruptNewest(t *testing.T) {
 	}
 	if idx, ok := s2.Latest(); !ok || idx != 1 {
 		t.Fatalf("fallback latest = %d %v, want 1", idx, ok)
+	}
+}
+
+// TestSnapshotFileV1Rejected: a version-1 file (an envelope without
+// views) is rejected at open, never misread as a version-2 envelope.
+func TestSnapshotFileV1Rejected(t *testing.T) {
+	_, _, err := decodeSnapFile(v1File(encodeSnapFile(7, fuzzEnvelope(7))))
+	if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 1") {
+		t.Fatalf("v1 file: err = %v", err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "0000000000000007.snap"), v1File(encodeSnapFile(7, fuzzEnvelope(7))), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Latest(); ok {
+		t.Fatal("a v1 snapshot file was selected")
+	}
+}
+
+// TestSnapshotCoversConfigOps: a snapshot at index i carries exactly the
+// views decided at or below i and holds the IDs of the config ops ordered
+// there in its dedup state — even when the engine reports a config op
+// before the deliveries of earlier instances reach the applier.
+func TestSnapshotCoversConfigOps(t *testing.T) {
+	store := NewMemStore()
+	a := NewApplier(NewKV(), Options{N: 3, Store: store, Interval: 1})
+	boot := member.View{Members: []types.ProcessID{0, 1, 2}}
+	grown := member.View{Epoch: 1, Activation: 4, Members: []types.ProcessID{0, 1, 2, 3}}
+	a.ConfigOrdered(0, types.MsgID{}, boot, true)
+	deliver(a, 1, mid(0, 1), EncodePut([]byte("a"), []byte("1")))
+	a.ConfigOrdered(3, mid(1, 1), grown, true)
+	a.ConfigOrdered(3, mid(2, 1), member.View{}, false) // a rejected op is still ordered
+	deliver(a, 2, mid(0, 2), EncodePut([]byte("b"), []byte("2")))
+	latest := func() (wire.SnapshotEnvelope, dedup.Map) {
+		env, ok := store.LatestEnvelope()
+		if !ok {
+			t.Fatal("no snapshot")
+		}
+		dm, err := dedup.UnmarshalMap(env.Dedup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env, dm
+	}
+	if env, dm := latest(); env.Index != 1 || len(env.Views) != 1 || dm.Seen(mid(1, 1)) {
+		t.Fatalf("snapshot at %d: views %v, config op covered %v", env.Index, env.Views, dm.Seen(mid(1, 1)))
+	}
+	deliver(a, 4, mid(0, 3), EncodePut([]byte("c"), []byte("3")))
+	env, dm := latest()
+	if env.Index != 2 || len(env.Views) != 1 || dm.Seen(mid(1, 1)) {
+		t.Fatalf("snapshot at %d: views %v, config op covered %v", env.Index, env.Views, dm.Seen(mid(1, 1)))
+	}
+	deliver(a, 5, mid(0, 4), EncodePut([]byte("d"), []byte("4")))
+	env, dm = latest()
+	if env.Index != 4 || len(env.Views) != 2 || env.Views[1].Epoch != 1 || !dm.Seen(mid(1, 1)) || !dm.Seen(mid(2, 1)) {
+		t.Fatalf("snapshot at %d: views %v, config ops covered %v %v", env.Index, env.Views, dm.Seen(mid(1, 1)), dm.Seen(mid(2, 1)))
+	}
+	// An install hands the views on.
+	b := NewApplier(NewKV(), Options{N: 3, Store: NewMemStore(), Interval: 1})
+	if err := b.Install(env); err != nil {
+		t.Fatal(err)
+	}
+	deliver(b, 5, mid(0, 4), EncodePut([]byte("d"), []byte("4")))
+	deliver(b, 6, mid(0, 5), EncodePut([]byte("e"), []byte("5")))
+	if env, _ := b.opts.Store.LatestEnvelope(); env.Index != 5 || len(env.Views) != 2 {
+		t.Fatalf("installer's snapshot at %d carries views %v", env.Index, env.Views)
 	}
 }

@@ -31,7 +31,7 @@ type Store interface {
 // skipped at open (the previous snapshot then serves).
 //
 //	magic   [8]byte  "MODABSNP"
-//	version uint32   (1)
+//	version uint32   (2; version 1 envelopes carried no views)
 //	index   uint64   snapshot index (redundant with the envelope, for
 //	                 selection without decoding the body)
 //	length  uint32   body length in bytes
@@ -39,7 +39,7 @@ type Store interface {
 //	body    []byte   wire-encoded SnapshotEnvelope
 const (
 	snapMagic       = "MODABSNP"
-	snapVersion     = 1
+	snapVersion     = 2
 	snapHeaderBytes = 8 + 4 + 8 + 4 + 4
 	// snapRetain is how many snapshot files Save keeps: the newest plus
 	// one predecessor, so a crash mid-rotation never leaves zero valid

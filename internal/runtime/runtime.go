@@ -26,7 +26,6 @@ import (
 	"modab/internal/member"
 	"modab/internal/modular"
 	"modab/internal/monolithic"
-	"modab/internal/obs"
 	"modab/internal/recovery"
 	"modab/internal/rsm"
 	"modab/internal/trace"
@@ -55,22 +54,17 @@ const (
 
 // Options configures a Node.
 type Options struct {
-	// Self is the local process ID; N the group size. Required.
-	Self types.ProcessID
-	N    int
+	// Incarnation is what the node boots from through recovery.Boot: Self
+	// and the boot group size N (required), the engine configuration (zero
+	// tunables mean engine.DefaultConfig(N)), the write-ahead log and the
+	// state machine with its snapshot store and cadence. The node supplies
+	// Counters and Now itself. It owns Store from here on and closes it on
+	// Close; the on-disk log survives for the next incarnation.
+	recovery.Incarnation
 	// Stack selects the implementation. Required.
 	Stack types.Stack
-	// Engine carries protocol tunables; zero means engine.DefaultConfig(N).
-	Engine engine.Config
 	// Transport is the quasi-reliable channel endpoint. Required.
 	Transport transport.Transport
-	// Store, when non-nil, enables the crash-recovery subsystem: the node
-	// replays it at start (recovering the previous incarnation's state and
-	// catching up via state transfer), stamps a boot marker, and persists
-	// admissions and decisions through it. The node owns the store from
-	// here on and closes it on Close; the on-disk log survives for the
-	// next incarnation.
-	Store recovery.Store
 	// OnDeliver, when non-nil, is the node's one delivery sink: it is
 	// called synchronously on the event loop for every adelivery, in
 	// order, after the state machine applied it. A callback that blocks
@@ -78,39 +72,6 @@ type Options struct {
 	// publishes into its delivery streams here). It must not call back
 	// into the Node.
 	OnDeliver func(d engine.Delivery)
-	// StateMachine, when non-nil, attaches a replicated state machine fed
-	// synchronously from the delivery path through an rsm.Applier
-	// (Node.Applier). With a Store, the node restores the newest local
-	// snapshot at start and replays only the log suffix above it; the
-	// engine additionally serves and installs snapshots during state
-	// transfer (see engine.SnapshotHooks).
-	StateMachine rsm.StateMachine
-	// SnapshotStore persists the applier's snapshots; nil disables
-	// snapshotting (the state machine still applies).
-	SnapshotStore rsm.Store
-	// SnapshotEvery is the snapshot cadence in instances; 0 disables
-	// automatic snapshots.
-	SnapshotEvery uint64
-	// Obs, when non-nil, attaches the observability layer: the engine and
-	// applier record latency histograms and sampled lifecycle stages into
-	// it (see internal/obs), and it can be served over HTTP with
-	// obs.NewHTTPHandler. Nil disables recording at one nil check per
-	// site.
-	Obs *obs.Recorder
-	// InitialView, when non-nil, marks this node a joiner: the engine is
-	// seeded with the admitting view instead of the static boot group and
-	// bootstraps through the restart-style state transfer (pulling the
-	// decided prefix — or a snapshot — before participating). The failure
-	// detector monitors the view's members.
-	InitialView *member.View
-	// Join marks the node a joiner that does not yet know its admitting
-	// view (the TCP deployment, where the admission decides while the
-	// process is already running): the engine starts from the epoch-0 boot
-	// view with restart-style empty state, announces itself, and pulls the
-	// decided prefix — replaying every config op on the way to the current
-	// view. Mutually redundant with InitialView (which skips the replay of
-	// pre-admission config history).
-	Join bool
 	// OnConfig, when non-nil, observes every applied membership view (in
 	// delivery order, on the event loop — it must not call back into the
 	// Node). The node itself already retargets its failure detector;
@@ -158,7 +119,9 @@ func NewNode(opts Options) (*Node, error) {
 		return nil, fmt.Errorf("%w: transport required", types.ErrBadConfig)
 	}
 	if opts.Engine.N == 0 {
-		opts.Engine = engine.DefaultConfig(opts.N)
+		def := engine.DefaultConfig(opts.N)
+		def.Obs, def.InitialView = opts.Engine.Obs, opts.Engine.InitialView
+		opts.Engine = def
 	}
 	if err := opts.Engine.Validate(); err != nil {
 		return nil, err
@@ -170,39 +133,12 @@ func NewNode(opts Options) (*Node, error) {
 		stopped: make(chan struct{}),
 	}
 	n.env = &nodeEnv{node: n, start: time.Now(), timers: make(map[engine.TimerID]*timerState)}
-	opts.Engine.Obs = opts.Obs
-	if opts.StateMachine != nil {
-		ro := rsm.Options{
-			N:        opts.N,
-			Store:    opts.SnapshotStore,
-			Interval: opts.SnapshotEvery,
-			Counters: &n.env.counters,
-			Obs:      opts.Obs,
-			Now:      n.env.Now,
-		}
-		if opts.Store != nil {
-			ro.OnSnapshot = recovery.TruncateOnSnapshot(opts.Store, &n.env.counters)
-		}
-		n.applier = rsm.NewApplier(opts.StateMachine, ro)
-		opts.Engine.Snapshots = n.applier.Hooks()
+	opts.Counters, opts.Now = &n.env.counters, n.env.Now
+	cfg, app, err := recovery.Boot(opts.Incarnation)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
 	}
-	if opts.Store != nil {
-		st, err := recovery.Boot(opts.Store, n.applier, opts.N, opts.Self)
-		if err != nil {
-			return nil, fmt.Errorf("runtime: %w", err)
-		}
-		opts.Engine.Persist = opts.Store
-		opts.Engine.Recovered = st
-	}
-	if opts.InitialView != nil {
-		opts.Engine.InitialView = opts.InitialView
-	}
-	if (opts.InitialView != nil || opts.Join) && opts.Engine.Recovered == nil {
-		// A joiner without a pre-existing log bootstraps like a restarted
-		// process with an empty state: announce, then pull the decided
-		// prefix (or a snapshot) through state transfer.
-		opts.Engine.Recovered = &engine.RecoveredState{NextDecide: 1, NextSeq: 1}
-	}
+	n.applier, opts.Engine = app, cfg
 	opts.Engine.OnConfig = func(v member.View, op member.Op) {
 		// Keep the failure detector pointed at the current members: removed
 		// processes stop being suspected (and their suspicion state is
@@ -226,11 +162,9 @@ func NewNode(opts Options) (*Node, error) {
 		func(to types.ProcessID) {
 			_ = n.tr.Send(to, []byte{chanFD})
 		})
-	if opts.InitialView != nil {
-		// A joiner monitors the members of its admitting view, not the
-		// (possibly long-replaced) boot group 0..N-1.
-		n.det.SetMembers(opts.InitialView.Members)
-	}
+	// Monitor the current members — a joiner's admitting view, or the view
+	// a restart restored — not the (possibly long-replaced) boot group.
+	n.det.SetMembers(n.eng.(engine.ConfigSubmitter).CurrentView().Members)
 
 	n.wg.Add(1)
 	go n.run()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"modab/internal/engine"
+	"modab/internal/recovery"
 	"modab/internal/transport"
 	"modab/internal/types"
 )
@@ -28,10 +29,9 @@ func newGroup(t *testing.T, n int, stk types.Stack) *group {
 	for i := 0; i < n; i++ {
 		i := i
 		node, err := NewNode(Options{
-			Self:      types.ProcessID(i),
-			N:         n,
-			Stack:     stk,
-			Transport: net.Endpoint(types.ProcessID(i)),
+			Incarnation: recovery.Incarnation{Self: types.ProcessID(i), N: n},
+			Stack:       stk,
+			Transport:   net.Endpoint(types.ProcessID(i)),
 			OnDeliver: func(d engine.Delivery) {
 				g.mu.Lock()
 				g.orders[i] = append(g.orders[i], d.Msg.ID)
@@ -136,11 +136,9 @@ func soloStuckNode(t *testing.T, window int) *Node {
 	cfg := engine.DefaultConfig(3)
 	cfg.Window = window
 	node, err := NewNode(Options{
-		Self:      0,
-		N:         3,
-		Stack:     types.Modular,
-		Engine:    cfg,
-		Transport: net.Endpoint(0),
+		Incarnation: recovery.Incarnation{Self: 0, N: 3, Engine: cfg},
+		Stack:       types.Modular,
+		Transport:   net.Endpoint(0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,11 +203,9 @@ func TestAbcastUnblocksOnWindowRoom(t *testing.T) {
 	nodes := make([]*Node, 3)
 	for i := range nodes {
 		node, err := NewNode(Options{
-			Self:      types.ProcessID(i),
-			N:         3,
-			Stack:     types.Monolithic,
-			Engine:    cfg,
-			Transport: net.Endpoint(types.ProcessID(i)),
+			Incarnation: recovery.Incarnation{Self: types.ProcessID(i), N: 3, Engine: cfg},
+			Stack:       types.Monolithic,
+			Transport:   net.Endpoint(types.ProcessID(i)),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -241,7 +237,7 @@ func TestOnDeliverReachedBeforeClose(t *testing.T) {
 	var mu sync.Mutex
 	var got int
 	node, err := NewNode(Options{
-		Self: 0, N: 1, Stack: types.Monolithic,
+		Incarnation: recovery.Incarnation{Self: 0, N: 1}, Stack: types.Monolithic,
 		Transport: net.Endpoint(0),
 		OnDeliver: func(engine.Delivery) {
 			mu.Lock()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"modab/internal/engine"
+	"modab/internal/recovery"
 	"modab/internal/transport"
 	"modab/internal/types"
 )
@@ -39,10 +40,9 @@ func tcpGroup(t *testing.T, n int, stk types.Stack) ([]*Node, *[][]types.MsgID, 
 	for i := 0; i < n; i++ {
 		i := i
 		node, err := NewNode(Options{
-			Self:      types.ProcessID(i),
-			N:         n,
-			Stack:     stk,
-			Transport: trs[i],
+			Incarnation: recovery.Incarnation{Self: types.ProcessID(i), N: n},
+			Stack:       stk,
+			Transport:   trs[i],
 			OnDeliver: func(d engine.Delivery) {
 				mu.Lock()
 				orders[i] = append(orders[i], d.Msg.ID)
@@ -171,7 +171,7 @@ func TestTCPGroupCrashFailover(t *testing.T) {
 func TestNodeLifecycle(t *testing.T) {
 	net := transport.NewMemNetwork()
 	node, err := NewNode(Options{
-		Self: 0, N: 1, Stack: types.Monolithic,
+		Incarnation: recovery.Incarnation{Self: 0, N: 1}, Stack: types.Monolithic,
 		Transport: net.Endpoint(0),
 	})
 	if err != nil {
@@ -196,20 +196,20 @@ func TestNodeLifecycle(t *testing.T) {
 
 func TestNodeValidation(t *testing.T) {
 	net := transport.NewMemNetwork()
-	if _, err := NewNode(Options{Self: 0, N: 0, Stack: types.Modular, Transport: net.Endpoint(0)}); err == nil {
+	if _, err := NewNode(Options{Incarnation: recovery.Incarnation{Self: 0, N: 0}, Stack: types.Modular, Transport: net.Endpoint(0)}); err == nil {
 		t.Error("accepted empty group")
 	}
-	if _, err := NewNode(Options{Self: 0, N: 1, Stack: types.Modular}); err == nil {
+	if _, err := NewNode(Options{Incarnation: recovery.Incarnation{Self: 0, N: 1}, Stack: types.Modular}); err == nil {
 		t.Error("accepted nil transport")
 	}
-	if _, err := NewNode(Options{Self: 0, N: 1, Stack: 0, Transport: net.Endpoint(1)}); err == nil {
+	if _, err := NewNode(Options{Incarnation: recovery.Incarnation{Self: 0, N: 1}, Stack: 0, Transport: net.Endpoint(1)}); err == nil {
 		t.Error("accepted zero stack")
 	}
 }
 
 func TestCountersExposed(t *testing.T) {
 	net := transport.NewMemNetwork()
-	node, err := NewNode(Options{Self: 0, N: 1, Stack: types.Modular, Transport: net.Endpoint(0)})
+	node, err := NewNode(Options{Incarnation: recovery.Incarnation{Self: 0, N: 1}, Stack: types.Modular, Transport: net.Endpoint(0)})
 	if err != nil {
 		t.Fatal(err)
 	}

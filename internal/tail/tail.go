@@ -122,8 +122,9 @@ type Tail struct {
 }
 
 // New builds one engine's tail from its configuration and, after a restart,
-// the state replayed from its log (cfg.Recovered): watermark, delivered set,
-// the own backlog's flow slots, sequence numbering, views. It never calls h.
+// the state recovery.Boot restored (cfg.Recovered): watermark, delivered
+// set, the own backlog's flow slots, sequence numbering, views. It never
+// calls h.
 func New(env engine.Env, cfg *engine.Config, h Host) *Tail {
 	t := &Tail{
 		env: env, cfg: cfg, h: h,
@@ -134,7 +135,10 @@ func New(env engine.Env, cfg *engine.Config, h Host) *Tail {
 		next:      1,
 		retires:   make(map[uint64][]types.ProcessID),
 	}
-	if v := cfg.InitialView; v != nil {
+	st := cfg.Recovered
+	if st != nil && len(st.Views) > 0 {
+		t.Hist = member.NewHistoryFrom(st.Views[0], st.Views[1:]...)
+	} else if v := cfg.InitialView; v != nil {
 		// A joiner starts from the config it was admitted into.
 		t.Hist = member.NewHistoryFrom(*v)
 	}
@@ -142,7 +146,6 @@ func New(env engine.Env, cfg *engine.Config, h Host) *Tail {
 		t.Store = payload.NewStore()
 		t.descDone = make(map[types.MsgID]uint64)
 	}
-	st := cfg.Recovered
 	if st == nil {
 		return t
 	}
@@ -159,18 +162,6 @@ func New(env engine.Env, cfg *engine.Config, h Host) *Tail {
 		last-- // NextSeq is the next sequence number to assign
 	}
 	t.Flow.Resume(last, seqs)
-	// Config ops ride the total order as ordinary decided messages (logged
-	// batches hold resolved bodies in both ordering modes); re-applying them
-	// in instance order rebuilds the pre-crash view sequence. A log truncated
-	// below one loses it: drivers keep membership runs untruncated.
-	for k := uint64(1); k < t.next && cfg.Persist != nil; k++ {
-		b, _ := cfg.Persist.ReadDecision(k)
-		for _, m := range b {
-			if op, isCfg := member.DecodeOp(m.Body); isCfg {
-				t.Hist.Apply(op, k, cfg.EffectivePipeline())
-			}
-		}
-	}
 	return t
 }
 
@@ -214,7 +205,7 @@ func (t *Tail) Commit(k uint64, batch wire.Batch, descs []wire.Descriptor) {
 		if op, isCfg := member.DecodeOp(m.Body); isCfg {
 			// A config op consumes its slot in the total order but is never
 			// delivered: the view change, at the same point everywhere, is it.
-			t.applyConfig(k, op)
+			t.applyConfig(k, m.ID, op)
 		} else {
 			c.ADeliver.Add(1)
 			if o != nil {
@@ -255,9 +246,9 @@ func (t *Tail) Commit(k uint64, batch wire.Batch, descs []wire.Descriptor) {
 	trace.Raise(&c.DescriptorsRetained, len(t.descDone))
 }
 
-// ReplayViews hands every non-boot view (a joiner's seed, views rebuilt
-// from the log) to the host in order, once it can propagate them; the last
-// one leaves the host and the flow window at the current view.
+// ReplayViews hands every non-boot view (a joiner's seed, views restored
+// at boot) to the host in order, once it can propagate them; the last one
+// leaves the host and the flow window at the current view.
 func (t *Tail) ReplayViews() {
 	for _, v := range t.Hist.Views() {
 		if v.Epoch > 0 || t.cfg.InitialView != nil {
@@ -270,8 +261,11 @@ func (t *Tail) ReplayViews() {
 // (stale epoch, duplicate add, absent remove) is a deterministic no-op:
 // everyone rejects the ordered op against the same history. A successful
 // one appends the view, activating at k plus the pipeline window.
-func (t *Tail) applyConfig(k uint64, op member.Op) {
+func (t *Tail) applyConfig(k uint64, id types.MsgID, op member.Op) {
 	v, ok := t.Hist.Apply(op, k, t.cfg.EffectivePipeline())
+	if s := t.cfg.Snapshots; s != nil && s.ConfigOrdered != nil {
+		s.ConfigOrdered(k, id, v, ok)
+	}
 	if !ok {
 		return
 	}

@@ -536,16 +536,16 @@ func TestRecoverReqServesContiguousChunk(t *testing.T) {
 }
 
 func TestRestartAdoptsReplayedState(t *testing.T) {
-	store := map[uint64]wire.Batch{}
-	add, _ := member.NewHistory(3).Current().Stamp(member.Op{Kind: member.OpAdd, Target: 3})
-	store[2] = wire.Batch{{ID: types.MsgID{Sender: 1, Seq: 1}, Body: member.EncodeOp(add)}}
+	hist := member.NewHistory(3)
+	add, _ := hist.Current().Stamp(member.Op{Kind: member.OpAdd, Target: 3})
+	hist.Apply(add, 2, 1)
 	delivered := dedup.NewMap(3)
 	delivered.Mark(types.MsgID{Sender: 0, Seq: 1})
 	own := wire.Batch{app(0, 5), app(0, 2), app(0, 3)}
 	h := newHost(0, 3, func(c *engine.Config) {
 		c.DigestOrdering = true
-		c.Persist = logReader(store)
-		c.Recovered = &engine.RecoveredState{NextDecide: 4, Delivered: delivered, Own: own, NextSeq: 6, Boots: 2}
+		c.Recovered = &engine.RecoveredState{NextDecide: 4, Delivered: delivered, Own: own, NextSeq: 6, Boots: 2,
+			Views: hist.Views()}
 	})
 	if h.t.Next() != 4 || h.t.Flow.InFlight() != 3 || !h.t.Delivered.Seen(types.MsgID{Sender: 0, Seq: 1}) {
 		t.Fatalf("adopted Next %d, in-flight %d", h.t.Next(), h.t.Flow.InFlight())
@@ -554,8 +554,8 @@ func TestRestartAdoptsReplayedState(t *testing.T) {
 		t.Fatalf("sequence numbering resumed at %d (%v), want 6", id.Seq, err)
 	}
 	cur := h.t.Hist.Current()
-	if cur.Epoch != 1 || !cur.Contains(3) || cur.Activation != 3 {
-		t.Fatalf("view rebuilt from the log: %+v", cur)
+	if cur.Epoch != 1 || !cur.Contains(3) || cur.Activation != 3 || len(h.t.Hist.Views()) != 2 {
+		t.Fatalf("restored views: %+v", h.t.Hist.Views())
 	}
 	if len(h.views) != 0 {
 		t.Fatal("New must not call the host")
@@ -565,10 +565,3 @@ func TestRestartAdoptsReplayedState(t *testing.T) {
 		t.Fatalf("ReplayViews handed over %v", h.views)
 	}
 }
-
-// logReader is a read-only engine.Persister over a decision map.
-type logReader map[uint64]wire.Batch
-
-func (l logReader) PersistAdmit(wire.Batch)                  {}
-func (l logReader) PersistDecision(k uint64, b wire.Batch)   { l[k] = b }
-func (l logReader) ReadDecision(k uint64) (wire.Batch, bool) { b, ok := l[k]; return b, ok }

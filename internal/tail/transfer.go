@@ -191,8 +191,10 @@ func (t *Tail) SnapResp(from types.ProcessID, resp wire.SnapResp) {
 // installSnapshot adopts a fetched snapshot: the application side first
 // (persist + state machine restore through the driver hook; a failed
 // install leaves the tail unchanged), then merged dedup state, the jumped
-// watermark and, for what the snapshot ordered, released own flow slots
-// and retired pending entries (a partly covered descriptor stays pending).
+// watermark, the snapshot's views this process lacks (handed to the host,
+// removed origins retired) and, for what the snapshot ordered, released
+// own flow slots and retired pending entries (a partly covered descriptor
+// stays pending).
 func (t *Tail) installSnapshot(env wire.SnapshotEnvelope) error {
 	dm, err := dedup.UnmarshalMap(env.Dedup)
 	if err != nil {
@@ -205,6 +207,23 @@ func (t *Tail) installSnapshot(env wire.SnapshotEnvelope) error {
 	}
 	t.Delivered.Merge(dm)
 	t.next = env.Index + 1
+	for _, v := range env.Views {
+		prev := t.Hist.Current()
+		if !t.Hist.Adopt(v) {
+			continue
+		}
+		t.reconfigureLocal(v)
+		for _, origin := range prev.Members {
+			// Retire a removed origin at its boundary, as Commit would.
+			switch {
+			case v.Contains(origin):
+			case v.Activation <= t.next:
+				t.retireOrigin(origin)
+			default:
+				t.retires[v.Activation] = append(t.retires[v.Activation], origin)
+			}
+		}
+	}
 	t.Flow.ReleaseDelivered(t.Delivered.Seen)
 	t.h.RetirePending(func(m wire.AppMsg) bool { return t.settled(m, env.Index) })
 	// A head blocked below the new watermark is obsolete; one above it

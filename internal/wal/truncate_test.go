@@ -1,12 +1,15 @@
 package wal
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"modab/internal/dedup"
+	"modab/internal/engine"
 	"modab/internal/recovery"
+	"modab/internal/rsm"
 	"modab/internal/types"
 	"modab/internal/wire"
 )
@@ -147,10 +150,20 @@ func TestTruncateThenRestartReplaysCorrectly(t *testing.T) {
 	for k := uint64(1); k <= 30; k++ {
 		dm.Mark(types.MsgID{Sender: 0, Seq: k})
 	}
-	st, err := recovery.ReplayStateFrom(l2, 1, 0, 30, dm)
-	if err != nil {
-		t.Fatalf("ReplayStateFrom: %v", err)
+	var state bytes.Buffer
+	if err := rsm.NewKV().Snapshot(&state); err != nil {
+		t.Fatal(err)
 	}
+	snaps := rsm.NewMemStore()
+	if err := snaps.Save(wire.SnapshotEnvelope{Index: 30, Dedup: dm.MarshalBytes(), State: state.Bytes()}); err != nil {
+		t.Fatal(err)
+	}
+	cfg, _, err := recovery.Boot(recovery.Incarnation{Self: 0, N: 1, Engine: engine.DefaultConfig(1),
+		Store: l2, StateMachine: rsm.NewKV(), Snapshots: snaps})
+	if err != nil {
+		t.Fatalf("Boot: %v", err)
+	}
+	st := cfg.Recovered
 	if st == nil || st.NextDecide != 41 {
 		t.Fatalf("recovered NextDecide = %+v, want 41", st)
 	}

@@ -2,7 +2,7 @@
 // crash-recovery subsystem: a segmented append-only log of CRC-checked
 // records implementing recovery.Store, so the engines persist admissions
 // and consensus decisions through it (engine.Persister) and a restarted
-// process replays it back into protocol state (recovery.ReplayState).
+// process replays it back into protocol state (recovery.Boot).
 //
 // # On-disk format
 //

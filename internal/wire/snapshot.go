@@ -1,6 +1,12 @@
 package wire
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+
+	"modab/internal/member"
+	"modab/internal/types"
+)
 
 // Snapshot state-transfer frame kinds. They extend the recover-frame
 // namespace: a rebooting node that is too far behind to be served
@@ -90,12 +96,14 @@ func UnmarshalSnapResp(data []byte) (SnapResp, error) {
 
 // SnapshotEnvelope is the logical content of one snapshot: the state
 // machine's bytes at an instance boundary plus the delivered-dedup state
-// at that same boundary. Shipping the dedup state matters: without it, a
-// node whose own message was ordered at or below Index but who crashed
-// before persisting that decision would re-propose it after install and
-// apply it twice. The envelope is what the snapshot store persists and
-// what state transfer ships; the codec lives here (not in the recovery
-// package) so the engines can decode it without an import cycle.
+// and the membership history at that same boundary. Shipping the dedup
+// state matters: without it, a node whose own message was ordered at or
+// below Index but who crashed before persisting that decision would
+// re-propose it after install and apply it twice. The views matter
+// because the config ops the snapshot covers leave the log with the rest.
+// The envelope is what the snapshot store persists and what state
+// transfer ships; the codec lives here (not in the recovery package) so
+// the engines can decode it without an import cycle.
 type SnapshotEnvelope struct {
 	// Index is the highest instance whose deliveries are folded into
 	// State: the snapshot covers exactly instances [1, Index].
@@ -105,17 +113,38 @@ type SnapshotEnvelope struct {
 	Dedup []byte
 	// State is the state machine's own serialization.
 	State []byte
+	// Views is the membership history decided at or below Index, oldest
+	// first (epochs strictly increasing, members sorted).
+	Views []member.View
 }
+
+// ErrBadViews reports a malformed view history in a snapshot envelope.
+var ErrBadViews = errors.New("wire: malformed view history")
 
 // Marshal appends the envelope to w.
 func (e SnapshotEnvelope) Marshal(w *Writer) {
 	w.Uint64(e.Index)
 	w.Bytes32(e.Dedup)
 	w.Bytes32(e.State)
+	w.Uint32(uint32(len(e.Views)))
+	for _, v := range e.Views {
+		w.Uint64(v.Epoch)
+		w.Uint64(v.Activation)
+		w.Uint32(uint32(len(v.Members)))
+		for _, m := range v.Members {
+			w.Uint32(uint32(m))
+		}
+	}
 }
 
 // WireSize returns the encoded size of the envelope in bytes.
-func (e SnapshotEnvelope) WireSize() int { return 8 + 4 + len(e.Dedup) + 4 + len(e.State) }
+func (e SnapshotEnvelope) WireSize() int {
+	n := 8 + 4 + len(e.Dedup) + 4 + len(e.State) + 4
+	for _, v := range e.Views {
+		n += 8 + 8 + 4 + 4*len(v.Members)
+	}
+	return n
+}
 
 // UnmarshalSnapshotEnvelope decodes a snapshot envelope.
 func UnmarshalSnapshotEnvelope(data []byte) (SnapshotEnvelope, error) {
@@ -123,6 +152,33 @@ func UnmarshalSnapshotEnvelope(data []byte) (SnapshotEnvelope, error) {
 	e := SnapshotEnvelope{Index: r.Uint64()}
 	e.Dedup = r.Bytes32()
 	e.State = r.Bytes32()
+	e.Views = readViews(r)
 	r.ExpectEOF()
 	return e, r.Err()
+}
+
+// readViews decodes a view history. Counts are bounded by the bytes left
+// before anything is allocated; empty or unsorted members and epochs that
+// do not increase are ErrBadViews.
+func readViews(r *Reader) []member.View {
+	n := r.Uint32()
+	if uint64(n) > uint64(r.Len()/20) { // a view takes at least 20 bytes
+		r.fail(fmt.Errorf("%w: %d views in %d bytes", ErrBadViews, n, r.Len()))
+	}
+	var views []member.View
+	for i := uint32(0); i < n && r.Err() == nil; i++ {
+		v := member.View{Epoch: r.Uint64(), Activation: r.Uint64()}
+		m := r.Uint32()
+		ok := m > 0 && uint64(m) <= uint64(r.Len()/4) && (i == 0 || v.Epoch > views[i-1].Epoch)
+		for j := uint32(0); ok && j < m; j++ {
+			p := types.ProcessID(r.Int32())
+			ok = p >= 0 && (j == 0 || p > v.Members[j-1])
+			v.Members = append(v.Members, p)
+		}
+		if !ok && r.Err() == nil {
+			r.fail(fmt.Errorf("%w: view %d", ErrBadViews, i))
+		}
+		views = append(views, v)
+	}
+	return views
 }

@@ -621,6 +621,10 @@ func New(n int, stack Stack, opts ...Option) (*Cluster, error) {
 		if s.bootN > 0 {
 			c.bootN = s.bootN
 		}
+		if s.join && c.bootN > int(s.self) {
+			// A joiner is a process outside the boot group (recovery.Boot).
+			return nil, fmt.Errorf("%w: WithJoin boot group of %d includes self %s", types.ErrBadConfig, c.bootN, s.self)
+		}
 	}
 	c.hub = stream.NewHub[Event](stream.DefaultBuffer, stream.Block,
 		func() { c.streamDropped.Add(1) })
@@ -688,38 +692,37 @@ func (c *Cluster) dir(p ProcessID) string {
 // through state transfer instead of assuming the boot group.
 func (c *Cluster) startNode(p ProcessID, initView *member.View) (*runtime.Node, error) {
 	c.mu.RLock()
-	rec := c.obsRecs[p]
+	in := recovery.Incarnation{Self: p, N: c.bootN, Engine: c.opts.engine, SnapshotEvery: c.opts.snapshotEvery}
+	in.Engine.Obs, in.Engine.InitialView = c.obsRecs[p], initView
 	addrs := c.addrs
 	c.mu.RUnlock()
-	var store recovery.Store
 	if c.opts.dir != "" {
-		var err error
-		if store, err = wal.Open(c.dir(p), wal.Options{Policy: c.opts.sync, Obs: rec}); err != nil {
+		log, err := wal.Open(c.dir(p), wal.Options{Policy: c.opts.sync, Obs: in.Engine.Obs})
+		if err != nil {
 			return nil, err
 		}
+		in.Store = log
 	}
 	var tr transport.Transport
 	fail := func(err error) (*runtime.Node, error) {
 		if tr != nil {
 			_ = tr.Close()
 		}
-		if store != nil {
-			_ = store.Close()
+		if in.Store != nil {
+			_ = in.Store.Close()
 		}
 		return nil, err
 	}
-	var sm rsm.StateMachine
-	var snaps rsm.Store
 	if c.opts.stateMachine != nil {
 		// A fresh incarnation gets a fresh state machine: its state is
 		// rebuilt from the local snapshot plus the log suffix, never
 		// inherited from the dead incarnation's memory. Snapshots live in
 		// files alongside the write-ahead log when the group is durable,
 		// in memory otherwise.
-		sm, snaps = c.opts.stateMachine(), rsm.NewMemStore()
+		in.StateMachine, in.Snapshots = c.opts.stateMachine(), rsm.NewMemStore()
 		if c.opts.dir != "" {
 			var err error
-			if snaps, err = rsm.OpenFileStore(filepath.Join(c.dir(p), "snap")); err != nil {
+			if in.Snapshots, err = rsm.OpenFileStore(filepath.Join(c.dir(p), "snap")); err != nil {
 				return fail(err)
 			}
 		}
@@ -735,22 +738,13 @@ func (c *Cluster) startNode(p ProcessID, initView *member.View) (*runtime.Node, 
 		tr = tcp
 	}
 	node, err := runtime.NewNode(runtime.Options{
-		Self:      p,
-		N:         c.bootN,
-		Stack:     c.stack,
-		Engine:    c.opts.engine,
-		Transport: tr,
-		Store:     store,
+		Incarnation: in,
+		Stack:       c.stack,
+		Transport:   tr,
 		OnDeliver: func(d engine.Delivery) {
 			c.hub.Publish(Event{P: p, D: d, At: time.Since(c.start)})
 		},
-		StateMachine:  sm,
-		SnapshotStore: snaps,
-		SnapshotEvery: c.opts.snapshotEvery,
-		Obs:           rec,
-		InitialView:   initView,
-		Join:          c.opts.join,
-		OnConfig:      func(v member.View, op member.Op) { c.onViewChange(tcp, v, op) },
+		OnConfig: func(v member.View, op member.Op) { c.onViewChange(tcp, v, op) },
 	})
 	if err != nil {
 		return fail(err)
