@@ -32,7 +32,7 @@ test-chaos:
 vet:
 	$(GO) vet ./...
 
-# Fuzz smoke: a bounded run of each of the seven fuzz targets on top of its
+# Fuzz smoke: a bounded run of each of the eight fuzz targets on top of its
 # checked-in seed corpus (testdata/fuzz/...). Plain `go test` already
 # replays the seeds; this target actually mutates for a short budget so
 # the corpus can grow when a new crasher appears. (`go test -fuzz` takes
@@ -45,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzRelayFrame$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz='^FuzzDigestFrames$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz='^FuzzRecoverFrames$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run=NONE -fuzz='^FuzzPayloadStore$$' -fuzztime=10s ./internal/payload
 
 # Benchmark smoke: compile and run every benchmark for exactly one
 # iteration (BenchmarkFigures is the first point of every registered

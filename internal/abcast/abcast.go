@@ -699,14 +699,6 @@ func (l *Layer) Suspect(p types.ProcessID, suspected bool) {
 	l.t.Suspected[p] = suspected // feeds the payload-refetch target rotation
 }
 
-// marshalDiffuse builds a single-message diffuse frame (tests craft
-// inbound frames with it; the hot path uses diffuseOne's pooled writer).
-func marshalDiffuse(m wire.AppMsg) []byte {
-	w := wire.NewWriter(1 + m.WireSize())
-	wire.AppendMsgFrame(w, m)
-	return w.Bytes()
-}
-
 // sortedPendingIDs returns the IDs of the pending entries that pass keep
 // (nil keeps all) in deterministic order (iteration-driven sends must be
 // reproducible under simulation). A fault-free run has no stale entry to

@@ -513,3 +513,11 @@ func BenchmarkPendingBatch(b *testing.B) {
 		})
 	}
 }
+
+// marshalDiffuse builds a single-message diffuse frame, as a peer's
+// diffuseOne sends it.
+func marshalDiffuse(m wire.AppMsg) []byte {
+	w := wire.NewWriter(1 + m.WireSize())
+	wire.AppendMsgFrame(w, m)
+	return w.Bytes()
+}

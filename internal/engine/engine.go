@@ -50,7 +50,9 @@ const (
 )
 
 // Delivery is one adelivered application message together with the
-// consensus instance that ordered it.
+// consensus instance that ordered it. Msg.Body is read-only: it may be a
+// view into the frame the message arrived in, shared with the engine's
+// payload store.
 type Delivery struct {
 	Msg      wire.AppMsg
 	Instance uint64
@@ -196,7 +198,9 @@ type Engine interface {
 	Start()
 	// HandleMessage processes one inbound network message. Malformed
 	// messages are dropped and reported as an error (drivers surface the
-	// error in tests; production drivers count and continue).
+	// error in tests; production drivers count and continue). The engine
+	// owns data and may retain it (views into it stay resident in the
+	// payload store); the driver never modifies it afterwards.
 	HandleMessage(from types.ProcessID, data []byte) error
 	// HandleTimer fires a previously armed timer.
 	HandleTimer(id TimerID)

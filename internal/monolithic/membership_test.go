@@ -7,6 +7,7 @@ import (
 	"modab/internal/engine"
 	"modab/internal/member"
 	"modab/internal/types"
+	"modab/internal/wire"
 )
 
 // TestRemoveRetiresAnnouncedPayloads is the payload-leak regression
@@ -33,7 +34,7 @@ func TestRemoveRetiresAnnouncedPayloads(t *testing.T) {
 		}
 	}
 	r.envs[2].Sends = nil
-	if _, ok := r.engs[1].t.Store.Get(2, orphan.Seq); !ok {
+	if !r.engs[1].t.Store.Has(wire.Descriptor{Origin: 2, FirstSeq: orphan.Seq, Count: 1}) {
 		t.Fatal("p2 should hold the announced batch")
 	}
 	r.net.Drop = func(from, to types.ProcessID, _ []byte) bool {
@@ -63,7 +64,7 @@ func TestRemoveRetiresAnnouncedPayloads(t *testing.T) {
 
 	// The boundary must have swept the removed origin's state (delivered
 	// fillers legitimately stay resident until horizon pruning).
-	if _, ok := r.engs[1].t.Store.Get(2, orphan.Seq); ok {
+	if r.engs[1].t.Store.Has(wire.Descriptor{Origin: 2, FirstSeq: orphan.Seq, Count: 1}) {
 		t.Fatal("payload leak: p2 store still holds the removed origin's batch")
 	}
 	for id := range r.engs[1].pool {

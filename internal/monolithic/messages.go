@@ -77,44 +77,21 @@ const (
 	mPayloadResp
 )
 
+var mtypeNames = [...]string{
+	mPropDec: "proposal+decision", mAckDiff: "ack+diffusion", mEstimate: "estimate",
+	mNack: "nack", mForward: "forward", mDecisionOnly: "decision",
+	mDecisionReq: "decision-req", mDecisionFull: "decision-full",
+	mRecoverReq: "recover-req", mRecoverResp: "recover-resp",
+	mSnapReq: "snap-req", mSnapResp: "snap-resp", mRelay: "relay",
+	mAnnounce: "announce", mPayloadFetch: "payload-fetch", mPayloadResp: "payload-resp",
+}
+
 // String implements fmt.Stringer.
 func (t mtype) String() string {
-	switch t {
-	case mPropDec:
-		return "proposal+decision"
-	case mAckDiff:
-		return "ack+diffusion"
-	case mEstimate:
-		return "estimate"
-	case mNack:
-		return "nack"
-	case mForward:
-		return "forward"
-	case mDecisionOnly:
-		return "decision"
-	case mDecisionReq:
-		return "decision-req"
-	case mDecisionFull:
-		return "decision-full"
-	case mRecoverReq:
-		return "recover-req"
-	case mRecoverResp:
-		return "recover-resp"
-	case mSnapReq:
-		return "snap-req"
-	case mSnapResp:
-		return "snap-resp"
-	case mRelay:
-		return "relay"
-	case mAnnounce:
-		return "announce"
-	case mPayloadFetch:
-		return "payload-fetch"
-	case mPayloadResp:
-		return "payload-resp"
-	default:
-		return fmt.Sprintf("mtype(%d)", uint8(t))
+	if int(t) < len(mtypeNames) && mtypeNames[t] != "" {
+		return mtypeNames[t]
 	}
+	return fmt.Sprintf("mtype(%d)", uint8(t))
 }
 
 // message is the uniform monolithic wire unit; variant fields are used
@@ -150,7 +127,9 @@ type message struct {
 	// Offset, Total and Data carry snapshot transfer chunks (mSnapReq uses
 	// Offset; mSnapResp uses all three, with Instance as the snapshot
 	// index and UpTo as the responder's decided horizon). mRelay reuses
-	// Data for the marshaled inner proposal.
+	// Data for the marshaled inner proposal. Except in mSnapResp, Data is
+	// a view into the received frame, not a copy: an announce's bodies
+	// stay resident in the payload store as views into it.
 	Offset uint64
 	Total  uint64
 	Data   []byte
@@ -259,9 +238,9 @@ func unmarshalMessage(data []byte) (message, error) {
 	case mRelay:
 		m.RelayOrigin = types.ProcessID(r.Int32())
 		m.RelayHops = r.Uint8()
-		m.Data = r.Bytes32()
+		m.Data = r.View32()
 	case mAnnounce, mPayloadFetch, mPayloadResp:
-		m.Data = r.Bytes32()
+		m.Data = r.View32()
 	case mNack, mDecisionOnly, mDecisionReq, mRecoverReq:
 		// Header only.
 	default:

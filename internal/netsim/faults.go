@@ -53,9 +53,6 @@ func (f LinkFault) active(t time.Duration) bool {
 // blocking reports whether the fault fully blocks the link while active.
 func (f LinkFault) blocking() bool { return f.Drop >= 1 }
 
-// pending reports whether the fault can still affect traffic at or after t.
-func (f LinkFault) pending(t time.Duration) bool { return f.To == 0 || f.To > t }
-
 // linkKey identifies one directed link.
 type linkKey struct{ from, to types.ProcessID }
 

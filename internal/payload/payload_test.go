@@ -11,6 +11,11 @@ func msg(origin types.ProcessID, seq uint64, body string) wire.AppMsg {
 	return wire.AppMsg{ID: types.MsgID{Sender: origin, Seq: seq}, Body: []byte(body)}
 }
 
+// one is the one-message descriptor of (origin, seq).
+func one(origin types.ProcessID, seq uint64) wire.Descriptor {
+	return wire.Descriptor{Origin: origin, FirstSeq: seq, Count: 1}
+}
+
 func contiguous(origin types.ProcessID, first uint64, n int) wire.Batch {
 	b := make(wire.Batch, 0, n)
 	for i := 0; i < n; i++ {
@@ -53,7 +58,7 @@ func TestStoreRangeMissingMessage(t *testing.T) {
 		if i == 2 {
 			continue // hole
 		}
-		s.Put(m)
+		s.PutBatch(wire.Batch{m})
 	}
 	if s.Has(d) {
 		t.Fatal("store with a hole claims residency")
@@ -66,11 +71,11 @@ func TestStoreRangeMissingMessage(t *testing.T) {
 func TestStorePutIdempotent(t *testing.T) {
 	s := NewStore()
 	m := msg(0, 1, "abc")
-	s.Put(m)
-	s.Put(msg(0, 1, "different"))
-	got, _ := s.Get(0, 1)
-	if string(got.Body) != "abc" {
-		t.Fatalf("second Put overwrote body: %q", got.Body)
+	s.PutBatch(wire.Batch{m})
+	s.PutBatch(wire.Batch{msg(0, 1, "different")})
+	got, _ := s.Range(one(0, 1))
+	if string(got[0].Body) != "abc" {
+		t.Fatalf("second Put overwrote body: %q", got[0].Body)
 	}
 	if s.Len() != 1 || s.Bytes() != 3 {
 		t.Fatalf("Len=%d Bytes=%d after duplicate Put", s.Len(), s.Bytes())
@@ -125,7 +130,7 @@ func TestStoreOverlappingDescriptorsAfterRestart(t *testing.T) {
 	if s.Has(dNew) {
 		t.Fatal("overlap prefix should be pruned at the old stamp")
 	}
-	if _, ok := s.Get(3, 11); !ok {
+	if !s.Has(one(3, 11)) {
 		t.Fatal("suffix delivered at 9 pruned at cutoff 7")
 	}
 	s.PruneBelow(9)
@@ -160,7 +165,7 @@ func TestRetireOrigin(t *testing.T) {
 		t.Fatalf("after retire Len=%d Bytes=%d, want 5/5", s.Len(), s.Bytes())
 	}
 	// Delivered entries still resident (serve payload-fetch repair)...
-	if _, ok := s.Get(1, 2); !ok {
+	if !s.Has(one(1, 2)) {
 		t.Fatal("delivered entry of retired origin was dropped")
 	}
 	// ...until the horizon prunes them as usual.
@@ -168,11 +173,68 @@ func TestRetireOrigin(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("after prune Len=%d, want 2 (origin 2 only)", s.Len())
 	}
-	if _, ok := s.Get(2, 1); !ok {
+	if !s.Has(one(2, 1)) {
 		t.Fatal("unrelated origin lost an entry")
 	}
 	// Retiring an origin with no state is a no-op.
 	if got := s.RetireOrigin(7); got != 0 {
 		t.Fatalf("RetireOrigin(empty) = %d, want 0", got)
+	}
+}
+
+// TestStoreSparseSeqsStayBounded: sequence numbers far apart cost one
+// entry each, not a slot per seq in between.
+func TestStoreSparseSeqsStayBounded(t *testing.T) {
+	s := NewStore()
+	for _, seq := range []uint64{1 << 41, 1, 1 << 40} {
+		s.PutBatch(wire.Batch{msg(4, seq, "x")})
+	}
+	w := s.byOrigin[4]
+	if s.Len() != 3 || len(w.e) != 3 || cap(w.e) > 4 {
+		t.Fatalf("Len=%d window len/cap=%d/%d, want 3 entries resident", s.Len(), len(w.e), cap(w.e))
+	}
+	for _, seq := range []uint64{1, 1 << 40, 1 << 41} {
+		if !s.Has(one(4, seq)) {
+			t.Fatalf("seq %d not resident", seq)
+		}
+	}
+	if s.Has(one(4, 2)) || s.Has(wire.Descriptor{Origin: 4, FirstSeq: 1 << 40, Count: 2}) {
+		t.Fatal("a seq between the live ones claims residency")
+	}
+}
+
+// TestStoreAllocs is the steady-state ratchet: a delivery cycle of
+// PutBatch, MarkDelivered and PruneBelow allocates at most once on
+// average (amortized window and retirement-queue growth), and Range
+// allocates only the batch it returns.
+func TestStoreAllocs(t *testing.T) {
+	const horizon = 4
+	s := NewStore()
+	b := contiguous(1, 1, 32)
+	next, k := uint64(1), uint64(1)
+	cycle := func() {
+		for i := range b {
+			b[i].ID.Seq = next + uint64(i)
+		}
+		s.PutBatch(b)
+		s.MarkDelivered(wire.Descriptor{Origin: 1, FirstSeq: next, Count: uint32(len(b))}, k)
+		if k > horizon {
+			s.PruneBelow(k - horizon)
+		}
+		next += uint64(len(b))
+		k++
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs > 1 {
+		t.Fatalf("a PutBatch/MarkDelivered/PruneBelow cycle made %.2f allocations, want at most 1", allocs)
+	}
+	if s.Len() != horizon*len(b) {
+		t.Fatalf("Len=%d, want %d resident within the horizon", s.Len(), horizon*len(b))
+	}
+	d := wire.Descriptor{Origin: 1, FirstSeq: next - 32, Count: 32}
+	if allocs := testing.AllocsPerRun(100, func() { s.Range(d) }); allocs != 1 {
+		t.Fatalf("Range made %.0f allocations, want 1", allocs)
 	}
 }

@@ -299,13 +299,6 @@ func (a *Applier) AppliedIndex() uint64 {
 	return a.applied
 }
 
-// Applied reports whether the message has been applied.
-func (a *Applier) Applied(id types.MsgID) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.seen.Seen(id)
-}
-
 // Await returns a channel that receives the message's apply result
 // exactly once — immediately when already applied (nil result when the
 // result left its origin's window or arrived inside an installed

@@ -78,8 +78,8 @@ func TestResultWindow(t *testing.T) {
 	}
 	// ... and the next one evicts it: still applied, nil result.
 	apply(1, resultHistory+1, EncodeGet([]byte("k")))
-	if got := awaitNow(t, a, 1, 1); got != nil || !a.Applied(mid(1, 1)) {
-		t.Fatalf("evicted result = %q applied=%v, want nil and applied", got, a.Applied(mid(1, 1)))
+	if got := awaitNow(t, a, 1, 1); got != nil || !a.seen.Seen(mid(1, 1)) {
+		t.Fatalf("evicted result = %q applied=%v, want nil and applied", got, a.seen.Seen(mid(1, 1)))
 	}
 	if got := awaitNow(t, a, 1, resultHistory+1); !bytes.Equal(got, []byte{StatusOK, 'v', '4'}) {
 		t.Fatalf("newest result = %q", got)

@@ -132,7 +132,7 @@ func TestApplierExactlyOnceAndResults(t *testing.T) {
 	}
 	// Duplicate delivery is a no-op (replay overlap).
 	deliver(a, 1, id, EncodePut([]byte("k"), []byte("other")))
-	if !a.Applied(id) {
+	if !a.seen.Seen(id) {
 		t.Fatalf("Applied(id) = false")
 	}
 	// Await after the fact resolves immediately, with the first result.
@@ -167,7 +167,7 @@ func TestApplierInstallAndBootstrap(t *testing.T) {
 	if got := dst.AppliedIndex(); got != 3 {
 		t.Fatalf("applied after install = %d", got)
 	}
-	if !dst.Applied(mid(0, 3)) || dst.Applied(mid(0, 4)) {
+	if !dst.seen.Seen(mid(0, 3)) || dst.seen.Seen(mid(0, 4)) {
 		t.Fatalf("install dedup wrong")
 	}
 	// The installed envelope was persisted locally: a restart bootstraps

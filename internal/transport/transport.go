@@ -14,7 +14,10 @@ import (
 )
 
 // Handler consumes one inbound message. Implementations invoke it from a
-// single goroutine per transport, in per-sender FIFO order.
+// single goroutine per transport, in per-sender FIFO order. The handler
+// owns data and may retain it: the transport hands over a buffer it never
+// modifies afterwards (TestHandlerOwnsFrames), so engines keep payload
+// bodies as views into the frame they arrived in.
 type Handler func(from types.ProcessID, data []byte)
 
 // Transport is one process's endpoint of the group's channels.

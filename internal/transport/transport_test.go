@@ -167,6 +167,15 @@ func TestMemLifecycleErrors(t *testing.T) {
 // tcpPair builds a started two-process TCP group on loopback.
 func tcpPair(t *testing.T) (*TCP, *TCP, *recv, *recv) {
 	t.Helper()
+	r0, r1 := &recv{}, &recv{}
+	t0, t1 := tcpGroup(t, r0.handler, r1.handler)
+	return t0, t1, r0, r1
+}
+
+// tcpGroup builds a started two-process TCP group on loopback whose
+// processes hand inbound frames to h0 and h1.
+func tcpGroup(t *testing.T, h0, h1 Handler) (*TCP, *TCP) {
+	t.Helper()
 	t0, err := NewTCP(0, []string{"127.0.0.1:0", "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -178,15 +187,14 @@ func tcpPair(t *testing.T) (*TCP, *TCP, *recv, *recv) {
 	addrs := []string{t0.Addr(), t1.Addr()}
 	t0.SetAddrs(addrs)
 	t1.SetAddrs(addrs)
-	r0, r1 := &recv{}, &recv{}
-	if err := t0.Start(r0.handler); err != nil {
+	if err := t0.Start(h0); err != nil {
 		t.Fatal(err)
 	}
-	if err := t1.Start(r1.handler); err != nil {
+	if err := t1.Start(h1); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { t0.Close(); t1.Close() })
-	return t0, t1, r0, r1
+	return t0, t1
 }
 
 func TestTCPRoundTrip(t *testing.T) {
@@ -278,4 +286,74 @@ func TestTCPSelfIDOutOfRange(t *testing.T) {
 	if _, err := NewTCP(5, []string{"127.0.0.1:0"}); err == nil {
 		t.Fatal("accepted out-of-range self")
 	}
+}
+
+// owner is a Handler that keeps every frame it is handed, as engines keep
+// announce bodies, along with a copy taken on arrival.
+type owner struct {
+	mu          sync.Mutex
+	held, snaps [][]byte
+}
+
+func (o *owner) handler(_ types.ProcessID, data []byte) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.held = append(o.held, data)
+	o.snaps = append(o.snaps, bytes.Clone(data))
+}
+
+func (o *owner) count() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return len(o.held)
+}
+
+// TestHandlerOwnsFrames pins the Handler contract engines rely on when they
+// keep views into a frame: the transport never writes to a frame after
+// handing it over. The receiver retains every frame; the sender refills
+// one buffer for 1,000 more sends; every retained frame must still equal
+// the copy taken when it arrived.
+func TestHandlerOwnsFrames(t *testing.T) {
+	run := func(t *testing.T, send func([]byte) error, o *owner) {
+		const k = 1100
+		buf := make([]byte, 0, 4096)
+		for i := 0; i < k; i++ {
+			buf = buf[:1+i%2048]
+			for j := range buf {
+				buf[j] = byte(i + j)
+			}
+			if err := send(buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for o.count() < k {
+			if time.Now().After(deadline) {
+				t.Fatalf("timeout: %d of %d frames", o.count(), k)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		for i := range o.held {
+			if !bytes.Equal(o.held[i], o.snaps[i]) {
+				t.Fatalf("frame %d changed after it was handed over", i)
+			}
+		}
+	}
+	t.Run("mem", func(t *testing.T) {
+		net := NewMemNetwork()
+		a, b := net.Endpoint(0), net.Endpoint(1)
+		o := &owner{}
+		_ = b.Start(o.handler)
+		_ = a.Start(func(types.ProcessID, []byte) {})
+		defer a.Close()
+		defer b.Close()
+		run(t, func(p []byte) error { return a.Send(1, p) }, o)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		o := &owner{}
+		t0, _ := tcpGroup(t, func(types.ProcessID, []byte) {}, o.handler)
+		run(t, func(p []byte) error { return t0.Send(1, p) }, o)
+	})
 }

@@ -29,12 +29,17 @@ func (m AppMsg) Marshal(w *Writer) {
 	w.Bytes32(m.Body)
 }
 
-// UnmarshalAppMsg reads one AppMsg from r.
-func UnmarshalAppMsg(r *Reader) AppMsg {
+// unmarshalAppMsg reads one AppMsg whose body is a copy, or with view a
+// Reader.View32 aliasing r's buffer.
+func unmarshalAppMsg(r *Reader, view bool) AppMsg {
 	var m AppMsg
 	m.ID.Sender = types.ProcessID(r.Int32())
 	m.ID.Seq = r.Uint64()
-	m.Body = r.Bytes32()
+	if view {
+		m.Body = r.View32()
+	} else {
+		m.Body = r.Bytes32()
+	}
 	return m
 }
 
@@ -69,8 +74,12 @@ func (b Batch) Marshal(w *Writer) {
 	}
 }
 
-// UnmarshalBatch reads a batch from r.
-func UnmarshalBatch(r *Reader) Batch {
+// UnmarshalBatch reads a batch from r, copying every body.
+func UnmarshalBatch(r *Reader) Batch { return unmarshalBatch(r, false) }
+
+// unmarshalBatch reads a batch whose bodies are copies, or with view
+// views into r's buffer (unmarshalAppMsg).
+func unmarshalBatch(r *Reader, view bool) Batch {
 	n := r.Uint32()
 	if r.Err() != nil {
 		return nil
@@ -81,7 +90,7 @@ func UnmarshalBatch(r *Reader) Batch {
 	}
 	b := make(Batch, 0, n)
 	for i := uint32(0); i < n; i++ {
-		b = append(b, UnmarshalAppMsg(r))
+		b = append(b, unmarshalAppMsg(r, view))
 		if r.Err() != nil {
 			return nil
 		}
@@ -117,21 +126,6 @@ func CapBatchBytes(b Batch) Batch {
 // adelivery order applied to a decided batch at every process (§3.3).
 func (b Batch) SortDeterministic() {
 	slices.SortFunc(b, func(x, y AppMsg) int { return x.ID.Compare(y.ID) })
-}
-
-// Dedup removes duplicate message IDs in place, keeping first occurrences.
-// The batch must already be sorted when order matters to the caller.
-func (b Batch) Dedup() Batch {
-	seen := make(map[types.MsgID]struct{}, len(b))
-	out := b[:0]
-	for _, m := range b {
-		if _, dup := seen[m.ID]; dup {
-			continue
-		}
-		seen[m.ID] = struct{}{}
-		out = append(out, m)
-	}
-	return out
 }
 
 // IDs returns the message identifiers of the batch, in batch order.

@@ -205,12 +205,15 @@ func AppendPayloadRespFrame(w *Writer, d Descriptor, b Batch) {
 }
 
 // unmarshalDescriptorBatch decodes the shared announce/payload-resp
-// layout, enforcing descriptor/payload consistency at the wire layer.
+// layout, enforcing descriptor/payload consistency at the wire layer. The
+// bodies are views into data (Reader.View32), not copies: the payload
+// store keeps them resident, so data must never change afterwards — the
+// ownership every driver gives engine.Engine.HandleMessage.
 func unmarshalDescriptorBatch(data []byte, want uint8) (Descriptor, Batch, error) {
 	r := NewReader(data)
 	kind := r.Uint8()
 	d := unmarshalDescriptor(r)
-	b := UnmarshalBatch(r)
+	b := unmarshalBatch(r, true)
 	r.ExpectEOF()
 	if err := r.Err(); err != nil {
 		return Descriptor{}, nil, err

@@ -169,3 +169,28 @@ func TestDigestFrameRoundTripProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestAnnounceDecodeAllocs is the in-place decode ratchet: a 32-message
+// announce decodes into one Batch whose bodies are views into the frame,
+// not 32 body copies.
+func TestAnnounceDecodeAllocs(t *testing.T) {
+	b := make(Batch, 32)
+	for i := range b {
+		b[i] = AppMsg{ID: types.MsgID{Sender: 1, Seq: uint64(10 + i)}, Body: bytes.Repeat([]byte{byte(i)}, 1024)}
+	}
+	d, err := DescriptorFor(b, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w Writer
+	AppendAnnounceFrame(&w, d, b)
+	frame := w.Bytes()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := UnmarshalAnnounceFrame(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("decoding a 32-message announce made %.0f allocations, want at most 2", allocs)
+	}
+}

@@ -48,7 +48,7 @@ func UnmarshalFrame(data []byte) (Batch, error) {
 	var b Batch
 	switch kind {
 	case FrameAppMsg:
-		b = Batch{UnmarshalAppMsg(r)}
+		b = Batch{unmarshalAppMsg(r, false)}
 	case FrameBatch:
 		b = UnmarshalBatch(r)
 	default:

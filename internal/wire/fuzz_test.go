@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"modab/internal/member"
 	"modab/internal/types"
@@ -129,6 +130,7 @@ func FuzzDigestFrames(f *testing.F) {
 			if verr := d.Validate(b); verr != nil {
 				t.Fatalf("accepted announce fails validation: %v", verr)
 			}
+			checkViews(t, data, b)
 			var w Writer
 			AppendAnnounceFrame(&w, d, b)
 			rd, rb, rerr := UnmarshalAnnounceFrame(w.Bytes())
@@ -140,6 +142,7 @@ func FuzzDigestFrames(f *testing.F) {
 			}
 		}
 		if d, b, err := UnmarshalPayloadRespFrame(data); err == nil {
+			checkViews(t, data, b)
 			var w Writer
 			AppendPayloadRespFrame(&w, d, b)
 			if _, _, rerr := UnmarshalPayloadRespFrame(w.Bytes()); rerr != nil {
@@ -190,4 +193,23 @@ func FuzzRecoverFrames(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkViews asserts that every body of a batch decoded from data is a
+// view into data whose capacity ends with its bytes, so an append to one
+// body can never reach the frame bytes after it.
+func checkViews(t *testing.T, data []byte, b Batch) {
+	t.Helper()
+	for i, m := range b {
+		if cap(m.Body) != len(m.Body) {
+			t.Fatalf("body %d: len %d, cap %d", i, len(m.Body), cap(m.Body))
+		}
+		if len(m.Body) == 0 {
+			continue
+		}
+		start := int(uintptr(unsafe.Pointer(unsafe.SliceData(m.Body))) - uintptr(unsafe.Pointer(unsafe.SliceData(data))))
+		if start < 0 || start+len(m.Body) > len(data) || !bytes.Equal(data[start:start+len(m.Body)], m.Body) {
+			t.Fatalf("body %d does not lie inside the frame", i)
+		}
+	}
 }

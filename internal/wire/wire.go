@@ -154,13 +154,16 @@ func (r *Reader) Bool() bool { return r.Uint8() != 0 }
 
 // View32 reads a uint32 length prefix followed by that many bytes and
 // returns them without copying: the slice aliases the Reader's buffer,
-// so callers that retain it must not let that buffer change.
+// so callers that retain it must not let that buffer change. Its capacity
+// is clipped to its length, so an append to it reallocates instead of
+// overwriting the bytes that follow in the buffer.
 func (r *Reader) View32() []byte {
 	n := r.Uint32()
 	if r.err == nil && n > MaxChunk {
 		r.fail(fmt.Errorf("%w: %d bytes", ErrTooLarge, n))
 	}
-	return r.take(int(n))
+	b := r.take(int(n))
+	return b[:len(b):len(b)]
 }
 
 // Bytes32 is View32 into a copy, safe to retain.

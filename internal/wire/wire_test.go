@@ -99,6 +99,28 @@ func TestBytes32CopyIsSafe(t *testing.T) {
 	}
 }
 
+// TestView32ClipsCapacity: a view ends where its bytes end, so appending
+// to it cannot overwrite the next field of the buffer.
+func TestView32ClipsCapacity(t *testing.T) {
+	w := NewWriter(32)
+	w.Bytes32([]byte("abc"))
+	w.Bytes32([]byte("next"))
+	buf := w.Bytes()
+	before := bytes.Clone(buf)
+	r := NewReader(buf)
+	v := r.View32()
+	if len(v) != 3 || cap(v) != 3 {
+		t.Fatalf("View32 len/cap = %d/%d, want 3/3", len(v), cap(v))
+	}
+	_ = append(v, "XXXXXXXX"...)
+	if !bytes.Equal(buf, before) {
+		t.Fatalf("append to a view changed the buffer: %q, was %q", buf, before)
+	}
+	if got := r.View32(); string(got) != "next" {
+		t.Fatalf("next field = %q after an append to the previous view", got)
+	}
+}
+
 func TestAppMsgRoundTripQuick(t *testing.T) {
 	f := func(sender int32, seq uint64, body []byte) bool {
 		m := AppMsg{ID: types.MsgID{Sender: types.ProcessID(sender), Seq: seq}, Body: body}
@@ -108,7 +130,7 @@ func TestAppMsgRoundTripQuick(t *testing.T) {
 			return false
 		}
 		r := NewReader(w.Bytes())
-		got := UnmarshalAppMsg(r)
+		got := unmarshalAppMsg(r, false)
 		r.ExpectEOF()
 		if r.Err() != nil {
 			return false
@@ -170,23 +192,6 @@ func TestBatchSortDeterministicQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBatchDedup(t *testing.T) {
-	id1 := types.MsgID{Sender: 0, Seq: 1}
-	id2 := types.MsgID{Sender: 1, Seq: 1}
-	b := Batch{
-		{ID: id1, Body: []byte("first")},
-		{ID: id2},
-		{ID: id1, Body: []byte("dup")},
-	}
-	got := b.Dedup()
-	if len(got) != 2 {
-		t.Fatalf("Dedup kept %d, want 2", len(got))
-	}
-	if string(got[0].Body) != "first" {
-		t.Errorf("Dedup did not keep the first occurrence: %q", got[0].Body)
 	}
 }
 

@@ -101,7 +101,7 @@ type (
 	MsgID = types.MsgID
 	// Stack selects the modular or monolithic implementation.
 	Stack = types.Stack
-	// Delivery is one adelivered message with its ordering instance.
+	// Delivery is one adelivered message with its ordering instance; Msg.Body is read-only.
 	Delivery = engine.Delivery
 	// Event is one adelivery tagged with the delivering process and the
 	// driver's clock — the element of cluster-wide delivery streams.
