@@ -10,14 +10,15 @@ build:
 test:
 	$(GO) test ./...
 
-# The runtime, stream, wal, recovery, rsm, fd and obs packages carry the
-# concurrency-sensitive code (event loop, delivery streams, flow-control
-# wakeups, background WAL fsync, restart paths, applier/snapshot-store
-# locking, heartbeat suspicion reporting, lock-free histograms scraped
-# mid-run); member carries the view history consulted from driver
-# callbacks; the root package is the driver of the runtime nodes and
-# exercises it — including dynamic membership — in memory and over TCP
-# loopback (TestFacadeConformance, TestGroup*, TestTCPNode*).
+# The runtime, transport, stream, wal, recovery, rsm, fd and obs packages
+# carry the concurrency-sensitive code (the node's typed inbox — a
+# transport.Queue — with its blocked-producer and Close paths, delivery
+# streams, flow-control wakeups, background WAL fsync, restart paths,
+# applier/snapshot-store locking, heartbeat suspicion reporting, lock-free
+# histograms scraped mid-run); member carries the view history consulted
+# from driver callbacks; the root package is the driver of the runtime
+# nodes and exercises it — including dynamic membership — in memory and
+# over TCP loopback (TestFacadeConformance, TestGroup*, TestTCPNode*).
 race:
 	$(GO) test -race ./internal/runtime/... ./internal/stream/... ./internal/wal/... ./internal/recovery/... ./internal/rsm/... ./internal/transport/... ./internal/fd/... ./internal/obs/... ./internal/payload/... ./internal/member/... .
 
@@ -113,7 +114,7 @@ docs:
 # end each round lower, so this is a ratchet: the target prints the count
 # and fails above LOC_CEILING; a PR that shrinks the tree lowers the
 # ceiling to its new count.
-LOC_CEILING := 19244
+LOC_CEILING := 19242
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l); \
 	echo $$n; \

@@ -99,9 +99,6 @@ func (a *Accumulator) Len() int {
 // Bytes returns the encoded size of the accumulated messages.
 func (a *Accumulator) Bytes() int { return a.bytes }
 
-// Empty reports whether nothing is accumulated.
-func (a *Accumulator) Empty() bool { return len(a.buf) == 0 }
-
 // TimerAction tells the owning layer what to do with its flush timer
 // after an Add, so the age-trigger protocol lives here and both stacks
 // only map the verdict onto their timer APIs.

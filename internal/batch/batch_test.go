@@ -55,7 +55,7 @@ func TestCountTriggerSeals(t *testing.T) {
 	if act != TimerCancel {
 		t.Fatalf("count trigger: act = %d, want cancel", act)
 	}
-	if !a.Empty() || a.Bytes() != 0 {
+	if a.Len() != 0 || a.Bytes() != 0 {
 		t.Fatal("accumulator not reset after seal")
 	}
 }
@@ -117,7 +117,7 @@ func TestOversizedMessageFormsOwnBatch(t *testing.T) {
 	if act != TimerCancel {
 		t.Fatalf("act = %d, want cancel", act)
 	}
-	if !a.Empty() {
+	if a.Len() != 0 {
 		t.Fatal("accumulator must be empty")
 	}
 }

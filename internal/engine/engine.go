@@ -26,7 +26,7 @@ import (
 // replaces the previous deadline; firing is edge-triggered.
 type TimerID int64
 
-// Well-known timer IDs. Engines may derive further IDs above TimerUser.
+// Well-known timer IDs.
 const (
 	// TimerKick fires when no message has been received for the configured
 	// idle period; the abcast layer then starts a consensus even with an
@@ -45,8 +45,6 @@ const (
 	// in-order decided descriptor's payload batch is not yet resident, it
 	// fetches the missing bytes from one rotating live holder per fire.
 	TimerPayload TimerID = 5
-	// TimerUser is the first ID free for driver/application use.
-	TimerUser TimerID = 64
 )
 
 // Delivery is one adelivered application message together with the
@@ -314,7 +312,8 @@ type Config struct {
 	// OnConfig, when non-nil, is invoked — in delivery order, while the
 	// engine processes the deciding instance — each time a membership
 	// change is applied locally, with the view it produced and the op
-	// that produced it (op.Addr carries a joiner's transport address).
+	// that produced it (op.Addr carries a joiner's transport address); a
+	// view adopted from an installed snapshot comes with the zero Op.
 	// Drivers use it to spawn joiners, stop removed processes, grow
 	// transport address tables, and retarget failure-detector monitor
 	// sets. Like Deliver, it must not re-enter the engine.

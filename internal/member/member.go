@@ -166,18 +166,6 @@ func (v View) Coordinator(r uint32) types.ProcessID {
 	return v.Members[(int(r)-1)%len(v.Members)]
 }
 
-// Rank returns p's index in the sorted member list, or -1 when p is not
-// a member. Ring successor order and relay-set selection use ranks so
-// that removing a member closes the hole instead of skipping it.
-func (v View) Rank(p types.ProcessID) int {
-	for i, m := range v.Members {
-		if m == p {
-			return i
-		}
-	}
-	return -1
-}
-
 // Stamp prepares op for submission under this view: it rejects an op that
 // cannot apply (a negative or already-present add target, an absent remove
 // target, a remove that would empty the group) and stamps the view's epoch

@@ -164,15 +164,11 @@ func TestHistoryFromSeedAndRank(t *testing.T) {
 	if got := h.At(39); got.Epoch != 3 {
 		t.Fatalf("At below seed activation = %+v", got)
 	}
-	v := h.Current()
-	if v.Rank(2) != 1 || v.Rank(5) != 2 || v.Rank(1) != -1 {
-		t.Fatalf("ranks wrong: %+v", v)
-	}
 	if h.MaxID() != 5 {
 		t.Fatalf("MaxID = %v", h.MaxID())
 	}
 	// Coordinator rotates over sorted members, not raw IDs.
-	if c := v.Coordinator(2); c != 2 {
+	if c := h.Current().Coordinator(2); c != 2 {
 		t.Fatalf("coordinator(2) = %v, want p3 (id 2)", c)
 	}
 }

@@ -2,7 +2,9 @@
 // engines: one Node per process, with a single-goroutine event loop that
 // serializes transport deliveries, timer fires, failure-detector changes
 // and application abcasts into the engine — the same calls the simulator
-// makes in virtual time, so protocol code is shared verbatim.
+// makes in virtual time, so protocol code is shared verbatim. Every input
+// reaches the loop as a typed event through one bounded inbox, which the
+// loop drains a batch at a time.
 //
 // A node has no delivery stream of its own: each adelivery is applied to
 // the state machine and then handed to Options.OnDeliver on the event
@@ -84,7 +86,7 @@ type Options struct {
 // Node is one running process of the group.
 type Node struct {
 	opts Options
-	eng  engine.Engine
+	eng  stackEngine
 	env  *nodeEnv
 	det  *fd.Heartbeat
 	tr   transport.Transport
@@ -92,10 +94,8 @@ type Node struct {
 	// deliveries feed it synchronously on the event loop.
 	applier *rsm.Applier
 
-	loop    chan func()
-	quit    chan struct{}
-	stopped chan struct{}
-	wg      sync.WaitGroup
+	inbox   *transport.Queue[event]
+	stopped chan struct{} // closed when the loop has returned
 
 	mu     sync.Mutex
 	closed bool
@@ -107,6 +107,12 @@ type Node struct {
 	winMu  sync.Mutex
 	winSeq atomic.Uint64
 	winCh  chan struct{}
+}
+
+// stackEngine is what a node drives: either stack takes config ops.
+type stackEngine interface {
+	engine.Engine
+	engine.ConfigSubmitter
 }
 
 // NewNode builds and starts a node: the engine starts, the transport
@@ -128,8 +134,7 @@ func NewNode(opts Options) (*Node, error) {
 	}
 	n := &Node{
 		tr:      opts.Transport,
-		loop:    make(chan func(), 1024),
-		quit:    make(chan struct{}),
+		inbox:   transport.NewQueue[event](inboxLimit),
 		stopped: make(chan struct{}),
 	}
 	n.env = &nodeEnv{node: n, start: time.Now(), timers: make(map[engine.TimerID]*timerState)}
@@ -164,9 +169,8 @@ func NewNode(opts Options) (*Node, error) {
 		})
 	// Monitor the current members — a joiner's admitting view, or the view
 	// a restart restored — not the (possibly long-replaced) boot group.
-	n.det.SetMembers(n.eng.(engine.ConfigSubmitter).CurrentView().Members)
+	n.det.SetMembers(n.eng.CurrentView().Members)
 
-	n.wg.Add(1)
 	go n.run()
 
 	if err := n.tr.Start(n.onFrame); err != nil {
@@ -177,32 +181,85 @@ func NewNode(opts Options) (*Node, error) {
 		return nil, err
 	}
 	n.det.Start(func(p types.ProcessID, suspected bool) {
-		n.post(func() { n.eng.Suspect(p, suspected) })
+		n.post(event{kind: evSuspect, from: p, suspected: suspected})
 	})
-	n.post(n.eng.Start)
+	n.post(event{kind: evCall, call: n.eng.Start})
 	return n, nil
 }
 
-// run is the event loop: every engine interaction happens here.
-func (n *Node) run() {
-	defer n.wg.Done()
-	defer close(n.stopped)
-	for {
-		select {
-		case fn := <-n.loop:
-			fn()
-		case <-n.quit:
-			return
-		}
-	}
+// inboxLimit bounds the events queued for the loop; a producer (a TCP
+// reader, a timer, a submitter) blocks while the inbox is full.
+const inboxLimit = 1024
+
+type eventKind uint8
+
+const (
+	evFrame   eventKind = iota // an engine frame from a peer
+	evTimer                    // an engine timer's fire
+	evAbcast                   // an application submission
+	evSuspect                  // a failure-detector change
+	evConfig                   // a join request to sponsor
+	evCall                     // anything else: Start, CurrentView, SubmitConfig
+)
+
+// event is one input of the engine, queued on the inbox and run by the
+// loop in arrival order. Only kind's fields are set.
+type event struct {
+	kind      eventKind
+	suspected bool            // evSuspect
+	from      types.ProcessID // evFrame, evSuspect
+	timer     engine.TimerID  // evTimer
+	// data is the frame's engine payload (evFrame), the body to broadcast
+	// (evAbcast) or the encoded op (evConfig).
+	data  []byte
+	reply chan submitted // evAbcast
+	call  func()         // evCall
 }
 
-// post enqueues a closure on the event loop; it is dropped if the node is
-// closed (equivalent to a message lost at crash time).
-func (n *Node) post(fn func()) {
-	select {
-	case n.loop <- fn:
-	case <-n.quit:
+// submitted is the outcome of a submission: an evAbcast, or SubmitConfig.
+type submitted struct {
+	id  types.MsgID
+	err error
+}
+
+// replies recycles the one-slot channels submissions wait on.
+var replies = sync.Pool{New: func() any { return make(chan submitted, 1) }}
+
+// run is the event loop: every engine interaction happens here.
+func (n *Node) run() {
+	defer close(n.stopped)
+	n.inbox.Run(n.handle)
+}
+
+// post queues ev for the loop; it is dropped if the node is closed
+// (equivalent to a message lost at crash time).
+func (n *Node) post(ev event) { n.inbox.Put(ev, nil) }
+
+// handle runs one event on the loop.
+func (n *Node) handle(ev event) {
+	switch ev.kind {
+	case evFrame:
+		// Malformed frames are dropped; quasi-reliable channels do not
+		// corrupt, so this only fires on version mismatch.
+		_ = n.eng.HandleMessage(ev.from, ev.data)
+	case evTimer:
+		n.env.expire(ev.timer)
+	case evAbcast:
+		id, err := n.eng.Abcast(ev.data)
+		ev.reply <- submitted{id, err}
+	case evSuspect:
+		n.eng.Suspect(ev.from, ev.suspected)
+	case evConfig:
+		// Submit the joiner's OpAdd on its behalf; duplicates (retries
+		// racing the in-flight decide) fall out of the epoch CAS, and
+		// rejections are silent — the joiner keeps retrying until it sees
+		// itself in the view.
+		op, ok := member.DecodeOp(ev.data)
+		if ok && op.Kind == member.OpAdd && !n.eng.CurrentView().Contains(op.Target) {
+			_, _ = n.eng.SubmitConfig(op)
+		}
+	case evCall:
+		ev.call()
 	}
 }
 
@@ -216,28 +273,10 @@ func (n *Node) onFrame(from types.ProcessID, data []byte) {
 	case chanFD:
 		// Heartbeat: nothing beyond Heard.
 	case chanEngine:
-		payload := data[1:]
-		n.post(func() {
-			// Malformed frames are dropped; quasi-reliable channels do not
-			// corrupt, so this only fires on version mismatch.
-			_ = n.eng.HandleMessage(from, payload)
-		})
+		n.post(event{kind: evFrame, from: from, data: data[1:]})
 	case chanJoin:
-		// A non-member asks us to sponsor its admission. Submit the OpAdd
-		// on its behalf; duplicates (retries racing the in-flight decide)
-		// fall out of the epoch CAS, and rejections are silent — the joiner
-		// keeps retrying until it sees itself in the view.
-		op, ok := member.DecodeOp(data[1:])
-		if !ok || op.Kind != member.OpAdd {
-			return
-		}
-		n.post(func() {
-			cs, ok := n.eng.(engine.ConfigSubmitter)
-			if !ok || cs.CurrentView().Contains(op.Target) {
-				return
-			}
-			_, _ = cs.SubmitConfig(op)
-		})
+		// A non-member asks us to sponsor its admission.
+		n.post(event{kind: evConfig, data: data[1:]})
 	}
 }
 
@@ -256,24 +295,21 @@ func (n *Node) TryAbcast(body []byte) (types.MsgID, error) {
 // context ended and the outcome is unknown (the submission may still be
 // admitted when the loop gets to it).
 func (n *Node) submit(body []byte, cancel <-chan struct{}) (id types.MsgID, err error, ok bool) {
-	type result struct {
-		id  types.MsgID
-		err error
+	reply := replies.Get().(chan submitted)
+	if !n.inbox.Put(event{kind: evAbcast, data: body, reply: reply}, cancel) {
+		replies.Put(reply)
+		select {
+		case <-cancel:
+			return types.MsgID{}, nil, false
+		default: // the inbox closed
+			return types.MsgID{}, types.ErrStopped, true
+		}
 	}
-	ch := make(chan result, 1)
-	fn := func() {
-		id, err := n.eng.Abcast(body)
-		ch <- result{id, err}
-	}
+	// The reply goes back to the pool only once it was received from: a
+	// caller that gives up leaves it to the loop's late send.
 	select {
-	case n.loop <- fn:
-	case <-cancel:
-		return types.MsgID{}, nil, false
-	case <-n.quit:
-		return types.MsgID{}, types.ErrStopped, true
-	}
-	select {
-	case r := <-ch:
+	case r := <-reply:
+		replies.Put(reply)
 		return r.id, r.err, true
 	case <-cancel:
 		return types.MsgID{}, nil, false
@@ -353,7 +389,7 @@ func (n *Node) windowPulse() {
 // when the node stopped before fn ran.
 func onLoop[T any](n *Node, fn func() T) (v T, ok bool) {
 	ch := make(chan T, 1)
-	n.post(func() { ch <- fn() })
+	n.post(event{kind: evCall, call: func() { ch <- fn() }})
 	select {
 	case v = <-ch:
 		return v, true
@@ -377,17 +413,9 @@ func (n *Node) Applier() *rsm.Applier { return n.applier }
 // fires). Like TryAbcast it surfaces types.ErrFlowControl when the
 // window is full — callers retry.
 func (n *Node) SubmitConfig(op member.Op) (types.MsgID, error) {
-	cs, ok := n.eng.(engine.ConfigSubmitter)
-	if !ok {
-		return types.MsgID{}, fmt.Errorf("%w: engine does not support membership changes", types.ErrBadConfig)
-	}
-	type result struct {
-		id  types.MsgID
-		err error
-	}
-	r, ok := onLoop(n, func() result {
-		id, err := cs.SubmitConfig(op)
-		return result{id, err}
+	r, ok := onLoop(n, func() submitted {
+		id, err := n.eng.SubmitConfig(op)
+		return submitted{id, err}
 	})
 	if !ok {
 		return types.MsgID{}, types.ErrStopped
@@ -407,11 +435,7 @@ func (n *Node) RequestJoin(sponsor types.ProcessID, addr string) error {
 // CurrentView returns the newest locally applied membership view (the
 // zero view once the node stopped).
 func (n *Node) CurrentView() member.View {
-	cs, ok := n.eng.(engine.ConfigSubmitter)
-	if !ok {
-		return member.View{}
-	}
-	v, _ := onLoop(n, cs.CurrentView)
+	v, _ := onLoop(n, n.eng.CurrentView)
 	return v
 }
 
@@ -428,10 +452,11 @@ func (n *Node) Close() error {
 	n.det.Close()
 	err := n.tr.Close()
 	n.env.stopTimers()
-	// Stop the loop: the currently-executing handler finishes, including
-	// its synchronous OnDeliver calls, so every delivery that was counted
-	// has reached the sink when this returns; queued but unexecuted
-	// closures are dropped (crash-equivalent) and never counted anything.
+	// Stop the loop: the currently-executing event finishes, including its
+	// synchronous OnDeliver calls, so every delivery that was counted has
+	// reached the sink when this returns; queued but unexecuted events are
+	// dropped (crash-equivalent) and never counted anything, and producers
+	// blocked on the full inbox are released.
 	// A sink blocked for good — a Block-policy subscriber neither drained
 	// nor closed — stalls this wait; that is the same contract violation
 	// that stalls the engine itself (see package stream).
@@ -447,15 +472,15 @@ func (n *Node) Close() error {
 }
 
 func (n *Node) shutdownLoop() {
-	close(n.quit)
-	n.wg.Wait()
+	n.inbox.Close()
+	<-n.stopped
 }
 
 // timerState is one engine timer: a single time.Timer re-armed in place,
 // and the deadline of its current arming (zero: none). The timer only
-// queues expire on the loop, where the engine's SetTimer and CancelTimer
-// run too: a fire that raced a re-arm or a cancel finds the deadline moved
-// or cleared there, and is dropped.
+// queues an evTimer event; its expire runs on the loop, where the engine's
+// SetTimer and CancelTimer run too: a fire that raced a re-arm or a cancel
+// finds the deadline moved or cleared there, and is dropped.
 type timerState struct {
 	timer    *time.Timer
 	deadline time.Time
@@ -504,15 +529,16 @@ func (e *nodeEnv) SetTimer(id engine.TimerID, d time.Duration) {
 	}
 	st.deadline = time.Now().Add(d) // before arming: the fire is never earlier
 	if st.timer == nil {
-		st.timer = time.AfterFunc(d, func() { e.node.post(func() { e.expire(id, st) }) })
+		st.timer = time.AfterFunc(d, func() { e.node.post(event{kind: evTimer, timer: id}) })
 	} else {
 		st.timer.Reset(d)
 	}
 }
 
 // expire hands a fire to the engine if it is the current arming's.
-func (e *nodeEnv) expire(id engine.TimerID, st *timerState) {
+func (e *nodeEnv) expire(id engine.TimerID) {
 	e.mu.Lock()
+	st := e.timers[id]
 	live := !st.deadline.IsZero() && !time.Now().Before(st.deadline)
 	if live {
 		st.deadline = time.Time{}

@@ -6,11 +6,20 @@ import (
 	"time"
 
 	"modab/internal/engine"
+	"modab/internal/member"
+	"modab/internal/transport"
 	"modab/internal/types"
 )
 
+// noConfig is the membership half of a fake engine: a fixed view.
+type noConfig struct{}
+
+func (noConfig) SubmitConfig(member.Op) (types.MsgID, error) { return types.MsgID{}, nil }
+func (noConfig) CurrentView() member.View                    { return member.View{} }
+
 // timerEngine records timer fires; nothing else is called on it.
 type timerEngine struct {
+	noConfig
 	mu    sync.Mutex
 	fires []time.Time
 }
@@ -32,11 +41,11 @@ func (e *timerEngine) count() int {
 	return len(e.fires)
 }
 
-// timerNode is a Node reduced to what nodeEnv's timers touch: the loop
-// channel, which the test drains by hand, and the engine.
+// timerNode is a Node reduced to what nodeEnv's timers touch: the inbox,
+// which the test drains by hand, and the engine.
 func timerNode() (*Node, *timerEngine) {
 	eng := &timerEngine{}
-	n := &Node{eng: eng, loop: make(chan func(), 1024), quit: make(chan struct{})}
+	n := &Node{eng: eng, inbox: transport.NewQueue[event](inboxLimit)}
 	n.env = &nodeEnv{node: n, start: time.Now(), timers: make(map[engine.TimerID]*timerState)}
 	return n, eng
 }
@@ -44,10 +53,14 @@ func timerNode() (*Node, *timerEngine) {
 // drain runs what the timers posted for d, as the event loop would.
 func drain(n *Node, d time.Duration) {
 	stop := time.After(d)
+	var batch []event
 	for {
 		select {
-		case fn := <-n.loop:
-			fn()
+		case <-n.inbox.Ready():
+			batch, _ = n.inbox.Take(batch)
+			for _, ev := range batch {
+				n.handle(ev)
+			}
 		case <-stop:
 			return
 		}
@@ -104,7 +117,7 @@ func TestTimerRearmFiresOnceAfterLastArming(t *testing.T) {
 func TestTimerQueuedFireDroppedByRearmAndCancel(t *testing.T) {
 	n, eng := timerNode()
 	n.env.SetTimer(engine.TimerKick, time.Millisecond)
-	time.Sleep(20 * time.Millisecond) // expired: the fire sits in n.loop
+	time.Sleep(20 * time.Millisecond) // expired: the fire sits in the inbox
 	n.env.SetTimer(engine.TimerKick, 150*time.Millisecond)
 	drain(n, 10*time.Millisecond)
 	if got := eng.count(); got != 0 {

@@ -227,25 +227,8 @@ func (c *Context) NetSend(to types.ProcessID, payload []byte) {
 	c.stack.env.Send(to, frame)
 }
 
-// NetSendAll transmits a layer message to every process except the local
-// one (n-1 sends).
-func (c *Context) NetSendAll(payload []byte) {
-	self := c.stack.env.Self()
-	n := c.stack.env.N()
-	frame := make([]byte, 0, 1+len(payload))
-	frame = append(frame, byte(c.layer.Tag()))
-	frame = append(frame, payload...)
-	for p := 0; p < n; p++ {
-		if types.ProcessID(p) == self {
-			continue
-		}
-		c.stack.env.Send(types.ProcessID(p), frame)
-	}
-}
-
 // NetSendMembers transmits a layer message to every process in members
-// except the local one. Layers that track a dynamic view use it instead
-// of NetSendAll, whose 0..N-1 fan-out assumes static membership.
+// except the local one.
 func (c *Context) NetSendMembers(members []types.ProcessID, payload []byte) {
 	self := c.stack.env.Self()
 	frame := make([]byte, 0, 1+len(payload))

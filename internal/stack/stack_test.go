@@ -136,9 +136,9 @@ func TestNetSendFramesWithTag(t *testing.T) {
 	}
 }
 
-func TestNetSendAllSkipsSelf(t *testing.T) {
+func TestNetSendMembersSkipsSelf(t *testing.T) {
 	env, _, a, _ := newTestStack(t)
-	a.ctx.NetSendAll([]byte{1})
+	a.ctx.NetSendMembers([]types.ProcessID{0, 1, 2}, []byte{1})
 	if len(env.Sends) != 2 {
 		t.Fatalf("sends = %d, want n-1 = 2", len(env.Sends))
 	}

@@ -298,6 +298,37 @@ func TestSnapshotInstallRetiresCoveredState(t *testing.T) {
 	}
 }
 
+// TestInstallReportsAdoptedViews: a view adopted from an installed snapshot
+// reaches OnConfig as well as the host, so a real-time node retargets its
+// failure detector at once instead of at its next restart or config change.
+func TestInstallReportsAdoptedViews(t *testing.T) {
+	var notified []member.View
+	var ops []member.Op
+	h := newHost(0, 3, func(c *engine.Config) {
+		c.Snapshots = &engine.SnapshotHooks{Install: func(wire.SnapshotEnvelope) error { return nil }}
+		c.OnConfig = func(v member.View, op member.Op) {
+			notified, ops = append(notified, v), append(ops, op)
+		}
+	})
+	h.t.BeginRecovery()
+	h.t.RecoverResp(1, wire.RecoverResp{UpTo: 12, SnapIndex: 10})
+	h.take()
+	grown := member.View{Epoch: 1, Activation: 6, Members: []types.ProcessID{0, 1, 2, 3}}
+	env := wire.SnapshotEnvelope{
+		Index: 10, Dedup: dedup.NewMap(3).MarshalBytes(),
+		Views: []member.View{h.t.Hist.Current(), grown},
+	}
+	w := wire.NewWriter(env.WireSize())
+	env.Marshal(w)
+	h.t.SnapResp(1, wire.SnapResp{Index: 10, Total: uint64(len(w.Bytes())), UpTo: 12, Data: w.Bytes()})
+	if h.t.Next() != 11 || len(h.views) != 1 {
+		t.Fatalf("install: Next %d, ViewChanged %d", h.t.Next(), len(h.views))
+	}
+	if len(notified) != 1 || notified[0].Epoch != 1 || !notified[0].Contains(3) || ops[0] != (member.Op{}) {
+		t.Fatalf("OnConfig saw %v with ops %v, want the adopted epoch-1 view with a zero op", notified, ops)
+	}
+}
+
 func TestCommit(t *testing.T) {
 	t.Run("ordered by two pipelined instances, delivered once", func(t *testing.T) {
 		h := newHost(0, 3, func(c *engine.Config) { c.PipelineDepth = 2 })

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"modab/internal/dedup"
+	"modab/internal/member"
 	"modab/internal/recovery"
 	"modab/internal/types"
 	"modab/internal/wire"
@@ -191,8 +192,8 @@ func (t *Tail) SnapResp(from types.ProcessID, resp wire.SnapResp) {
 // installSnapshot adopts a fetched snapshot: the application side first
 // (persist + state machine restore through the driver hook; a failed
 // install leaves the tail unchanged), then merged dedup state, the jumped
-// watermark, the snapshot's views this process lacks (handed to the host,
-// removed origins retired) and, for what the snapshot ordered, released
+// watermark, the snapshot's views this process lacks (handed to the host
+// and to OnConfig with a zero op, removed origins retired) and, for what the snapshot ordered, released
 // own flow slots and retired pending entries (a partly covered descriptor
 // stays pending).
 func (t *Tail) installSnapshot(env wire.SnapshotEnvelope) error {
@@ -213,6 +214,9 @@ func (t *Tail) installSnapshot(env wire.SnapshotEnvelope) error {
 			continue
 		}
 		t.reconfigureLocal(v)
+		if t.cfg.OnConfig != nil {
+			t.cfg.OnConfig(v, member.Op{}) // the op is not in the snapshot
+		}
 		for _, origin := range prev.Members {
 			// Retire a removed origin at its boundary, as Commit would.
 			switch {

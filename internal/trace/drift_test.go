@@ -7,8 +7,8 @@ import (
 )
 
 // counterFieldNames returns the names of every atomic.Int64 field of
-// Counters — the set the three hand-maintained mirrors (Snapshot struct,
-// Counters.Snapshot, Snapshot.Add) must each cover.
+// Counters — the set the Snapshot struct must mirror, field for field and
+// in the same order (Counters.Snapshot and Snapshot.Add walk both by index).
 func counterFieldNames(t *testing.T) []string {
 	t.Helper()
 	ct := reflect.TypeOf(Counters{})
@@ -25,9 +25,9 @@ func counterFieldNames(t *testing.T) []string {
 }
 
 // TestSnapshotCoversEveryCounter catches the drift bug this package
-// invites: adding a counter to Counters but forgetting one of its three
-// hand-maintained mirrors. The Snapshot struct must declare exactly the
-// counter fields, and Counters.Snapshot must actually load each one.
+// invites: adding a counter to Counters but not to its Snapshot mirror, or
+// in another position. The Snapshot struct must declare exactly the
+// counter fields, and Counters.Snapshot must load each into its namesake.
 func TestSnapshotCoversEveryCounter(t *testing.T) {
 	names := counterFieldNames(t)
 
@@ -66,7 +66,7 @@ func TestSnapshotCoversEveryCounter(t *testing.T) {
 	}
 }
 
-// TestAddCoversEveryCounter checks the third mirror: Snapshot.Add must
+// TestAddCoversEveryCounter checks the aggregation: Snapshot.Add must
 // accumulate every field — as a sum, except the high-water marks
 // (IsGauge), which aggregate as a max.
 func TestAddCoversEveryCounter(t *testing.T) {

@@ -10,6 +10,7 @@ package trace
 
 import (
 	"fmt"
+	"reflect"
 	"sync/atomic"
 )
 
@@ -220,100 +221,29 @@ type Snapshot struct {
 
 // Snapshot returns a consistent-enough copy for reporting (each field is
 // individually atomic; cross-field exactness is only guaranteed at
-// quiescence).
+// quiescence). Snapshot's fields are Counters', in the same order.
 func (c *Counters) Snapshot() Snapshot {
-	return Snapshot{
-		MsgsSent:              c.MsgsSent.Load(),
-		BytesSent:             c.BytesSent.Load(),
-		PayloadBytesSent:      c.PayloadBytesSent.Load(),
-		MsgsRecv:              c.MsgsRecv.Load(),
-		BytesRecv:             c.BytesRecv.Load(),
-		Dispatches:            c.Dispatches.Load(),
-		ConsensusStarted:      c.ConsensusStarted.Load(),
-		ConsensusDecided:      c.ConsensusDecided.Load(),
-		Rounds:                c.Rounds.Load(),
-		ABCast:                c.ABCast.Load(),
-		ADeliver:              c.ADeliver.Load(),
-		BatchedMsgs:           c.BatchedMsgs.Load(),
-		SenderBatches:         c.SenderBatches.Load(),
-		SenderBatchedMsgs:     c.SenderBatchedMsgs.Load(),
-		ConcurrentInstances:   c.ConcurrentInstances.Load(),
-		PipelineProposals:     c.PipelineProposals.Load(),
-		PipelineDepthObserved: c.PipelineDepthObserved.Load(),
-		Retransmissions:       c.Retransmissions.Load(),
-		StreamDropped:         c.StreamDropped.Load(),
-		Recoveries:            c.Recoveries.Load(),
-		RecoveryReplayedMsgs:  c.RecoveryReplayedMsgs.Load(),
-		RecoveryFetchedMsgs:   c.RecoveryFetchedMsgs.Load(),
-		RecoveryNanos:         c.RecoveryNanos.Load(),
-		Applied:               c.Applied.Load(),
-		SnapshotsTaken:        c.SnapshotsTaken.Load(),
-		SnapshotInstalls:      c.SnapshotInstalls.Load(),
-		SnapshotInstallNanos:  c.SnapshotInstallNanos.Load(),
-		WalTruncatedSegments:  c.WalTruncatedSegments.Load(),
-		DroppedByFault:        c.DroppedByFault.Load(),
-		DupedByFault:          c.DupedByFault.Load(),
-		ReorderedByFault:      c.ReorderedByFault.Load(),
-		PartitionNanos:        c.PartitionNanos.Load(),
-		OrderedBytes:          c.OrderedBytes.Load(),
-		DisseminatedBytes:     c.DisseminatedBytes.Load(),
-		PayloadFetches:        c.PayloadFetches.Load(),
-		PayloadFetchNanos:     c.PayloadFetchNanos.Load(),
-		ConfigChanges:         c.ConfigChanges.Load(),
-		PayloadsRetired:       c.PayloadsRetired.Load(),
-		PayloadStoreMsgs:      c.PayloadStoreMsgs.Load(),
-		PayloadStoreBytes:     c.PayloadStoreBytes.Load(),
-		DescriptorsRetained:   c.DescriptorsRetained.Load(),
-		InstancesRetained:     c.InstancesRetained.Load(),
+	var s Snapshot
+	cv, sv := reflect.ValueOf(c).Elem(), reflect.ValueOf(&s).Elem()
+	for i := range cv.NumField() {
+		sv.Field(i).SetInt(cv.Field(i).Addr().Interface().(*atomic.Int64).Load())
 	}
+	return s
 }
 
-// Add accumulates another snapshot into s (for group-wide totals).
+// Add accumulates another snapshot into s (for group-wide totals). High-
+// water marks aggregate as a max, not a sum: the group-wide value is the
+// deepest pipeline any process ran, the most any process retained.
 func (s *Snapshot) Add(o Snapshot) {
-	s.MsgsSent += o.MsgsSent
-	s.BytesSent += o.BytesSent
-	s.PayloadBytesSent += o.PayloadBytesSent
-	s.MsgsRecv += o.MsgsRecv
-	s.BytesRecv += o.BytesRecv
-	s.Dispatches += o.Dispatches
-	s.ConsensusStarted += o.ConsensusStarted
-	s.ConsensusDecided += o.ConsensusDecided
-	s.Rounds += o.Rounds
-	s.ABCast += o.ABCast
-	s.ADeliver += o.ADeliver
-	s.BatchedMsgs += o.BatchedMsgs
-	s.SenderBatches += o.SenderBatches
-	s.SenderBatchedMsgs += o.SenderBatchedMsgs
-	s.ConcurrentInstances += o.ConcurrentInstances
-	s.PipelineProposals += o.PipelineProposals
-	// High-water marks aggregate as a max, not a sum: the group-wide value
-	// is the deepest pipeline any process ran, the most any process retained.
-	s.PipelineDepthObserved = max(s.PipelineDepthObserved, o.PipelineDepthObserved)
-	s.PayloadStoreMsgs = max(s.PayloadStoreMsgs, o.PayloadStoreMsgs)
-	s.PayloadStoreBytes = max(s.PayloadStoreBytes, o.PayloadStoreBytes)
-	s.DescriptorsRetained = max(s.DescriptorsRetained, o.DescriptorsRetained)
-	s.InstancesRetained = max(s.InstancesRetained, o.InstancesRetained)
-	s.Retransmissions += o.Retransmissions
-	s.StreamDropped += o.StreamDropped
-	s.Recoveries += o.Recoveries
-	s.RecoveryReplayedMsgs += o.RecoveryReplayedMsgs
-	s.RecoveryFetchedMsgs += o.RecoveryFetchedMsgs
-	s.RecoveryNanos += o.RecoveryNanos
-	s.Applied += o.Applied
-	s.SnapshotsTaken += o.SnapshotsTaken
-	s.SnapshotInstalls += o.SnapshotInstalls
-	s.SnapshotInstallNanos += o.SnapshotInstallNanos
-	s.WalTruncatedSegments += o.WalTruncatedSegments
-	s.DroppedByFault += o.DroppedByFault
-	s.DupedByFault += o.DupedByFault
-	s.ReorderedByFault += o.ReorderedByFault
-	s.PartitionNanos += o.PartitionNanos
-	s.OrderedBytes += o.OrderedBytes
-	s.DisseminatedBytes += o.DisseminatedBytes
-	s.PayloadFetches += o.PayloadFetches
-	s.PayloadFetchNanos += o.PayloadFetchNanos
-	s.ConfigChanges += o.ConfigChanges
-	s.PayloadsRetired += o.PayloadsRetired
+	sv, ov := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
+	for i := range sv.NumField() {
+		a, b := sv.Field(i).Int(), ov.Field(i).Int()
+		if IsGauge(sv.Type().Field(i).Name) {
+			sv.Field(i).SetInt(max(a, b))
+		} else {
+			sv.Field(i).SetInt(a + b)
+		}
+	}
 }
 
 // Stats is a uniform whole-driver snapshot: one Snapshot per process

@@ -8,20 +8,15 @@ import (
 
 // MemNetwork is an in-process network connecting the endpoints of one
 // group. Channels are FIFO per pair and quasi-reliable: messages to a
-// closed endpoint are silently dropped (crash-stop model). Optional drop
-// rules support partition-style fault injection in tests.
+// closed endpoint are silently dropped (crash-stop model).
 type MemNetwork struct {
 	mu        sync.Mutex
 	endpoints map[types.ProcessID]*MemEndpoint
-	dropped   map[[2]types.ProcessID]bool
 }
 
 // NewMemNetwork creates an empty in-memory network.
 func NewMemNetwork() *MemNetwork {
-	return &MemNetwork{
-		endpoints: make(map[types.ProcessID]*MemEndpoint),
-		dropped:   make(map[[2]types.ProcessID]bool),
-	}
+	return &MemNetwork{endpoints: make(map[types.ProcessID]*MemEndpoint)}
 }
 
 // Endpoint returns (creating if needed) the endpoint of process id.
@@ -31,7 +26,6 @@ func (n *MemNetwork) Endpoint(id types.ProcessID) *MemEndpoint {
 	ep := n.endpoints[id]
 	if ep == nil {
 		ep = &MemEndpoint{net: n, self: id}
-		ep.cond = sync.NewCond(&ep.mu)
 		n.endpoints[id] = ep
 	}
 	return ep
@@ -44,47 +38,30 @@ func (n *MemNetwork) Reset(id types.ProcessID) *MemEndpoint {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ep := &MemEndpoint{net: n, self: id}
-	ep.cond = sync.NewCond(&ep.mu)
 	n.endpoints[id] = ep
 	return ep
 }
 
-// SetDrop installs (or removes) a unidirectional drop rule from -> to,
-// for fault-injection tests.
-func (n *MemNetwork) SetDrop(from, to types.ProcessID, drop bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if drop {
-		n.dropped[[2]types.ProcessID{from, to}] = true
-	} else {
-		delete(n.dropped, [2]types.ProcessID{from, to})
-	}
-}
-
 func (n *MemNetwork) route(from, to types.ProcessID, data []byte) {
 	n.mu.Lock()
-	drop := n.dropped[[2]types.ProcessID{from, to}]
 	dst := n.endpoints[to]
 	n.mu.Unlock()
-	if drop || dst == nil {
-		return
+	if dst != nil {
+		dst.enqueue(from, data)
 	}
-	dst.enqueue(from, data)
 }
 
 // MemEndpoint is one process's in-memory transport. It delivers inbound
-// messages from a dedicated pump goroutine in arrival order; the inbox is
-// unbounded so senders never block (preventing event-loop deadlocks).
+// messages from a dedicated goroutine in arrival order; its receive queue
+// is unbounded so senders never block (preventing event-loop deadlocks).
 type MemEndpoint struct {
 	net  *MemNetwork
 	self types.ProcessID
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	inbox   []memMsg
-	started bool
-	closed  bool
-	done    chan struct{}
+	mu     sync.Mutex
+	inbox  *Queue[memMsg] // nil until Start
+	closed bool
+	done   chan struct{}
 }
 
 var _ Transport = (*MemEndpoint)(nil)
@@ -101,47 +78,29 @@ func (ep *MemEndpoint) Start(h Handler) error {
 	if ep.closed {
 		return ErrClosed
 	}
-	if ep.started {
+	if ep.inbox != nil {
 		return ErrAlreadyStarted
 	}
-	ep.started = true
-	ep.done = make(chan struct{})
-	go ep.pump(h)
+	inbox, done := NewQueue[memMsg](0), make(chan struct{})
+	ep.inbox, ep.done = inbox, done
+	go func() {
+		defer close(done)
+		inbox.Run(func(m memMsg) { h(m.from, m.data) })
+	}()
 	return nil
 }
 
-// pump delivers queued messages until the endpoint closes.
-func (ep *MemEndpoint) pump(h Handler) {
-	defer close(ep.done)
-	for {
-		ep.mu.Lock()
-		for len(ep.inbox) == 0 && !ep.closed {
-			ep.cond.Wait()
-		}
-		if ep.closed && len(ep.inbox) == 0 {
-			ep.mu.Unlock()
-			return
-		}
-		batch := ep.inbox
-		ep.inbox = nil
-		ep.mu.Unlock()
-		for _, m := range batch {
-			h(m.from, m.data)
-		}
-	}
-}
-
 func (ep *MemEndpoint) enqueue(from types.ProcessID, data []byte) {
+	ep.mu.Lock()
+	inbox := ep.inbox
+	ep.mu.Unlock()
+	if inbox == nil {
+		return
+	}
 	// Copy: the network must not alias sender-owned buffers.
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if ep.closed || !ep.started {
-		return
-	}
-	ep.inbox = append(ep.inbox, memMsg{from: from, data: cp})
-	ep.cond.Signal()
+	inbox.Put(memMsg{from: from, data: cp}, nil) // a closed queue drops it
 }
 
 // Send implements Transport.
@@ -151,7 +110,7 @@ func (ep *MemEndpoint) Send(to types.ProcessID, data []byte) error {
 		ep.mu.Unlock()
 		return ErrClosed
 	}
-	if !ep.started {
+	if ep.inbox == nil {
 		ep.mu.Unlock()
 		return ErrNotStarted
 	}
@@ -160,7 +119,8 @@ func (ep *MemEndpoint) Send(to types.ProcessID, data []byte) error {
 	return nil
 }
 
-// Close implements Transport. It waits for the pump goroutine to drain.
+// Close implements Transport. Messages not yet handed to the handler are
+// dropped; it waits for the handler call in progress to return.
 func (ep *MemEndpoint) Close() error {
 	ep.mu.Lock()
 	if ep.closed {
@@ -168,11 +128,10 @@ func (ep *MemEndpoint) Close() error {
 		return nil
 	}
 	ep.closed = true
-	started := ep.started
-	ep.cond.Broadcast()
-	done := ep.done
+	inbox, done := ep.inbox, ep.done
 	ep.mu.Unlock()
-	if started {
+	if inbox != nil {
+		inbox.Close()
 		<-done
 	}
 	return nil

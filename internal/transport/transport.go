@@ -13,11 +13,14 @@ import (
 	"modab/internal/types"
 )
 
-// Handler consumes one inbound message. Implementations invoke it from a
-// single goroutine per transport, in per-sender FIFO order. The handler
-// owns data and may retain it: the transport hands over a buffer it never
-// modifies afterwards (TestHandlerOwnsFrames), so engines keep payload
-// bodies as views into the frame they arrived in.
+// Handler consumes one inbound message. Implementations invoke it from one
+// goroutine per sending peer at a time, in per-sender FIFO order: TCP runs
+// one reader per inbound connection, so up to n-1 calls can be in flight
+// at once, and the handler must be safe for concurrent use (the runtime
+// node's is: it only appends to the node's inbox). The handler owns data
+// and may retain it: the transport hands over a buffer it never modifies
+// afterwards (TestHandlerOwnsFrames), so engines keep payload bodies as
+// views into the frame they arrived in.
 type Handler func(from types.ProcessID, data []byte)
 
 // Transport is one process's endpoint of the group's channels.

@@ -114,26 +114,6 @@ func TestMemBufferNotAliased(t *testing.T) {
 	}
 }
 
-func TestMemDropRule(t *testing.T) {
-	net := NewMemNetwork()
-	a, b := net.Endpoint(0), net.Endpoint(1)
-	var rb recv
-	_ = b.Start(rb.handler)
-	_ = a.Start(func(types.ProcessID, []byte) {})
-	defer a.Close()
-	defer b.Close()
-	net.SetDrop(0, 1, true)
-	_ = a.Send(1, []byte("lost"))
-	net.SetDrop(0, 1, false)
-	_ = a.Send(1, []byte("kept"))
-	rb.waitFor(t, 1)
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	if string(rb.msgs[0].data) != "kept" {
-		t.Fatalf("drop rule failed: %q", rb.msgs[0].data)
-	}
-}
-
 func TestMemLifecycleErrors(t *testing.T) {
 	net := NewMemNetwork()
 	ep := net.Endpoint(0)
