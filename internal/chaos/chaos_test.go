@@ -193,15 +193,26 @@ func TestMembershipChurnRunEngages(t *testing.T) {
 // p4 goes out before p4 runs. With one more of the four members silent,
 // the instance stalls unless the proposal reaches p4 again: here p2 nacks
 // it on a suspicion left over from a healed partition (membership-churn
-// seed 16, minimized), or p2 has crashed.
+// seeds 16, 64 and 148, minimized; the last two stalled the monolithic
+// stack only), or p2 has crashed.
 func TestJoinerMissesFirstProposal(t *testing.T) {
-	for name, second := range map[string]Op{
-		"stale-suspicion": {Kind: OpPartition, A: 1, B: 0, From: 181 * time.Millisecond, To: 481 * time.Millisecond},
-		"crash":           {Kind: OpCrash, A: 1, From: 200 * time.Millisecond},
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		name         string
+		seed         int64
+		join, second Op
+	}{
+		{"stale-suspicion", 16, Op{Kind: OpJoin, A: 3, B: 2, From: 231 * ms},
+			Op{Kind: OpPartition, A: 1, B: 0, From: 181 * ms, To: 481 * ms}},
+		{"crash", 16, Op{Kind: OpJoin, A: 3, B: 2, From: 231 * ms},
+			Op{Kind: OpCrash, A: 1, From: 200 * ms}},
+		{"stale-suspicion-64", 64, Op{Kind: OpJoin, A: 3, B: 2, From: 324 * ms},
+			Op{Kind: OpPartition, A: 1, B: 0, From: 274 * ms, To: 574 * ms}},
+		{"stale-suspicion-148", 148, Op{Kind: OpJoin, A: 3, B: 2, From: 293 * ms},
+			Op{Kind: OpPartition, A: 1, B: 0, From: 243 * ms, To: 543 * ms}},
 	} {
-		t.Run(name, func(t *testing.T) {
-			sch := Schedule{{Kind: OpJoin, A: 3, B: 2, From: 231 * time.Millisecond}, second}
-			res, err := Run(16, sch, StackConfig{Durable: true, KV: true, SnapshotEvery: 1 << 20, Load: 400})
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(tc.seed, Schedule{tc.join, tc.second}, StackConfig{Durable: true, KV: true, SnapshotEvery: 1 << 20, Load: 400})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}

@@ -44,7 +44,8 @@ import (
 const (
 	// timerResend drives decision-fetch retries.
 	timerResend engine.TimerID = 1
-	// timerJoiner re-sends proposals a joiner may have missed (resendJoiner).
+	// timerJoiner re-sends proposals a joiner may have missed
+	// (ct.Table.ResendJoiner).
 	timerJoiner engine.TimerID = 2
 )
 
@@ -261,7 +262,9 @@ func (l *Layer) handleDecisionTag(origin types.ProcessID, m message) {
 // proposals a joiner may have missed.
 func (l *Layer) Timer(id engine.TimerID) {
 	if id == timerJoiner {
-		l.resendJoiner()
+		if l.rounds.ResendJoiner() {
+			l.ctx.SetTimer(timerJoiner, l.resend)
+		}
 		return
 	}
 	if id != timerResend {
@@ -279,58 +282,6 @@ func (l *Layer) Timer(id engine.TimerID) {
 	}
 	if waiting && l.resend > 0 {
 		l.ctx.SetTimer(timerResend, l.resend)
-	}
-}
-
-// admits reports whether the view governing instance k admitted a member
-// the view before it lacked.
-func (l *Layer) admits(k uint64) bool {
-	for i := len(l.views) - 1; i > 0; i-- {
-		if l.views[i].Activation <= k {
-			for _, m := range l.views[i].Members {
-				if !l.views[i-1].Contains(m) {
-					return true
-				}
-			}
-			return false
-		}
-	}
-	return false
-}
-
-// resendJoiner re-sends this process's proposals in the undecided instances
-// of a view that admitted a member to every member that has not acked them.
-// A driver spawns a joiner only once some member applied the view admitting
-// it, so the first proposals of that view went out before the joiner ran and
-// were lost. The joiner's ack is then missing from the quorum, and one more
-// silent member — a crash, or a peer that nacked the round on a stale
-// suspicion — stalls the instance for good: nobody suspects the live
-// coordinator, so no round change comes. Re-sent, the proposal reaches the
-// joiner, which acks it, or nacks it if it moved on.
-func (l *Layer) resendJoiner() {
-	c := l.ctx.Env().Counters()
-	again := false
-	for _, k := range l.rounds.Keys() {
-		inst := l.rounds.Lookup(k)
-		if inst.Decided || !l.admits(k) {
-			continue
-		}
-		for _, r := range inst.Rounds() {
-			d := inst.Coord[r]
-			if !d.Proposed {
-				continue
-			}
-			again = true
-			for _, m := range l.viewAt(k).Members {
-				if m != l.self && !d.Acks[m] {
-					l.send(m, message{Type: mtProposal, Instance: k, Round: r, Batch: d.Proposal})
-					c.Retransmissions.Add(1)
-				}
-			}
-		}
-	}
-	if again {
-		l.ctx.SetTimer(timerJoiner, l.resend)
 	}
 }
 
@@ -408,9 +359,12 @@ func (h *host) Cutoff() (uint64, bool) {
 func (h *host) SendProposal(in *ct.Inst, r uint32, b wire.Batch) {
 	l := (*Layer)(h)
 	l.sendAll(message{Type: mtProposal, Instance: in.K, Round: r, Batch: b})
-	if l.resend > 0 && l.admits(in.K) {
+	if l.resend > 0 && l.rounds.Admits(in.K) {
 		l.ctx.SetTimer(timerJoiner, l.resend)
 	}
+}
+func (h *host) ResendProposal(to types.ProcessID, in *ct.Inst, r uint32) {
+	(*Layer)(h).send(to, message{Type: mtProposal, Instance: in.K, Round: r, Batch: in.Coord[r].Proposal})
 }
 func (h *host) SendAck(to types.ProcessID, in *ct.Inst, r uint32) {
 	(*Layer)(h).send(to, message{Type: mtAck, Instance: in.K, Round: r})

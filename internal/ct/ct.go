@@ -46,6 +46,9 @@ type Host interface {
 	Cutoff() (uint64, bool)
 
 	SendProposal(in *Inst, r uint32, b wire.Batch)
+	// ResendProposal re-sends this process's round-r proposal of in to one
+	// member (ResendJoiner).
+	ResendProposal(to types.ProcessID, in *Inst, r uint32)
 	SendAck(to types.ProcessID, in *Inst, r uint32)
 	SendNack(to types.ProcessID, k uint64, r uint32)
 	SendEstimate(to types.ProcessID, in *Inst)
@@ -387,6 +390,56 @@ func (t *Table) Estimate(from types.ProcessID, k uint64, r uint32, e Estimate) {
 	}
 	in.Duty(r).Estimates[from] = e
 	t.MaybePropose(in, r)
+}
+
+// Admits reports whether the view governing instance k admitted a member
+// the view before it lacked.
+func (t *Table) Admits(k uint64) bool {
+	v := t.h.View(k)
+	if v.Activation == 0 {
+		return false // the boot view admits nobody
+	}
+	prev := t.h.View(v.Activation - 1)
+	for _, m := range v.Members {
+		if !prev.Contains(m) {
+			return true
+		}
+	}
+	return false
+}
+
+// ResendJoiner re-sends this process's proposals in the undecided instances
+// of a view that admitted a member to every member that has not acked them,
+// and reports whether any is still open: the host then re-arms the timer it
+// arms behind each SendProposal for which Admits holds. A driver spawns a
+// joiner only once some member applied the view admitting it, so the first
+// proposals of that view went out before the joiner ran and were lost. The
+// joiner's ack is then missing from the quorum, and one more silent member
+// — a crash, or a peer that nacked the round on a stale suspicion — stalls
+// the instance for good: nobody suspects the live coordinator, so no round
+// change comes. Re-sent, the proposal reaches the joiner, which acks it, or
+// nacks it if it moved on.
+func (t *Table) ResendJoiner() (again bool) {
+	for _, k := range t.Keys() {
+		in := t.insts[k]
+		if in.Decided || !t.Admits(k) {
+			continue
+		}
+		for _, r := range in.Rounds() {
+			d := in.Coord[r]
+			if !d.Proposed {
+				continue
+			}
+			again = true
+			for _, m := range t.h.View(k).Members {
+				if m != t.self && !d.Acks[m] {
+					t.h.ResendProposal(m, in, r)
+					t.c.Retransmissions.Add(1)
+				}
+			}
+		}
+	}
+	return again
 }
 
 // Decided records in's decision and queues it for Prune.

@@ -59,6 +59,9 @@ func (h *fakeHost) Decide(in *Inst, b wire.Batch, r uint32, quorum bool) {
 func (h *fakeHost) SendProposal(in *Inst, r uint32, b wire.Batch) {
 	h.record("proposal k%d r%d %v", in.K, r, b.IDs())
 }
+func (h *fakeHost) ResendProposal(to types.ProcessID, in *Inst, r uint32) {
+	h.record("resend %s k%d r%d %v", to, in.K, r, in.Coord[r].Proposal.IDs())
+}
 func (h *fakeHost) SendAck(to types.ProcessID, in *Inst, r uint32) {
 	h.record("ack %s k%d r%d", to, in.K, r)
 }
@@ -299,4 +302,39 @@ func TestCascadeBoundedOutsideView(t *testing.T) {
 	if r := h.t.Get(2).Round; r != 1 {
 		t.Fatalf("frozen creation advanced to round %d", r)
 	}
+}
+
+// TestResendJoiner: only the instances of a view that admitted a member
+// re-send, only this process's own undecided proposals, and only to the
+// members of the governing view that have not acked them; once they decide
+// the host need not re-arm.
+func TestResendJoiner(t *testing.T) {
+	h := newFake(0, 0, 1, 2)
+	h.views = append(h.views,
+		member.View{Epoch: 1, Activation: 3, Members: []types.ProcessID{0, 1, 2, 3}},
+		member.View{Epoch: 2, Activation: 5, Members: []types.ProcessID{0, 1, 3}})
+	for k, want := range map[uint64]bool{1: false, 2: false, 3: true, 4: true, 5: false} {
+		if got := h.t.Admits(k); got != want {
+			t.Errorf("Admits(%d) = %v, want %v", k, got, want)
+		}
+	}
+	for k := uint64(2); k <= 5; k++ {
+		h.t.Propose(h.t.Get(k), 1, val(0, k))
+	}
+	h.t.Ack(1, 3, 1)
+	h.take()
+	if !h.t.ResendJoiner() {
+		t.Fatal("open admitting instances, but no re-arm")
+	}
+	expect(t, h.take(),
+		"resend p3 k3 r1 [p1#3]", "resend p4 k3 r1 [p1#3]",
+		"resend p2 k4 r1 [p1#4]", "resend p3 k4 r1 [p1#4]", "resend p4 k4 r1 [p1#4]")
+	h.t.Ack(3, 3, 1)
+	h.t.Ack(1, 4, 1)
+	h.t.Ack(2, 4, 1)
+	h.take()
+	if h.t.ResendJoiner() {
+		t.Fatal("re-arm with every admitting instance decided")
+	}
+	expect(t, h.take())
 }

@@ -45,6 +45,9 @@ const (
 	// in-order decided descriptor's payload batch is not yet resident, it
 	// fetches the missing bytes from one rotating live holder per fire.
 	TimerPayload TimerID = 5
+	// TimerJoiner re-sends the proposals of a view that admitted a member
+	// to the members that have not acked them (ct.Table.ResendJoiner).
+	TimerJoiner TimerID = 6
 )
 
 // Delivery is one adelivered application message together with the

@@ -921,6 +921,10 @@ func (e *Engine) HandleTimer(id engine.TimerID) {
 		e.payloadTimer()
 	case engine.TimerRecover:
 		e.t.RecoverTimer()
+	case engine.TimerJoiner:
+		if e.rounds.ResendJoiner() {
+			e.env.SetTimer(engine.TimerJoiner, e.cfg.ResendEvery)
+		}
 	}
 }
 
@@ -1411,6 +1415,15 @@ func (h *host) SendProposal(in *ct.Inst, r uint32, b wire.Batch) {
 		}
 	}
 	e.spreadPropDec(e.propDec(in, r, b))
+	if e.cfg.ResendEvery > 0 && e.rounds.Admits(in.K) {
+		e.env.SetTimer(engine.TimerJoiner, e.cfg.ResendEvery) // a joiner may miss it
+	}
+}
+
+// ResendProposal goes straight to the member, never along the ring.
+func (h *host) ResendProposal(to types.ProcessID, in *ct.Inst, r uint32) {
+	e := (*Engine)(h)
+	e.send(to, e.propDec(in, r, in.Coord[r].Proposal))
 }
 
 // SendAck first refetches a gap: a proposal beyond the pipeline window
