@@ -33,7 +33,7 @@ test-chaos:
 vet:
 	$(GO) vet ./...
 
-# Fuzz smoke: a bounded run of each of the eight fuzz targets on top of its
+# Fuzz smoke: a bounded run of each of the nine fuzz targets on top of its
 # checked-in seed corpus (testdata/fuzz/...). Plain `go test` already
 # replays the seeds; this target actually mutates for a short budget so
 # the corpus can grow when a new crasher appears. (`go test -fuzz` takes
@@ -47,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzDigestFrames$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz='^FuzzRecoverFrames$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz='^FuzzPayloadStore$$' -fuzztime=10s ./internal/payload
+	$(GO) test -run=NONE -fuzz='^FuzzReceive$$' -fuzztime=10s ./internal/head
 
 # Benchmark smoke: compile and run every benchmark for exactly one
 # iteration (BenchmarkFigures is the first point of every registered
@@ -103,11 +104,12 @@ bench-pair:
 # internal/dissem in the engines; no internal/stack, internal/tail or
 # internal/head in the round core internal/ct; no internal/consensus in
 # the monolithic engine; no internal/netsim in the facade; no
-# internal/runtime outside the root package — and no broken local
-# markdown links (mirrors the CI docs job).
+# internal/runtime outside the root package — the codec boundary of
+# TestEnginesEncodeNoTailFrames (no engine encodes or decodes a tail or
+# head frame) and no broken local markdown links (mirrors the CI docs job).
 docs:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
-	$(GO) test -run 'TestExportedSymbolsDocumented|TestInternalPackagesHaveComments|TestEnginesImportNoHeadInternals|TestMarkdownLinks' .
+	$(GO) test -run 'TestExportedSymbolsDocumented|TestInternalPackagesHaveComments|TestEnginesImportNoHeadInternals|TestEnginesEncodeNoTailFrames|TestMarkdownLinks' .
 
 # Size of the implementation: non-test Go lines outside bench/ (comments
 # included) — the count CHANGES.md quotes per PR. The ROADMAP wants it to

@@ -1,8 +1,9 @@
 // Documentation checks enforced by the CI docs job: every exported
 // symbol of the public facade (modab.go) carries a doc comment (the
 // equivalent of revive's exported rule, without the dependency), every
-// internal package has a package comment, and the authored markdown does
-// not link to files that do not exist.
+// internal package has a package comment, the import and codec
+// boundaries between the engines and the shared code hold, and the
+// authored markdown does not link to files that do not exist.
 package modab_test
 
 import (
@@ -147,6 +148,63 @@ func TestEnginesImportNoHeadInternals(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// tailFrameCodecs are the internal/wire codecs of the tail and head frames:
+// state transfer, payload repair, announce and ring relay.
+var tailFrameCodecs = map[string]bool{
+	"AppendRecoverReqFrame": true, "AppendRecoverRespFrame": true,
+	"AppendSnapReqFrame": true, "AppendSnapRespFrame": true,
+	"AppendPayloadFetchFrame": true, "AppendPayloadRespFrame": true,
+	"AppendAnnounceFrame": true, "AppendRelayFrame": true,
+	"UnmarshalRecoverReq": true, "UnmarshalRecoverResp": true,
+	"UnmarshalSnapReq": true, "UnmarshalSnapResp": true,
+	"UnmarshalPayloadFetch": true, "UnmarshalPayloadRespFrame": true,
+	"UnmarshalAnnounceFrame": true, "UnmarshalRelayFrame": true,
+}
+
+// TestEnginesEncodeNoTailFrames is the boundary of the one wire vocabulary
+// outside ordering: the tail and the head encode their frames and the head
+// routes what arrives, so no engine (outside its tests) references a tail
+// or head frame codec — a second encoder or a second frame switch would
+// let the stacks' bytes drift apart again.
+func TestEnginesEncodeNoTailFrames(t *testing.T) {
+	for _, dir := range []string{"internal/abcast", "internal/monolithic"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: %d files, %v", dir, len(files), err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, file, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := ""
+			for _, imp := range f.Imports {
+				if strings.Trim(imp.Path.Value, `"`) == "modab/internal/wire" {
+					name = "wire"
+					if imp.Name != nil {
+						name = imp.Name.Name
+					}
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == name && tailFrameCodecs[sel.Sel.Name] {
+					t.Errorf("%s: %s.%s: tail and head frames are encoded in internal/tail and internal/head and routed by head.Receive",
+						fset.Position(sel.Pos()), name, sel.Sel.Name)
+				}
+				return true
+			})
 		}
 	}
 }

@@ -243,68 +243,15 @@ func (l *Layer) diffuseBatch(b wire.Batch) {
 // others returns the broadcast fan-out: current-view members but self.
 func (l *Layer) others() int { return l.t.Hist.Current().Others(l.self) }
 
-// Receive implements stack.Layer: a diffused message or batch from a
-// peer (both decode to a batch, so one path handles both), or a
-// state-transfer frame of the crash-recovery protocol.
+// Receive implements stack.Layer: a diffused message or batch from a peer
+// (both decode to a batch, so one path handles both); every other frame —
+// state transfer, payload repair, announce, relay — goes to the shared
+// router (head.Receive).
 func (l *Layer) Receive(from types.ProcessID, data []byte) error {
-	switch wire.FrameKind(data) {
-	case wire.FrameRecoverReq:
-		req, err := wire.UnmarshalRecoverReq(data)
-		if err != nil {
-			return fmt.Errorf("abcast: bad recover-req from %s: %w", from, err)
+	if k := wire.FrameKind(data); k != wire.FrameAppMsg && k != wire.FrameBatch {
+		if err := l.hd.Receive(from, data); err != nil {
+			return fmt.Errorf("abcast: from %s: %w", from, err)
 		}
-		l.t.RecoverReq(from, req)
-		return nil
-	case wire.FrameRecoverResp:
-		resp, err := wire.UnmarshalRecoverResp(data)
-		if err != nil {
-			return fmt.Errorf("abcast: bad recover-resp from %s: %w", from, err)
-		}
-		l.t.RecoverResp(from, resp)
-		return nil
-	case wire.FrameSnapReq:
-		req, err := wire.UnmarshalSnapReq(data)
-		if err != nil {
-			return fmt.Errorf("abcast: bad snap-req from %s: %w", from, err)
-		}
-		l.t.SnapReq(from, req)
-		return nil
-	case wire.FrameSnapResp:
-		resp, err := wire.UnmarshalSnapResp(data)
-		if err != nil {
-			return fmt.Errorf("abcast: bad snap-resp from %s: %w", from, err)
-		}
-		l.t.SnapResp(from, resp)
-		return nil
-	case wire.FrameRelay:
-		return l.handleRelay(from, data)
-	case wire.FrameAnnounce:
-		if !l.cfg.DigestOrdering {
-			return fmt.Errorf("abcast: announce from %s without digest ordering", from)
-		}
-		if err := l.hd.Announce(data, nil); err != nil {
-			return fmt.Errorf("abcast: bad announce from %s: %w", from, err)
-		}
-		return nil
-	case wire.FramePayloadFetch:
-		if !l.cfg.DigestOrdering {
-			return fmt.Errorf("abcast: payload-fetch from %s without digest ordering", from)
-		}
-		d, err := wire.UnmarshalPayloadFetch(data)
-		if err != nil {
-			return fmt.Errorf("abcast: bad payload-fetch from %s: %w", from, err)
-		}
-		l.t.PayloadFetch(from, d)
-		return nil
-	case wire.FramePayloadResp:
-		if !l.cfg.DigestOrdering {
-			return fmt.Errorf("abcast: payload-resp from %s without digest ordering", from)
-		}
-		_, b, err := wire.UnmarshalPayloadRespFrame(data)
-		if err != nil {
-			return fmt.Errorf("abcast: bad payload-resp from %s: %w", from, err)
-		}
-		l.t.PayloadResp(b)
 		return nil
 	}
 	if l.cfg.DigestOrdering {
@@ -329,34 +276,9 @@ func (l *Layer) progress() {
 	l.armKick()
 }
 
-// handleRelay processes a ring-relayed frame — an announce under digest
-// ordering, a diffuse otherwise: the head dedups it (a duplicate is dropped
-// whole) and forwards it along the ring, then the inner frame is ingested
-// exactly like a directly received one.
-func (l *Layer) handleRelay(from types.ProcessID, data []byte) error {
-	h, inner, err := wire.UnmarshalRelayFrame(data)
-	if err != nil {
-		return fmt.Errorf("abcast: bad relay from %s: %w", from, err)
-	}
-	if l.cfg.DigestOrdering {
-		if err := l.hd.Announce(inner, &h); err != nil {
-			return fmt.Errorf("abcast: bad relayed announce from %s: %w", from, err)
-		}
-		return nil
-	}
-	b, err := wire.UnmarshalFrame(inner)
-	if err != nil {
-		return fmt.Errorf("abcast: bad relayed diffuse from %s: %w", from, err)
-	}
-	if l.hd.Accept(h, inner, b.PayloadBytes()) {
-		l.ingestDiffused(b)
-	}
-	return nil
-}
-
 // ingestDiffused adds a received diffuse batch to the pending set and
 // (re)starts consensus — the shared tail of the direct and relayed
-// receive paths.
+// receive paths (see host.Relayed).
 func (l *Layer) ingestDiffused(b wire.Batch) {
 	cur := l.t.Hist.Current()
 	for _, msg := range b {
@@ -714,18 +636,15 @@ func (l *Layer) sortedPendingIDs(keep func(pendingMsg) bool) []types.MsgID {
 	return ids
 }
 
-// host is the Layer seen through tail.Host and head.Host: the modular
-// stack's wire encoding of the tail's six messages and the head's two sends
-// (wire.Frame*, tagged and sent through the stack context), its layer-local
-// timer IDs, where sealed and announced entries enter the pending set, and
-// the tail's hooks into it and the decision reorder buffer. A separate
-// named type keeps these methods off the Layer's public surface.
+// host is the Layer seen through head.Host (and so tail.Host): the tail and
+// head frames go out tagged through the stack context, a payload-mode relay
+// is a diffuse frame, the timers are layer-local, sealed and announced
+// entries enter the pending set, and the tail hooks into it and the
+// decision reorder buffer. A separate named type keeps these methods off the
+// Layer's public surface.
 type host Layer
 
-var (
-	_ tail.Host = (*host)(nil)
-	_ head.Host = (*host)(nil)
-)
+var _ head.Host = (*host)(nil)
 
 // Sealed moves one sealed own batch into the ordering path: every entry
 // becomes pending, payload mode diffuses the messages as one frame (under
@@ -757,66 +676,26 @@ func (h *host) Announced(pm wire.AppMsg) {
 	(*Layer)(h).progress()
 }
 
-func (h *host) SendMembers(frame []byte) {
-	l := (*Layer)(h)
-	l.ctx.Env().Counters().DisseminatedBytes.Add(int64(len(frame) * l.others()))
-	l.ctx.NetSendMembers(l.t.Hist.Current().Members, frame)
+// Relayed ingests a payload-mode ring relay — a diffuse frame — unless the
+// head drops it as a duplicate; the head forwards it first.
+func (h *host) Relayed(from types.ProcessID, hdr wire.RelayHeader, inner []byte) error {
+	b, err := wire.UnmarshalFrame(inner)
+	if err != nil {
+		return err
+	}
+	if h.hd.Accept(hdr, inner, b.PayloadBytes(), false) {
+		(*Layer)(h).ingestDiffused(b)
+	}
+	return nil
 }
 
-func (h *host) SendRelay(to types.ProcessID, rh wire.RelayHeader, inner []byte) {
-	l := (*Layer)(h)
-	l.send(to, 16+len(inner), func(w *wire.Writer) {
-		wire.AppendRelayFrame(w, rh, inner)
-		l.ctx.Env().Counters().DisseminatedBytes.Add(int64(len(w.Bytes())))
-	})
-}
-
-// send transmits one frame built by fill to a single peer.
-func (l *Layer) send(to types.ProcessID, size int, fill func(w *wire.Writer)) {
-	w := wire.GetWriter(size)
-	fill(w)
-	l.ctx.NetSend(to, w.Bytes())
-	wire.PutWriter(w)
-}
-
-func (h *host) SendRecoverReq(to types.ProcessID, req wire.RecoverReq) {
-	w := wire.GetWriter(16)
-	wire.AppendRecoverReqFrame(w, req)
+// Send puts a tail or head frame on the wire under the abcast layer's tag.
+func (h *host) Send(to types.ProcessID, frame []byte) {
 	if to == types.Nobody {
-		h.ctx.NetSendMembers(h.t.Hist.Current().Members, w.Bytes())
-	} else {
-		h.ctx.NetSend(to, w.Bytes())
+		h.ctx.NetSendMembers(h.t.Hist.Current().Members, frame)
+		return
 	}
-	wire.PutWriter(w)
-}
-
-func (h *host) SendRecoverResp(to types.ProcessID, _ wire.RecoverReq, resp wire.RecoverResp) {
-	l := (*Layer)(h)
-	c := l.ctx.Env().Counters()
-	for _, d := range resp.Decisions {
-		c.PayloadBytesSent.Add(int64(d.Batch.PayloadBytes()))
-	}
-	l.send(to, 16, func(w *wire.Writer) { wire.AppendRecoverRespFrame(w, resp) })
-}
-
-func (h *host) SendSnapReq(to types.ProcessID, req wire.SnapReq) {
-	(*Layer)(h).send(to, 24, func(w *wire.Writer) { wire.AppendSnapReqFrame(w, req) })
-}
-
-func (h *host) SendSnapResp(to types.ProcessID, resp wire.SnapResp) {
-	(*Layer)(h).send(to, 64+len(resp.Data), func(w *wire.Writer) { wire.AppendSnapRespFrame(w, resp) })
-}
-
-func (h *host) SendPayloadFetch(to types.ProcessID, d wire.Descriptor) {
-	(*Layer)(h).send(to, 32, func(w *wire.Writer) { wire.AppendPayloadFetchFrame(w, d) })
-}
-
-func (h *host) SendPayloadResp(to types.ProcessID, d wire.Descriptor, b wire.Batch) {
-	l := (*Layer)(h)
-	l.send(to, 32+b.WireSize(), func(w *wire.Writer) {
-		wire.AppendPayloadRespFrame(w, d, b)
-		l.ctx.Env().Counters().DisseminatedBytes.Add(int64(len(w.Bytes())))
-	})
+	h.ctx.NetSend(to, frame)
 }
 
 // layerTimer maps a tail or head timer into the layer-local namespace.

@@ -4,11 +4,13 @@
 // next (§3.3 diffuse and propose, §4.2 forward and piggyback) is ordering and
 // stays in the engine, behind Host (docs/ARCHITECTURE.md, "Shared head"). A
 // Head is a plain struct driven from its engine's event loop, not a
-// stack.Layer: it adds no dispatch.
+// stack.Layer: it adds no dispatch. Receive is the one router of the tail's
+// and the head's wire frames, in both stacks.
 package head
 
 import (
-	"time"
+	"errors"
+	"fmt"
 
 	"modab/internal/batch"
 	"modab/internal/dissem"
@@ -20,21 +22,20 @@ import (
 	"modab/internal/wire"
 )
 
-// Host is what a Head needs from its engine: where entries enter ordering,
-// the stack's envelope for the two dissemination sends (the host accounts
-// the envelope's bytes) and the timer namespace shared with the tail.
+// Host is what a Head needs from its engine: the tail's host (one Send, the
+// timer namespace), where entries enter ordering, and the decoding of a
+// payload-mode ring relay, whose inner frame is the engine's own.
 type Host interface {
+	tail.Host
 	// Sealed hands over what ordering carries for one sealed own batch: its
 	// messages, or under digest ordering their already announced descriptor.
 	Sealed(entries wire.Batch)
 	// Announced: a peer's descriptor is resident and still needs ordering.
 	Announced(pm wire.AppMsg)
-	// SendMembers goes to every other current member, SendRelay to one ring
-	// successor. Both marshal before returning: the buffers are pooled.
-	SendMembers(frame []byte)
-	SendRelay(to types.ProcessID, h wire.RelayHeader, inner []byte)
-	SetTimer(id tail.Timer, d time.Duration)
-	CancelTimer(id tail.Timer)
+	// Relayed hands back a received payload-mode ring relay: the engine
+	// decodes inner (a modular diffuse frame, a monolithic proposal), passes
+	// it through Accept and processes it when Accept says so.
+	Relayed(from types.ProcessID, hdr wire.RelayHeader, inner []byte) error
 }
 
 // Head is one engine's admission, batching and dissemination state.
@@ -190,42 +191,64 @@ func (h *Head) Reannounce(entries wire.Batch) (n int) {
 	return n
 }
 
-// Spread transmits one payload-bearing frame as the strategy says: n-1
-// copies from the origin (the paper's behavior), or one around the ring.
+// Spread transmits one payload-bearing dissemination frame as the strategy
+// says: n-1 copies from the origin (the paper's behavior), or one around the
+// ring.
 func (h *Head) Spread(frame []byte, payloadBytes int) {
-	if hdr, to, relay := h.Origin(payloadBytes); relay {
-		h.h.SendRelay(to, hdr, frame)
+	if h.Relay(frame, payloadBytes, false) {
 		return
 	}
-	h.env.Counters().PayloadBytesSent.Add(int64(payloadBytes * h.t.Hist.Current().Others(h.env.Self())))
-	h.h.SendMembers(frame)
+	others := int64(h.t.Hist.Current().Others(h.env.Self()))
+	c := h.env.Counters()
+	c.PayloadBytesSent.Add(int64(payloadBytes) * others)
+	c.DisseminatedBytes.Add(int64(len(frame)) * others)
+	h.h.Send(types.Nobody, frame)
 }
 
-// Origin opens a ring lap for a frame the engine sends itself, accounting
-// the one transmission; relay false: the caller broadcasts on its own terms.
-func (h *Head) Origin(payloadBytes int) (hdr wire.RelayHeader, to types.ProcessID, relay bool) {
-	if hdr, to, relay = h.diss.Origin(); relay {
+// Relay opens a ring lap for frame and sends it to the first live successor,
+// accounting the one transmission as ordering cost when ordered (a relayed
+// proposal) and as dissemination otherwise; false: the strategy does not
+// relay it, and the caller broadcasts on its own terms.
+func (h *Head) Relay(frame []byte, payloadBytes int, ordered bool) bool {
+	hdr, to, relay := h.diss.Origin()
+	if relay {
 		h.env.Counters().PayloadBytesSent.Add(int64(payloadBytes))
+		h.relay(to, hdr, frame, ordered)
 	}
-	return hdr, to, relay
+	return relay
 }
 
-// Accept forwards a received relay frame unless its lap is complete; false
-// is a duplicate or lapped frame, which the caller drops whole.
-func (h *Head) Accept(hdr wire.RelayHeader, inner []byte, payloadBytes int) bool {
+// Accept forwards a received relay frame unless its lap is complete, with
+// Relay's accounting; false is a duplicate or lapped frame, which the caller
+// drops whole.
+func (h *Head) Accept(hdr wire.RelayHeader, inner []byte, payloadBytes int, ordered bool) bool {
 	nh, to, process, forward := h.diss.Accept(hdr)
 	if forward {
 		h.env.Counters().PayloadBytesSent.Add(int64(payloadBytes))
-		h.h.SendRelay(to, nh, inner)
+		h.relay(to, nh, inner, ordered)
 	}
 	return process
+}
+
+// relay sends inner under relay header hdr to one successor.
+func (h *Head) relay(to types.ProcessID, hdr wire.RelayHeader, inner []byte, ordered bool) {
+	w := wire.GetWriter(16 + len(inner))
+	wire.AppendRelayFrame(w, hdr, inner)
+	c := h.env.Counters()
+	if ordered {
+		c.OrderedBytes.Add(int64(w.Len()))
+	} else {
+		c.DisseminatedBytes.Add(int64(w.Len()))
+	}
+	h.h.Send(to, w.Bytes())
+	wire.PutWriter(w)
 }
 
 // Announce ingests an announce frame (relay set: it came along the ring and
 // is forwarded first); a descriptor still to be ordered goes to the host.
 func (h *Head) Announce(frame []byte, relay *wire.RelayHeader) error {
 	d, b, err := wire.UnmarshalAnnounceFrame(frame)
-	if err != nil || relay != nil && !h.Accept(*relay, frame, b.PayloadBytes()) {
+	if err != nil || relay != nil && !h.Accept(*relay, frame, b.PayloadBytes(), false) {
 		return err
 	}
 	if h.t.Announce(d, b) {
@@ -233,6 +256,84 @@ func (h *Head) Announce(frame []byte, relay *wire.RelayHeader) error {
 	}
 	return nil
 }
+
+// Receive is the one router of tail and head frames, in both stacks: the
+// engine strips its envelope (a stack tag, a monolithic type byte) and hands
+// over the frame, which is decoded once, here, and routed to the tail or the
+// head. A payload-mode ring relay goes back to the host (Relayed).
+func (h *Head) Receive(from types.ProcessID, frame []byte) error {
+	kind := wire.FrameKind(frame)
+	if err := h.route(from, kind, frame); err != nil {
+		return fmt.Errorf("frame kind %d: %w", kind, err)
+	}
+	return nil
+}
+
+func (h *Head) route(from types.ProcessID, kind uint8, frame []byte) error {
+	t := h.t
+	switch kind {
+	case wire.FrameAnnounce, wire.FramePayloadFetch, wire.FramePayloadResp:
+		if !h.cfg.DigestOrdering {
+			return errNoDigest
+		}
+	}
+	switch kind {
+	case wire.FrameRecoverReq:
+		req, err := wire.UnmarshalRecoverReq(frame)
+		if err == nil {
+			t.RecoverReq(from, req)
+		}
+		return err
+	case wire.FrameRecoverResp:
+		resp, err := wire.UnmarshalRecoverResp(frame)
+		if err == nil {
+			t.RecoverResp(from, resp)
+		}
+		return err
+	case wire.FrameSnapReq:
+		req, err := wire.UnmarshalSnapReq(frame)
+		if err == nil {
+			t.SnapReq(from, req)
+		}
+		return err
+	case wire.FrameSnapResp:
+		resp, err := wire.UnmarshalSnapResp(frame)
+		if err == nil {
+			t.SnapResp(from, resp)
+		}
+		return err
+	case wire.FramePayloadFetch:
+		d, err := wire.UnmarshalPayloadFetch(frame)
+		if err == nil {
+			t.PayloadFetch(from, d)
+		}
+		return err
+	case wire.FramePayloadResp:
+		_, b, err := wire.UnmarshalPayloadRespFrame(frame)
+		if err == nil {
+			t.PayloadResp(b)
+		}
+		return err
+	case wire.FrameAnnounce:
+		return h.Announce(frame, nil)
+	case wire.FrameRelay:
+		hdr, inner, err := wire.UnmarshalRelayFrame(frame)
+		switch {
+		case err != nil:
+			return err
+		case h.cfg.DigestOrdering:
+			// Under digest ordering only announces relay: every ordering
+			// frame is descriptor-sized control.
+			return h.Announce(inner, &hdr)
+		}
+		return h.h.Relayed(from, hdr, inner)
+	}
+	return wire.ErrBadFrame
+}
+
+// errNoDigest rejects a digest-ordering frame at a process running without
+// it: the cluster runs mixed configurations.
+var errNoDigest = errors.New("digest-ordering frame without digest ordering")
 
 // Suspect and SetMembers keep the strategy's topology current; Ring reports
 // the relaying strategy, Accumulating the admitted messages not yet sealed.

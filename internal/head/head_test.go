@@ -18,7 +18,7 @@ import (
 	"modab/internal/wire"
 )
 
-// relayed is one SendRelay the fake host was asked for.
+// relayed is one relay frame the fake host was asked to send.
 type relayed struct {
 	to    types.ProcessID
 	h     wire.RelayHeader
@@ -34,19 +34,18 @@ type fakeHost struct {
 	env *enginetest.Env
 	cfg engine.Config
 
-	log       []string // "persist", "members", "relay", "sealed", "announced"
+	log       []string // "persist", "members", "relay", "sealed", "announced", "relayed"
 	sealed    []wire.Batch
 	announced []wire.AppMsg
 	members   [][]byte
 	relays    []relayed
 	timers    []string // "arm" / "cancel" of tail.TimerFlush, in order
 	admits    []wire.Batch
+	// inbound is every payload-mode relay the router handed back.
+	inbound []relayed
 }
 
-var (
-	_ Host      = (*fakeHost)(nil)
-	_ tail.Host = (*fakeHost)(nil)
-)
+var _ Host = (*fakeHost)(nil)
 
 func newHost(self types.ProcessID, n int, mod func(*engine.Config)) *fakeHost {
 	h := &fakeHost{env: enginetest.New(self, n), cfg: engine.DefaultConfig(n)}
@@ -67,13 +66,28 @@ func (h *fakeHost) Announced(pm wire.AppMsg) {
 	h.log = append(h.log, "announced")
 	h.announced = append(h.announced, pm)
 }
-func (h *fakeHost) SendMembers(frame []byte) {
-	h.log = append(h.log, "members")
-	h.members = append(h.members, bytes.Clone(frame))
+func (h *fakeHost) Relayed(from types.ProcessID, hdr wire.RelayHeader, inner []byte) error {
+	h.log = append(h.log, "relayed")
+	h.inbound = append(h.inbound, relayed{from, hdr, bytes.Clone(inner)})
+	return nil
 }
-func (h *fakeHost) SendRelay(to types.ProcessID, rh wire.RelayHeader, inner []byte) {
-	h.log = append(h.log, "relay")
-	h.relays = append(h.relays, relayed{to, rh, bytes.Clone(inner)})
+
+// Send records a frame to every member as a broadcast and a relay frame to
+// one successor as a relay (decoded); the tail's point-to-point frames are
+// not this file's business.
+func (h *fakeHost) Send(to types.ProcessID, frame []byte) {
+	switch {
+	case to == types.Nobody:
+		h.log = append(h.log, "members")
+		h.members = append(h.members, bytes.Clone(frame))
+	case wire.FrameKind(frame) == wire.FrameRelay:
+		rh, inner, err := wire.UnmarshalRelayFrame(frame)
+		if err != nil {
+			panic(err)
+		}
+		h.log = append(h.log, "relay")
+		h.relays = append(h.relays, relayed{to, rh, bytes.Clone(inner)})
+	}
 }
 func (h *fakeHost) SetTimer(id tail.Timer, d time.Duration) {
 	if id == tail.TimerFlush && d == h.cfg.Batch.MaxDelay {
@@ -91,22 +105,15 @@ func (h *fakeHost) PersistAdmit(b wire.Batch) {
 	h.log = append(h.log, "persist")
 	h.admits = append(h.admits, b)
 }
-func (h *fakeHost) PersistDecision(uint64, wire.Batch)              {}
-func (h *fakeHost) ReadDecision(uint64) (wire.Batch, bool)          { return nil, false }
-func (h *fakeHost) SendRecoverReq(types.ProcessID, wire.RecoverReq) {}
-func (h *fakeHost) SendRecoverResp(types.ProcessID, wire.RecoverReq, wire.RecoverResp) {
-}
-func (h *fakeHost) SendSnapReq(types.ProcessID, wire.SnapReq)                    {}
-func (h *fakeHost) SendSnapResp(types.ProcessID, wire.SnapResp)                  {}
-func (h *fakeHost) SendPayloadFetch(types.ProcessID, wire.Descriptor)            {}
-func (h *fakeHost) SendPayloadResp(types.ProcessID, wire.Descriptor, wire.Batch) {}
-func (h *fakeHost) RetirePending(func(m wire.AppMsg) bool)                       {}
-func (h *fakeHost) Decision(uint64) (wire.Batch, bool)                           { return nil, false }
-func (h *fakeHost) Decided(uint64, wire.Batch)                                   {}
-func (h *fakeHost) Advanced()                                                    {}
-func (h *fakeHost) Installed()                                                   {}
-func (h *fakeHost) CaughtUp()                                                    {}
-func (h *fakeHost) ViewChanged(v member.View)                                    { h.hd.SetMembers(v.Members) }
+func (h *fakeHost) PersistDecision(uint64, wire.Batch)     {}
+func (h *fakeHost) ReadDecision(uint64) (wire.Batch, bool) { return nil, false }
+func (h *fakeHost) RetirePending(func(m wire.AppMsg) bool) {}
+func (h *fakeHost) Decision(uint64) (wire.Batch, bool)     { return nil, false }
+func (h *fakeHost) Decided(uint64, wire.Batch)             {}
+func (h *fakeHost) Advanced()                              {}
+func (h *fakeHost) Installed()                             {}
+func (h *fakeHost) CaughtUp()                              {}
+func (h *fakeHost) ViewChanged(v member.View)              { h.hd.SetMembers(v.Members) }
 
 func (h *fakeHost) abcast(t *testing.T, size int) types.MsgID {
 	t.Helper()
@@ -243,8 +250,8 @@ func TestSpreadAccountingByStrategy(t *testing.T) {
 	// A suspected successor is skipped; with everyone suspected the origin
 	// falls back to the broadcast and pays for it.
 	ring.hd.Suspect(1, true)
-	if _, to, relay := ring.hd.Origin(10); !relay || to != 2 {
-		t.Fatalf("origin past a suspected successor: to %v relay %v", to, relay)
+	if relay := ring.hd.Relay(frame, 10, false); !relay || ring.relays[1].to != 2 {
+		t.Fatalf("origin past a suspected successor: relay %v, relays %+v", relay, ring.relays)
 	}
 	ring.hd.Suspect(2, true)
 	ring.hd.Suspect(3, true)
@@ -259,7 +266,7 @@ func TestAcceptDedupForwardAndLapEnd(t *testing.T) {
 	inner := []byte{wire.FrameBatch, 9}
 	mid := newHost(1, 3, ringCfg)
 	hdr := wire.RelayHeader{Origin: 0, Seq: 1}
-	if !mid.hd.Accept(hdr, inner, 50) {
+	if !mid.hd.Accept(hdr, inner, 50, false) {
 		t.Fatal("a first relay must be processed")
 	}
 	if len(mid.relays) != 1 || mid.relays[0].to != 2 || mid.relays[0].h != (wire.RelayHeader{Origin: 0, Seq: 1, Hops: 1}) {
@@ -268,19 +275,19 @@ func TestAcceptDedupForwardAndLapEnd(t *testing.T) {
 	if got := mid.env.Cnt.PayloadBytesSent.Load(); got != 50 {
 		t.Fatalf("forward accounted %d payload bytes", got)
 	}
-	if mid.hd.Accept(hdr, inner, 50) || len(mid.relays) != 1 || mid.env.Cnt.PayloadBytesSent.Load() != 50 {
+	if mid.hd.Accept(hdr, inner, 50, false) || len(mid.relays) != 1 || mid.env.Cnt.PayloadBytesSent.Load() != 50 {
 		t.Fatal("a duplicate relay must be dropped whole")
 	}
 	// The last process of the lap processes the frame but its successor is
 	// the origin: nothing goes on.
 	last := newHost(2, 3, ringCfg)
-	if !last.hd.Accept(wire.RelayHeader{Origin: 0, Seq: 1, Hops: 1}, inner, 50) || len(last.relays) != 0 || last.env.Cnt.PayloadBytesSent.Load() != 0 {
+	if !last.hd.Accept(wire.RelayHeader{Origin: 0, Seq: 1, Hops: 1}, inner, 50, false) || len(last.relays) != 0 || last.env.Cnt.PayloadBytesSent.Load() != 0 {
 		t.Fatalf("lap end: relays %v", last.relays)
 	}
 	// An own frame that came all the way round is not processed again.
 	origin := newHost(0, 3, ringCfg)
-	oh, _, _ := origin.hd.Origin(0)
-	if origin.hd.Accept(oh, inner, 50) {
+	origin.hd.Relay(inner, 0, false)
+	if origin.hd.Accept(origin.relays[0].h, inner, 50, false) {
 		t.Fatal("the origin must drop its own lapped frame")
 	}
 }
@@ -420,4 +427,124 @@ func TestSubmitConfigRidesAbcast(t *testing.T) {
 	if _, err := h.hd.SubmitConfig(member.Op{Kind: member.OpRemove, Target: 7}); err == nil || len(h.sealed) != 1 {
 		t.Fatal("an op the current view rejects must not be admitted")
 	}
+}
+
+// frameOf builds one wire frame.
+func frameOf(fill func(w *wire.Writer)) []byte {
+	w := wire.NewWriter(64)
+	fill(w)
+	return w.Bytes()
+}
+
+// routerFrames is one valid frame of each of the eight kinds the router
+// takes, keyed by kind: a payload batch from p0 and its descriptor ride the
+// digest frames, a diffuse frame the relay.
+func routerFrames(t testing.TB) map[uint8][]byte {
+	b := wire.Batch{{ID: types.MsgID{Sender: 0, Seq: 1}, Body: []byte("ab")}}
+	d, err := wire.DescriptorFor(b, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	announce := frameOf(func(w *wire.Writer) { wire.AppendAnnounceFrame(w, d, b) })
+	return map[uint8][]byte{
+		wire.FrameRecoverReq: frameOf(func(w *wire.Writer) { wire.AppendRecoverReqFrame(w, wire.RecoverReq{From: 1}) }),
+		wire.FrameRecoverResp: frameOf(func(w *wire.Writer) {
+			wire.AppendRecoverRespFrame(w, wire.RecoverResp{UpTo: 1, Decisions: []wire.DecidedInstance{{K: 1, Batch: b}}})
+		}),
+		wire.FrameSnapReq: frameOf(func(w *wire.Writer) { wire.AppendSnapReqFrame(w, wire.SnapReq{Index: 4, Offset: 8}) }),
+		wire.FrameSnapResp: frameOf(func(w *wire.Writer) {
+			wire.AppendSnapRespFrame(w, wire.SnapResp{Index: 4, Total: 3, UpTo: 4, Data: []byte("xyz")})
+		}),
+		wire.FramePayloadFetch: frameOf(func(w *wire.Writer) { wire.AppendPayloadFetchFrame(w, d) }),
+		wire.FramePayloadResp:  frameOf(func(w *wire.Writer) { wire.AppendPayloadRespFrame(w, d, b) }),
+		wire.FrameAnnounce:     announce,
+		wire.FrameRelay:        frameOf(func(w *wire.Writer) { wire.AppendRelayFrame(w, wire.RelayHeader{Origin: 0, Seq: 3}, announce) }),
+	}
+}
+
+// TestReceiveRoutes: each kind reaches its tail or head handler, decoded;
+// the digest frames are refused without digest ordering; a payload-mode
+// relay goes back to the host with its header; anything else is an error.
+func TestReceiveRoutes(t *testing.T) {
+	frames := routerFrames(t)
+	h := newHost(1, 3, func(c *engine.Config) { c.DigestOrdering = true; c.Dissemination = dissem.Ring })
+	if err := h.hd.Receive(0, frames[wire.FrameAnnounce]); err != nil || len(h.announced) != 1 {
+		t.Fatalf("announce: %v, announced %d", err, len(h.announced))
+	}
+	h.log = nil
+	if err := h.hd.Receive(0, frames[wire.FramePayloadFetch]); err != nil || h.env.Cnt.Retransmissions.Load() != 1 {
+		t.Fatalf("payload-fetch of a resident payload: %v, %d re-serves", err, h.env.Cnt.Retransmissions.Load())
+	}
+	if err := h.hd.Receive(2, frames[wire.FrameRelay]); err != nil || !slices.Equal(h.log, []string{"relay", "announced"}) {
+		t.Fatalf("relayed announce: %v, calls %v", err, h.log)
+	}
+	// The fake host drops state-transfer decisions; the tail counts them.
+	if err := h.hd.Receive(0, frames[wire.FrameRecoverResp]); err != nil || h.env.Cnt.RecoveryFetchedMsgs.Load() != 1 {
+		t.Fatalf("recover-resp: %v, %d fetched", err, h.env.Cnt.RecoveryFetchedMsgs.Load())
+	}
+	for _, kind := range []uint8{wire.FrameRecoverReq, wire.FrameSnapReq, wire.FrameSnapResp, wire.FramePayloadResp} {
+		if err := h.hd.Receive(0, frames[kind]); err != nil {
+			t.Errorf("kind %d: %v", kind, err)
+		}
+	}
+
+	plain := newHost(1, 3, func(c *engine.Config) { c.Dissemination = dissem.Ring })
+	for _, kind := range []uint8{wire.FrameAnnounce, wire.FramePayloadFetch, wire.FramePayloadResp} {
+		if err := plain.hd.Receive(0, frames[kind]); !errors.Is(err, errNoDigest) {
+			t.Errorf("kind %d without digest ordering: %v", kind, err)
+		}
+	}
+	inner := []byte{wire.FrameBatch, 9}
+	relay := frameOf(func(w *wire.Writer) { wire.AppendRelayFrame(w, wire.RelayHeader{Origin: 2, Seq: 5, Hops: 1}, inner) })
+	if err := plain.hd.Receive(2, relay); err != nil || len(plain.inbound) != 1 || len(plain.relays) != 0 {
+		t.Fatalf("payload-mode relay: %v, handed back %d, forwarded %d", err, len(plain.inbound), len(plain.relays))
+	}
+	if got := plain.inbound[0]; got.to != 2 || got.h != (wire.RelayHeader{Origin: 2, Seq: 5, Hops: 1}) || !bytes.Equal(got.inner, inner) {
+		t.Fatalf("handed back %+v", got)
+	}
+	for _, bad := range [][]byte{nil, {wire.FrameBatch, 0, 0, 0, 0}, {99}, frames[wire.FrameSnapReq][:5]} {
+		if err := h.hd.Receive(0, bad); err == nil {
+			t.Errorf("frame %x accepted", bad)
+		}
+	}
+}
+
+// TestFrameByteAccounting: a broadcast frame is dissemination cost once per
+// member, a relay frame (header included) once per hop, as ordering cost
+// when the caller says so (a relayed proposal).
+func TestFrameByteAccounting(t *testing.T) {
+	frame := []byte{wire.FrameBatch, 1, 2, 3}
+	relayed := int64(len(frame)) + 14 // kind, origin, seq, hops
+	all := newHost(0, 4, nil)
+	all.hd.Spread(frame, 100)
+	if got := all.env.Cnt.DisseminatedBytes.Load(); got != 3*int64(len(frame)) {
+		t.Fatalf("broadcast: %d disseminated bytes", got)
+	}
+	ring := newHost(0, 4, func(c *engine.Config) { c.Dissemination = dissem.Ring })
+	ring.hd.Spread(frame, 100)
+	ring.hd.Relay(frame, 100, true)
+	c := &ring.env.Cnt
+	if c.DisseminatedBytes.Load() != relayed || c.OrderedBytes.Load() != relayed || c.PayloadBytesSent.Load() != 200 {
+		t.Fatalf("ring origin: disseminated %d, ordered %d, payload %d", c.DisseminatedBytes.Load(), c.OrderedBytes.Load(), c.PayloadBytesSent.Load())
+	}
+	mid := newHost(1, 4, func(c *engine.Config) { c.Dissemination = dissem.Ring })
+	mid.hd.Accept(wire.RelayHeader{Origin: 0, Seq: 1}, frame, 100, true)
+	mid.hd.Accept(wire.RelayHeader{Origin: 0, Seq: 2}, frame, 100, false)
+	if c := &mid.env.Cnt; c.DisseminatedBytes.Load() != relayed || c.OrderedBytes.Load() != relayed {
+		t.Fatalf("forward: disseminated %d, ordered %d", c.DisseminatedBytes.Load(), c.OrderedBytes.Load())
+	}
+}
+
+// FuzzReceive: the one router, in front of a tail in digest mode on a ring,
+// takes arbitrary bytes and returns nil or an error — never a panic, never
+// a hang.
+func FuzzReceive(f *testing.F) {
+	for _, frame := range routerFrames(f) {
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h := newHost(1, 3, func(c *engine.Config) { c.DigestOrdering = true; c.Dissemination = dissem.Ring })
+		_ = h.hd.Receive(0, data)
+		_ = h.hd.Receive(2, data) // again, now that state may have moved
+	})
 }

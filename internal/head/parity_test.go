@@ -67,9 +67,9 @@ func runScript(t *testing.T, cfg engine.Config, build func(engine.Env, engine.Co
 
 // TestCrossStackHeadParity is the "share everything else" claim as an
 // assertion: the same submission script on both engines yields identical
-// write-ahead admission sequences and byte-identical announce frames — the
-// stacks differ only in the envelope around them (a stack tag and, on the
-// ring, a wire relay header vs. a monolithic message header).
+// write-ahead admission sequences and byte-identical announce and relay
+// frames — the stacks differ only in a one-byte envelope around them (the
+// modular stack tag, the monolithic mFrame type byte).
 func TestCrossStackHeadParity(t *testing.T) {
 	for _, strategy := range []dissem.Strategy{dissem.AllToAll, dissem.Ring} {
 		for _, batched := range []bool{true, false} {
@@ -87,38 +87,38 @@ func TestCrossStackHeadParity(t *testing.T) {
 				if len(modAdmits) == 0 || !reflect.DeepEqual(modAdmits, monoAdmits) {
 					t.Fatalf("PersistAdmit sequences differ:\nmodular    %v\nmonolithic %v", modAdmits, monoAdmits)
 				}
-				// The modular envelope is transparent: strip it to the inner
-				// announce frames, in send order.
-				var announces [][]byte
+				// Strip each envelope byte; what the head sent must remain, in
+				// the same order, one announce (bare or relayed) per batch.
+				var mod, mono [][]byte
 				for _, f := range modFrames {
-					if stack.Tag(f[0]) != stack.TagABcast {
-						continue
+					if stack.Tag(f[0]) == stack.TagABcast {
+						mod = append(mod, f[1:])
 					}
-					inner := f[1:]
-					if wire.FrameKind(inner) == wire.FrameRelay {
-						_, in, err := wire.UnmarshalRelayFrame(inner)
+				}
+				for _, f := range monoFrames {
+					if f[0] != monoFrames[0][0] {
+						t.Fatalf("monolithic frames under envelopes %d and %d", monoFrames[0][0], f[0])
+					}
+					mono = append(mono, f[1:])
+				}
+				if !reflect.DeepEqual(mod, mono) {
+					t.Fatalf("head frames differ:\nmodular    %x\nmonolithic %x", mod, mono)
+				}
+				announces := 0
+				for _, f := range mod {
+					if wire.FrameKind(f) == wire.FrameRelay {
+						_, in, err := wire.UnmarshalRelayFrame(f)
 						if err != nil {
 							t.Fatal(err)
 						}
-						inner = in
+						f = in
 					}
-					if wire.FrameKind(inner) == wire.FrameAnnounce {
-						announces = append(announces, inner)
-					}
-				}
-				if len(announces) != len(modAdmits) {
-					t.Fatalf("modular sent %d announces to p2 for %d sealed batches", len(announces), len(modAdmits))
-				}
-				// The monolithic envelope carries the frame as its tail: the
-				// same frames must appear, in the same order.
-				next := 0
-				for _, f := range monoFrames {
-					if next < len(announces) && bytes.HasSuffix(f, announces[next]) {
-						next++
+					if wire.FrameKind(f) == wire.FrameAnnounce {
+						announces++
 					}
 				}
-				if next != len(announces) {
-					t.Fatalf("monolithic carried %d of the %d modular announce frames byte-identically, in order", next, len(announces))
+				if announces != len(modAdmits) {
+					t.Fatalf("%d announces to p2 for %d sealed batches", announces, len(modAdmits))
 				}
 			})
 		}

@@ -169,36 +169,43 @@ func TestSnapshotAssemblyBounded(t *testing.T) {
 	env := enginetest.New(0, 3)
 	e := New(env, cfg)
 	e.Start()
-	feed := func(m message) {
+	feed := func(fill func(w *wire.Writer)) {
 		t.Helper()
 		env.Sends = nil
-		if err := e.HandleMessage(1, m.marshal()); err != nil {
+		if err := e.HandleMessage(1, asFrame(fill)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	snapReqs := func() (offsets []uint64) {
 		for _, s := range env.Sends {
-			if m, err := unmarshalMessage(s.Data); err == nil && m.Type == mSnapReq {
-				offsets = append(offsets, m.Offset)
+			if f := frameOf(s.Data); wire.FrameKind(f) == wire.FrameSnapReq {
+				if req, err := wire.UnmarshalSnapReq(f); err == nil {
+					offsets = append(offsets, req.Offset)
+				}
 			}
 		}
 		return offsets
 	}
+	snapResp := func(total, offset uint64) func(w *wire.Writer) {
+		return func(w *wire.Writer) {
+			wire.AppendSnapRespFrame(w, wire.SnapResp{Index: 10, Total: total, Offset: offset, UpTo: 12, Data: make([]byte, 50)})
+		}
+	}
 	// p2 cannot serve instance 1 but holds a snapshot at 10: fetch it.
-	feed(message{Type: mRecoverResp, Instance: 1, UpTo: 12, SnapIndex: 10})
+	feed(func(w *wire.Writer) { wire.AppendRecoverRespFrame(w, wire.RecoverResp{UpTo: 12, SnapIndex: 10}) })
 	if got := snapReqs(); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("snapshot branch requested offsets %v, want [0]", got)
 	}
-	feed(message{Type: mSnapResp, Instance: 10, Total: 100, Offset: 0, UpTo: 12, Data: make([]byte, 50)})
+	feed(snapResp(100, 0))
 	if got := snapReqs(); len(got) != 1 || got[0] != 50 {
 		t.Fatalf("first chunk answered with requests %v, want [50]", got)
 	}
-	feed(message{Type: mSnapResp, Instance: 10, Total: 1 << 30, Offset: 50, UpTo: 12, Data: make([]byte, 50)})
+	feed(snapResp(1<<30, 50))
 	if got := snapReqs(); len(got) != 0 {
 		t.Fatalf("a Total-changing responder was asked for more: offsets %v", got)
 	}
 	// The abandoned fetch ignores the peer's further chunks outright.
-	feed(message{Type: mSnapResp, Instance: 10, Total: 1 << 30, Offset: 100, UpTo: 12, Data: make([]byte, 50)})
+	feed(snapResp(1<<30, 100))
 	if got := snapReqs(); len(got) != 0 {
 		t.Fatalf("abandoned fetch still requesting: offsets %v", got)
 	}
@@ -208,7 +215,8 @@ func TestSnapshotAssemblyBounded(t *testing.T) {
 // shared delivery tail through this stack's encoding: an announce lost on
 // one link leaves that peer's head decision blocked on a descriptor whose
 // bytes it never got; the payload timer fetches them from a rotating
-// holder (mPayloadFetch / mPayloadResp) and the decision then delivers.
+// holder (payload-fetch / payload-resp frames) and the decision then
+// delivers.
 // In whole-cluster runs the monolithic full-decision re-serve usually wins
 // this race, so the netsim scenarios rarely reach it.
 func TestPayloadRepairThroughTail(t *testing.T) {
@@ -217,8 +225,7 @@ func TestPayloadRepairThroughTail(t *testing.T) {
 	cfg.DigestOrdering = true
 	r := newRig(t, 3, cfg)
 	r.net.Drop = func(from, to types.ProcessID, data []byte) bool {
-		m, err := unmarshalMessage(data)
-		return err == nil && m.Type == mAnnounce && from == 2 && to == 1
+		return wire.FrameKind(frameOf(data)) == wire.FrameAnnounce && from == 2 && to == 1
 	}
 	id, err := r.engs[2].Abcast([]byte("lost on the way to p2"))
 	if err != nil {

@@ -3,7 +3,6 @@ package monolithic
 import (
 	"fmt"
 
-	"modab/internal/types"
 	"modab/internal/wire"
 )
 
@@ -35,55 +34,18 @@ const (
 	mDecisionReq
 	// mDecisionFull answers mDecisionReq.
 	mDecisionFull
-	// mRecoverReq announces a restarted process and asks for the decided
-	// instances it missed, starting at Instance (its decided watermark + 1).
-	mRecoverReq
-	// mRecoverResp answers mRecoverReq with the responder's decided horizon
-	// (UpTo) and a contiguous chunk of decided instances.
-	mRecoverResp
-	// mSnapReq asks a peer for a chunk of its snapshot at Instance
-	// (= snapshot index), starting at byte Offset — the far-behind branch of
-	// crash recovery, taken when the responder truncated its log below its
-	// snapshot horizon and cannot serve the instances themselves.
-	mSnapReq
-	// mSnapResp answers mSnapReq with one chunk of the serialized snapshot
-	// envelope (Instance = snapshot index, Total = envelope size, Offset =
-	// chunk position, UpTo = responder's decided horizon).
-	mSnapResp
-	// mRelay wraps an mPropDec traveling along the ring dissemination
-	// topology (engine.Config.Dissemination = Ring): Instance carries the
-	// origin-assigned relay sequence number, RelayOrigin/RelayHops the
-	// rest of the relay header, and Data the marshaled inner proposal.
-	// Every other message type stays on its original point-to-point or
-	// all-to-all path — relaying only the bulky proposal is exactly the
-	// coordinator-NIC fix. Under digest ordering the proposal is pure
-	// control (it carries descriptors, not payloads), so mRelay instead
-	// wraps the payload announce: Data holds a raw wire.FrameAnnounce
-	// frame rather than a marshaled inner message.
-	mRelay
-	// mAnnounce carries one payload batch with its descriptor (digest
-	// ordering): the one-time payload dissemination, after which every
-	// ordering message — proposal, ack, estimate, decision — carries only
-	// the ~32-byte descriptor pseudo-message. Data holds a raw
-	// wire.FrameAnnounce frame, validated (count, ID range, CRC digest)
-	// at the wire layer before the engine sees it.
-	mAnnounce
-	// mPayloadFetch asks one peer for the payload batch of a decided
-	// descriptor that never became resident here (lost announce, restart).
-	// Data holds a raw wire.FramePayloadFetch frame.
-	mPayloadFetch
-	// mPayloadResp answers mPayloadFetch; Data holds a raw
-	// wire.FramePayloadResp frame, validated exactly like an announce.
-	mPayloadResp
+	// mFrame carries one tail or head frame (internal/wire: state transfer,
+	// payload repair, announce, ring relay) raw after the type byte, with no
+	// instance/round header: the same bytes the modular stack sends under
+	// its stack tag. HandleMessage hands it to the shared router
+	// (head.Receive).
+	mFrame
 )
 
 var mtypeNames = [...]string{
 	mPropDec: "proposal+decision", mAckDiff: "ack+diffusion", mEstimate: "estimate",
 	mNack: "nack", mForward: "forward", mDecisionOnly: "decision",
-	mDecisionReq: "decision-req", mDecisionFull: "decision-full",
-	mRecoverReq: "recover-req", mRecoverResp: "recover-resp",
-	mSnapReq: "snap-req", mSnapResp: "snap-resp", mRelay: "relay",
-	mAnnounce: "announce", mPayloadFetch: "payload-fetch", mPayloadResp: "payload-resp",
+	mDecisionReq: "decision-req", mDecisionFull: "decision-full", mFrame: "frame",
 }
 
 // String implements fmt.Stringer.
@@ -94,8 +56,9 @@ func (t mtype) String() string {
 	return fmt.Sprintf("mtype(%d)", uint8(t))
 }
 
-// message is the uniform monolithic wire unit; variant fields are used
-// according to Type.
+// message is the uniform monolithic wire unit of the §4 protocol; variant
+// fields are used according to Type. An mFrame is no message: its frame
+// bypasses this codec.
 type message struct {
 	Type     mtype
 	Instance uint64
@@ -115,28 +78,6 @@ type message struct {
 	// Piggyback carries the sender's unordered messages on an estimate
 	// (mEstimate); mAckDiff uses Batch for the same purpose.
 	Piggyback wire.Batch
-	// UpTo is the responder's highest contiguously decided instance and
-	// Decisions the served chunk (mRecoverResp; Instance echoes the
-	// requested starting instance). SnapIndex is the responder's newest
-	// snapshot index (0 = none): a requester whose catch-up cannot advance
-	// past a truncated log switches to snapshot transfer when SnapIndex
-	// covers its missing instance.
-	UpTo      uint64
-	SnapIndex uint64
-	Decisions []wire.DecidedInstance
-	// Offset, Total and Data carry snapshot transfer chunks (mSnapReq uses
-	// Offset; mSnapResp uses all three, with Instance as the snapshot
-	// index and UpTo as the responder's decided horizon). mRelay reuses
-	// Data for the marshaled inner proposal. Except in mSnapResp, Data is
-	// a view into the received frame, not a copy: an announce's bodies
-	// stay resident in the payload store as views into it.
-	Offset uint64
-	Total  uint64
-	Data   []byte
-	// RelayOrigin and RelayHops complete the relay header of an mRelay
-	// (Instance carries the relay sequence number).
-	RelayOrigin types.ProcessID
-	RelayHops   uint8
 }
 
 // marshal encodes the message through a pooled writer scratch buffer and
@@ -145,11 +86,7 @@ type message struct {
 // pooling still removes the marshal buffer's grow-and-discard churn from
 // the hot path.
 func (m message) marshal() []byte {
-	size := 1 + 8 + 4 + m.Batch.WireSize() + m.Piggyback.WireSize() + len(m.Data) + 48
-	for _, d := range m.Decisions {
-		size += d.WireSize()
-	}
-	w := wire.GetWriter(size)
+	w := wire.GetWriter(1 + 8 + 4 + m.Batch.WireSize() + m.Piggyback.WireSize() + 48)
 	defer wire.PutWriter(w)
 	m.marshalTo(w)
 	out := make([]byte, w.Len())
@@ -174,27 +111,7 @@ func (m message) marshalTo(w *wire.Writer) {
 		w.Bool(m.HasValue)
 		m.Batch.Marshal(w)
 		m.Piggyback.Marshal(w)
-	case mRecoverResp:
-		w.Uint64(m.UpTo)
-		w.Uint64(m.SnapIndex)
-		w.Uint32(uint32(len(m.Decisions)))
-		for _, d := range m.Decisions {
-			d.Marshal(w)
-		}
-	case mSnapReq:
-		w.Uint64(m.Offset)
-	case mSnapResp:
-		w.Uint64(m.Total)
-		w.Uint64(m.Offset)
-		w.Uint64(m.UpTo)
-		w.Bytes32(m.Data)
-	case mRelay:
-		w.Int32(int32(m.RelayOrigin))
-		w.Uint8(m.RelayHops)
-		w.Bytes32(m.Data)
-	case mAnnounce, mPayloadFetch, mPayloadResp:
-		w.Bytes32(m.Data)
-	case mNack, mDecisionOnly, mDecisionReq, mRecoverReq:
+	case mNack, mDecisionOnly, mDecisionReq:
 		// Header only.
 	}
 }
@@ -218,30 +135,7 @@ func unmarshalMessage(data []byte) (message, error) {
 		m.HasValue = r.Bool()
 		m.Batch = wire.UnmarshalBatch(r)
 		m.Piggyback = wire.UnmarshalBatch(r)
-	case mRecoverResp:
-		m.UpTo = r.Uint64()
-		m.SnapIndex = r.Uint64()
-		n := r.Uint32()
-		if r.Err() == nil && n > wire.MaxChunk/16 {
-			return message{}, fmt.Errorf("monolithic: recover-resp of %d decisions", n)
-		}
-		for i := uint32(0); i < n && r.Err() == nil; i++ {
-			m.Decisions = append(m.Decisions, wire.UnmarshalDecidedInstance(r))
-		}
-	case mSnapReq:
-		m.Offset = r.Uint64()
-	case mSnapResp:
-		m.Total = r.Uint64()
-		m.Offset = r.Uint64()
-		m.UpTo = r.Uint64()
-		m.Data = r.Bytes32()
-	case mRelay:
-		m.RelayOrigin = types.ProcessID(r.Int32())
-		m.RelayHops = r.Uint8()
-		m.Data = r.View32()
-	case mAnnounce, mPayloadFetch, mPayloadResp:
-		m.Data = r.View32()
-	case mNack, mDecisionOnly, mDecisionReq, mRecoverReq:
+	case mNack, mDecisionOnly, mDecisionReq:
 		// Header only.
 	default:
 		return message{}, fmt.Errorf("monolithic: unknown message type %d", uint8(m.Type))

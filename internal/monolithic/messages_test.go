@@ -52,6 +52,10 @@ func TestMessageDecodeErrors(t *testing.T) {
 	if _, err := unmarshalMessage([]byte{0xEE, 0, 0}); err == nil {
 		t.Fatal("unknown type accepted")
 	}
+	// An mFrame bypasses the codec: HandleMessage routes it first.
+	if _, err := unmarshalMessage(asFrame(func(w *wire.Writer) { wire.AppendRecoverReqFrame(w, wire.RecoverReq{From: 1}) })); err == nil {
+		t.Fatal("mFrame decoded as a message")
+	}
 	// Truncated PropDec.
 	m := message{Type: mPropDec, Instance: 1, Round: 1, Batch: testBatch(0, 1)}
 	data := m.marshal()
@@ -69,7 +73,7 @@ func TestTypeStrings(t *testing.T) {
 		mPropDec: "proposal+decision", mAckDiff: "ack+diffusion",
 		mEstimate: "estimate", mNack: "nack", mForward: "forward",
 		mDecisionOnly: "decision", mDecisionReq: "decision-req",
-		mDecisionFull: "decision-full",
+		mDecisionFull: "decision-full", mFrame: "frame",
 	}
 	for typ, want := range names {
 		if got := typ.String(); got != want {
@@ -79,4 +83,21 @@ func TestTypeStrings(t *testing.T) {
 	if mtype(77).String() != "mtype(77)" {
 		t.Error("unknown mtype string")
 	}
+}
+
+// frameOf returns the tail or head frame an mFrame message carries (nil:
+// the message is a §4 one).
+func frameOf(data []byte) []byte {
+	if len(data) > 0 && mtype(data[0]) == mFrame {
+		return data[1:]
+	}
+	return nil
+}
+
+// asFrame wraps the wire frame fill appends as an mFrame message.
+func asFrame(fill func(w *wire.Writer)) []byte {
+	w := wire.NewWriter(64)
+	w.Uint8(uint8(mFrame))
+	fill(w)
+	return w.Bytes()
 }

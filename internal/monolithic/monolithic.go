@@ -367,48 +367,16 @@ func (e *Engine) propDec(in *ct.Inst, r uint32, b wire.Batch) message {
 // spreadPropDec disseminates a combined proposal+decision according to
 // the strategy: a plain broadcast under AllToAll (the paper's behavior,
 // bit-identical), or one transmission to the first live successor under
-// Ring, wrapped in an mRelay that the successors carry around the group.
-// The origin pays the payload bytes of exactly one transmission on the
-// ring path (mRelay's own payloadBytes is zero — Data is opaque there).
+// Ring, in a wire relay frame that the successors carry around the group
+// (host.Relayed) and that stays ordering cost all the way round.
 func (e *Engine) spreadPropDec(m message) {
 	// Digest ordering: the proposal carries descriptors only — pure control
 	// that no longer scales with payload size — so it never rides the ring;
 	// the head's announces are what relays.
-	if !e.cfg.DigestOrdering {
-		if h, to, relay := e.hd.Origin(m.payloadBytes()); relay {
-			(*host)(e).SendRelay(to, h, m.marshal())
-			return
-		}
+	if !e.cfg.DigestOrdering && e.hd.Ring() && e.hd.Relay(m.marshal(), m.payloadBytes(), true) {
+		return
 	}
 	e.sendAll(m)
-}
-
-// handleRelay processes a ring-relayed frame — a payload announce under
-// digest ordering (the proposal is pure control there and never relays), a
-// proposal otherwise: the head dedups it (a lapped or duplicated frame is
-// dropped whole) and forwards it to our successor when the lap is not
-// complete, then the proposal is processed exactly as if the origin had
-// sent it directly — acks, nacks and refetches all go straight back to the
-// origin, never along the ring.
-func (e *Engine) handleRelay(from types.ProcessID, m message) error {
-	h := wire.RelayHeader{Origin: m.RelayOrigin, Seq: m.Instance, Hops: m.RelayHops}
-	if e.cfg.DigestOrdering {
-		if err := e.hd.Announce(m.Data, &h); err != nil {
-			return fmt.Errorf("monolithic: bad relayed announce from %s: %w", from, err)
-		}
-		return nil
-	}
-	inner, err := unmarshalMessage(m.Data)
-	if err != nil {
-		return fmt.Errorf("monolithic: bad relayed proposal from %s: %w", from, err)
-	}
-	if inner.Type != mPropDec {
-		return fmt.Errorf("monolithic: relayed %s from %s (only proposals relay)", inner.Type, from)
-	}
-	if e.hd.Accept(h, m.Data, inner.payloadBytes()) {
-		e.handlePropDec(h.Origin, inner)
-	}
-	return nil
 }
 
 // reannounceOwn re-disseminates the payload batch of every own undecided
@@ -454,8 +422,16 @@ func (e *Engine) respreadOpen() {
 	}
 }
 
-// HandleMessage implements engine.Engine.
+// HandleMessage implements engine.Engine. An mFrame's frame goes to the
+// shared router (head.Receive).
 func (e *Engine) HandleMessage(from types.ProcessID, data []byte) error {
+	if len(data) > 0 && mtype(data[0]) == mFrame {
+		e.env.Counters().Dispatches.Add(1)
+		if err := e.hd.Receive(from, data[1:]); err != nil {
+			return fmt.Errorf("monolithic: from %s: %w", from, err)
+		}
+		return nil
+	}
 	m, err := unmarshalMessage(data)
 	if err != nil {
 		return fmt.Errorf("monolithic: from %s: %w", from, err)
@@ -478,41 +454,6 @@ func (e *Engine) HandleMessage(from types.ProcessID, data []byte) error {
 		e.handleDecisionReq(from, m)
 	case mDecisionFull:
 		e.handleDecisionFull(m)
-	case mRecoverReq:
-		e.t.RecoverReq(from, wire.RecoverReq{From: m.Instance})
-	case mRecoverResp:
-		e.t.RecoverResp(from, wire.RecoverResp{UpTo: m.UpTo, SnapIndex: m.SnapIndex, Decisions: m.Decisions})
-	case mSnapReq:
-		e.t.SnapReq(from, wire.SnapReq{Index: m.Instance, Offset: m.Offset})
-	case mSnapResp:
-		e.t.SnapResp(from, wire.SnapResp{Index: m.Instance, Total: m.Total, Offset: m.Offset, UpTo: m.UpTo, Data: m.Data})
-	case mRelay:
-		return e.handleRelay(from, m)
-	case mAnnounce:
-		if !e.cfg.DigestOrdering {
-			return fmt.Errorf("monolithic: announce from %s without digest ordering", from)
-		}
-		if err := e.hd.Announce(m.Data, nil); err != nil {
-			return fmt.Errorf("monolithic: bad announce from %s: %w", from, err)
-		}
-	case mPayloadFetch:
-		if !e.cfg.DigestOrdering {
-			return fmt.Errorf("monolithic: payload fetch from %s without digest ordering", from)
-		}
-		d, err := wire.UnmarshalPayloadFetch(m.Data)
-		if err != nil {
-			return fmt.Errorf("monolithic: bad payload fetch from %s: %w", from, err)
-		}
-		e.t.PayloadFetch(from, d)
-	case mPayloadResp:
-		if !e.cfg.DigestOrdering {
-			return fmt.Errorf("monolithic: payload response from %s without digest ordering", from)
-		}
-		_, b, err := wire.UnmarshalPayloadRespFrame(m.Data)
-		if err != nil {
-			return fmt.Errorf("monolithic: bad payload response from %s: %w", from, err)
-		}
-		e.t.PayloadResp(b)
 	default:
 		return fmt.Errorf("monolithic: unexpected message type %d from %s", uint8(m.Type), from)
 	}
@@ -1084,43 +1025,18 @@ func (e *Engine) Suspect(p types.ProcessID, suspected bool) {
 }
 
 // payloadBytes sums the application payload carried by one message.
-func (m message) payloadBytes() int {
-	pb := m.Batch.PayloadBytes() + m.Piggyback.PayloadBytes()
-	for _, d := range m.Decisions {
-		pb += d.Batch.PayloadBytes()
-	}
-	return pb
-}
+func (m message) payloadBytes() int { return m.Batch.PayloadBytes() + m.Piggyback.PayloadBytes() }
 
-// accountFrame attributes one marshaled frame to the ordering- or
-// dissemination-path byte counters (the digest figure's split).
-// Proposals, acks, estimates, forwards and decision traffic are ordering
-// cost — the frames whose size digest ordering collapses to descriptor
-// scale; announces and payload re-serves are dissemination cost; a relay
-// frame is whichever its inner frame is (proposals in payload mode,
-// announces under digest ordering). Recovery, snapshot transfer and
-// payload-fetch requests count as neither.
-func (e *Engine) accountFrame(t mtype, size, fanout int) {
-	c := e.env.Counters()
-	switch t {
-	case mPropDec, mAckDiff, mEstimate, mNack, mForward, mDecisionOnly, mDecisionReq, mDecisionFull:
-		c.OrderedBytes.Add(int64(size * fanout))
-	case mAnnounce, mPayloadResp:
-		c.DisseminatedBytes.Add(int64(size * fanout))
-	case mRelay:
-		if e.cfg.DigestOrdering {
-			c.DisseminatedBytes.Add(int64(size * fanout))
-		} else {
-			c.OrderedBytes.Add(int64(size * fanout))
-		}
-	}
-}
-
-// send marshals and transmits one message, accounting payload bytes.
+// send marshals and transmits one message, accounting payload bytes and
+// whole-message bytes as ordering traffic (OrderedBytes): every §4 message
+// exists to order — proposals, acks, estimates, forwards and decision
+// traffic are the frames whose size digest ordering collapses to descriptor
+// scale. The head and the tail account their own frames (mFrame).
 func (e *Engine) send(to types.ProcessID, m message) {
-	e.env.Counters().PayloadBytesSent.Add(int64(m.payloadBytes()))
+	c := e.env.Counters()
+	c.PayloadBytesSent.Add(int64(m.payloadBytes()))
 	data := m.marshal()
-	e.accountFrame(m.Type, len(data), 1)
+	c.OrderedBytes.Add(int64(len(data)))
 	e.env.Send(to, data)
 }
 
@@ -1133,7 +1049,7 @@ func (e *Engine) sendAll(m message) {
 		return
 	}
 	data := m.marshal()
-	e.accountFrame(m.Type, len(data), others)
+	e.env.Counters().OrderedBytes.Add(int64(len(data) * others))
 	for _, p := range members {
 		if p == e.self {
 			continue
@@ -1169,19 +1085,15 @@ func (e *Engine) drop(id types.MsgID) {
 	}
 }
 
-// host is the Engine seen through tail.Host and head.Host: the monolithic
-// wire encoding of the tail's six messages and the head's two sends
-// (message{Type: m…}; announces, relays and the payload-repair pair carry
-// raw wire frames in Data), the engine-wide timer IDs, where sealed and
-// announced entries enter own and the pool, and the tail's hooks into them
-// and the in-order decide path. A separate named type keeps these methods
-// off the Engine's public surface.
+// host is the Engine seen through head.Host (and so tail.Host): the tail
+// and head frames go out as mFrame, a payload-mode relay carries an
+// mPropDec, the timers are engine-wide, sealed and announced entries enter
+// own and the pool, and the tail hooks into them and the in-order decide
+// path. A separate named type keeps these methods off the Engine's public
+// surface.
 type host Engine
 
-var (
-	_ tail.Host = (*host)(nil)
-	_ head.Host = (*host)(nil)
-)
+var _ head.Host = (*host)(nil)
 
 // Sealed hands locally submitted entries to the ordering machinery. They
 // are NOT diffused: they join own and the pool and wait for the next ack to
@@ -1228,49 +1140,39 @@ func (h *host) Announced(pm wire.AppMsg) {
 	e.armKick()
 }
 
-func (h *host) SendMembers(frame []byte) {
-	(*Engine)(h).sendAll(message{Type: mAnnounce, Data: frame})
+// Relayed processes a payload-mode ring relay — a proposal — exactly as if
+// its origin had sent it directly, unless the head drops it as a duplicate;
+// the head forwards it first. Acks, nacks and refetches go straight back to
+// the origin, never along the ring.
+func (h *host) Relayed(from types.ProcessID, hdr wire.RelayHeader, inner []byte) error {
+	m, err := unmarshalMessage(inner)
+	if err != nil {
+		return err
+	}
+	if m.Type != mPropDec {
+		return fmt.Errorf("relayed %s (only proposals relay)", m.Type)
+	}
+	if h.hd.Accept(hdr, inner, m.payloadBytes(), true) {
+		(*Engine)(h).handlePropDec(hdr.Origin, m)
+	}
+	return nil
 }
 
-// SendRelay wraps inner in an mRelay, whose own payloadBytes is zero (Data
-// is opaque there): the head accounts the transmission.
-func (h *host) SendRelay(to types.ProcessID, rh wire.RelayHeader, inner []byte) {
-	(*Engine)(h).send(to, message{Type: mRelay, Instance: rh.Seq, RelayOrigin: rh.Origin, RelayHops: rh.Hops, Data: inner})
-}
-
-func (h *host) SendRecoverReq(to types.ProcessID, req wire.RecoverReq) {
-	m := message{Type: mRecoverReq, Instance: req.From}
-	if to == types.Nobody {
-		(*Engine)(h).sendAll(m)
+// Send puts a tail or head frame on the wire as [mFrame][frame]: a copy,
+// since env.Send may retain it.
+func (h *host) Send(to types.ProcessID, frame []byte) {
+	data := make([]byte, 1+len(frame))
+	data[0] = byte(mFrame)
+	copy(data[1:], frame)
+	if to != types.Nobody {
+		h.env.Send(to, data)
 		return
 	}
-	(*Engine)(h).send(to, m)
-}
-
-func (h *host) SendRecoverResp(to types.ProcessID, req wire.RecoverReq, resp wire.RecoverResp) {
-	(*Engine)(h).send(to, message{Type: mRecoverResp, Instance: req.From,
-		UpTo: resp.UpTo, SnapIndex: resp.SnapIndex, Decisions: resp.Decisions})
-}
-
-func (h *host) SendSnapReq(to types.ProcessID, req wire.SnapReq) {
-	(*Engine)(h).send(to, message{Type: mSnapReq, Instance: req.Index, Offset: req.Offset})
-}
-
-func (h *host) SendSnapResp(to types.ProcessID, resp wire.SnapResp) {
-	(*Engine)(h).send(to, message{Type: mSnapResp, Instance: resp.Index,
-		Total: resp.Total, Offset: resp.Offset, UpTo: resp.UpTo, Data: resp.Data})
-}
-
-func (h *host) SendPayloadFetch(to types.ProcessID, d wire.Descriptor) {
-	w := wire.NewWriter(32)
-	wire.AppendPayloadFetchFrame(w, d)
-	(*Engine)(h).send(to, message{Type: mPayloadFetch, Data: w.Bytes()})
-}
-
-func (h *host) SendPayloadResp(to types.ProcessID, d wire.Descriptor, b wire.Batch) {
-	w := wire.NewWriter(32 + b.WireSize())
-	wire.AppendPayloadRespFrame(w, d, b)
-	(*Engine)(h).send(to, message{Type: mPayloadResp, Data: w.Bytes()})
+	for _, p := range h.t.Hist.Current().Members {
+		if p != h.self {
+			h.env.Send(p, data)
+		}
+	}
 }
 
 // engineTimer maps a tail or head timer into the engine-wide namespace.

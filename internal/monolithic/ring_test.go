@@ -8,6 +8,7 @@ import (
 	"modab/internal/engine"
 	"modab/internal/enginetest"
 	"modab/internal/types"
+	"modab/internal/wire"
 )
 
 // ringCfg is the default config with ring dissemination and timers off.
@@ -20,10 +21,13 @@ func ringCfg(n int) engine.Config {
 
 // proposalFrame reports whether a monolithic wire message carries the
 // bulky combined proposal+decision — directly (mPropDec) or ring-wrapped
-// (mRelay). The mtype is the first wire byte.
+// (a relay frame). The mtype is the first wire byte.
 func proposalFrame(data []byte) bool {
-	return len(data) > 0 && (mtype(data[0]) == mPropDec || mtype(data[0]) == mRelay)
+	return len(data) > 0 && mtype(data[0]) == mPropDec || relayFrame(data)
 }
+
+// relayFrame reports whether a monolithic wire message is a ring relay.
+func relayFrame(data []byte) bool { return wire.FrameKind(frameOf(data)) == wire.FrameRelay }
 
 // TestRingCoordinatorProposesOnce pins the coordinator-NIC fix: under
 // Ring the coordinator transmits each proposal exactly once (as a relay
@@ -67,10 +71,10 @@ func TestRingDuplicateRelaySuppressed(t *testing.T) {
 	r := newRig(t, 4, ringCfg(4))
 	relays := make(map[enginetest.Link]int)
 	r.net.Dup = func(from, to types.ProcessID, data []byte) bool {
-		return len(data) > 0 && mtype(data[0]) == mRelay
+		return relayFrame(data)
 	}
 	r.net.Deliver = func(to, from types.ProcessID, data []byte) error {
-		if len(data) > 0 && mtype(data[0]) == mRelay {
+		if relayFrame(data) {
 			relays[enginetest.Link{From: from, To: to}]++
 		}
 		return r.engs[to].HandleMessage(from, data)

@@ -120,35 +120,35 @@ var goldenFingerprints = map[string]string{
 	// gained the SnapIndex field (snapshot state transfer): responses are 8
 	// bytes larger on the wire, with identical delivery orders.
 	"restart/n=3/modular":      "p0{del=2432 sent=5394 B=1076824 disp=7578 cons=848/848} p1{del=2432 sent=2429 B=186526 disp=3973 cons=2/448} p2{del=2432 sent=2657 B=386490 disp=7141 cons=2/848} order=9e3fd0ad53a3d1e3",
-	"restart/n=3/monolithic":   "p0{del=2640 sent=3609 B=874135 disp=3973 cons=1799/1799} p1{del=2640 sent=1192 B=113780 disp=1834 cons=0/1799} p2{del=2640 sent=1821 B=286205 disp=2824 cons=0/1799} order=61acde73bb09578b",
+	"restart/n=3/monolithic":   "p0{del=2640 sent=3609 B=874124 disp=3973 cons=1799/1799} p1{del=2640 sent=1192 B=113717 disp=1834 cons=0/1799} p2{del=2640 sent=1821 B=285985 disp=2824 cons=0/1799} order=61acde73bb09578b",
 	"partition/n=3/modular":    "p0{del=1893 sent=4224 B=502976 disp=7010 cons=669/669} p1{del=1893 sent=3668 B=200708 disp=5627 cons=3/669} p2{del=1893 sent=2424 B=128716 disp=6277 cons=197/669} order=4701b1310b02188",
 	"partition/n=3/monolithic": "p0{del=900 sent=4251 B=430295 disp=4635 cons=762/762} p1{del=900 sent=1332 B=91390 disp=1678 cons=0/762} p2{del=900 sent=3742 B=205610 disp=3912 cons=0/762} order=d4ad21ea02127b49",
 	// Ring-dissemination fingerprints (recorded when the dissemination
 	// seam landed). Note the monolithic coordinator's send count halving
 	// versus its all-to-all golden — the relay offload at work.
 	"ring/n=3/modular":              "p0{del=2688 sent=4601 B=1129976 disp=7512 cons=689/689} p1{del=2688 sent=3910 B=340354 disp=6134 cons=1/689} p2{del=2688 sent=2377 B=279726 disp=6823 cons=1/689} order=3a390ad85a6764e8",
-	"ring/n=3/monolithic":           "p0{del=3000 sent=1753 B=523078 disp=4504 cons=1751/1751} p1{del=3000 sent=3503 B=696836 disp=2752 cons=0/1751} p2{del=3000 sent=1752 B=173784 disp=2752 cons=0/1751} order=288ca4b7ace98886",
+	"ring/n=3/monolithic":           "p0{del=3000 sent=1753 B=510821 disp=4504 cons=1751/1751} p1{del=3000 sent=3503 B=684579 disp=2752 cons=0/1751} p2{del=3000 sent=1752 B=173784 disp=2752 cons=0/1751} order=288ca4b7ace98886",
 	"ring/n=5/modular":              "p0{del=2272 sent=5193 B=1328944 disp=6443 cons=417/417} p1{del=2272 sent=3942 B=286902 disp=4775 cons=1/417} p2{del=2272 sent=3942 B=286902 disp=4775 cons=1/417} p3{del=2272 sent=2273 B=243406 disp=5192 cons=1/417} p4{del=2272 sent=2078 B=218446 disp=5192 cons=1/417} order=7ab907290812dc0c",
-	"ring/n=5/monolithic":           "p0{del=3600 sent=1085 B=459464 disp=5047 cons=1081/1081} p1{del=3600 sent=2162 B=558429 disp=1802 cons=0/1081} p2{del=3600 sent=2163 B=558446 disp=1802 cons=0/1081} p3{del=3600 sent=2163 B=558446 disp=1802 cons=0/1081} p4{del=3600 sent=1082 B=99034 disp=1802 cons=0/1081} order=c96b408699c69e34",
+	"ring/n=5/monolithic":           "p0{del=3600 sent=1085 B=451897 disp=5047 cons=1081/1081} p1{del=3600 sent=2162 B=550862 disp=1802 cons=0/1081} p2{del=3600 sent=2163 B=550879 disp=1802 cons=0/1081} p3{del=3600 sent=2163 B=550879 disp=1802 cons=0/1081} p4{del=3600 sent=1082 B=99034 disp=1802 cons=0/1081} order=c96b408699c69e34",
 	"ring-partition/n=3/modular":    "p0{del=566 sent=2651 B=178888 disp=4679 cons=560/560} p1{del=566 sent=2219 B=83030 disp=3289 cons=491/560} p2{del=566 sent=1054 B=55216 disp=4079 cons=371/560} order=abda69b561df9d41",
-	"ring-partition/n=3/monolithic": "p0{del=535 sent=1595 B=87094 disp=1664 cons=526/526} p1{del=535 sent=1302 B=90089 disp=1202 cons=0/526} p2{del=535 sent=753 B=31761 disp=1319 cons=0/526} order=ffc69bbaa6a7739a",
+	"ring-partition/n=3/monolithic": "p0{del=535 sent=1595 B=83391 disp=1664 cons=526/526} p1{del=535 sent=1302 B=86778 disp=1202 cons=0/526} p2{del=535 sent=753 B=31761 disp=1319 cons=0/526} order=ffc69bbaa6a7739a",
 	// Digest-ordering fingerprints (recorded when the
 	// dissemination/ordering split landed). Note the bytes-sent drop versus
 	// the matching payload-mode goldens at the same seed and load: payloads
 	// cross the wire once as announces while consensus frames carry only
 	// descriptors.
 	"digest/n=3/modular":              "p0{del=3000 sent=4294 B=490748 disp=8266 cons=823/823} p1{del=3000 sent=3473 B=376454 disp=6620 cons=6/823} p2{del=3000 sent=1825 B=333590 disp=7443 cons=6/823} order=e5561d2e0be487c",
-	"digest/n=3/monolithic":           "p0{del=3000 sent=4254 B=527302 disp=5379 cons=1255/1255} p1{del=3000 sent=2876 B=398142 disp=3630 cons=0/1255} p2{del=3000 sent=2631 B=382021 disp=3752 cons=0/1255} order=e3fde66d7f621d18",
+	"digest/n=3/monolithic":           "p0{del=3000 sent=4254 B=511474 disp=5379 cons=1256/1256} p1{del=3000 sent=2875 B=378125 disp=3631 cons=0/1256} p2{del=3000 sent=2633 B=366025 disp=3752 cons=0/1256} order=a785d585116eed0c",
 	"digest-partition/n=3/modular":    "p0{del=642 sent=2050 B=143028 disp=8059 cons=377/377} p1{del=642 sent=6054 B=650720 disp=4636 cons=3/377} p2{del=642 sent=5100 B=549116 disp=5103 cons=3/377} order=7df8e679e06c01b6",
-	"digest-partition/n=3/monolithic": "p0{del=1800 sent=4428 B=453908 disp=5219 cons=1434/1434} p1{del=1800 sent=2910 B=203266 disp=3364 cons=0/1434} p2{del=1800 sent=2908 B=203042 disp=3463 cons=0/1434} order=c8cb69cf65e82d4f",
+	"digest-partition/n=3/monolithic": "p0{del=1800 sent=4427 B=433513 disp=5219 cons=1433/1433} p1{del=1800 sent=2925 B=184277 disp=3368 cons=0/1433} p2{del=1800 sent=2894 B=183758 disp=3459 cons=0/1433} order=a8f96df348832611",
 	// Shared-head fingerprints (recorded at the parent of the internal/head
 	// extraction, on the engines' private admission/announce/relay code).
 	"ring-digest/n=3/modular":         "p0{del=3000 sent=4275 B=513376 disp=8199 cons=798/798} p1{del=3000 sent=3422 B=390012 disp=6603 cons=6/798} p2{del=3000 sent=1911 B=352596 disp=7401 cons=6/798} order=edcaa544b055e70e",
-	"ring-digest/n=3/monolithic":      "p0{del=3000 sent=4552 B=553162 disp=5443 cons=1439/1439} p1{del=3000 sent=2723 B=395997 disp=3833 cons=0/1439} p2{del=3000 sent=2831 B=402109 disp=3830 cons=0/1439} order=d925ae2473f83c8c",
+	"ring-digest/n=3/monolithic":      "p0{del=3000 sent=4552 B=545364 disp=5443 cons=1439/1439} p1{del=3000 sent=2723 B=388220 disp=3833 cons=0/1439} p2{del=3000 sent=2831 B=393562 disp=3830 cons=0/1439} order=d925ae2473f83c8c",
 	"digest-unbatched/n=3/modular":    "p0{del=2684 sent=4740 B=588056 disp=7480 cons=685/685} p1{del=2684 sent=3739 B=344962 disp=6110 cons=1/685} p2{del=2684 sent=2369 B=309342 disp=6795 cons=1/685} order=9c5b67a671b5624e",
-	"digest-unbatched/n=3/monolithic": "p0{del=3000 sent=4628 B=658806 disp=5628 cons=1313/1313} p1{del=3000 sent=3314 B=442338 disp=4314 cons=0/1313} p2{del=3000 sent=3314 B=442338 disp=4314 cons=0/1313} order=c835f68afba00b38",
+	"digest-unbatched/n=3/monolithic": "p0{del=3000 sent=4628 B=626806 disp=5628 cons=1313/1313} p1{del=3000 sent=3314 B=410338 disp=4314 cons=0/1313} p2{del=3000 sent=3314 B=410338 disp=4314 cons=0/1313} order=c835f68afba00b38",
 	"digest-restart/n=3/modular":      "p0{del=2646 sent=4772 B=502588 disp=8125 cons=934/934} p1{del=2646 sent=2284 B=244664 disp=4300 cons=58/535} p2{del=2646 sent=2001 B=449866 disp=7601 cons=61/934} order=4ce301b7af8d681a",
-	"digest-restart/n=3/monolithic":   "p0{del=2649 sent=4445 B=534589 disp=4705 cons=1172/1172} p1{del=2649 sent=1847 B=259503 disp=2430 cons=0/1172} p2{del=2649 sent=2948 B=510500 disp=3651 cons=0/1172} order=ba6ad9cede8d9b7b",
+	"digest-restart/n=3/monolithic":   "p0{del=2649 sent=4445 B=517810 disp=4705 cons=1172/1172} p1{del=2649 sent=1847 B=246149 disp=2430 cons=0/1172} p2{del=2649 sent=2948 B=489621 disp=3651 cons=0/1172} order=ba6ad9cede8d9b7b",
 }
 
 // config is engine.DefaultConfig(n) plus the scenario's ring and digest

@@ -20,8 +20,7 @@
 //     membership views (the snapshot's views plus the config ops the log
 //     still holds).
 //  2. Announce: the tail broadcasts a state-transfer request carrying
-//     its decided watermark (wire.FrameRecoverReq in the modular stack, a
-//     RECOVER message in the monolithic one).
+//     its decided watermark (wire.FrameRecoverReq, in both stacks).
 //  3. Catch-up: live peers answer with chunks of contiguous decided
 //     instances (served from memory or their own log); the node applies
 //     them through its normal decision path — persisting and adelivering

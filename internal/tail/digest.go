@@ -140,7 +140,7 @@ func (t *Tail) FetchMissing(head wire.Batch) {
 			c := t.env.Counters()
 			c.PayloadFetches.Add(1)
 			c.Retransmissions.Add(1)
-			t.h.SendPayloadFetch(to, d)
+			t.send(to, 32, func(w *wire.Writer) { wire.AppendPayloadFetchFrame(w, d) })
 		}
 		break
 	}
@@ -150,7 +150,8 @@ func (t *Tail) FetchMissing(head wire.Batch) {
 }
 
 // PayloadFetch serves a repair request from the local store; a miss is
-// ignored — the requester's timer rotates to the next holder.
+// ignored — the requester's timer rotates to the next holder. The response
+// re-serves payload: dissemination cost.
 func (t *Tail) PayloadFetch(from types.ProcessID, d wire.Descriptor) {
 	b, ok := t.Store.Range(d)
 	if !ok {
@@ -159,7 +160,8 @@ func (t *Tail) PayloadFetch(from types.ProcessID, d wire.Descriptor) {
 	c := t.env.Counters()
 	c.Retransmissions.Add(1)
 	c.PayloadBytesSent.Add(int64(b.PayloadBytes()))
-	t.h.SendPayloadResp(from, d, b)
+	n := t.send(from, 32+b.WireSize(), func(w *wire.Writer) { wire.AppendPayloadRespFrame(w, d, b) })
+	c.DisseminatedBytes.Add(int64(n))
 }
 
 // PayloadResp ingests a repair response (validated against its descriptor

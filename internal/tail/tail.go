@@ -46,19 +46,16 @@ const (
 	TimerFlush
 )
 
-// Host is what a Tail needs from the engine that owns it: the wire
-// encoding of the six tail messages (wire.Frame* in the modular stack,
-// message{Type: m…} in the monolithic one), the timer namespace, and the
-// points where the tail touches ordering state.
+// Host is what a Tail needs from the engine that owns it: one way to put a
+// frame on the wire, the timer namespace, and the points where the tail
+// touches ordering state. The tail and the shared head encode their own
+// wire frames (internal/wire), so both stacks carry the same bytes under
+// their envelope; what they receive comes back through head.Receive.
 type Host interface {
-	// SendRecoverReq to types.Nobody goes to every other current member;
-	// SendRecoverResp gets the request too (monolithic echoes its From).
-	SendRecoverReq(to types.ProcessID, req wire.RecoverReq)
-	SendRecoverResp(to types.ProcessID, req wire.RecoverReq, resp wire.RecoverResp)
-	SendSnapReq(to types.ProcessID, req wire.SnapReq)
-	SendSnapResp(to types.ProcessID, resp wire.SnapResp)
-	SendPayloadFetch(to types.ProcessID, d wire.Descriptor)
-	SendPayloadResp(to types.ProcessID, d wire.Descriptor, b wire.Batch)
+	// Send transmits one tail or head frame to one process, or to every
+	// other current member when to is types.Nobody. The frame is pooled:
+	// the host transmits or copies it before returning.
+	Send(to types.ProcessID, frame []byte)
 	SetTimer(id Timer, d time.Duration)
 	CancelTimer(id Timer)
 
@@ -289,6 +286,18 @@ func (t *Tail) reconfigureLocal(v member.View) {
 		ncfg.Window = engine.DefaultWindow(len(v.Members))
 		t.Flow.SetWindow(ncfg.EffectiveWindow())
 	}
+}
+
+// send transmits one tail frame, built by fill through a pooled writer of
+// the given size hint (types.Nobody: every other current member), and
+// returns its encoded size.
+func (t *Tail) send(to types.ProcessID, size int, fill func(w *wire.Writer)) int {
+	w := wire.GetWriter(size)
+	fill(w)
+	n := w.Len()
+	t.h.Send(to, w.Bytes())
+	wire.PutWriter(w)
+	return n
 }
 
 // retireOrigin drops a removed origin's local state at its activation

@@ -55,23 +55,43 @@ func newHost(self types.ProcessID, n int, mod func(*engine.Config)) *fakeHost {
 	return h
 }
 
-func (h *fakeHost) SendRecoverReq(to types.ProcessID, req wire.RecoverReq) {
-	h.sent = append(h.sent, sent{"recover-req", to, req.From})
-}
-func (h *fakeHost) SendRecoverResp(to types.ProcessID, req wire.RecoverReq, resp wire.RecoverResp) {
-	h.sent = append(h.sent, sent{"recover-resp", to, uint64(len(resp.Decisions))})
-}
-func (h *fakeHost) SendSnapReq(to types.ProcessID, req wire.SnapReq) {
-	h.sent = append(h.sent, sent{"snap-req", to, req.Offset})
-}
-func (h *fakeHost) SendSnapResp(to types.ProcessID, resp wire.SnapResp) {
-	h.sent = append(h.sent, sent{"snap-resp", to, resp.Offset})
-}
-func (h *fakeHost) SendPayloadFetch(to types.ProcessID, d wire.Descriptor) {
-	h.sent = append(h.sent, sent{"payload-fetch", to, d.DSeq})
-}
-func (h *fakeHost) SendPayloadResp(to types.ProcessID, d wire.Descriptor, b wire.Batch) {
-	h.sent = append(h.sent, sent{"payload-resp", to, d.DSeq})
+// Send decodes every frame the tail sends, so each record is also a check
+// of the tail's encoding.
+func (h *fakeHost) Send(to types.ProcessID, frame []byte) {
+	var rec sent
+	var err error
+	switch wire.FrameKind(frame) {
+	case wire.FrameRecoverReq:
+		var req wire.RecoverReq
+		req, err = wire.UnmarshalRecoverReq(frame)
+		rec = sent{"recover-req", to, req.From}
+	case wire.FrameRecoverResp:
+		var resp wire.RecoverResp
+		resp, err = wire.UnmarshalRecoverResp(frame)
+		rec = sent{"recover-resp", to, uint64(len(resp.Decisions))}
+	case wire.FrameSnapReq:
+		var req wire.SnapReq
+		req, err = wire.UnmarshalSnapReq(frame)
+		rec = sent{"snap-req", to, req.Offset}
+	case wire.FrameSnapResp:
+		var resp wire.SnapResp
+		resp, err = wire.UnmarshalSnapResp(frame)
+		rec = sent{"snap-resp", to, resp.Offset}
+	case wire.FramePayloadFetch:
+		var d wire.Descriptor
+		d, err = wire.UnmarshalPayloadFetch(frame)
+		rec = sent{"payload-fetch", to, d.DSeq}
+	case wire.FramePayloadResp:
+		var d wire.Descriptor
+		d, _, err = wire.UnmarshalPayloadRespFrame(frame)
+		rec = sent{"payload-resp", to, d.DSeq}
+	default:
+		err = wire.ErrBadFrame
+	}
+	if err != nil {
+		panic(fmt.Sprintf("tail sent an undecodable frame %x: %v", frame, err))
+	}
+	h.sent = append(h.sent, rec)
 }
 func (h *fakeHost) SetTimer(id Timer, d time.Duration) { h.timers[id] = true }
 func (h *fakeHost) CancelTimer(id Timer)               { h.timers[id] = false }

@@ -37,11 +37,13 @@ func (t *Tail) BeginRecovery() {
 }
 
 func (t *Tail) sendRecoverReq(to types.ProcessID) {
-	t.h.SendRecoverReq(to, wire.RecoverReq{From: t.next})
+	req := wire.RecoverReq{From: t.next}
+	t.send(to, 16, func(w *wire.Writer) { wire.AppendRecoverReqFrame(w, req) })
 }
 
 func (t *Tail) sendSnapReq() {
-	t.h.SendSnapReq(t.snap.from, wire.SnapReq{Index: t.snap.index, Offset: uint64(len(t.snap.buf))})
+	req := wire.SnapReq{Index: t.snap.index, Offset: uint64(len(t.snap.buf))}
+	t.send(t.snap.from, 24, func(w *wire.Writer) { wire.AppendSnapReqFrame(w, req) })
 }
 
 // RecoverReq serves a restarted peer a chunk of contiguous decided
@@ -62,8 +64,12 @@ func (t *Tail) RecoverReq(from types.ProcessID, req wire.RecoverReq) {
 		}
 		resp.Decisions = append(resp.Decisions, wire.DecidedInstance{K: k, Batch: b})
 	}
-	t.env.Counters().Retransmissions.Add(1)
-	t.h.SendRecoverResp(from, req, resp)
+	c := t.env.Counters()
+	c.Retransmissions.Add(1)
+	for _, d := range resp.Decisions {
+		c.PayloadBytesSent.Add(int64(d.Batch.PayloadBytes()))
+	}
+	t.send(from, 32, func(w *wire.Writer) { wire.AppendRecoverRespFrame(w, resp) })
 }
 
 // RecoverResp applies a state-transfer chunk through the host's normal
@@ -137,7 +143,7 @@ func (t *Tail) SnapReq(from types.ProcessID, req wire.SnapReq) {
 		}
 	}
 	t.env.Counters().Retransmissions.Add(1)
-	t.h.SendSnapResp(from, resp)
+	t.send(from, 64+len(resp.Data), func(w *wire.Writer) { wire.AppendSnapRespFrame(w, resp) })
 }
 
 // SnapResp assembles snapshot chunks, installs the completed envelope and

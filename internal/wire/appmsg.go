@@ -88,6 +88,12 @@ func unmarshalBatch(r *Reader, view bool) Batch {
 		r.fail(fmt.Errorf("%w: batch of %d messages", ErrTooLarge, n))
 		return nil
 	}
+	if int(n) > r.Len()/appMsgHeaderBytes {
+		// Every message takes at least its header: a count the frame cannot
+		// hold must not size the allocation below.
+		r.fail(fmt.Errorf("%w: batch of %d messages in %d bytes", ErrShortBuffer, n, r.Len()))
+		return nil
+	}
 	b := make(Batch, 0, n)
 	for i := uint32(0); i < n; i++ {
 		b = append(b, unmarshalAppMsg(r, view))

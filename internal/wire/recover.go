@@ -5,8 +5,8 @@ import "fmt"
 // State-transfer frame kinds (crash-recovery subsystem). They share the
 // diffuse-frame kind-byte namespace (FrameAppMsg, FrameBatch) so the
 // abcast layer demultiplexes all of its traffic through one leading byte;
-// the monolithic stack carries the same payloads inside its own message
-// types.
+// the monolithic stack carries the same frames after its one mFrame type
+// byte. Both hand them to one router, internal/head's Receive.
 const (
 	// FrameRecoverReq asks a peer for decided instances starting at a
 	// given instance number: a restarting node announcing itself.
@@ -104,6 +104,9 @@ func UnmarshalRecoverResp(data []byte) (RecoverResp, error) {
 	}
 	if n > MaxChunk/appMsgHeaderBytes {
 		return RecoverResp{}, fmt.Errorf("%w: %d decisions", ErrTooLarge, n)
+	}
+	if int(n) > r.Len()/(8+4) { // each decision takes at least K and a batch count
+		return RecoverResp{}, fmt.Errorf("%w: %d decisions in %d bytes", ErrShortBuffer, n, r.Len())
 	}
 	resp.Decisions = make([]DecidedInstance, 0, n)
 	for i := uint32(0); i < n; i++ {
