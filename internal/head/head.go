@@ -318,10 +318,10 @@ func (h *Head) route(from types.ProcessID, kind uint8, frame []byte) error {
 		return h.Announce(frame, nil)
 	case wire.FrameRelay:
 		hdr, inner, err := wire.UnmarshalRelayFrame(frame)
-		switch {
-		case err != nil:
+		if err != nil {
 			return err
-		case h.cfg.DigestOrdering:
+		}
+		if h.cfg.DigestOrdering {
 			// Under digest ordering only announces relay: every ordering
 			// frame is descriptor-sized control.
 			return h.Announce(inner, &hdr)

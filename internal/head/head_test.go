@@ -41,7 +41,8 @@ type fakeHost struct {
 	relays    []relayed
 	timers    []string // "arm" / "cancel" of tail.TimerFlush, in order
 	admits    []wire.Batch
-	// inbound is every payload-mode relay the router handed back.
+	// inbound is every payload-mode relay the router handed back (to holds
+	// the sender).
 	inbound []relayed
 }
 

@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -210,15 +212,27 @@ func TestBatchPayloadBytesAndIDs(t *testing.T) {
 }
 
 func TestBatchCorruptDecode(t *testing.T) {
-	// A count prefix claiming many messages with a truncated body must
-	// fail cleanly, not panic or over-allocate.
-	w := NewWriter(8)
-	w.Uint32(1000)
-	r := NewReader(w.Bytes())
-	if got := UnmarshalBatch(r); got != nil {
-		t.Fatalf("corrupt batch decoded: %v", got)
-	}
-	if r.Err() == nil {
-		t.Fatal("no error for corrupt batch")
+	// A count prefix claiming many messages (or decided instances) with a
+	// truncated body must fail cleanly, not panic or over-allocate: the
+	// largest count the size guard admits, in a frame of a few bytes,
+	// must not size an allocation.
+	for _, n := range []uint32{1000, MaxChunk / appMsgHeaderBytes} {
+		w := NewWriter(8)
+		w.Uint32(n)
+		resp := NewWriter(32)
+		AppendRecoverRespFrame(resp, RecoverResp{})
+		binary.BigEndian.PutUint32(resp.Bytes()[17:], n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := NewReader(w.Bytes())
+		got := UnmarshalBatch(r)
+		_, rerr := UnmarshalRecoverResp(resp.Bytes())
+		runtime.ReadMemStats(&after)
+		if got != nil || r.Err() == nil || rerr == nil {
+			t.Fatalf("count %d: corrupt frame decoded: batch %v (%v), recover-resp error %v", n, got, r.Err(), rerr)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("count %d in a %d-byte frame allocated %d bytes", n, len(w.Bytes()), grew)
+		}
 	}
 }
