@@ -33,7 +33,7 @@ test-chaos:
 vet:
 	$(GO) vet ./...
 
-# Fuzz smoke: a bounded run of each of the nine fuzz targets on top of its
+# Fuzz smoke: a bounded run of each of the ten fuzz targets on top of its
 # checked-in seed corpus (testdata/fuzz/...). Plain `go test` already
 # replays the seeds; this target actually mutates for a short budget so
 # the corpus can grow when a new crasher appears. (`go test -fuzz` takes
@@ -48,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzRecoverFrames$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz='^FuzzPayloadStore$$' -fuzztime=10s ./internal/payload
 	$(GO) test -run=NONE -fuzz='^FuzzReceive$$' -fuzztime=10s ./internal/head
+	$(GO) test -run=NONE -fuzz='^FuzzFrameReader$$' -fuzztime=10s ./internal/transport
 
 # Benchmark smoke: compile and run every benchmark for exactly one
 # iteration (BenchmarkFigures is the first point of every registered
@@ -116,7 +117,7 @@ docs:
 # end each round lower, so this is a ratchet: the target prints the count
 # and fails above LOC_CEILING; a PR that shrinks the tree lowers the
 # ceiling to its new count.
-LOC_CEILING := 19066
+LOC_CEILING := 19058
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l); \
 	echo $$n; \

@@ -29,13 +29,6 @@ type group struct {
 	mu     sync.Mutex
 	orders map[modab.ProcessID][]modab.MsgID
 	subs   sync.WaitGroup
-
-	// nudge submits one more message. A frame sent to a peer inside its
-	// transport's dial backoff (250 ms after a failed dial, so right after
-	// a restart) is dropped, and in an idle group nothing re-sends the
-	// last decision: the next message's traffic carries it. waitFor calls
-	// nudge once per stalled second so the script does not depend on it.
-	nudge func()
 }
 
 // of returns the cluster driving process p.
@@ -90,7 +83,7 @@ func (g *group) order(p int) []modab.MsgID {
 func (g *group) waitFor(what string, cond func() bool) {
 	g.t.Helper()
 	start := time.Now()
-	for i := 1; !cond(); i++ {
+	for !cond() {
 		if time.Since(start) > 30*time.Second {
 			g.mu.Lock()
 			for p, o := range g.orders {
@@ -100,9 +93,6 @@ func (g *group) waitFor(what string, cond func() bool) {
 			g.t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(5 * time.Millisecond)
-		if i%200 == 0 {
-			g.nudge()
-		}
 	}
 }
 
@@ -170,7 +160,6 @@ func TestFacadeConformance(t *testing.T) {
 						}
 						sent++
 					}
-					g.nudge = func() { put(0) }
 					caughtUp := func(procs ...int) func() bool {
 						return func() bool {
 							for _, p := range procs {

@@ -205,9 +205,6 @@ func (l *Layer) Start() {
 // still waiting in the sender-side batch accumulator (diagnostics).
 func (l *Layer) Pending() int { return len(l.pending) + l.hd.Accumulating() }
 
-// InFlight returns the number of local messages held by flow control.
-func (l *Layer) InFlight() int { return l.t.Flow.InFlight() }
-
 // Abcast submits one application payload through the shared head, which
 // admits it and hands back what it seals (see host.Sealed).
 func (l *Layer) Abcast(body []byte) (types.MsgID, error) {

@@ -123,7 +123,7 @@ func TestDecisionBatchSortedOnDelivery(t *testing.T) {
 		t.Fatalf("deliveries = %d", len(env.Deliveries))
 	}
 	for i := 1; i < 3; i++ {
-		if !env.Deliveries[i-1].Msg.ID.Less(env.Deliveries[i].Msg.ID) {
+		if env.Deliveries[i-1].Msg.ID.Compare(env.Deliveries[i].Msg.ID) >= 0 {
 			t.Fatalf("unsorted delivery: %v", env.Deliveries)
 		}
 	}
@@ -230,16 +230,16 @@ func TestFlowReleaseOnlyForOwn(t *testing.T) {
 	if _, err := ab.Abcast([]byte("mine")); err != nil {
 		t.Fatal(err)
 	}
-	if got := ab.InFlight(); got != 1 {
+	if got := ab.t.Flow.InFlight(); got != 1 {
 		t.Fatalf("in flight = %d", got)
 	}
 	// A decision with only foreign messages does not release our window.
 	cs.decide(1, wire.Batch{msg(1, 1)})
-	if got := ab.InFlight(); got != 1 {
+	if got := ab.t.Flow.InFlight(); got != 1 {
 		t.Fatalf("in flight after foreign decision = %d", got)
 	}
 	cs.decide(2, wire.Batch{{ID: types.MsgID{Sender: 0, Seq: 1}, Body: []byte("mine")}})
-	if got := ab.InFlight(); got != 0 {
+	if got := ab.t.Flow.InFlight(); got != 0 {
 		t.Fatalf("in flight after own decision = %d", got)
 	}
 }
@@ -363,7 +363,7 @@ func TestBatchingWindowSpansBatchBoundary(t *testing.T) {
 	}
 	// Delivering the first decided batch frees slots spanning the boundary.
 	cs.decide(1, cs.proposals[1])
-	if got := ab.InFlight(); got != 4 {
+	if got := ab.t.Flow.InFlight(); got != 4 {
 		t.Fatalf("in flight after decision = %d, want 4", got)
 	}
 	if _, err := ab.Abcast([]byte{10}); err != nil {

@@ -96,9 +96,6 @@ func (a *Accumulator) Len() int {
 	return len(a.buf)
 }
 
-// Bytes returns the encoded size of the accumulated messages.
-func (a *Accumulator) Bytes() int { return a.bytes }
-
 // TimerAction tells the owning layer what to do with its flush timer
 // after an Add, so the age-trigger protocol lives here and both stacks
 // only map the verdict onto their timer APIs.

@@ -55,7 +55,7 @@ func TestCountTriggerSeals(t *testing.T) {
 	if act != TimerCancel {
 		t.Fatalf("count trigger: act = %d, want cancel", act)
 	}
-	if a.Len() != 0 || a.Bytes() != 0 {
+	if a.Len() != 0 || a.bytes != 0 {
 		t.Fatal("accumulator not reset after seal")
 	}
 }
@@ -92,8 +92,8 @@ func TestMaxBytesOverflowSplits(t *testing.T) {
 	if a.Len() != 1 {
 		t.Fatalf("overflowing message must start the next batch, len = %d", a.Len())
 	}
-	if a.Bytes() != mkMsg(3, 100).WireSize() {
-		t.Fatalf("bytes = %d", a.Bytes())
+	if a.bytes != mkMsg(3, 100).WireSize() {
+		t.Fatalf("bytes = %d", a.bytes)
 	}
 }
 

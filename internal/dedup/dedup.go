@@ -24,10 +24,6 @@ func NewSet() *Set {
 	return &Set{sparse: make(map[uint64]struct{})}
 }
 
-// Watermark returns the highest sequence number below which every message
-// is delivered.
-func (s *Set) Watermark() uint64 { return s.watermark }
-
 // MaxSeen returns the highest sequence number marked delivered (the
 // watermark or the largest sparse entry).
 func (s *Set) MaxSeen() uint64 {

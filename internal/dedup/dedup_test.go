@@ -13,12 +13,12 @@ func TestSetWatermarkAdvance(t *testing.T) {
 	}
 	s.Mark(1)
 	s.Mark(2)
-	if got := s.Watermark(); got != 2 {
+	if got := s.watermark; got != 2 {
 		t.Fatalf("watermark = %d, want 2", got)
 	}
 	// Out-of-order marks park in the sparse set until the gap fills.
 	s.Mark(5)
-	if got := s.Watermark(); got != 2 {
+	if got := s.watermark; got != 2 {
 		t.Fatalf("watermark after sparse mark = %d, want 2", got)
 	}
 	if !s.Seen(5) || s.Seen(4) {
@@ -29,12 +29,12 @@ func TestSetWatermarkAdvance(t *testing.T) {
 	}
 	s.Mark(3)
 	s.Mark(4)
-	if got := s.Watermark(); got != 5 {
+	if got := s.watermark; got != 5 {
 		t.Fatalf("watermark after gap fill = %d, want 5", got)
 	}
 	// Re-marking below the watermark is a no-op.
 	s.Mark(2)
-	if got := s.Watermark(); got != 5 {
+	if got := s.watermark; got != 5 {
 		t.Fatalf("watermark after stale mark = %d, want 5", got)
 	}
 }

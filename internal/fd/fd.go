@@ -219,20 +219,6 @@ func (h *Heartbeat) Heard(p types.ProcessID) {
 	}
 }
 
-// Suspects returns the current suspicion list (diagnostics).
-func (h *Heartbeat) Suspects() []types.ProcessID {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var out []types.ProcessID
-	for p, susp := range h.suspected {
-		if susp {
-			out = append(out, p)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
 // Close stops the detector.
 func (h *Heartbeat) Close() {
 	h.mu.Lock()

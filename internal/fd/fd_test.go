@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -118,4 +119,18 @@ func TestHeartbeatCloseIdempotent(t *testing.T) {
 	h.Start(func(types.ProcessID, bool) {})
 	h.Close()
 	h.Close()
+}
+
+// Suspects returns the current suspicion list (diagnostics).
+func (h *Heartbeat) Suspects() []types.ProcessID {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var out []types.ProcessID
+	for p, susp := range h.suspected {
+		if susp {
+			out = append(out, p)
+		}
+	}
+	slices.Sort(out)
+	return out
 }

@@ -43,9 +43,6 @@ func NewController(self types.ProcessID, window int) *Controller {
 	}
 }
 
-// Window returns the configured window.
-func (c *Controller) Window() int { return c.window }
-
 // SetWindow resizes the window at a membership boundary (the paper's
 // per-process window is derived from the group size, so adds and
 // removes re-balance it). Shrinking may leave the controller

@@ -70,8 +70,8 @@ func TestForeignAndDuplicateRelease(t *testing.T) {
 
 func TestWindowClampedToOne(t *testing.T) {
 	c := NewController(0, 0)
-	if c.Window() != 1 {
-		t.Fatalf("window = %d, want clamp to 1", c.Window())
+	if c.window != 1 {
+		t.Fatalf("window = %d, want clamp to 1", c.window)
 	}
 }
 

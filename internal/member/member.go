@@ -294,20 +294,6 @@ func (h *History) At(k uint64) View {
 	return h.views[0]
 }
 
-// MaxID returns the largest process ID that has ever been a member —
-// the upper bound of the ID space, which only grows. Per-process dense
-// state (dedup maps, payload stores) is keyed, not sized, so a growing
-// bound is free; drivers use it to size transport tables.
-func (h *History) MaxID() types.ProcessID {
-	max := types.Nobody
-	for _, v := range h.views {
-		if m := v.MaxID(); m > max {
-			max = m
-		}
-	}
-	return max
-}
-
 // Views returns a copy of the full view sequence (checker support: the
 // chaos harness asserts all correct processes record identical
 // epoch → activation maps).

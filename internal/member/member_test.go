@@ -164,9 +164,6 @@ func TestHistoryFromSeedAndRank(t *testing.T) {
 	if got := h.At(39); got.Epoch != 3 {
 		t.Fatalf("At below seed activation = %+v", got)
 	}
-	if h.MaxID() != 5 {
-		t.Fatalf("MaxID = %v", h.MaxID())
-	}
 	// Coordinator rotates over sorted members, not raw IDs.
 	if c := h.Current().Coordinator(2); c != 2 {
 		t.Fatalf("coordinator(2) = %v, want p3 (id 2)", c)

@@ -106,7 +106,7 @@ func runTailScenario(t *testing.T, stk types.Stack) tailRun {
 	want := append([]types.MsgID(nil), admitted...)
 	got := append([]types.MsgID(nil), ref...)
 	for _, s := range [][]types.MsgID{want, got} {
-		sort.Slice(s, func(i, j int) bool { return s[i].Less(s[j]) })
+		sort.Slice(s, func(i, j int) bool { return s[i].Compare(s[j]) < 0 })
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("p1 delivered %d messages, %d were admitted (or the sets differ)", len(got), len(want))

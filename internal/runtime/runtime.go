@@ -173,6 +173,11 @@ func NewNode(opts Options) (*Node, error) {
 
 	go n.run()
 
+	// A transport that gauges its send queues (TCP) counts into the node's
+	// counters, so the snapshot and /metrics show them.
+	if g, ok := n.tr.(interface{ SetCounters(*trace.Counters) }); ok {
+		g.SetCounters(&n.env.counters)
+	}
 	if err := n.tr.Start(n.onFrame); err != nil {
 		n.shutdownLoop()
 		if opts.Store != nil {
@@ -508,8 +513,8 @@ func (e *nodeEnv) Send(to types.ProcessID, data []byte) {
 		return
 	}
 	// The channel-tagged frame lives in a pooled buffer: Transport.Send
-	// must not retain its argument (the in-memory network copies, TCP
-	// writes synchronously), so the buffer is recycled immediately.
+	// must not retain its argument (the in-memory network and TCP's send
+	// queue both copy it), so the buffer is recycled immediately.
 	w := wire.GetWriter(1 + len(data))
 	w.Uint8(chanEngine)
 	w.Raw(data)

@@ -116,15 +116,6 @@ func (s *Series) Mean() float64 {
 	return sum / float64(len(s.xs))
 }
 
-// Welford converts the series into a Welford accumulator (for CI queries).
-func (s *Series) Welford() *Welford {
-	var w Welford
-	for _, x := range s.xs {
-		w.Add(x)
-	}
-	return &w
-}
-
 func (s *Series) sortInPlace() {
 	if !s.sorted {
 		sort.Float64s(s.xs)
@@ -157,9 +148,3 @@ func (s *Series) Percentile(p float64) float64 {
 
 // Median returns the 50th percentile.
 func (s *Series) Median() float64 { return s.Percentile(50) }
-
-// Min returns the smallest sample (0 when empty).
-func (s *Series) Min() float64 { return s.Percentile(0) }
-
-// Max returns the largest sample (0 when empty).
-func (s *Series) Max() float64 { return s.Percentile(100) }

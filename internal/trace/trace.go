@@ -158,6 +158,12 @@ type Counters struct {
 	PayloadStoreBytes   atomic.Int64
 	DescriptorsRetained atomic.Int64
 	InstancesRetained   atomic.Int64
+	// The TCP transport's send queues: the high-water mark of the bytes
+	// queued for one peer (under the 8 MiB cap but for a lone larger frame),
+	// the frames shed unsent past that cap, and the failed dials.
+	TransportQueuedBytes  atomic.Int64
+	TransportShedFrames   atomic.Int64
+	TransportDialFailures atomic.Int64
 }
 
 // gauges names the counters that are high-water marks: they aggregate as
@@ -168,6 +174,7 @@ var gauges = map[string]bool{
 	"PayloadStoreBytes":     true,
 	"DescriptorsRetained":   true,
 	"InstancesRetained":     true,
+	"TransportQueuedBytes":  true,
 }
 
 // IsGauge reports whether the named counter is a high-water mark.
@@ -217,6 +224,9 @@ type Snapshot struct {
 	PayloadStoreBytes     int64
 	DescriptorsRetained   int64
 	InstancesRetained     int64
+	TransportQueuedBytes  int64
+	TransportShedFrames   int64
+	TransportDialFailures int64
 }
 
 // Snapshot returns a consistent-enough copy for reporting (each field is
@@ -289,11 +299,10 @@ func (c *Counters) ObserveDepth(depth int) {
 	Raise(&c.PipelineDepthObserved, depth)
 }
 
-// Raise lifts high-water mark g to v if v is higher. Each mark has one
-// writer, its engine's single-threaded event loop; harnesses only read.
+// Raise lifts high-water mark g to v if v is higher. It is safe for
+// concurrent writers (a transport's senders); harnesses only read.
 func Raise(g *atomic.Int64, v int) {
-	if int64(v) > g.Load() {
-		g.Store(int64(v))
+	for cur := g.Load(); int64(v) > cur && !g.CompareAndSwap(cur, int64(v)); cur = g.Load() {
 	}
 }
 

@@ -1,57 +1,101 @@
 package transport
 
 import (
+	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"time"
 
+	"modab/internal/trace"
 	"modab/internal/types"
 )
 
-// maxFrame bounds a single TCP frame (64 MiB), matching wire.MaxChunk.
-const maxFrame = 64 << 20
-
-// dialRetry is how long a failed dial suppresses re-dialing the same peer
-// (sends in between are dropped; quasi-reliable channels tolerate this
-// only if the peer actually crashed, which is the model's assumption).
-const dialRetry = 250 * time.Millisecond
+const (
+	// maxFrame bounds a single TCP frame (64 MiB), matching wire.MaxChunk.
+	maxFrame = 64 << 20
+	// dialRetry is the backoff after a failed dial; frames sent meanwhile
+	// wait in the peer's queue, and the writer re-dials when it ends.
+	dialRetry   = 250 * time.Millisecond
+	dialTimeout = 2 * time.Second
+	// writeTimeout bounds one drain's writes. Missing it resets the
+	// connection; what was drained is lost with it, and the writer re-dials.
+	writeTimeout = 5 * time.Second
+	// queueCap bounds the bytes queued for one peer: past it, Send sheds
+	// the oldest frames (counted) a chunk at a time.
+	queueCap = 8 << 20
+	// slabSize is the read buffer received frames are carved from (a kept
+	// frame pins its slab: read syscalls against peak heap) and the size of
+	// a send queue chunk.
+	slabSize = 256 << 10
+)
 
 // TCP is the TCP implementation of Transport: persistent connections with
 // 4-byte length-prefixed frames. Each connection is identified by a hello
-// frame carrying the dialer's process ID.
+// carrying the dialer's process ID. Send only queues: each peer has one
+// writer goroutine that dials, backs off and writes its queue a drain at
+// a time, so no socket call ever runs on the caller's goroutine.
 type TCP struct {
-	self  types.ProcessID
-	addrs []string // addrs[i] is the listen address of process i
-
+	self    types.ProcessID
 	ln      net.Listener
 	handler Handler
+	cnt     *trace.Counters
+	// ctx ends at Close; every connection closes with it (context.AfterFunc).
+	ctx    context.Context
+	cancel context.CancelFunc
 
-	mu       sync.Mutex
-	started  bool
-	closed   bool
-	conns    map[types.ProcessID]*tcpConn
-	inbound  map[net.Conn]struct{}
-	lastFail map[types.ProcessID]time.Time
-	wg       sync.WaitGroup
+	mu      sync.Mutex
+	addrs   []string // addrs[i] is the listen address of process i
+	started bool
+	closed  bool
+	peers   map[types.ProcessID]*peer
+	wg      sync.WaitGroup
 }
 
 var _ Transport = (*TCP)(nil)
 
-// maxRetainedWriteBuf bounds the coalescing buffer kept per connection;
-// a rare giant frame must not pin its memory for the connection's life.
-const maxRetainedWriteBuf = 1 << 20
+// peer is the send side of one outgoing connection. Its queue is a list of
+// chunks, each up to a slab of whole length-prefixed frames (a larger frame
+// gets a chunk of its own): queueing never grows or copies a buffer larger
+// than a slab, and shedding the oldest chunk sheds the oldest frames.
+type peer struct {
+	wake chan struct{} // one pending wakeup
 
-type tcpConn struct {
-	mu sync.Mutex
-	c  net.Conn
-	// wbuf is the per-connection write-coalescing scratch: the 4-byte
-	// length prefix and the payload are assembled here and flushed in one
-	// Write, halving the syscalls (and avoiding a small-packet flush
-	// before the payload under TCP_NODELAY). Guarded by mu.
-	wbuf []byte
+	mu     sync.Mutex
+	chunks [][]byte
+	queued int // bytes in chunks
+}
+
+// push queues one length-prefixed frame and reports whether the queue was
+// empty. A queue of queueCap/slabSize chunks sheds its oldest chunk's
+// frames and reuses it for the next one.
+func (p *peer) push(data []byte, cnt *trace.Counters) (wake bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	need, last := 4+len(data), len(p.chunks)-1
+	if last < 0 || cap(p.chunks[last])-len(p.chunks[last]) < need {
+		var c []byte
+		if last+1 == queueCap/slabSize {
+			c = p.chunks[0]
+			for i := 0; i < len(c); i += 4 + int(binary.BigEndian.Uint32(c[i:])) {
+				cnt.TransportShedFrames.Add(1)
+			}
+			p.chunks, p.queued, last = p.chunks[1:], p.queued-len(c), last-1
+		}
+		if cap(c) != slabSize || need > slabSize {
+			c = make([]byte, 0, max(need, slabSize))
+		}
+		p.chunks, last = append(p.chunks, c[:0]), last+1
+	}
+	wake = p.queued == 0
+	c := binary.BigEndian.AppendUint32(p.chunks[last], uint32(len(data)))
+	p.chunks[last] = append(c, data...)
+	p.queued += need
+	trace.Raise(&cnt.TransportQueuedBytes, p.queued)
+	return wake
 }
 
 // NewTCP creates a TCP transport for process self in a group whose listen
@@ -65,15 +109,15 @@ func NewTCP(self types.ProcessID, addrs []string) (*TCP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addrs[self], err)
 	}
-	cp := make([]string, len(addrs))
-	copy(cp, addrs)
+	ctx, cancel := context.WithCancel(context.Background())
 	return &TCP{
-		self:     self,
-		addrs:    cp,
-		ln:       ln,
-		conns:    make(map[types.ProcessID]*tcpConn),
-		inbound:  make(map[net.Conn]struct{}),
-		lastFail: make(map[types.ProcessID]time.Time),
+		self:   self,
+		addrs:  append([]string(nil), addrs...),
+		ln:     ln,
+		cnt:    new(trace.Counters),
+		ctx:    ctx,
+		cancel: cancel,
+		peers:  make(map[types.ProcessID]*peer),
 	}, nil
 }
 
@@ -85,9 +129,12 @@ func (t *TCP) Addr() string { return t.ln.Addr().String() }
 func (t *TCP) SetAddrs(addrs []string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.addrs = make([]string, len(addrs))
-	copy(t.addrs, addrs)
+	t.addrs = append([]string(nil), addrs...)
 }
+
+// SetCounters makes the transport count its queue gauges, shed frames and
+// failed dials into c instead of a private set. Call it before Start.
+func (t *TCP) SetCounters(c *trace.Counters) { t.cnt = c }
 
 // Start implements Transport.
 func (t *TCP) Start(h Handler) error {
@@ -113,29 +160,17 @@ func (t *TCP) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		t.mu.Lock()
-		if t.closed {
-			t.mu.Unlock()
-			c.Close()
-			return
-		}
-		t.inbound[c] = struct{}{}
-		t.mu.Unlock()
 		t.wg.Add(1)
 		go t.readLoop(c)
 	}
 }
 
-// readLoop consumes frames from one inbound connection. The first frame
-// is the hello (4-byte peer ID); subsequent frames are payloads.
+// readLoop consumes frames from one inbound connection. The first four
+// bytes are the hello (the peer's ID); length-prefixed frames follow.
 func (t *TCP) readLoop(c net.Conn) {
 	defer t.wg.Done()
-	defer func() {
-		c.Close()
-		t.mu.Lock()
-		delete(t.inbound, c)
-		t.mu.Unlock()
-	}()
+	defer c.Close()
+	defer context.AfterFunc(t.ctx, func() { c.Close() })()
 	var idBuf [4]byte
 	if _, err := io.ReadFull(c, idBuf[:]); err != nil {
 		return
@@ -148,35 +183,54 @@ func (t *TCP) readLoop(c net.Conn) {
 	if int(from) < 0 || from == t.self {
 		return
 	}
-	var lenBuf [4]byte
+	_ = readFrames(c, func(data []byte) { t.handler(from, data) }) // any error ends the connection
+}
+
+// errFrameTooLarge ends a connection whose next frame exceeds maxFrame.
+var errFrameTooLarge = errors.New("transport: frame exceeds maxFrame")
+
+// readFrames hands fn each length-prefixed frame read from r until r fails
+// or announces a frame above maxFrame. One Read takes what r holds into a
+// slab; each complete frame goes out as a capacity-clipped view of it, and
+// a partial one at the slab's end moves to a fresh slab (or its own buffer
+// if larger). A slab is never written below its fill mark nor reused, so
+// fn owns what it is handed (Handler's contract).
+func readFrames(r io.Reader, fn func([]byte)) error {
+	slab := make([]byte, slabSize)
+	lo, hi := 0, 0 // slab[lo:hi] is read but not yet handed over
 	for {
-		if _, err := io.ReadFull(c, lenBuf[:]); err != nil {
-			return
+		for hi-lo >= 4 {
+			size := int(binary.BigEndian.Uint32(slab[lo:]))
+			if size > maxFrame {
+				return errFrameTooLarge
+			}
+			if hi-lo-4 < size {
+				break
+			}
+			a, b := lo+4, lo+4+size
+			fn(slab[a:b:b])
+			lo = b
 		}
-		size := binary.BigEndian.Uint32(lenBuf[:])
-		if size > maxFrame {
-			return
+		if hi == len(slab) {
+			need := slabSize
+			if hi-lo >= 4 {
+				need = max(need, 4+int(binary.BigEndian.Uint32(slab[lo:])))
+			}
+			next := make([]byte, need)
+			hi = copy(next, slab[lo:hi])
+			slab, lo = next, 0
 		}
-		data := make([]byte, size)
-		if _, err := io.ReadFull(c, data); err != nil {
-			return
-		}
-		t.mu.Lock()
-		h := t.handler
-		closed := t.closed
-		t.mu.Unlock()
-		if closed {
-			return
-		}
-		if h != nil {
-			h(from, data)
+		n, err := r.Read(slab[hi:])
+		hi += n
+		if err != nil {
+			return err
 		}
 	}
 }
 
-// Send implements Transport. Connections are dialed lazily; a send to an
-// unreachable peer drops the message (crash-stop assumption) and backs
-// off before re-dialing.
+// Send implements Transport. It appends one length-prefixed copy of data
+// to the peer's queue and wakes the peer's writer, started by the first
+// Send to that peer; it never touches the socket.
 func (t *TCP) Send(to types.ProcessID, data []byte) error {
 	t.mu.Lock()
 	// The bounds check reads the address table under the lock: SetAddrs
@@ -193,123 +247,112 @@ func (t *TCP) Send(to types.ProcessID, data []byte) error {
 		t.mu.Unlock()
 		return ErrNotStarted
 	}
-	conn := t.conns[to]
+	p := t.peers[to]
+	if p == nil {
+		p = &peer{wake: make(chan struct{}, 1)}
+		t.peers[to] = p
+		t.wg.Add(1)
+		go t.write(to, p)
+	}
 	t.mu.Unlock()
 
-	if conn == nil {
-		var err error
-		conn, err = t.dial(to)
-		if err != nil {
-			return err
+	if p.push(data, t.cnt) {
+		select {
+		case p.wake <- struct{}{}:
+		default: // a wakeup is already pending
 		}
-	}
-	if err := conn.writeFrame(data); err != nil {
-		t.dropConn(to, conn)
-		return fmt.Errorf("transport: send to %s: %w", to, err)
 	}
 	return nil
 }
 
-// dial establishes (or reuses, on race) the outgoing connection to a peer.
-func (t *TCP) dial(to types.ProcessID) (*tcpConn, error) {
-	t.mu.Lock()
-	if last, ok := t.lastFail[to]; ok && time.Since(last) < dialRetry {
-		t.mu.Unlock()
-		return nil, fmt.Errorf("transport: peer %s in dial backoff", to)
+// write is a peer's writer: it owns the connection, and each drain swaps
+// the peer's whole queue out and writes it, one Write per chunk (one in
+// all unless more than a slab's worth queued since the last drain).
+func (t *TCP) write(to types.ProcessID, p *peer) {
+	defer t.wg.Done()
+	var (
+		c     net.Conn // closed by Close through the AfterFunc
+		stop  func() bool
+		batch [][]byte
+	)
+	for {
+		select {
+		case <-p.wake:
+		case <-t.ctx.Done():
+			return
+		}
+		for {
+			p.mu.Lock()
+			idle := p.queued == 0
+			if !idle && c != nil {
+				// The chunk written last starts the new queue, so a steady
+				// stream allocates no chunk.
+				next := batch[:0]
+				if len(batch) > 0 && cap(batch[0]) == slabSize {
+					next = append(next, batch[0][:0])
+				}
+				clear(batch[len(next):])
+				batch, p.chunks, p.queued = p.chunks, next, 0
+			}
+			p.mu.Unlock()
+			if idle {
+				break
+			}
+			if c == nil {
+				if conn := t.dial(to); conn != nil {
+					c, stop = conn, context.AfterFunc(t.ctx, func() { conn.Close() })
+					continue
+				}
+				if t.ctx.Err() != nil {
+					return
+				}
+				// The queue waits out the backoff; the timer re-dials.
+				t.cnt.TransportDialFailures.Add(1)
+				select {
+				case <-time.After(dialRetry):
+					continue
+				case <-t.ctx.Done():
+					return
+				}
+			}
+			_ = c.SetWriteDeadline(time.Now().Add(writeTimeout)) // fails only once c is closed; Write reports that
+			for _, b := range batch {
+				if _, err := c.Write(b); err != nil {
+					// The connection failed; what it did not carry is lost.
+					stop()
+					c.Close()
+					c = nil
+					break
+				}
+			}
+		}
 	}
+}
+
+// dial connects to a peer and says hello (our process ID); nil if it fails.
+func (t *TCP) dial(to types.ProcessID) net.Conn {
+	t.mu.Lock()
 	addr := t.addrs[to]
 	t.mu.Unlock()
-
-	c, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	c, err := (&net.Dialer{Timeout: dialTimeout}).DialContext(t.ctx, "tcp", addr)
 	if err != nil {
-		t.mu.Lock()
-		t.lastFail[to] = time.Now()
-		t.mu.Unlock()
-		return nil, fmt.Errorf("transport: dial %s: %w", to, err)
-	}
-	if tc, ok := c.(*net.TCPConn); ok {
-		_ = tc.SetNoDelay(true)
-	}
-	// Hello frame: our process ID.
-	var idBuf [4]byte
-	binary.BigEndian.PutUint32(idBuf[:], uint32(int32(t.self)))
-	if _, err := c.Write(idBuf[:]); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("transport: hello to %s: %w", to, err)
-	}
-
-	conn := &tcpConn{c: c}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		c.Close()
-		return nil, ErrClosed
-	}
-	if existing := t.conns[to]; existing != nil {
-		c.Close()
-		return existing, nil
-	}
-	t.conns[to] = conn
-	delete(t.lastFail, to)
-	return conn, nil
-}
-
-func (t *TCP) dropConn(to types.ProcessID, conn *tcpConn) {
-	t.mu.Lock()
-	if t.conns[to] == conn {
-		delete(t.conns, to)
-	}
-	t.mu.Unlock()
-	conn.mu.Lock()
-	conn.c.Close()
-	conn.mu.Unlock()
-}
-
-// writeFrame writes one length-prefixed frame; serialized per connection.
-// Prefix and payload are coalesced into one Write call.
-func (cn *tcpConn) writeFrame(data []byte) error {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	need := 4 + len(data)
-	if cap(cn.wbuf) < need {
-		cn.wbuf = make([]byte, 0, need)
-	}
-	buf := binary.BigEndian.AppendUint32(cn.wbuf[:0], uint32(len(data)))
-	buf = append(buf, data...)
-	if cap(buf) <= maxRetainedWriteBuf {
-		cn.wbuf = buf
-	} else {
-		cn.wbuf = nil
-	}
-	_, err := cn.c.Write(buf)
-	return err
-}
-
-// Close implements Transport.
-func (t *TCP) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
 		return nil
 	}
-	t.closed = true
-	conns := t.conns
-	t.conns = map[types.ProcessID]*tcpConn{}
-	in := make([]net.Conn, 0, len(t.inbound))
-	for c := range t.inbound {
-		in = append(in, c)
-	}
-	t.mu.Unlock()
-
-	t.ln.Close()
-	for _, cn := range conns {
-		cn.mu.Lock()
-		cn.c.Close()
-		cn.mu.Unlock()
-	}
-	for _, c := range in {
+	if _, err := c.Write(binary.BigEndian.AppendUint32(nil, uint32(t.self))); err != nil {
 		c.Close()
+		return nil
 	}
+	return c
+}
+
+// Close implements Transport. It ends every connection, the listener and
+// every goroutine; frames still queued are dropped (crash-stop).
+func (t *TCP) Close() error {
+	t.mu.Lock()
+	t.closed = true
+	t.mu.Unlock()
+	t.cancel()
+	t.ln.Close()
 	t.wg.Wait()
 	return nil
 }

@@ -3,8 +3,9 @@
 // correct, q eventually receives m; per-pair delivery is FIFO.
 //
 // Two implementations are provided: an in-memory network for tests and
-// examples, and a TCP transport (length-prefixed frames over persistent
-// connections) for running a real group with cmd/abnode.
+// examples, and a TCP transport for running a real group with cmd/abnode
+// (length-prefixed frames over persistent connections, one writer
+// goroutine per peer draining a bounded queue, frames carved from slabs).
 package transport
 
 import (
@@ -28,12 +29,12 @@ type Transport interface {
 	// Start begins delivering inbound messages to h. It must be called
 	// exactly once, before any Send.
 	Start(h Handler) error
-	// Send transmits data to the given process. It never blocks
-	// indefinitely; delivery is quasi-reliable (guaranteed only while both
-	// endpoints stay up). Send must not retain data after it returns —
-	// callers reuse the buffer (the runtime driver sends pooled frames),
-	// so implementations copy (in-memory network) or write synchronously
-	// (TCP) before returning.
+	// Send transmits data to the given process without waiting on the
+	// network: the in-memory network enqueues at the receiver, TCP on the
+	// peer's bounded send queue, whose writer goroutine dials and writes.
+	// Delivery is quasi-reliable (guaranteed only while both endpoints stay
+	// up). Send must not retain data after it returns — callers reuse the
+	// buffer (the runtime driver sends pooled frames), so both copy it.
 	Send(to types.ProcessID, data []byte) error
 	// Close stops the endpoint and releases its resources.
 	Close() error

@@ -50,9 +50,6 @@ func (id MsgID) Compare(other MsgID) int {
 	return cmp.Compare(id.Seq, other.Seq)
 }
 
-// Less reports whether id sorts before other under Compare.
-func (id MsgID) Less(other MsgID) bool { return id.Compare(other) < 0 }
-
 // Stack selects one of the two implementations under study.
 type Stack int
 

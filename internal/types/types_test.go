@@ -40,9 +40,9 @@ func TestMsgIDLessIsStrictTotalOrder(t *testing.T) {
 		b := MsgID{Sender: ProcessID(s2), Seq: q2}
 		switch {
 		case a == b:
-			return !a.Less(b) && !b.Less(a)
+			return a.Compare(b) >= 0 && b.Compare(a) >= 0
 		default:
-			return a.Less(b) != b.Less(a) // exactly one direction
+			return (a.Compare(b) < 0) != (b.Compare(a) < 0) // exactly one direction
 		}
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -55,8 +55,8 @@ func TestMsgIDLessTransitivity(t *testing.T) {
 		a := MsgID{Sender: ProcessID(s1), Seq: uint64(q1)}
 		b := MsgID{Sender: ProcessID(s2), Seq: uint64(q2)}
 		c := MsgID{Sender: ProcessID(s3), Seq: uint64(q3)}
-		if a.Less(b) && b.Less(c) {
-			return a.Less(c)
+		if a.Compare(b) < 0 && b.Compare(c) < 0 {
+			return a.Compare(c) < 0
 		}
 		return true
 	}

@@ -240,3 +240,10 @@ func TestTruncateAtZeroKeepsBootMarker(t *testing.T) {
 		t.Fatalf("boot marker lost after truncation (%d left)", boots)
 	}
 }
+
+// Segments returns the current segment count (tests and diagnostics).
+func (l *Log) Segments() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.segs)
+}

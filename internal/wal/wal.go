@@ -618,10 +618,3 @@ func (l *Log) Close() error {
 	}
 	return nil
 }
-
-// Segments returns the current segment count (tests and diagnostics).
-func (l *Log) Segments() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.segs)
-}

@@ -186,7 +186,7 @@ func TestBatchSortDeterministicQuick(t *testing.T) {
 		b := randomBatch(rng, 20)
 		b.SortDeterministic()
 		for i := 1; i < len(b); i++ {
-			if b[i].ID.Less(b[i-1].ID) {
+			if b[i].ID.Compare(b[i-1].ID) < 0 {
 				return false
 			}
 		}
