@@ -155,10 +155,10 @@ func acceptQueueFull(t *testing.T) string {
 
 // TestTCPStalledPeer: a peer that accepts and never reads, and one whose
 // dial hangs, never block Send. Once both writers are stuck (one in a
-// Write, one in a dial) and both queues are full, each Send of a round
-// that pushes a quarter of the queue cap more returns in under a
-// millisecond, the queue stays under its cap by shedding, and Close ends
-// every goroutine promptly.
+// Write, one in a dial) and both queues are full, each Send returns in
+// under a millisecond while 4 MiB more per peer are pushed, the queue
+// stays under its cap by shedding, and Close ends every goroutine
+// promptly.
 func TestTCPStalledPeer(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -202,18 +202,21 @@ func TestTCPStalledPeer(t *testing.T) {
 	// Fill the socket buffers and both queues, then let the heap settle:
 	// the timed rounds allocate nothing (a shed chunk is reused), so a
 	// collection left over from the fill is not mistaken for a slow Send.
-	// Nor is a descheduled test goroutine, so a round may be retried up to
-	// nine times; a Send that waits on a stuck writer is slow in every one.
+	// Nor is a descheduled test goroutine: the 4 MiB go in 1 MiB rounds,
+	// and a round with a slow Send is pushed again, up to 40 rounds in all.
+	// A Send that waits on a stuck writer is slow in every round.
 	push(queueCap + 4<<20)
 	runtime.GC()
-	var slowest time.Duration
-	for round := 0; round < 10; round++ {
-		if slowest = push(queueCap / 4); slowest < time.Millisecond {
-			break
+	clean, slowest := 0, time.Duration(0)
+	for round := 0; round < 40 && clean < 4; round++ {
+		if d := push(1 << 20); d < time.Millisecond {
+			clean++
+		} else {
+			slowest = max(slowest, d)
 		}
 	}
-	if slowest >= time.Millisecond {
-		t.Errorf("slowest Send took %v, want under 1ms", slowest)
+	if clean < 4 {
+		t.Errorf("%d of 4 rounds had every Send under 1ms; the slowest Send took %v", clean, slowest)
 	}
 	if q := cnt.TransportQueuedBytes.Load(); q > queueCap {
 		t.Errorf("%d bytes queued for one peer, over the %d cap", q, queueCap)
