@@ -125,3 +125,56 @@ func TestRingSkipsSuspectedSuccessor(t *testing.T) {
 		}
 	}
 }
+
+// TestRingDefersDecisionFetch pins the ring's deferred decision fetch: an
+// announcement that outruns its relayed proposal sends no mDecisionReq at
+// once (an immediate ask per announcement floods the decider with
+// full-decision re-serves); the fetch timer, armed once, asks one peer
+// only after a full resend period passes with no decision.
+func TestRingDefersDecisionFetch(t *testing.T) {
+	cfg := ringCfg(3)
+	r := newRig(t, 3, cfg)
+	var (
+		held []byte
+		asks []types.ProcessID
+	)
+	r.net.Drop = func(from, to types.ProcessID, data []byte) bool {
+		if from == 2 && mtype(data[0]) == mDecisionReq {
+			asks = append(asks, to)
+		}
+		if from == 1 && to == 2 && relayFrame(data) && held == nil {
+			held = data // p3's copy of the relayed proposal is late
+			return true
+		}
+		return false
+	}
+	if _, err := r.engs[0].Abcast([]byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	r.run(t)
+	if held == nil {
+		t.Fatal("no relay reached p3's link")
+	}
+	if len(r.envs[2].Deliveries) != 0 {
+		t.Fatal("p3 decided without the proposal")
+	}
+	if len(asks) != 0 {
+		t.Fatalf("p3 asked %v at once, want the fetch deferred", asks)
+	}
+	var armed []enginetest.Timer
+	for _, tm := range r.envs[2].Timers {
+		if tm.ID == engine.TimerResend {
+			armed = append(armed, tm)
+		}
+	}
+	if len(armed) != 1 || armed[0].Canceled || armed[0].Delay != cfg.ResendEvery {
+		t.Fatalf("fetch timer arms %+v, want one of %v", armed, cfg.ResendEvery)
+	}
+	r.envs[2].Clock += cfg.ResendEvery
+	r.engs[2].HandleTimer(engine.TimerResend)
+	r.run(t)
+	if len(asks) != 1 || asks[0] == 2 {
+		t.Fatalf("after a period with no decision p3 asked %v, want one peer", asks)
+	}
+	r.checkTotalOrder(t, 1)
+}
