@@ -11,7 +11,8 @@
 //     suspected by the local failure detector (instead of rounds free-running);
 //   - decisions are disseminated through reliable broadcast as a small
 //     DECISION tag; receivers decide the proposal they already hold for
-//     that round, and fetch the full decision only if they miss it.
+//     that round, and fetch the full decision only if they miss it
+//     (ct.Table.Want).
 //
 // The rounds live in internal/ct, the round core the monolithic engine
 // shares: this layer is that core behind the modular stack's envelope (its
@@ -42,8 +43,8 @@ import (
 
 // Layer-local timers.
 const (
-	// timerResend drives decision-fetch retries.
-	timerResend engine.TimerID = 1
+	// timerFetch drives decision-fetch retries (ct.Table.RetryFetch).
+	timerFetch engine.TimerID = 1
 	// timerJoiner re-sends proposals a joiner may have missed
 	// (ct.Table.ResendJoiner).
 	timerJoiner engine.TimerID = 2
@@ -233,27 +234,12 @@ func (l *Layer) decideLocal(inst *ct.Inst, batch wire.Batch, r uint32) {
 	l.rounds.Prune()
 }
 
-// handleDecisionTag processes the reliably broadcast DECISION tag: decide
-// the matching proposal if held, otherwise fetch the full decision.
+// handleDecisionTag processes the reliably broadcast DECISION tag: the
+// round core decides the matching proposal if held, and otherwise fetches
+// the full decision from the tag's origin.
 func (l *Layer) handleDecisionTag(origin types.ProcessID, m message) {
-	if l.rounds.Pruned(m.Instance) {
-		return // long decided and pruned: a late duplicate tag
-	}
-	inst := l.rounds.Get(m.Instance)
-	if inst.Decided {
-		return
-	}
-	if batch, ok := inst.Proposals[m.Round]; ok {
-		l.decideLocal(inst, batch, m.Round)
-		return
-	}
-	inst.Waiting = m.Round
-	if origin != l.self && origin != types.Nobody {
-		l.send(origin, message{Type: mtDecisionReq, Instance: inst.K})
-		l.ctx.Env().Counters().Retransmissions.Add(1)
-	}
-	if l.resend > 0 {
-		l.ctx.SetTimer(timerResend, l.resend)
+	if l.rounds.Want(origin, m.Instance, m.Round) && l.resend > 0 {
+		l.ctx.SetTimer(timerFetch, l.resend)
 	}
 }
 
@@ -261,27 +247,15 @@ func (l *Layer) handleDecisionTag(origin types.ProcessID, m message) {
 // waiting on a DECISION tag whose proposal never arrived, and re-send
 // proposals a joiner may have missed.
 func (l *Layer) Timer(id engine.TimerID) {
-	if id == timerJoiner {
-		if l.rounds.ResendJoiner() {
-			l.ctx.SetTimer(timerJoiner, l.resend)
-		}
-		return
+	var again bool
+	switch id {
+	case timerFetch:
+		again = l.rounds.RetryFetch()
+	case timerJoiner:
+		again = l.rounds.ResendJoiner()
 	}
-	if id != timerResend {
-		return
-	}
-	waiting := false
-	for _, k := range l.rounds.Keys() {
-		inst := l.rounds.Lookup(k)
-		if inst.Waiting == 0 || inst.Decided {
-			continue
-		}
-		waiting = true
-		sent := l.sendAll(message{Type: mtDecisionReq, Instance: inst.K})
-		l.ctx.Env().Counters().Retransmissions.Add(int64(sent))
-	}
-	if waiting && l.resend > 0 {
-		l.ctx.SetTimer(timerResend, l.resend)
+	if again {
+		l.ctx.SetTimer(id, l.resend)
 	}
 }
 
@@ -308,8 +282,8 @@ func (l *Layer) send(to types.ProcessID, m message) {
 }
 
 // sendAll transmits one consensus message to every other member of the
-// view governing its instance, returning the number of sends.
-func (l *Layer) sendAll(m message) int {
+// view governing its instance.
+func (l *Layer) sendAll(m message) {
 	data := m.marshal()
 	v := l.viewAt(m.Instance)
 	sends := v.Others(l.self)
@@ -317,7 +291,6 @@ func (l *Layer) sendAll(m message) int {
 	c.PayloadBytesSent.Add(int64(m.Batch.PayloadBytes() * sends))
 	c.OrderedBytes.Add(int64(len(data) * sends))
 	l.ctx.NetSendMembers(v.Members, data)
-	return sends
 }
 
 // host is the Layer seen through ct.Host: the modular envelope of the round
@@ -378,6 +351,9 @@ func (h *host) SendEstimate(to types.ProcessID, in *ct.Inst) {
 }
 func (h *host) SendDecision(to types.ProcessID, in *ct.Inst) {
 	(*Layer)(h).send(to, message{Type: mtDecisionFull, Instance: in.K, Round: in.DecisionRound, Batch: in.Decision})
+}
+func (h *host) FetchDecision(to types.ProcessID, k uint64) {
+	(*Layer)(h).send(to, message{Type: mtDecisionReq, Instance: k})
 }
 
 func (h *host) ServeLate(types.ProcessID, *ct.Inst)         {}

@@ -54,6 +54,10 @@ type Host interface {
 	SendEstimate(to types.ProcessID, in *Inst)
 	// SendDecision answers an estimate for a decided instance.
 	SendDecision(to types.ProcessID, in *Inst)
+	// FetchDecision asks one member for instance k's decision (Want,
+	// RetryFetch); the member answers through SendDecision, ServeLate or
+	// ServePruned.
+	FetchDecision(to types.ProcessID, k uint64)
 	// ServeLate answers a proposal for a decided instance, ServePruned a
 	// proposal, ack or estimate for a decided-then-pruned one.
 	ServeLate(to types.ProcessID, in *Inst)
@@ -133,6 +137,15 @@ type Table struct {
 	insts     map[uint64]*Inst
 	// decided queues decided instances in instance order for Prune.
 	decided retire.Queue[uint64]
+	// wanted holds the instances known decided elsewhere whose decision is
+	// missing here, each marked once it was asked in the current resend
+	// period; fetchTo is the member asked last, where the retry's rotation
+	// resumes. armed mirrors the host's fetch timer, and progress records a
+	// decision since it was armed.
+	wanted   map[uint64]bool
+	fetchTo  types.ProcessID
+	armed    bool
+	progress bool
 }
 
 // New returns an empty table for process self. suspected (nil: a fresh
@@ -141,7 +154,8 @@ func New(self types.ProcessID, h Host, suspected map[types.ProcessID]bool, c *tr
 	if suspected == nil {
 		suspected = make(map[types.ProcessID]bool)
 	}
-	return &Table{self: self, h: h, c: c, Suspected: suspected, insts: make(map[uint64]*Inst)}
+	return &Table{self: self, h: h, c: c, Suspected: suspected,
+		insts: make(map[uint64]*Inst), wanted: make(map[uint64]bool)}
 }
 
 // Lookup returns instance k's state, nil when it does not exist.
@@ -442,10 +456,87 @@ func (t *Table) ResendJoiner() (again bool) {
 	return again
 }
 
+// fetchChunk bounds how many wanted instances one retry asks for: enough
+// to outpace a loaded group while a cut lasts, small enough that the
+// answers — each a full decision — never re-create the flood that made a
+// broadcast ask per announcement collapse ring throughput.
+const fetchChunk = 32
+
+// Want handles an announcement that instance k was decided in round r (0:
+// a round not known here, for an instance below an announced one). A held
+// round-r proposal decides it (Host.Decide, quorum unset); otherwise k is
+// wanted until it decides. A wanted instance is asked of announcer at once,
+// unless announcer is Nobody — the host defers every ask to the retry — or
+// k was already asked in this resend period. Want reports whether the host
+// must arm its fetch timer, which then fires RetryFetch after a resend
+// period: it is armed once, never re-armed while pending, since a deadline
+// pushed back on every announcement would never fire.
+func (t *Table) Want(announcer types.ProcessID, k uint64, r uint32) (arm bool) {
+	if t.h.Settled(k) {
+		return false
+	}
+	if r != 0 {
+		in := t.Get(k)
+		in.Waiting = r
+		if b, ok := in.Proposals[r]; ok {
+			t.h.Decide(in, b, r, false)
+			return false
+		}
+	}
+	if _, ok := t.wanted[k]; !ok {
+		t.wanted[k] = false
+	}
+	if !t.wanted[k] && announcer != types.Nobody && announcer != t.self {
+		t.fetch(announcer, k)
+	}
+	if t.armed {
+		return false
+	}
+	t.armed, t.progress = true, false
+	return true
+}
+
+// RetryFetch is the fetch timer's fire: it opens a new resend period and,
+// unless something decided during the last one (the missing decisions are
+// then most likely on their way), asks one governing member — rotating,
+// skipping this process and the suspected — for the lowest fetchChunk
+// wanted instances. One member, not everyone: each answer is a full
+// decision, so a broadcast ask multiplies every stall's repair bytes by n.
+// It reports whether the host must re-arm: while anything is wanted.
+func (t *Table) RetryFetch() (again bool) {
+	if len(t.wanted) == 0 {
+		t.armed = false
+		return false
+	}
+	keys := make([]uint64, 0, len(t.wanted))
+	for k := range t.wanted {
+		keys = append(keys, k)
+		t.wanted[k] = false
+	}
+	slices.Sort(keys)
+	if to := t.h.View(keys[0]).NextPeer(t.self, t.fetchTo, t.Suspected); !t.progress && to != types.Nobody {
+		for _, k := range keys[:min(len(keys), fetchChunk)] {
+			t.fetch(to, k)
+		}
+	}
+	t.progress = false
+	return true
+}
+
+// fetch asks to for instance k's decision.
+func (t *Table) fetch(to types.ProcessID, k uint64) {
+	t.wanted[k] = true
+	t.fetchTo = to
+	t.h.FetchDecision(to, k)
+	t.c.Retransmissions.Add(1)
+}
+
 // Decided records in's decision and queues it for Prune.
 func (t *Table) Decided(in *Inst, b wire.Batch, r uint32) {
 	in.Decided, in.Decision, in.DecisionRound, in.Waiting = true, b, r, 0
 	t.decided.Push(in.K, in.K)
+	delete(t.wanted, in.K)
+	t.progress = true
 }
 
 // Prune drops decided instances at or below Host.Cutoff; undecided ones
@@ -469,6 +560,11 @@ func (t *Table) DropBelow(k uint64) {
 	for j := range t.insts {
 		if j < k {
 			delete(t.insts, j)
+		}
+	}
+	for j := range t.wanted {
+		if j < k {
+			delete(t.wanted, j)
 		}
 	}
 }

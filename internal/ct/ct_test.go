@@ -74,6 +74,9 @@ func (h *fakeHost) SendEstimate(to types.ProcessID, in *Inst) {
 func (h *fakeHost) SendDecision(to types.ProcessID, in *Inst) {
 	h.record("decision %s k%d", to, in.K)
 }
+func (h *fakeHost) FetchDecision(to types.ProcessID, k uint64) {
+	h.record("fetch %s k%d", to, k)
+}
 func (h *fakeHost) ServeLate(to types.ProcessID, in *Inst) { h.record("late %s k%d", to, in.K) }
 func (h *fakeHost) ServePruned(to types.ProcessID, k uint64, r uint32) {
 	h.record("pruned %s k%d r%d", to, k, r)
@@ -337,4 +340,76 @@ func TestResendJoiner(t *testing.T) {
 		t.Fatal("re-arm with every admitting instance decided")
 	}
 	expect(t, h.take())
+}
+
+// TestDecisionFetch: Want asks the announcer at once (Nobody defers the ask
+// to the retry) and arms the fetch timer once; no instance is asked twice
+// in one resend period; each retry asks one member — rotating from the
+// last one asked, skipping self and the suspected — for the lowest 32
+// wanted instances, and asks nothing after a period in which something
+// decided; it re-arms while anything is wanted.
+func TestDecisionFetch(t *testing.T) {
+	h := newFake(1, 0, 1, 2, 3)
+	if !h.t.Want(0, 1, 1) {
+		t.Fatal("the first want did not arm the fetch timer")
+	}
+	expect(t, h.take(), "fetch p1 k1")
+	if h.t.Want(2, 1, 1) || h.t.Want(2, 2, 0) {
+		t.Fatal("re-armed while the timer is pending")
+	}
+	expect(t, h.take(), "fetch p3 k2") // k1 was asked this period
+	for k := uint64(3); k <= 40; k++ {
+		h.t.Want(types.Nobody, k, 0)
+	}
+	expect(t, h.take())
+
+	// One member per period, the lowest 32 instances: after p3 the rotation
+	// skips the suspected p4 and wraps to p1.
+	h.t.Suspected[3] = true
+	if !h.t.RetryFetch() {
+		t.Fatal("no re-arm with 40 instances wanted")
+	}
+	var want []string
+	for k := 1; k <= fetchChunk; k++ {
+		want = append(want, fmt.Sprintf("fetch p1 k%d", k))
+	}
+	expect(t, h.take(), want...)
+	h.t.Want(0, 2, 0)
+	expect(t, h.take()) // asked by the retry in this period
+
+	// A decision in the period: the next retry asks nobody.
+	h.t.Proposal(0, 1, 1, val(0, 1))
+	expect(t, h.take(), "decide k1 r1 [p1#1] quorum=false")
+	if !h.t.RetryFetch() {
+		t.Fatal("no re-arm with 39 instances wanted")
+	}
+	expect(t, h.take())
+	// Then the rotation skips self (p2): p3.
+	h.t.RetryFetch()
+	if got := h.take(); len(got) != fetchChunk || got[0] != "fetch p3 k2" || got[fetchChunk-1] != "fetch p3 k33" {
+		t.Fatalf("retry asked %q, want p3 for k2..k33", got)
+	}
+
+	// A held proposal decides at once; nothing decided is asked for.
+	h.t.Proposal(0, 50, 1, val(0, 50))
+	h.take()
+	if h.t.Want(0, 50, 1) {
+		t.Fatal("armed for a decided instance")
+	}
+	expect(t, h.take(), "decide k50 r1 [p1#50] quorum=false")
+	h.t.Want(0, 50, 1)
+	expect(t, h.take())
+
+	// Once nothing is wanted the timer is left to lapse, and the next want
+	// arms it again.
+	for k := uint64(2); k <= 40; k++ {
+		h.t.Decided(h.t.Get(k), val(0, k), 1)
+	}
+	if h.t.RetryFetch() {
+		t.Fatal("re-armed with nothing wanted")
+	}
+	if !h.t.Want(0, 60, 1) {
+		t.Fatal("a want after the timer lapsed did not arm it")
+	}
+	expect(t, h.take(), "fetch p1 k60")
 }

@@ -32,7 +32,7 @@ const (
 	// idle period; the abcast layer then starts a consensus even with an
 	// empty batch (paper §3.3, correctness under partial diffusion).
 	TimerKick TimerID = 1
-	// TimerResend drives crash-path retransmissions.
+	// TimerResend drives decision-fetch retries (ct.Table.RetryFetch).
 	TimerResend TimerID = 2
 	// TimerFlush is the sender-side batching age trigger: it fires
 	// Config.Batch.MaxDelay after the first message entered an empty

@@ -21,7 +21,8 @@
 // rules as the modular consensus — they live once in internal/ct, and this
 // engine supplies the envelope and the §4 hooks (estimates carry the
 // sender's unordered messages to the new coordinator) — plus gap detection
-// with decision refetch for processes that missed a piggybacked decision.
+// for processes that missed a piggybacked decision, fetched by the round
+// core's one decision-fetch policy (ct.Table.Want).
 //
 // With pipelining enabled (engine.Config.PipelineDepth > 1) the
 // coordinator proposes into up to W instances past its decided watermark
@@ -104,26 +105,9 @@ type Engine struct {
 	// decided ones (catch-up horizon): the round core shared with the
 	// modular stack, driven through host's ct.Host answers.
 	rounds *ct.Table
-	// full buffers an already-resolved decision of an undecided instance
-	// under digest ordering (mDecisionFull and recovery serve
-	// post-resolution bytes, which must never be re-parsed as descriptors —
-	// a real 16-byte body would alias one).
-	full map[uint64]fullDecision
 	// lastProgress is when the last decision was processed (kick guard).
 	lastProgress time.Duration
-	// ringWantK is the highest instance known decided remotely whose
-	// refetch was deferred to the resend timer (ring dissemination only;
-	// see ringWant/ringRetryWaiting).
-	ringWantK uint64
-	// ringResendArmed reports a pending TimerResend armed by ringWant.
-	// SetTimer replaces the deadline, so re-arming on every announcement
-	// would push the fire time forever into the future while the ring is
-	// active — the timer must be armed once and left alone until it fires.
-	ringResendArmed bool
-	// ringRetryTo is the last single-target refetch recipient; the target
-	// rotates so a dead or partitioned peer cannot absorb every retry.
-	ringRetryTo types.ProcessID
-	started     bool
+	started      bool
 	// pipelineIdle reports that the consensus pipeline stopped (the last
 	// decision was flushed standalone because the coordinator's pool was
 	// empty). While the pipeline runs, fresh abcast messages simply wait
@@ -141,13 +125,6 @@ type Engine struct {
 
 var _ engine.Engine = (*Engine)(nil)
 
-// fullDecision is a decision batch already resolved to payload messages,
-// with its round.
-type fullDecision struct {
-	batch wire.Batch
-	round uint32
-}
-
 // New builds the monolithic engine for the given environment.
 func New(env engine.Env, cfg engine.Config) *Engine {
 	e := &Engine{
@@ -159,7 +136,6 @@ func New(env engine.Env, cfg engine.Config) *Engine {
 		pipe:     cfg.EffectivePipeline(),
 		assigned: make(map[types.MsgID]uint64),
 		propIDs:  make(map[uint64][]types.MsgID),
-		full:     make(map[uint64]fullDecision),
 	}
 	e.t = tail.New(env, &e.cfg, (*host)(e))
 	e.rounds = ct.New(e.self, (*host)(e), e.t.Suspected, env.Counters())
@@ -525,77 +501,44 @@ func (e *Engine) poolIn(batch wire.Batch) {
 }
 
 // applyRemoteDecision applies a decision learned from a peer (piggybacked
-// on a proposal or flushed standalone). Decisions apply strictly in order;
-// gaps trigger refetch, and announcements for future instances are
-// remembered on the instance so the cascade in decide picks them up.
+// on a proposal or flushed standalone). Decisions apply strictly in order:
+// an announcement for a later instance is remembered on the instance, so
+// the cascade in finalize picks it up, and the gap below it is fetched.
 func (e *Engine) applyRemoteDecision(from types.ProcessID, k uint64, round uint32) {
-	if k <= e.decidedK() {
-		return
-	}
-	if k > e.decidedK()+1 {
-		// Remember that k is decided in this round, then backfill the gap.
-		in := e.rounds.Get(k)
-		if !in.Decided && in.Waiting == 0 {
+	if k > e.decidedK()+1 && e.t.Rec.Active() {
+		// The bulk state transfer already covers the gap.
+		if in := e.rounds.Get(k); !in.Decided && in.Waiting == 0 {
 			in.Waiting = round
 		}
-		e.requestMissing(from, k)
 		return
 	}
-	in := e.rounds.Get(k)
-	if in.Decided {
-		return
-	}
-	if batch, ok := in.Proposals[round]; ok {
-		e.decide(in, batch, round)
-		return
-	}
-	in.Waiting = round
-	if e.hd.Ring() {
-		// Under ring dissemination the proposal carrying this decision is
-		// usually still relaying around the ring (direct control frames
-		// outrun it); an immediate refetch per announcement floods the
-		// decider with full-decision re-serves. Record the want and let the
-		// resend timer refetch only if the relay never arrives.
-		e.ringWant(k)
-		return
-	}
-	e.send(from, message{Type: mDecisionReq, Instance: k})
-	e.env.Counters().Retransmissions.Add(1)
-	if e.cfg.ResendEvery > 0 {
-		e.env.SetTimer(engine.TimerResend, e.cfg.ResendEvery)
-	}
+	e.wantBelow(from, k)
+	e.want(from, k, round)
 }
 
-// ringWant records that decisions up to k exist remotely and arms the
-// resend timer; under ring dissemination retryWaiting refetches the gap
-// in bounded chunks only when the ring has genuinely stopped delivering.
-func (e *Engine) ringWant(k uint64) {
-	if k > e.ringWantK {
-		e.ringWantK = k
-	}
-	if e.cfg.ResendEvery > 0 && !e.ringResendArmed {
-		e.ringResendArmed = true
-		e.env.SetTimer(engine.TimerResend, e.cfg.ResendEvery)
-	}
-}
-
-// requestMissing refetches every decision in [decidedK+1, upto] from a
-// peer (upto itself is included: its announcement may have carried no
-// usable proposal).
-func (e *Engine) requestMissing(from types.ProcessID, upto uint64) {
+// wantBelow wants every undecided instance below k, which an announcement
+// from a process that decides in order proves decided (round unknown),
+// unless catch-up is under way and its state transfer covers them.
+func (e *Engine) wantBelow(from types.ProcessID, k uint64) {
 	if e.t.Rec.Active() {
-		return // the bulk state transfer already covers the gap
-	}
-	if e.hd.Ring() {
-		e.ringWant(upto)
 		return
 	}
-	c := e.env.Counters()
-	for k := e.decidedK() + 1; k <= upto; k++ {
-		e.send(from, message{Type: mDecisionReq, Instance: k})
-		c.Retransmissions.Add(1)
+	for j := e.decidedK() + 1; j < k; j++ {
+		e.want(from, j, 0)
 	}
-	if e.cfg.ResendEvery > 0 {
+}
+
+// want hands the round core one announced decision (ct.Table.Want) and
+// arms the fetch timer when it asks. Under ring dissemination the proposal
+// carrying the decision is usually still relaying around the ring (direct
+// control frames outrun it), and an immediate ask per announcement floods
+// the decider with full-decision re-serves: the announcer is withheld, and
+// the fetch waits for a resend period with no decision.
+func (e *Engine) want(from types.ProcessID, k uint64, round uint32) {
+	if e.hd.Ring() {
+		from = types.Nobody
+	}
+	if e.rounds.Want(from, k, round) && e.cfg.ResendEvery > 0 {
 		e.env.SetTimer(engine.TimerResend, e.cfg.ResendEvery)
 	}
 }
@@ -671,7 +614,6 @@ func (e *Engine) payloadTimer() {
 // retired (digest ordering only; nil otherwise).
 func (e *Engine) finalize(in *ct.Inst, batch wire.Batch, descs []wire.Descriptor, r uint32) {
 	e.rounds.Decided(in, batch, r)
-	delete(e.full, in.K)
 	e.t.Advance(in.K)
 	e.lastProgress = e.env.Now()
 	c := e.env.Counters()
@@ -709,19 +651,11 @@ func (e *Engine) finalize(in *ct.Inst, batch wire.Batch, descs []wire.Descriptor
 	}
 	e.rounds.Prune()
 	// Cascade: a decision announcement for the next instance may already
-	// be buffered (out-of-order recovery). An already-resolved full
-	// decision (digest ordering) takes precedence — it is applicable
-	// as-is, where the raw proposal would have to re-resolve.
-	if buf := e.rounds.Lookup(e.decidedK() + 1); buf != nil && !buf.Decided {
-		if f, ok := e.full[buf.K]; ok {
-			e.decideResolved(buf, f.batch, f.round)
+	// be buffered (out-of-order recovery).
+	if buf := e.rounds.Lookup(e.decidedK() + 1); buf != nil && !buf.Decided && buf.Waiting != 0 {
+		if batch, ok := buf.Proposals[buf.Waiting]; ok {
+			e.decide(buf, batch, buf.Waiting)
 			return
-		}
-		if buf.Waiting != 0 {
-			if batch, ok := buf.Proposals[buf.Waiting]; ok {
-				e.decide(buf, batch, buf.Waiting)
-				return
-			}
 		}
 	}
 	// Cascade (ack path): with pipelining, a later window instance can
@@ -808,32 +742,25 @@ func (e *Engine) handleDecisionReq(from types.ProcessID, m message) {
 	(*host)(e).ServeLate(from, in)
 }
 
-// handleDecisionFull applies a refetched decision. Early arrivals (for
-// instances past the next one) are buffered on the instance and applied
-// by the cascade in decide once their turn comes.
+// handleDecisionFull applies a fetched or re-served decision. An early
+// arrival, past the next instance, is buffered on the instance as its
+// decided round's proposal for the cascade in finalize — except under
+// digest ordering, where deciders serve post-resolution bytes that must
+// never sit among the raw proposals (the cascade would re-parse real
+// messages as descriptors; a real 16-byte body aliases one): the instance
+// is wanted again instead, and fetched in its turn.
 func (e *Engine) handleDecisionFull(m message) {
-	if m.Instance <= e.decidedK() {
-		return
-	}
-	in := e.rounds.Get(m.Instance)
-	if in.Decided {
-		return
-	}
-	if e.cfg.DigestOrdering {
-		// The served batch is already resolved (deciders store and serve
-		// post-resolution bytes): buffer it apart from raw proposals so
-		// the cascade never re-parses real messages as descriptors.
-		e.full[m.Instance] = fullDecision{m.Batch, m.Round}
-		in.Waiting = m.Round
-		if m.Instance == e.decidedK()+1 {
-			e.decideResolved(in, m.Batch, m.Round)
-		}
-		return
-	}
-	in.Proposals[m.Round] = m.Batch
-	in.Waiting = m.Round
-	if m.Instance == e.decidedK()+1 {
-		e.decide(in, m.Batch, m.Round)
+	k := m.Instance
+	switch {
+	case k <= e.decidedK(): // a late duplicate
+	case k == e.decidedK()+1 && e.cfg.DigestOrdering:
+		e.decideResolved(e.rounds.Get(k), m.Batch, m.Round)
+	case e.cfg.DigestOrdering:
+		e.want(types.Nobody, k, m.Round)
+	default:
+		in := e.rounds.Get(k)
+		in.Proposals[m.Round] = m.Batch
+		e.want(types.Nobody, k, m.Round)
 	}
 }
 
@@ -853,7 +780,9 @@ func (e *Engine) lookupDecision(k uint64) (wire.Batch, bool) {
 func (e *Engine) HandleTimer(id engine.TimerID) {
 	switch id {
 	case engine.TimerResend:
-		e.retryWaiting()
+		if e.rounds.RetryFetch() {
+			e.env.SetTimer(engine.TimerResend, e.cfg.ResendEvery)
+		}
 	case engine.TimerKick:
 		e.kick()
 	case engine.TimerFlush:
@@ -867,90 +796,6 @@ func (e *Engine) HandleTimer(id engine.TimerID) {
 			e.env.SetTimer(engine.TimerJoiner, e.cfg.ResendEvery)
 		}
 	}
-}
-
-// retryWaiting re-requests a decision this process knows exists but cannot
-// resolve (the announcing peer may have crashed). Under pipelining the
-// head of the window also retries when only a LATER window instance has
-// an unresolved announcement: that announcement proves the head decided
-// somewhere, even if its own announcement was lost with the announcer.
-func (e *Engine) retryWaiting() {
-	in := e.rounds.Lookup(e.decidedK() + 1)
-	if in != nil && in.Decided {
-		return
-	}
-	// The head instance may not even exist locally (the gap was learned
-	// from an announcement for a later instance only); the scan below must
-	// still run, or the refetch chain dies with the crashed announcer.
-	waiting := in != nil && in.Waiting != 0
-	if !waiting && e.pipe > 1 {
-		for k := e.decidedK() + 2; k <= e.decidedK()+uint64(e.pipe); k++ {
-			if buf := e.rounds.Lookup(k); buf != nil && buf.Waiting != 0 {
-				waiting = true
-				break
-			}
-		}
-	}
-	if e.hd.Ring() {
-		e.ringRetryWaiting(waiting)
-		return
-	}
-	if !waiting {
-		return
-	}
-	e.sendAll(message{Type: mDecisionReq, Instance: e.decidedK() + 1})
-	e.env.Counters().Retransmissions.Add(int64(e.others()))
-	if e.cfg.ResendEvery > 0 {
-		e.env.SetTimer(engine.TimerResend, e.cfg.ResendEvery)
-	}
-}
-
-// ringRefetchChunk bounds how many gap decisions one resend-timer fire
-// refetches under ring dissemination — enough to outpace a loaded ring
-// while a cut lasts, small enough never to re-create the flood the
-// deferral exists to prevent.
-const ringRefetchChunk = 32
-
-// ringRetryWaiting is the ring-dissemination resend path: deferred
-// refetches (ringWant) resolve here. A live ring delivers the missing
-// relays on its own — refetch only when nothing has decided for a full
-// resend period (a cut ring edge or a crashed relayer), and then request
-// a bounded chunk of the known gap from everyone still reachable.
-func (e *Engine) ringRetryWaiting(waiting bool) {
-	e.ringResendArmed = false
-	if !waiting && e.ringWantK <= e.decidedK() {
-		return
-	}
-	if e.cfg.ResendEvery <= 0 {
-		return
-	}
-	if e.env.Now()-e.lastProgress < e.cfg.ResendEvery {
-		e.ringResendArmed = true
-		e.env.SetTimer(engine.TimerResend, e.cfg.ResendEvery)
-		return
-	}
-	upto := e.ringWantK
-	if upto < e.decidedK()+1 {
-		upto = e.decidedK() + 1
-	}
-	if max := e.decidedK() + ringRefetchChunk; upto > max {
-		upto = max
-	}
-	// Ask exactly one peer: a broadcast here would be answered with a full
-	// decision batch by every peer that has it — an n-fold bulk-byte
-	// amplification of every stall, feeding the very congestion that
-	// caused the stall. The target rotates across retries, so a dead or
-	// unreachable peer only costs one resend period.
-	if target := e.t.Hist.Current().NextPeer(e.self, e.ringRetryTo, e.t.Suspected); target != types.Nobody {
-		e.ringRetryTo = target
-		c := e.env.Counters()
-		for k := e.decidedK() + 1; k <= upto; k++ {
-			e.send(target, message{Type: mDecisionReq, Instance: k})
-			c.Retransmissions.Add(1)
-		}
-	}
-	e.ringResendArmed = true
-	e.env.SetTimer(engine.TimerResend, e.cfg.ResendEvery)
 }
 
 // kick is the idle/stall timer: re-forward own messages and retry
@@ -1233,11 +1078,6 @@ func (h *host) Advanced() {
 // them).
 func (h *host) Installed() {
 	h.rounds.DropBelow(h.t.Next())
-	for k := range h.full {
-		if k < h.t.Next() {
-			delete(h.full, k)
-		}
-	}
 	for k := range h.propIDs {
 		if k < h.t.Next() {
 			delete(h.propIDs, k)
@@ -1328,15 +1168,15 @@ func (h *host) ResendProposal(to types.ProcessID, in *ct.Inst, r uint32) {
 	e.send(to, e.propDec(in, r, in.Coord[r].Proposal))
 }
 
-// SendAck first refetches a gap: a proposal beyond the pipeline window
-// means the proposer's decided horizon ran ahead of ours — we missed one or
-// more decisions (coordinator crash window). Proposals merely ahead within
-// the window are normal pipelining, and the decisions they piggyback arrive
-// in order on the same FIFO channel.
+// SendAck first fetches a gap: a proposal beyond the pipeline window means
+// the proposer decided every instance up to the window below it, which we
+// missed (coordinator crash window). Proposals merely ahead within the
+// window are normal pipelining, and the decisions they piggyback arrive in
+// order on the same FIFO channel.
 func (h *host) SendAck(to types.ProcessID, in *ct.Inst, r uint32) {
 	e := (*Engine)(h)
 	if in.K > e.decidedK()+uint64(e.pipe) {
-		e.requestMissing(to, in.K)
+		e.wantBelow(to, in.K-uint64(e.pipe)+1)
 	}
 	e.send(to, message{Type: mAckDiff, Instance: in.K, Round: r, Batch: e.eligibleOwn(in.K)})
 }
@@ -1355,6 +1195,10 @@ func (h *host) SendEstimate(to types.ProcessID, in *ct.Inst) {
 
 func (h *host) SendDecision(to types.ProcessID, in *ct.Inst) {
 	(*Engine)(h).send(to, message{Type: mDecisionFull, Instance: in.K, Round: in.DecisionRound, Batch: in.Decision})
+}
+
+func (h *host) FetchDecision(to types.ProcessID, k uint64) {
+	(*Engine)(h).send(to, message{Type: mDecisionReq, Instance: k})
 }
 
 // ServeLate catches up a peer that demonstrably missed a decision (it

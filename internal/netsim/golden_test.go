@@ -119,10 +119,15 @@ var goldenFingerprints = map[string]string{
 	// The restart fingerprints were re-recorded when recover responses
 	// gained the SnapIndex field (snapshot state transfer): responses are 8
 	// bytes larger on the wire, with identical delivery orders.
-	"restart/n=3/modular":      "p0{del=2432 sent=5394 B=1076824 disp=7578 cons=848/848} p1{del=2432 sent=2429 B=186526 disp=3973 cons=2/448} p2{del=2432 sent=2657 B=386490 disp=7141 cons=2/848} order=9e3fd0ad53a3d1e3",
-	"restart/n=3/monolithic":   "p0{del=2640 sent=3609 B=874124 disp=3973 cons=1799/1799} p1{del=2640 sent=1192 B=113717 disp=1834 cons=0/1799} p2{del=2640 sent=1821 B=285985 disp=2824 cons=0/1799} order=61acde73bb09578b",
-	"partition/n=3/modular":    "p0{del=1893 sent=4224 B=502976 disp=7010 cons=669/669} p1{del=1893 sent=3668 B=200708 disp=5627 cons=3/669} p2{del=1893 sent=2424 B=128716 disp=6277 cons=197/669} order=4701b1310b02188",
-	"partition/n=3/monolithic": "p0{del=900 sent=4251 B=430295 disp=4635 cons=762/762} p1{del=900 sent=1332 B=91390 disp=1678 cons=0/762} p2{del=900 sent=3742 B=205610 disp=3912 cons=0/762} order=d4ad21ea02127b49",
+	"restart/n=3/modular":    "p0{del=2432 sent=5394 B=1076824 disp=7578 cons=848/848} p1{del=2432 sent=2429 B=186526 disp=3973 cons=2/448} p2{del=2432 sent=2657 B=386490 disp=7141 cons=2/848} order=9e3fd0ad53a3d1e3",
+	"restart/n=3/monolithic": "p0{del=2640 sent=3609 B=874124 disp=3973 cons=1799/1799} p1{del=2640 sent=1192 B=113717 disp=1834 cons=0/1799} p2{del=2640 sent=1821 B=285985 disp=2824 cons=0/1799} order=61acde73bb09578b",
+	// The partition fingerprints were re-recorded when the three decision
+	// fetch policies became one in the round core (ct.Table.Want and
+	// RetryFetch): the fetch timer now fires instead of being pushed back
+	// by every announcement, and a gap instance is asked once per resend
+	// period instead of once per announcement.
+	"partition/n=3/modular":    "p0{del=1889 sent=4201 B=501314 disp=6972 cons=665/665} p1{del=1889 sent=3677 B=204278 disp=5629 cons=2/665} p2{del=1889 sent=2444 B=129087 disp=6280 cons=191/665} order=d38226d25c54e020",
+	"partition/n=3/monolithic": "p0{del=1975 sent=3519 B=421377 disp=4226 cons=1549/1549} p1{del=1975 sent=2127 B=128265 disp=2858 cons=0/1549} p2{del=1975 sent=2174 B=216310 disp=2711 cons=0/1549} order=9895c363e6ac0eb5",
 	// Ring-dissemination fingerprints (recorded when the dissemination
 	// seam landed). Note the monolithic coordinator's send count halving
 	// versus its all-to-all golden — the relay offload at work.
@@ -140,7 +145,7 @@ var goldenFingerprints = map[string]string{
 	"digest/n=3/modular":              "p0{del=3000 sent=4294 B=490748 disp=8266 cons=823/823} p1{del=3000 sent=3473 B=376454 disp=6620 cons=6/823} p2{del=3000 sent=1825 B=333590 disp=7443 cons=6/823} order=e5561d2e0be487c",
 	"digest/n=3/monolithic":           "p0{del=3000 sent=4254 B=511474 disp=5379 cons=1256/1256} p1{del=3000 sent=2875 B=378125 disp=3631 cons=0/1256} p2{del=3000 sent=2633 B=366025 disp=3752 cons=0/1256} order=a785d585116eed0c",
 	"digest-partition/n=3/modular":    "p0{del=642 sent=2050 B=143028 disp=8059 cons=377/377} p1{del=642 sent=6054 B=650720 disp=4636 cons=3/377} p2{del=642 sent=5100 B=549116 disp=5103 cons=3/377} order=7df8e679e06c01b6",
-	"digest-partition/n=3/monolithic": "p0{del=1800 sent=4427 B=433513 disp=5219 cons=1433/1433} p1{del=1800 sent=2925 B=184277 disp=3368 cons=0/1433} p2{del=1800 sent=2894 B=183758 disp=3459 cons=0/1433} order=a8f96df348832611",
+	"digest-partition/n=3/monolithic": "p0{del=1800 sent=4574 B=392498 disp=5175 cons=1512/1512} p1{del=1800 sent=2871 B=183911 disp=3454 cons=0/1512} p2{del=1800 sent=2904 B=184208 disp=3520 cons=0/1512} order=b5e0512a4f48d0f",
 	// Shared-head fingerprints (recorded at the parent of the internal/head
 	// extraction, on the engines' private admission/announce/relay code).
 	"ring-digest/n=3/modular":         "p0{del=3000 sent=4275 B=513376 disp=8199 cons=798/798} p1{del=3000 sent=3422 B=390012 disp=6603 cons=6/798} p2{del=3000 sent=1911 B=352596 disp=7401 cons=6/798} order=edcaa544b055e70e",
