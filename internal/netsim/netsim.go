@@ -63,6 +63,9 @@ type Options struct {
 	// handler clock, so the traces stay bit-for-bit deterministic — and
 	// the zero value selects the defaults (sample 1 in 32 messages).
 	Obs obs.Config
+	// NewEngine, when set, builds every incarnation's engine in place of
+	// Stack's (the cost ledger wraps the Persister, or runs no protocol).
+	NewEngine func(env engine.Env, cfg engine.Config) engine.Engine
 }
 
 // Cluster is a simulated group of processes running one stack.
@@ -235,8 +238,10 @@ func (c *Cluster) boot(p *proc, initView *member.View) error {
 	id := p.id
 	cfg.OnConfig = func(v member.View, _ member.Op) { c.onViewChange(id, v) }
 	p.applier = app
-	switch c.opts.Stack {
-	case types.Monolithic:
+	switch {
+	case c.opts.NewEngine != nil:
+		p.eng = c.opts.NewEngine(p.env, cfg)
+	case c.opts.Stack == types.Monolithic:
 		p.eng = monolithic.New(p.env, cfg)
 	default:
 		p.eng = modular.New(p.env, cfg)
