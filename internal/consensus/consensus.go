@@ -273,24 +273,27 @@ func (l *Layer) Suspect(p types.ProcessID, suspected bool) {
 // bytes and whole-frame bytes as ordering traffic (OrderedBytes): every
 // consensus frame exists only to order, so its full wire size is the cost
 // of ordering (under digest ordering it stops scaling with payload size).
+// The message is encoded into a pooled writer: NetSend copies it.
 func (l *Layer) send(to types.ProcessID, m message) {
-	data := m.marshal()
+	w := m.encode()
 	c := l.ctx.Env().Counters()
 	c.PayloadBytesSent.Add(int64(m.Batch.PayloadBytes()))
-	c.OrderedBytes.Add(int64(len(data)))
-	l.ctx.NetSend(to, data)
+	c.OrderedBytes.Add(int64(w.Len()))
+	l.ctx.NetSend(to, w.Bytes())
+	wire.PutWriter(w)
 }
 
 // sendAll transmits one consensus message to every other member of the
 // view governing its instance.
 func (l *Layer) sendAll(m message) {
-	data := m.marshal()
+	w := m.encode()
 	v := l.viewAt(m.Instance)
 	sends := v.Others(l.self)
 	c := l.ctx.Env().Counters()
 	c.PayloadBytesSent.Add(int64(m.Batch.PayloadBytes() * sends))
-	c.OrderedBytes.Add(int64(len(data) * sends))
-	l.ctx.NetSendMembers(v.Members, data)
+	c.OrderedBytes.Add(int64(w.Len() * sends))
+	l.ctx.NetSendMembers(v.Members, w.Bytes())
+	wire.PutWriter(w)
 }
 
 // host is the Layer seen through ct.Host: the modular envelope of the round

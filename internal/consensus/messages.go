@@ -68,15 +68,17 @@ type message struct {
 // headerBytes is the fixed encoded size of the common message header.
 const headerBytes = 1 + 8 + 4
 
+// marshal encodes m into a buffer of its own, for a consumer that keeps it.
 func (m message) marshal() []byte {
-	size := headerBytes
-	switch m.Type {
-	case mtEstimate:
-		size += 4 + 1 + m.Batch.WireSize()
-	case mtProposal, mtDecisionFull:
-		size += m.Batch.WireSize()
-	}
-	w := wire.NewWriter(size)
+	w := m.encode()
+	defer wire.PutWriter(w)
+	return append([]byte(nil), w.Bytes()...)
+}
+
+// encode encodes m into a pooled writer; the caller returns it with
+// wire.PutWriter once the bytes are consumed.
+func (m message) encode() *wire.Writer {
+	w := wire.GetWriter(headerBytes + 5 + m.Batch.WireSize())
 	w.Uint8(uint8(m.Type))
 	w.Uint64(m.Instance)
 	w.Uint32(m.Round)
@@ -88,7 +90,7 @@ func (m message) marshal() []byte {
 	case mtProposal, mtDecisionFull:
 		m.Batch.Marshal(w)
 	}
-	return w.Bytes()
+	return w
 }
 
 func unmarshalMessage(data []byte) (message, error) {
@@ -101,9 +103,9 @@ func unmarshalMessage(data []byte) (message, error) {
 	case mtEstimate:
 		m.TS = r.Uint32()
 		m.HasValue = r.Bool()
-		m.Batch = wire.UnmarshalBatch(r)
+		m.Batch = wire.ViewBatch(r)
 	case mtProposal, mtDecisionFull:
-		m.Batch = wire.UnmarshalBatch(r)
+		m.Batch = wire.ViewBatch(r)
 	case mtAck, mtNack, mtDecisionTag, mtDecisionReq:
 		// Header only.
 	default:

@@ -89,7 +89,8 @@ type Env interface {
 	// Send transmits data to the given process over the quasi-reliable
 	// point-to-point channel. Send never blocks and never fails; if the
 	// destination has crashed the message is silently dropped (crash-stop
-	// model).
+	// model). Send does not retain data: every driver copies it before
+	// returning, so engines encode into pooled buffers and reuse them.
 	Send(to types.ProcessID, data []byte)
 	// SetTimer (re-)arms the timer with the given ID to fire after d.
 	SetTimer(id TimerID, d time.Duration)

@@ -10,8 +10,8 @@
 package fd
 
 import (
-	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"modab/internal/types"
@@ -32,22 +32,29 @@ type Heartbeat struct {
 	// reportMu serializes suspicion transitions WITH their onChange
 	// reports. Under message loss the checker (silence threshold) and
 	// Heard (a late heartbeat) race on the same peer: deciding a
-	// transition under mu but invoking the callback after unlocking let
-	// the two reports cross — the consumer could see "unsuspected" before
-	// the matching "suspected", or a report contradicting the final state.
-	// Decide-and-report is atomic under reportMu; mu alone still guards
-	// the maps for lock-free readers (Suspects). Lock order: reportMu
-	// before mu, never the reverse. onChange must not call back into the
-	// detector.
-	reportMu  sync.Mutex
-	mu        sync.Mutex
-	members   map[types.ProcessID]bool // peers currently monitored (never self)
-	lastSeen  map[types.ProcessID]time.Time
-	suspected map[types.ProcessID]bool
-	onChange  ChangeFunc
-	closed    bool
-	done      chan struct{}
-	wg        sync.WaitGroup
+	// transition under a lock but invoking the callback after unlocking
+	// let the two reports cross — the consumer could see "unsuspected"
+	// before the matching "suspected", or a report contradicting the final
+	// state. Decide-and-report is atomic under reportMu, which also guards
+	// every peer's lastSeen and onChange. onChange must not call back into
+	// the detector.
+	reportMu sync.Mutex
+	// peers holds the monitored members (never self) indexed by ID, nil
+	// elsewhere: SetMembers publishes a new table under reportMu, and
+	// Heard and the heartbeat loop read it without a lock.
+	peers    atomic.Pointer[[]*peer]
+	onChange ChangeFunc
+	stop     sync.Once
+	done     chan struct{}
+	wg       sync.WaitGroup
+}
+
+// peer is one monitored member. Heard sets heard and the next tick folds
+// it into lastSeen; suspected changes only under reportMu, and Heard reads
+// it without a lock.
+type peer struct {
+	heard, suspected atomic.Bool
+	lastSeen         time.Time
 }
 
 // NewHeartbeat creates a heartbeat detector for process self in a group
@@ -56,22 +63,13 @@ type Heartbeat struct {
 // threshold (timeout should be several periods).
 func NewHeartbeat(self types.ProcessID, n int, period, timeout time.Duration,
 	send func(to types.ProcessID)) *Heartbeat {
-	members := make(map[types.ProcessID]bool, n)
-	for i := 0; i < n; i++ {
-		if p := types.ProcessID(i); p != self {
-			members[p] = true
-		}
+	h := &Heartbeat{self: self, timeout: timeout, period: period, send: send, done: make(chan struct{})}
+	group := make([]types.ProcessID, n)
+	for i := range group {
+		group[i] = types.ProcessID(i)
 	}
-	return &Heartbeat{
-		self:      self,
-		timeout:   timeout,
-		period:    period,
-		send:      send,
-		members:   members,
-		lastSeen:  make(map[types.ProcessID]time.Time, n),
-		suspected: make(map[types.ProcessID]bool, n),
-		done:      make(chan struct{}),
-	}
+	h.setMembers(group, time.Time{}) // Start gives every member its grace period
+	return h
 }
 
 // SetMembers replaces the monitor set with the given group view (self is
@@ -84,38 +82,42 @@ func NewHeartbeat(self types.ProcessID, n int, period, timeout time.Duration,
 func (h *Heartbeat) SetMembers(members []types.ProcessID) {
 	h.reportMu.Lock()
 	defer h.reportMu.Unlock()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	want := make(map[types.ProcessID]bool, len(members))
+	h.setMembers(members, time.Now())
+}
+
+// setMembers publishes the table of members, keeping the state of those
+// already monitored; joiners are last seen at now.
+func (h *Heartbeat) setMembers(members []types.ProcessID, now time.Time) {
+	var old, table []*peer
+	if t := h.peers.Load(); t != nil {
+		old = *t
+	}
 	for _, p := range members {
-		if p != h.self {
-			want[p] = true
+		if p == h.self || p < 0 {
+			continue
+		}
+		if int(p) >= len(table) {
+			table = append(table, make([]*peer, int(p)+1-len(table))...)
+		}
+		table[p] = &peer{lastSeen: now}
+		if int(p) < len(old) && old[p] != nil {
+			table[p] = old[p] // a member stays monitored as it was
 		}
 	}
-	now := time.Now()
-	for p := range want {
-		if !h.members[p] {
-			h.lastSeen[p] = now // grace period for joiners
-		}
-	}
-	for p := range h.members {
-		if !want[p] {
-			delete(h.lastSeen, p)
-			delete(h.suspected, p)
-		}
-	}
-	h.members = want
+	h.peers.Store(&table)
 }
 
 // Start begins monitoring and reporting changes to onChange.
 func (h *Heartbeat) Start(onChange ChangeFunc) {
-	h.mu.Lock()
+	h.reportMu.Lock()
 	h.onChange = onChange
 	now := time.Now()
-	for p := range h.members {
-		h.lastSeen[p] = now // grace period at startup
+	for _, pe := range *h.peers.Load() {
+		if pe != nil {
+			pe.lastSeen = now // grace period at startup
+		}
 	}
-	h.mu.Unlock()
+	h.reportMu.Unlock()
 	h.wg.Add(1)
 	go h.loop()
 }
@@ -131,103 +133,71 @@ func (h *Heartbeat) loop() {
 			return
 		case <-ticker.C:
 		}
-		h.mu.Lock()
-		peers := make([]types.ProcessID, 0, len(h.members))
-		for p := range h.members {
-			peers = append(peers, p)
-		}
-		h.mu.Unlock()
-		for _, p := range peers {
-			h.send(p)
+		for p, pe := range *h.peers.Load() {
+			if pe != nil {
+				h.send(types.ProcessID(p))
+			}
 		}
 		h.check()
 	}
 }
 
-// check updates the suspicion list from the silence threshold. Holding
-// reportMu across decide-and-report keeps the callback sequence identical
-// to the transition sequence (see the field comment).
+// check folds the heard marks into lastSeen and updates the suspicion
+// list from the silence threshold. A peer heard since the last tick is
+// last seen now, no earlier than it really was: suspicion comes no
+// sooner than timeout after the last sign of life, and at most one
+// period later. Holding reportMu across decide-and-report keeps the
+// callback sequence identical to the transition sequence (see the field
+// comment).
 func (h *Heartbeat) check() {
 	h.reportMu.Lock()
 	defer h.reportMu.Unlock()
 	now := time.Now()
-	var changes []types.ProcessID
-	h.mu.Lock()
-	for p := range h.members {
-		silent := now.Sub(h.lastSeen[p]) > h.timeout
-		if silent != h.suspected[p] {
-			h.suspected[p] = silent
-			changes = append(changes, p)
+	for p, pe := range *h.peers.Load() {
+		if pe == nil {
+			continue
 		}
-	}
-	slices.Sort(changes)
-	cb := h.onChange
-	suspectedNow := make(map[types.ProcessID]bool, len(changes))
-	for _, p := range changes {
-		suspectedNow[p] = h.suspected[p]
-	}
-	h.mu.Unlock()
-	if cb == nil {
-		return
-	}
-	for _, p := range changes {
-		cb(p, suspectedNow[p])
+		if pe.heard.Swap(false) {
+			pe.lastSeen = now
+		}
+		if silent := now.Sub(pe.lastSeen) > h.timeout; pe.suspected.Swap(silent) != silent && h.onChange != nil {
+			h.onChange(types.ProcessID(p), silent)
+		}
 	}
 }
 
 // Heard records a sign of life from p (a heartbeat or any message). The
-// common case — the peer is not suspected — updates lastSeen under mu
-// alone and never touches reportMu: the runtime calls Heard on every
-// protocol message, and serializing that hot path behind the checker's
-// callback sequence would stall the transport reader. Refreshing
-// lastSeen before the fast-path read means
-// a concurrent check() computes silent=false and cannot introduce a
-// transition this call would have to report. Only an actual unsuspect
-// transition takes the slow, serialized path.
+// common case — a monitored peer that is not suspected — sets the peer's
+// heard mark and takes no lock and reads no clock: the runtime calls
+// Heard on every frame, and the next tick folds the mark into lastSeen.
+// Only an actual unsuspect transition takes the slow, serialized path.
+// A mark the tick folds before suspecting the peer is never lost: it
+// makes the peer not silent; one set after it is folded at the next tick,
+// which then reports the unsuspect if this call did not.
 func (h *Heartbeat) Heard(p types.ProcessID) {
-	if p == h.self {
-		return
+	table := *h.peers.Load()
+	if uint(p) >= uint(len(table)) || table[p] == nil {
+		return // self, or not a member: a removed peer's late frames must not resurrect its state
 	}
-	h.mu.Lock()
-	if !h.members[p] {
-		// A removed peer's late frames must not resurrect its FD state.
-		h.mu.Unlock()
-		return
-	}
-	h.lastSeen[p] = time.Now()
-	suspected := h.suspected[p]
-	h.mu.Unlock()
-	if !suspected {
+	pe := table[p]
+	pe.heard.Store(true)
+	if !pe.suspected.Load() {
 		return
 	}
 	h.reportMu.Lock()
 	defer h.reportMu.Unlock()
-	h.mu.Lock()
-	if !h.members[p] {
-		h.mu.Unlock()
-		return
-	}
-	h.lastSeen[p] = time.Now()
-	wasSuspected := h.suspected[p]
-	if wasSuspected {
-		h.suspected[p] = false
-	}
-	cb := h.onChange
-	h.mu.Unlock()
-	if wasSuspected && cb != nil {
-		cb(p, false)
+	if t := *h.peers.Load(); int(p) < len(t) && t[p] == pe && pe.suspected.Swap(false) {
+		pe.lastSeen = time.Now()
+		if h.onChange != nil {
+			h.onChange(p, false)
+		}
 	}
 }
 
 // Close stops the detector.
 func (h *Heartbeat) Close() {
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return
-	}
-	h.closed = true
-	h.mu.Unlock()
-	close(h.done)
-	h.wg.Wait()
+	h.stop.Do(func() {
+		close(h.done)
+		h.wg.Wait()
+	})
 }

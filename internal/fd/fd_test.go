@@ -1,7 +1,6 @@
 package fd
 
 import (
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -109,8 +108,8 @@ func TestHeartbeatHeardSelfIgnored(t *testing.T) {
 	h := NewHeartbeat(0, 3, time.Hour, time.Hour, func(types.ProcessID) {})
 	defer h.Close()
 	h.Heard(0)
-	if len(h.lastSeen) != 0 {
-		t.Fatal("self recorded in lastSeen before Start")
+	if (*h.peers.Load())[0] != nil {
+		t.Fatal("self monitored")
 	}
 }
 
@@ -123,14 +122,11 @@ func TestHeartbeatCloseIdempotent(t *testing.T) {
 
 // Suspects returns the current suspicion list (diagnostics).
 func (h *Heartbeat) Suspects() []types.ProcessID {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	var out []types.ProcessID
-	for p, susp := range h.suspected {
-		if susp {
-			out = append(out, p)
+	for p, pe := range *h.peers.Load() {
+		if pe != nil && pe.suspected.Load() {
+			out = append(out, types.ProcessID(p))
 		}
 	}
-	slices.Sort(out)
 	return out
 }

@@ -80,18 +80,19 @@ type message struct {
 	Piggyback wire.Batch
 }
 
-// marshal encodes the message through a pooled writer scratch buffer and
-// returns an exact-size copy. The copy is required because env.Send may
-// retain the slice (the simulator queues it for later dispatch); the
-// pooling still removes the marshal buffer's grow-and-discard churn from
-// the hot path.
+// marshal encodes m into a buffer of its own, for a consumer that keeps it.
 func (m message) marshal() []byte {
-	w := wire.GetWriter(1 + 8 + 4 + m.Batch.WireSize() + m.Piggyback.WireSize() + 48)
+	w := m.encode()
 	defer wire.PutWriter(w)
+	return append([]byte(nil), w.Bytes()...)
+}
+
+// encode encodes m into a pooled writer; the caller returns it with
+// wire.PutWriter once the bytes are consumed.
+func (m message) encode() *wire.Writer {
+	w := wire.GetWriter(1 + 8 + 4 + m.Batch.WireSize() + m.Piggyback.WireSize() + 48)
 	m.marshalTo(w)
-	out := make([]byte, w.Len())
-	copy(out, w.Bytes())
-	return out
+	return w
 }
 
 func (m message) marshalTo(w *wire.Writer) {
@@ -127,14 +128,14 @@ func unmarshalMessage(data []byte) (message, error) {
 		m.PrevDecided = r.Bool()
 		m.PrevK = r.Uint64()
 		m.PrevRound = r.Uint32()
-		m.Batch = wire.UnmarshalBatch(r)
+		m.Batch = wire.ViewBatch(r)
 	case mAckDiff, mForward, mDecisionFull:
-		m.Batch = wire.UnmarshalBatch(r)
+		m.Batch = wire.ViewBatch(r)
 	case mEstimate:
 		m.TS = r.Uint32()
 		m.HasValue = r.Bool()
-		m.Batch = wire.UnmarshalBatch(r)
-		m.Piggyback = wire.UnmarshalBatch(r)
+		m.Batch = wire.ViewBatch(r)
+		m.Piggyback = wire.ViewBatch(r)
 	case mNack, mDecisionOnly, mDecisionReq:
 		// Header only.
 	default:

@@ -877,12 +877,15 @@ func (m message) payloadBytes() int { return m.Batch.PayloadBytes() + m.Piggybac
 // exists to order — proposals, acks, estimates, forwards and decision
 // traffic are the frames whose size digest ordering collapses to descriptor
 // scale. The head and the tail account their own frames (mFrame).
+//
+// The message is encoded into a pooled writer: Env.Send does not retain it.
 func (e *Engine) send(to types.ProcessID, m message) {
 	c := e.env.Counters()
 	c.PayloadBytesSent.Add(int64(m.payloadBytes()))
-	data := m.marshal()
-	c.OrderedBytes.Add(int64(len(data)))
-	e.env.Send(to, data)
+	w := m.encode()
+	c.OrderedBytes.Add(int64(w.Len()))
+	e.env.Send(to, w.Bytes())
+	wire.PutWriter(w)
 }
 
 // sendAll transmits one message to every other current-view member.
@@ -893,14 +896,14 @@ func (e *Engine) sendAll(m message) {
 	if others == 0 {
 		return
 	}
-	data := m.marshal()
-	e.env.Counters().OrderedBytes.Add(int64(len(data) * others))
+	w := m.encode()
+	e.env.Counters().OrderedBytes.Add(int64(w.Len() * others))
 	for _, p := range members {
-		if p == e.self {
-			continue
+		if p != e.self {
+			e.env.Send(p, w.Bytes())
 		}
-		e.env.Send(p, data)
 	}
+	wire.PutWriter(w)
 }
 
 // SubmitConfig implements engine.ConfigSubmitter: the op is submitted
@@ -1003,19 +1006,20 @@ func (h *host) Relayed(from types.ProcessID, hdr wire.RelayHeader, inner []byte)
 	return nil
 }
 
-// Send puts a tail or head frame on the wire as [mFrame][frame]: a copy,
-// since env.Send may retain it.
+// Send puts a tail or head frame on the wire as [mFrame][frame], encoded
+// into a pooled writer: env.Send does not retain it.
 func (h *host) Send(to types.ProcessID, frame []byte) {
-	data := make([]byte, 1+len(frame))
-	data[0] = byte(mFrame)
-	copy(data[1:], frame)
+	w := wire.GetWriter(1 + len(frame))
+	w.Uint8(byte(mFrame))
+	w.Raw(frame)
+	defer wire.PutWriter(w)
 	if to != types.Nobody {
-		h.env.Send(to, data)
+		h.env.Send(to, w.Bytes())
 		return
 	}
 	for _, p := range h.t.Hist.Current().Members {
 		if p != h.self {
-			h.env.Send(p, data)
+			h.env.Send(p, w.Bytes())
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"modab/internal/engine"
@@ -85,6 +86,8 @@ type Cluster struct {
 	// errs collects engine errors (malformed messages etc.); tests assert
 	// it stays empty.
 	errs []error
+	// slab holds the copies of sent frames (simEnv.Send).
+	slab []byte
 	// pendingJoins are processes whose OpAdd was submitted but whose view
 	// has not yet been observed at any correct process; the first
 	// OnConfig naming one spawns it (membership.go).
@@ -619,7 +622,13 @@ func (e *simEnv) Send(to types.ProcessID, data []byte) {
 	}
 	e.p.counters.MsgsSent.Add(1)
 	e.p.counters.BytesSent.Add(int64(len(data)))
-	e.outbox = append(e.outbox, outMsg{to: to, data: data})
+	// Send must not retain data (engine.Env): the copy is carved from a
+	// 16 KiB slab, which the views an engine keeps into a frame hold alive.
+	if len(e.c.slab)+len(data) > cap(e.c.slab) {
+		e.c.slab = make([]byte, 0, max(16<<10, len(data)))
+	}
+	e.c.slab = append(e.c.slab, data...)
+	e.outbox = append(e.outbox, outMsg{to: to, data: slices.Clip(e.c.slab[len(e.c.slab)-len(data):])})
 }
 
 func (e *simEnv) SetTimer(id engine.TimerID, d time.Duration) {

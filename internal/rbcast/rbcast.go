@@ -202,7 +202,10 @@ func (l *Layer) sendToOthers(m message, relayedFrom types.ProcessID) {
 	if relayedFrom != types.Nobody {
 		l.ctx.Env().Counters().Retransmissions.Add(int64(sends))
 	}
-	l.ctx.NetSendMembers(l.members, m.marshal())
+	w := wire.GetWriter(16 + len(m.payload))
+	m.marshalTo(w)
+	l.ctx.NetSendMembers(l.members, w.Bytes())
+	wire.PutWriter(w)
 }
 
 // message is the rbcast wire unit.
@@ -212,12 +215,10 @@ type message struct {
 	payload []byte
 }
 
-func (m message) marshal() []byte {
-	w := wire.NewWriter(16 + len(m.payload))
+func (m message) marshalTo(w *wire.Writer) {
 	w.Int32(int32(m.origin))
 	w.Uint64(m.seq)
 	w.Raw(m.payload)
-	return w.Bytes()
 }
 
 func unmarshalMessage(data []byte) (message, error) {

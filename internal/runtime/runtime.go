@@ -456,7 +456,6 @@ func (n *Node) Close() error {
 
 	n.det.Close()
 	err := n.tr.Close()
-	n.env.stopTimers()
 	// Stop the loop: the currently-executing event finishes, including its
 	// synchronous OnDeliver calls, so every delivery that was counted has
 	// reached the sink when this returns; queued but unexecuted events are
@@ -466,6 +465,7 @@ func (n *Node) Close() error {
 	// nor closed — stalls this wait; that is the same contract violation
 	// that stalls the engine itself (see package stream).
 	n.shutdownLoop()
+	n.env.stopTimers() // a fire from here on finds the inbox closed
 	// The loop has stopped, so no append can race the store closing; the
 	// final sync makes even SyncNone logs durable across a graceful stop.
 	if n.opts.Store != nil {
@@ -481,14 +481,17 @@ func (n *Node) shutdownLoop() {
 	<-n.stopped
 }
 
-// timerState is one engine timer: a single time.Timer re-armed in place,
-// and the deadline of its current arming (zero: none). The timer only
-// queues an evTimer event; its expire runs on the loop, where the engine's
-// SetTimer and CancelTimer run too: a fire that raced a re-arm or a cancel
-// finds the deadline moved or cleared there, and is dropped.
+// timerState is one engine timer: a single time.Timer, the deadline the
+// engine asked for (zero: none) and the instant the timer is set to fire
+// (zero: not known to be pending). The timer only queues an evTimer
+// event; SetTimer, CancelTimer and expire all run on the loop. A re-arm
+// to a later deadline leaves the timer alone — its early fire re-arms it
+// for the remainder — and a cancel only clears the deadline, so a fire
+// that finds the deadline moved or cleared is dropped.
 type timerState struct {
 	timer    *time.Timer
 	deadline time.Time
+	armed    time.Time
 }
 
 // nodeEnv implements engine.Env on real time.
@@ -496,9 +499,7 @@ type nodeEnv struct {
 	node     *Node
 	start    time.Time
 	counters trace.Counters
-
-	mu     sync.Mutex
-	timers map[engine.TimerID]*timerState
+	timers   map[engine.TimerID]*timerState // touched only by the loop, and by Close after it
 }
 
 var _ engine.Env = (*nodeEnv)(nil)
@@ -508,13 +509,15 @@ func (e *nodeEnv) N() int                    { return e.node.opts.N }
 func (e *nodeEnv) Now() time.Duration        { return time.Since(e.start) }
 func (e *nodeEnv) Counters() *trace.Counters { return &e.counters }
 
+// Send frames data for the transport. Like every Env, it does not retain
+// data: the channel-tagged frame lives in a pooled buffer, and
+// Transport.Send must not retain its argument either (the in-memory
+// network and TCP's send queue both copy it), so the buffer is recycled
+// immediately.
 func (e *nodeEnv) Send(to types.ProcessID, data []byte) {
 	if to == e.node.opts.Self {
 		return
 	}
-	// The channel-tagged frame lives in a pooled buffer: Transport.Send
-	// must not retain its argument (the in-memory network and TCP's send
-	// queue both copy it), so the buffer is recycled immediately.
 	w := wire.GetWriter(1 + len(data))
 	w.Uint8(chanEngine)
 	w.Raw(data)
@@ -525,47 +528,42 @@ func (e *nodeEnv) Send(to types.ProcessID, data []byte) {
 }
 
 func (e *nodeEnv) SetTimer(id engine.TimerID, d time.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	st := e.timers[id]
 	if st == nil {
-		st = &timerState{}
+		st = &timerState{timer: time.AfterFunc(time.Hour, func() { e.node.post(event{kind: evTimer, timer: id}) })}
 		e.timers[id] = st
 	}
 	st.deadline = time.Now().Add(d) // before arming: the fire is never earlier
-	if st.timer == nil {
-		st.timer = time.AfterFunc(d, func() { e.node.post(event{kind: evTimer, timer: id}) })
-	} else {
+	if st.armed.IsZero() || st.deadline.Before(st.armed) {
+		st.armed = st.deadline
 		st.timer.Reset(d)
 	}
 }
 
-// expire hands a fire to the engine if it is the current arming's.
+// expire hands a fire to the engine if the deadline it was armed for has
+// come, and re-arms a fire that came early for the remainder.
 func (e *nodeEnv) expire(id engine.TimerID) {
-	e.mu.Lock()
 	st := e.timers[id]
-	live := !st.deadline.IsZero() && !time.Now().Before(st.deadline)
-	if live {
+	now := time.Now()
+	st.armed = time.Time{}
+	switch {
+	case st.deadline.IsZero():
+	case now.Before(st.deadline):
+		st.armed = st.deadline
+		st.timer.Reset(st.deadline.Sub(now))
+	default:
 		st.deadline = time.Time{}
-	}
-	e.mu.Unlock()
-	if live {
 		e.node.eng.HandleTimer(id)
 	}
 }
 
 func (e *nodeEnv) CancelTimer(id engine.TimerID) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if st := e.timers[id]; st != nil {
 		st.deadline = time.Time{}
-		st.timer.Stop()
 	}
 }
 
 func (e *nodeEnv) stopTimers() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for _, st := range e.timers {
 		st.deadline = time.Time{}
 		st.timer.Stop()

@@ -186,3 +186,59 @@ func TestWindowPulseOnlyWakesRegisteredWaiters(t *testing.T) {
 		t.Fatal("pulse did not wake the parked caller")
 	}
 }
+
+// TestTimerLaterRearmFiresOnceAtLaterDeadline: a re-arm to a later
+// deadline leaves the runtime timer alone; its early fire re-arms for the
+// remainder, and the engine sees one fire, no sooner than the later
+// deadline.
+func TestTimerLaterRearmFiresOnceAtLaterDeadline(t *testing.T) {
+	n, eng := timerNode()
+	armed := time.Now()
+	n.env.SetTimer(engine.TimerKick, 20*time.Millisecond)
+	n.env.SetTimer(engine.TimerKick, 80*time.Millisecond)
+	drain(n, 200*time.Millisecond)
+	if got := eng.count(); got != 1 {
+		t.Fatalf("%d fires, want 1", got)
+	}
+	if d := eng.fires[0].Sub(armed); d < 80*time.Millisecond {
+		t.Fatalf("fired %v after arming, before the later deadline", d)
+	}
+}
+
+// TestTimerEarlierRearmFiresEarly: a re-arm to an earlier deadline resets
+// the runtime timer, so the fire comes at the earlier deadline, once.
+func TestTimerEarlierRearmFiresEarly(t *testing.T) {
+	n, eng := timerNode()
+	armed := time.Now()
+	n.env.SetTimer(engine.TimerKick, time.Hour)
+	n.env.SetTimer(engine.TimerKick, 10*time.Millisecond)
+	drain(n, 150*time.Millisecond)
+	if got := eng.count(); got != 1 {
+		t.Fatalf("%d fires, want 1", got)
+	}
+	if d := eng.fires[0].Sub(armed); d < 10*time.Millisecond || d > 140*time.Millisecond {
+		t.Fatalf("fired %v after arming, want about 10ms", d)
+	}
+}
+
+// TestTimerStaleFireDropped: the early fire of a timer re-armed later, and
+// the fire of a cancelled timer, reach the loop but not the engine.
+func TestTimerStaleFireDropped(t *testing.T) {
+	n, eng := timerNode()
+	n.env.SetTimer(engine.TimerKick, 10*time.Millisecond)
+	n.env.SetTimer(engine.TimerKick, 60*time.Millisecond) // the 10ms fire is early
+	drain(n, 30*time.Millisecond)
+	n.env.CancelTimer(engine.TimerKick) // the re-armed 60ms fire is stale
+	drain(n, 100*time.Millisecond)
+	n.env.SetTimer(engine.TimerResend, 10*time.Millisecond)
+	n.env.CancelTimer(engine.TimerResend)
+	drain(n, 50*time.Millisecond)
+	if got := eng.count(); got != 0 {
+		t.Fatalf("%d stale fires reached the engine", got)
+	}
+	n.env.SetTimer(engine.TimerKick, 10*time.Millisecond) // a cancelled timer re-arms
+	drain(n, 60*time.Millisecond)
+	if got := eng.count(); got != 1 {
+		t.Fatalf("%d fires after re-arming a cancelled timer, want 1", got)
+	}
+}

@@ -221,25 +221,23 @@ func (c *Context) Emit(target Tag, ev Event) { c.stack.Emit(target, ev) }
 // NetSend transmits a layer message to one peer over the quasi-reliable
 // channel, framed with the layer's tag.
 func (c *Context) NetSend(to types.ProcessID, payload []byte) {
-	frame := make([]byte, 0, 1+len(payload))
-	frame = append(frame, byte(c.layer.Tag()))
-	frame = append(frame, payload...)
-	c.stack.env.Send(to, frame)
+	c.NetSendMembers([]types.ProcessID{to}, payload)
 }
 
 // NetSendMembers transmits a layer message to every process in members
-// except the local one.
+// except the local one. The frame is encoded into a pooled writer, which
+// goes back to the pool as soon as it is sent: Env.Send does not retain
+// what it is given.
 func (c *Context) NetSendMembers(members []types.ProcessID, payload []byte) {
-	self := c.stack.env.Self()
-	frame := make([]byte, 0, 1+len(payload))
-	frame = append(frame, byte(c.layer.Tag()))
-	frame = append(frame, payload...)
+	self, w := c.stack.env.Self(), wire.GetWriter(1+len(payload))
+	w.Uint8(byte(c.layer.Tag()))
+	w.Raw(payload)
 	for _, p := range members {
-		if p == self {
-			continue
+		if p != self {
+			c.stack.env.Send(p, w.Bytes())
 		}
-		c.stack.env.Send(p, frame)
 	}
+	wire.PutWriter(w)
 }
 
 // SetTimer arms a layer-local timer.

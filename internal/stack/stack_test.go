@@ -188,3 +188,33 @@ func TestCancelTimerNamespaced(t *testing.T) {
 		t.Fatal("cancel used a different namespaced ID")
 	}
 }
+
+// copyEnv is an Env whose Send copies into one reused buffer, as the
+// drivers do (engine.Env.Send does not retain data), without allocating.
+type copyEnv struct {
+	*enginetest.Env
+	last []byte
+}
+
+func (e *copyEnv) Send(_ types.ProcessID, data []byte) { e.last = append(e.last[:0], data...) }
+
+// TestNetSendAllocs is the allocation ratchet of the stack's send path:
+// NetSend and NetSendMembers frame into a pooled writer, so a send
+// through a copying env allocates nothing.
+func TestNetSendAllocs(t *testing.T) {
+	env := &copyEnv{Env: enginetest.New(0, 3)}
+	l := &recorderLayer{tag: TagConsensus}
+	New(env, l)
+	payload, members := make([]byte, 200), []types.ProcessID{0, 1, 2}
+	for name, send := range map[string]func(){
+		"NetSend":        func() { l.ctx.NetSend(1, payload) },
+		"NetSendMembers": func() { l.ctx.NetSendMembers(members, payload) },
+	} {
+		if n := testing.AllocsPerRun(200, send); n != 0 {
+			t.Errorf("%s: %.0f allocations per send, want 0", name, n)
+		}
+	}
+	if len(env.last) != 1+len(payload) || env.last[0] != byte(TagConsensus) {
+		t.Fatalf("last frame %d bytes, tag %d", len(env.last), env.last[0])
+	}
+}

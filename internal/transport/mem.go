@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"maps"
 	"sync"
+	"sync/atomic"
 
 	"modab/internal/types"
 )
@@ -10,25 +12,23 @@ import (
 // group. Channels are FIFO per pair and quasi-reliable: messages to a
 // closed endpoint are silently dropped (crash-stop model).
 type MemNetwork struct {
-	mu        sync.Mutex
-	endpoints map[types.ProcessID]*MemEndpoint
+	mu sync.Mutex // serializes the endpoint table's writers
+	// endpoints is copied on write and published whole, so route reads
+	// it without a lock.
+	endpoints atomic.Pointer[map[types.ProcessID]*MemEndpoint]
 }
 
 // NewMemNetwork creates an empty in-memory network.
-func NewMemNetwork() *MemNetwork {
-	return &MemNetwork{endpoints: make(map[types.ProcessID]*MemEndpoint)}
-}
+func NewMemNetwork() *MemNetwork { return new(MemNetwork) }
 
 // Endpoint returns (creating if needed) the endpoint of process id.
 func (n *MemNetwork) Endpoint(id types.ProcessID) *MemEndpoint {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	ep := n.endpoints[id]
-	if ep == nil {
-		ep = &MemEndpoint{net: n, self: id}
-		n.endpoints[id] = ep
+	if m := n.endpoints.Load(); m != nil && (*m)[id] != nil {
+		return (*m)[id]
 	}
-	return ep
+	return n.publish(id)
 }
 
 // Reset replaces the endpoint of process id with a fresh one — the
@@ -37,16 +37,23 @@ func (n *MemNetwork) Endpoint(id types.ProcessID) *MemEndpoint {
 func (n *MemNetwork) Reset(id types.ProcessID) *MemEndpoint {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.publish(id)
+}
+
+// publish installs a fresh endpoint for id in a new table; n.mu is held.
+func (n *MemNetwork) publish(id types.ProcessID) *MemEndpoint {
+	m := map[types.ProcessID]*MemEndpoint{}
+	if old := n.endpoints.Load(); old != nil {
+		m = maps.Clone(*old)
+	}
 	ep := &MemEndpoint{net: n, self: id}
-	n.endpoints[id] = ep
+	m[id] = ep
+	n.endpoints.Store(&m)
 	return ep
 }
 
 func (n *MemNetwork) route(from, to types.ProcessID, data []byte) {
-	n.mu.Lock()
-	dst := n.endpoints[to]
-	n.mu.Unlock()
-	if dst != nil {
+	if dst := (*n.endpoints.Load())[to]; dst != nil {
 		dst.enqueue(from, data)
 	}
 }
@@ -58,9 +65,9 @@ type MemEndpoint struct {
 	net  *MemNetwork
 	self types.ProcessID
 
-	mu     sync.Mutex
-	inbox  *Queue[memMsg] // nil until Start
-	closed bool
+	mu     sync.Mutex                    // serializes Start and Close; Send and enqueue take no lock
+	inbox  atomic.Pointer[Queue[memMsg]] // nil until Start
+	closed atomic.Bool
 	done   chan struct{}
 }
 
@@ -75,14 +82,15 @@ type memMsg struct {
 func (ep *MemEndpoint) Start(h Handler) error {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	if ep.closed {
+	if ep.closed.Load() {
 		return ErrClosed
 	}
-	if ep.inbox != nil {
+	if ep.inbox.Load() != nil {
 		return ErrAlreadyStarted
 	}
 	inbox, done := NewQueue[memMsg](0), make(chan struct{})
-	ep.inbox, ep.done = inbox, done
+	ep.done = done
+	ep.inbox.Store(inbox)
 	go func() {
 		defer close(done)
 		inbox.Run(func(m memMsg) { h(m.from, m.data) })
@@ -91,9 +99,7 @@ func (ep *MemEndpoint) Start(h Handler) error {
 }
 
 func (ep *MemEndpoint) enqueue(from types.ProcessID, data []byte) {
-	ep.mu.Lock()
-	inbox := ep.inbox
-	ep.mu.Unlock()
+	inbox := ep.inbox.Load()
 	if inbox == nil {
 		return
 	}
@@ -105,16 +111,12 @@ func (ep *MemEndpoint) enqueue(from types.ProcessID, data []byte) {
 
 // Send implements Transport.
 func (ep *MemEndpoint) Send(to types.ProcessID, data []byte) error {
-	ep.mu.Lock()
-	if ep.closed {
-		ep.mu.Unlock()
+	if ep.closed.Load() {
 		return ErrClosed
 	}
-	if ep.inbox == nil {
-		ep.mu.Unlock()
+	if ep.inbox.Load() == nil {
 		return ErrNotStarted
 	}
-	ep.mu.Unlock()
 	ep.net.route(ep.self, to, data)
 	return nil
 }
@@ -123,12 +125,11 @@ func (ep *MemEndpoint) Send(to types.ProcessID, data []byte) error {
 // dropped; it waits for the handler call in progress to return.
 func (ep *MemEndpoint) Close() error {
 	ep.mu.Lock()
-	if ep.closed {
+	if ep.closed.Swap(true) {
 		ep.mu.Unlock()
 		return nil
 	}
-	ep.closed = true
-	inbox, done := ep.inbox, ep.done
+	inbox, done := ep.inbox.Load(), ep.done
 	ep.mu.Unlock()
 	if inbox != nil {
 		inbox.Close()

@@ -77,6 +77,10 @@ func (b Batch) Marshal(w *Writer) {
 // UnmarshalBatch reads a batch from r, copying every body.
 func UnmarshalBatch(r *Reader) Batch { return unmarshalBatch(r, false) }
 
+// ViewBatch reads a batch whose bodies are views into r's buffer, for the
+// engines' frames, which nothing changes (engine.Engine.HandleMessage).
+func ViewBatch(r *Reader) Batch { return unmarshalBatch(r, true) }
+
 // unmarshalBatch reads a batch whose bodies are copies, or with view
 // views into r's buffer (unmarshalAppMsg).
 func unmarshalBatch(r *Reader, view bool) Batch {

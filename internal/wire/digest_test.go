@@ -194,3 +194,28 @@ func TestAnnounceDecodeAllocs(t *testing.T) {
 		t.Fatalf("decoding a 32-message announce made %.0f allocations, want at most 2", allocs)
 	}
 }
+
+// TestDiffuseDecodeAllocs is the view-decode ratchet of diffuse frames: a
+// 16-message batch frame decodes into one Batch whose bodies are views
+// into the frame, not 16 body copies.
+func TestDiffuseDecodeAllocs(t *testing.T) {
+	b := make(Batch, 16)
+	for i := range b {
+		b[i] = AppMsg{ID: types.MsgID{Sender: 1, Seq: uint64(i)}, Body: bytes.Repeat([]byte{byte(i)}, 64)}
+	}
+	var w Writer
+	AppendBatchFrame(&w, b)
+	frame := w.Bytes()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := UnmarshalFrame(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("decoding a 16-message diffuse frame made %.0f allocations, want 1", allocs)
+	}
+	got, _ := UnmarshalFrame(frame)
+	if &got[3].Body[0] != &frame[len(frame)-12*(16+64)-64] || cap(got[3].Body) != 64 {
+		t.Fatal("body 3 is not a clipped view into the frame")
+	}
+}

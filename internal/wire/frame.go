@@ -38,7 +38,8 @@ func AppendBatchFrame(w *Writer, b Batch) {
 
 // UnmarshalFrame decodes either diffuse frame kind into a Batch; a
 // single-message frame decodes as a batch of one, so receivers process
-// both shapes through one path.
+// both shapes through one path. The bodies are views into data (see
+// ViewBatch).
 func UnmarshalFrame(data []byte) (Batch, error) {
 	r := NewReader(data)
 	kind := r.Uint8()
@@ -48,9 +49,9 @@ func UnmarshalFrame(data []byte) (Batch, error) {
 	var b Batch
 	switch kind {
 	case FrameAppMsg:
-		b = Batch{unmarshalAppMsg(r, false)}
+		b = Batch{unmarshalAppMsg(r, true)}
 	case FrameBatch:
-		b = UnmarshalBatch(r)
+		b = ViewBatch(r)
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadFrame, kind)
 	}

@@ -10,7 +10,9 @@ const maxPooledWriter = 1 << 20
 // writerPool recycles Writer buffers across encode calls. The hot encode
 // path — diffuse frames, batch frames, engine messages — marshals into a
 // pooled writer, hands the bytes to a copying consumer, and returns the
-// writer, so steady-state encoding allocates nothing.
+// writer, so steady-state encoding allocates nothing. engine.Env.Send is
+// such a consumer in every driver (it does not retain data), and so are
+// the stack's NetSend and NetSendMembers and Transport.Send.
 var writerPool = sync.Pool{New: func() any { return new(Writer) }}
 
 // GetWriter returns a pooled Writer with at least size bytes of capacity.
@@ -25,8 +27,7 @@ func GetWriter(size int) *Writer {
 
 // PutWriter resets w and returns it to the pool. The caller must not use
 // w — or any slice previously obtained from w.Bytes() — afterwards; hand
-// the bytes only to consumers that copy before returning (the stack's
-// NetSend/NetSendAll and the transports do).
+// the bytes only to consumers that copy before returning.
 func PutWriter(w *Writer) {
 	if cap(w.buf) > maxPooledWriter {
 		return

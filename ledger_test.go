@@ -44,8 +44,7 @@ var ledgerWorkloads = []ledgerWorkload{
 	{name: "crash-recover", batch: batched, durable: true, snapEvery: 512},
 }
 
-// The load: ledgerWarm messages, then ledgerMsgs measured, round-robin over
-// three senders at ledgerRate msgs/s, below every configuration's saturation.
+// The load: ledgerWarm, then ledgerMsgs measured messages, from three senders in turn.
 const (
 	ledgerFile = "testdata/cost_ledger.txt"
 	ledgerWarm = 1500
@@ -55,6 +54,7 @@ const (
 
 var (
 	batched       = batch.Config{MaxMsgs: 32, MaxDelay: 2 * time.Millisecond}
+	raceDetector  bool // set under -race, whose instrumentation allocates: the allocation rows are not checked
 	ledgerMetrics = [6]string{"allocs", "alloc_bytes", "wire_msgs", "wire_bytes", "dispatches", "log_syncs"}
 )
 
@@ -181,7 +181,7 @@ func TestCostLedger(t *testing.T) {
 				}
 				out += fmt.Sprintf("%s %.6g %.3g\n", key, v, tol)
 				switch want := ledger[key]; {
-				case *ledgerRuns > 0:
+				case *ledgerRuns > 0, raceDetector && i < 2:
 				case v > want[0]+want[1]:
 					t.Errorf("%s: %.6g per message, ledger %.6g (tolerance %.3g)", key, v, want[0], want[1])
 				case v < want[0]-want[1]:
