@@ -103,9 +103,9 @@ func unmarshalMessage(data []byte) (message, error) {
 	case mtEstimate:
 		m.TS = r.Uint32()
 		m.HasValue = r.Bool()
-		m.Batch = wire.ViewBatch(r)
+		m.Batch = wire.UnmarshalBatch(r)
 	case mtProposal, mtDecisionFull:
-		m.Batch = wire.ViewBatch(r)
+		m.Batch = wire.UnmarshalBatch(r)
 	case mtAck, mtNack, mtDecisionTag, mtDecisionReq:
 		// Header only.
 	default:

@@ -144,11 +144,11 @@ func (h *Heartbeat) loop() {
 
 // check folds the heard marks into lastSeen and updates the suspicion
 // list from the silence threshold. A peer heard since the last tick is
-// last seen now, no earlier than it really was: suspicion comes no
-// sooner than timeout after the last sign of life, and at most one
-// period later. Holding reportMu across decide-and-report keeps the
-// callback sequence identical to the transition sequence (see the field
-// comment).
+// last seen now, no earlier than it really was, so a peer is suspected
+// once silent for the whole timeout since then: never sooner than
+// timeout after its last sign of life, and at the first tick from there.
+// Holding reportMu across decide-and-report keeps the callback sequence
+// identical to the transition sequence (see the field comment).
 func (h *Heartbeat) check() {
 	h.reportMu.Lock()
 	defer h.reportMu.Unlock()
@@ -160,7 +160,7 @@ func (h *Heartbeat) check() {
 		if pe.heard.Swap(false) {
 			pe.lastSeen = now
 		}
-		if silent := now.Sub(pe.lastSeen) > h.timeout; pe.suspected.Swap(silent) != silent && h.onChange != nil {
+		if silent := now.Sub(pe.lastSeen) >= h.timeout; pe.suspected.Swap(silent) != silent && h.onChange != nil {
 			h.onChange(types.ProcessID(p), silent)
 		}
 	}

@@ -128,14 +128,14 @@ func unmarshalMessage(data []byte) (message, error) {
 		m.PrevDecided = r.Bool()
 		m.PrevK = r.Uint64()
 		m.PrevRound = r.Uint32()
-		m.Batch = wire.ViewBatch(r)
+		m.Batch = wire.UnmarshalBatch(r)
 	case mAckDiff, mForward, mDecisionFull:
-		m.Batch = wire.ViewBatch(r)
+		m.Batch = wire.UnmarshalBatch(r)
 	case mEstimate:
 		m.TS = r.Uint32()
 		m.HasValue = r.Bool()
-		m.Batch = wire.ViewBatch(r)
-		m.Piggyback = wire.ViewBatch(r)
+		m.Batch = wire.UnmarshalBatch(r)
+		m.Piggyback = wire.UnmarshalBatch(r)
 	case mNack, mDecisionOnly, mDecisionReq:
 		// Header only.
 	default:

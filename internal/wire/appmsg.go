@@ -29,17 +29,13 @@ func (m AppMsg) Marshal(w *Writer) {
 	w.Bytes32(m.Body)
 }
 
-// unmarshalAppMsg reads one AppMsg whose body is a copy, or with view a
-// Reader.View32 aliasing r's buffer.
-func unmarshalAppMsg(r *Reader, view bool) AppMsg {
+// unmarshalAppMsg reads one AppMsg whose body is a Reader.View32 aliasing
+// r's buffer.
+func unmarshalAppMsg(r *Reader) AppMsg {
 	var m AppMsg
 	m.ID.Sender = types.ProcessID(r.Int32())
 	m.ID.Seq = r.Uint64()
-	if view {
-		m.Body = r.View32()
-	} else {
-		m.Body = r.Bytes32()
-	}
+	m.Body = r.View32()
 	return m
 }
 
@@ -74,15 +70,12 @@ func (b Batch) Marshal(w *Writer) {
 	}
 }
 
-// UnmarshalBatch reads a batch from r, copying every body.
+// UnmarshalBatch reads a batch from r whose bodies are copies, safe to
+// keep: one copy of the encoded batch backs them all, so it allocates the
+// slice and that one buffer, not a buffer per body.
 func UnmarshalBatch(r *Reader) Batch { return unmarshalBatch(r, false) }
 
-// ViewBatch reads a batch whose bodies are views into r's buffer, for the
-// engines' frames, which nothing changes (engine.Engine.HandleMessage).
-func ViewBatch(r *Reader) Batch { return unmarshalBatch(r, true) }
-
-// unmarshalBatch reads a batch whose bodies are copies, or with view
-// views into r's buffer (unmarshalAppMsg).
+// unmarshalBatch reads a batch; with view its bodies alias r's buffer.
 func unmarshalBatch(r *Reader, view bool) Batch {
 	n := r.Uint32()
 	if r.Err() != nil {
@@ -98,11 +91,19 @@ func unmarshalBatch(r *Reader, view bool) Batch {
 		r.fail(fmt.Errorf("%w: batch of %d messages in %d bytes", ErrShortBuffer, n, r.Len()))
 		return nil
 	}
-	b := make(Batch, 0, n)
+	b, start := make(Batch, 0, n), r.off
 	for i := uint32(0); i < n; i++ {
-		b = append(b, unmarshalAppMsg(r, view))
+		b = append(b, unmarshalAppMsg(r))
 		if r.Err() != nil {
 			return nil
+		}
+	}
+	if !view {
+		cp, off := append([]byte(nil), r.buf[start:r.off]...), 0
+		for i := range b {
+			off += appMsgHeaderBytes
+			b[i].Body = cp[off : off+len(b[i].Body) : off+len(b[i].Body)]
+			off += len(b[i].Body)
 		}
 	}
 	return b

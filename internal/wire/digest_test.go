@@ -195,9 +195,9 @@ func TestAnnounceDecodeAllocs(t *testing.T) {
 	}
 }
 
-// TestDiffuseDecodeAllocs is the view-decode ratchet of diffuse frames: a
-// 16-message batch frame decodes into one Batch whose bodies are views
-// into the frame, not 16 body copies.
+// TestDiffuseDecodeAllocs is the decode ratchet of batches: a 16-message
+// diffuse frame decodes into one Batch whose bodies are views into the
+// frame, not 16 body copies.
 func TestDiffuseDecodeAllocs(t *testing.T) {
 	b := make(Batch, 16)
 	for i := range b {
@@ -217,5 +217,16 @@ func TestDiffuseDecodeAllocs(t *testing.T) {
 	got, _ := UnmarshalFrame(frame)
 	if &got[3].Body[0] != &frame[len(frame)-12*(16+64)-64] || cap(got[3].Body) != 64 {
 		t.Fatal("body 3 is not a clipped view into the frame")
+	}
+	// A batch decoded to be kept (UnmarshalBatch) copies its bodies into
+	// one buffer: the slice and that buffer, nothing per body.
+	allocs = testing.AllocsPerRun(100, func() { UnmarshalBatch(NewReader(frame[1:])) })
+	if allocs != 2 {
+		t.Fatalf("UnmarshalBatch of 16 messages made %.0f allocations, want 2", allocs)
+	}
+	kept := UnmarshalBatch(NewReader(frame[1:]))
+	frame[len(frame)-1]++
+	if kept[15].Body[63] != 15 || cap(kept[15].Body) != 64 {
+		t.Fatal("UnmarshalBatch body aliases the frame or is not clipped")
 	}
 }

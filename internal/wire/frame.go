@@ -38,8 +38,8 @@ func AppendBatchFrame(w *Writer, b Batch) {
 
 // UnmarshalFrame decodes either diffuse frame kind into a Batch; a
 // single-message frame decodes as a batch of one, so receivers process
-// both shapes through one path. The bodies are views into data (see
-// ViewBatch).
+// both shapes through one path. The bodies are views into data, which
+// the engine owns (engine.Engine.HandleMessage) and nothing changes.
 func UnmarshalFrame(data []byte) (Batch, error) {
 	r := NewReader(data)
 	kind := r.Uint8()
@@ -49,9 +49,9 @@ func UnmarshalFrame(data []byte) (Batch, error) {
 	var b Batch
 	switch kind {
 	case FrameAppMsg:
-		b = Batch{unmarshalAppMsg(r, true)}
+		b = Batch{unmarshalAppMsg(r)}
 	case FrameBatch:
-		b = ViewBatch(r)
+		b = unmarshalBatch(r, true)
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadFrame, kind)
 	}

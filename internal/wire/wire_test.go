@@ -132,7 +132,7 @@ func TestAppMsgRoundTripQuick(t *testing.T) {
 			return false
 		}
 		r := NewReader(w.Bytes())
-		got := unmarshalAppMsg(r, false)
+		got := unmarshalAppMsg(r)
 		r.ExpectEOF()
 		if r.Err() != nil {
 			return false
