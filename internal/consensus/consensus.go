@@ -269,30 +269,27 @@ func (l *Layer) Suspect(p types.ProcessID, suspected bool) {
 	}
 }
 
-// send marshals and transmits one consensus message, accounting payload
-// bytes and whole-frame bytes as ordering traffic (OrderedBytes): every
-// consensus frame exists only to order, so its full wire size is the cost
-// of ordering (under digest ordering it stops scaling with payload size).
-// The message is encoded into a pooled writer: NetSend copies it.
-func (l *Layer) send(to types.ProcessID, m message) {
-	w := m.encode()
-	c := l.ctx.Env().Counters()
-	c.PayloadBytesSent.Add(int64(m.Batch.PayloadBytes()))
-	c.OrderedBytes.Add(int64(w.Len()))
-	l.ctx.NetSend(to, w.Bytes())
-	wire.PutWriter(w)
-}
+// send transmits one consensus message to one peer.
+func (l *Layer) send(to types.ProcessID, m message) { l.sendTo([]types.ProcessID{to}, 1, m) }
 
 // sendAll transmits one consensus message to every other member of the
 // view governing its instance.
 func (l *Layer) sendAll(m message) {
-	w := m.encode()
 	v := l.viewAt(m.Instance)
-	sends := v.Others(l.self)
+	l.sendTo(v.Members, v.Others(l.self), m)
+}
+
+// sendTo encodes one consensus message into a pooled writer (NetSendMembers
+// copies it) and sends it to members, accounting payload bytes and
+// whole-frame bytes of its sends as ordering traffic (OrderedBytes): every
+// consensus frame exists only to order, so its full wire size is the cost
+// of ordering (under digest ordering it stops scaling with payload size).
+func (l *Layer) sendTo(members []types.ProcessID, sends int, m message) {
+	w := m.encode()
 	c := l.ctx.Env().Counters()
 	c.PayloadBytesSent.Add(int64(m.Batch.PayloadBytes() * sends))
 	c.OrderedBytes.Add(int64(w.Len() * sends))
-	l.ctx.NetSendMembers(v.Members, w.Bytes())
+	l.ctx.NetSendMembers(members, w.Bytes())
 	wire.PutWriter(w)
 }
 

@@ -64,6 +64,7 @@ type peer struct {
 func NewHeartbeat(self types.ProcessID, n int, period, timeout time.Duration,
 	send func(to types.ProcessID)) *Heartbeat {
 	h := &Heartbeat{self: self, timeout: timeout, period: period, send: send, done: make(chan struct{})}
+	h.peers.Store(new([]*peer))
 	group := make([]types.ProcessID, n)
 	for i := range group {
 		group[i] = types.ProcessID(i)
@@ -88,10 +89,7 @@ func (h *Heartbeat) SetMembers(members []types.ProcessID) {
 // setMembers publishes the table of members, keeping the state of those
 // already monitored; joiners are last seen at now.
 func (h *Heartbeat) setMembers(members []types.ProcessID, now time.Time) {
-	var old, table []*peer
-	if t := h.peers.Load(); t != nil {
-		old = *t
-	}
+	old, table := *h.peers.Load(), []*peer(nil)
 	for _, p := range members {
 		if p == h.self || p < 0 {
 			continue

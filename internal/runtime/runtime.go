@@ -509,11 +509,10 @@ func (e *nodeEnv) N() int                    { return e.node.opts.N }
 func (e *nodeEnv) Now() time.Duration        { return time.Since(e.start) }
 func (e *nodeEnv) Counters() *trace.Counters { return &e.counters }
 
-// Send frames data for the transport. Like every Env, it does not retain
-// data: the channel-tagged frame lives in a pooled buffer, and
-// Transport.Send must not retain its argument either (the in-memory
-// network and TCP's send queue both copy it), so the buffer is recycled
-// immediately.
+// Send frames data for the transport in a pooled buffer, recycled at
+// once: like every Env it does not retain data, and Transport.Send does
+// not retain its argument either (the in-memory network and TCP's send
+// queue both copy it).
 func (e *nodeEnv) Send(to types.ProcessID, data []byte) {
 	if to == e.node.opts.Self {
 		return
@@ -530,12 +529,17 @@ func (e *nodeEnv) Send(to types.ProcessID, data []byte) {
 func (e *nodeEnv) SetTimer(id engine.TimerID, d time.Duration) {
 	st := e.timers[id]
 	if st == nil {
-		st = &timerState{timer: time.AfterFunc(time.Hour, func() { e.node.post(event{kind: evTimer, timer: id}) })}
+		st = &timerState{}
 		e.timers[id] = st
 	}
 	st.deadline = time.Now().Add(d) // before arming: the fire is never earlier
-	if st.armed.IsZero() || st.deadline.Before(st.armed) {
-		st.armed = st.deadline
+	if !st.armed.IsZero() && !st.deadline.Before(st.armed) {
+		return // the pending fire comes early, and expire re-arms it
+	}
+	st.armed = st.deadline
+	if st.timer == nil {
+		st.timer = time.AfterFunc(d, func() { e.node.post(event{kind: evTimer, timer: id}) })
+	} else {
 		st.timer.Reset(d)
 	}
 }

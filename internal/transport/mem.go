@@ -19,14 +19,18 @@ type MemNetwork struct {
 }
 
 // NewMemNetwork creates an empty in-memory network.
-func NewMemNetwork() *MemNetwork { return new(MemNetwork) }
+func NewMemNetwork() *MemNetwork {
+	n := new(MemNetwork)
+	n.endpoints.Store(&map[types.ProcessID]*MemEndpoint{})
+	return n
+}
 
 // Endpoint returns (creating if needed) the endpoint of process id.
 func (n *MemNetwork) Endpoint(id types.ProcessID) *MemEndpoint {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if m := n.endpoints.Load(); m != nil && (*m)[id] != nil {
-		return (*m)[id]
+	if ep := (*n.endpoints.Load())[id]; ep != nil {
+		return ep
 	}
 	return n.publish(id)
 }
@@ -42,10 +46,7 @@ func (n *MemNetwork) Reset(id types.ProcessID) *MemEndpoint {
 
 // publish installs a fresh endpoint for id in a new table; n.mu is held.
 func (n *MemNetwork) publish(id types.ProcessID) *MemEndpoint {
-	m := map[types.ProcessID]*MemEndpoint{}
-	if old := n.endpoints.Load(); old != nil {
-		m = maps.Clone(*old)
-	}
+	m := maps.Clone(*n.endpoints.Load())
 	ep := &MemEndpoint{net: n, self: id}
 	m[id] = ep
 	n.endpoints.Store(&m)
