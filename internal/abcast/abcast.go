@@ -88,7 +88,8 @@ type Layer struct {
 	// — admission, sender-side batching, announce and relay through the
 	// dissemination strategy — shared with the monolithic stack. Every
 	// diffuse frame goes out through hd.Spread.
-	hd *head.Head
+	hd    *head.Head
+	frame wire.Batch // every diffuse frame decodes into it: ingestDiffused keeps none
 	// draining guards drainDecisions against re-entry: applying a config
 	// op mid-delivery synchronously pokes the consensus layer, which may
 	// bounce an event back into this layer.
@@ -257,10 +258,11 @@ func (l *Layer) Receive(from types.ProcessID, data []byte) error {
 		// pending set with payload-mode entries.
 		return fmt.Errorf("abcast: plain diffuse from %s under digest ordering", from)
 	}
-	b, err := wire.UnmarshalFrame(data)
+	b, err := wire.AppendFrame(l.frame, data)
 	if err != nil {
 		return fmt.Errorf("abcast: bad diffuse from %s: %w", from, err)
 	}
+	l.frame = b
 	l.ingestDiffused(b)
 	return nil
 }

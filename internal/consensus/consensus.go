@@ -279,11 +279,10 @@ func (l *Layer) sendAll(m message) {
 	l.sendTo(v.Members, v.Others(l.self), m)
 }
 
-// sendTo encodes one consensus message into a pooled writer (NetSendMembers
-// copies it) and sends it to members, accounting payload bytes and
-// whole-frame bytes of its sends as ordering traffic (OrderedBytes): every
-// consensus frame exists only to order, so its full wire size is the cost
-// of ordering (under digest ordering it stops scaling with payload size).
+// sendTo sends one consensus message to members from a pooled writer,
+// accounting payload and whole-frame bytes as ordering traffic
+// (OrderedBytes): every consensus frame exists only to order, so its full
+// wire size is the cost of ordering (with digests it stops scaling).
 func (l *Layer) sendTo(members []types.ProcessID, sends int, m message) {
 	w := m.encode()
 	c := l.ctx.Env().Counters()

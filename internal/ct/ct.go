@@ -108,10 +108,10 @@ type Estimate struct {
 func (in *Inst) Duty(r uint32) *Duty {
 	d := in.Coord[r]
 	if d == nil {
-		d = &Duty{
-			Estimates: make(map[types.ProcessID]Estimate),
-			Acks:      make(map[types.ProcessID]bool),
+		if in.Coord == nil {
+			in.Coord = make(map[uint32]*Duty, 1)
 		}
+		d = &Duty{Acks: make(map[types.ProcessID]bool)}
 		in.Coord[r] = d
 	}
 	return d
@@ -197,12 +197,7 @@ func (t *Table) Get(k uint64) *Inst {
 	if in != nil {
 		return in
 	}
-	in = &Inst{
-		K:         k,
-		Round:     1,
-		Proposals: make(map[uint32]wire.Batch),
-		Coord:     make(map[uint32]*Duty),
-	}
+	in = &Inst{K: k, Round: 1, Proposals: make(map[uint32]wire.Batch, 1)}
 	t.insts[k] = in
 	if !t.h.Frozen() {
 		t.skip(in, t.rotation(k))
@@ -402,7 +397,11 @@ func (t *Table) Estimate(from types.ProcessID, k uint64, r uint32, e Estimate) {
 	if t.Coordinator(k, r) != t.self || r < 2 {
 		return
 	}
-	in.Duty(r).Estimates[from] = e
+	if d := in.Duty(r); d.Estimates == nil {
+		d.Estimates = map[types.ProcessID]Estimate{from: e}
+	} else {
+		d.Estimates[from] = e
+	}
 	t.MaybePropose(in, r)
 }
 

@@ -49,9 +49,8 @@ type Heartbeat struct {
 	wg       sync.WaitGroup
 }
 
-// peer is one monitored member. Heard sets heard and the next tick folds
-// it into lastSeen; suspected changes only under reportMu, and Heard reads
-// it without a lock.
+// peer is one monitored member: Heard sets heard, the next tick folds it
+// into lastSeen, and suspected changes only under reportMu.
 type peer struct {
 	heard, suspected atomic.Bool
 	lastSeen         time.Time

@@ -622,8 +622,7 @@ func (e *simEnv) Send(to types.ProcessID, data []byte) {
 	}
 	e.p.counters.MsgsSent.Add(1)
 	e.p.counters.BytesSent.Add(int64(len(data)))
-	// Send must not retain data (engine.Env): the copy is carved from a
-	// 16 KiB slab, which the views an engine keeps into a frame hold alive.
+	// Send must not retain data (engine.Env): copy it into a 16 KiB slab.
 	if len(e.c.slab)+len(data) > cap(e.c.slab) {
 		e.c.slab = make([]byte, 0, max(16<<10, len(data)))
 	}

@@ -481,13 +481,11 @@ func (n *Node) shutdownLoop() {
 	<-n.stopped
 }
 
-// timerState is one engine timer: a single time.Timer, the deadline the
-// engine asked for (zero: none) and the instant the timer is set to fire
-// (zero: not known to be pending). The timer only queues an evTimer
-// event; SetTimer, CancelTimer and expire all run on the loop. A re-arm
-// to a later deadline leaves the timer alone — its early fire re-arms it
-// for the remainder — and a cancel only clears the deadline, so a fire
-// that finds the deadline moved or cleared is dropped.
+// timerState is one engine timer: a time.Timer that only queues an evTimer
+// event, the deadline the engine asked for and the instant the timer is set
+// to fire (zero: none, not known to be pending). A re-arm to a later
+// deadline leaves the timer alone — its early fire re-arms for the rest —
+// and a cancel only clears the deadline, so a stale fire is dropped.
 type timerState struct {
 	timer    *time.Timer
 	deadline time.Time

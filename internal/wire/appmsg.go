@@ -73,10 +73,11 @@ func (b Batch) Marshal(w *Writer) {
 // UnmarshalBatch reads a batch from r whose bodies are copies, safe to
 // keep: one copy of the encoded batch backs them all, so it allocates the
 // slice and that one buffer, not a buffer per body.
-func UnmarshalBatch(r *Reader) Batch { return unmarshalBatch(r, false) }
+func UnmarshalBatch(r *Reader) Batch { return unmarshalBatch(r, false, nil) }
 
-// unmarshalBatch reads a batch; with view its bodies alias r's buffer.
-func unmarshalBatch(r *Reader, view bool) Batch {
+// unmarshalBatch reads a batch into dst's storage; with view its bodies
+// alias r's buffer.
+func unmarshalBatch(r *Reader, view bool, dst Batch) Batch {
 	n := r.Uint32()
 	if r.Err() != nil {
 		return nil
@@ -91,7 +92,7 @@ func unmarshalBatch(r *Reader, view bool) Batch {
 		r.fail(fmt.Errorf("%w: batch of %d messages in %d bytes", ErrShortBuffer, n, r.Len()))
 		return nil
 	}
-	b, start := make(Batch, 0, n), r.off
+	b, start := slices.Grow(dst[:0], int(n)), r.off
 	for i := uint32(0); i < n; i++ {
 		b = append(b, unmarshalAppMsg(r))
 		if r.Err() != nil {

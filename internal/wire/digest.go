@@ -213,7 +213,7 @@ func unmarshalDescriptorBatch(data []byte, want uint8) (Descriptor, Batch, error
 	r := NewReader(data)
 	kind := r.Uint8()
 	d := unmarshalDescriptor(r)
-	b := unmarshalBatch(r, true)
+	b := unmarshalBatch(r, true, nil)
 	r.ExpectEOF()
 	if err := r.Err(); err != nil {
 		return Descriptor{}, nil, err

@@ -215,6 +215,9 @@ func TestDiffuseDecodeAllocs(t *testing.T) {
 		t.Fatalf("decoding a 16-message diffuse frame made %.0f allocations, want 1", allocs)
 	}
 	got, _ := UnmarshalFrame(frame)
+	if n := testing.AllocsPerRun(100, func() { got, _ = AppendFrame(got, frame) }); n != 0 {
+		t.Fatalf("AppendFrame into a reused batch made %.0f allocations, want 0", n)
+	}
 	if &got[3].Body[0] != &frame[len(frame)-12*(16+64)-64] || cap(got[3].Body) != 64 {
 		t.Fatal("body 3 is not a clipped view into the frame")
 	}

@@ -40,7 +40,11 @@ func AppendBatchFrame(w *Writer, b Batch) {
 // single-message frame decodes as a batch of one, so receivers process
 // both shapes through one path. The bodies are views into data, which
 // the engine owns (engine.Engine.HandleMessage) and nothing changes.
-func UnmarshalFrame(data []byte) (Batch, error) {
+func UnmarshalFrame(data []byte) (Batch, error) { return AppendFrame(nil, data) }
+
+// AppendFrame is UnmarshalFrame into dst's storage, for a receiver that
+// keeps no batch and so decodes every frame into one buffer.
+func AppendFrame(dst Batch, data []byte) (Batch, error) {
 	r := NewReader(data)
 	kind := r.Uint8()
 	if err := r.Err(); err != nil {
@@ -49,9 +53,9 @@ func UnmarshalFrame(data []byte) (Batch, error) {
 	var b Batch
 	switch kind {
 	case FrameAppMsg:
-		b = Batch{unmarshalAppMsg(r)}
+		b = append(dst[:0], unmarshalAppMsg(r))
 	case FrameBatch:
-		b = unmarshalBatch(r, true)
+		b = unmarshalBatch(r, true, dst)
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadFrame, kind)
 	}

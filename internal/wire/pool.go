@@ -10,9 +10,8 @@ const maxPooledWriter = 1 << 20
 // writerPool recycles Writer buffers across encode calls. The hot encode
 // path — diffuse frames, batch frames, engine messages — marshals into a
 // pooled writer, hands the bytes to a copying consumer, and returns the
-// writer, so steady-state encoding allocates nothing. engine.Env.Send is
-// such a consumer in every driver (it does not retain data), and so are
-// the stack's NetSend and NetSendMembers and Transport.Send.
+// writer, so steady-state encoding allocates nothing. engine.Env.Send,
+// NetSend, NetSendMembers and Transport.Send are such consumers.
 var writerPool = sync.Pool{New: func() any { return new(Writer) }}
 
 // GetWriter returns a pooled Writer with at least size bytes of capacity.
