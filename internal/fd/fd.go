@@ -119,19 +119,20 @@ func (h *Heartbeat) Start(onChange ChangeFunc) {
 	go h.loop()
 }
 
-// loop emits heartbeats and checks for silence.
+// loop emits heartbeats every period and checks for silence four times a
+// period, so a heard mark is folded in at most a quarter period late.
 func (h *Heartbeat) loop() {
 	defer h.wg.Done()
-	ticker := time.NewTicker(h.period)
+	ticker := time.NewTicker(h.period / 4)
 	defer ticker.Stop()
-	for {
+	for tick := 0; ; tick++ {
 		select {
 		case <-h.done:
 			return
 		case <-ticker.C:
 		}
 		for p, pe := range *h.peers.Load() {
-			if pe != nil {
+			if pe != nil && tick%4 == 0 {
 				h.send(types.ProcessID(p))
 			}
 		}
@@ -139,11 +140,9 @@ func (h *Heartbeat) loop() {
 	}
 }
 
-// check folds the heard marks into lastSeen and updates the suspicion
-// list from the silence threshold. A peer heard since the last tick is
-// last seen now, no earlier than it really was, so a peer is suspected
-// once silent for the whole timeout since then: never sooner than
-// timeout after its last sign of life, and at the first tick from there.
+// check folds the heard marks into lastSeen — at the check after a frame,
+// never before it — and suspects a peer silent for the whole timeout
+// since: never sooner than the timeout after its last sign of life.
 // Holding reportMu across decide-and-report keeps the callback sequence
 // identical to the transition sequence (see the field comment).
 func (h *Heartbeat) check() {
