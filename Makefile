@@ -33,7 +33,7 @@ test-chaos:
 vet:
 	$(GO) vet ./...
 
-# Fuzz smoke: a bounded run of each of the ten fuzz targets on top of its
+# Fuzz smoke: a bounded run of each of the eleven fuzz targets on top of its
 # checked-in seed corpus (testdata/fuzz/...). Plain `go test` already
 # replays the seeds; this target actually mutates for a short budget so
 # the corpus can grow when a new crasher appears. (`go test -fuzz` takes
@@ -47,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzDigestFrames$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz='^FuzzRecoverFrames$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz='^FuzzPayloadStore$$' -fuzztime=10s ./internal/payload
+	$(GO) test -run=NONE -fuzz='^FuzzPool$$' -fuzztime=10s ./internal/pool
 	$(GO) test -run=NONE -fuzz='^FuzzReceive$$' -fuzztime=10s ./internal/head
 	$(GO) test -run=NONE -fuzz='^FuzzFrameReader$$' -fuzztime=10s ./internal/transport
 

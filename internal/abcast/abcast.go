@@ -4,7 +4,8 @@
 //
 // An abcast message is first diffused to every process over the
 // quasi-reliable channels (the paper's optimization over rbcast
-// diffusion), collected into the pending set, and then ordered by a
+// diffusion), collected into the pending set (the tail's pool.Pool, shared
+// with the monolithic stack), and then ordered by a
 // sequence of consensus instances: each instance decides a batch of
 // pending messages, which every process adelivers in a deterministic
 // order. What precedes ordering — admission through flow control,
@@ -33,13 +34,13 @@ package abcast
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"modab/internal/engine"
 	"modab/internal/head"
 	"modab/internal/member"
 	"modab/internal/obs"
+	"modab/internal/pool"
 	"modab/internal/stack"
 	"modab/internal/tail"
 	"modab/internal/types"
@@ -81,8 +82,10 @@ type Layer struct {
 	// t is the delivery tail (internal/tail): everything downstream of a
 	// decision — commit, membership, state transfer, payload residency —
 	// shared with the monolithic stack. It owns the decided watermark
-	// (t.Next), the flow window, the view history and the delivered set;
-	// this layer keeps only ordering state.
+	// (t.Next), the flow window, the view history, the delivered set and
+	// the pending set (t.Pool, whose entry mark is the staleness epoch: the
+	// next-to-decide instance when the message was last diffused); this
+	// layer keeps only ordering state.
 	t *tail.Tail
 	// hd is the shared head (internal/head): everything upstream of ordering
 	// — admission, sender-side batching, announce and relay through the
@@ -94,15 +97,10 @@ type Layer struct {
 	// op mid-delivery synchronously pokes the consensus layer, which may
 	// bounce an event back into this layer.
 	draining bool
-	// pending maps unordered known messages to their content; epoch
-	// records the next-to-decide instance at insertion time, for staleness
-	// detection, and assigned the in-flight proposal (if any) currently
-	// carrying the message.
-	pending map[types.MsgID]pendingMsg
-	// inflight maps every instance this process proposed and has not yet
-	// processed the decision of to the message IDs it proposed there. Its
+	// inflight holds every instance this process proposed and has not yet
+	// processed the decision of (the pool assigns what each carries). Its
 	// size is bounded by pipe: that bound IS the consensus pipeline.
-	inflight map[uint64][]types.MsgID
+	inflight map[uint64]struct{}
 	// pipe is the effective pipeline window W (>= 1); 1 reproduces the
 	// paper's strictly sequential instances bit-for-bit.
 	pipe int
@@ -115,11 +113,6 @@ type Layer struct {
 	// (resolved == true) — the flag is explicit because a real
 	// application message with a 16-byte body would alias a descriptor.
 	decisionsBuf map[uint64]decision
-	// snapIDs caches the proposable (pending, unassigned) message IDs in
-	// sorted order between pendingBatch calls; snapClean reports the cache
-	// still matches the pending set and assignments.
-	snapIDs   []types.MsgID
-	snapClean bool
 	// lastProgress is when the last decision was processed or consensus
 	// started (guards the kick timer against firing during healthy load).
 	lastProgress time.Duration
@@ -135,17 +128,6 @@ type decision struct {
 
 var _ stack.Layer = (*Layer)(nil)
 
-// pendingMsg is one unordered message with its staleness epoch and the
-// in-flight instance it is currently proposed in (0 = unassigned). The
-// assignment partitions the pending set across the open pipeline window:
-// no message of ours rides two concurrent proposals, so concurrent
-// instances order disjoint slices of the backlog.
-type pendingMsg struct {
-	msg      wire.AppMsg
-	epoch    uint64
-	assigned uint64
-}
-
 // New returns an atomic broadcast layer with the given configuration.
 func New(cfg engine.Config) *Layer {
 	return &Layer{cfg: cfg}
@@ -160,14 +142,13 @@ func (l *Layer) Init(ctx *stack.Context) {
 	l.self = ctx.Env().Self()
 	l.t = tail.New(ctx.Env(), &l.cfg, (*host)(l))
 	l.hd = head.New(ctx.Env(), &l.cfg, l.t, (*host)(l))
-	l.pending = make(map[types.MsgID]pendingMsg)
 	l.decisionsBuf = make(map[uint64]decision)
-	l.inflight = make(map[uint64][]types.MsgID)
+	l.inflight = make(map[uint64]struct{})
 	l.pipe = l.cfg.EffectivePipeline()
 	// The replayed unordered own backlog re-enters the pending set (its
 	// flow-control slots are already re-occupied by the tail).
 	for _, m := range l.hd.Backlog {
-		l.pending[m.ID] = pendingMsg{msg: m, epoch: l.t.Next()}
+		l.t.Pool.Add(m, l.t.Next())
 	}
 }
 
@@ -204,7 +185,7 @@ func (l *Layer) Start() {
 
 // Pending returns the number of known, unordered messages, including any
 // still waiting in the sender-side batch accumulator (diagnostics).
-func (l *Layer) Pending() int { return len(l.pending) + l.hd.Accumulating() }
+func (l *Layer) Pending() int { return l.t.Pool.Len() + l.hd.Accumulating() }
 
 // Abcast submits one application payload through the shared head, which
 // admits it and hands back what it seals (see host.Sealed).
@@ -281,12 +262,8 @@ func (l *Layer) progress() {
 func (l *Layer) ingestDiffused(b wire.Batch) {
 	cur := l.t.Hist.Current()
 	for _, msg := range b {
-		if l.t.Delivered.Seen(msg.ID) || !cur.Contains(msg.ID.Sender) {
-			continue
-		}
-		if _, known := l.pending[msg.ID]; !known {
-			l.pending[msg.ID] = pendingMsg{msg: msg, epoch: l.t.Next()}
-			l.snapClean = false
+		if !l.t.Delivered.Seen(msg.ID) && cur.Contains(msg.ID.Sender) {
+			l.t.Pool.Add(msg, l.t.Next())
 		}
 	}
 	l.armKick()
@@ -295,19 +272,18 @@ func (l *Layer) ingestDiffused(b wire.Batch) {
 
 // maybeStartConsensus opens consensus instances until the pipeline window
 // is full or the proposable backlog runs out: each new proposal takes the
-// pending messages no other in-flight proposal of ours already carries.
-// With pipe == 1 this is exactly the paper's sequential rule — one
-// proposal at a time, for the next undecided instance, of the whole
-// pending set.
+// pending messages no other in-flight proposal of ours already carries
+// (pool.Take: current members' messages only, so from the moment a remove
+// op is applied no proposal of ours carries the removed origin again,
+// which bounds its in-flight references to instances below the activation
+// boundary, where its state is then retired). With pipe == 1 this is
+// exactly the paper's sequential rule — one proposal at a time, for the
+// next undecided instance, of the whole pending set.
 func (l *Layer) maybeStartConsensus() {
 	if l.t.Rec.Active() {
 		return // never propose while catching up on missed decisions
 	}
 	for len(l.inflight) < l.pipe {
-		batch := l.pendingBatch()
-		if len(batch) == 0 {
-			return
-		}
 		// The lowest instance that is neither decided locally, nor already
 		// carrying one of our proposals, nor decided-but-buffered: the first
 		// one this proposal can still win.
@@ -320,15 +296,12 @@ func (l *Layer) maybeStartConsensus() {
 			}
 			k++
 		}
-		ids := make([]types.MsgID, len(batch))
-		for i, m := range batch {
-			ids[i] = m.ID
-			p := l.pending[m.ID]
-			p.assigned = k
-			l.pending[m.ID] = p
+		batch := l.t.Pool.Take(k, l.t.Hist.Current(), l.cfg.MaxBatch)
+		if len(batch) == 0 {
+			return
 		}
-		l.snapClean = false
-		l.inflight[k] = ids
+		l.t.Pool.Assign(batch, k)
+		l.inflight[k] = struct{}{}
 		l.lastProgress = l.ctx.Env().Now()
 		l.ctx.Env().Counters().ObserveDepth(len(l.inflight))
 		if o := l.cfg.Obs; o != nil {
@@ -342,44 +315,6 @@ func (l *Layer) maybeStartConsensus() {
 			Batch:    batch,
 		})
 	}
-}
-
-// pendingBatch snapshots the proposable pending set — known, unordered
-// messages not assigned to an in-flight proposal — as a deterministic,
-// optionally capped batch. The sorted ID order is cached across calls and
-// rebuilt only after the pending set or the assignments changed, so a
-// proposal attempt against an unchanged backlog costs no re-sort; the
-// returned batch is always a fresh slice because the consensus layer
-// retains it.
-func (l *Layer) pendingBatch() wire.Batch {
-	if !l.snapClean {
-		cur := l.t.Hist.Current()
-		l.snapIDs = l.snapIDs[:0]
-		for id, p := range l.pending {
-			// Only current members' messages are proposable: from the moment
-			// the remove op is applied, no proposal of ours carries the
-			// removed origin again, which bounds its in-flight references to
-			// instances below the activation boundary (where its state is
-			// then retired).
-			if p.assigned == 0 && cur.Contains(id.Sender) {
-				l.snapIDs = append(l.snapIDs, id)
-			}
-		}
-		slices.SortFunc(l.snapIDs, types.MsgID.Compare)
-		l.snapClean = true
-	}
-	n := len(l.snapIDs)
-	if l.cfg.MaxBatch > 0 && n > l.cfg.MaxBatch {
-		n = l.cfg.MaxBatch
-	}
-	if n == 0 {
-		return nil
-	}
-	batch := make(wire.Batch, n)
-	for i := range batch {
-		batch[i] = l.pending[l.snapIDs[i]].msg
-	}
-	return wire.CapBatchBytes(batch)
 }
 
 // Event implements stack.Layer: consensus decisions arrive here, possibly
@@ -451,42 +386,20 @@ func (l *Layer) CurrentView() member.View { return l.t.Hist.Current() }
 // epoch → activation map).
 func (l *Layer) Views() []member.View { return l.t.Hist.Views() }
 
-// processDecision handles decided instance k: the ordered entries leave
-// the pending set, the tail commits the batch (log, adeliver in
+// processDecision handles decided instance k: the tail commits the batch
+// (the ordered entries leave the pending set, then log, adeliver in
 // deterministic order, release flow control — see tail.Commit; under digest
 // ordering batch is the RESOLVED payload expansion and descs the
 // descriptors it came from), our in-flight proposal for k closes, and
 // stale survivors are re-diffused.
 func (l *Layer) processDecision(k uint64, batch wire.Batch, descs []wire.Descriptor) {
 	l.lastProgress = l.ctx.Env().Now()
-	for _, d := range descs {
-		delete(l.pending, types.MsgID{Sender: d.Origin, Seq: d.DSeq})
-		l.snapClean = false
-	}
-	if !l.cfg.DigestOrdering {
-		// Under digest ordering the pending set holds only descriptor
-		// pseudo-messages; the resolved real IDs alias pseudo IDs at
-		// incarnation 0 (real seq n vs descriptor counter n), so a delete
-		// by real ID would silently drop an undecided descriptor.
-		for _, m := range batch {
-			delete(l.pending, m.ID)
-			l.snapClean = false
-		}
-	}
 	l.t.Commit(k, batch, descs)
 	// Close our in-flight proposal for k: messages of ours this instance
 	// did not order (another proposal won) become proposable again for a
 	// later instance.
-	if ids, ok := l.inflight[k]; ok {
-		delete(l.inflight, k)
-		for _, id := range ids {
-			if p, ok := l.pending[id]; ok && p.assigned == k {
-				p.assigned = 0
-				l.pending[id] = p
-				l.snapClean = false
-			}
-		}
-	}
+	delete(l.inflight, k)
+	l.t.Pool.ReleaseBelow(k + 1)
 	// Survivor re-diffusion: a pending message that predates several
 	// decided instances was missed by the coordinator — the only causes
 	// are a sender crash mid-diffusion or extreme reordering. Re-diffuse
@@ -498,17 +411,14 @@ func (l *Layer) processDecision(k uint64, batch wire.Batch, descs []wire.Descrip
 	if l.t.Rec.Active() {
 		return
 	}
-	stale := func(p pendingMsg) bool {
-		return k >= p.epoch && k-p.epoch >= rediffuseGrace*uint64(l.pipe)
-	}
-	for _, id := range l.sortedPendingIDs(stale) {
-		p := l.pending[id]
-		p.epoch = k + 1
-		l.pending[id] = p
-		if l.rediffuse(p.msg) {
-			l.ctx.Env().Counters().Retransmissions.Add(int64(l.hd.Fanout()))
+	l.t.Pool.Each(func(e *pool.Entry) {
+		if k >= e.Mark && k-e.Mark >= rediffuseGrace*uint64(l.pipe) {
+			e.Mark = k + 1
+			if l.rediffuse(e.Msg) {
+				l.ctx.Env().Counters().Retransmissions.Add(int64(l.hd.Fanout()))
+			}
 		}
-	}
+	})
 }
 
 // rediffuse re-spreads one stale pending entry: a plain diffuse in payload
@@ -567,21 +477,19 @@ func (l *Layer) Timer(id engine.TimerID) {
 		l.armKick()
 		return
 	}
-	if len(l.pending) > 0 && stalled {
+	if l.t.Pool.Len() > 0 && stalled {
 		// Stalled: re-diffuse everything still pending so the round-1
 		// coordinator certainly learns of it, then (re)propose.
 		c := l.ctx.Env().Counters()
-		for _, mid := range l.sortedPendingIDs(nil) {
-			p := l.pending[mid]
-			p.epoch = l.t.Next() + 1
-			l.pending[mid] = p
-			if l.rediffuse(p.msg) {
+		l.t.Pool.Each(func(e *pool.Entry) {
+			e.Mark = l.t.Next() + 1
+			if l.rediffuse(e.Msg) {
 				c.Retransmissions.Add(int64(l.hd.Fanout()))
 			}
-		}
+		})
 		l.maybeStartConsensus()
 	}
-	if len(l.pending) > 0 {
+	if l.t.Pool.Len() > 0 {
 		l.armKick()
 	}
 }
@@ -591,7 +499,7 @@ func (l *Layer) armKick() {
 	if l.cfg.IdleKick <= 0 {
 		return
 	}
-	if len(l.pending) > 0 || l.t.Flow.InFlight() > 0 || len(l.decisionsBuf) > 0 {
+	if l.t.Pool.Len() > 0 || l.t.Flow.InFlight() > 0 || len(l.decisionsBuf) > 0 {
 		l.ctx.SetTimer(timerKick, l.cfg.IdleKick)
 	}
 }
@@ -620,26 +528,11 @@ func (l *Layer) Suspect(p types.ProcessID, suspected bool) {
 	l.t.Suspected[p] = suspected // feeds the payload-refetch target rotation
 }
 
-// sortedPendingIDs returns the IDs of the pending entries that pass keep
-// (nil keeps all) in deterministic order (iteration-driven sends must be
-// reproducible under simulation). A fault-free run has no stale entry to
-// keep: its per-decision check then neither allocates nor sorts.
-func (l *Layer) sortedPendingIDs(keep func(pendingMsg) bool) []types.MsgID {
-	var ids []types.MsgID
-	for id, p := range l.pending {
-		if keep == nil || keep(p) {
-			ids = append(ids, id)
-		}
-	}
-	slices.SortFunc(ids, types.MsgID.Compare)
-	return ids
-}
-
 // host is the Layer seen through head.Host (and so tail.Host): the tail and
 // head frames go out tagged through the stack context, a payload-mode relay
 // is a diffuse frame, the timers are layer-local, sealed and announced
-// entries enter the pending set, and the tail hooks into it and the
-// decision reorder buffer. A separate named type keeps these methods off the
+// entries enter the pending set, and the tail hooks into the decision
+// reorder buffer. A separate named type keeps these methods off the
 // Layer's public surface.
 type host Layer
 
@@ -652,9 +545,8 @@ var _ head.Host = (*host)(nil)
 func (h *host) Sealed(entries wire.Batch) {
 	l := (*Layer)(h)
 	for _, m := range entries {
-		l.pending[m.ID] = pendingMsg{msg: m, epoch: l.t.Next()}
+		l.t.Pool.Add(m, l.t.Next())
 	}
-	l.snapClean = false
 	if !l.cfg.DigestOrdering {
 		if l.cfg.Batch.Enabled() {
 			l.diffuseBatch(entries)
@@ -668,10 +560,7 @@ func (h *host) Sealed(entries wire.Batch) {
 // Announced makes a peer's announced descriptor pending and unblocks a head
 // decision waiting on its payload.
 func (h *host) Announced(pm wire.AppMsg) {
-	if _, known := h.pending[pm.ID]; !known {
-		h.pending[pm.ID] = pendingMsg{msg: pm, epoch: h.t.Next()}
-		h.snapClean = false
-	}
+	h.t.Pool.Add(pm, h.t.Next())
 	(*Layer)(h).progress()
 }
 
@@ -712,15 +601,6 @@ func (h *host) SetTimer(id tail.Timer, d time.Duration) { h.ctx.SetTimer(layerTi
 
 func (h *host) CancelTimer(id tail.Timer) { h.ctx.CancelTimer(layerTimer(id)) }
 
-func (h *host) RetirePending(obsolete func(m wire.AppMsg) bool) {
-	for id, p := range h.pending {
-		if obsolete(p.msg) {
-			delete(h.pending, id)
-			h.snapClean = false
-		}
-	}
-}
-
 // Decision: the layer itself retains no decided batches (decisions live
 // behind the consensus black box), so only the write-ahead log can serve.
 func (h *host) Decision(k uint64) (wire.Batch, bool) {
@@ -734,10 +614,19 @@ func (h *host) Decided(k uint64, b wire.Batch) { (*Layer)(h).enqueueDecision(k, 
 
 func (h *host) Advanced() { (*Layer)(h).progress() }
 
+// Installed drops the buffered decisions and our proposals below the
+// installed watermark (the tail released what they carried): left open, a
+// proposal for a covered instance would hold its pipeline slot for good —
+// at W = 1, every later proposal.
 func (h *host) Installed() {
 	for k := range h.decisionsBuf {
 		if k < h.t.Next() {
 			delete(h.decisionsBuf, k)
+		}
+	}
+	for k := range h.inflight {
+		if k < h.t.Next() {
+			delete(h.inflight, k)
 		}
 	}
 	h.lastProgress = h.ctx.Env().Now()
@@ -753,10 +642,7 @@ func (h *host) Installed() {
 // only this process holds), and proposing is allowed again.
 func (h *host) CaughtUp() {
 	l := (*Layer)(h)
-	for id, p := range l.pending {
-		p.epoch = l.t.Next()
-		l.pending[id] = p
-	}
+	l.t.Pool.Each(func(e *pool.Entry) { e.Mark = l.t.Next() })
 	if l.cfg.DigestOrdering {
 		l.drainDecisions()
 	}
@@ -765,12 +651,10 @@ func (h *host) CaughtUp() {
 }
 
 // ViewChanged propagates a view to the consensus and rbcast layers and
-// points the dissemination topology at it; the proposable-snapshot cache
-// is invalidated so pendingBatch's membership filter re-applies.
+// points the dissemination topology at it.
 func (h *host) ViewChanged(v member.View) {
 	ev := stack.Event{Kind: stack.EvConfig, Instance: v.Activation, Members: v.Members}
 	h.ctx.Emit(stack.TagConsensus, ev)
 	h.ctx.Emit(stack.TagRBcast, ev)
 	h.hd.SetMembers(v.Members)
-	h.snapClean = false
 }

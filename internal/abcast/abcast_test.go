@@ -4,9 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"modab/internal/dedup"
 	"modab/internal/engine"
 	"modab/internal/enginetest"
 	"modab/internal/stack"
+	"modab/internal/tail"
 	"modab/internal/types"
 	"modab/internal/wire"
 )
@@ -437,80 +439,37 @@ func keys(m map[uint64]wire.Batch) []uint64 {
 	return out
 }
 
-// TestPendingBatchSnapshotCache pins the pendingBatch micro-optimization:
-// repeated snapshots of an unchanged pending set must not rebuild or
-// re-sort the ID cache — only the handed-out batch slice may allocate —
-// and any mutation (new message, decision, assignment) must invalidate
-// the cache.
-func TestPendingBatchSnapshotCache(t *testing.T) {
+// TestProposalBatchAllocatesOnce pins the cost of the proposal hot path:
+// taking the proposable batch from an unchanged pending set allocates only
+// the handed-out batch (the pool keeps MsgID order, so nothing is sorted),
+// repeated takes return the same batch, and a new message appears in the
+// next one.
+func TestProposalBatchAllocatesOnce(t *testing.T) {
 	cfg := engine.DefaultConfig(3)
 	cfg.IdleKick = 0
 	_, ab, _ := rig(t, cfg)
 	for i := uint64(1); i <= 64; i++ {
-		m := msg(1, i)
-		ab.pending[m.ID] = pendingMsg{msg: m, epoch: 1}
+		ab.t.Pool.Add(msg(1, i), 1)
 	}
-	ab.snapClean = false
+	take := func() wire.Batch { return ab.t.Pool.Take(ab.t.Next(), ab.t.Hist.Current(), ab.cfg.MaxBatch) }
 
-	first := ab.pendingBatch()
+	first := take()
 	if len(first) != 64 {
-		t.Fatalf("snapshot = %d messages, want 64", len(first))
+		t.Fatalf("batch = %d messages, want 64", len(first))
 	}
-	if !ab.snapClean {
-		t.Fatal("snapshot did not mark the cache clean")
-	}
-	// Unchanged set: one allocation (the returned batch), no re-sort.
+	// Unchanged set: one allocation (the returned batch), the same batch.
 	allocs := testing.AllocsPerRun(100, func() {
-		if got := ab.pendingBatch(); len(got) != 64 {
-			t.Fatalf("cached snapshot = %d messages", len(got))
+		if got := take(); len(got) != 64 || got[63].ID != first[63].ID {
+			t.Fatalf("batch of an unchanged set = %d messages", len(got))
 		}
 	})
 	if allocs > 1 {
-		t.Fatalf("pendingBatch on an unchanged set allocates %.0f times, want <= 1 (scratch reuse)", allocs)
+		t.Fatalf("taking from an unchanged set allocates %.0f times, want <= 1", allocs)
 	}
-	// Mutation invalidates: a new message must appear in the next batch.
-	extra := msg(2, 1)
-	ab.pending[extra.ID] = pendingMsg{msg: extra, epoch: 1}
-	ab.snapClean = false
-	if got := ab.pendingBatch(); len(got) != 65 {
-		t.Fatalf("post-mutation snapshot = %d messages, want 65", len(got))
-	}
-}
-
-// BenchmarkPendingBatch measures the snapshot path the proposal hot loop
-// sits on, in the regime the cache targets: repeated proposal attempts
-// over a stable backlog (the common case under flow-control saturation,
-// where Receive-driven maybeStartConsensus calls vastly outnumber
-// backlog changes).
-func BenchmarkPendingBatch(b *testing.B) {
-	for _, mutate := range []bool{false, true} {
-		name := "stable"
-		if mutate {
-			name = "mutating"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := engine.DefaultConfig(3)
-			cfg.IdleKick = 0
-			env := enginetest.New(0, 3)
-			ab := New(cfg)
-			cs := &consensusStub{proposals: make(map[uint64]wire.Batch)}
-			stack.New(env, cs, ab).Start()
-			for i := uint64(1); i <= 256; i++ {
-				m := msg(1, i)
-				ab.pending[m.ID] = pendingMsg{msg: m, epoch: 1}
-			}
-			ab.snapClean = false
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if mutate {
-					ab.snapClean = false // worst case: re-sort every snapshot
-				}
-				if len(ab.pendingBatch()) != 256 {
-					b.Fatal("bad snapshot")
-				}
-			}
-		})
+	// A new message must appear in the next batch.
+	ab.t.Pool.Add(msg(2, 1), 1)
+	if got := take(); len(got) != 65 {
+		t.Fatalf("batch after an add = %d messages, want 65", len(got))
 	}
 }
 
@@ -520,4 +479,42 @@ func marshalDiffuse(m wire.AppMsg) []byte {
 	w := wire.NewWriter(1 + m.WireSize())
 	wire.AppendMsgFrame(w, m)
 	return w.Bytes()
+}
+
+// installPast drives a lagging process through a snapshot install: the
+// group decided instances 1..10 without it, and p1 serves the snapshot at
+// 10, which covers none of this process's messages.
+func installPast(t *testing.T, tl *tail.Tail) {
+	t.Helper()
+	env := wire.SnapshotEnvelope{Index: 10, Dedup: dedup.NewMap(3).MarshalBytes(), State: []byte{7}}
+	w := wire.NewWriter(env.WireSize())
+	env.Marshal(w)
+	tl.BeginRecovery()
+	tl.RecoverResp(1, wire.RecoverResp{UpTo: 10, SnapIndex: 10})
+	tl.SnapResp(1, wire.SnapResp{Index: 10, Total: uint64(w.Len()), UpTo: 10, Data: w.Bytes()})
+	tl.RecoverResp(2, wire.RecoverResp{UpTo: 10})
+	if tl.Next() != 11 || tl.Rec.Active() {
+		t.Fatalf("after the install: next %d, catching up %v; want 11, false", tl.Next(), tl.Rec.Active())
+	}
+}
+
+// TestInstallClosesInFlightProposal: a snapshot install past an instance
+// this process proposed into closes that proposal. Left open it held the
+// only pipeline slot at W = 1, and the layer never proposed again.
+func TestInstallClosesInFlightProposal(t *testing.T) {
+	cfg := engine.DefaultConfig(3)
+	cfg.IdleKick = 0
+	cfg.Snapshots = &engine.SnapshotHooks{Install: func(wire.SnapshotEnvelope) error { return nil }}
+	_, ab, cs := rig(t, cfg)
+	id, err := ab.Abcast([]byte("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := cs.proposals[1]; !ok {
+		t.Fatal("no proposal for instance 1")
+	}
+	installPast(t, ab.t)
+	if got := cs.proposals[11]; len(got) != 1 || got[0].ID != id {
+		t.Fatalf("proposal for instance 11 = %v, want the unordered %v", got, id)
+	}
 }

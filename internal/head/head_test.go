@@ -108,7 +108,6 @@ func (h *fakeHost) PersistAdmit(b wire.Batch) {
 }
 func (h *fakeHost) PersistDecision(uint64, wire.Batch)     {}
 func (h *fakeHost) ReadDecision(uint64) (wire.Batch, bool) { return nil, false }
-func (h *fakeHost) RetirePending(func(m wire.AppMsg) bool) {}
 func (h *fakeHost) Decision(uint64) (wire.Batch, bool)     { return nil, false }
 func (h *fakeHost) Decided(uint64, wire.Batch)             {}
 func (h *fakeHost) Advanced()                              {}

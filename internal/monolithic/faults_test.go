@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"modab/internal/dedup"
 	"modab/internal/engine"
 	"modab/internal/enginetest"
 	"modab/internal/member"
@@ -366,5 +367,39 @@ func TestRemovedProcessSuspicionBounded(t *testing.T) {
 		if len(sent[mEstimate]) == 0 {
 			t.Fatalf("Suspect(%s) changed no round", p)
 		}
+	}
+}
+
+// TestInstallReleasesProposedMessages: a snapshot install past an instance
+// the coordinator proposed into releases what that proposal carried. Left
+// assigned to the covered instance, the message was never proposed again.
+func TestInstallReleasesProposedMessages(t *testing.T) {
+	cfg := engine.DefaultConfig(3)
+	cfg.IdleKick = 0
+	cfg.Snapshots = &engine.SnapshotHooks{Install: func(wire.SnapshotEnvelope) error { return nil }}
+	e := New(enginetest.New(0, 3), cfg)
+	e.Start()
+	id, err := e.Abcast([]byte("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in := e.rounds.Lookup(1); in == nil || in.Coord[1] == nil || !in.Coord[1].Proposed {
+		t.Fatal("the coordinator did not propose into instance 1")
+	}
+	// The group decided 1..10 without this process; p1 serves the snapshot
+	// at 10, which covers none of its messages.
+	env := wire.SnapshotEnvelope{Index: 10, Dedup: dedup.NewMap(3).MarshalBytes(), State: []byte{7}}
+	w := wire.NewWriter(env.WireSize())
+	env.Marshal(w)
+	e.t.BeginRecovery()
+	e.t.RecoverResp(1, wire.RecoverResp{UpTo: 10, SnapIndex: 10})
+	e.t.SnapResp(1, wire.SnapResp{Index: 10, Total: uint64(w.Len()), UpTo: 10, Data: w.Bytes()})
+	e.t.RecoverResp(2, wire.RecoverResp{UpTo: 10})
+	if e.t.Next() != 11 || e.t.Rec.Active() {
+		t.Fatalf("after the install: next %d, catching up %v; want 11, false", e.t.Next(), e.t.Rec.Active())
+	}
+	in := e.rounds.Lookup(11)
+	if in == nil || in.Coord[1] == nil || len(in.Coord[1].Proposal) != 1 || in.Coord[1].Proposal[0].ID != id {
+		t.Fatalf("instance 11 was not proposed with the unordered %v", id)
 	}
 }

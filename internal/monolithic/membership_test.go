@@ -67,10 +67,8 @@ func TestRemoveRetiresAnnouncedPayloads(t *testing.T) {
 	if r.engs[1].t.Store.Has(wire.Descriptor{Origin: 2, FirstSeq: orphan.Seq, Count: 1}) {
 		t.Fatal("payload leak: p2 store still holds the removed origin's batch")
 	}
-	for id := range r.engs[1].pool {
-		if id.Sender == 2 {
-			t.Fatalf("removed origin's descriptor %v still pooled", id)
-		}
+	if w := r.engs[1].t.Pool.Window(2); len(w) > 0 {
+		t.Fatalf("removed origin's descriptor %v still pooled", w[0].Msg.ID)
 	}
 	if got := r.envs[1].Cnt.PayloadsRetired.Load(); got < 1 {
 		t.Fatalf("PayloadsRetired = %d, want >= 1", got)

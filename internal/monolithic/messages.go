@@ -147,11 +147,3 @@ func unmarshalMessage(data []byte) (message, error) {
 	}
 	return m, nil
 }
-
-// ownMsg tracks the lifecycle of a locally abcast message until delivery.
-type ownMsg struct {
-	msg wire.AppMsg
-	// attached is the instance whose ack/estimate last carried this
-	// message to a coordinator; 0 means never sent.
-	attached uint64
-}

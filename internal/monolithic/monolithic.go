@@ -26,8 +26,8 @@
 //
 // With pipelining enabled (engine.Config.PipelineDepth > 1) the
 // coordinator proposes into up to W instances past its decided watermark
-// concurrently — the pool is partitioned so no message rides two open
-// proposals — and the §4.1 piggyback generalizes to "the latest decided
+// concurrently — the pool (the tail's pool.Pool, shared with the modular
+// stack) is partitioned so no message rides two open proposals — and the §4.1 piggyback generalizes to "the latest decided
 // instance on every fresh proposal", with a standalone decision flush
 // whenever a decision finds no fresh proposal to ride. Depth 1 reproduces
 // the paper's strictly sequential engine bit-for-bit.
@@ -42,6 +42,7 @@ import (
 	"modab/internal/head"
 	"modab/internal/member"
 	"modab/internal/obs"
+	"modab/internal/pool"
 	"modab/internal/tail"
 	"modab/internal/types"
 	"modab/internal/wire"
@@ -67,7 +68,11 @@ type Engine struct {
 	// flow window, the delivered set, the failure-detector output and the
 	// view history: every quorum check, coordinator rotation and send
 	// fan-out for instance k consults the view governing k, never a cached
-	// group size. The engine keeps only ordering state.
+	// group size. It also holds the pool (t.Pool): the messages this
+	// process would propose when coordinating, its own plus those
+	// piggybacked to it. The own backlog is the pool's window for self, and
+	// an entry's mark is the instance whose ack or estimate last carried it
+	// to a coordinator (0: never). The engine keeps only ordering state.
 	t *tail.Tail
 	// hd is the shared head (internal/head): everything upstream of ordering
 	// — admission, sender-side batching, announce and relay through the
@@ -82,24 +87,12 @@ type Engine struct {
 	// could nest a decide under a half-updated instance).
 	viewKick bool
 
-	// own tracks locally abcast messages until adelivery.
-	own map[uint64]*ownMsg // keyed by local sequence number
-	// pool holds messages this process would propose when coordinating
-	// (its own plus those piggybacked to it).
-	pool map[types.MsgID]wire.AppMsg
 	// pipe is the effective pipeline window W (>= 1): how many instances
 	// past decidedK this process keeps proposing into concurrently; 1
 	// reproduces the paper's strictly sequential engine bit-for-bit.
 	pipe int
-	// assigned partitions the pool across the open window: a message
-	// carried by one of this process's in-flight proposals (the mapped
-	// instance) is excluded from concurrent proposals for other instances.
-	// propIDs is the reverse index used to release a closed instance's
-	// survivors back to the proposable pool; propSent counts proposals
-	// ever sent (decide uses it to detect that a fresh proposal carried
-	// the latest decision).
-	assigned map[types.MsgID]uint64
-	propIDs  map[uint64][]types.MsgID
+	// propSent counts proposals ever sent (decide uses it to detect that a
+	// fresh proposal carried the latest decision).
 	propSent int64
 	// rounds holds the round state of undecided instances and recently
 	// decided ones (catch-up horizon): the round core shared with the
@@ -128,24 +121,19 @@ var _ engine.Engine = (*Engine)(nil)
 // New builds the monolithic engine for the given environment.
 func New(env engine.Env, cfg engine.Config) *Engine {
 	e := &Engine{
-		env:      env,
-		cfg:      cfg,
-		self:     env.Self(),
-		own:      make(map[uint64]*ownMsg),
-		pool:     make(map[types.MsgID]wire.AppMsg),
-		pipe:     cfg.EffectivePipeline(),
-		assigned: make(map[types.MsgID]uint64),
-		propIDs:  make(map[uint64][]types.MsgID),
+		env:  env,
+		cfg:  cfg,
+		self: env.Self(),
+		pipe: cfg.EffectivePipeline(),
 	}
 	e.t = tail.New(env, &e.cfg, (*host)(e))
 	e.rounds = ct.New(e.self, (*host)(e), e.t.Suspected, env.Counters())
 	e.hd = head.New(env, &e.cfg, e.t, (*host)(e))
-	// The replayed unordered own backlog re-enters own and the pool (its
+	// The replayed unordered own backlog re-enters the pool (its
 	// flow-control slots are already re-occupied by the tail, bound to the
 	// real sequence numbers whatever form the entries take).
 	for _, m := range e.hd.Backlog {
-		e.own[m.ID.Seq] = &ownMsg{msg: m}
-		e.pool[m.ID] = m
+		e.t.Pool.Add(m, 0)
 	}
 	e.t.ReplayViews()
 	return e
@@ -181,7 +169,7 @@ func (e *Engine) Start() {
 // this process — a coordinating self proposes them via tryPropose after
 // catch-up, since the pool already holds them).
 func (e *Engine) forwardRecoveredOwn() {
-	if len(e.own) == 0 {
+	if len(e.own()) == 0 {
 		return
 	}
 	cur := e.current()
@@ -192,16 +180,10 @@ func (e *Engine) forwardRecoveredOwn() {
 
 // Pending implements engine.Engine: unordered messages known locally,
 // including any still waiting in the sender-side batch accumulator.
-func (e *Engine) Pending() int {
-	known := make(map[types.MsgID]struct{}, len(e.pool)+len(e.own))
-	for id := range e.pool {
-		known[id] = struct{}{}
-	}
-	for _, om := range e.own {
-		known[om.msg.ID] = struct{}{}
-	}
-	return len(known) + e.hd.Accumulating()
-}
+func (e *Engine) Pending() int { return e.t.Pool.Len() + e.hd.Accumulating() }
+
+// own returns the own unordered messages: the pool's window for self.
+func (e *Engine) own() []pool.Entry { return e.t.Pool.Window(e.self) }
 
 // others counts current-view members other than this process.
 func (e *Engine) others() int { return e.t.Hist.Current().Others(e.self) }
@@ -227,13 +209,13 @@ func (e *Engine) forwardOwn(cur *ct.Inst, coord types.ProcessID) {
 // coordinator when acking instance k, and marks them attached to k.
 func (e *Engine) eligibleOwn(k uint64) wire.Batch {
 	var batch wire.Batch
-	for _, om := range e.own {
-		if om.attached == 0 || k >= om.attached+attachGrace*uint64(e.pipe) {
-			om.attached = k
-			batch = append(batch, om.msg)
+	own := e.own()
+	for i := range own {
+		if a := own[i].Mark; a == 0 || k >= a+attachGrace*uint64(e.pipe) {
+			own[i].Mark = k
+			batch = append(batch, own[i].Msg)
 		}
 	}
-	batch.SortDeterministic()
 	return batch
 }
 
@@ -241,11 +223,11 @@ func (e *Engine) eligibleOwn(k uint64) wire.Batch {
 // coordinator starts with nothing of ours).
 func (e *Engine) allOwn(k uint64) wire.Batch {
 	var batch wire.Batch
-	for _, om := range e.own {
-		om.attached = k
-		batch = append(batch, om.msg)
+	own := e.own()
+	for i := range own {
+		own[i].Mark = k
+		batch = append(batch, own[i].Msg)
 	}
-	batch.SortDeterministic()
 	return batch
 }
 
@@ -277,33 +259,6 @@ func (e *Engine) tryPropose() {
 			e.rounds.Propose(in, r, batch)
 		} // else nothing proposable; later round-1 slots are empty too
 	}
-}
-
-// poolBatch snapshots the pool slice proposable for instance k — messages
-// not riding another in-flight proposal (those assigned to k itself stay
-// eligible: a round change within k re-proposes them) — as a
-// deterministic, optionally capped batch.
-func (e *Engine) poolBatch(k uint64) wire.Batch {
-	cur := e.t.Hist.Current()
-	batch := make(wire.Batch, 0, len(e.pool))
-	for id, m := range e.pool {
-		if a, ok := e.assigned[id]; ok && a != k {
-			continue
-		}
-		if !cur.Contains(id.Sender) {
-			// Removed origin: from the moment this process applies the
-			// remove, none of its proposals carries the origin again — the
-			// guarantee that lets the activation boundary retire the
-			// origin's payload state without wedging a later decide.
-			continue
-		}
-		batch = append(batch, m)
-	}
-	batch.SortDeterministic()
-	if e.cfg.MaxBatch > 0 && len(batch) > e.cfg.MaxBatch {
-		batch = batch[:e.cfg.MaxBatch]
-	}
-	return wire.CapBatchBytes(batch)
 }
 
 // openProposals counts this process's in-flight proposals: window
@@ -361,12 +316,13 @@ func (e *Engine) spreadPropDec(m message) {
 // descriptor — a forward alone could let the cluster order a digest
 // whose bytes only this process holds.
 func (e *Engine) reannounceOwn() {
-	if !e.cfg.DigestOrdering || len(e.own) == 0 {
+	own := e.own()
+	if !e.cfg.DigestOrdering || len(own) == 0 {
 		return
 	}
-	entries := make(wire.Batch, 0, len(e.own))
-	for _, om := range e.own {
-		entries = append(entries, om.msg)
+	entries := make(wire.Batch, len(own))
+	for i := range own {
+		entries[i] = own[i].Msg
 	}
 	e.env.Counters().Retransmissions.Add(int64(e.hd.Reannounce(entries)))
 }
@@ -472,7 +428,7 @@ func (e *Engine) handleForward(m message) {
 }
 
 // poolIn adds piggybacked messages to the pool, ignoring already-delivered
-// ones.
+// ones; the first copy wins.
 func (e *Engine) poolIn(batch wire.Batch) {
 	cur := e.t.Hist.Current()
 	for _, msg := range batch {
@@ -494,9 +450,7 @@ func (e *Engine) poolIn(batch wire.Batch) {
 		} else if e.t.Delivered.Seen(msg.ID) {
 			continue
 		}
-		if _, ok := e.pool[msg.ID]; !ok {
-			e.pool[msg.ID] = msg
-		}
+		e.t.Pool.Add(msg, 0)
 	}
 }
 
@@ -605,8 +559,8 @@ func (e *Engine) payloadTimer() {
 	}
 }
 
-// finalize commits the head decision: the ordered entries leave own and
-// the pool, the tail commits the batch (log, adeliver in deterministic
+// finalize commits the head decision: the tail commits the batch (the
+// ordered entries leave the pool, then log, adeliver in deterministic
 // order, release flow control — see tail.Commit), then the engine closes
 // its proposal bookkeeping, cascades buffered successors and keeps the
 // pipeline moving. batch is the adeliverable form — the resolved real
@@ -619,29 +573,10 @@ func (e *Engine) finalize(in *ct.Inst, batch wire.Batch, descs []wire.Descriptor
 	c := e.env.Counters()
 	c.ConsensusDecided.Add(1)
 	c.BatchedMsgs.Add(int64(len(batch)))
-	for _, d := range descs {
-		e.drop(types.MsgID{Sender: d.Origin, Seq: d.DSeq})
-	}
-	if !e.cfg.DigestOrdering {
-		// Under digest ordering own/pool hold only descriptor
-		// pseudo-messages, whose IDs alias the resolved real IDs at
-		// incarnation 0 — dropping by real ID would silently lose an
-		// undecided descriptor (the descs loop above replaces this one).
-		for _, msg := range batch {
-			e.drop(msg.ID)
-		}
-	}
 	e.t.Commit(in.K, batch, descs)
 	// Close this instance's proposal bookkeeping: pool messages it carried
 	// but did not order become proposable again for a later window slot.
-	if ids := e.propIDs[in.K]; ids != nil {
-		for _, id := range ids {
-			if e.assigned[id] == in.K {
-				delete(e.assigned, id)
-			}
-		}
-		delete(e.propIDs, in.K)
-	}
+	e.t.Pool.ReleaseBelow(in.K + 1)
 	// A config op applied in this instance may have reshaped the
 	// coordinator rotation of open instances at or past its activation:
 	// re-run the suspicion cascade outside the delivery loop.
@@ -717,7 +652,7 @@ func (e *Engine) finalize(in *ct.Inst, batch wire.Batch, descs []wire.Descriptor
 func (e *Engine) handleDecisionOnly(from types.ProcessID, m message) {
 	e.pipelineIdle = true
 	e.applyRemoteDecision(from, m.Instance, m.Round)
-	if len(e.own) > 0 {
+	if len(e.own()) > 0 {
 		cur := e.current()
 		if coord := e.rounds.Coordinator(cur.K, cur.Round); coord != e.self && !cur.Decided && len(cur.Proposals) == 0 {
 			e.forwardOwn(cur, coord)
@@ -806,13 +741,10 @@ func (e *Engine) kick() {
 	}
 	now := e.env.Now()
 	stalled := now-e.lastProgress >= e.cfg.IdleKick
-	if stalled && (len(e.own) > 0 || len(e.pool) > 0) {
+	if stalled && e.t.Pool.Len() > 0 {
 		cur := e.current()
 		coord := e.rounds.Coordinator(cur.K, cur.Round)
 		if coord == e.self {
-			for _, om := range e.own {
-				e.pool[om.msg.ID] = om.msg
-			}
 			// Digest backstop: peers may hold our descriptors without the
 			// payload bytes (lost announce) — re-spread both.
 			e.reannounceOwn()
@@ -839,7 +771,7 @@ func (e *Engine) armKick() {
 	if e.cfg.IdleKick <= 0 || !e.started {
 		return
 	}
-	if len(e.own) > 0 || len(e.pool) > 0 {
+	if e.t.Pool.Len() > 0 {
 		e.env.SetTimer(engine.TimerKick, e.cfg.IdleKick)
 	}
 }
@@ -923,46 +855,35 @@ var _ engine.ConfigSubmitter = (*Engine)(nil)
 // strictly in order (the tail owns the watermark).
 func (e *Engine) decidedK() uint64 { return e.t.Next() - 1 }
 
-// drop removes one ordered or obsolete entry from the pool, the window
-// partition and — when it is ours — the own backlog.
-func (e *Engine) drop(id types.MsgID) {
-	delete(e.pool, id)
-	delete(e.assigned, id)
-	if id.Sender == e.self {
-		delete(e.own, id.Seq)
-	}
-}
-
 // host is the Engine seen through head.Host (and so tail.Host): the tail
 // and head frames go out as mFrame, a payload-mode relay carries an
 // mPropDec, the timers are engine-wide, sealed and announced entries enter
-// own and the pool, and the tail hooks into them and the in-order decide
-// path. A separate named type keeps these methods off the Engine's public
+// the pool, and the tail hooks into the in-order decide path. A separate named type keeps these methods off the Engine's public
 // surface.
 type host Engine
 
 var _ head.Host = (*host)(nil)
 
 // Sealed hands locally submitted entries to the ordering machinery. They
-// are NOT diffused: they join own and the pool and wait for the next ack to
-// the coordinator (§4.2), or are forwarded immediately when no consensus is
-// in flight to piggyback on; the coordinator/forward step runs once for the
+// are NOT diffused: they join the pool and wait for the next ack to the
+// coordinator (§4.2), or are forwarded immediately when no consensus is in
+// flight to piggyback on; the coordinator/forward step runs once for the
 // whole batch, so the piggybacking carries it together.
 func (h *host) Sealed(entries wire.Batch) {
 	e := (*Engine)(h)
+	cur := e.current()
+	coord := e.rounds.Coordinator(cur.K, cur.Round)
+	var attached uint64 // a coordinating self has them in hand for cur
+	if coord == e.self {
+		attached = cur.K
+	}
 	for _, m := range entries {
-		e.own[m.ID.Seq] = &ownMsg{msg: m}
 		// Own messages always join the local pool: inert while another
 		// process coordinates, but immediately proposable if this process
 		// is (or becomes, after a round change) the coordinator.
-		e.pool[m.ID] = m
+		e.t.Pool.Add(m, attached)
 	}
-	cur := e.current()
-	coord := e.rounds.Coordinator(cur.K, cur.Round)
 	if coord == e.self {
-		for _, m := range entries {
-			e.own[m.ID.Seq].attached = cur.K
-		}
 		e.tryPropose()
 		e.armKick()
 		return
@@ -980,9 +901,7 @@ func (h *host) Sealed(entries wire.Batch) {
 // on this payload.
 func (h *host) Announced(pm wire.AppMsg) {
 	e := (*Engine)(h)
-	if _, ok := e.pool[pm.ID]; !ok {
-		e.pool[pm.ID] = pm
-	}
+	e.t.Pool.Add(pm, 0)
 	e.retryBlockedDecide()
 	e.tryPropose()
 	e.armKick()
@@ -1039,20 +958,6 @@ func (h *host) SetTimer(id tail.Timer, d time.Duration) { h.env.SetTimer(engineT
 
 func (h *host) CancelTimer(id tail.Timer) { h.env.CancelTimer(engineTimer(id)) }
 
-func (h *host) RetirePending(obsolete func(m wire.AppMsg) bool) {
-	e := (*Engine)(h)
-	for id, m := range e.pool {
-		if obsolete(m) {
-			e.drop(id)
-		}
-	}
-	for seq, om := range e.own { // own entries the pool no longer holds
-		if _, pooled := e.pool[om.msg.ID]; !pooled && obsolete(om.msg) {
-			delete(e.own, seq)
-		}
-	}
-}
-
 func (h *host) Decision(k uint64) (wire.Batch, bool) { return (*Engine)(h).lookupDecision(k) }
 
 // Decided applies a state-transfer decision through the normal decide
@@ -1079,14 +984,9 @@ func (h *host) Advanced() {
 // Installed drops the round state of every instance the snapshot covers: a
 // recovering process must never re-enter instances the cluster settled at
 // or below it (the pruned-instance guards serve any late messages for
-// them).
+// them). The tail released the pool entries our proposals there carried.
 func (h *host) Installed() {
 	h.rounds.DropBelow(h.t.Next())
-	for k := range h.propIDs {
-		if k < h.t.Next() {
-			delete(h.propIDs, k)
-		}
-	}
 	h.lastProgress = h.env.Now()
 }
 
@@ -1124,8 +1024,14 @@ func (h *host) View(k uint64) member.View { return h.t.Hist.At(k) }
 func (h *host) Settled(k uint64) bool     { return k <= (*Engine)(h).decidedK() }
 func (h *host) Frozen() bool              { return h.t.Rec.Active() }
 
+// Fresh takes the pool slice proposable for instance k: messages not riding
+// another in-flight proposal (those assigned to k itself stay eligible: a
+// round change within k re-proposes them), of current members only — from
+// the moment this process applies a remove, none of its proposals carries
+// the origin again, the guarantee that lets the activation boundary retire
+// the origin's payload state without wedging a later decide.
 func (h *host) Fresh(in *ct.Inst) wire.Batch {
-	b := (*Engine)(h).poolBatch(in.K)
+	b := h.t.Pool.Take(in.K, h.t.Hist.Current(), h.cfg.MaxBatch)
 	if len(b) > 0 {
 		h.env.Counters().ConsensusStarted.Add(1)
 	}
@@ -1146,12 +1052,7 @@ func (h *host) Cutoff() (uint64, bool) {
 // must not ride a second concurrent one (decide releases survivors).
 func (h *host) SendProposal(in *ct.Inst, r uint32, b wire.Batch) {
 	e := (*Engine)(h)
-	for _, pm := range b {
-		if _, ok := e.pool[pm.ID]; ok && e.assigned[pm.ID] != in.K {
-			e.assigned[pm.ID] = in.K
-			e.propIDs[in.K] = append(e.propIDs[in.K], pm.ID)
-		}
-	}
+	e.t.Pool.Assign(b, in.K)
 	e.propSent++
 	e.env.Counters().ObserveDepth(e.openProposals())
 	if o := e.cfg.Obs; o != nil {

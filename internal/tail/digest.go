@@ -21,7 +21,7 @@ func (t *Tail) Announce(d wire.Descriptor, b wire.Batch) bool {
 	t.Store.PutBatch(b)
 	if t.rangeFullyDelivered(d) {
 		t.markDone(d, t.next-1)
-		t.h.RetirePending(func(m wire.AppMsg) bool { return m.ID == id })
+		t.Pool.Drop(id)
 		return false
 	}
 	return true

@@ -12,7 +12,7 @@
 //
 // A Tail is a plain single-threaded struct owned by one engine and driven
 // from its event loop — not a stack.Layer, so it adds no dispatch. It uses
-// recovery.Catchup, payload.Store, member.History, dedup.Map and
+// recovery.Catchup, payload.Store, pool.Pool, member.History, dedup.Map and
 // flow.Controller directly and exposes them as fields for the engine's
 // ordering code. What legitimately differs per stack sits behind Host.
 package tail
@@ -26,6 +26,7 @@ import (
 	"modab/internal/member"
 	"modab/internal/obs"
 	"modab/internal/payload"
+	"modab/internal/pool"
 	"modab/internal/recovery"
 	"modab/internal/retire"
 	"modab/internal/trace"
@@ -48,9 +49,10 @@ const (
 
 // Host is what a Tail needs from the engine that owns it: one way to put a
 // frame on the wire, the timer namespace, and the points where the tail
-// touches ordering state. The tail and the shared head encode their own
-// wire frames (internal/wire), so both stacks carry the same bytes under
-// their envelope; what they receive comes back through head.Receive.
+// hands decisions and events to ordering. The tail and the shared head
+// encode their own wire frames (internal/wire), so both stacks carry the
+// same bytes under their envelope; what they receive comes back through
+// head.Receive.
 type Host interface {
 	// Send transmits one tail or head frame to one process, or to every
 	// other current member when to is types.Nobody. The frame is pooled:
@@ -59,9 +61,6 @@ type Host interface {
 	SetTimer(id Timer, d time.Duration)
 	CancelTimer(id Timer)
 
-	// RetirePending drops each unordered entry the host holds (pending set,
-	// pool, own backlog) for which obsolete, called once on it, is true.
-	RetirePending(obsolete func(m wire.AppMsg) bool)
 	// Decision returns instance k's decided batch from wherever the stack
 	// retains decisions (instance memory, the write-ahead log).
 	Decision(k uint64) (wire.Batch, bool)
@@ -70,7 +69,8 @@ type Host interface {
 	Decided(k uint64, b wire.Batch)
 	// Advanced: payloads became resident; retry the blocked head, propose.
 	Advanced()
-	// Installed: a snapshot install jumped Next; drop ordering state below.
+	// Installed: a snapshot install jumped Next; drop ordering state below
+	// (the tail has released the pool's assignments below Next).
 	Installed()
 	// CaughtUp: the state-transfer catch-up ended; proposing is allowed.
 	CaughtUp()
@@ -90,9 +90,13 @@ type Tail struct {
 	// Hist is the decided membership history: every fan-out, quorum and
 	// coordinator decision consults a view from it, never the boot n.
 	Hist      *member.History
-	Delivered dedup.Map        // adelivered messages, per sender
-	Store     *payload.Store   // resident payloads (digest ordering only)
-	Rec       recovery.Catchup // while active the engine must not propose
+	Delivered dedup.Map      // adelivered messages, per sender
+	Store     *payload.Store // resident payloads (digest ordering only)
+	// Pool is the unordered messages: the modular pending set, the
+	// monolithic pool. The engine proposes from it; the tail retires what
+	// a decision, an install or a remove made obsolete.
+	Pool *pool.Pool
+	Rec  recovery.Catchup // while active the engine must not propose
 	// Suspected is the failure detector's output, written by the engine: it
 	// steers refetch targets here, round changes in the monolithic engine.
 	Suspected map[types.ProcessID]bool
@@ -128,6 +132,7 @@ func New(env engine.Env, cfg *engine.Config, h Host) *Tail {
 		Flow:      flow.NewController(env.Self(), cfg.EffectiveWindow()),
 		Hist:      member.NewHistory(env.N()),
 		Delivered: dedup.NewMap(env.N()),
+		Pool:      pool.New(),
 		Suspected: make(map[types.ProcessID]bool),
 		next:      1,
 		retires:   make(map[uint64][]types.ProcessID),
@@ -173,9 +178,20 @@ func (t *Tail) Advance(k uint64) { t.next = k + 1 }
 // Commit adelivers decided instance k. batch is its adeliverable form:
 // under digest ordering the resolved payload expansion, descs being the
 // descriptors it came from (the log stores resolved batches, so replay and
-// state transfer need no payload store). The engine has already dropped
-// the ordered entries from its pending set, and advances Next itself.
+// state transfer need no payload store). The ordered entries leave the
+// pool first; the engine advances Next itself.
 func (t *Tail) Commit(k uint64, batch wire.Batch, descs []wire.Descriptor) {
+	for _, d := range descs {
+		t.Pool.Drop(types.MsgID{Sender: d.Origin, Seq: d.DSeq})
+	}
+	if !t.cfg.DigestOrdering {
+		// Under digest ordering the pool holds only descriptor
+		// pseudo-messages, whose IDs alias the resolved real IDs at
+		// incarnation 0: a drop by real ID could lose an undecided one.
+		for _, m := range batch {
+			t.Pool.Drop(m.ID)
+		}
+	}
 	if t.cfg.Persist != nil {
 		// Write-ahead of the deliveries the decision implies.
 		t.cfg.Persist.PersistDecision(k, batch)
@@ -220,7 +236,7 @@ func (t *Tail) Commit(k uint64, batch wire.Batch, descs []wire.Descriptor) {
 	if t.cfg.DigestOrdering {
 		// Sweep pending descriptors the loop made obsolete (see
 		// rangeFullyDelivered); nothing else would ever retire them.
-		t.h.RetirePending(func(m wire.AppMsg) bool { return t.settled(m, k) })
+		t.Pool.Retire(func(m wire.AppMsg) bool { return t.settled(m, k) })
 	}
 	for _, origin := range t.retires[k+1] {
 		t.retireOrigin(origin) // k was the last old-view instance
@@ -305,7 +321,7 @@ func (t *Tail) send(to types.ProcessID, size int, fill func(w *wire.Writer)) int
 // undelivered payload residency (no decision will resolve through it;
 // delivered entries stay on the horizon for repair serving), suspicion.
 func (t *Tail) retireOrigin(origin types.ProcessID) {
-	t.h.RetirePending(func(m wire.AppMsg) bool { return m.ID.Sender == origin })
+	t.Pool.Retire(func(m wire.AppMsg) bool { return m.ID.Sender == origin })
 	delete(t.Suspected, origin)
 	if t.Store != nil {
 		if retired := t.Store.RetireOrigin(origin); retired > 0 {

@@ -10,6 +10,7 @@ import (
 	"modab/internal/engine"
 	"modab/internal/enginetest"
 	"modab/internal/member"
+	"modab/internal/pool"
 	"modab/internal/types"
 	"modab/internal/wire"
 )
@@ -21,14 +22,13 @@ type sent struct {
 	arg  uint64 // RecoverReq.From, SnapReq.Offset, descriptor DSeq
 }
 
-// fakeHost is a minimal engine around a Tail: a pending set keyed by ID, a
-// decision log, and a strictly in-order decision path that commits through
-// the tail. It records everything the tail asks of it.
+// fakeHost is a minimal engine around a Tail (whose pool is its pending
+// set): a decision log and a strictly in-order decision path that commits
+// through the tail. It records everything the tail asks of it.
 type fakeHost struct {
 	t        *Tail
 	env      *enginetest.Env
 	cfg      engine.Config
-	pending  map[types.MsgID]wire.AppMsg
 	log      map[uint64]wire.Batch
 	sent     []sent
 	timers   map[Timer]bool
@@ -42,11 +42,10 @@ var _ Host = (*fakeHost)(nil)
 
 func newHost(self types.ProcessID, n int, mod func(*engine.Config)) *fakeHost {
 	h := &fakeHost{
-		env:     enginetest.New(self, n),
-		cfg:     engine.DefaultConfig(n),
-		pending: make(map[types.MsgID]wire.AppMsg),
-		log:     make(map[uint64]wire.Batch),
-		timers:  make(map[Timer]bool),
+		env:    enginetest.New(self, n),
+		cfg:    engine.DefaultConfig(n),
+		log:    make(map[uint64]wire.Batch),
+		timers: make(map[Timer]bool),
 	}
 	if mod != nil {
 		mod(&h.cfg)
@@ -93,15 +92,8 @@ func (h *fakeHost) Send(to types.ProcessID, frame []byte) {
 	}
 	h.sent = append(h.sent, rec)
 }
-func (h *fakeHost) SetTimer(id Timer, d time.Duration) { h.timers[id] = true }
-func (h *fakeHost) CancelTimer(id Timer)               { h.timers[id] = false }
-func (h *fakeHost) RetirePending(obsolete func(m wire.AppMsg) bool) {
-	for id, m := range h.pending {
-		if obsolete(m) {
-			delete(h.pending, id)
-		}
-	}
-}
+func (h *fakeHost) SetTimer(id Timer, d time.Duration)   { h.timers[id] = true }
+func (h *fakeHost) CancelTimer(id Timer)                 { h.timers[id] = false }
 func (h *fakeHost) Decision(k uint64) (wire.Batch, bool) { b, ok := h.log[k]; return b, ok }
 func (h *fakeHost) Decided(k uint64, b wire.Batch) {
 	if k == h.t.Next() {
@@ -113,17 +105,18 @@ func (h *fakeHost) Installed()                { h.installs = append(h.installs, 
 func (h *fakeHost) CaughtUp()                 { h.caughtUp++ }
 func (h *fakeHost) ViewChanged(v member.View) { h.views = append(h.views, v) }
 
-// commit is the host's in-order decision path: drop the ordered entries,
-// commit through the tail, advance the watermark (the modular order).
+// commit is the host's in-order decision path: commit through the tail,
+// advance the watermark (the modular order).
 func (h *fakeHost) commit(k uint64, b wire.Batch, descs []wire.Descriptor) {
-	for _, m := range b {
-		delete(h.pending, m.ID)
-	}
-	for _, d := range descs {
-		delete(h.pending, types.MsgID{Sender: d.Origin, Seq: d.DSeq})
-	}
 	h.t.Commit(k, b, descs)
 	h.t.Advance(k)
+}
+
+// pending returns the IDs left in the tail's pool, in order.
+func (h *fakeHost) pending() []types.MsgID {
+	var ids []types.MsgID
+	h.t.Pool.Each(func(e *pool.Entry) { ids = append(ids, e.Msg.ID) })
+	return ids
 }
 
 // take returns and clears the recorded sends.
@@ -299,12 +292,17 @@ func TestSnapshotInstallRetiresCoveredState(t *testing.T) {
 	own, other, late := app(0, 1), app(1, 1), app(0, 2)
 	h.t.Flow.Resume(2, []uint64{1, 2})
 	for _, m := range []wire.AppMsg{own, other, late} {
-		h.pending[m.ID] = m
+		h.t.Pool.Add(m, 1)
 	}
+	// Our proposals for instances 5 (covered) and 12 (not) carried late.
+	h.t.Pool.Assign(wire.Batch{late}, 5)
 	env := envelope(10, own.ID, other.ID)
 	h.t.SnapResp(1, wire.SnapResp{Index: 10, Total: uint64(len(env)), UpTo: 12, Data: env})
-	if _, ok := h.pending[late.ID]; !ok || len(h.pending) != 1 {
-		t.Fatalf("pending after install = %v, want only the uncovered own message", h.pending)
+	if got := h.pending(); len(got) != 1 || got[0] != late.ID {
+		t.Fatalf("pending after install = %v, want only the uncovered own message", got)
+	}
+	if b := h.t.Pool.Take(h.t.Next()+1, h.t.Hist.Current(), 0); len(b) != 1 {
+		t.Fatalf("proposable after install = %v: the covered instance's assignment must be released", b)
 	}
 	if got := h.t.Flow.InFlight(); got != 1 {
 		t.Fatalf("in-flight after install = %d, want 1 (the covered own slot released)", got)
@@ -405,20 +403,20 @@ func TestCommit(t *testing.T) {
 		if !h.t.Announce(d, orphan) {
 			t.Fatal("announce of a member's batch must need ordering")
 		}
-		h.pending[d.AppMsg().ID] = d.AppMsg()
+		h.t.Pool.Add(d.AppMsg(), 1)
 		h.t.Suspected[2] = true
 		op, _ := h.t.Hist.Current().Stamp(member.Op{Kind: member.OpRemove, Target: 2})
 		h.commit(1, wire.Batch{{ID: types.MsgID{Sender: 1, Seq: 1}, Body: member.EncodeOp(op)}}, nil)
 		// Decided at 1 with W=3: activation 4, so instance 3 is the last
 		// old-view instance — nothing may be retired before it commits.
 		h.commit(2, nil, nil)
-		if len(h.pending) != 1 || h.t.Store.Len() != 2 {
-			t.Fatalf("retired before the boundary: pending %d, resident %d", len(h.pending), h.t.Store.Len())
+		if h.t.Pool.Len() != 1 || h.t.Store.Len() != 2 {
+			t.Fatalf("retired before the boundary: pending %d, resident %d", h.t.Pool.Len(), h.t.Store.Len())
 		}
 		h.commit(3, nil, nil)
-		if len(h.pending) != 0 || h.t.Store.Len() != 0 || h.t.Suspected[2] {
+		if h.t.Pool.Len() != 0 || h.t.Store.Len() != 0 || h.t.Suspected[2] {
 			t.Fatalf("after the boundary: pending %d, resident %d, suspected %v",
-				len(h.pending), h.t.Store.Len(), h.t.Suspected[2])
+				h.t.Pool.Len(), h.t.Store.Len(), h.t.Suspected[2])
 		}
 		if got := h.env.Cnt.PayloadsRetired.Load(); got != 2 {
 			t.Fatalf("PayloadsRetired = %d, want 2", got)
@@ -432,14 +430,14 @@ func TestCommit(t *testing.T) {
 		whole, part := run(1, 1, 3), run(1, 2, 2)
 		dw, dp := descriptor(t, whole, 1), descriptor(t, part, 1<<wire.DSeqIncarnationShift|1)
 		h.t.Store.PutBatch(whole)
-		h.pending[dp.AppMsg().ID] = dp.AppMsg()
+		h.t.Pool.Add(dp.AppMsg(), 1)
 		resolved, descs, blocked := h.t.Resolve(wire.Batch{dw.AppMsg()})
 		if blocked {
 			t.Fatal("resident payload blocked")
 		}
 		h.commit(1, resolved, descs)
-		if len(h.pending) != 0 {
-			t.Fatalf("regrouped sibling still pending: %v", h.pending)
+		if got := h.pending(); len(got) != 0 {
+			t.Fatalf("regrouped sibling still pending: %v", got)
 		}
 		if !h.t.DescriptorSettled(dp.AppMsg()) || !h.t.DescriptorSettled(dw.AppMsg()) {
 			t.Fatal("decided descriptors must be settled")

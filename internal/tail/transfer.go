@@ -235,7 +235,10 @@ func (t *Tail) installSnapshot(env wire.SnapshotEnvelope) error {
 		}
 	}
 	t.Flow.ReleaseDelivered(t.Delivered.Seen)
-	t.h.RetirePending(func(m wire.AppMsg) bool { return t.settled(m, env.Index) })
+	t.Pool.Retire(func(m wire.AppMsg) bool { return t.settled(m, env.Index) })
+	// The instances below the new watermark will never decide here: what
+	// our proposals for them carried is proposable again.
+	t.Pool.ReleaseBelow(t.next)
 	// A head blocked below the new watermark is obsolete; one above it
 	// re-blocks from scratch when the host retries it.
 	if t.blocked {
