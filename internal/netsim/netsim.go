@@ -11,6 +11,7 @@
 package netsim
 
 import (
+	"bytes"
 	"container/heap"
 	"fmt"
 	"math/rand"
@@ -622,7 +623,14 @@ func (e *simEnv) Send(to types.ProcessID, data []byte) {
 	}
 	e.p.counters.MsgsSent.Add(1)
 	e.p.counters.BytesSent.Add(int64(len(data)))
-	// Send must not retain data (engine.Env): copy it into a 16 KiB slab.
+	// Send must not retain data (engine.Env): copy it into a 16 KiB slab,
+	// once per fan-out. Consecutive sends of the same bytes (a broadcast)
+	// share the copy, which receivers only read; the bytes are compared,
+	// not the pointer, since a pooled writer may be refilled in between.
+	if n := len(e.outbox); n > 0 && bytes.Equal(e.outbox[n-1].data, data) {
+		e.outbox = append(e.outbox, outMsg{to: to, data: e.outbox[n-1].data})
+		return
+	}
 	if len(e.c.slab)+len(data) > cap(e.c.slab) {
 		e.c.slab = make([]byte, 0, max(16<<10, len(data)))
 	}
