@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -554,6 +555,27 @@ func TestGroupAddRemove(t *testing.T) {
 	}
 }
 
+// tcpMember starts process self of a monolithic TCP group booted over
+// addrs[:3], with a durable log under dir, its deliveries followed by log.
+// A joiner knows its own slot (members learn it from the decided op) and
+// starts with WithJoin.
+func tcpMember(t *testing.T, addrs []string, dir string, log *orderLog, self int, join bool) *modab.Cluster {
+	t.Helper()
+	table := addrs[:3]
+	opts := []modab.Option{modab.WithDurability(filepath.Join(dir, fmt.Sprintf("p%d", self)), modab.SyncNone)}
+	if join {
+		table = addrs
+		opts = append(opts, modab.WithJoin(0))
+	}
+	opts = append(opts, modab.WithTransportTCP(append([]string(nil), table...), modab.ProcessID(self)))
+	g, err := modab.New(len(table), modab.Monolithic, opts...)
+	if err != nil {
+		t.Fatalf("New p%d: %v", self, err)
+	}
+	log.follow(g)
+	return g
+}
+
 // TestTCPNodeJoin exercises the abnode deployment path: a three-process
 // TCP group is running, a fourth process starts with WithJoin, asks a
 // member to sponsor its admission (RequestJoin), and the members learn
@@ -564,22 +586,7 @@ func TestTCPNodeJoin(t *testing.T) {
 	addrs := reservePorts(t, 4)
 	log := newOrderLog()
 	dir := t.TempDir()
-	mkNode := func(self int, join bool) *modab.Cluster {
-		t.Helper()
-		table := addrs[:3]
-		opts := []modab.Option{modab.WithDurability(filepath.Join(dir, fmt.Sprintf("p%d", self)), modab.SyncNone)}
-		if join {
-			table = addrs // the joiner knows its own slot; members learn it from the op
-			opts = append(opts, modab.WithJoin(0))
-		}
-		opts = append(opts, modab.WithTransportTCP(append([]string(nil), table...), modab.ProcessID(self)))
-		g, err := modab.New(len(table), modab.Monolithic, opts...)
-		if err != nil {
-			t.Fatalf("New p%d: %v", self, err)
-		}
-		log.follow(g)
-		return g
-	}
+	mkNode := func(self int, join bool) *modab.Cluster { return tcpMember(t, addrs, dir, log, self, join) }
 	nodes := make([]*modab.Cluster, 3)
 	for i := range nodes {
 		nodes[i] = mkNode(i, false)
@@ -636,4 +643,61 @@ func TestTCPNodeJoin(t *testing.T) {
 			t.Fatalf("p%d: N = %d after the join", i, g.N())
 		}
 	}
+}
+
+// TestTCPNodeRemoveRetiresPeer: once a member that left for good is
+// removed, the others stop dialing it within one backoff and drop what
+// they held for it — their goroutine count is back where it was before it
+// joined. (Its writers used to re-dial every 250 ms until Close.)
+func TestTCPNodeRemoveRetiresPeer(t *testing.T) {
+	addrs := reservePorts(t, 4)
+	log := newOrderLog()
+	dir := t.TempDir()
+	nodes := make([]*modab.Cluster, 3)
+	for i := range nodes {
+		nodes[i] = tcpMember(t, addrs, dir, log, i, false)
+		defer nodes[i].Close()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if _, err := nodes[0].Abcast(ctx, 0, []byte("boot")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 30*time.Second, func() bool { return log.count(0) == 1 && log.count(1) == 1 && log.count(2) == 1 }, "boot deliveries")
+	before := goruntime.NumGoroutine()
+
+	joiner := tcpMember(t, addrs, dir, log, 3, true)
+	if err := joiner.RequestJoin(ctx, 0); err != nil {
+		joiner.Close()
+		t.Fatalf("RequestJoin: %v", err)
+	}
+	waitFor(t, 30*time.Second, func() bool { return log.count(3) == 1 }, "joiner catch-up")
+	joiner.Close() // gone for good: every dial to it is refused
+	dialFailures := func() (n int64) {
+		for i, g := range nodes {
+			n += g.Stats().PerProcess[i].TransportDialFailures
+		}
+		return n
+	}
+	waitFor(t, 10*time.Second, func() bool { return dialFailures() > 0 }, "a refused dial to the departed joiner")
+
+	if err := nodes[0].Remove(ctx, 3); err != nil {
+		t.Fatalf("Remove: %v", err)
+	}
+	waitFor(t, 10*time.Second, func() bool {
+		for i, g := range nodes {
+			if g.View(i).Contains(3) {
+				return false
+			}
+		}
+		return true
+	}, "the remove applied everywhere")
+	time.Sleep(300 * time.Millisecond) // one dial backoff
+	settled := dialFailures()
+	time.Sleep(time.Second)
+	if got := dialFailures(); got != settled {
+		t.Fatalf("dial failures still rising after the remove: %d -> %d", settled, got)
+	}
+	waitFor(t, 10*time.Second, func() bool { return goruntime.NumGoroutine() <= before },
+		"goroutines back to their count before the join")
 }

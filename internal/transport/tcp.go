@@ -37,7 +37,8 @@ const (
 // 4-byte length-prefixed frames. Each connection is identified by a hello
 // carrying the dialer's process ID. Send only queues: each peer has one
 // writer goroutine that dials, backs off and writes its queue a drain at
-// a time, so no socket call ever runs on the caller's goroutine.
+// a time, so no socket call ever runs on the caller's goroutine. A removed
+// member's peer is retired (Retire): its writer ends and its queue goes.
 type TCP struct {
 	self    types.ProcessID
 	ln      net.Listener
@@ -52,6 +53,7 @@ type TCP struct {
 	started bool
 	closed  bool
 	peers   map[types.ProcessID]*peer
+	retired map[types.ProcessID]bool // removed members: Send refuses them
 	wg      sync.WaitGroup
 }
 
@@ -63,6 +65,10 @@ var _ Transport = (*TCP)(nil)
 // than a slab, and shedding the oldest chunk sheds the oldest frames.
 type peer struct {
 	wake chan struct{} // one pending wakeup
+	// ctx ends at Close or when the peer is retired, and with it the
+	// writer and its connection.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu     sync.Mutex
 	chunks [][]byte
@@ -117,7 +123,8 @@ func NewTCP(self types.ProcessID, addrs []string) (*TCP, error) {
 		cnt:    new(trace.Counters),
 		ctx:    ctx,
 		cancel: cancel,
-		peers:  make(map[types.ProcessID]*peer),
+		peers:   make(map[types.ProcessID]*peer),
+		retired: make(map[types.ProcessID]bool),
 	}, nil
 }
 
@@ -230,12 +237,13 @@ func readFrames(r io.Reader, fn func([]byte)) error {
 
 // Send implements Transport. It appends one length-prefixed copy of data
 // to the peer's queue and wakes the peer's writer, started by the first
-// Send to that peer; it never touches the socket.
+// Send to that peer; it never touches the socket. A retired peer is
+// unknown: nothing is queued for it.
 func (t *TCP) Send(to types.ProcessID, data []byte) error {
 	t.mu.Lock()
 	// The bounds check reads the address table under the lock: SetAddrs
 	// grows it concurrently when a decided join carries a new address.
-	if int(to) < 0 || int(to) >= len(t.addrs) {
+	if int(to) < 0 || int(to) >= len(t.addrs) || t.retired[to] {
 		t.mu.Unlock()
 		return ErrUnknownPeer
 	}
@@ -250,6 +258,7 @@ func (t *TCP) Send(to types.ProcessID, data []byte) error {
 	p := t.peers[to]
 	if p == nil {
 		p = &peer{wake: make(chan struct{}, 1)}
+		p.ctx, p.cancel = context.WithCancel(t.ctx)
 		t.peers[to] = p
 		t.wg.Add(1)
 		go t.write(to, p)
@@ -265,6 +274,33 @@ func (t *TCP) Send(to types.ProcessID, data []byte) error {
 	return nil
 }
 
+// Retire ends the peer of a removed member: its writer stops, closing its
+// connection, its queued frames are dropped, and Send refuses it until
+// Readmit. Without it a peer gone for good keeps its queue until Close and
+// its writer re-dials every dialRetry.
+func (t *TCP) Retire(to types.ProcessID) {
+	t.mu.Lock()
+	p := t.peers[to]
+	delete(t.peers, to)
+	t.retired[to] = true
+	t.mu.Unlock()
+	if p == nil {
+		return
+	}
+	p.cancel()
+	p.mu.Lock()
+	p.chunks, p.queued = nil, 0
+	p.mu.Unlock()
+}
+
+// Readmit lets Send reach a retired peer again (an ID admitted anew): the
+// next Send starts a fresh peer.
+func (t *TCP) Readmit(to types.ProcessID) {
+	t.mu.Lock()
+	delete(t.retired, to)
+	t.mu.Unlock()
+}
+
 // write is a peer's writer: it owns the connection, and each drain swaps
 // the peer's whole queue out and writes it, one Write per chunk (one in
 // all unless more than a slab's worth queued since the last drain).
@@ -278,7 +314,7 @@ func (t *TCP) write(to types.ProcessID, p *peer) {
 	for {
 		select {
 		case <-p.wake:
-		case <-t.ctx.Done():
+		case <-p.ctx.Done():
 			return
 		}
 		for {
@@ -299,11 +335,11 @@ func (t *TCP) write(to types.ProcessID, p *peer) {
 				break
 			}
 			if c == nil {
-				if conn := t.dial(to); conn != nil {
-					c, stop = conn, context.AfterFunc(t.ctx, func() { conn.Close() })
+				if conn := t.dial(p.ctx, to); conn != nil {
+					c, stop = conn, context.AfterFunc(p.ctx, func() { conn.Close() })
 					continue
 				}
-				if t.ctx.Err() != nil {
+				if p.ctx.Err() != nil {
 					return
 				}
 				// The queue waits out the backoff; the timer re-dials.
@@ -311,7 +347,7 @@ func (t *TCP) write(to types.ProcessID, p *peer) {
 				select {
 				case <-time.After(dialRetry):
 					continue
-				case <-t.ctx.Done():
+				case <-p.ctx.Done():
 					return
 				}
 			}
@@ -329,12 +365,13 @@ func (t *TCP) write(to types.ProcessID, p *peer) {
 	}
 }
 
-// dial connects to a peer and says hello (our process ID); nil if it fails.
-func (t *TCP) dial(to types.ProcessID) net.Conn {
+// dial connects to a peer and says hello (our process ID); nil if it fails
+// or ctx ends.
+func (t *TCP) dial(ctx context.Context, to types.ProcessID) net.Conn {
 	t.mu.Lock()
 	addr := t.addrs[to]
 	t.mu.Unlock()
-	c, err := (&net.Dialer{Timeout: dialTimeout}).DialContext(t.ctx, "tcp", addr)
+	c, err := (&net.Dialer{Timeout: dialTimeout}).DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil
 	}

@@ -343,3 +343,48 @@ func FuzzFrameReader(f *testing.F) {
 		}
 	})
 }
+
+// TestTCPRetireEndsPeer: retiring a peer gone for good (a removed member)
+// ends its writer and drops its queue, so its dial failures stop and its
+// goroutine goes; Send refuses it until Readmit, after which a fresh peer
+// starts.
+func TestTCPRetireEndsPeer(t *testing.T) {
+	t0, err := NewTCP(0, []string{"127.0.0.1:0", freeAddr(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t0.Close()
+	var cnt trace.Counters
+	t0.SetCounters(&cnt)
+	if err := t0.Start(nop); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	if err := t0.Send(1, []byte("lost")); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "a refused dial", func() bool { return cnt.TransportDialFailures.Load() > 0 })
+
+	t0.Retire(1)
+	waitUntil(t, "the writer to end", func() bool { return runtime.NumGoroutine() <= before })
+	failures := cnt.TransportDialFailures.Load()
+	time.Sleep(3 * dialRetry)
+	if got := cnt.TransportDialFailures.Load(); got != failures {
+		t.Fatalf("dial failures rose from %d to %d after Retire", failures, got)
+	}
+	if err := t0.Send(1, []byte("refused")); !errors.Is(err, ErrUnknownPeer) {
+		t.Fatalf("Send to a retired peer: %v, want ErrUnknownPeer", err)
+	}
+	t0.mu.Lock()
+	_, kept := t0.peers[1]
+	t0.mu.Unlock()
+	if kept {
+		t.Fatal("a retired peer is still in the peer table")
+	}
+
+	t0.Readmit(1)
+	if err := t0.Send(1, []byte("again")); err != nil {
+		t.Fatalf("Send after Readmit: %v", err)
+	}
+	waitUntil(t, "a fresh peer's dial", func() bool { return cnt.TransportDialFailures.Load() > failures })
+}
