@@ -260,12 +260,7 @@ func (l *Layer) progress() {
 // (re)starts consensus — the shared tail of the direct and relayed
 // receive paths (see host.Relayed).
 func (l *Layer) ingestDiffused(b wire.Batch) {
-	cur := l.t.Hist.Current()
-	for _, msg := range b {
-		if !l.t.Delivered.Seen(msg.ID) && cur.Contains(msg.ID.Sender) {
-			l.t.Pool.Add(msg, l.t.Next())
-		}
-	}
+	l.t.Offer(b, l.t.Next())
 	l.armKick()
 	l.maybeStartConsensus()
 }
@@ -408,28 +403,29 @@ func (l *Layer) processDecision(k uint64, batch wire.Batch, descs []wire.Descrip
 	// replayed backlog, so the staleness rule would re-broadcast it every
 	// few applied chunks for nothing — CaughtUp restarts the epochs
 	// instead.
-	if l.t.Rec.Active() {
-		return
+	if !l.t.Rec.Active() {
+		l.rediffuse(func(e *pool.Entry) bool { return k >= e.Mark && k-e.Mark >= rediffuseGrace*uint64(l.pipe) }, k+1)
 	}
-	l.t.Pool.Each(func(e *pool.Entry) {
-		if k >= e.Mark && k-e.Mark >= rediffuseGrace*uint64(l.pipe) {
-			e.Mark = k + 1
-			if l.rediffuse(e.Msg) {
-				l.ctx.Env().Counters().Retransmissions.Add(int64(l.hd.Fanout()))
-			}
-		}
-	})
 }
 
-// rediffuse re-spreads one stale pending entry: a plain diffuse in payload
-// mode; under digest ordering the entry is a descriptor pseudo-message,
-// re-announced with its payload if this process still holds it.
-func (l *Layer) rediffuse(m wire.AppMsg) bool {
-	if l.cfg.DigestOrdering {
-		return l.hd.Reannounce(wire.Batch{m}) == 1
-	}
-	l.diffuseOne(m)
-	return true
+// rediffuse re-spreads each pending entry stale selects, restamping its
+// epoch to mark: a plain diffuse in payload mode; under digest ordering the
+// entry is a descriptor pseudo-message, re-announced with its payload if
+// this process still holds it.
+func (l *Layer) rediffuse(stale func(e *pool.Entry) bool, mark uint64) {
+	c := l.ctx.Env().Counters()
+	l.t.Pool.Each(func(e *pool.Entry) {
+		if !stale(e) {
+			return
+		}
+		e.Mark = mark
+		if !l.cfg.DigestOrdering {
+			l.diffuseOne(e.Msg)
+		} else if l.hd.Reannounce(wire.Batch{e.Msg}) != 1 {
+			return
+		}
+		c.Retransmissions.Add(int64(l.hd.Fanout()))
+	})
 }
 
 // Timer implements stack.Layer: the batching age trigger and the idle
@@ -480,13 +476,7 @@ func (l *Layer) Timer(id engine.TimerID) {
 	if l.t.Pool.Len() > 0 && stalled {
 		// Stalled: re-diffuse everything still pending so the round-1
 		// coordinator certainly learns of it, then (re)propose.
-		c := l.ctx.Env().Counters()
-		l.t.Pool.Each(func(e *pool.Entry) {
-			e.Mark = l.t.Next() + 1
-			if l.rediffuse(e.Msg) {
-				c.Retransmissions.Add(int64(l.hd.Fanout()))
-			}
-		})
+		l.rediffuse(func(*pool.Entry) bool { return true }, l.t.Next()+1)
 		l.maybeStartConsensus()
 	}
 	if l.t.Pool.Len() > 0 {

@@ -198,35 +198,25 @@ func (e *Engine) Abcast(body []byte) (types.MsgID, error) { return e.hd.Abcast(b
 // forwardOwn sends every eligible own message to the coordinator as a
 // standalone forward (idle/bootstrap path).
 func (e *Engine) forwardOwn(cur *ct.Inst, coord types.ProcessID) {
-	batch := e.eligibleOwn(cur.K)
+	batch := e.attachOwn(cur.K, false)
 	if len(batch) == 0 {
 		return
 	}
 	e.send(coord, message{Type: mForward, Instance: cur.K, Round: cur.Round, Batch: batch})
 }
 
-// eligibleOwn collects own unordered messages that should be (re)sent to a
-// coordinator when acking instance k, and marks them attached to k.
-func (e *Engine) eligibleOwn(k uint64) wire.Batch {
+// attachOwn collects the own unordered messages to (re)send to a
+// coordinator for instance k, and marks them attached to k: all of them
+// (estimates and kicks: the new coordinator starts with nothing of ours),
+// or those never attached or attached more than the grace ago (acks).
+func (e *Engine) attachOwn(k uint64, all bool) wire.Batch {
 	var batch wire.Batch
 	own := e.own()
 	for i := range own {
-		if a := own[i].Mark; a == 0 || k >= a+attachGrace*uint64(e.pipe) {
+		if a := own[i].Mark; all || a == 0 || k >= a+attachGrace*uint64(e.pipe) {
 			own[i].Mark = k
 			batch = append(batch, own[i].Msg)
 		}
-	}
-	return batch
-}
-
-// allOwn collects every own unordered message (estimate path: the new
-// coordinator starts with nothing of ours).
-func (e *Engine) allOwn(k uint64) wire.Batch {
-	var batch wire.Batch
-	own := e.own()
-	for i := range own {
-		own[i].Mark = k
-		batch = append(batch, own[i].Msg)
 	}
 	return batch
 }
@@ -261,21 +251,25 @@ func (e *Engine) tryPropose() {
 	}
 }
 
-// openProposals counts this process's in-flight proposals: window
+// eachOpen calls f on each of this process's in-flight proposals: window
 // instances whose current round this process proposed and that have not
 // decided yet.
-func (e *Engine) openProposals() int {
-	open := 0
+func (e *Engine) eachOpen(f func(in *ct.Inst, d *ct.Duty)) {
 	for k := e.decidedK() + 1; k <= e.decidedK()+uint64(e.pipe); k++ {
 		in := e.rounds.Lookup(k)
 		if in == nil || in.Decided {
 			continue
 		}
 		if d := in.Coord[in.Round]; d != nil && d.Proposed {
-			open++
+			f(in, d)
 		}
 	}
-	return open
+}
+
+// openProposals counts this process's in-flight proposals.
+func (e *Engine) openProposals() (n int) {
+	e.eachOpen(func(*ct.Inst, *ct.Duty) { n++ })
+	return n
 }
 
 // propDec builds round r's combined proposal+decision (§4.1). Sequentially
@@ -339,19 +333,12 @@ func (e *Engine) respreadOpen() {
 	if !e.hd.Ring() || e.t.Rec.Active() {
 		return
 	}
-	c := e.env.Counters()
-	for k := e.decidedK() + 1; k <= e.decidedK()+uint64(e.pipe); k++ {
-		in := e.rounds.Lookup(k)
-		if in == nil || in.Decided {
-			continue
+	e.eachOpen(func(in *ct.Inst, d *ct.Duty) {
+		if e.rounds.Coordinator(in.K, in.Round) == e.self {
+			e.env.Counters().Retransmissions.Add(1)
+			e.spreadPropDec(e.propDec(in, in.Round, d.Proposal))
 		}
-		d := in.Coord[in.Round]
-		if d == nil || !d.Proposed || e.rounds.Coordinator(in.K, in.Round) != e.self {
-			continue
-		}
-		c.Retransmissions.Add(1)
-		e.spreadPropDec(e.propDec(in, in.Round, d.Proposal))
-	}
+	})
 }
 
 // HandleMessage implements engine.Engine. An mFrame's frame goes to the
@@ -409,7 +396,7 @@ func (e *Engine) handlePropDec(from types.ProcessID, m message) {
 // the decision from the piggyback on the next proposal or the standalone
 // flush.
 func (e *Engine) handleAckDiff(from types.ProcessID, m message) {
-	e.poolIn(m.Batch)
+	e.t.Offer(m.Batch, 0)
 	e.rounds.Ack(from, m.Instance, m.Round)
 	e.tryPropose()
 }
@@ -417,41 +404,14 @@ func (e *Engine) handleAckDiff(from types.ProcessID, m message) {
 // handleEstimate processes a round-change estimate at the new coordinator,
 // pooling the own messages it carries (§4.2).
 func (e *Engine) handleEstimate(from types.ProcessID, m message) {
-	e.poolIn(m.Piggyback)
+	e.t.Offer(m.Piggyback, 0)
 	e.rounds.Estimate(from, m.Instance, m.Round, ct.Estimate{TS: m.TS, HasValue: m.HasValue, Batch: m.Batch})
 }
 
 // handleForward pools directly forwarded messages at the coordinator.
 func (e *Engine) handleForward(m message) {
-	e.poolIn(m.Batch)
+	e.t.Offer(m.Batch, 0)
 	e.tryPropose()
-}
-
-// poolIn adds piggybacked messages to the pool, ignoring already-delivered
-// ones; the first copy wins.
-func (e *Engine) poolIn(batch wire.Batch) {
-	cur := e.t.Hist.Current()
-	for _, msg := range batch {
-		if !cur.Contains(msg.ID.Sender) {
-			// Removed origin: pooling it would let a proposal carry state
-			// the activation boundary already retired cluster-wide.
-			continue
-		}
-		if e.cfg.DigestOrdering {
-			// The batch carries descriptor pseudo-messages here, whose IDs
-			// alias real message IDs at incarnation 0 — the per-sender
-			// delivered suppressor must not be consulted (a real seq n
-			// delivery would falsely suppress descriptor counter n). A
-			// descriptor that already decided, or whose whole range is
-			// already adelivered, has nothing left to order.
-			if e.t.DescriptorSettled(msg) {
-				continue
-			}
-		} else if e.t.Delivered.Seen(msg.ID) {
-			continue
-		}
-		e.t.Pool.Add(msg, 0)
-	}
 }
 
 // applyRemoteDecision applies a decision learned from a peer (piggybacked
@@ -756,7 +716,7 @@ func (e *Engine) kick() {
 		} else {
 			// Re-forward everything we still hold.
 			e.reannounceOwn()
-			batch := e.allOwn(cur.K)
+			batch := e.attachOwn(cur.K, true)
 			if len(batch) > 0 {
 				e.send(coord, message{Type: mForward, Instance: cur.K, Round: cur.Round, Batch: batch})
 				e.env.Counters().Retransmissions.Add(1)
@@ -1083,7 +1043,7 @@ func (h *host) SendAck(to types.ProcessID, in *ct.Inst, r uint32) {
 	if in.K > e.decidedK()+uint64(e.pipe) {
 		e.wantBelow(to, in.K-uint64(e.pipe)+1)
 	}
-	e.send(to, message{Type: mAckDiff, Instance: in.K, Round: r, Batch: e.eligibleOwn(in.K)})
+	e.send(to, message{Type: mAckDiff, Instance: in.K, Round: r, Batch: e.attachOwn(in.K, false)})
 }
 
 func (h *host) SendNack(to types.ProcessID, k uint64, r uint32) {
@@ -1095,7 +1055,7 @@ func (h *host) SendNack(to types.ProcessID, k uint64, r uint32) {
 func (h *host) SendEstimate(to types.ProcessID, in *ct.Inst) {
 	e := (*Engine)(h)
 	e.send(to, message{Type: mEstimate, Instance: in.K, Round: in.Round,
-		TS: in.EstTS, HasValue: in.HasEst, Batch: in.Est, Piggyback: e.allOwn(in.K)})
+		TS: in.EstTS, HasValue: in.HasEst, Batch: in.Est, Piggyback: e.attachOwn(in.K, true)})
 }
 
 func (h *host) SendDecision(to types.ProcessID, in *ct.Inst) {

@@ -1,22 +1,16 @@
 // Package pool is the set of unordered messages both atomic broadcast
 // stacks hold while consensus orders them: the modular layer's pending set
-// (diffused messages it would propose) and the monolithic engine's pool
-// (its own messages plus those piggybacked to it). What the stacks do with
-// an entry — diffuse it, piggyback it, re-send it after a grace — is their
-// policy; the set, its split across the pipeline window and its order are
-// this package.
+// and the monolithic engine's pool. What a stack does with an entry —
+// diffuse it, piggyback it, re-send it after a grace — is its policy; the
+// set, its split across the pipeline window and its order are this package.
 //
-// Each origin has one window: its entries sorted by seq, unique, the same
-// layout as payload.Store. Seqs mostly arrive ascending, so an add is an
-// append and a lookup the O(1) index seq − w[0].seq, with a binary search
-// when that misses. Windows are kept in origin order, so walking them in
-// turn is MsgID order: a proposal is taken without sorting.
-//
-// An entry carries the in-flight instance whose proposal carries it
-// (Assigned) — the partition that keeps one message off two concurrent
-// proposals of this process — and a stack-specific instance stamp (Mark).
-//
-// A Pool is driven from the owning engine's single-threaded event loop.
+// Each origin has one window: its entries sorted by seq, unique, as in
+// payload.Store. Seqs mostly arrive ascending and leave from the front, so
+// an add is an append, a drop a reslice and a lookup the O(1) index
+// seq − w[0].seq (a binary search when that misses). Windows are kept in
+// origin order: walking them in turn is MsgID order, so a proposal is
+// taken without sorting. The pool is driven from the owning engine's
+// single-threaded event loop.
 package pool
 
 import (
@@ -31,28 +25,35 @@ import (
 // Entry is one unordered message.
 type Entry struct {
 	Msg wire.AppMsg
-	// Assigned is the in-flight instance whose proposal carries Msg, 0 for
-	// none: a proposal for another instance leaves it out.
+	// Assigned is the in-flight instance whose proposal of this process
+	// carries Msg (0: none); a proposal for another instance leaves it out,
+	// so concurrent instances order disjoint slices of the pool.
 	Assigned uint64
 	// Mark is the owner's instance stamp: the modular layer's staleness
 	// epoch, the monolithic engine's attach instance (0: never attached).
 	Mark uint64
 }
 
-func (e *Entry) seq() uint64 { return e.Msg.ID.Seq }
-
 // window holds one origin's entries, sorted by seq, unique. e lives in
-// buf: dropping a front run reslices e, which leaves free room before it.
+// buf: a drop at the front reslices e, leaving free room before it.
 type window struct {
 	origin types.ProcessID
-	e      []Entry
-	buf    []Entry
+	e, buf []Entry
 }
 
-// room makes space for one more entry in e: a full e slides back to the
-// start of buf when that leaves buf at most half used, and moves to a
-// larger buf otherwise. A window sliding at a steady rate, the way an
-// origin's messages arrive and are ordered, then allocates nothing.
+// find returns the index of seq, or where it would be inserted.
+func (w *window) find(seq uint64) (int, bool) {
+	if len(w.e) > 0 && seq >= w.e[0].Msg.ID.Seq {
+		if i := seq - w.e[0].Msg.ID.Seq; i < uint64(len(w.e)) && w.e[i].Msg.ID.Seq == seq {
+			return int(i), true
+		}
+	}
+	return slices.BinarySearchFunc(w.e, seq, func(e Entry, seq uint64) int { return cmp.Compare(e.Msg.ID.Seq, seq) })
+}
+
+// room makes space for one more entry: a full e slides back to the start
+// of buf when that leaves buf at most half used, and moves to a larger buf
+// otherwise. A window sliding at a steady rate then allocates nothing.
 func (w *window) room() {
 	if len(w.e) < cap(w.e) {
 		return
@@ -65,25 +66,13 @@ func (w *window) room() {
 	w.e = w.buf[:n]
 }
 
-// find returns the index of seq, or where it would be inserted.
-func (w *window) find(seq uint64) (int, bool) {
-	if len(w.e) > 0 && seq >= w.e[0].seq() {
-		if i := seq - w.e[0].seq(); i < uint64(len(w.e)) && w.e[i].seq() == seq {
-			return int(i), true
-		}
-	}
-	return slices.BinarySearchFunc(w.e, seq, func(e Entry, seq uint64) int { return cmp.Compare(e.seq(), seq) })
-}
-
-// Pool is the unordered-message set of one engine.
+// Pool is the unordered-message set of one engine. The zero value is an
+// empty pool.
 type Pool struct {
-	wins     []*window // sorted by origin
-	n        int
-	assigned int // entries with Assigned != 0
+	wins []*window  // sorted by origin
+	n    int        // entries
+	take wire.Batch // Take's scratch
 }
-
-// New returns an empty pool.
-func New() *Pool { return new(Pool) }
 
 // Len returns the number of entries.
 func (p *Pool) Len() int { return p.n }
@@ -91,25 +80,13 @@ func (p *Pool) Len() int { return p.n }
 // window returns origin's window, creating it when add is set.
 func (p *Pool) window(origin types.ProcessID, add bool) *window {
 	i, ok := slices.BinarySearchFunc(p.wins, origin, func(w *window, o types.ProcessID) int { return cmp.Compare(w.origin, o) })
-	if ok {
-		return p.wins[i]
-	}
-	if !add {
+	if !ok && !add {
 		return nil
 	}
-	w := &window{origin: origin}
-	p.wins = slices.Insert(p.wins, i, w)
-	return w
-}
-
-// entry returns id's entry, or nil.
-func (p *Pool) entry(id types.MsgID) *Entry {
-	if w := p.window(id.Sender, false); w != nil {
-		if i, ok := w.find(id.Seq); ok {
-			return &w.e[i]
-		}
+	if !ok {
+		p.wins = slices.Insert(p.wins, i, &window{origin: origin})
 	}
-	return nil
+	return p.wins[i]
 }
 
 // Add inserts m, unassigned, with the given mark, and reports whether it
@@ -117,7 +94,7 @@ func (p *Pool) entry(id types.MsgID) *Entry {
 func (p *Pool) Add(m wire.AppMsg, mark uint64) bool {
 	w := p.window(m.ID.Sender, true)
 	i, found := len(w.e), false
-	if i > 0 && m.ID.Seq <= w.e[i-1].seq() {
+	if i > 0 && m.ID.Seq <= w.e[i-1].Msg.ID.Seq {
 		i, found = w.find(m.ID.Seq)
 	}
 	if found {
@@ -134,47 +111,35 @@ func (p *Pool) Add(m wire.AppMsg, mark uint64) bool {
 // MsgID order, at most max of them (0: no cap) and within
 // wire.MaxBatchBytes. The batch is a fresh slice: consensus keeps it.
 func (p *Pool) Take(k uint64, v member.View, max int) wire.Batch {
-	n := 0
+	b := p.take[:0]
 	for _, w := range p.wins {
 		if v.Contains(w.origin) {
 			for i := range w.e {
 				if a := w.e[i].Assigned; a == 0 || a == k {
-					n++
+					b = append(b, w.e[i].Msg)
 				}
 			}
 		}
 	}
-	if max > 0 && n > max {
-		n = max
+	p.take = b
+	defer clear(b) // unpin the bodies
+	if max > 0 && len(b) > max {
+		b = b[:max]
 	}
-	if n == 0 {
+	if len(b) == 0 {
 		return nil
 	}
-	b := make(wire.Batch, 0, n)
-	for _, w := range p.wins {
-		if !v.Contains(w.origin) {
-			continue
-		}
-		for i := range w.e {
-			if a := w.e[i].Assigned; a == 0 || a == k {
-				if b = append(b, w.e[i].Msg); len(b) == n {
-					return wire.CapBatchBytes(b)
-				}
-			}
-		}
-	}
-	return wire.CapBatchBytes(b)
+	return slices.Clone(wire.CapBatchBytes(b))
 }
 
 // Assign marks every entry of b as carried by the proposal for instance k
 // (messages the pool does not hold are skipped).
 func (p *Pool) Assign(b wire.Batch, k uint64) {
 	for _, m := range b {
-		if e := p.entry(m.ID); e != nil && e.Assigned != k {
-			if e.Assigned == 0 {
-				p.assigned++
+		if w := p.window(m.ID.Sender, false); w != nil {
+			if i, ok := w.find(m.ID.Seq); ok {
+				w.e[i].Assigned = k
 			}
-			e.Assigned = k
 		}
 	}
 }
@@ -183,17 +148,11 @@ func (p *Pool) Assign(b wire.Batch, k uint64) {
 // k proposable again: those instances are decided (or covered by a
 // snapshot), and what they did not order waits for a later one.
 func (p *Pool) ReleaseBelow(k uint64) {
-	if p.assigned == 0 {
-		return
-	}
-	for _, w := range p.wins {
-		for i := range w.e {
-			if a := w.e[i].Assigned; a != 0 && a < k {
-				w.e[i].Assigned = 0
-				p.assigned--
-			}
+	p.Each(func(e *Entry) {
+		if e.Assigned < k {
+			e.Assigned = 0
 		}
-	}
+	})
 }
 
 // Drop removes id's entry, if any.
@@ -203,7 +162,13 @@ func (p *Pool) Drop(id types.MsgID) {
 		return
 	}
 	if i, ok := w.find(id.Seq); ok {
-		p.remove(w, i, i+1, func(*Entry) bool { return true })
+		p.n--
+		if i == 0 {
+			w.e[0] = Entry{} // unpin the body
+			w.e = w.e[1:]
+		} else {
+			w.e = slices.Delete(w.e, i, i+1)
+		}
 	}
 }
 
@@ -211,35 +176,9 @@ func (p *Pool) Drop(id types.MsgID) {
 // message, is true.
 func (p *Pool) Retire(obsolete func(m wire.AppMsg) bool) {
 	for _, w := range p.wins {
-		p.remove(w, 0, len(w.e), func(e *Entry) bool { return obsolete(e.Msg) })
-	}
-}
-
-// remove drops every entry of w.e[lo:hi] that gone selects, keeping the
-// rest in order; a front run is dropped by reslicing.
-func (p *Pool) remove(w *window, lo, hi int, gone func(*Entry) bool) {
-	j := lo
-	for i := lo; i < hi; i++ {
-		if e := &w.e[i]; gone(e) {
-			p.n--
-			if e.Assigned != 0 {
-				p.assigned--
-			}
-		} else {
-			w.e[j] = *e
-			j++
-		}
-	}
-	switch {
-	case j == hi:
-	case j == 0 && hi == len(w.e):
-		clear(w.e)
-		w.e = w.buf[:0]
-	case j == 0:
-		clear(w.e[:hi])
-		w.e = w.e[hi:]
-	default:
-		w.e = slices.Delete(w.e, j, hi)
+		n := len(w.e)
+		w.e = slices.DeleteFunc(w.e, func(e Entry) bool { return obsolete(e.Msg) })
+		p.n -= n - len(w.e)
 	}
 }
 

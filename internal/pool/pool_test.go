@@ -39,7 +39,7 @@ func TestPool(t *testing.T) {
 	all := view(0, 1, 2)
 	// fill adds 2#3, 0#2, 1#1, 0#1, 2#1 (out of order, one duplicate).
 	fill := func() *Pool {
-		p := New()
+		p := new(Pool)
 		for _, m := range []wire.AppMsg{msg(2, 3), msg(0, 2), msg(1, 1), msg(0, 1), msg(2, 1), msg(0, 2)} {
 			p.Add(m, 7)
 		}
@@ -108,7 +108,7 @@ func TestPool(t *testing.T) {
 }
 
 func TestAddFirstCopyWins(t *testing.T) {
-	p := New()
+	p := new(Pool)
 	first := msg(1, 1)
 	if !p.Add(first, 3) {
 		t.Fatal("first add not new")
@@ -130,14 +130,14 @@ func TestAddFirstCopyWins(t *testing.T) {
 // encoding past wire.MaxBatchBytes, and always carries at least one.
 func TestTakeByteCap(t *testing.T) {
 	body := make([]byte, wire.MaxBatchBytes*3/8) // shared: no memory per entry
-	p := New()
+	p := new(Pool)
 	for seq := uint64(1); seq <= 4; seq++ {
 		p.Add(wire.AppMsg{ID: id(1, seq), Body: body}, 0)
 	}
 	if got := ids(p.Take(1, view(1), 0)); !reflect.DeepEqual(got, []types.MsgID{id(1, 1), id(1, 2)}) {
 		t.Fatalf("Take = %v, want the two entries within the byte cap", got)
 	}
-	huge := New()
+	huge := new(Pool)
 	huge.Add(wire.AppMsg{ID: id(1, 1), Body: make([]byte, wire.MaxBatchBytes)}, 0)
 	if got := huge.Take(1, view(1), 0); len(got) != 1 {
 		t.Fatalf("Take of one oversized entry = %d entries, want 1", len(got))
@@ -147,7 +147,7 @@ func TestTakeByteCap(t *testing.T) {
 // TestTakeIsFresh: consensus keeps a proposal, so a later change to the
 // pool must not show through it.
 func TestTakeIsFresh(t *testing.T) {
-	p := New()
+	p := new(Pool)
 	p.Add(msg(1, 1), 0)
 	p.Add(msg(1, 2), 0)
 	b := p.Take(1, view(1), 0)
@@ -165,7 +165,7 @@ func TestSlidingWindowAllocatesNothing(t *testing.T) {
 	for i := range msgs {
 		msgs[i] = msg(1, uint64(i+1))
 	}
-	p := New()
+	p := new(Pool)
 	next, first := 0, 0
 	for ; next < 32; next++ {
 		p.Add(msgs[next], 0)
@@ -182,7 +182,7 @@ func TestSlidingWindowAllocatesNothing(t *testing.T) {
 }
 
 func TestMarkUpdates(t *testing.T) {
-	p := New()
+	p := new(Pool)
 	p.Add(msg(2, 1), 1)
 	p.Add(msg(1, 1), 1)
 	p.Each(func(e *Entry) { e.Mark += 10 })
@@ -225,7 +225,7 @@ func FuzzPool(f *testing.F) {
 	f.Add([]byte{0, 3, 200, 0, 3, 100, 0, 3, 150, 1, 1, 0, 2, 1, 3, 4, 2, 7, 1, 6, 1, 7})
 	f.Add([]byte{0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 1, 2, 0, 3, 0, 0, 1, 3, 2, 6, 0, 7})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		p, ref := New(), model{}
+		p, ref := new(Pool), model{}
 		next := func() byte {
 			if len(ops) == 0 {
 				return 0
@@ -328,7 +328,7 @@ func BenchmarkTake(b *testing.B) {
 			name = "sliding"
 		}
 		b.Run(name, func(b *testing.B) {
-			p, v := New(), view(0, 1, 2)
+			p, v := new(Pool), view(0, 1, 2)
 			next := uint64(1)
 			for ; next <= 256; next++ {
 				p.Add(msg(1, next), 0)

@@ -27,11 +27,18 @@ func (t *Tail) Announce(d wire.Descriptor, b wire.Batch) bool {
 	return true
 }
 
-// DescriptorSettled reports whether descriptor pseudo-message m, offered
-// for pooling, already decided or had its whole range adelivered.
-func (t *Tail) DescriptorSettled(m wire.AppMsg) bool {
-	_, done := t.descDone[m.ID]
-	return done || t.settled(m, t.next-1)
+// Offer pools a peer's unordered entries with the given mark, except those
+// of origins outside the current view (a proposal must not carry what the
+// activation boundary retired) and those with nothing left to order: an
+// adelivered message, or a descriptor that decided or whose whole range
+// is adelivered.
+func (t *Tail) Offer(b wire.Batch, mark uint64) {
+	cur := t.Hist.Current()
+	for _, m := range b {
+		if _, done := t.descDone[m.ID]; cur.Contains(m.ID.Sender) && !done && !t.settled(m, t.next-1) {
+			t.Pool.Add(m, mark)
+		}
+	}
 }
 
 // settled reports whether pending entry m is obsolete: a message already

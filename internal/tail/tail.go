@@ -95,7 +95,7 @@ type Tail struct {
 	// Pool is the unordered messages: the modular pending set, the
 	// monolithic pool. The engine proposes from it; the tail retires what
 	// a decision, an install or a remove made obsolete.
-	Pool *pool.Pool
+	Pool pool.Pool
 	Rec  recovery.Catchup // while active the engine must not propose
 	// Suspected is the failure detector's output, written by the engine: it
 	// steers refetch targets here, round changes in the monolithic engine.
@@ -132,7 +132,6 @@ func New(env engine.Env, cfg *engine.Config, h Host) *Tail {
 		Flow:      flow.NewController(env.Self(), cfg.EffectiveWindow()),
 		Hist:      member.NewHistory(env.N()),
 		Delivered: dedup.NewMap(env.N()),
-		Pool:      pool.New(),
 		Suspected: make(map[types.ProcessID]bool),
 		next:      1,
 		retires:   make(map[uint64][]types.ProcessID),

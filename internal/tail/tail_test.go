@@ -439,8 +439,8 @@ func TestCommit(t *testing.T) {
 		if got := h.pending(); len(got) != 0 {
 			t.Fatalf("regrouped sibling still pending: %v", got)
 		}
-		if !h.t.DescriptorSettled(dp.AppMsg()) || !h.t.DescriptorSettled(dw.AppMsg()) {
-			t.Fatal("decided descriptors must be settled")
+		if h.t.Offer(wire.Batch{dp.AppMsg(), dw.AppMsg()}, 1); h.t.Pool.Len() != 0 {
+			t.Fatal("decided descriptors must be settled: offered, they were pooled")
 		}
 	})
 }

@@ -37,8 +37,8 @@ const (
 // 4-byte length-prefixed frames. Each connection is identified by a hello
 // carrying the dialer's process ID. Send only queues: each peer has one
 // writer goroutine that dials, backs off and writes its queue a drain at
-// a time, so no socket call ever runs on the caller's goroutine. A removed
-// member's peer is retired (Retire): its writer ends and its queue goes.
+// a time, so no socket call ever runs on the caller's goroutine. A process
+// without an address (a removed member) is no peer: see SetAddrs.
 type TCP struct {
 	self    types.ProcessID
 	ln      net.Listener
@@ -53,7 +53,6 @@ type TCP struct {
 	started bool
 	closed  bool
 	peers   map[types.ProcessID]*peer
-	retired map[types.ProcessID]bool // removed members: Send refuses them
 	wg      sync.WaitGroup
 }
 
@@ -65,8 +64,8 @@ var _ Transport = (*TCP)(nil)
 // than a slab, and shedding the oldest chunk sheds the oldest frames.
 type peer struct {
 	wake chan struct{} // one pending wakeup
-	// ctx ends at Close or when the peer is retired, and with it the
-	// writer and its connection.
+	// ctx ends at Close or when the peer loses its address, and with it
+	// the writer and its connection.
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -123,8 +122,7 @@ func NewTCP(self types.ProcessID, addrs []string) (*TCP, error) {
 		cnt:    new(trace.Counters),
 		ctx:    ctx,
 		cancel: cancel,
-		peers:   make(map[types.ProcessID]*peer),
-		retired: make(map[types.ProcessID]bool),
+		peers:  make(map[types.ProcessID]*peer),
 	}, nil
 }
 
@@ -132,11 +130,24 @@ func NewTCP(self types.ProcessID, addrs []string) (*TCP, error) {
 func (t *TCP) Addr() string { return t.ln.Addr().String() }
 
 // SetAddrs replaces the peer address table (used when peers bind ":0" and
-// exchange addresses out of band, as the tests do).
+// exchange addresses out of band, as the tests do, and as membership
+// changes). A peer left without an address is retired: its writer ends,
+// closing its connection, and its queued frames are dropped. Without that
+// a peer gone for good would keep its queue until Close and re-dial every
+// dialRetry.
 func (t *TCP) SetAddrs(addrs []string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.addrs = append([]string(nil), addrs...)
+	for to, p := range t.peers {
+		if int(to) >= len(t.addrs) || t.addrs[to] == "" {
+			delete(t.peers, to)
+			p.cancel()
+			p.mu.Lock()
+			p.chunks, p.queued = nil, 0
+			p.mu.Unlock()
+		}
+	}
 }
 
 // SetCounters makes the transport count its queue gauges, shed frames and
@@ -237,13 +248,13 @@ func readFrames(r io.Reader, fn func([]byte)) error {
 
 // Send implements Transport. It appends one length-prefixed copy of data
 // to the peer's queue and wakes the peer's writer, started by the first
-// Send to that peer; it never touches the socket. A retired peer is
-// unknown: nothing is queued for it.
+// Send to that peer; it never touches the socket. A process without an
+// address is unknown: nothing is queued for it.
 func (t *TCP) Send(to types.ProcessID, data []byte) error {
 	t.mu.Lock()
-	// The bounds check reads the address table under the lock: SetAddrs
-	// grows it concurrently when a decided join carries a new address.
-	if int(to) < 0 || int(to) >= len(t.addrs) || t.retired[to] {
+	// The address check reads the table under the lock: SetAddrs changes
+	// it concurrently when a decided join or remove changes the group.
+	if int(to) < 0 || int(to) >= len(t.addrs) || t.addrs[to] == "" {
 		t.mu.Unlock()
 		return ErrUnknownPeer
 	}
@@ -272,33 +283,6 @@ func (t *TCP) Send(to types.ProcessID, data []byte) error {
 		}
 	}
 	return nil
-}
-
-// Retire ends the peer of a removed member: its writer stops, closing its
-// connection, its queued frames are dropped, and Send refuses it until
-// Readmit. Without it a peer gone for good keeps its queue until Close and
-// its writer re-dials every dialRetry.
-func (t *TCP) Retire(to types.ProcessID) {
-	t.mu.Lock()
-	p := t.peers[to]
-	delete(t.peers, to)
-	t.retired[to] = true
-	t.mu.Unlock()
-	if p == nil {
-		return
-	}
-	p.cancel()
-	p.mu.Lock()
-	p.chunks, p.queued = nil, 0
-	p.mu.Unlock()
-}
-
-// Readmit lets Send reach a retired peer again (an ID admitted anew): the
-// next Send starts a fresh peer.
-func (t *TCP) Readmit(to types.ProcessID) {
-	t.mu.Lock()
-	delete(t.retired, to)
-	t.mu.Unlock()
 }
 
 // write is a peer's writer: it owns the connection, and each drain swaps
@@ -368,8 +352,11 @@ func (t *TCP) write(to types.ProcessID, p *peer) {
 // dial connects to a peer and says hello (our process ID); nil if it fails
 // or ctx ends.
 func (t *TCP) dial(ctx context.Context, to types.ProcessID) net.Conn {
+	var addr string
 	t.mu.Lock()
-	addr := t.addrs[to]
+	if int(to) < len(t.addrs) {
+		addr = t.addrs[to] // a retired peer's writer may still be on its way out
+	}
 	t.mu.Unlock()
 	c, err := (&net.Dialer{Timeout: dialTimeout}).DialContext(ctx, "tcp", addr)
 	if err != nil {

@@ -344,12 +344,13 @@ func FuzzFrameReader(f *testing.F) {
 	})
 }
 
-// TestTCPRetireEndsPeer: retiring a peer gone for good (a removed member)
-// ends its writer and drops its queue, so its dial failures stop and its
-// goroutine goes; Send refuses it until Readmit, after which a fresh peer
-// starts.
-func TestTCPRetireEndsPeer(t *testing.T) {
-	t0, err := NewTCP(0, []string{"127.0.0.1:0", freeAddr(t)})
+// TestTCPAddressRemovalRetiresPeer: taking a peer's address away (a
+// removed member, gone for good) ends its writer and drops its queue, so
+// its dial failures stop and its goroutine goes; Send refuses it until it
+// has an address again, which starts a fresh peer.
+func TestTCPAddressRemovalRetiresPeer(t *testing.T) {
+	addrs := []string{"127.0.0.1:0", freeAddr(t)}
+	t0, err := NewTCP(0, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,15 +366,15 @@ func TestTCPRetireEndsPeer(t *testing.T) {
 	}
 	waitUntil(t, "a refused dial", func() bool { return cnt.TransportDialFailures.Load() > 0 })
 
-	t0.Retire(1)
+	t0.SetAddrs([]string{addrs[0], ""})
 	waitUntil(t, "the writer to end", func() bool { return runtime.NumGoroutine() <= before })
 	failures := cnt.TransportDialFailures.Load()
 	time.Sleep(3 * dialRetry)
 	if got := cnt.TransportDialFailures.Load(); got != failures {
-		t.Fatalf("dial failures rose from %d to %d after Retire", failures, got)
+		t.Fatalf("dial failures rose from %d to %d after the address went", failures, got)
 	}
 	if err := t0.Send(1, []byte("refused")); !errors.Is(err, ErrUnknownPeer) {
-		t.Fatalf("Send to a retired peer: %v, want ErrUnknownPeer", err)
+		t.Fatalf("Send to a peer without an address: %v, want ErrUnknownPeer", err)
 	}
 	t0.mu.Lock()
 	_, kept := t0.peers[1]
@@ -382,9 +383,9 @@ func TestTCPRetireEndsPeer(t *testing.T) {
 		t.Fatal("a retired peer is still in the peer table")
 	}
 
-	t0.Readmit(1)
+	t0.SetAddrs(addrs)
 	if err := t0.Send(1, []byte("again")); err != nil {
-		t.Fatalf("Send after Readmit: %v", err)
+		t.Fatalf("Send once the address is back: %v", err)
 	}
 	waitUntil(t, "a fresh peer's dial", func() bool { return cnt.TransportDialFailures.Load() > failures })
 }

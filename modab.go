@@ -1122,14 +1122,20 @@ func (c *Cluster) viewEverywhere(id ProcessID, member bool) bool {
 // runtime's OnConfig hook, on the event loop of the node whose TCP
 // transport — nil in memory — is tcp): an admission grows the slot
 // tables, teaches the transport the joiner's address and spawns a
-// pending local joiner; a removal retires the member's transport peer;
-// every change wakes Add/Remove waiters.
+// pending local joiner; a removal takes the member's address away, which
+// retires its transport peer (an ID admitted again gets it back); every
+// change wakes Add/Remove waiters.
 func (c *Cluster) onViewChange(tcp *transport.TCP, v member.View, op member.Op) {
 	switch {
 	case op.Kind == member.OpAdd:
 		c.admit(tcp, v, op)
 	case op.Kind == member.OpRemove && tcp != nil:
-		tcp.Retire(op.Target)
+		c.mu.Lock()
+		if int(op.Target) < len(c.addrs) {
+			c.addrs[op.Target] = ""
+			tcp.SetAddrs(c.addrs)
+		}
+		c.mu.Unlock()
 	}
 	c.viewPulse()
 }
@@ -1145,12 +1151,9 @@ func (c *Cluster) admit(tcp *transport.TCP, v member.View, op member.Op) {
 		return
 	}
 	c.grow(int(id) + 1)
-	if tcp != nil {
-		tcp.Readmit(id) // an ID removed before (Add reuses MaxID()+1)
-		if op.Addr != "" && c.addrs[id] != op.Addr {
-			c.addrs[id] = op.Addr
-			tcp.SetAddrs(c.addrs)
-		}
+	if tcp != nil && op.Addr != "" && c.addrs[id] != op.Addr {
+		c.addrs[id] = op.Addr
+		tcp.SetAddrs(c.addrs)
 	}
 	spawn := c.pending[id]
 	delete(c.pending, id)
