@@ -404,7 +404,8 @@ func (l *Layer) processDecision(k uint64, batch wire.Batch, descs []wire.Descrip
 	// few applied chunks for nothing — CaughtUp restarts the epochs
 	// instead.
 	if !l.t.Rec.Active() {
-		l.rediffuse(func(e *pool.Entry) bool { return k >= e.Mark && k-e.Mark >= rediffuseGrace*uint64(l.pipe) }, k+1)
+		grace := rediffuseGrace * uint64(l.pipe)
+		l.rediffuse(func(e *pool.Entry) bool { return k >= e.Mark && k-e.Mark >= grace }, k+1)
 	}
 }
 
